@@ -26,11 +26,17 @@ import (
 //     When consecutive Schedule calls see the same capacity, exec
 //     vector, rewarder and config, and the EDF-ordered queue prefix is
 //     unchanged, the tables for that prefix are reused verbatim and the
-//     DP resumes from the first divergent query. Step table i+1 is a
-//     pure function of table i, queries[order[i]], exec, the flattened
-//     layout, the Rewarder and the DP config, so prefix reuse is
-//     bit-identical to a from-scratch solve (ReferenceDP is the oracle;
-//     see dp_identity_test.go).
+//     DP resumes from the first divergent query. At and above its
+//     floor (below), step table i+1 is a pure function of table i,
+//     queries[order[i]], exec, the flattened layout, the Rewarder and
+//     the DP config, so prefix reuse is bit-identical to a from-scratch
+//     solve (ReferenceDP is the oracle; see dp_identity_test.go).
+//   - bounds:   per window position, each subset's reward and level
+//     evaluated once from base, and the most the remaining queries can
+//     still add. Cells that cannot reach the final top level even so
+//     are never built (boundFrom has the exactness argument); each table
+//     records the floor it was built under, and reuse stops at the first
+//     retained table whose floor is too high for the new suffix.
 //
 // The arena also caches the flatten buffers, the EDF index sorter, the
 // subset enumeration and the returned Assignments map. None of this is
@@ -59,8 +65,15 @@ type dpLevel struct {
 	worst int32
 }
 
-// dpTable is the frontier table after one DP step.
-type dpTable struct{ levels []dpLevel }
+// dpTable is the frontier table after one DP step. top is its highest
+// non-empty level. floor is the level bound the table was built under:
+// levels at or above it hold exactly the entries an unbounded solve would
+// put there, levels below it are empty (see boundFrom).
+type dpTable struct {
+	levels []dpLevel
+	top    int
+	floor  int
+}
 
 // dpScratch is the reusable arena owned by one DP instance.
 type dpScratch struct {
@@ -74,7 +87,17 @@ type dpScratch struct {
 	steps   []dpTable
 	nsteps  int // steps[:nsteps] hold valid tables
 
-	comp     []time.Duration // completion() output buffer
+	comp []time.Duration // completion() output buffer
+
+	// Per-query quantities hoisted out of the per-entry loop, indexed by
+	// window position (times the subset count for qrw/qlvl). They depend
+	// only on the query, base, exec and the Rewarder, so positions inside
+	// a reused prefix stay valid across calls. See boundFrom.
+	qrw  []float64 // exact reward of (query, subset)
+	qlvl []int     // its clamped quantized level; -1 if it cannot meet the deadline even from base
+	qmax []int     // the query's best level over its feasible subsets
+	rest []int     // rest[i] = sum of qmax[i:], len(window)+1
+
 	subsets  []ensemble.Subset
 	subsetsM int
 	plan     map[int]ensemble.Subset
@@ -156,6 +179,57 @@ func (s *dpScratch) prepTable(t *dpTable, n int) {
 	for i := range t.levels {
 		t.levels[i].ids = t.levels[i].ids[:0]
 		t.levels[i].worst = -1
+	}
+	t.top, t.floor = 0, 0
+}
+
+// boundFrom computes the level bounds for the window order: for every
+// position from p on it evaluates each subset once — exact reward, clamped
+// level, and whether it meets the query's deadline from base — and then
+// rebuilds rest over the whole window (positions before p keep the values
+// the previous call left; the caller guarantees they share its
+// fingerprint).
+//
+// Why skipping below the bound is exact. An insert touches one (step,
+// level) cell only, so a cell's content is a function of the inserts into
+// it. The skip transition re-inserts every non-empty level one step on,
+// so the final top level is at least top[i] for every step i. Every
+// entry's availability is >= base and completion is monotone in
+// availability, so a query adds at most qmax to a level, and a cell
+// (i, L) with L+rest[i] < top[i] has no descendant in the final top
+// level — the only cell a plan is extracted from. Such cells feed only
+// cells of the same kind, so dropping them, and every candidate landing
+// in one, leaves all other cells with the identical insert sequence in
+// every mode (Vanilla, DisablePrune, beam).
+func (s *dpScratch) boundFrom(p int, queries []QueryInfo, order []int, base []time.Duration, lay layout, exec []time.Duration, r Rewarder, perQueryLevels int) {
+	n, nsub := len(order), len(s.subsets)
+	s.qrw, s.qlvl = grown(s.qrw, n*nsub), grown(s.qlvl, n*nsub)
+	s.qmax, s.rest = grown(s.qmax, n), grown(s.rest, n+1)
+	for i := p; i < n; i++ {
+		q := queries[order[i]]
+		best := 0
+		for si, sub := range s.subsets {
+			lvl := -1
+			if lay.completion(base, exec, sub, s.comp) <= q.Deadline {
+				rw := r.Reward(q.Score, sub)
+				lvl = quantize(rw, s.delta)
+				if lvl >= perQueryLevels {
+					lvl = perQueryLevels - 1
+				} else if lvl < 0 {
+					lvl = 0
+				}
+				s.qrw[i*nsub+si] = rw
+				if lvl > best {
+					best = lvl
+				}
+			}
+			s.qlvl[i*nsub+si] = lvl
+		}
+		s.qmax[i] = best
+	}
+	s.rest[n] = 0
+	for i := n - 1; i >= 0; i-- {
+		s.rest[i] = s.rest[i+1] + s.qmax[i]
 	}
 }
 
@@ -344,6 +418,14 @@ func sameRewarder(a, b Rewarder) bool {
 		return false
 	}
 	return a == b
+}
+
+// grown returns s extended to at least n elements, contents kept.
+func grown[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 func durEq(a, b []time.Duration) bool {

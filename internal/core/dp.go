@@ -138,7 +138,6 @@ func (d *DP) Schedule(now time.Duration, queries []QueryInfo, avail Capacity, ex
 		for p < max && queries[order[p]] == s.pOrder[p] {
 			p++
 		}
-		s.invalidateFrom(p + 1)
 	} else {
 		s.resetArena(len(base))
 		s.ensureSteps(1)
@@ -148,35 +147,62 @@ func (d *DP) Schedule(now time.Duration, queries []QueryInfo, avail Capacity, ex
 		t0.levels[0].ids = append(t0.levels[0].ids, root)
 		s.nsteps = 1
 	}
+	if p < len(order) {
+		// At least one step is rebuilt: refresh the level bounds (the
+		// verbatim-repeat path skips this — a window that only lost its
+		// tail can only raise the floors its retained tables satisfy).
+		// Retained tables built under a floor above what this suffix
+		// needs lack cells that are live now, so reuse stops before the
+		// first such step.
+		s.boundFrom(p, queries, order, base, lay, exec, r, perQueryLevels)
+		for j := 1; j <= p; j++ {
+			if s.steps[j].floor > floorOf(s.steps[j-1].top, s.rest[j]) {
+				p = j - 1
+				break
+			}
+		}
+	}
+	s.invalidateFrom(p + 1)
 
+	nsub := len(subsets)
 	for i := p; i < len(order); i++ {
 		q := queries[order[i]]
 		s.ensureSteps(i + 2)
 		// Take table pointers only after ensureSteps: growth moves steps.
 		prev := &s.steps[i]
 		next := &s.steps[i+1]
-		s.prepTable(next, len(prev.levels)+perQueryLevels)
-		for level := range prev.levels {
+		s.prepTable(next, prev.top+perQueryLevels)
+		// Level bounds (see boundFrom): a cell below lo cannot reach the
+		// final top level whatever the remaining queries add, and neither
+		// can a candidate landing below next.floor; both are skipped. The
+		// skip transition keeps prev's top level non-empty in next.
+		lo := floorOf(prev.top, s.rest[i])
+		next.floor = floorOf(prev.top, s.rest[i+1])
+		next.top = prev.top
+		qrw, qlvl := s.qrw[i*nsub:(i+1)*nsub], s.qlvl[i*nsub:(i+1)*nsub]
+		for level := lo; level <= prev.top; level++ {
 			for _, eid := range prev.levels[level].ids {
 				// Copy the entry's fields: inserts below may grow the
 				// entries slice and would invalidate a pointer.
 				e := s.entries[eid]
 				// Skip the query: same level, same availability.
-				s.insert(next, level, s.avail(eid), e.reward, eid, ensemble.Empty, q.ID)
+				if level >= next.floor {
+					s.insert(next, level, s.avail(eid), e.reward, eid, ensemble.Empty, q.ID)
+				}
 				// Try every subset that meets the deadline.
-				for _, sub := range subsets {
+				for si, sub := range subsets {
+					lvl := qlvl[si]
+					if lvl < 0 || level+lvl < next.floor {
+						continue
+					}
 					done := lay.completion(s.avail(eid), exec, sub, s.comp)
 					if done > q.Deadline {
 						continue
 					}
-					rw := r.Reward(q.Score, sub)
-					lvl := quantize(rw, delta)
-					if lvl >= perQueryLevels {
-						lvl = perQueryLevels - 1
-					} else if lvl < 0 {
-						lvl = 0
+					s.insert(next, level+lvl, s.comp, e.reward+qrw[si], eid, sub, q.ID)
+					if level+lvl > next.top {
+						next.top = level + lvl
 					}
-					s.insert(next, level+lvl, s.comp, e.reward+rw, eid, sub, q.ID)
 				}
 			}
 		}
@@ -188,16 +214,7 @@ func (d *DP) Schedule(now time.Duration, queries []QueryInfo, avail Capacity, ex
 	// overall (most room for future arrivals), then a lexicographic
 	// tie-break for determinism.
 	final := &s.steps[len(order)]
-	bestLevel := -1
-	for level := len(final.levels) - 1; level >= 0; level-- {
-		if len(final.levels[level].ids) > 0 {
-			bestLevel = level
-			break
-		}
-	}
-	if bestLevel < 0 {
-		return plan
-	}
+	bestLevel := final.top
 	ids := final.levels[bestLevel].ids
 	best := ids[0]
 	for _, eid := range ids[1:] {
@@ -228,6 +245,16 @@ func (d *DP) Schedule(now time.Duration, queries []QueryInfo, avail Capacity, ex
 	}
 	s.pValid = true
 	return plan
+}
+
+// floorOf is the lowest level of a step that can still reach the final
+// top level: top is the highest non-empty level of the step before it and
+// rest the most the remaining queries can add.
+func floorOf(top, rest int) int {
+	if top < rest {
+		return 0
+	}
+	return top - rest
 }
 
 func maxOf(xs []time.Duration) time.Duration {

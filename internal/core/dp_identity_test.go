@@ -139,6 +139,218 @@ func TestDPIncrementalReuseIdentity(t *testing.T) {
 	}
 }
 
+// genLiveInstance draws the shape the serve coordinator hands the planner
+// under overload, where the level bounds (arena.go: boundFrom) do most of
+// their work: a 30-deep buffer the 16-query window truncates, IDs that
+// are buffer positions, three models of which exactly one is idle, and
+// deadlines tight against capacity — a few already unreachable, most
+// reachable on their own, far from all reachable together.
+func genLiveInstance(seed uint64) instance {
+	src := rng.New(seed ^ 0x6c697665)
+	const m, n = 3, 30
+	now := time.Duration(1000+src.Intn(1000)) * ms
+	inst := instance{
+		now:  now,
+		m:    m,
+		cap:  make(Capacity, m),
+		exec: []time.Duration{time.Duration(15+src.Intn(15)) * ms, time.Duration(60+src.Intn(40)) * ms, time.Duration(70+src.Intn(40)) * ms},
+	}
+	idle := src.Intn(m)
+	for k := range inst.cap {
+		slots := make([]time.Duration, 1+src.Intn(2))
+		for r := range slots {
+			slots[r] = now + time.Duration(5+src.Intn(90))*ms
+		}
+		if k == idle {
+			slots[0] = now - time.Duration(src.Intn(5))*ms
+		}
+		inst.cap[k] = slots
+	}
+	inst.queries = make([]QueryInfo, n)
+	for i := range inst.queries {
+		inst.queries[i] = QueryInfo{
+			ID:       i,
+			Arrival:  now - time.Duration(src.Intn(80))*ms,
+			Deadline: now + time.Duration(src.Intn(600)-10)*ms,
+			Score:    src.Float64(),
+		}
+	}
+	return inst
+}
+
+// edgeRewarder strays just outside [0,1] — above 1 for easy full
+// ensembles, below 0 for a single model on a hard query — by less than
+// any Delta under test, the range where ReferenceDP's unclamped level
+// arithmetic and DP's clamped one still agree, so it remains the oracle.
+type edgeRewarder struct{ m int }
+
+func (r edgeRewarder) Reward(score float64, s ensemble.Subset) float64 {
+	if s == ensemble.Empty {
+		return 0
+	}
+	if s.Size() == 1 && score > 0.8 {
+		return -0.004
+	}
+	return 1.006 * rootRewarder{m: r.m}.Reward(score, s)
+}
+
+// TestDPLevelBoundsIdentity pins the level bounds on live-shaped overload
+// instances, where they skip most of the table, in every mode the
+// exactness argument covers: refinement on and off, pruning off, beam
+// off. One DP per configuration is reused across seeds.
+func TestDPLevelBoundsIdentity(t *testing.T) {
+	configs := []struct {
+		name  string
+		seeds uint64
+		mk    func() (*DP, *ReferenceDP)
+	}{
+		{"default", 10, func() (*DP, *ReferenceDP) {
+			return &DP{Delta: 0.01}, &ReferenceDP{Delta: 0.01}
+		}},
+		{"vanilla", 10, func() (*DP, *ReferenceDP) {
+			return &DP{Delta: 0.01, Vanilla: true}, &ReferenceDP{Delta: 0.01, Vanilla: true}
+		}},
+		{"noprune", 6, func() (*DP, *ReferenceDP) {
+			return &DP{Delta: 0.05, DisablePrune: true}, &ReferenceDP{Delta: 0.05, DisablePrune: true}
+		}},
+		{"unbounded-frontier", 6, func() (*DP, *ReferenceDP) {
+			return &DP{Delta: 0.02, MaxFrontier: -1, MaxWindow: 10}, &ReferenceDP{Delta: 0.02, MaxFrontier: -1, MaxWindow: 10}
+		}},
+	}
+	for _, cfg := range configs {
+		d, ref := cfg.mk()
+		for seed := uint64(0); seed < cfg.seeds; seed++ {
+			inst := genLiveInstance(seed)
+			for _, r := range []Rewarder{rootRewarder{m: inst.m}, edgeRewarder{m: inst.m}} {
+				got := d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+				want := ref.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+				samePlan(t, cfg.name+"/live", got, want)
+			}
+		}
+	}
+}
+
+// TestDPLevelBoundsOutOfRange covers rewards far outside [0,1], where
+// ReferenceDP panics or diverges by design (see its doc): a DP that has
+// just solved a different instance must agree with a fresh one, and the
+// plan must replay feasibly with a truthful TotalReward.
+func TestDPLevelBoundsOutOfRange(t *testing.T) {
+	for _, scale := range []float64{2.5, -0.5} {
+		warm := &DP{Delta: 0.01}
+		for seed := uint64(0); seed < 8; seed++ {
+			inst := genLiveInstance(seed)
+			r := scaledRewarder{scale: scale, m: inst.m}
+			got := warm.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r).Clone()
+			want := (&DP{Delta: 0.01}).Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+			samePlan(t, "out-of-range/live", got, want)
+			windowed := inst
+			windowed.queries = nil
+			for _, qi := range edfOrder(inst.queries)[:16] {
+				windowed.queries = append(windowed.queries, inst.queries[qi])
+			}
+			replayFeasible(t, "out-of-range/live", seed, windowed, got, r)
+			if scale < 0 && got.TotalReward != 0 {
+				t.Fatalf("seed %d: negative rewards must never beat skipping, got %v", seed, got.TotalReward)
+			}
+		}
+	}
+}
+
+// countingRewarder counts Reward calls; a pointer, so it fingerprints as
+// the same Rewarder across calls and prefix reuse stays available.
+type countingRewarder struct {
+	Rewarder
+	calls int
+}
+
+func (c *countingRewarder) Reward(score float64, s ensemble.Subset) float64 {
+	c.calls++
+	return c.Rewarder.Reward(score, s)
+}
+
+// scoreRewarder pays the query's score for any non-empty subset.
+type scoreRewarder struct{}
+
+func (scoreRewarder) Reward(score float64, s ensemble.Subset) float64 {
+	if s == ensemble.Empty {
+		return 0
+	}
+	return score
+}
+
+// TestDPLevelBoundsReuseCutsOnRicherSuffix is the smallest instance on
+// which reusing a table past its floor picks the wrong plan: one model
+// with room for one task before the shared deadline. Solving {A, B}
+// retains only the cell that ran A; when the far more valuable T arrives
+// behind them, the winning plan skips both — a cell below that floor.
+func TestDPLevelBoundsReuseCutsOnRicherSuffix(t *testing.T) {
+	queries := []QueryInfo{
+		{ID: 0, Arrival: 0, Deadline: 10 * ms, Score: 0.2},
+		{ID: 1, Arrival: 1, Deadline: 10 * ms, Score: 0.1},
+	}
+	avail := SingleReplica([]time.Duration{0})
+	exec := []time.Duration{10 * ms}
+	d := &DP{Delta: 0.01}
+	ref := &ReferenceDP{Delta: 0.01}
+	samePlan(t, "before", d.Schedule(0, queries, avail, exec, scoreRewarder{}).Clone(),
+		ref.Schedule(0, queries, avail, exec, scoreRewarder{}))
+	queries = append(queries, QueryInfo{ID: 2, Arrival: 2, Deadline: 10 * ms, Score: 1})
+	got := d.Schedule(0, queries, avail, exec, scoreRewarder{})
+	samePlan(t, "after", got, ref.Schedule(0, queries, avail, exec, scoreRewarder{}))
+	if got.Subset(2) == ensemble.Empty {
+		t.Fatalf("the valuable tail query was skipped: %v", got.Assignments)
+	}
+}
+
+// TestDPLevelBoundsReuseIdentity is the reuse regression for the bounds:
+// a retained table was built under a floor that depended on the queries
+// after it, so a tail arrival that raises what the suffix can still add
+// lowers the floor and must cut reuse, while a shrinking suffix must not.
+// Clock and capacity are held fixed so the prefix fingerprint matches and
+// reuse is really in play (the call counts prove it).
+func TestDPLevelBoundsReuseIdentity(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		inst := genLiveInstance(seed)
+		order := edfOrder(inst.queries)
+		var queries []QueryInfo
+		for _, qi := range order[:12] {
+			queries = append(queries, inst.queries[qi])
+		}
+		last := queries[len(queries)-1].Deadline
+		d := &DP{Delta: 0.01}
+		ref := &ReferenceDP{Delta: 0.01}
+		r := &countingRewarder{Rewarder: rootRewarder{m: inst.m}}
+		nsub := len(ensemble.AllSubsets(inst.m))
+		check := func(tag string, maxCalls int) {
+			t.Helper()
+			r.calls = 0
+			got := d.Schedule(inst.now, queries, inst.cap, inst.exec, r).Clone()
+			if r.calls > maxCalls {
+				t.Fatalf("seed %d %s: %d Reward calls, want at most %d", seed, tag, r.calls, maxCalls)
+			}
+			samePlan(t, tag, got, ref.Schedule(inst.now, queries, inst.cap, inst.exec, r))
+		}
+		check("first", len(queries)*nsub)
+		// An easy tail query due with the last one: the whole prefix
+		// matches, but plans that kept capacity free — below every
+		// retained floor — are now the ones that can win.
+		queries = append(queries, QueryInfo{ID: 100, Arrival: inst.now, Deadline: last, Score: 0.01})
+		check("tail appended", nsub)
+		// A prefix query leaves: reuse stops at its position.
+		queries = append(queries[:3], queries[4:]...)
+		check("prefix removed", (len(queries)-3)*nsub)
+		check("verbatim repeat", 0)
+		// The tail leaves again: the suffix shrinks, floors only rise, and
+		// every retained table still holds what is needed.
+		queries = queries[:len(queries)-1]
+		check("tail removed", 0)
+		// A hopeless tail query adds nothing to the suffix: full reuse of
+		// the prefix, one new step.
+		queries = append(queries, QueryInfo{ID: 101, Arrival: inst.now, Deadline: last + ms, Score: 0.99})
+		check("hopeless tail", nsub)
+	}
+}
+
 // greedyReferenceSchedule is the pre-scratch Greedy.Schedule, kept
 // verbatim as the oracle for the scratch-based rewrite.
 func greedyReferenceSchedule(order Order, now time.Duration, queries []QueryInfo, avail Capacity, exec []time.Duration, r Rewarder) Plan {

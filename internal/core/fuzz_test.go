@@ -68,7 +68,10 @@ func decodeFuzzInstance(data []byte) (instance, bool) {
 // asserting the invariants that must survive any input: no panic, plans
 // replay feasibly in EDF order on replica capacity, TotalReward is the
 // exact sum of the assignments' rewards, and every assignment refers to a
-// real query with a subset inside the model universe.
+// real query with a subset inside the model universe. The same DP then
+// re-plans the queue after an arrival and after a departure, and all
+// three plans must equal ReferenceDP's bit for bit — the property the
+// level bounds and their interaction with prefix reuse have to keep.
 func FuzzDPSchedule(f *testing.F) {
 	f.Add([]byte("\x02\x10\x01\x05\x14\x01\x0a\x1e\x20\x40\x30\x10\x60\x55\x30\x21"), uint16(10), uint16(0), false, false)
 	f.Add([]byte("\x02\x00\x02\x00\x10\x20\x32\x00\x50\x14\x01\x05\x06\x40\x00\x64\x80\x10\x20\xff"), uint16(1), uint16(2), true, false)
@@ -88,9 +91,23 @@ func FuzzDPSchedule(f *testing.F) {
 			Vanilla:      vanilla,
 			DisablePrune: noPrune,
 		}
+		ref := &ReferenceDP{Delta: delta, MaxWindow: d.MaxWindow, Vanilla: vanilla, DisablePrune: noPrune}
 		r := rootRewarder{m: inst.m}
-		plan := d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
-		checkFuzzPlan(t, "dp", inst, plan, r)
+		all := inst.queries
+		for _, step := range []struct {
+			tag     string
+			queries []QueryInfo
+		}{
+			{"dp/before-arrival", all[:len(all)-1]},
+			{"dp", all},
+			{"dp/after-departure", all[1:]},
+		} {
+			inst.queries = step.queries
+			plan := d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+			checkFuzzPlan(t, step.tag, inst, plan, r)
+			samePlan(t, step.tag, plan, ref.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r))
+		}
+		inst.queries = all
 		g := &Greedy{Order: Order(int(deltaRaw) % 3)}
 		checkFuzzPlan(t, g.Name(), inst,
 			g.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r), r)

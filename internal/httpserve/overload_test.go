@@ -135,35 +135,55 @@ func TestClassedPredictDefaults(t *testing.T) {
 // Retry-After header that is a positive integer, and the header value
 // tracks the runtime's load-derived hint rather than a hard-coded "1"
 // (the serve-level growth law is pinned by qos.TestRetryAfterGrowsWithBacklog).
+//
+// The flood is a closed loop that runs until sheds have been seen, not a
+// single volley: admission only engages once the coordinator has observed
+// the backlog, and a volley can be admitted whole before it has run a
+// pass. The live hint is read by a client that was just shed, while the
+// other clients' requests still hold the backlog — the estimator decays
+// within milliseconds of the flood draining.
 func TestRetryAfterDerivedFromLoad(t *testing.T) {
 	ts, h := startClassedServer(t)
 	a := artifacts(t)
 
-	const n = 300
+	const clients, wantSheds = 64, 10
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	sheds := 0
 	retryAfters := map[string]int{}
-	for i := 0; i < n; i++ {
+	liveHints := map[int]int{}
+	deadline := time.Now().Add(20 * time.Second)
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(c int) {
 			defer wg.Done()
-			body := `{"sample_id": ` + strconv.Itoa(a.Serve[i%50].ID) + `, "class": "bronze"}`
-			resp := postPredict(t, ts.URL, body, "")
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				return
+			for i := c; ; i += clients {
+				mu.Lock()
+				done := sheds >= wantSheds
+				mu.Unlock()
+				if done || time.Now().After(deadline) {
+					return
+				}
+				body := `{"sample_id": ` + strconv.Itoa(a.Serve[i%50].ID) + `, "class": "bronze"}`
+				resp := postPredict(t, ts.URL, body, "")
+				ra := resp.Header.Get("Retry-After")
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					continue
+				}
+				// The handler derives the hint from the live estimator.
+				live := h.srv.RetryAfterSeconds()
+				mu.Lock()
+				sheds++
+				retryAfters[ra]++
+				liveHints[live]++
+				mu.Unlock()
 			}
-			ra := resp.Header.Get("Retry-After")
-			mu.Lock()
-			sheds++
-			retryAfters[ra]++
-			mu.Unlock()
-		}(i)
+		}(c)
 	}
 	wg.Wait()
-	if sheds == 0 {
-		t.Fatalf("%d concurrent bronze requests at 5x+ capacity shed nothing", n)
+	if sheds < wantSheds {
+		t.Fatalf("%d closed-loop bronze clients at 5x+ capacity shed %d requests, want %d", clients, sheds, wantSheds)
 	}
 	for ra, count := range retryAfters {
 		secs, err := strconv.Atoi(ra)
@@ -171,9 +191,10 @@ func TestRetryAfterDerivedFromLoad(t *testing.T) {
 			t.Errorf("%d sheds carried invalid Retry-After %q", count, ra)
 		}
 	}
-	// The handler derives the hint from the live estimator.
-	if got := h.srv.RetryAfterSeconds(); got < 1 {
-		t.Errorf("RetryAfterSeconds = %d, want >= 1", got)
+	for live, count := range liveHints {
+		if live < 1 {
+			t.Errorf("RetryAfterSeconds = %d on %d reads under load, want >= 1", live, count)
+		}
 	}
 
 	// The flood shows up in the class metrics exposition.

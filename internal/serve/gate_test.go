@@ -1,0 +1,320 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"schemble/internal/core"
+	"schemble/internal/dataset"
+	"schemble/internal/ensemble"
+	"schemble/internal/model"
+	"schemble/internal/rng"
+	"schemble/internal/testutil"
+)
+
+// This file pins the coordinator's dispatch gate: a planning pass that
+// cannot commit anything — every unblocked replica is busy — must not
+// call the scheduler, and must leave the buffer, the slack signal and the
+// counters exactly as a pass that planned and then committed nothing.
+//
+// The rig takes the wall clock out of the picture. Models claim an hour
+// of mean latency, so a committed replica stays busy in the coordinator's
+// estimate until its completion re-anchors it; they draw zero actual
+// latency and then block in Predict until the test releases them, so
+// every coordinator event is one the script caused. The scheduler is a
+// stub that plans every query onto models 0 and 1 and counts its calls.
+
+// gateModel is a model the test holds inside Predict.
+type gateModel struct {
+	model.Model
+	release chan struct{}
+	quit    chan struct{}
+}
+
+func (g *gateModel) MeanLatency() time.Duration              { return time.Hour }
+func (g *gateModel) SampleLatency(*rng.Source) time.Duration { return 0 }
+func (g *gateModel) Predict(s *dataset.Sample) model.Output {
+	select {
+	case <-g.release:
+	case <-g.quit:
+	}
+	return g.Model.Predict(s)
+}
+
+// pairScheduler plans every query onto models 0 and 1, whatever the
+// capacity, and counts how often it is asked.
+type pairScheduler struct{ calls atomic.Int64 }
+
+func (*pairScheduler) Name() string { return "pair" }
+func (p *pairScheduler) Schedule(_ time.Duration, queries []core.QueryInfo, _ core.Capacity, _ []time.Duration, _ core.Rewarder) core.Plan {
+	p.calls.Add(1)
+	plan := core.Plan{Assignments: make(map[int]ensemble.Subset, len(queries))}
+	for _, q := range queries {
+		plan.Assignments[q.ID] = ensemble.Full(2)
+	}
+	return plan
+}
+
+// gateRig is one server under the script.
+type gateRig struct {
+	srv     *Server
+	sched   *pairScheduler
+	models  []*gateModel
+	results []<-chan Result
+}
+
+// newGateRig builds a server over nModels gate models. A third model is
+// never planned and so always idle: it keeps the gate open on every pass,
+// which makes that server the twin without the gate. blocked forces those
+// models' breakers open for the whole test.
+func newGateRig(t *testing.T, nModels int, blocked ensemble.Subset) *gateRig {
+	t.Helper()
+	rig := &gateRig{sched: &pairScheduler{}}
+	quit := make(chan struct{})
+	var models []model.Model
+	for _, base := range model.TextMatchingModels(3)[:nModels] {
+		gm := &gateModel{Model: base, release: make(chan struct{}), quit: quit}
+		rig.models = append(rig.models, gm)
+		models = append(models, gm)
+	}
+	rig.srv = New(Config{
+		Ensemble:  ensemble.New(dataset.Classification, models, &ensemble.Average{}, nil),
+		Scheduler: rig.sched,
+		Rewarder:  sizeRewarder{},
+		Seed:      1,
+		// Load becomes a readout of the slack fed to the controller: the
+		// backlog term is negligible and the EWMA forgets instantly.
+		Admission: AdmissionConfig{Capacity: 1e9, Target: time.Second, Tau: time.Nanosecond},
+		Tolerance: ToleranceConfig{BreakerThreshold: 1, BreakerCooldown: 1000 * time.Hour},
+	})
+	rig.srv.breakerMu.Lock()
+	for _, k := range blocked.Models() {
+		rig.srv.breakers[k].state = breakerOpen
+	}
+	rig.srv.breakerMu.Unlock()
+	rig.srv.Start(context.Background())
+	t.Cleanup(func() {
+		close(quit)
+		rig.srv.Stop()
+	})
+	return rig
+}
+
+func (g *gateRig) submit(sample *dataset.Sample) {
+	g.results = append(g.results, g.srv.Submit(sample, 2*time.Hour))
+}
+
+// finish lets model k's running task complete; it blocks until the worker
+// is actually inside Predict.
+func (g *gateRig) finish(t *testing.T, k int) {
+	t.Helper()
+	select {
+	case g.models[k].release <- struct{}{}:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("model %d never reached Predict", k)
+	}
+}
+
+// gateOracle is the coordinator's pass reduced to what the script can
+// reach: requests commit in arrival order onto the planned, unblocked
+// models as soon as one of them has no work pending.
+type gateOracle struct {
+	usable    ensemble.Subset // planned and not blocked
+	buffer    []int
+	queue     [2][]int // per model: committed request ids, head running
+	remaining map[int]int
+	inflight  int
+	served    int
+	lastSlack float64
+	fedSlack  float64 // what the latest pass fed the controller
+	calls     int     // Schedule calls with the gate
+	ungated   int     // Schedule calls without it
+}
+
+func (o *gateOracle) free() bool {
+	for _, k := range o.usable.Models() {
+		if len(o.queue[k]) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (o *gateOracle) pass() {
+	o.fedSlack = o.lastSlack
+	if len(o.buffer) == 0 {
+		return
+	}
+	o.ungated++
+	if !o.free() {
+		o.lastSlack = 1
+		return
+	}
+	o.calls++
+	planned := len(o.buffer)
+	kept := o.buffer[:0]
+	for _, id := range o.buffer {
+		if !o.free() {
+			kept = append(kept, id)
+			continue
+		}
+		for _, k := range o.usable.Models() {
+			o.queue[k] = append(o.queue[k], id)
+		}
+		o.remaining[id] = o.usable.Size()
+		o.inflight++
+	}
+	o.buffer = kept
+	o.lastSlack = float64(len(kept)) / float64(planned)
+}
+
+func (o *gateOracle) submit(id int) {
+	o.buffer = append(o.buffer, id)
+	o.pass()
+}
+
+func (o *gateOracle) finish(k int) {
+	id := o.queue[k][0]
+	o.queue[k] = o.queue[k][1:]
+	if o.remaining[id]--; o.remaining[id] == 0 {
+		o.inflight--
+		o.served++
+	}
+	o.pass()
+}
+
+// settled reports whether the server has reached the oracle's state.
+func (g *gateRig) settled(o *gateOracle, calls int) bool {
+	st := g.srv.Stats()
+	return st.Buffered == len(o.buffer) && st.InFlight == o.inflight &&
+		st.Served == uint64(o.served) && st.Missed == 0 && st.Rejected == 0 &&
+		math.Abs(st.Load-o.fedSlack) < 1e-3 && int(g.sched.calls.Load()) == calls
+}
+
+func (g *gateRig) state() string {
+	st := g.srv.Stats()
+	return fmt.Sprintf("buffered %d inflight %d served %d missed %d rejected %d load %.6f calls %d",
+		st.Buffered, st.InFlight, st.Served, st.Missed, st.Rejected, st.Load, g.sched.calls.Load())
+}
+
+// runGateScript drives the gated server and its ungated twin through one
+// seeded script of arrivals and completions, holding both to the oracle
+// after every step.
+func runGateScript(t *testing.T, seed uint64, blocked ensemble.Subset) {
+	gated := newGateRig(t, 2, blocked)
+	twin := newGateRig(t, 3, blocked)
+	o := &gateOracle{usable: ensemble.Full(2) &^ blocked, remaining: map[int]int{}}
+	samples := poolSamples(24)
+	src := rng.New(seed)
+	check := func(what string) {
+		t.Helper()
+		if !testutil.Wait(10*time.Second, func() bool {
+			return gated.settled(o, o.calls) && twin.settled(o, o.ungated)
+		}) {
+			t.Fatalf("seed %d: %s never settled\noracle %+v\ngated  %s\ntwin   %s", seed, what, *o, gated.state(), twin.state())
+		}
+	}
+	// busy lists the usable models with a task to finish. While arrivals
+	// remain it leaves out completions nothing observable follows from (a
+	// request's first task, with nothing buffered to take the freed
+	// replica): the script could not tell when the coordinator had seen
+	// one, and an arrival overtaking it would plan against a stale view.
+	busy := func(observable bool) []int {
+		var ks []int
+		for _, k := range o.usable.Models() {
+			if len(o.queue[k]) == 0 {
+				continue
+			}
+			if observable && len(o.buffer) == 0 && o.remaining[o.queue[k][0]] > 1 {
+				continue
+			}
+			ks = append(ks, k)
+		}
+		return ks
+	}
+	submitted := 0
+	for submitted < len(samples) {
+		if ks := busy(true); len(ks) > 0 && src.Bool(0.5) {
+			k := ks[src.Intn(len(ks))]
+			gated.finish(t, k)
+			twin.finish(t, k)
+			o.finish(k)
+		} else {
+			gated.submit(samples[submitted])
+			twin.submit(samples[submitted])
+			o.submit(submitted)
+			submitted++
+		}
+		check("script step")
+	}
+	for ks := busy(false); len(ks) > 0; ks = busy(false) {
+		gated.finish(t, ks[0])
+		twin.finish(t, ks[0])
+		o.finish(ks[0])
+		check("drain step")
+	}
+	if o.served != submitted || o.calls >= o.ungated {
+		t.Fatalf("seed %d: served %d of %d, %d gated calls vs %d ungated", seed, o.served, submitted, o.calls, o.ungated)
+	}
+	for i := range gated.results {
+		rg, rt := <-gated.results[i], <-twin.results[i]
+		if rg.Missed || rg.Subset != o.usable || rg.Subset != rt.Subset || rg.Missed != rt.Missed {
+			t.Fatalf("seed %d request %d: gated %+v twin %+v", seed, i, rg, rt)
+		}
+	}
+}
+
+// TestDispatchGateMatchesUngatedTwin: with both planned models healthy,
+// the scheduler is consulted only on passes where one of them is free,
+// and nothing else about the run differs from the twin that plans on
+// every pass.
+func TestDispatchGateMatchesUngatedTwin(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		runGateScript(t, seed, ensemble.Empty)
+	}
+}
+
+// TestDispatchGateIgnoresBlockedIdleReplica: model 1 sits behind an open
+// breaker, so it is idle throughout and must not open the gate — the
+// scheduler is consulted only while model 0 is free.
+func TestDispatchGateIgnoresBlockedIdleReplica(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		runGateScript(t, seed, ensemble.Single(1))
+	}
+}
+
+// TestDispatchGateZeroCallsWhileBusy is the property in its barest form:
+// once the only usable replica is busy, arrivals buffer without a single
+// scheduler call, and the first completion reopens planning.
+func TestDispatchGateZeroCallsWhileBusy(t *testing.T) {
+	rig := newGateRig(t, 2, ensemble.Single(1))
+	samples := poolSamples(6)
+	rig.submit(samples[0])
+	testutil.Poll(t, 10*time.Second, "first request committed", func() bool {
+		return rig.srv.Stats().InFlight == 1
+	})
+	if got := rig.sched.calls.Load(); got != 1 {
+		t.Fatalf("%d scheduler calls for the first request, want 1", got)
+	}
+	for _, s := range samples[1:] {
+		rig.submit(s)
+	}
+	testutil.Poll(t, 10*time.Second, "arrivals buffered", func() bool {
+		return rig.srv.Stats().Buffered == len(samples)-1
+	})
+	if got := rig.sched.calls.Load(); got != 1 {
+		t.Fatalf("%d scheduler calls while every unblocked replica was busy, want still 1", got)
+	}
+	rig.finish(t, 0)
+	testutil.Poll(t, 10*time.Second, "next request committed", func() bool {
+		st := rig.srv.Stats()
+		return st.Served == 1 && st.InFlight == 1 && st.Buffered == len(samples)-2
+	})
+	if got := rig.sched.calls.Load(); got != 2 {
+		t.Fatalf("%d scheduler calls after one completion, want 2", got)
+	}
+}

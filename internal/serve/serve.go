@@ -1280,6 +1280,23 @@ func (s *Server) coordinate(ctx context.Context) {
 	// signal alongside the raw backlog.
 	lastSlack := 0.0
 
+	// Per-pass scratch, owned by the coordinator and reused across passes
+	// so a pass allocates only what a commit itself needs: the planned
+	// groups' buffer positions and ladder levels, the scheduler's query
+	// view, the marks of buffer positions that left this pass, and the
+	// capacity view that pushes blocked models out of reach.
+	var (
+		mainIdx, degIdx []int
+		mainLvl, degLvl []qos.Level
+		infos           []core.QueryInfo
+		removed         []bool
+		avail           = make(core.Capacity, m)
+		blockedSlots    = make([][]time.Duration, m)
+	)
+	for k := range blockedSlots {
+		blockedSlots[k] = make([]time.Duration, s.replicas[k])
+	}
+
 	dispatch := func() {
 		// Shed requests that resolved while buffered (direct deadline
 		// delivery during saturation).
@@ -1323,38 +1340,59 @@ func (s *Server) coordinate(ctx context.Context) {
 				}
 			}
 		}
+		// commitGroup commits a query only onto a subset with a replica
+		// free right now, and a pass only ever makes replicas busier. So
+		// when no unblocked replica is free, whatever the scheduler would
+		// plan, nothing commits and nothing is rejected: every query stays
+		// buffered, which is slack 1. Skip the planning.
+		canCommit := false
+		for k, slots := range busyUntil {
+			if !blocked.Contains(k) && minSlot(slots) <= t {
+				canCommit = true
+				break
+			}
+		}
+		if !canCommit {
+			lastSlack = 1
+			syncGauges()
+			return
+		}
 		mkAvail := func() core.Capacity {
-			avail := core.Capacity(busyUntil)
-			if blocked != ensemble.Empty {
-				avail = append(core.Capacity(nil), busyUntil...)
-				for _, k := range blocked.Models() {
-					slots := make([]time.Duration, len(busyUntil[k]))
-					for i := range slots {
-						slots[i] = t + blockHorizon
+			if blocked == ensemble.Empty {
+				return busyUntil
+			}
+			for k := range avail {
+				avail[k] = busyUntil[k]
+				if blocked.Contains(k) {
+					for i := range blockedSlots[k] {
+						blockedSlots[k][i] = t + blockHorizon
 					}
-					avail[k] = slots
+					avail[k] = blockedSlots[k]
 				}
 			}
 			return avail
 		}
 		mkInfos := func(idx []int) []core.QueryInfo {
-			infos := make([]core.QueryInfo, len(idx))
+			infos = infos[:0]
 			for pi, bi := range idx {
 				r := buffer[bi]
-				infos[pi] = core.QueryInfo{
+				infos = append(infos, core.QueryInfo{
 					ID: pi,
 					//schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
 					Arrival: time.Duration(float64(r.arrived.Sub(s.start)) / s.scale),
 					//schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
 					Deadline: time.Duration(float64(r.deadline.Sub(s.start)) / s.scale),
 					Score:    r.score,
-				}
+				})
 			}
 			return infos
 		}
-		// removed marks requests that left the buffer this pass (committed
-		// or rejected); everything else stays buffered.
-		removed := make(map[*request]bool)
+		// removed marks buffer positions whose request left the buffer this
+		// pass (committed or rejected); everything else stays buffered.
+		removed = removed[:0]
+		for range buffer {
+			removed = append(removed, false)
+		}
 		commitGroup := func(idx []int, lvls []qos.Level, plan core.Plan) {
 			for pi, bi := range idx {
 				r := buffer[bi]
@@ -1396,14 +1434,14 @@ func (s *Server) coordinate(ctx context.Context) {
 					}
 				}
 				if saturated {
-					removed[r] = true
+					removed[bi] = true
 					s.resolve(r, Result{Missed: true, Rejected: true})
 					continue
 				}
 				r.mu.Lock()
 				if r.state == stateResolved {
 					r.mu.Unlock()
-					removed[r] = true
+					removed[bi] = true
 					continue
 				}
 				r.subset = sub
@@ -1440,7 +1478,7 @@ func (s *Server) coordinate(ctx context.Context) {
 					}
 				}
 				r.mu.Unlock()
-				removed[r] = true
+				removed[bi] = true
 				inflight[r] = true
 				for _, k := range sub.Models() {
 					// The task lands on the earliest-available replica slot,
@@ -1475,11 +1513,11 @@ func (s *Server) coordinate(ctx context.Context) {
 		if s.classStats == nil {
 			// Classless: one plan over the whole buffer with the configured
 			// scheduler — exactly the pre-class runtime.
-			idx := make([]int, len(buffer))
-			for i := range idx {
-				idx[i] = i
+			mainIdx = mainIdx[:0]
+			for i := range buffer {
+				mainIdx = append(mainIdx, i)
 			}
-			commitGroup(idx, nil, s.cfg.Scheduler.Schedule(t, mkInfos(idx), mkAvail(), exec, s.cfg.Rewarder))
+			commitGroup(mainIdx, nil, s.cfg.Scheduler.Schedule(t, mkInfos(mainIdx), mkAvail(), exec, s.cfg.Rewarder))
 		} else {
 			// Classed: partition the buffer by the ladder's current service
 			// level. Full and capped classes keep the configured scheduler;
@@ -1488,8 +1526,8 @@ func (s *Server) coordinate(ctx context.Context) {
 			// greedy planner. Requests whose class climbed to shed after
 			// they were admitted are clamped to greedy: admission decisions
 			// are not retroactive.
-			var mainIdx, degIdx []int
-			var mainLvl, degLvl []qos.Level
+			mainIdx, degIdx = mainIdx[:0], degIdx[:0]
+			mainLvl, degLvl = mainLvl[:0], degLvl[:0]
 			for i, r := range buffer {
 				lvl := s.qosCtl.Level(r.class)
 				if lvl > qos.LevelGreedy {
@@ -1514,8 +1552,8 @@ func (s *Server) coordinate(ctx context.Context) {
 		}
 		planned := len(buffer)
 		kept := buffer[:0]
-		for _, r := range buffer {
-			if !removed[r] {
+		for i, r := range buffer {
+			if !removed[i] {
 				kept = append(kept, r)
 			}
 		}

@@ -680,6 +680,18 @@ func (s *sim) planAndDispatch() {
 		return
 	}
 	m := s.cfg.Ensemble.M()
+	// Mirror of the serve coordinator's gate: a query commits only onto a
+	// subset with an idle replica, and a pass only makes replicas busier,
+	// so with every replica busy the whole buffer stays (slack 1) whatever
+	// the plan says. Skip the planning.
+	idle := false
+	for j := 0; j < m && !idle; j++ {
+		idle = s.anyIdle(j)
+	}
+	if !idle {
+		s.lastSlack = 1
+		return
+	}
 	mkAvail := func() core.Capacity {
 		avail := make(core.Capacity, m)
 		for j := 0; j < m; j++ {
