@@ -7,7 +7,9 @@
 //     testing.Benchmark): the arena DP on its maximal-reuse steady state,
 //     the arena DP forced to re-solve from scratch every call, the frozen
 //     pre-arena ReferenceDP (the in-file baseline the speedup fields are
-//     relative to), and the Greedy baseline.
+//     relative to), and the Greedy baseline; and of the cold start every
+//     server, soak and experiment pays: one predictor-shaped training run
+//     and one whole pipeline.Build.
 //   - A high-arrival-rate soak of the real internal/serve runtime over a
 //     fitted text-matching pipeline under a compressed TimeScale,
 //     reporting outcome counts (a drain-and-accounting smoke; wall-clock
@@ -42,6 +44,8 @@ import (
 	"schemble/internal/dataset"
 	"schemble/internal/ensemble"
 	"schemble/internal/model"
+	"schemble/internal/nn"
+	"schemble/internal/pipeline"
 	"schemble/internal/rng"
 )
 
@@ -50,7 +54,9 @@ type report struct {
 	Schema string `json:"schema"`
 	Go     string `json:"go"`
 	Quick  bool   `json:"quick"`
-	// Micro benchmarks of Scheduler.Schedule; one decision = one call.
+	// Micro benchmarks; one decision = one call (of Scheduler.Schedule for
+	// dp/* and greedy/*, of Net.Train and pipeline.Build for the cold-start
+	// entries).
 	Micro []microResult `json:"micro"`
 	// BaselineName names the Micro entry the speedups are relative to.
 	BaselineName string `json:"baseline_name"`
@@ -179,6 +185,35 @@ func alternating(name string, even, odd func()) microResult {
 	})
 }
 
+// predictorFit is one fit of the Section V-C predictor as pipeline.Build
+// runs it twice per cold start: a 12-48-24-(2+1) two-headed net, 2,000
+// examples (the N 4000 deployment's training split), 150 epochs of Adam at
+// batch 32. The inputs are synthetic; the work per example is not
+// data-dependent beyond which ReLU units are live.
+func predictorFit() func() {
+	src := rng.New(46)
+	var ds nn.Dataset
+	for i := 0; i < 2000; i++ {
+		x := make([]float64, 12)
+		for j := range x {
+			x[j] = src.Normal(0, 1)
+		}
+		y := []float64{0, 0}
+		y[src.Intn(2)] = 1
+		ds.X, ds.Y, ds.Dis = append(ds.X, x), append(ds.Y, y), append(ds.Dis, src.Float64())
+	}
+	return func() {
+		net := nn.NewNet(nn.Config{
+			Spec:    nn.Spec{In: 12, Hidden: []int{48, 24}},
+			TaskOut: 2, TaskAct: nn.Softmax, WithHead2: true,
+		}, rng.New(47))
+		net.Train(nn.TrainConfig{
+			Loss: nn.CE, Epochs: 150, BatchSize: 32, LR: 0.01,
+			Optimizer: nn.Adam, Lambda: 0.2, Seed: 47,
+		}, ds)
+	}
+}
+
 func runMicro() []microResult {
 	const n, m = 8, 3
 	qA, capA, execA := benchInstance(n, m, 42)
@@ -193,6 +228,12 @@ func runMicro() []microResult {
 	liveDP := &core.DP{Delta: 0.01}
 	refDP := &core.ReferenceDP{Delta: 0.01}
 	greedy := &core.Greedy{Order: core.EDF}
+	fit := predictorFit()
+	buildCfg := pipeline.Config{
+		Dataset: dataset.TextMatching(dataset.Config{N: 4000, Seed: 7}),
+		Models:  model.TextMatchingModels(7),
+		Seed:    7,
+	}
 	// Warm the arenas so the measured window is the steady state.
 	for i := 0; i < 4; i++ {
 		steadyDP.Schedule(0, qA, capA, execA, rw)
@@ -232,6 +273,20 @@ func runMicro() []microResult {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				greedy.Schedule(0, qA, capA, execA, rw)
+			}
+		}),
+		// Cold start. One fit on one processor, then the server's whole
+		// Build (two such fits side by side plus profiling).
+		measure("nn/train-predictor", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fit()
+			}
+		}),
+		measure("pipeline/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pipeline.Build(buildCfg)
 			}
 		}),
 	}

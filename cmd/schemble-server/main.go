@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"net/http"
 	_ "net/http/pprof" // registers profiling handlers on DefaultServeMux
 	"os"
@@ -140,7 +142,7 @@ func main() {
 	traceBuffer := flag.Int("trace-buffer", 512, "decision traces kept for /v1/trace (0 disables tracing and the latency histograms)")
 	traceLog := flag.String("trace-log", "", "append decision traces as JSONL serving-log records to this file (implies observability on)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this side listener (empty = off)")
-	quick := flag.Bool("quick", false, "fit a small pipeline for smoke tests (seconds instead of minutes)")
+	quick := flag.Bool("quick", false, "fit a small pipeline for smoke tests (a fraction of a second instead of about one)")
 	flag.Parse()
 
 	cfg := pipeline.Config{
@@ -154,14 +156,22 @@ func main() {
 	}
 	var arts *pipeline.Artifacts
 	if *snapshot != "" {
-		if a, err := pipeline.LoadFile(cfg, *snapshot); err == nil {
+		a, err := pipeline.LoadFile(cfg, *snapshot)
+		switch {
+		case err == nil:
 			fmt.Fprintf(os.Stderr, "restored fitted pipeline from %s\n", *snapshot)
 			arts = a
+		case !errors.Is(err, fs.ErrNotExist):
+			// A first start has no file yet; a file that is there but does
+			// not fit this deployment is about to be overwritten.
+			fmt.Fprintf(os.Stderr, "snapshot %s rejected, refitting: %v\n", *snapshot, err)
 		}
 	}
 	if arts == nil {
 		fmt.Fprintln(os.Stderr, "fitting pipeline (profiling + predictor training)...")
+		fitStart := time.Now()
 		arts = pipeline.Build(cfg)
+		fmt.Fprintf(os.Stderr, "fitted pipeline in %.2fs\n", time.Since(fitStart).Seconds())
 		if *snapshot != "" {
 			if err := arts.SaveFile(*snapshot); err != nil {
 				fmt.Fprintf(os.Stderr, "warning: could not save snapshot: %v\n", err)

@@ -49,18 +49,28 @@ func (a Activation) String() string {
 	}
 }
 
+// keepIfPositive returns v when gate > 0 and +0 otherwise (so also for a
+// NaN gate), as `if gate > 0 { return v }; return 0` does, but as a mask
+// the compiler turns into a conditional move: which ReLU units are live is
+// close to a coin flip per example, and a mispredicted branch per unit
+// cost more than the rest of the activation.
+func keepIfPositive(v, gate float64) float64 {
+	var mask uint64
+	if gate > 0 {
+		mask = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & mask)
+}
+
 // apply computes the activation of pre into post (same length).
 func (a Activation) apply(post, pre []float64) {
 	switch a {
 	case Identity:
 		copy(post, pre)
 	case ReLU:
+		post = post[:len(pre)]
 		for i, v := range pre {
-			if v > 0 {
-				post[i] = v
-			} else {
-				post[i] = 0
-			}
+			post[i] = keepIfPositive(v, v)
 		}
 	case Tanh:
 		for i, v := range pre {
@@ -88,12 +98,9 @@ func (a Activation) derivChain(gPre, gOut, post []float64, softmaxCombined bool)
 	case Identity:
 		copy(gPre, gOut)
 	case ReLU:
-		for i := range gOut {
-			if post[i] > 0 {
-				gPre[i] = gOut[i]
-			} else {
-				gPre[i] = 0
-			}
+		gPre, post = gPre[:len(gOut)], post[:len(gOut)]
+		for i, g := range gOut {
+			gPre[i] = keepIfPositive(g, post[i])
 		}
 	case Tanh:
 		for i := range gOut {
@@ -146,17 +153,46 @@ func NewLayer(in, out int, act Activation, src *rng.Source) *Layer {
 }
 
 // forward computes pre = Wx + b and post = act(pre). pre and post must be
-// length Out.
+// length Out, x length In.
+//
+// Four output rows are computed per pass over x so that four independent
+// add chains are in flight instead of one latency-bound chain; each row
+// still starts from its bias and adds its terms for j = 0..In-1 in that
+// order, so every pre[i] has the bits the one-row-at-a-time loop gave it.
 func (l *Layer) forward(pre, post, x []float64) {
-	for i := 0; i < l.Out; i++ {
+	in, out := l.In, l.Out
+	x = x[:in]
+	i := 0
+	for ; i+4 <= out; i += 4 {
+		dot4(pre[i:i+4], l.B[i:i+4], l.W[i*in:(i+4)*in], x)
+	}
+	for ; i < out; i++ {
 		s := l.B[i]
-		row := l.W[i*l.In : (i+1)*l.In]
+		row := l.W[i*in:][:len(x)]
 		for j, xj := range x {
 			s += row[j] * xj
 		}
 		pre[i] = s
 	}
 	l.Act.apply(post, pre)
+}
+
+// dot4 is forward's kernel: four rows of w (each len(x) long) against x.
+// It is its own function so that only what the inner loop needs is live in
+// it; inlined into forward, the loop counter and two row pointers spill.
+//
+//go:noinline
+func dot4(pre, b, w, x []float64) {
+	n := len(x)
+	r0, r1, r2, r3 := w[:n], w[n:][:n], w[2*n:][:n], w[3*n:][:n]
+	s0, s1, s2, s3 := b[0], b[1], b[2], b[3]
+	for j, xj := range x {
+		s0 += r0[j] * xj
+		s1 += r1[j] * xj
+		s2 += r2[j] * xj
+		s3 += r3[j] * xj
+	}
+	pre[0], pre[1], pre[2], pre[3] = s0, s1, s2, s3
 }
 
 // Spec describes a feed-forward trunk as a sequence of dense layers.

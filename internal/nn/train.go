@@ -67,8 +67,8 @@ func (l Loss) value(p, y []float64) float64 {
 // headGrad writes the gradient of the loss with respect to the head's
 // *pre-activation* into gPre, exploiting fused softmax+CE and sigmoid+BCE
 // forms when applicable. post is the head's activation output, act its
-// activation.
-func (l Loss) headGrad(gPre, post, y []float64, act Activation) {
+// activation. gOut is scratch of the same length for the unfused forms.
+func (l Loss) headGrad(gPre, gOut, post, y []float64, act Activation) {
 	switch {
 	case l == CE && act == Softmax:
 		for i := range post {
@@ -81,7 +81,6 @@ func (l Loss) headGrad(gPre, post, y []float64, act Activation) {
 		}
 	default:
 		// Generic: dL/dpost then chain through the activation.
-		gOut := make([]float64, len(post))
 		switch l {
 		case MSE:
 			k := float64(len(post))
@@ -129,23 +128,43 @@ func (g *layerGrads) zero() {
 }
 
 // accumulate adds the gradients of one example: gPre is dL/d(pre), x the
-// layer input. Returns nothing; dX, if non-nil, receives dL/dx.
+// layer input. dX, if non-nil, receives dL/dx.
+//
+// Summation order is the contract: dB[i] and dW[i][j] receive one term per
+// example, and dX[j] receives its terms in i order, exactly as the scalar
+// loops this replaced. Rows with gPre[i] == 0 (ReLU-dead units, mostly)
+// are skipped, which is exact and not an approximation: their terms are
+// 0*x[j] and W[i][j]*0, a signed zero for finite x and W, and every sum
+// here starts at +0 and so is never -0 (round-to-nearest yields -0 only
+// from -0 + -0), so adding either zero returns the sum unchanged. Only a
+// net that has already diverged to Inf or NaN could tell the difference.
 func (g *layerGrads) accumulate(l *Layer, gPre, x, dX []float64) {
-	for i := 0; i < l.Out; i++ {
-		gi := gPre[i]
-		g.dB[i] += gi
-		row := g.dW[i*l.In : (i+1)*l.In]
+	in, out := l.In, l.Out
+	x = x[:in]
+	dW, dB, W := g.dW[:in*out], g.dB[:out], l.W[:in*out]
+	for j := range dX {
+		dX[j] = 0
+	}
+	for i, gi := range gPre[:out] {
+		//schemble:floateq-ok exact zero is the one value whose terms are all zeros; see above
+		if gi == 0 {
+			continue
+		}
+		dB[i] += gi
+		row := dW[i*in:][:len(x)]
+		if dX == nil {
+			for j, xj := range x {
+				row[j] += gi * xj
+			}
+			continue
+		}
+		// Row-major: W's row i is read once, front to back, in the pass
+		// that updates dW's row i, instead of a stride-In column walk per
+		// input.
+		w, dx := W[i*in:][:len(x)], dX[:len(x)]
 		for j, xj := range x {
 			row[j] += gi * xj
-		}
-	}
-	if dX != nil {
-		for j := 0; j < l.In; j++ {
-			var s float64
-			for i := 0; i < l.Out; i++ {
-				s += l.W[i*l.In+j] * gPre[i]
-			}
-			dX[j] = s
+			dx[j] += w[j] * gi
 		}
 	}
 }
@@ -155,13 +174,15 @@ type netGrads struct {
 	trunk        []*layerGrads
 	head1, head2 *layerGrads
 	// per-layer dL/dx scratch (input-gradient of each trunk layer).
-	dxs    [][]float64
-	gPre1  []float64
-	gPre2  []float64
-	gH     []float64 // gradient at the trunk output
-	gPreT  [][]float64
-	adamT  int // Adam timestep
-	inGrad []float64
+	dxs   [][]float64
+	gPre1 []float64
+	gPre2 []float64
+	gH    []float64 // gradient at the trunk output
+	gPreT [][]float64
+	adamT int // Adam timestep
+	// per-example scratch: the task head's dL/dpost on the unfused loss
+	// paths, the difficulty head's, and its contribution to gH.
+	gOut1, gOut2, dh []float64
 }
 
 func newNetGrads(n *Net) *netGrads {
@@ -175,11 +196,14 @@ func newNetGrads(n *Net) *netGrads {
 		g.gPreT = append(g.gPreT, make([]float64, l.Out))
 	}
 	g.gPre1 = make([]float64, n.Head1.Out)
-	if n.Head2 != nil {
-		g.gPre2 = make([]float64, 1)
-	}
+	g.gOut1 = make([]float64, n.Head1.Out)
 	width := n.Head1.In
 	g.gH = make([]float64, width)
+	if n.Head2 != nil {
+		g.gPre2 = make([]float64, 1)
+		g.gOut2 = make([]float64, 1)
+		g.dh = make([]float64, width)
+	}
 	return g
 }
 
@@ -233,10 +257,7 @@ func (n *Net) backwardExample(cfg TrainConfig, x, y []float64, dis float64) floa
 	h := n.trunkOut(x)
 	n.Head1.forward(n.h1pre, n.h1, h)
 	loss := cfg.Loss.value(n.h1, y)
-	cfg.Loss.headGrad(g.gPre1, n.h1, y, n.Head1.Act)
-	for i := range g.gH {
-		g.gH[i] = 0
-	}
+	cfg.Loss.headGrad(g.gPre1, g.gOut1, n.h1, y, n.Head1.Act)
 	g.head1.accumulate(n.Head1, g.gPre1, h, g.gH)
 
 	if n.Head2 != nil {
@@ -244,12 +265,11 @@ func (n *Net) backwardExample(cfg TrainConfig, x, y []float64, dis float64) floa
 		d := n.h2[0] - dis
 		loss += cfg.Lambda * d * d
 		// d(lambda*(p-t)^2)/dpost = 2*lambda*(p-t); chain through the act.
-		gOut := []float64{2 * cfg.Lambda * d}
-		n.Head2.Act.derivChain(g.gPre2, gOut, n.h2, false)
-		dh := make([]float64, len(h))
-		g.head2.accumulate(n.Head2, g.gPre2, h, dh)
+		g.gOut2[0] = 2 * cfg.Lambda * d
+		n.Head2.Act.derivChain(g.gPre2, g.gOut2, n.h2, false)
+		g.head2.accumulate(n.Head2, g.gPre2, h, g.dh)
 		for i := range g.gH {
-			g.gH[i] += dh[i]
+			g.gH[i] += g.dh[i]
 		}
 	}
 

@@ -17,8 +17,10 @@ import (
 
 func durationOf(ns int64) time.Duration { return time.Duration(ns) }
 
-// Fitting a pipeline costs minutes of profiling and predictor training; a
-// deployment wants to fit once and restore at process start. Save/Load
+// Fitting a pipeline costs profiling and predictor training at every
+// process start (about a second for the server's deployment on two cores,
+// growing with samples and epochs); a deployment may prefer to fit once and
+// restore. Save/Load
 // serialize the fitted state (scorer normalization, calibrators, reward
 // profiles, predictor weights, per-sample artifacts) with encoding/gob.
 // The dataset and models are reconstructed from their generator seeds, so
@@ -180,8 +182,10 @@ func LoadFile(cfg Config, path string) (*Artifacts, error) {
 	return Load(cfg, f)
 }
 
-// buildScaffold reconstructs the deterministic (non-trained) artifacts:
-// ensemble, outputs, references, splits.
+// buildScaffold derives the deterministic (non-trained) artifacts from
+// cfg: ensemble, outputs, references, splits. Build starts from it and Load
+// re-derives it, so a restored pipeline and a fitted one cannot disagree
+// on them.
 func buildScaffold(cfg Config) *Artifacts {
 	if cfg.Aggregator == nil {
 		cfg.Aggregator = &ensemble.Average{}

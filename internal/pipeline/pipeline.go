@@ -9,6 +9,7 @@
 package pipeline
 
 import (
+	"sync"
 	"time"
 
 	"schemble/internal/dataset"
@@ -31,7 +32,7 @@ type Config struct {
 	TrainFrac, ValFrac float64
 	// Bins is the profiling bin count (default 10).
 	Bins int
-	// PredictorEpochs defaults to 50.
+	// PredictorEpochs defaults to 150.
 	PredictorEpochs int
 	// Calibrate applies temperature scaling inside the discrepancy scorer
 	// (default on for classification; abl-calib switches it off via
@@ -83,17 +84,6 @@ func Build(cfg Config) *Artifacts {
 	if cfg.Dataset == nil || len(cfg.Models) == 0 {
 		panic("pipeline: dataset and models required")
 	}
-	if cfg.Aggregator == nil {
-		cfg.Aggregator = &ensemble.Average{}
-	}
-	//schemble:floateq-ok zero-value config sentinel: the field is set verbatim by callers, never computed
-	if cfg.TrainFrac == 0 {
-		cfg.TrainFrac = 0.5
-	}
-	//schemble:floateq-ok zero-value config sentinel: the field is set verbatim by callers, never computed
-	if cfg.ValFrac == 0 {
-		cfg.ValFrac = 0.1
-	}
 	if cfg.Bins == 0 {
 		cfg.Bins = 10
 	}
@@ -101,21 +91,10 @@ func Build(cfg Config) *Artifacts {
 		cfg.PredictorEpochs = 150
 	}
 
-	a := &Artifacts{Dataset: cfg.Dataset, Seed: cfg.Seed}
-	a.Ensemble = ensemble.New(cfg.Dataset.Task, cfg.Models, cfg.Aggregator, nil)
-	a.Scorer = ensemble.NewScorer(cfg.Dataset)
-	a.Train, a.Val, a.Serve = cfg.Dataset.Split(cfg.TrainFrac, cfg.ValFrac, cfg.Seed)
-
-	// Precompute all outputs once; models are deterministic so every
-	// consumer observes identical predictions.
+	// Ensemble, splits and every model's output on every sample: the part
+	// Load re-derives too.
+	a := buildScaffold(cfg)
 	n := len(cfg.Dataset.Samples)
-	a.Outs = make([][]model.Output, n)
-	a.Refs = make([]model.Output, n)
-	for _, s := range cfg.Dataset.Samples {
-		outs := a.Ensemble.Outputs(s)
-		a.Outs[s.ID] = outs
-		a.Refs[s.ID] = a.Ensemble.Predict(outs, a.Ensemble.FullSubset())
-	}
 
 	// Fit the discrepancy scorer on the training split.
 	trainOuts := make([][]model.Output, len(a.Train))
@@ -187,9 +166,19 @@ func Build(cfg Config) *Artifacts {
 		Epochs:  cfg.PredictorEpochs,
 		Seed:    cfg.Seed,
 	}
+	// The two fits are independent: each draws from its own seed and only
+	// reads the samples and targets they share, so they run side by side
+	// and yield the weights they would have yielded one after the other.
+	eaCfg := pcfg
+	eaCfg.Seed = cfg.Seed + 1
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		a.EAPredictor = discrepancy.TrainPredictor(eaCfg, a.Train, trainEAScores, taskTargets)
+	}()
 	a.Predictor = discrepancy.TrainPredictor(pcfg, a.Train, trainScores, taskTargets)
-	pcfg.Seed = cfg.Seed + 1
-	a.EAPredictor = discrepancy.TrainPredictor(pcfg, a.Train, trainEAScores, taskTargets)
+	wg.Wait()
 	return a
 }
 
