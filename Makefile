@@ -1,16 +1,17 @@
-# Development gates. `make check` is what CI runs: vet, build, and the
-# full test suite under the race detector with shuffled test order (the
-# serving runtime's exactly-once guarantees are race-tested, so -race is
-# not optional; -shuffle=on catches inter-test state leaks). `make lint`
-# layers the project's own invariants on top: schemble-vet (the custom
-# analyzer suite in internal/analysis), a gofmt gate, and — where the
-# binary is installed — govulncheck.
+# Development gates. `make check` is what CI runs: vet, build, a
+# cross-compile of the platform-split files, the full test suite under
+# the race detector with shuffled test order (the serving runtime's
+# exactly-once guarantees are race-tested, so -race is not optional;
+# -shuffle=on catches inter-test state leaks), and a quick pass of the
+# repository benchmark. `make lint` layers the project's own invariants
+# on top: schemble-vet (the custom analyzer suite in internal/analysis),
+# a gofmt gate, and — where the binary is installed — govulncheck.
 
 GO ?= go
 
-.PHONY: check lint vet build test test-race chaos obsv bench bench-json overload cache drift fuzz cover
+.PHONY: check lint vet build cross test test-race repo-bench chaos obsv bench bench-json overload cache drift fuzz cover
 
-check: vet build test-race
+check: vet build cross test-race repo-bench
 
 # lint runs the schemble-vet analyzer suite (determinism, outcome
 # taxonomy, float equality, test sleeps, context threading, engine
@@ -31,6 +32,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# cross builds for the platforms CI does not run on, so the non-Linux
+# half of a platform-split file pair (internal/serve/wait_other.go) cannot
+# rot unseen.
+cross:
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./internal/...
 
 test:
 	$(GO) test -shuffle=on ./...
@@ -54,6 +62,14 @@ obsv:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# repo-bench is a quick pass of the repository benchmark (BENCHMARK.json,
+# bench/): every workload for 2 s on a small fit, every answer and count
+# checked. It is a smoke test that the benchmark still builds, runs and
+# verifies; the numbers that judge a change come from the full
+# `go run ./bench`.
+repo-bench:
+	$(GO) run ./bench -quick
 
 # bench-json runs cmd/schemble-bench — the scheduler micro-benchmarks
 # plus a high-arrival-rate serve soak — and writes the BENCH_dp.json

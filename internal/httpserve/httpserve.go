@@ -213,6 +213,11 @@ type ModelHealth struct {
 	Retries    uint64 `json:"retries,omitempty"`
 	Hedges     uint64 `json:"hedges,omitempty"`
 	HedgeWins  uint64 `json:"hedge_wins,omitempty"`
+	// TimerOvershootUSP50/P99 are quantiles of the wall time by which a
+	// completed model wait outlasted the duration it was asked for — the
+	// runtime's own reading of the bench's serve.timer_overshoot_us.
+	TimerOvershootUSP50 float64 `json:"timer_overshoot_us_p50"`
+	TimerOvershootUSP99 float64 `json:"timer_overshoot_us_p99"`
 	// ReplicaExecuted/ReplicaFailures break Executed and Failures down by
 	// replica within the model's pool.
 	ReplicaExecuted []uint64 `json:"replica_executed,omitempty"`
@@ -556,6 +561,9 @@ func modelHealth(rt serve.Stats) []ModelHealth {
 			Retries:    m.Retries,
 			Hedges:     m.Hedges,
 			HedgeWins:  m.HedgeWins,
+
+			TimerOvershootUSP50: float64(m.TimerOvershoot.Quantile(0.5)) / float64(time.Microsecond),
+			TimerOvershootUSP99: float64(m.TimerOvershoot.Quantile(0.99)) / float64(time.Microsecond),
 		}
 		if len(m.ReplicaExecuted) > 1 {
 			// Single-replica pools collapse to the model-level counters;

@@ -320,6 +320,11 @@ func writeModelMetrics(b *strings.Builder, rt serve.Stats) {
 			fmt.Fprintf(b, "%s{model=%q} %d\n", name, m.Name, c.v(m))
 		}
 	}
+	writeHeader(b, "schemble_task_overshoot_seconds", "histogram",
+		"Wall time by which a completed model wait outlasted the duration it was asked for, by model.")
+	for _, m := range rt.Models {
+		writeHistogram(b, "schemble_task_overshoot_seconds", fmt.Sprintf("model=%q", m.Name), m.TimerOvershoot)
+	}
 }
 
 // writeObserverMetrics renders trace counters and the per-outcome latency
@@ -342,20 +347,22 @@ func writeObserverMetrics(b *strings.Builder, obs *obsv.Observer) {
 	}
 	sort.Strings(labels)
 	for _, outcome := range labels {
-		hs := snap.Latency[outcome]
-		var cum uint64
-		for i, bound := range hs.Bounds {
-			cum += hs.Counts[i]
-			fmt.Fprintf(b, "schemble_request_latency_seconds_bucket{outcome=%q,le=%q} %d\n",
-				outcome, formatSeconds(bound.Seconds()), cum)
-		}
-		fmt.Fprintf(b, "schemble_request_latency_seconds_bucket{outcome=%q,le=\"+Inf\"} %d\n",
-			outcome, hs.Count)
-		fmt.Fprintf(b, "schemble_request_latency_seconds_sum{outcome=%q} %s\n",
-			outcome, formatSeconds(hs.Sum.Seconds()))
-		fmt.Fprintf(b, "schemble_request_latency_seconds_count{outcome=%q} %d\n",
-			outcome, hs.Count)
+		writeHistogram(b, "schemble_request_latency_seconds", fmt.Sprintf("outcome=%q", outcome), snap.Latency[outcome])
 	}
+}
+
+// writeHistogram renders one labelled series of a Prometheus histogram:
+// cumulative le-buckets, sum and count. label is a preformatted
+// name="value" pair.
+func writeHistogram(b *strings.Builder, name, label string, hs obsv.HistogramSnapshot) {
+	var cum uint64
+	for i, bound := range hs.Bounds {
+		cum += hs.Counts[i]
+		fmt.Fprintf(b, "%s_bucket{%s,le=%q} %d\n", name, label, formatSeconds(bound.Seconds()), cum)
+	}
+	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, label, hs.Count)
+	fmt.Fprintf(b, "%s_sum{%s} %s\n", name, label, formatSeconds(hs.Sum.Seconds()))
+	fmt.Fprintf(b, "%s_count{%s} %d\n", name, label, hs.Count)
 }
 
 func formatSeconds(v float64) string {

@@ -212,6 +212,48 @@ func TestMetricsWithoutObserver(t *testing.T) {
 	}
 }
 
+// TestTaskOvershootExported checks the runtime's own timer-overshoot
+// instrument on both surfaces: with no faults and no retries every
+// executed task is one completed model wait, so the per-model histogram
+// count in /v1/metrics equals the executed counter, and /v1/stats carries
+// its quantiles. The family renders with observability off — it belongs
+// to the runtime, not the observer.
+func TestTaskOvershootExported(t *testing.T) {
+	c, _, a := startServer(t)
+	for i := 0; i < 6; i++ {
+		if _, err := c.Predict(a.Serve[i].ID, 500*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPromText(t, text)
+	if !strings.Contains(text, "# TYPE schemble_task_overshoot_seconds histogram") {
+		t.Fatal("exposition missing the schemble_task_overshoot_seconds family")
+	}
+	var executed uint64
+	for _, m := range st.Runtime.Models {
+		executed += m.Executed
+		want := fmt.Sprintf("schemble_task_overshoot_seconds_count{model=%q} %d\n", m.Name, m.Executed)
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q", strings.TrimSpace(want))
+		}
+		if m.Executed > 0 && !(m.TimerOvershootUSP50 > 0 && m.TimerOvershootUSP50 <= m.TimerOvershootUSP99) {
+			t.Errorf("model %s: overshoot p50=%v p99=%v after %d tasks",
+				m.Name, m.TimerOvershootUSP50, m.TimerOvershootUSP99, m.Executed)
+		}
+	}
+	if executed == 0 {
+		t.Fatal("no task executed; the test exercised nothing")
+	}
+}
+
 func TestTraceEndpoint(t *testing.T) {
 	c, _, a := startObsServer(t)
 	const n = 6

@@ -38,11 +38,17 @@ type Histogram struct {
 
 // NewHistogram builds a histogram with the default log-spaced buckets.
 func NewHistogram() *Histogram {
-	bounds := make([]time.Duration, defaultHistBuckets)
-	b := float64(defaultHistMin)
+	return NewLogHistogram(defaultHistMin, defaultHistGrowth, defaultHistBuckets)
+}
+
+// NewLogHistogram builds a histogram over buckets log-spaced bounds: the
+// first is min and each next is growth times the one before.
+func NewLogHistogram(min time.Duration, growth float64, buckets int) *Histogram {
+	bounds := make([]time.Duration, buckets)
+	b := float64(min)
 	for i := range bounds {
 		bounds[i] = time.Duration(b)
-		b *= defaultHistGrowth
+		b *= growth
 	}
 	return NewHistogramBounds(bounds)
 }

@@ -58,7 +58,7 @@ func (b BatchConfig) curve(k int) model.BatchCurve {
 // loses (or double-counts) a task that left the channel but has not been
 // reported yet. On cancellation the partial batch is returned; the caller
 // notices ctx and exits, and shutdown resolves the affected requests.
-func (s *Server) formBatch(ctx context.Context, k int, t *task) []*task {
+func (s *Server) formBatch(ctx context.Context, w *waiter, k int, t *task) []*task {
 	s.forming[k].Add(1)
 	batch := []*task{t}
 	for len(batch) < s.maxBatch {
@@ -74,14 +74,14 @@ func (s *Server) formBatch(ctx context.Context, k int, t *task) []*task {
 	if len(batch) >= s.maxBatch || s.cfg.Batching.MaxLinger <= 0 {
 		return batch
 	}
-	linger := time.NewTimer(time.Duration(float64(s.cfg.Batching.MaxLinger) * s.scale))
-	defer linger.Stop()
+	w.timer.Reset(time.Duration(float64(s.cfg.Batching.MaxLinger) * s.scale))
+	defer w.disarm()
 	for len(batch) < s.maxBatch {
 		select {
 		case t2 := <-s.taskCh[k]:
 			s.forming[k].Add(1)
 			batch = append(batch, t2)
-		case <-linger.C:
+		case <-w.timer.C:
 			return batch
 		case <-ctx.Done():
 			return batch
@@ -95,7 +95,7 @@ func (s *Server) formBatch(ctx context.Context, k int, t *task) []*task {
 // resolved are reported without executing, exactly like the single-task
 // path. Returns false when the runtime context was cancelled and the
 // worker must exit.
-func (s *Server) runBatch(ctx context.Context, m model.Model, inj *model.Faulty, k, r int, batch []*task) bool {
+func (s *Server) runBatch(ctx context.Context, w *waiter, m model.Model, inj *model.Faulty, k, r int, batch []*task) bool {
 	// Every batch member holds one forming count (taken in formBatch).
 	// Counts are released as each completion event is sent; the deferred
 	// sweep releases the rest on early exits (cancellation mid-execution
@@ -120,13 +120,27 @@ func (s *Server) runBatch(ctx context.Context, m model.Model, inj *model.Faulty,
 	// concurrently and two events would both claim completion).
 	taskOK := make([]bool, len(live))
 	taskDone := make([]bool, len(live))
+	// cutoffAt is the deadline the batch was abandoned at, when it was:
+	// the latest among its live tasks, so only the requests with that very
+	// deadline were completed by their own deadline's arrival.
+	var cutoffAt time.Time
 	if n := len(live); n > 0 {
+		deadline := live[0].req.deadline
+		for _, t := range live[1:] {
+			if t.req.deadline.After(deadline) {
+				deadline = t.req.deadline
+			}
+		}
 		rc := &s.rstats[k][r]
 		rc.busy.Store(int32(n))
-		vlat, ok, alive := s.executeBatch(ctx, m, inj, k, live)
+		vlat, end := s.executeBatch(ctx, w, m, inj, k, live, deadline)
 		rc.busy.Store(0)
-		if !alive {
+		if end == endDead {
 			return false
+		}
+		ok := end == endOK
+		if end == endCutoff {
+			cutoffAt = deadline
 		}
 		s.batchHist[k][n-1].Add(1)
 		s.mstats[k].executed.Add(uint64(n))
@@ -176,7 +190,7 @@ func (s *Server) runBatch(ctx context.Context, m model.Model, inj *model.Faulty,
 			li++
 		}
 		select {
-		case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed}:
+		case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: ran && t.req.deadline.Equal(cutoffAt)}:
 			s.forming[k].Add(-1)
 			reported++
 		case <-ctx.Done():
@@ -190,21 +204,15 @@ func (s *Server) runBatch(ctx context.Context, m model.Model, inj *model.Faulty,
 // stretched by the model's batch curve, one injected-fault decision (the
 // batch is a single kernel invocation, so a transient fault or crash
 // fails the whole batch and a straggler stretches it), a deadline cutoff
-// at the latest live deadline, and retries with jittered backoff.
+// at deadline, the latest among the live tasks', and retries with jittered
+// backoff.
 // Hedging never applies to batches — re-issuing a whole batch would
-// double the fleet's work for one straggler. ok reports whether the
-// kernel ran to completion; alive is false when the runtime context was
-// cancelled mid-attempt.
-func (s *Server) executeBatch(ctx context.Context, m model.Model, inj *model.Faulty, k int, live []*task) (vlat time.Duration, ok, alive bool) {
+// double the fleet's work for one straggler. end says how the chain
+// ended: endOK when the kernel ran to completion.
+func (s *Server) executeBatch(ctx context.Context, w *waiter, m model.Model, inj *model.Faulty, k int, live []*task, deadline time.Time) (vlat time.Duration, end taskEnd) {
 	c := &s.mstats[k]
 	n := len(live)
 	curve := s.cfg.Batching.curve(k)
-	deadline := live[0].req.deadline
-	for _, t := range live[1:] {
-		if t.req.deadline.After(deadline) {
-			deadline = t.req.deadline
-		}
-	}
 	obsTimeout := func() {
 		c.timeouts.Add(uint64(n))
 		if s.obs != nil {
@@ -217,16 +225,16 @@ func (s *Server) executeBatch(ctx context.Context, m model.Model, inj *model.Fau
 		s.srcMu.Lock()
 		lat := m.SampleLatency(s.src)
 		s.srcMu.Unlock()
+		//schemble:wallclock the batch attempt's wall-clock start: the drift schedule, the fault injector's crash windows, the deadline budget and the wait target are all taken from this one instant
+		now := time.Now()
 		if s.cfg.Drift != nil {
-			//schemble:wallclock the drift schedule is evaluated at the batch's virtual start time
-			vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
+			vnow := time.Duration(float64(now.Sub(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
 			lat = time.Duration(float64(lat) * s.cfg.Drift(k, vnow))
 		}
 		lat = curve.Latency(lat, n)
 		dec := model.Decision{Kind: model.FaultNone, LatencyFactor: 1}
 		if inj != nil {
-			//schemble:wallclock fault injection decides transient/crash windows in wall time, matching model.Faulty's schedule
-			dec = inj.Attempt(time.Now(), lat)
+			dec = inj.Attempt(now, lat)
 		}
 		if dec.Kind == model.FaultCrash || dec.Kind == model.FaultTransient {
 			if dec.Kind == model.FaultCrash {
@@ -234,9 +242,9 @@ func (s *Server) executeBatch(ctx context.Context, m model.Model, inj *model.Fau
 			} else {
 				c.transient.Add(1)
 			}
-			retry, alive := s.backoffUntil(ctx, deadline, attempt)
+			retry, alive := s.backoffUntil(ctx, w, deadline, attempt)
 			if !alive {
-				return 0, false, false
+				return 0, endDead
 			}
 			if retry {
 				c.retries.Add(1)
@@ -247,49 +255,34 @@ func (s *Server) executeBatch(ctx context.Context, m model.Model, inj *model.Fau
 				}
 				continue
 			}
-			return 0, false, true
+			return 0, endFailed
 		}
 		if dec.Kind == model.FaultStraggler {
 			c.stragglers.Add(1)
 		}
-		d := time.Duration(float64(lat) * dec.LatencyFactor * s.scale)
-		primary := time.NewTimer(d)
-		var cutoff *time.Timer
-		var cutoffC <-chan time.Time
-		stop := func() {
-			primary.Stop()
-			if cutoff != nil {
-				cutoff.Stop()
-			}
-		}
+		// A batch already past its latest live deadline arms nothing.
+		cutoff := never
 		if s.tol.TaskTimeout {
-			//schemble:wallclock the batch's timeout budget is the wall-clock distance to the latest live deadline
-			until := time.Until(deadline)
-			if until <= 0 {
-				stop()
+			if cutoff = deadline.Sub(now); cutoff <= 0 {
 				obsTimeout()
-				return 0, false, true
-			}
-			if until < d {
-				cutoff = time.NewTimer(until)
-				cutoffC = cutoff.C
+				return 0, endCutoff
 			}
 		}
-		select {
-		case <-ctx.Done():
-			stop()
-			return 0, false, false
-		case <-primary.C:
-			stop()
-			// The batch's virtual service time: each member task observes
-			// the full batch duration (mirrors sim's per-task events).
-			return time.Duration(float64(lat) * dec.LatencyFactor), true, true
-		case <-cutoffC:
+		d := time.Duration(float64(lat) * dec.LatencyFactor * s.scale)
+		wake, kind := earliestWake(d, never, cutoff)
+		over, alive := w.until(ctx, now.Add(wake))
+		if !alive {
+			return 0, endDead
+		}
+		c.overshoot.Observe(over)
+		if kind == wakeCutoff {
 			// Every live deadline has passed mid-batch: abandon the kernel
 			// instead of occupying the replica past usefulness.
-			stop()
 			obsTimeout()
-			return 0, false, true
+			return 0, endCutoff
 		}
+		// The batch's virtual service time: each member task observes
+		// the full batch duration (mirrors sim's per-task events).
+		return time.Duration(float64(lat) * dec.LatencyFactor), endOK
 	}
 }

@@ -267,3 +267,19 @@ func TestServeSubmitRacesStart(t *testing.T) {
 	wg.Wait()
 	s.Stop()
 }
+
+// TestResolveStopsDeadlineTimer: a request resolved before its deadline
+// must not leave its deadline timer armed to fire (and spawn a goroutine)
+// later just to find the request resolved.
+func TestResolveStopsDeadlineTimer(t *testing.T) {
+	s := newServer(t, artifacts(t))
+	r := &request{class: -1, done: make(chan Result, 1)}
+	r.deadlineTimer = time.AfterFunc(time.Hour, func() {})
+	s.resolve(r, Result{})
+	if r.deadlineTimer.Stop() {
+		t.Error("resolve left the deadline timer armed")
+	}
+	if res := <-r.done; res.Missed {
+		t.Error("resolve delivered a different result")
+	}
+}

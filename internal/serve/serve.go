@@ -230,7 +230,11 @@ type request struct {
 	failed int
 	//schemble:guardedby mu committed subset
 	subset ensemble.Subset
-	done   chan Result
+	// deadlineTimer turns the deadline into an evDeadline event; resolve
+	// stops it so a request resolved early fires nothing at its deadline.
+	//schemble:guardedby mu deadline timer handle
+	deadlineTimer *time.Timer
+	done          chan Result
 
 	// tr is the request's decision trace, nil when observability is off.
 	// Creation-time fields are written before the request is shared,
@@ -271,6 +275,12 @@ type modelCounters struct {
 	retries    atomic.Uint64 // retry attempts issued
 	hedges     atomic.Uint64 // hedge attempts issued
 	hedgeWins  atomic.Uint64 // hedge attempts that finished first
+	// overshoot is how long past its asked-for duration each completed
+	// model wait returned, in wall time: one observation per wait that ran
+	// to its wake, so per executed task in a fault-free unbatched run.
+	// Buckets run from 5µs by 1.5x to ~17ms, so both the tail sleep's tens
+	// of microseconds and a runtime timer's full millisecond interpolate.
+	overshoot *obsv.Histogram
 }
 
 // replicaCounters are one replica's health counters. busy is the batch
@@ -392,9 +402,11 @@ type event struct {
 	done bool
 	// ran marks evTaskDone events whose task actually executed (as opposed
 	// to being skipped because the request had already resolved); failed
-	// marks executed tasks that failed permanently.
+	// marks executed tasks that failed permanently, cutoff those among
+	// them that TaskTimeout abandoned at the request deadline.
 	ran    bool
 	failed bool
+	cutoff bool
 }
 
 // ModelHealth is one model's fault-tolerance snapshot inside Stats.
@@ -420,6 +432,10 @@ type ModelHealth struct {
 	Retries   uint64
 	Hedges    uint64
 	HedgeWins uint64
+	// TimerOvershoot is the distribution of how long past its asked-for
+	// duration each completed model wait returned, in wall time — the
+	// runtime's own reading of the bench's serve.timer_overshoot_us.
+	TimerOvershoot obsv.HistogramSnapshot
 	// ReplicaExecuted[r] / ReplicaFailures[r] break Executed and Failures
 	// down by replica, so a single sick replica is visible inside an
 	// otherwise healthy pool.
@@ -521,6 +537,9 @@ func New(cfg Config) *Server {
 		replicas: make([]int, m),
 		rstats:   make([][]replicaCounters, m),
 		forming:  make([]atomic.Int64, m),
+	}
+	for k := range s.mstats {
+		s.mstats[k].overshoot = obsv.NewLogHistogram(5*time.Microsecond, 1.5, 21)
 	}
 	for k := range s.replicas {
 		r := 1
@@ -769,6 +788,8 @@ func (s *Server) Stats() Stats {
 			Retries:    c.retries.Load(),
 			Hedges:     c.hedges.Load(),
 			HedgeWins:  c.hedgeWins.Load(),
+
+			TimerOvershoot: c.overshoot.Snapshot(),
 		}
 		mh.ReplicaExecuted = make([]uint64, s.replicas[k])
 		mh.ReplicaFailures = make([]uint64, s.replicas[k])
@@ -951,7 +972,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	// goroutine blocks until the coordinator takes the event, and falls
 	// back to resolving directly once the runtime is shutting down.
 	//schemble:wallclock deadline timers fire in wall time; the deadline itself was derived from the virtual budget at Submit
-	time.AfterFunc(time.Until(req.deadline), func() {
+	t := time.AfterFunc(time.Until(req.deadline), func() {
 		if req.isResolved() {
 			return
 		}
@@ -961,6 +982,14 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 			s.resolve(req, Result{Missed: true})
 		}
 	})
+	// The coordinator already has the request and may have resolved it.
+	req.mu.Lock()
+	if req.state == stateResolved {
+		t.Stop()
+	} else {
+		req.deadlineTimer = t
+	}
+	req.mu.Unlock()
 	return req.done
 }
 
@@ -978,18 +1007,19 @@ func (s *Server) worker(ctx context.Context, k, r int) {
 	if s.faulty != nil {
 		inj = s.faulty[k]
 	}
+	w := newWaiter()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case t := <-s.taskCh[k]:
 			if s.maxBatch > 1 {
-				if !s.runBatch(ctx, m, inj, k, r, s.formBatch(ctx, k, t)) {
+				if !s.runBatch(ctx, w, m, inj, k, r, s.formBatch(ctx, w, k, t)) {
 					return
 				}
 				continue
 			}
-			if !s.runTask(ctx, m, inj, k, r, t) {
+			if !s.runTask(ctx, w, m, inj, k, r, t) {
 				return
 			}
 		}
@@ -999,19 +1029,21 @@ func (s *Server) worker(ctx context.Context, k, r int) {
 // runTask executes one unbatched task on replica r of model k and reports
 // its completion event. Returns false when the runtime context was
 // cancelled and the worker must exit.
-func (s *Server) runTask(ctx context.Context, m model.Model, inj *model.Faulty, k, r int, t *task) bool {
+func (s *Server) runTask(ctx context.Context, w *waiter, m model.Model, inj *model.Faulty, k, r int, t *task) bool {
 	s.forming[k].Add(1)
 	defer s.forming[k].Add(-1)
-	var done, ran, failed bool
+	var done, ran, failed, cutoff bool
 	if !t.req.isResolved() {
 		ran = true
 		rc := &s.rstats[k][r]
 		rc.busy.Store(1)
-		out, vlat, ok, alive := s.execute(ctx, m, inj, k, t.req)
+		out, vlat, end := s.execute(ctx, w, m, inj, k, t.req)
 		rc.busy.Store(0)
-		if !alive {
+		if end == endDead {
 			return false
 		}
+		ok := end == endOK
+		cutoff = end == endCutoff
 		s.mstats[k].executed.Add(1)
 		rc.executed.Add(1)
 		if !ok {
@@ -1037,36 +1069,53 @@ func (s *Server) runTask(ctx context.Context, m model.Model, inj *model.Faulty, 
 		t.req.mu.Unlock()
 	}
 	select {
-	case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed}:
+	case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: cutoff}:
 	case <-ctx.Done():
 		return false
 	}
 	return true
 }
 
+// taskEnd is how a task's attempt chain ended.
+type taskEnd uint8
+
+const (
+	endOK     taskEnd = iota // an output was produced
+	endFailed                // failed permanently: retries exhausted, crash, panic
+	endCutoff                // abandoned at the request deadline by TaskTimeout
+	endDead                  // the runtime context was cancelled mid-attempt
+)
+
 // execute runs one task's attempt chain for model k: draw the injected
 // fault, sleep the (scaled, possibly straggling) latency with optional
 // hedging and deadline cutoff, run Predict panic-safely, and retry failed
-// attempts with jittered exponential backoff while the budget lasts. ok
-// reports whether an output was produced; alive is false when the runtime
-// context was cancelled mid-attempt (the worker must exit silently, as
-// before). vlat is the winning attempt's virtual service time — the
-// sample the adaptation layer's latency sketches ingest.
-func (s *Server) execute(ctx context.Context, m model.Model, inj *model.Faulty, k int, r *request) (out model.Output, vlat time.Duration, ok, alive bool) {
+// attempts with jittered exponential backoff while the budget lasts. end
+// says how the chain ended; on endDead the worker must exit silently. vlat
+// is the winning attempt's virtual service time — the sample the
+// adaptation layer's latency sketches ingest.
+func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *model.Faulty, k int, r *request) (out model.Output, vlat time.Duration, end taskEnd) {
 	c := &s.mstats[k]
+	timedOut := func() {
+		c.timeouts.Add(1)
+		if s.obs != nil {
+			r.obsTimeouts.Add(1)
+		}
+	}
 	for attempt := 0; ; attempt++ {
 		s.srcMu.Lock()
 		lat := m.SampleLatency(s.src)
 		s.srcMu.Unlock()
+		//schemble:wallclock the attempt's wall-clock start: the drift schedule, the fault injector's crash windows, the deadline budget and the wait target are all taken from this one instant
+		now := time.Now()
+		drift := 1.0
 		if s.cfg.Drift != nil {
-			//schemble:wallclock the drift schedule is evaluated at the attempt's virtual start time
-			vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
-			lat = time.Duration(float64(lat) * s.cfg.Drift(k, vnow))
+			vnow := time.Duration(float64(now.Sub(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
+			drift = s.cfg.Drift(k, vnow)
+			lat = time.Duration(float64(lat) * drift)
 		}
 		dec := model.Decision{Kind: model.FaultNone, LatencyFactor: 1}
 		if inj != nil {
-			//schemble:wallclock fault injection decides transient/crash windows in wall time, matching model.Faulty's schedule
-			dec = inj.Attempt(time.Now(), lat)
+			dec = inj.Attempt(now, lat)
 		}
 		if dec.Kind == model.FaultCrash || dec.Kind == model.FaultTransient {
 			if dec.Kind == model.FaultCrash {
@@ -1074,9 +1123,9 @@ func (s *Server) execute(ctx context.Context, m model.Model, inj *model.Faulty, 
 			} else {
 				c.transient.Add(1)
 			}
-			retry, alive := s.backoff(ctx, r, attempt)
+			retry, alive := s.backoffUntil(ctx, w, r.deadline, attempt)
 			if !alive {
-				return out, 0, false, false
+				return out, 0, endDead
 			}
 			if retry {
 				c.retries.Add(1)
@@ -1085,104 +1134,77 @@ func (s *Server) execute(ctx context.Context, m model.Model, inj *model.Faulty, 
 				}
 				continue
 			}
-			return out, 0, false, true
+			return out, 0, endFailed
+		}
+		if dec.Kind == model.FaultStraggler {
+			c.stragglers.Add(1)
+		}
+		// The attempt's three possible ends are all known before it starts:
+		// its own (possibly straggling) draw, a hedge's, and the deadline.
+		// An attempt already out of budget arms nothing.
+		cutoff := never
+		if s.tol.TaskTimeout {
+			if cutoff = r.deadline.Sub(now); cutoff <= 0 {
+				timedOut()
+				return out, 0, endCutoff
+			}
 		}
 		d := time.Duration(float64(lat) * dec.LatencyFactor * s.scale)
 		// The winning attempt's virtual service time: the primary's
 		// (possibly straggling) draw unless the hedge wins below.
 		vlat = time.Duration(float64(lat) * dec.LatencyFactor)
-		primary := time.NewTimer(d)
-		var hedge, cutoff *time.Timer
-		var hedgeC, cutoffC <-chan time.Time
+		hedge := never
 		var hlat time.Duration
-		if dec.Kind == model.FaultStraggler {
-			c.stragglers.Add(1)
-			if s.tol.HedgeFactor > 0 {
-				// Hedge: re-issue the attempt after HedgeFactor mean
-				// latencies; the fresh (non-straggling) attempt races the
-				// straggler and the first to finish wins. Outputs are
-				// deterministic, so the winner only decides latency.
-				s.srcMu.Lock()
-				hlat = m.SampleLatency(s.src)
-				s.srcMu.Unlock()
-				if s.cfg.Drift != nil {
-					//schemble:wallclock the drift schedule is evaluated at the attempt's virtual start time
-					vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
-					hlat = time.Duration(float64(hlat) * s.cfg.Drift(k, vnow))
-				}
-				// The hedging threshold consumes the live inflation factor:
-				// under drift the frozen mean would fire hedges on every
-				// (now-normal) slow attempt.
-				mean := float64(m.MeanLatency())
-				if s.adapt != nil {
-					mean *= s.adapt.Inflation(k)
-				}
-				hd := time.Duration((s.tol.HedgeFactor*mean + float64(hlat)) * s.scale)
-				if hd < d {
-					hedge = time.NewTimer(hd)
-					hedgeC = hedge.C
-					c.hedges.Add(1)
-					if s.obs != nil {
-						r.obsHedges.Add(1)
-					}
-				}
+		if dec.Kind == model.FaultStraggler && s.tol.HedgeFactor > 0 {
+			// Hedge: re-issue the attempt after HedgeFactor mean
+			// latencies; the fresh (non-straggling) attempt races the
+			// straggler and the first to finish wins. Outputs are
+			// deterministic, so the winner only decides latency.
+			s.srcMu.Lock()
+			hlat = m.SampleLatency(s.src)
+			s.srcMu.Unlock()
+			hlat = time.Duration(float64(hlat) * drift)
+			// The hedging threshold consumes the live inflation factor:
+			// under drift the frozen mean would fire hedges on every
+			// (now-normal) slow attempt.
+			mean := float64(m.MeanLatency())
+			if s.adapt != nil {
+				mean *= s.adapt.Inflation(k)
 			}
-		}
-		stop := func() {
-			primary.Stop()
-			if hedge != nil {
-				hedge.Stop()
-			}
-			if cutoff != nil {
-				cutoff.Stop()
-			}
-		}
-		if s.tol.TaskTimeout {
-			//schemble:wallclock per-attempt timeout budget is the wall-clock distance to the request deadline
-			until := time.Until(r.deadline)
-			if until <= 0 {
-				stop()
-				c.timeouts.Add(1)
+			if hd := time.Duration((s.tol.HedgeFactor*mean + float64(hlat)) * s.scale); hd < d {
+				hedge = hd
+				c.hedges.Add(1)
 				if s.obs != nil {
-					r.obsTimeouts.Add(1)
+					r.obsHedges.Add(1)
 				}
-				return out, 0, false, true
-			}
-			if until < d {
-				cutoff = time.NewTimer(until)
-				cutoffC = cutoff.C
 			}
 		}
-		select {
-		case <-ctx.Done():
-			stop()
-			return out, 0, false, false
-		case <-primary.C:
-			stop()
-		case <-hedgeC:
+		wake, kind := earliestWake(d, hedge, cutoff)
+		over, alive := w.until(ctx, now.Add(wake))
+		if !alive {
+			return out, 0, endDead
+		}
+		c.overshoot.Observe(over)
+		switch kind {
+		case wakeHedge:
 			c.hedgeWins.Add(1)
 			// The fresh attempt won the race: its own draw is the
 			// observed service time, not the straggler's.
 			vlat = hlat
-			stop()
-		case <-cutoffC:
+		case wakeCutoff:
 			// The deadline arrived mid-attempt: abandon it instead of
 			// occupying the worker past the point of usefulness.
-			stop()
-			c.timeouts.Add(1)
-			if s.obs != nil {
-				r.obsTimeouts.Add(1)
-			}
-			return out, 0, false, true
+			timedOut()
+			return out, 0, endCutoff
 		}
-		if out, ok = s.safePredict(m, k, r.sample); ok {
-			return out, vlat, true, true
+		if out, ok := s.safePredict(m, k, r.sample); ok {
+			return out, vlat, endOK
 		}
 		// Predict panicked: contained by safePredict; treat like a
 		// transient fault.
-		retry, alive := s.backoff(ctx, r, attempt)
+		retry, alive := s.backoffUntil(ctx, w, r.deadline, attempt)
 		if !alive {
-			return out, 0, false, false
+			return out, 0, endDead
 		}
 		if retry {
 			c.retries.Add(1)
@@ -1191,20 +1213,15 @@ func (s *Server) execute(ctx context.Context, m model.Model, inj *model.Faulty, 
 			}
 			continue
 		}
-		return out, 0, false, true
+		return out, 0, endFailed
 	}
 }
 
-// backoff decides whether a failed attempt may retry, sleeping the
-// jittered exponential backoff first. alive is false when the runtime
-// context was cancelled during the sleep.
-func (s *Server) backoff(ctx context.Context, r *request, attempt int) (retry, alive bool) {
-	return s.backoffUntil(ctx, r.deadline, attempt)
-}
-
-// backoffUntil is backoff against an explicit deadline — for batches, the
-// latest live deadline in the batch.
-func (s *Server) backoffUntil(ctx context.Context, deadline time.Time, attempt int) (retry, alive bool) {
+// backoffUntil decides whether a failed attempt may retry, sleeping the
+// jittered exponential backoff first. deadline is the request's — for
+// batches, the latest live deadline in the batch. alive is false when the
+// runtime context was cancelled during the sleep.
+func (s *Server) backoffUntil(ctx context.Context, w *waiter, deadline time.Time, attempt int) (retry, alive bool) {
 	if attempt >= s.tol.MaxRetries {
 		return false, true
 	}
@@ -1212,20 +1229,14 @@ func (s *Server) backoffUntil(ctx context.Context, deadline time.Time, attempt i
 	s.srcMu.Lock()
 	jit := time.Duration(s.src.Float64() * float64(base))
 	s.srcMu.Unlock()
-	d := time.Duration(float64(base<<uint(attempt)+jit) * s.scale)
 	//schemble:wallclock retry budget check: backoff is only worth paying if it still fits before the wall-clock deadline
-	if s.tol.TaskTimeout && time.Now().Add(d).After(deadline) {
+	wake := time.Now().Add(time.Duration(float64(base<<uint(attempt)+jit) * s.scale))
+	if s.tol.TaskTimeout && wake.After(deadline) {
 		// No budget left to retry inside the deadline.
 		return false, true
 	}
-	t := time.NewTimer(d)
-	select {
-	case <-ctx.Done():
-		t.Stop()
-		return false, false
-	case <-t.C:
-		return true, true
-	}
+	_, alive = w.until(ctx, wake)
+	return alive, alive
 }
 
 // safePredict runs m.Predict, converting a panic into a failed attempt so
@@ -1637,8 +1648,13 @@ func (s *Server) coordinate(ctx context.Context) {
 						s.resolve(r, Result{Subset: sub, Missed: true, Latency: latency(r)})
 					} else {
 						out := s.cfg.Ensemble.Predict(outs, okMask)
+						// A request completed by a deadline cutoff is what the
+						// deadline event degrades: what finished, finished in
+						// time. The cutoff wakes at the deadline itself, so
+						// whether it or the deadline timer reaches the
+						// coordinator first must not decide the outcome.
 						//schemble:wallclock lateness is judged against the wall-clock deadline set at Submit
-						late := time.Now().After(r.deadline)
+						late := time.Now().After(r.deadline) && !(e.cutoff && s.tol.Degrade)
 						if s.adapt != nil && !late && nfailed == 0 &&
 							lvl == qos.LevelFull && okMask == ensemble.Full(m) {
 							// Clean full-ensemble resolve: pair the raw score
@@ -1738,6 +1754,9 @@ func (s *Server) resolve(r *request, res Result) {
 		return
 	}
 	r.state = stateResolved
+	if r.deadlineTimer != nil {
+		r.deadlineTimer.Stop()
+	}
 	var trace *obsv.DecisionTrace
 	if r.tr != nil {
 		// Finalize the trace while holding the mutex that guarded its
