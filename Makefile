@@ -2,16 +2,17 @@
 # cross-compile of the platform-split files, the full test suite under
 # the race detector with shuffled test order (the serving runtime's
 # exactly-once guarantees are race-tested, so -race is not optional;
-# -shuffle=on catches inter-test state leaks), and a quick pass of the
-# repository benchmark. `make lint` layers the project's own invariants
+# -shuffle=on catches inter-test state leaks), twenty more race-detector
+# passes over the dispatch rig, and a quick pass of the repository
+# benchmark. `make lint` layers the project's own invariants
 # on top: schemble-vet (the custom analyzer suite in internal/analysis),
 # a gofmt gate, and — where the binary is installed — govulncheck.
 
 GO ?= go
 
-.PHONY: check lint vet build cross test test-race repo-bench chaos obsv bench bench-json overload cache drift fuzz cover
+.PHONY: check lint vet build cross test test-race rig repo-bench chaos obsv bench bench-json overload cache drift fuzz cover
 
-check: vet build cross test-race repo-bench
+check: vet build cross test-race rig repo-bench
 
 # lint runs the schemble-vet analyzer suite (determinism, outcome
 # taxonomy, float equality, test sleeps, context threading, engine
@@ -45,6 +46,15 @@ test:
 
 test-race:
 	$(GO) test -race -shuffle=on ./...
+
+# rig hammers the coordinator's dispatch tests: blocking models, a stub
+# scheduler the test can hold mid-pass, no wall-clock thresholds, under a
+# second per pass. The hand-off they cover — a worker takes its staged
+# task while the coordinator is still planning — is the one place the two
+# run unsynchronised by an event, so it is race-tested many interleavings
+# deep on every push.
+rig:
+	$(GO) test -race -count=20 -run 'TestDispatchGate|TestStaged' ./internal/serve/
 
 # Fault-injection stress tests: every chaos/fault/drain scenario under the
 # race detector with a tight timeout so a hung drain or leaked goroutine

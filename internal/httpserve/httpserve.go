@@ -218,6 +218,13 @@ type ModelHealth struct {
 	// runtime's own reading of the bench's serve.timer_overshoot_us.
 	TimerOvershootUSP50 float64 `json:"timer_overshoot_us_p50"`
 	TimerOvershootUSP99 float64 `json:"timer_overshoot_us_p99"`
+	// StarvedCount counts the waits a replica of the model sat idle
+	// through while queries waited in the buffer, and StarvedUSP50/P99 are
+	// quantiles of their wall time — the runtime's own reading of the
+	// idle-while-waiting gaps the bench trace shows from outside.
+	StarvedCount uint64  `json:"starved_count"`
+	StarvedUSP50 float64 `json:"starved_us_p50"`
+	StarvedUSP99 float64 `json:"starved_us_p99"`
 	// ReplicaExecuted/ReplicaFailures break Executed and Failures down by
 	// replica within the model's pool.
 	ReplicaExecuted []uint64 `json:"replica_executed,omitempty"`
@@ -564,6 +571,9 @@ func modelHealth(rt serve.Stats) []ModelHealth {
 
 			TimerOvershootUSP50: float64(m.TimerOvershoot.Quantile(0.5)) / float64(time.Microsecond),
 			TimerOvershootUSP99: float64(m.TimerOvershoot.Quantile(0.99)) / float64(time.Microsecond),
+			StarvedCount:        m.Starved.Count,
+			StarvedUSP50:        float64(m.Starved.Quantile(0.5)) / float64(time.Microsecond),
+			StarvedUSP99:        float64(m.Starved.Quantile(0.99)) / float64(time.Microsecond),
 		}
 		if len(m.ReplicaExecuted) > 1 {
 			// Single-replica pools collapse to the model-level counters;

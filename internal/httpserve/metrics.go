@@ -325,6 +325,11 @@ func writeModelMetrics(b *strings.Builder, rt serve.Stats) {
 	for _, m := range rt.Models {
 		writeHistogram(b, "schemble_task_overshoot_seconds", fmt.Sprintf("model=%q", m.Name), m.TimerOvershoot)
 	}
+	writeHeader(b, "schemble_model_starved_seconds", "histogram",
+		"Wall time a replica sat idle while queries waited in the buffer, one observation per such wait, by model.")
+	for _, m := range rt.Models {
+		writeHistogram(b, "schemble_model_starved_seconds", fmt.Sprintf("model=%q", m.Name), m.Starved)
+	}
 }
 
 // writeObserverMetrics renders trace counters and the per-outcome latency

@@ -217,7 +217,8 @@ func TestMetricsWithoutObserver(t *testing.T) {
 // executed task is one completed model wait, so the per-model histogram
 // count in /v1/metrics equals the executed counter, and /v1/stats carries
 // its quantiles. The family renders with observability off — it belongs
-// to the runtime, not the observer.
+// to the runtime, not the observer. So does the starved family beside
+// it, whose count /v1/stats repeats per model.
 func TestTaskOvershootExported(t *testing.T) {
 	c, _, a := startServer(t)
 	for i := 0; i < 6; i++ {
@@ -234,8 +235,10 @@ func TestTaskOvershootExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPromText(t, text)
-	if !strings.Contains(text, "# TYPE schemble_task_overshoot_seconds histogram") {
-		t.Fatal("exposition missing the schemble_task_overshoot_seconds family")
+	for _, family := range []string{"schemble_task_overshoot_seconds", "schemble_model_starved_seconds"} {
+		if !strings.Contains(text, "# TYPE "+family+" histogram") {
+			t.Fatalf("exposition missing the %s family", family)
+		}
 	}
 	var executed uint64
 	for _, m := range st.Runtime.Models {
@@ -243,6 +246,13 @@ func TestTaskOvershootExported(t *testing.T) {
 		want := fmt.Sprintf("schemble_task_overshoot_seconds_count{model=%q} %d\n", m.Name, m.Executed)
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", strings.TrimSpace(want))
+		}
+		want = fmt.Sprintf("schemble_model_starved_seconds_count{model=%q} %d\n", m.Name, m.StarvedCount)
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q", strings.TrimSpace(want))
+		}
+		if m.StarvedUSP50 > m.StarvedUSP99 || (m.StarvedCount > 0) != (m.StarvedUSP99 > 0) {
+			t.Errorf("model %s: starved count=%d p50=%v p99=%v", m.Name, m.StarvedCount, m.StarvedUSP50, m.StarvedUSP99)
 		}
 		if m.Executed > 0 && !(m.TimerOvershootUSP50 > 0 && m.TimerOvershootUSP50 <= m.TimerOvershootUSP99) {
 			t.Errorf("model %s: overshoot p50=%v p99=%v after %d tasks",

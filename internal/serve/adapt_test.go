@@ -13,6 +13,7 @@ import (
 	"schemble/internal/model"
 	"schemble/internal/pipeline"
 	"schemble/internal/sim"
+	"schemble/internal/testutil"
 	"schemble/internal/trace"
 )
 
@@ -185,31 +186,58 @@ func TestSimServeEquivalenceAdapt(t *testing.T) {
 	}
 
 	const scale = 0.25
-	s := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: scale,
-		Seed:      1,
-		Adapt:     adaptCfg,
-		Drift:     drift,
-	})
-	s.Start(context.Background())
-	defer s.Stop()
-	chans := make([]<-chan Result, n)
-	for i := 0; i < n; i++ {
-		//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival (and so each detector window and recal epoch) to land in the same virtual-time gap as in the simulated trace
-		time.Sleep(time.Duration(float64(spacing) * scale))
-		chans[i] = s.Submit(a.Serve[i], budget(i))
+	results := make([]Result, n)
+	at := make([]time.Time, n)
+	var snap *adapt.Snapshot
+	// The inflation factors only grow over this trace, so the simulator's
+	// final ones bound every query's planning cost from above.
+	inflation := make([]float64, len(simSnap.Models))
+	for k, m := range simSnap.Models {
+		inflation[k] = m.Inflation
 	}
-	for i := range chans {
-		var res Result
-		select {
-		case res = <-chans[i]:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("query %d never resolved in the runtime", i)
+	// Every detector window, drift step and epoch boundary sits at least
+	// 100ms of virtual time from the nearest observation.
+	const boundarySlack = time.Duration(float64(100*time.Millisecond) * scale)
+	testutil.Unstalled(t, func() []testutil.Window {
+		s := New(Config{
+			Ensemble:  a.Ensemble,
+			Scheduler: &core.DP{Delta: 0.01},
+			Rewarder:  a.Profile,
+			Estimator: a.Predictor,
+			TimeScale: scale,
+			Seed:      1,
+			Adapt:     adaptCfg,
+			Drift:     drift,
+		})
+		s.Start(context.Background())
+		defer s.Stop()
+		began := time.Now()
+		chans := make([]<-chan Result, n)
+		var windows []testutil.Window
+		for i := 0; i < n; i++ {
+			// Each arrival is paced against the run's start, not the one
+			// before it, so a late one does not push every later arrival
+			// (and observation) towards the next boundary.
+			due := began.Add(time.Duration(float64(tr.Arrivals[i].At) * scale))
+			//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival (and so each detector window and recal epoch) to land in the same virtual-time gap as in the simulated trace
+			time.Sleep(time.Until(due))
+			at[i] = time.Now()
+			chans[i] = s.Submit(a.Serve[i], budget(i))
+			windows = append(windows, testutil.Window{From: due, To: at[i], Slack: boundarySlack})
 		}
+		collect(t, chans, results)
+		snap = s.Stats().Adapt
+		// A query's completion is an observation too, so while it runs the
+		// boundary margin applies wherever it is the smaller one.
+		for _, w := range pacedWindows(at, results, recs, a.Ensemble.Models, inflation, scale) {
+			if w.Slack > boundarySlack {
+				w.Slack = boundarySlack
+			}
+			windows = append(windows, w)
+		}
+		return windows
+	})
+	for i, res := range results {
 		rec := recs[i]
 		if res.Subset != rec.Subset {
 			t.Errorf("query %d (budget %v): runtime subset %v, simulator subset %v",
@@ -221,7 +249,6 @@ func TestSimServeEquivalenceAdapt(t *testing.T) {
 		}
 	}
 
-	snap := s.Stats().Adapt
 	if snap == nil {
 		t.Fatal("runtime exported no adapt snapshot")
 	}

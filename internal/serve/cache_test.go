@@ -14,6 +14,7 @@ import (
 	"schemble/internal/rcache"
 	"schemble/internal/rng"
 	"schemble/internal/sim"
+	"schemble/internal/testutil"
 	"schemble/internal/trace"
 )
 
@@ -213,30 +214,35 @@ func TestSimServeEquivalenceCached(t *testing.T) {
 	}
 
 	const scale = 0.2
-	s := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: scale,
-		Seed:      1,
-		Cache:     cacheCfg,
-	})
-	s.Start(context.Background())
-	defer s.Stop()
-	chans := make([]<-chan Result, ztr.N())
-	for i, arr := range ztr.Arrivals {
-		chans[i] = s.Submit(pool[arr.SampleIdx], arr.Deadline-arr.At)
-		//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival to meet the same cache and fleet state as in the simulated trace
-		time.Sleep(time.Duration(float64(spacing) * scale))
-	}
-	for i := range chans {
-		var res Result
-		select {
-		case res = <-chans[i]:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("query %d never resolved in the runtime", i)
+	results := make([]Result, ztr.N())
+	at := make([]time.Time, ztr.N())
+	var cs *rcache.Snapshot
+	testutil.Unstalled(t, func() []testutil.Window {
+		s := New(Config{
+			Ensemble:  a.Ensemble,
+			Scheduler: &core.DP{Delta: 0.01},
+			Rewarder:  a.Profile,
+			Estimator: a.Predictor,
+			TimeScale: scale,
+			Seed:      1,
+			Cache:     cacheCfg,
+		})
+		s.Start(context.Background())
+		defer s.Stop()
+		chans := make([]<-chan Result, ztr.N())
+		for i, arr := range ztr.Arrivals {
+			at[i] = time.Now()
+			chans[i] = s.Submit(pool[arr.SampleIdx], arr.Deadline-arr.At)
+			//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival to meet the same cache and fleet state as in the simulated trace
+			time.Sleep(time.Duration(float64(spacing) * scale))
 		}
+		collect(t, chans, results)
+		cs = s.Stats().Cache
+		// An arrival meets the cache and fleet state the simulator's did
+		// as long as the query before it resolved inside its own window.
+		return pacedWindows(at, results, recs, a.Ensemble.Models, nil, scale)
+	})
+	for i, res := range results {
 		rec := recs[i]
 		if res.Cached != rec.Cached {
 			t.Errorf("query %d: runtime cached=%v, simulator cached=%v", i, res.Cached, rec.Cached)
@@ -249,7 +255,6 @@ func TestSimServeEquivalenceCached(t *testing.T) {
 			t.Errorf("query %d: runtime missed=%v, simulator missed=%v", i, res.Missed, rec.Missed)
 		}
 	}
-	cs := s.Stats().Cache
 	if cs == nil {
 		t.Fatal("no runtime cache snapshot")
 	}

@@ -6,10 +6,73 @@ import (
 	"time"
 
 	"schemble/internal/core"
+	"schemble/internal/ensemble"
+	"schemble/internal/metrics"
+	"schemble/internal/model"
 	"schemble/internal/qos"
 	"schemble/internal/sim"
+	"schemble/internal/testutil"
 	"schemble/internal/trace"
 )
+
+// planCost is the planning cost of running subset: the slowest chosen
+// model's mean latency with the coordinator's 10% headroom, times that
+// model's inflation factor when the run adapts.
+func planCost(models []model.Model, subset ensemble.Subset, inflation []float64) time.Duration {
+	var cost time.Duration
+	for _, k := range subset.Models() {
+		c := float64(models[k].MeanLatency()) * 1.1
+		if inflation != nil {
+			c *= inflation[k]
+		}
+		if time.Duration(c) > cost {
+			cost = time.Duration(c)
+		}
+	}
+	return cost
+}
+
+// pacedWindows lists, for testutil.Unstalled, the stretches of a paced
+// equivalence run in which a query's fate hung on the wall clock: from
+// its Submit at at[i] until it resolved (its whole budget if it missed).
+// A stall there shorter than the budget less the planning cost of the
+// subset the simulator chose can neither make that plan infeasible nor
+// make its result late; a longer one can, and the run then says nothing
+// about the engines. Queries the simulator could not place at all miss
+// however the run is paced and get no window.
+func pacedWindows(at []time.Time, results []Result, recs []metrics.Record,
+	models []model.Model, inflation []float64, scale float64) []testutil.Window {
+	var windows []testutil.Window
+	for i, res := range results {
+		rec := recs[i]
+		if rec.Subset == ensemble.Empty {
+			continue
+		}
+		budget := rec.Deadline - rec.Arrival
+		span := res.Latency
+		if res.Missed || span > budget {
+			span = budget
+		}
+		windows = append(windows, testutil.Window{
+			From:  at[i],
+			To:    at[i].Add(time.Duration(float64(span) * scale)),
+			Slack: time.Duration(float64(budget-planCost(models, rec.Subset, inflation)) * scale),
+		})
+	}
+	return windows
+}
+
+// collect waits for every paced query's result, in submission order.
+func collect(t *testing.T, chans []<-chan Result, results []Result) {
+	t.Helper()
+	for i := range results {
+		select {
+		case results[i] = <-chans[i]:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("query %d never resolved in the runtime", i)
+		}
+	}
+}
 
 // TestSimServeEquivalence cross-validates the two execution engines: the
 // discrete-event simulator and the live concurrent runtime, given the
@@ -49,31 +112,34 @@ func TestSimServeEquivalence(t *testing.T) {
 	}, tr, a.Serve)
 
 	const scale = 0.2
-	s := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: scale,
-		Seed:      1,
+	results := make([]Result, len(budgets))
+	at := make([]time.Time, len(budgets))
+	var st Stats
+	testutil.Unstalled(t, func() []testutil.Window {
+		s := New(Config{
+			Ensemble:  a.Ensemble,
+			Scheduler: &core.DP{Delta: 0.01},
+			Rewarder:  a.Profile,
+			Estimator: a.Predictor,
+			TimeScale: scale,
+			Seed:      1,
+		})
+		s.Start(context.Background())
+		defer s.Stop()
+		chans := make([]<-chan Result, len(budgets))
+		for i, b := range budgets {
+			at[i] = time.Now()
+			chans[i] = s.Submit(a.Serve[i], b)
+			//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival to meet an idle fleet, exactly as in the simulated trace
+			time.Sleep(time.Duration(float64(spacing) * scale))
+		}
+		collect(t, chans, results)
+		st = s.Stats()
+		return pacedWindows(at, results, recs, a.Ensemble.Models, nil, scale)
 	})
-	s.Start(context.Background())
-	defer s.Stop()
-	chans := make([]<-chan Result, len(budgets))
-	for i, b := range budgets {
-		chans[i] = s.Submit(a.Serve[i], b)
-		//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival to meet an idle fleet, exactly as in the simulated trace
-		time.Sleep(time.Duration(float64(spacing) * scale))
-	}
 
 	simMissed, serveMissed := 0, 0
-	for i := range budgets {
-		var res Result
-		select {
-		case res = <-chans[i]:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("query %d never resolved in the runtime", i)
-		}
+	for i, res := range results {
 		rec := recs[i]
 		if res.Subset != rec.Subset {
 			t.Errorf("query %d (budget %v): runtime subset %v, simulator subset %v",
@@ -97,7 +163,6 @@ func TestSimServeEquivalence(t *testing.T) {
 		t.Errorf("missed counts: sim=%d serve=%d, want %d each (the infeasible budgets)",
 			simMissed, serveMissed, want)
 	}
-	st := s.Stats()
 	if st.Degraded != 0 || st.Rejected != 0 {
 		t.Errorf("faultless equivalence run produced degraded=%d rejected=%d",
 			st.Degraded, st.Rejected)
@@ -142,33 +207,36 @@ func TestSimServeEquivalenceClassed(t *testing.T) {
 	}, tr, a.Serve)
 
 	const scale = 0.2
-	s := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: scale,
-		Classes:   classes,
-		Seed:      1,
-	})
-	s.Start(context.Background())
-	defer s.Stop()
-	chans := make([]<-chan Result, len(names))
-	for i, name := range names {
-		// Zero deadline: the runtime must fall back to the class default,
-		// exactly as the simulator did.
-		chans[i] = s.SubmitClass(a.Serve[i], 0, name)
-		//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival to meet an idle fleet, exactly as in the simulated trace
-		time.Sleep(time.Duration(float64(spacing) * scale))
-	}
-
-	for i := range names {
-		var res Result
-		select {
-		case res = <-chans[i]:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("query %d never resolved in the runtime", i)
+	results := make([]Result, len(names))
+	at := make([]time.Time, len(names))
+	var st Stats
+	testutil.Unstalled(t, func() []testutil.Window {
+		s := New(Config{
+			Ensemble:  a.Ensemble,
+			Scheduler: &core.DP{Delta: 0.01},
+			Rewarder:  a.Profile,
+			Estimator: a.Predictor,
+			TimeScale: scale,
+			Classes:   classes,
+			Seed:      1,
+		})
+		s.Start(context.Background())
+		defer s.Stop()
+		chans := make([]<-chan Result, len(names))
+		for i, name := range names {
+			at[i] = time.Now()
+			// Zero deadline: the runtime must fall back to the class
+			// default, exactly as the simulator did.
+			chans[i] = s.SubmitClass(a.Serve[i], 0, name)
+			//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival to meet an idle fleet, exactly as in the simulated trace
+			time.Sleep(time.Duration(float64(spacing) * scale))
 		}
+		collect(t, chans, results)
+		st = s.Stats()
+		return pacedWindows(at, results, recs, a.Ensemble.Models, nil, scale)
+	})
+
+	for i, res := range results {
 		rec := recs[i]
 		if rec.Class != names[i] {
 			t.Errorf("query %d: simulator recorded class %q, want %q", i, rec.Class, names[i])
@@ -188,7 +256,6 @@ func TestSimServeEquivalenceClassed(t *testing.T) {
 				i, names[i], rec.Missed, want)
 		}
 	}
-	st := s.Stats()
 	if st.Rejected != 0 {
 		t.Errorf("spaced classed run shed %d requests", st.Rejected)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,27 +18,34 @@ import (
 )
 
 // This file pins the coordinator's dispatch gate: a planning pass that
-// cannot commit anything — every unblocked replica is busy — must not
-// call the scheduler, and must leave the buffer, the slack signal and the
-// counters exactly as a pass that planned and then committed nothing.
+// cannot commit anything — every unblocked replica already holds a running
+// task and a staged one — must not call the scheduler, and must leave the
+// buffer, the slack signal and the counters exactly as a pass that planned
+// and then committed nothing. staged_test.go drives the same rig through
+// the staging rule's own properties.
 //
 // The rig takes the wall clock out of the picture. Models claim an hour
 // of mean latency, so a committed replica stays busy in the coordinator's
 // estimate until its completion re-anchors it; they draw zero actual
 // latency and then block in Predict until the test releases them, so
 // every coordinator event is one the script caused. The scheduler is a
-// stub that plans every query onto models 0 and 1 and counts its calls.
+// stub that plans every query onto models 0 and 1, counts its calls, and
+// can be held inside a call the way the DP holds the coordinator while it
+// plans a deep buffer.
 
 // gateModel is a model the test holds inside Predict.
 type gateModel struct {
 	model.Model
 	release chan struct{}
 	quit    chan struct{}
+	// entered counts the tasks that reached Predict, finished or not.
+	entered atomic.Int64
 }
 
 func (g *gateModel) MeanLatency() time.Duration              { return time.Hour }
 func (g *gateModel) SampleLatency(*rng.Source) time.Duration { return 0 }
 func (g *gateModel) Predict(s *dataset.Sample) model.Output {
+	g.entered.Add(1)
 	select {
 	case <-g.release:
 	case <-g.quit:
@@ -46,12 +54,24 @@ func (g *gateModel) Predict(s *dataset.Sample) model.Output {
 }
 
 // pairScheduler plans every query onto models 0 and 1, whatever the
-// capacity, and counts how often it is asked.
-type pairScheduler struct{ calls atomic.Int64 }
+// capacity, and counts how often it is asked. While held it announces each
+// call on entered and blocks inside it until resumed, which leaves the
+// coordinator stuck mid-pass.
+type pairScheduler struct {
+	calls   atomic.Int64
+	held    atomic.Bool
+	entered chan struct{}
+	resume  chan struct{}
+	quit    chan struct{}
+}
 
 func (*pairScheduler) Name() string { return "pair" }
 func (p *pairScheduler) Schedule(_ time.Duration, queries []core.QueryInfo, _ core.Capacity, _ []time.Duration, _ core.Rewarder) core.Plan {
 	p.calls.Add(1)
+	if p.held.Load() {
+		p.meet(p.entered)
+		p.meet(p.resume)
+	}
 	plan := core.Plan{Assignments: make(map[int]ensemble.Subset, len(queries))}
 	for _, q := range queries {
 		plan.Assignments[q.ID] = ensemble.Full(2)
@@ -59,29 +79,79 @@ func (p *pairScheduler) Schedule(_ time.Duration, queries []core.QueryInfo, _ co
 	return plan
 }
 
+// meet blocks the held call until the test takes from ch, or the rig quits.
+func (p *pairScheduler) meet(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	case <-p.quit:
+	}
+}
+
+// hold makes the next Schedule call block; awaitHeld returns once the
+// coordinator is inside it, and resumeHeld lets that call (and every later
+// one) through.
+func (p *pairScheduler) hold() { p.held.Store(true) }
+
+func (p *pairScheduler) awaitHeld(t *testing.T) {
+	t.Helper()
+	select {
+	case <-p.entered:
+	case <-time.After(rigWait):
+		t.Fatal("the coordinator never reached the held scheduler")
+	}
+}
+
+func (p *pairScheduler) resumeHeld(t *testing.T) {
+	t.Helper()
+	p.held.Store(false)
+	select {
+	case <-p.resume:
+	case <-time.After(rigWait):
+		t.Fatal("no scheduler call was held")
+	}
+}
+
+// rigWait bounds every wait on the rig; nothing is expected to come near it.
+const rigWait = 10 * time.Second
+
+// workerWait is the frame of a worker blocked waiting for its next task.
+const workerWait = "serve.(*Server).nextTask"
+
 // gateRig is one server under the script.
 type gateRig struct {
 	srv     *Server
 	sched   *pairScheduler
 	models  []*gateModel
 	results []<-chan Result
+	quit    chan struct{}
+	once    sync.Once
+	// idle is what testutil.ParkedInSelect(workerWait) reads when every
+	// worker of this rig waits for a task.
+	idle int
 }
+
+// allIdle reports whether every worker waits for its next task: none is
+// still on its way there from the task, or the start, before.
+func (g *gateRig) allIdle() bool { return testutil.ParkedInSelect(workerWait) == g.idle }
 
 // newGateRig builds a server over nModels gate models. A third model is
 // never planned and so always idle: it keeps the gate open on every pass,
 // which makes that server the twin without the gate. blocked forces those
-// models' breakers open for the whole test.
-func newGateRig(t *testing.T, nModels int, blocked ensemble.Subset) *gateRig {
+// models' breakers open until the test says otherwise; tweak adjusts the
+// server's configuration before it is built.
+func newGateRig(t *testing.T, nModels int, blocked ensemble.Subset, tweak ...func(*Config)) *gateRig {
 	t.Helper()
-	rig := &gateRig{sched: &pairScheduler{}}
 	quit := make(chan struct{})
+	rig := &gateRig{quit: quit, sched: &pairScheduler{
+		entered: make(chan struct{}), resume: make(chan struct{}), quit: quit,
+	}}
 	var models []model.Model
 	for _, base := range model.TextMatchingModels(3)[:nModels] {
 		gm := &gateModel{Model: base, release: make(chan struct{}), quit: quit}
 		rig.models = append(rig.models, gm)
 		models = append(models, gm)
 	}
-	rig.srv = New(Config{
+	cfg := Config{
 		Ensemble:  ensemble.New(dataset.Classification, models, &ensemble.Average{}, nil),
 		Scheduler: rig.sched,
 		Rewarder:  sizeRewarder{},
@@ -90,22 +160,49 @@ func newGateRig(t *testing.T, nModels int, blocked ensemble.Subset) *gateRig {
 		// backlog term is negligible and the EWMA forgets instantly.
 		Admission: AdmissionConfig{Capacity: 1e9, Target: time.Second, Tau: time.Nanosecond},
 		Tolerance: ToleranceConfig{BreakerThreshold: 1, BreakerCooldown: 1000 * time.Hour},
-	})
-	rig.srv.breakerMu.Lock()
-	for _, k := range blocked.Models() {
-		rig.srv.breakers[k].state = breakerOpen
 	}
-	rig.srv.breakerMu.Unlock()
+	for _, f := range tweak {
+		f(&cfg)
+	}
+	rig.srv = New(cfg)
+	for _, k := range blocked.Models() {
+		rig.setBreaker(k, breakerOpen)
+	}
+	rig.idle = testutil.ParkedInSelect(workerWait)
+	for _, n := range rig.srv.replicas {
+		rig.idle += n
+	}
 	rig.srv.Start(context.Background())
-	t.Cleanup(func() {
-		close(quit)
-		rig.srv.Stop()
-	})
+	t.Cleanup(rig.shutdown)
+	// The script starts from a fleet at rest: a worker still on its way to
+	// its queue could otherwise meet the first arrival half-dispatched.
+	testutil.Poll(t, rigWait, "workers waiting", rig.allIdle)
 	return rig
+}
+
+// shutdown lets every held model and scheduler call go and stops the
+// server; the rig's cleanup, and safe to call earlier.
+func (g *gateRig) shutdown() {
+	g.once.Do(func() { close(g.quit) })
+	g.srv.Stop()
+}
+
+// setBreaker forces model k's breaker into state, as the coordinator's next
+// pass will read it.
+func (g *gateRig) setBreaker(k, state int) {
+	g.srv.breakerMu.Lock()
+	g.srv.breakers[k].state = state
+	g.srv.breakerMu.Unlock()
 }
 
 func (g *gateRig) submit(sample *dataset.Sample) {
 	g.results = append(g.results, g.srv.Submit(sample, 2*time.Hour))
+}
+
+// arrive submits one more request, a sample of its own.
+func (g *gateRig) arrive() {
+	i := len(g.results)
+	g.submit(poolSamples(i + 1)[i])
 }
 
 // finish lets model k's running task complete; it blocks until the worker
@@ -114,14 +211,15 @@ func (g *gateRig) finish(t *testing.T, k int) {
 	t.Helper()
 	select {
 	case g.models[k].release <- struct{}{}:
-	case <-time.After(10 * time.Second):
+	case <-time.After(rigWait):
 		t.Fatalf("model %d never reached Predict", k)
 	}
 }
 
 // gateOracle is the coordinator's pass reduced to what the script can
 // reach: requests commit in arrival order onto the planned, unblocked
-// models as soon as one of them has no work pending.
+// models as long as one of them has fewer than two tasks outstanding — the
+// running one and one staged behind it.
 type gateOracle struct {
 	usable    ensemble.Subset // planned and not blocked
 	buffer    []int
@@ -137,7 +235,7 @@ type gateOracle struct {
 
 func (o *gateOracle) free() bool {
 	for _, k := range o.usable.Models() {
-		if len(o.queue[k]) == 0 {
+		if len(o.queue[k]) < 2 {
 			return true
 		}
 	}
@@ -212,7 +310,7 @@ func runGateScript(t *testing.T, seed uint64, blocked ensemble.Subset) {
 	src := rng.New(seed)
 	check := func(what string) {
 		t.Helper()
-		if !testutil.Wait(10*time.Second, func() bool {
+		if !testutil.Wait(rigWait, func() bool {
 			return gated.settled(o, o.calls) && twin.settled(o, o.ungated)
 		}) {
 			t.Fatalf("seed %d: %s never settled\noracle %+v\ngated  %s\ntwin   %s", seed, what, *o, gated.state(), twin.state())
@@ -221,8 +319,8 @@ func runGateScript(t *testing.T, seed uint64, blocked ensemble.Subset) {
 	// busy lists the usable models with a task to finish. While arrivals
 	// remain it leaves out completions nothing observable follows from (a
 	// request's first task, with nothing buffered to take the freed
-	// replica): the script could not tell when the coordinator had seen
-	// one, and an arrival overtaking it would plan against a stale view.
+	// room): the script could not tell when the coordinator had seen one,
+	// and an arrival overtaking it would plan against a stale view.
 	busy := func(observable bool) []int {
 		var ks []int
 		for _, k := range o.usable.Models() {
@@ -269,7 +367,7 @@ func runGateScript(t *testing.T, seed uint64, blocked ensemble.Subset) {
 }
 
 // TestDispatchGateMatchesUngatedTwin: with both planned models healthy,
-// the scheduler is consulted only on passes where one of them is free,
+// the scheduler is consulted only on passes where one of them has room,
 // and nothing else about the run differs from the twin that plans on
 // every pass.
 func TestDispatchGateMatchesUngatedTwin(t *testing.T) {
@@ -280,7 +378,7 @@ func TestDispatchGateMatchesUngatedTwin(t *testing.T) {
 
 // TestDispatchGateIgnoresBlockedIdleReplica: model 1 sits behind an open
 // breaker, so it is idle throughout and must not open the gate — the
-// scheduler is consulted only while model 0 is free.
+// scheduler is consulted only while model 0 has room.
 func TestDispatchGateIgnoresBlockedIdleReplica(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		runGateScript(t, seed, ensemble.Single(1))
@@ -288,33 +386,36 @@ func TestDispatchGateIgnoresBlockedIdleReplica(t *testing.T) {
 }
 
 // TestDispatchGateZeroCallsWhileBusy is the property in its barest form:
-// once the only usable replica is busy, arrivals buffer without a single
-// scheduler call, and the first completion reopens planning.
+// once the only usable replica holds a running task and a staged one,
+// arrivals buffer without a single scheduler call, and the next completion
+// reopens planning.
 func TestDispatchGateZeroCallsWhileBusy(t *testing.T) {
 	rig := newGateRig(t, 2, ensemble.Single(1))
 	samples := poolSamples(6)
-	rig.submit(samples[0])
-	testutil.Poll(t, 10*time.Second, "first request committed", func() bool {
-		return rig.srv.Stats().InFlight == 1
-	})
-	if got := rig.sched.calls.Load(); got != 1 {
-		t.Fatalf("%d scheduler calls for the first request, want 1", got)
+	for i, s := range samples[:2] {
+		rig.submit(s)
+		testutil.Poll(t, rigWait, "request committed", func() bool {
+			return rig.srv.Stats().InFlight == i+1
+		})
 	}
-	for _, s := range samples[1:] {
+	if got := rig.sched.calls.Load(); got != 2 {
+		t.Fatalf("%d scheduler calls for the running and the staged request, want 2", got)
+	}
+	for _, s := range samples[2:] {
 		rig.submit(s)
 	}
-	testutil.Poll(t, 10*time.Second, "arrivals buffered", func() bool {
-		return rig.srv.Stats().Buffered == len(samples)-1
-	})
-	if got := rig.sched.calls.Load(); got != 1 {
-		t.Fatalf("%d scheduler calls while every unblocked replica was busy, want still 1", got)
-	}
-	rig.finish(t, 0)
-	testutil.Poll(t, 10*time.Second, "next request committed", func() bool {
-		st := rig.srv.Stats()
-		return st.Served == 1 && st.InFlight == 1 && st.Buffered == len(samples)-2
+	testutil.Poll(t, rigWait, "arrivals buffered", func() bool {
+		return rig.srv.Stats().Buffered == len(samples)-2
 	})
 	if got := rig.sched.calls.Load(); got != 2 {
-		t.Fatalf("%d scheduler calls after one completion, want 2", got)
+		t.Fatalf("%d scheduler calls while the only unblocked replica was full, want still 2", got)
+	}
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "next request staged", func() bool {
+		st := rig.srv.Stats()
+		return st.Served == 1 && st.InFlight == 2 && st.Buffered == len(samples)-3
+	})
+	if got := rig.sched.calls.Load(); got != 3 {
+		t.Fatalf("%d scheduler calls after one completion, want 3", got)
 	}
 }

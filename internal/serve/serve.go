@@ -3,15 +3,25 @@
 // model (Config.Replicas; one each by default) sharing that model's task
 // queue, a coordinator goroutine that owns the query buffer and runs the
 // scheduler against per-replica capacity (core.Capacity), and
-// channel-based task dispatch. Replicas can additionally micro-batch
-// queued tasks (Config.Batching): a replica drains its queue up to
-// MaxBatch tasks — lingering briefly for stragglers — and executes the
-// batch as one unit whose duration follows the model's batch latency
-// curve. Model execution is simulated by sleeping for the model's
-// (scaled) latency, so examples can replay a trace in compressed
-// wall-clock time while exercising the same scheduling logic the paper
-// deploys. With every replica count at 1 and batching off, the runtime is
-// bit-identical to the original single-worker design.
+// channel-based task dispatch.
+//
+// Dispatch is work-conserving: the coordinator commits a query while a
+// chosen model's replica runs out of committed work within one task time
+// (stageable), so one task waits staged in the model's queue behind each
+// running one, and a replica that finishes starts it at once — while the
+// coordinator is still planning the pass that completion triggered. The
+// simulator binds only to idle replicas, virtual time having no planning
+// cost to hide; the two agree whenever an arrival meets an idle fleet.
+//
+// Replicas can additionally micro-batch queued tasks (Config.Batching): a
+// replica drains its queue up to MaxBatch tasks — lingering briefly for
+// stragglers — and executes the batch as one unit whose duration follows
+// the model's batch latency curve. Model execution is simulated by
+// sleeping for the model's (scaled) latency, so examples can replay a
+// trace in compressed wall-clock time while exercising the same
+// scheduling logic the paper deploys. With every replica count at 1 and
+// batching off, the runtime is bit-identical to the original
+// single-worker design.
 //
 // Lifecycle: New -> Start(ctx) -> Submit()... -> Drain/Stop. Every request
 // moves through an explicit state machine
@@ -281,6 +291,13 @@ type modelCounters struct {
 	// Buckets run from 5µs by 1.5x to ~17ms, so both the tail sleep's tens
 	// of microseconds and a runtime timer's full millisecond interpolate.
 	overshoot *obsv.Histogram
+	// starved is how long, in wall time, a replica of the model sat idle
+	// with queries buffered before its next task arrived: one observation
+	// per wait that began with an empty queue and a non-empty buffer (see
+	// nextTask). Buckets run from 10µs by 1.6x to ~0.5s: a planning pass
+	// is tens of microseconds to tens of milliseconds, and a wait for a
+	// query this model can serve in time can outlast many passes.
+	starved *obsv.Histogram
 }
 
 // replicaCounters are one replica's health counters. busy is the batch
@@ -436,6 +453,12 @@ type ModelHealth struct {
 	// duration each completed model wait returned, in wall time — the
 	// runtime's own reading of the bench's serve.timer_overshoot_us.
 	TimerOvershoot obsv.HistogramSnapshot
+	// Starved is the distribution of how long, in wall time, a replica of
+	// the model sat idle while queries waited in the buffer: one
+	// observation per wait that began with the model's queue empty and the
+	// buffer not — the runtime's own reading of the idle-while-waiting gaps
+	// the bench trace shows from outside.
+	Starved obsv.HistogramSnapshot
 	// ReplicaExecuted[r] / ReplicaFailures[r] break Executed and Failures
 	// down by replica, so a single sick replica is visible inside an
 	// otherwise healthy pool.
@@ -540,6 +563,7 @@ func New(cfg Config) *Server {
 	}
 	for k := range s.mstats {
 		s.mstats[k].overshoot = obsv.NewLogHistogram(5*time.Microsecond, 1.5, 21)
+		s.mstats[k].starved = obsv.NewLogHistogram(10*time.Microsecond, 1.6, 24)
 	}
 	for k := range s.replicas {
 		r := 1
@@ -790,6 +814,7 @@ func (s *Server) Stats() Stats {
 			HedgeWins:  c.hedgeWins.Load(),
 
 			TimerOvershoot: c.overshoot.Snapshot(),
+			Starved:        c.starved.Snapshot(),
 		}
 		mh.ReplicaExecuted = make([]uint64, s.replicas[k])
 		mh.ReplicaFailures = make([]uint64, s.replicas[k])
@@ -1009,20 +1034,54 @@ func (s *Server) worker(ctx context.Context, k, r int) {
 	}
 	w := newWaiter()
 	for {
-		select {
-		case <-ctx.Done():
+		t, alive := s.nextTask(ctx, k)
+		if !alive {
 			return
-		case t := <-s.taskCh[k]:
-			if s.maxBatch > 1 {
-				if !s.runBatch(ctx, w, m, inj, k, r, s.formBatch(ctx, w, k, t)) {
-					return
-				}
-				continue
-			}
-			if !s.runTask(ctx, w, m, inj, k, r, t) {
+		}
+		if s.maxBatch > 1 {
+			if !s.runBatch(ctx, w, m, inj, k, r, s.formBatch(ctx, w, k, t)) {
 				return
 			}
+			continue
 		}
+		if !s.runTask(ctx, w, m, inj, k, r, t) {
+			return
+		}
+	}
+}
+
+// nextTask takes a replica's next task off model k's queue; alive is false
+// when the runtime context was cancelled first. A task staged behind the
+// one the replica just finished is taken at once. Otherwise the replica
+// goes idle, and if queries sit in the coordinator's buffer at that moment
+// it is starved: there is work, and it waits for the coordinator to plan
+// and hand it over. The wall time of each such wait is one observation in
+// the model's starved histogram.
+func (s *Server) nextTask(ctx context.Context, k int) (t *task, alive bool) {
+	select {
+	case <-ctx.Done():
+		return nil, false
+	case t = <-s.taskCh[k]:
+		return t, true
+	default:
+	}
+	clock := func() time.Time {
+		//schemble:wallclock the starved instrument times a replica's idle wait in wall time, on the monotonic clock
+		return time.Now()
+	}
+	var idle time.Time
+	starved := s.nBuffered.Load() > 0
+	if starved {
+		idle = clock()
+	}
+	select {
+	case <-ctx.Done():
+		return nil, false
+	case t = <-s.taskCh[k]:
+		if starved {
+			s.mstats[k].starved.Observe(clock().Sub(idle))
+		}
+		return t, true
 	}
 }
 
@@ -1351,19 +1410,21 @@ func (s *Server) coordinate(ctx context.Context) {
 				}
 			}
 		}
-		// commitGroup commits a query only onto a subset with a replica
-		// free right now, and a pass only ever makes replicas busier. So
-		// when no unblocked replica is free, whatever the scheduler would
-		// plan, nothing commits and nothing is rejected: every query stays
-		// buffered, which is slack 1. Skip the planning.
-		canCommit := false
-		for k, slots := range busyUntil {
-			if !blocked.Contains(k) && minSlot(slots) <= t {
-				canCommit = true
-				break
+		// room reports whether some model of set can take a commit now.
+		room := func(set ensemble.Subset) bool {
+			for k, slots := range busyUntil {
+				if set.Contains(k) && stageable(slots, t, exec[k]) {
+					return true
+				}
 			}
+			return false
 		}
-		if !canCommit {
+		// commitGroup commits a query only onto a subset with room, and a
+		// pass only ever makes replicas busier. So when no unblocked model
+		// has room, whatever the scheduler would plan, nothing commits and
+		// nothing is rejected: every query stays buffered, which is slack
+		// 1. Skip the planning.
+		if !room(ensemble.Full(m) &^ blocked) {
 			lastSlack = 1
 			syncGauges()
 			return
@@ -1418,19 +1479,9 @@ func (s *Server) coordinate(ctx context.Context) {
 					// class's service level, keeping the cheapest models.
 					sub = qos.TruncateSubset(sub, qos.SubsetCap(lvls[pi], m), exec)
 				}
-				// Commit only when at least one chosen model has a free
-				// replica.
-				free := false
-			freeScan:
-				for _, k := range sub.Models() {
-					for _, slot := range busyUntil[k] {
-						if slot <= t {
-							free = true
-							break freeScan
-						}
-					}
-				}
-				if !free {
+				// Commit only when at least one chosen model has room; the
+				// others' tasks queue behind what their replicas hold.
+				if !room(sub) {
 					continue
 				}
 				// A saturated task queue means dispatch would leak: reject
@@ -1480,7 +1531,7 @@ func (s *Server) coordinate(ctx context.Context) {
 					// signal the scheduler keyed its feasibility checks on.
 					bu := make([]time.Duration, m)
 					for k, slots := range busyUntil {
-						bu[k] = minSlot(slots)
+						_, bu[k] = earliestSlot(slots)
 					}
 					r.tr.BusyUntil = bu
 					r.tr.Blocked = blocked.Models()
@@ -1495,13 +1546,7 @@ func (s *Server) coordinate(ctx context.Context) {
 					// The task lands on the earliest-available replica slot,
 					// exactly the assumption the scheduler's capacity model
 					// (core.Capacity) made when it judged feasibility.
-					slot := 0
-					for i, v := range busyUntil[k] {
-						if v < busyUntil[k][slot] {
-							slot = i
-						}
-					}
-					start := busyUntil[k][slot]
+					slot, start := earliestSlot(busyUntil[k])
 					if start < t {
 						start = t
 					}
@@ -1732,16 +1777,30 @@ func (s *Server) coordinate(ctx context.Context) {
 	}
 }
 
-// minSlot returns the earliest availability among a model's replica
-// slots.
-func minSlot(slots []time.Duration) time.Duration {
-	mn := slots[0]
-	for _, v := range slots[1:] {
-		if v < mn {
-			mn = v
+// earliestSlot returns the replica slot of one model that drains its
+// committed work first, and when: the slot the model's next task lands on
+// and the availability the scheduler's capacity model (core.Capacity)
+// judged feasibility against. Ties go to the lowest index.
+func earliestSlot(slots []time.Duration) (idx int, at time.Duration) {
+	for i, v := range slots {
+		if v < slots[idx] {
+			idx = i
 		}
 	}
-	return mn
+	return idx, slots[idx]
+}
+
+// stageable is the coordinator's commit rule: at time t a model can take
+// one more task while the work already committed to its earliest replica
+// slot runs out within one task time, exec. A busy replica therefore holds
+// at most one task staged in the model's queue behind the running one, and
+// an idle replica can be handed two in one pass: the worker picks the
+// staged task up the instant it finishes, and the planning pass that
+// completion triggers runs during that task instead of in front of it
+// (DESIGN.md "Online wrapper").
+func stageable(slots []time.Duration, t, exec time.Duration) bool {
+	_, at := earliestSlot(slots)
+	return at <= t+exec
 }
 
 // resolve delivers a result exactly once; entering stateResolved is the

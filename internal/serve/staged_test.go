@@ -1,0 +1,296 @@
+package serve
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"schemble/internal/ensemble"
+	"schemble/internal/testutil"
+)
+
+// This file drives gate_test.go's wall-clock-free rig through the staging
+// rule (stageable): a replica takes a commit while the work it holds runs
+// out within one task time, so one task waits in the model's queue behind
+// the running one and the worker starts it without the coordinator.
+
+// commit makes n arrivals one at a time, each after the one before has
+// committed, so each is its own planning pass.
+func (g *gateRig) commit(t *testing.T, n int) {
+	t.Helper()
+	for ; n > 0; n-- {
+		before := g.srv.Stats().InFlight
+		g.arrive()
+		testutil.Poll(t, rigWait, "arrival committed", func() bool {
+			return g.srv.Stats().InFlight == before+1
+		})
+	}
+}
+
+// result waits for request i's result.
+func (g *gateRig) result(t *testing.T, i int) Result {
+	t.Helper()
+	select {
+	case res := <-g.results[i]:
+		return res
+	case <-time.After(rigWait):
+		t.Fatalf("request %d never resolved", i)
+		return Result{}
+	}
+}
+
+// TestStagedTaskStartsWhilePlannerHeld is the property the staging rule
+// exists for: with the coordinator stuck inside Schedule, a replica that
+// finishes its task starts the staged one at once. The third model keeps
+// the gate open, so the arrival after the hold reaches the scheduler.
+func TestStagedTaskStartsWhilePlannerHeld(t *testing.T) {
+	rig := newGateRig(t, 3, ensemble.Empty)
+	rig.commit(t, 2) // one running and one staged on models 0 and 1
+	rig.sched.hold()
+	rig.arrive()
+	rig.sched.awaitHeld(t)
+
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "staged task started on model 0", func() bool {
+		return rig.models[0].entered.Load() == 2
+	})
+	if got := rig.sched.calls.Load(); got != 3 {
+		t.Fatalf("%d scheduler calls, want 3 with the third still held", got)
+	}
+	st := rig.srv.Stats()
+	if st.Served != 0 || st.InFlight != 2 || st.Buffered != 1 {
+		t.Fatalf("the held coordinator moved: served %d inflight %d buffered %d", st.Served, st.InFlight, st.Buffered)
+	}
+	if n := st.Models[0].Starved.Count; n != 0 {
+		t.Fatalf("%d starved waits on a replica that found its next task staged", n)
+	}
+	rig.sched.resumeHeld(t)
+}
+
+// TestStagedIdleReplicaTakesTwoInOnePass: three queries wait behind open
+// breakers; once model 0's closes, the next pass hands its idle replica a
+// task to run and one to stage, and leaves the rest buffered.
+func TestStagedIdleReplicaTakesTwoInOnePass(t *testing.T) {
+	rig := newGateRig(t, 2, ensemble.Full(2))
+	for i := 0; i < 3; i++ {
+		rig.arrive()
+	}
+	testutil.Poll(t, rigWait, "arrivals buffered", func() bool {
+		return rig.srv.Stats().Buffered == 3
+	})
+	if got := rig.sched.calls.Load(); got != 0 {
+		t.Fatalf("%d scheduler calls with every model blocked, want 0", got)
+	}
+	rig.setBreaker(0, breakerClosed)
+	rig.arrive()
+	testutil.Poll(t, rigWait, "two commits from one pass", func() bool {
+		st := rig.srv.Stats()
+		return st.InFlight == 2 && st.Buffered == 2 && st.ReplicaBusy[0][0] == 1 && st.QueueDepth[0] == 1
+	})
+	if got := rig.sched.calls.Load(); got != 1 {
+		t.Fatalf("%d scheduler calls, want the one pass that committed both", got)
+	}
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "completion staged the third", func() bool {
+		st := rig.srv.Stats()
+		return st.Served == 1 && st.InFlight == 2 && st.Buffered == 1
+	})
+	if res := rig.result(t, 0); res.Missed || res.Subset != ensemble.Single(0) {
+		t.Fatalf("first request: %+v", res)
+	}
+}
+
+// TestStagedOnePerReplica: a pool of two runs two tasks and stages two —
+// one behind each replica — and buffers the fifth without planning until a
+// completion makes room for exactly one more.
+func TestStagedOnePerReplica(t *testing.T) {
+	rig := newGateRig(t, 2, ensemble.Single(1), func(c *Config) { c.Replicas = []int{2, 2} })
+	rig.commit(t, 4)
+	testutil.Poll(t, rigWait, "two running, two staged", func() bool {
+		st := rig.srv.Stats()
+		return st.ReplicaBusy[0][0] == 1 && st.ReplicaBusy[0][1] == 1 && st.QueueDepth[0] == 2
+	})
+	rig.arrive()
+	testutil.Poll(t, rigWait, "fifth buffered", func() bool {
+		return rig.srv.Stats().Buffered == 1
+	})
+	if got := rig.sched.calls.Load(); got != 4 {
+		t.Fatalf("%d scheduler calls, want 4: the fifth arrival met a full pool", got)
+	}
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "fifth staged", func() bool {
+		st := rig.srv.Stats()
+		return st.Served == 1 && st.InFlight == 4 && st.Buffered == 0
+	})
+	rig.arrive()
+	testutil.Poll(t, rigWait, "sixth buffered", func() bool {
+		return rig.srv.Stats().Buffered == 1
+	})
+	if got := rig.sched.calls.Load(); got != 5 {
+		t.Fatalf("%d scheduler calls, want 5: the pool is full again", got)
+	}
+}
+
+// TestStagedDrainRunsToCompletion: staged work is committed work, so Drain
+// finishes it; only the buffered request is failed.
+func TestStagedDrainRunsToCompletion(t *testing.T) {
+	rig := newGateRig(t, 2, ensemble.Empty)
+	rig.commit(t, 2)
+	rig.arrive()
+	testutil.Poll(t, rigWait, "third buffered", func() bool {
+		return rig.srv.Stats().Buffered == 1
+	})
+	drained := make(chan error, 1)
+	go func() { drained <- rig.srv.Drain(context.Background()) }()
+	if res := rig.result(t, 2); !res.Missed || res.Rejected {
+		t.Fatalf("buffered request under drain: %+v, want a plain miss", res)
+	}
+	for i := 0; i < 2; i++ {
+		rig.finish(t, 0)
+		rig.finish(t, 1)
+		if res := rig.result(t, i); res.Missed || res.Subset != ensemble.Full(2) {
+			t.Fatalf("request %d under drain: %+v, want the full pair served", i, res)
+		}
+	}
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+	case <-time.After(rigWait):
+		t.Fatal("Drain never returned after the staged work finished")
+	}
+}
+
+// TestStagedStopResolvesMissedOnce: Stop abandons running and staged work
+// alike; each request resolves exactly once, as a miss, while its tasks
+// are still held.
+func TestStagedStopResolvesMissedOnce(t *testing.T) {
+	rig := newGateRig(t, 2, ensemble.Empty)
+	rig.commit(t, 2)
+	stopped := make(chan struct{})
+	go func() {
+		rig.srv.Stop()
+		close(stopped)
+	}()
+	for i := 0; i < 2; i++ {
+		if res := rig.result(t, i); !res.Missed || res.Rejected {
+			t.Fatalf("request %d after Stop: %+v, want a plain miss", i, res)
+		}
+	}
+	rig.shutdown()
+	<-stopped
+	st := rig.srv.Stats()
+	if st.Missed != 2 || st.Resolved != 2 || st.Submitted != 2 {
+		t.Fatalf("submitted %d resolved %d missed %d, want 2 each", st.Submitted, st.Resolved, st.Missed)
+	}
+	for i, ch := range rig.results {
+		select {
+		case res := <-ch:
+			t.Fatalf("request %d resolved twice: %+v", i, res)
+		default:
+		}
+	}
+}
+
+// stagedRequest returns the request whose task waits in model k's queue.
+// The worker must be held inside Predict and the coordinator at rest, so
+// that nothing else touches the queue meanwhile.
+func (g *gateRig) stagedRequest(k int) *request {
+	t := <-g.srv.taskCh[k]
+	g.srv.taskCh[k] <- t
+	return t.req
+}
+
+// TestStagedSkippedWhenResolvedFirst: a request degraded at its deadline
+// leaves its staged task behind. The worker skips it without running it,
+// and the skip's completion event frees the room it held: the query that
+// commits on it would otherwise stay buffered for good.
+func TestStagedSkippedWhenResolvedFirst(t *testing.T) {
+	rig := newGateRig(t, 2, ensemble.Empty, func(c *Config) { c.Tolerance.Degrade = true })
+	rig.commit(t, 2)
+	// Model 1 finishes both its tasks; model 0 still runs the first
+	// request's and holds the second's staged.
+	rig.finish(t, 1)
+	rig.finish(t, 1)
+	testutil.Poll(t, rigWait, "model 1 done and reported, model 0 running", func() bool {
+		st := rig.srv.Stats()
+		return st.Models[1].Executed == 2 && st.Forming[1] == 0 &&
+			rig.models[0].entered.Load() == 1 && st.QueueDepth[0] == 1
+	})
+	second := rig.stagedRequest(0)
+	rig.srv.events <- event{kind: evDeadline, req: second}
+	if res := rig.result(t, 1); !res.Degraded || res.Subset != ensemble.Single(1) {
+		t.Fatalf("second request at its deadline: %+v, want degraded to model 1", res)
+	}
+	// With model 1 out, two more queries find model 0 full.
+	rig.setBreaker(1, breakerOpen)
+	rig.arrive()
+	rig.arrive()
+	testutil.Poll(t, rigWait, "arrivals buffered", func() bool {
+		return rig.srv.Stats().Buffered == 2
+	})
+	// The first request's completion makes room for one; the skipped
+	// task's makes room for the other.
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "both arrivals committed", func() bool {
+		st := rig.srv.Stats()
+		return st.Served == 1 && st.Degraded == 1 && st.InFlight == 2 && st.Buffered == 0
+	})
+	rig.finish(t, 0)
+	rig.finish(t, 0)
+	for i := 2; i < 4; i++ {
+		if res := rig.result(t, i); res.Missed || res.Subset != ensemble.Single(0) {
+			t.Fatalf("request %d: %+v", i, res)
+		}
+	}
+	if got := rig.models[0].entered.Load(); got != 3 {
+		t.Fatalf("model 0 ran %d tasks, want 3: the skipped one never reaches Predict", got)
+	}
+}
+
+// TestStagedStarvedHistogram: a completion that finds a task staged adds
+// nothing to the model's starved histogram; one that finds its queue empty
+// while a query waits in the buffer — the planner held — adds exactly one
+// observation when its next task arrives.
+func TestStagedStarvedHistogram(t *testing.T) {
+	rig := newGateRig(t, 2, ensemble.Single(1))
+	starved := func() uint64 { return rig.srv.Stats().Models[0].Starved.Count }
+	rig.commit(t, 2)
+	rig.arrive()
+	testutil.Poll(t, rigWait, "third buffered", func() bool {
+		return rig.srv.Stats().Buffered == 1
+	})
+	rig.sched.hold()
+	rig.finish(t, 0)
+	rig.sched.awaitHeld(t) // planning the third behind the staged second
+	testutil.Poll(t, rigWait, "staged task started", func() bool {
+		return rig.models[0].entered.Load() == 2
+	})
+	if n := starved(); n != 0 {
+		t.Fatalf("%d starved waits after a completion that found a staged task", n)
+	}
+	// A worker parked waiting for its next task has made its starved
+	// decision; nothing else tells the test that it has.
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "model 0's replica idle", rig.allIdle)
+	if n := starved(); n != 0 {
+		t.Fatalf("%d starved waits before the wait ended", n)
+	}
+	rig.sched.resumeHeld(t)
+	testutil.Poll(t, rigWait, "third started", func() bool {
+		return rig.models[0].entered.Load() == 3
+	})
+	if n := starved(); n != 1 {
+		t.Fatalf("%d starved waits, want the one the held planner caused", n)
+	}
+	// Nothing is buffered now, so running dry is plain idleness.
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "all served, model 0's replica idle", func() bool {
+		return rig.srv.Stats().Served == 3 && rig.allIdle()
+	})
+	rig.commit(t, 1)
+	if n := starved(); n != 1 {
+		t.Fatalf("%d starved waits, want still 1: the replica idled with an empty buffer", n)
+	}
+}

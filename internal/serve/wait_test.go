@@ -226,11 +226,12 @@ func TestTaskOvershootCountsExecutedTasks(t *testing.T) {
 	}
 }
 
-// TestServeZeroConfigTwinsBitIdentical: the overshoot histogram and the
-// stopped deadline timers are always on, so the zero-config guarantee is
-// pinned on a twin pair of identically seeded zero-config servers — the
-// wait path draws nothing from the runtime's RNG and decides nothing, so
-// the two must agree request for request.
+// TestServeZeroConfigTwinsBitIdentical: the overshoot and starved
+// histograms and the stopped deadline timers are always on, so the
+// zero-config guarantee is pinned on a twin pair of identically seeded
+// zero-config servers — the wait path and the worker's queue read draw
+// nothing from the runtime's RNG and decide nothing, so the two must
+// agree request for request.
 func TestServeZeroConfigTwinsBitIdentical(t *testing.T) {
 	a := artifacts(t)
 	one, two := newServer(t, a), newServer(t, a)
