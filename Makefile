@@ -3,8 +3,8 @@
 # the race detector with shuffled test order (the serving runtime's
 # exactly-once guarantees are race-tested, so -race is not optional;
 # -shuffle=on catches inter-test state leaks), twenty more race-detector
-# passes over the dispatch rig, and a quick pass of the repository
-# benchmark. `make lint` layers the project's own invariants
+# passes over the wall-clock-free rig tests, and a quick pass of the
+# repository benchmark. `make lint` layers the project's own invariants
 # on top: schemble-vet (the custom analyzer suite in internal/analysis),
 # a gofmt gate, and — where the binary is installed — govulncheck.
 
@@ -47,14 +47,19 @@ test:
 test-race:
 	$(GO) test -race -shuffle=on ./...
 
-# rig hammers the coordinator's dispatch tests: blocking models, a stub
-# scheduler the test can hold mid-pass, no wall-clock thresholds, under a
-# second per pass. The hand-off they cover — a worker takes its staged
-# task while the coordinator is still planning — is the one place the two
-# run unsynchronised by an event, so it is race-tested many interleavings
-# deep on every push.
+# rig hammers the tests of internal/serve that no wall clock paces: the
+# coordinator's dispatch tests (blocking models, a stub scheduler the test
+# can hold mid-pass), the submit-order tests on the same rig (score, cache
+# lookup, admission — with a class held at shed by the backlog alone), and
+# the waiter's paths on a clock the test owns. About a second per pass. The
+# hand-off the dispatch tests cover — a worker takes its staged task while
+# the coordinator is still planning — is the one place the two run
+# unsynchronised by an event, so it is race-tested many interleavings deep
+# on every push.
 rig:
-	$(GO) test -race -count=20 -run 'TestDispatchGate|TestStaged' ./internal/serve/
+	$(GO) test -race -count=20 \
+		-run 'TestDispatchGate|TestStaged|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
+		./internal/serve/
 
 # Fault-injection stress tests: every chaos/fault/drain scenario under the
 # race detector with a tight timeout so a hung drain or leaked goroutine

@@ -16,8 +16,9 @@ import (
 )
 
 // startCachedServer spins up the HTTP stack over a runtime with the result
-// cache enabled and every query admitted.
-func startCachedServer(t *testing.T) (*Client, string) {
+// cache enabled and every query admitted; classes, if any, make it a classed
+// deployment.
+func startCachedServer(t *testing.T, classes ...serve.Class) (*Client, string) {
 	t.Helper()
 	a := artifacts(t)
 	points := make([][]float64, len(a.Serve))
@@ -37,6 +38,7 @@ func startCachedServer(t *testing.T) (*Client, string) {
 			TimeScale: 0.05,
 			Seed:      1,
 			Cache:     rcache.Config{Keyer: rcache.CentroidKeyer{KM: km}, DifficultyMax: 1},
+			Classes:   classes,
 		}),
 		Estimator: a.Predictor,
 		Pool:      a.Serve,
@@ -95,6 +97,53 @@ func TestCacheSurfaces(t *testing.T) {
 		`schemble_cache_fills_total 1`,
 		`schemble_cache_entries 1`,
 		`schemble_cache_hit_rate 0.5`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestClassCachedSurfaces: on a classed deployment the cache's answers are
+// counted per class, next to what admission shed, in both /v1/stats and
+// /v1/metrics, and the classes' counts add up to the cache's own hits.
+func TestClassCachedSurfaces(t *testing.T) {
+	c, _ := startCachedServer(t,
+		serve.Class{Name: "gold", Priority: 1, Deadline: 400 * time.Millisecond},
+		serve.Class{Name: "bronze", Priority: 0, Deadline: 600 * time.Millisecond})
+	a := artifacts(t)
+	// Unlabelled requests land in the lowest class: one miss, two hits.
+	for i := 0; i < 3; i++ {
+		resp, err := c.Predict(a.Serve[0].ID, 500*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := i > 0; resp.Missed || resp.Cached != want {
+			t.Fatalf("request %d: missed %v cached %v, want served with cached = %v", i, resp.Missed, resp.Cached, want)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cached uint64
+	for _, cs := range st.Runtime.Classes {
+		if want := map[string]uint64{"gold": 0, "bronze": 2}[cs.Name]; cs.Cached != want {
+			t.Errorf("class %s reports %d cached answers, want %d", cs.Name, cs.Cached, want)
+		}
+		cached += cs.Cached
+	}
+	if st.Runtime.Cache == nil || cached != st.Runtime.Cache.Hits {
+		t.Errorf("classes count %d cached answers, cache stats %+v", cached, st.Runtime.Cache)
+	}
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`schemble_class_cached_total{class="gold"} 0`,
+		`schemble_class_cached_total{class="bronze"} 2`,
+		`schemble_class_shed_total{class="bronze"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -193,6 +193,7 @@ type ClassStats struct {
 	Missed        uint64  `json:"missed"`
 	Rejected      uint64  `json:"rejected"`
 	Shed          uint64  `json:"shed"`
+	Cached        uint64  `json:"cached"`
 	SLOAttainment float64 `json:"slo_attainment"`
 }
 
@@ -542,6 +543,7 @@ func classStats(rt serve.Stats) []ClassStats {
 			Missed:        c.Missed,
 			Rejected:      c.Rejected,
 			Shed:          c.Shed,
+			Cached:        c.Cached,
 			SLOAttainment: c.SLOAttainment,
 		}
 	}

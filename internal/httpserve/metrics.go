@@ -220,6 +220,10 @@ func writeClassMetrics(b *strings.Builder, rt serve.Stats) {
 	for _, c := range rt.Classes {
 		fmt.Fprintf(b, "schemble_class_shed_total{class=%q} %d\n", c.Name, c.Shed)
 	}
+	writeHeader(b, "schemble_class_cached_total", "counter", "Requests answered from the result cache before admission, by class (a subset of served).")
+	for _, c := range rt.Classes {
+		fmt.Fprintf(b, "schemble_class_cached_total{class=%q} %d\n", c.Name, c.Cached)
+	}
 	writeHeader(b, "schemble_class_slo_attainment", "gauge", "Fraction of completed requests that met the deadline, by class.")
 	for _, c := range rt.Classes {
 		fmt.Fprintf(b, "schemble_class_slo_attainment{class=%q} %g\n", c.Name, c.SLOAttainment)

@@ -57,10 +57,12 @@ type DecisionTrace struct {
 	CameraID int
 	// Class is the request's class name (empty for classless configs);
 	// Ladder is the degradation-ladder rung the controller sat on when the
-	// request was admitted (0 = full service).
+	// request arrived (0 = full service).
 	Class  string
 	Ladder int
-	// Score is the predicted discrepancy score the scheduler planned with.
+	// Score is the predicted discrepancy score the cache was gated and the
+	// scheduler planned with. Scoring precedes admission, so a shed request
+	// carries it too.
 	Score float64
 
 	// Phase timestamps: queued (arrival) -> scored -> committed ->
@@ -105,6 +107,9 @@ type DecisionTrace struct {
 	// Cache is the result-cache outcome for this request — one of the
 	// CacheOutcome* labels, or empty when the runtime has no cache
 	// configured (preserving the pre-cache trace wire format verbatim).
+	// The lookup precedes admission, so on a rejected request it says why
+	// the cache could not answer instead: bypass (too hard) or miss (no
+	// live entry).
 	Cache string
 }
 

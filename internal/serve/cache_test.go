@@ -146,7 +146,7 @@ func TestServeCacheHitFlow(t *testing.T) {
 }
 
 // TestServeCacheAccountingConcurrent submits from many goroutines under
-// -race: every admitted request must land in exactly one cache-outcome
+// -race: every request must land in exactly one cache-outcome
 // counter, and fills can never exceed misses.
 func TestServeCacheAccountingConcurrent(t *testing.T) {
 	a := artifacts(t)

@@ -27,6 +27,9 @@ type classCounters struct {
 	// shed counts rejections decided by the admission controller (a
 	// subset of rejected; the rest are saturation/drain rejections).
 	shed atomic.Uint64
+	// cached counts requests the result cache answered (a subset of
+	// served: a hit never reaches admission).
+	cached atomic.Uint64
 }
 
 // ClassStats is one class's slice of the Stats snapshot.
@@ -39,13 +42,15 @@ type ClassStats struct {
 	Level string
 	// Outcome counters (Submitted = Served+Degraded+Missed+Rejected once
 	// everything in flight resolves). Shed counts admission-controller
-	// rejections, a subset of Rejected.
+	// rejections, a subset of Rejected; Cached counts result-cache hits, a
+	// subset of Served that admission never saw.
 	Submitted uint64
 	Served    uint64
 	Degraded  uint64
 	Missed    uint64
 	Rejected  uint64
 	Shed      uint64
+	Cached    uint64
 	// SLOAttainment is the fraction of completed outcomes that met the
 	// deadline: (Served+Degraded) / (Served+Degraded+Missed). Rejections
 	// are excluded — shed load is reported as Shed/Rejected, not as SLO
@@ -70,6 +75,7 @@ func (s *Server) classStatsFrom(snaps []qos.ClassSnapshot) []ClassStats {
 			Missed:        cc.missed.Load(),
 			Rejected:      cc.rejected.Load(),
 			Shed:          cc.shed.Load(),
+			Cached:        cc.cached.Load(),
 			SLOAttainment: 1,
 		}
 		if done := cs.Served + cs.Degraded + cs.Missed; done > 0 {

@@ -139,9 +139,10 @@ type Config struct {
 	// easy queries (score at or below the configured threshold) whose
 	// centroid key holds a fresh entry resolve immediately from the cache
 	// — a zero-cost plan that never reaches the scheduler — and cacheable
-	// misses fill the entry when they resolve cleanly. The zero value
-	// disables caching and keeps every request on the pre-cache code
-	// paths bit-identically.
+	// misses fill the entry when they resolve cleanly. The lookup comes
+	// before admission control, so a hit is never shed and spends no
+	// class token. The zero value disables caching and keeps every
+	// request on the pre-cache code paths bit-identically.
 	Cache rcache.Config
 
 	// Adapt opts into the online-adaptation layer (internal/adapt): live
@@ -876,8 +877,10 @@ func (s *Server) Submit(sample *dataset.Sample, deadline time.Duration) <-chan R
 
 // SubmitClass is Submit with an explicit request class (by name; unknown
 // or empty names map to the lowest-priority class). A non-positive
-// deadline means the class's configured default deadline. Under overload
-// the admission controller may reject the request up front (Rejected set,
+// deadline means the class's configured default deadline. Every request is
+// scored, then offered to the result cache, and only then meets admission:
+// a cache hit resolves on the spot whatever the load, and under overload
+// the admission controller may reject what is left up front (Rejected set,
 // shed from the lowest-priority / over-quota classes first — never at
 // random); classless servers ignore the class entirely.
 func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, class string) <-chan Result {
@@ -893,6 +896,10 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	}
 	//schemble:wallclock arrival is wall-anchored; deadlines and virtual timestamps are derived from it via the configured TimeScale
 	now := time.Now()
+	// arrival is the one virtual instant the engine-agnostic layers —
+	// adaptation, the cache, admission — are handed for this request, as
+	// the simulator hands them its clock.
+	arrival := time.Duration(float64(now.Sub(s.start)) / s.scale)
 	req := &request{
 		sample:   sample,
 		arrived:  now,
@@ -901,13 +908,12 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		done:     make(chan Result, 1),
 	}
 	if s.obs != nil {
-		queued := time.Duration(float64(now.Sub(s.start)) / s.scale)
 		req.tr = &obsv.DecisionTrace{
 			ID:       s.reqSeq.Add(1),
 			SampleID: sample.ID,
 			CameraID: sample.CameraID,
-			Queued:   queued,
-			Deadline: queued + deadline,
+			Queued:   arrival,
+			Deadline: arrival + deadline,
 		}
 		if ci >= 0 {
 			req.tr.Class = s.qosCtl.Class(ci).Name
@@ -922,22 +928,13 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		s.resolve(req, Result{Missed: true, Rejected: true})
 		return req.done
 	}
-	if ci >= 0 && !s.qosCtl.Admit(time.Duration(float64(now.Sub(s.start))/s.scale), ci) {
-		// Admission-controlled shed: an explicit rejection decided by
-		// class quota and ladder state, before any scoring work.
-		s.classStats[ci].shed.Add(1)
-		s.resolve(req, Result{Missed: true, Rejected: true})
-		return req.done
-	}
 	req.score = 0.5
 	if s.cfg.Estimator != nil {
 		req.score = s.cfg.Estimator.Predict(sample)
 	}
 	req.rawScore = req.score
 	if s.adapt != nil {
-		//schemble:wallclock converts a wall instant to virtual time against the Start anchor
-		vnow := time.Duration(float64(time.Since(s.start)) / s.scale)
-		s.adapt.ObserveScore(vnow, req.rawScore)
+		s.adapt.ObserveScore(arrival, req.rawScore)
 		req.score = s.adapt.Calibrate(req.rawScore)
 	}
 	req.advance(stateScored)
@@ -947,9 +944,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		req.tr.Scored = time.Duration(float64(time.Since(s.start)) / s.scale)
 	}
 	if s.cache != nil {
-		//schemble:wallclock converts a wall instant to virtual time against the Start anchor
-		vnow := time.Duration(float64(time.Since(s.start)) / s.scale)
-		v, key, outcome := s.cache.Lookup(vnow, sample.Features, req.score)
+		v, key, outcome := s.cache.Lookup(arrival, sample.Features, req.score)
 		if req.tr != nil {
 			req.tr.Cache = outcome
 		}
@@ -959,8 +954,8 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		switch outcome {
 		case obsv.CacheOutcomeHit:
 			// Zero-cost plan: the cached answer resolves immediately,
-			// skipping the buffer, the scheduler, dispatch, and the
-			// deadline timer entirely.
+			// skipping admission, the buffer, the scheduler, dispatch, and
+			// the deadline timer entirely.
 			s.resolve(req, Result{
 				Output: v.Output,
 				Subset: v.Subset,
@@ -975,6 +970,14 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		case obsv.CacheOutcomeBypass:
 			// Too hard (or unkeyable): the ensemble always runs.
 		}
+	}
+	if ci >= 0 && !s.qosCtl.Admit(arrival, ci) {
+		// Admission-controlled shed: an explicit rejection decided by
+		// class quota and ladder state. It comes after the cache, so only a
+		// request that needs model capacity can be shed or spend a token.
+		s.classStats[ci].shed.Add(1)
+		s.resolve(req, Result{Missed: true, Rejected: true})
+		return req.done
 	}
 	select {
 	case s.events <- event{kind: evSubmit, req: req}:
@@ -1873,6 +1876,9 @@ func (s *Server) resolve(r *request, res Result) {
 			cc.degraded.Add(1)
 		default:
 			cc.served.Add(1)
+			if res.Cached {
+				cc.cached.Add(1)
+			}
 		}
 	}
 	if trace != nil {

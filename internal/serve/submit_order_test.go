@@ -1,0 +1,222 @@
+package serve
+
+import (
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"schemble/internal/adapt"
+	"schemble/internal/dataset"
+	"schemble/internal/ensemble"
+	"schemble/internal/obsv"
+	"schemble/internal/rcache"
+	"schemble/internal/testutil"
+)
+
+// This file pins the order of the submit path — score, cache lookup,
+// admission — on the gate_test.go rig, features against each other: the
+// blocking models hold a backlog, every gated pass reads slack 1, and the
+// ladder climbs a rung per pass, so a class sits at shed without a clock
+// having anything to do with it.
+
+// difficultyEstimator scores a sample by its Difficulty field and counts
+// how often it is asked.
+type difficultyEstimator struct{ calls atomic.Int64 }
+
+func (e *difficultyEstimator) Predict(s *dataset.Sample) float64 {
+	e.calls.Add(1)
+	return s.Difficulty
+}
+
+// regionKeyer keys a sample by its first feature: the test names the
+// cache region outright.
+type regionKeyer struct{}
+
+func (regionKeyer) Key(features []float64) (int, bool) { return int(features[0]), true }
+
+const (
+	easyScore = 0.1
+	hardScore = 0.9
+	// orderGate is the cache's difficulty gate, between the two.
+	orderGate = 0.5
+)
+
+// orderRig is a two-class gate rig whose ladder the backlog alone drives.
+type orderRig struct {
+	*gateRig
+	est  *difficultyEstimator
+	next int // next sample ID
+}
+
+func newOrderRig(t *testing.T, tweak func(*Config)) *orderRig {
+	t.Helper()
+	o := &orderRig{est: &difficultyEstimator{}}
+	o.gateRig = newGateRig(t, 2, ensemble.Empty, func(c *Config) {
+		c.Classes = []Class{
+			{Name: "gold", Priority: 1, Deadline: 2 * time.Hour},
+			{Name: "bronze", Priority: 0, Deadline: 2 * time.Hour},
+		}
+		// Load is the last pass's slack (see newGateRig), so rungs at
+		// 0.25, 0.5 and 0.75 all engage at slack 1, one pass apart.
+		c.Admission.LadderBase, c.Admission.LadderStep = 0.25, 0.25
+		c.Admission.Dwell = time.Nanosecond
+		c.Estimator = o.est
+		tweak(c)
+	})
+	return o
+}
+
+// send submits one request of the given class, difficulty and region.
+func (o *orderRig) send(class string, score float64, region int) <-chan Result {
+	s := &dataset.Sample{ID: o.next, Features: []float64{float64(region)}, Difficulty: score}
+	o.next++
+	ch := o.srv.SubmitClass(s, 0, class)
+	o.results = append(o.results, ch)
+	return ch
+}
+
+func (o *orderRig) class(t *testing.T, name string) ClassStats {
+	t.Helper()
+	for _, c := range o.srv.Stats().Classes {
+		if c.Name == name {
+			return c
+		}
+	}
+	t.Fatalf("no class %q in the stats", name)
+	return ClassStats{}
+}
+
+// shedBronze piles hard gold requests onto the blocked fleet until the
+// ladder holds bronze at shed. Gold is the top class, which admission
+// never sheds, so every one of them is taken and triggers a pass.
+func (o *orderRig) shedBronze(t *testing.T) {
+	t.Helper()
+	base := o.srv.Stats()
+	held := base.Buffered + base.InFlight
+	for sent := 1; o.class(t, "bronze").Level != "shed"; sent++ {
+		if sent > 16 {
+			t.Fatalf("bronze at %q after %d gold arrivals onto a full fleet", o.class(t, "bronze").Level, sent-1)
+		}
+		o.send("gold", hardScore, 100+sent)
+		testutil.Poll(t, rigWait, "gold arrival planned", func() bool {
+			st := o.srv.Stats()
+			return st.Buffered+st.InFlight == held+sent
+		})
+	}
+}
+
+// TestSubmitOrderCacheAnswersShedClass: with bronze held at shed and one
+// cache entry filled, an easy bronze request in that region is answered
+// from the cache without admission ever hearing of it, while a hard one in
+// the same region, and an easy one in an empty region, are shed — each
+// carrying the score and cache outcome that say why.
+func TestSubmitOrderCacheAnswersShedClass(t *testing.T) {
+	const region = 7
+	rig := newOrderRig(t, func(c *Config) {
+		c.Cache = rcache.Config{Keyer: regionKeyer{}, DifficultyMax: orderGate}
+		c.Obs = obsv.Config{TraceBuffer: 64}
+	})
+	// Fill the region's entry while the ladder is at rest.
+	filler := rig.send("bronze", easyScore, region)
+	rig.finish(t, 0)
+	rig.finish(t, 1)
+	first := <-filler
+	if first.Missed || first.Cached || first.Degraded {
+		t.Fatalf("filling request resolved %+v, want a clean computed answer", first)
+	}
+	if cs := rig.srv.Stats().Cache; cs.Fills != 1 || cs.Misses != 1 {
+		t.Fatalf("cache after the filling request: %+v, want 1 miss and 1 fill", *cs)
+	}
+	rig.shedBronze(t)
+
+	bronze := func() (tokens float64, admitted, shed uint64) {
+		_, _, snaps := rig.srv.qosCtl.Snapshot()
+		for _, c := range snaps {
+			if c.Name == "bronze" {
+				return c.Tokens, c.Admitted, c.Shed
+			}
+		}
+		t.Fatal("no bronze class in the controller snapshot")
+		return 0, 0, 0
+	}
+	tokens, admitted, shed := bronze()
+	hit := <-rig.send("bronze", easyScore, region)
+	if !hit.Cached || hit.Missed || hit.Rejected {
+		t.Fatalf("easy bronze request in a filled region resolved %+v with bronze at shed, want a cache hit", hit)
+	}
+	if hit.Subset != first.Subset || !reflect.DeepEqual(hit.Output, first.Output) {
+		t.Error("cached answer differs from the one that filled the entry")
+	}
+	if tk, ad, sh := bronze(); tk != tokens || ad != admitted || sh != shed {
+		t.Errorf("a cache hit moved bronze's admission state: tokens %v -> %v, admitted %d -> %d, shed %d -> %d",
+			tokens, tk, admitted, ad, shed, sh)
+	}
+
+	shedTrace := func(what string, res Result, score float64, cache string) {
+		t.Helper()
+		if !res.Rejected || !res.Missed || res.Cached {
+			t.Fatalf("%s resolved %+v with bronze at shed, want rejected", what, res)
+		}
+		tr := rig.srv.Observer().Last(1)[0]
+		if tr.Outcome != obsv.OutcomeRejected || tr.Class != "bronze" {
+			t.Fatalf("%s: latest trace is %s/%s, want bronze/rejected", what, tr.Class, tr.Outcome)
+		}
+		if tr.Score != score || tr.Cache != cache || tr.Scored == 0 {
+			t.Errorf("%s: shed trace carries score %v cache %q scored %v, want %v %q and a scored stamp",
+				what, tr.Score, tr.Cache, tr.Scored, score, cache)
+		}
+	}
+	shedTrace("hard request in the filled region", <-rig.send("bronze", hardScore, region), hardScore, obsv.CacheOutcomeBypass)
+	shedTrace("easy request in an empty region", <-rig.send("bronze", easyScore, region+1), easyScore, obsv.CacheOutcomeMiss)
+	if _, _, sh := bronze(); sh != shed+2 {
+		t.Errorf("controller counts %d bronze sheds after two shed requests, had %d", sh, shed)
+	}
+
+	// Stopping resolves everything still held as missed; then the books
+	// must balance.
+	rig.shutdown()
+	st := rig.srv.Stats()
+	var cached uint64
+	for _, c := range st.Classes {
+		if got := c.Served + c.Degraded + c.Missed + c.Rejected; got != c.Submitted {
+			t.Errorf("class %s: served %d + degraded %d + missed %d + rejected %d = %d, submitted %d",
+				c.Name, c.Served, c.Degraded, c.Missed, c.Rejected, got, c.Submitted)
+		}
+		if c.Cached > c.Served {
+			t.Errorf("class %s: %d cached answers among %d served", c.Name, c.Cached, c.Served)
+		}
+		cached += c.Cached
+	}
+	if b := rig.class(t, "bronze"); b.Cached != 1 || b.Shed != 2 || b.Served != 2 {
+		t.Errorf("bronze: cached %d shed %d served %d, want 1, 2 and 2", b.Cached, b.Shed, b.Served)
+	}
+	if cached != st.Cache.Hits {
+		t.Errorf("classes count %d cached answers, the cache %d hits", cached, st.Cache.Hits)
+	}
+	if looked := st.Cache.Hits + st.Cache.Misses + st.Cache.Bypasses; looked != st.Submitted {
+		t.Errorf("%d cache lookups for %d submissions: every arrival is looked up once, shed or not", looked, st.Submitted)
+	}
+}
+
+// TestSubmitOrderScoresShedArrivals: with adaptation on, a shed request is
+// still scored — and so still reaches the score-drift window — exactly
+// once, like an admitted one.
+func TestSubmitOrderScoresShedArrivals(t *testing.T) {
+	rig := newOrderRig(t, func(c *Config) {
+		c.Adapt = adapt.Config{Enable: true}
+	})
+	rig.shedBronze(t)
+	const n = 5
+	for i := 0; i < n; i++ {
+		if res := <-rig.send("bronze", easyScore, i); !res.Rejected {
+			t.Fatalf("bronze request %d resolved %+v with bronze at shed, want rejected", i, res)
+		}
+	}
+	if b := rig.class(t, "bronze"); b.Shed != n {
+		t.Fatalf("bronze shed %d of %d", b.Shed, n)
+	}
+	if got, want := rig.est.calls.Load(), int64(rig.srv.Stats().Submitted); got != want {
+		t.Errorf("predictor scored %d of %d arrivals: every arrival is scored once, shed or not", got, want)
+	}
+}

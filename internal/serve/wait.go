@@ -48,9 +48,15 @@ func earliestWake(primary, hedge, cutoff time.Duration) (time.Duration, wakeKind
 // waiter is one worker goroutine's wall-clock wait: a single reused
 // runtime timer plus, where the platform has one, a high-resolution tail
 // sleep. It is owned by its goroutine and not safe for concurrent use.
-// Between uses the timer is stopped with an empty channel.
+// Between uses the timer is stopped with an empty channel. The clock and
+// both sleeps are fields so a test can run until on a clock of its own.
 type waiter struct {
 	timer *time.Timer
+	// left is how long until target on the monotonic clock, negative once
+	// it has passed.
+	left func(target time.Time) time.Duration
+	// coarse waits d on the runtime timer; false means ctx ended first.
+	coarse func(ctx context.Context, d time.Duration) bool
 	// tail blocks the thread for up to d on the OS's high-resolution
 	// sleep and reports whether it can be called again for what is left
 	// (an interrupted sleep can, a failed one cannot); nil where the
@@ -59,9 +65,16 @@ type waiter struct {
 }
 
 func newWaiter() *waiter {
-	w := &waiter{timer: time.NewTimer(time.Hour), tail: tailSleep}
+	w := &waiter{timer: time.NewTimer(time.Hour), left: timeLeft, tail: tailSleep}
 	w.disarm()
+	w.coarse = w.sleep
 	return w
+}
+
+// timeLeft is the waiter's clock outside tests.
+func timeLeft(target time.Time) time.Duration {
+	//schemble:wallclock the wait's remaining wall time, measured on the monotonic clock
+	return time.Until(target)
 }
 
 // disarm stops the timer and drains a fire that raced the stop.
@@ -101,20 +114,19 @@ func (w *waiter) until(ctx context.Context, target time.Time) (over time.Duratio
 		if ctx.Err() != nil {
 			return 0, false
 		}
-		//schemble:wallclock the wait's remaining wall time, measured on the monotonic clock
-		rem := time.Until(target)
+		rem := w.left(target)
 		switch {
 		case rem <= 0:
 			return -rem, true
 		case w.tail != nil && rem > tailGuard:
-			if !w.sleep(ctx, rem-tailGuard) {
+			if !w.coarse(ctx, rem-tailGuard) {
 				return 0, false
 			}
 			tailing = true
 		case tailing:
 			tailing = w.tail(rem)
 		default:
-			if !w.sleep(ctx, rem) {
+			if !w.coarse(ctx, rem) {
 				return 0, false
 			}
 		}

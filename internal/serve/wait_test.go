@@ -60,60 +60,127 @@ func TestWaiterNeverEarly(t *testing.T) {
 	}
 }
 
+// waitClock is the clock of a waiter the test drives: time passes only
+// inside the waiter's own sleeps, by exactly what the test decides, so
+// which path a wait takes cannot depend on how the host ran it.
+type waitClock struct {
+	now time.Time
+	// overshoot is how far past its request each coarse sleep lands.
+	overshoot time.Duration
+	// coarse and tails list what each coarse sleep and each tail was
+	// asked for, in call order.
+	coarse, tails []time.Duration
+}
+
+// newClockedWaiter returns a waiter whose clock and coarse sleep are c's.
+// tail stands in for the high-resolution sleep: it is handed the clock to
+// advance (or not) and reports what tailSleep would.
+func newClockedWaiter(c *waitClock, tail func(c *waitClock, d time.Duration) bool) *waiter {
+	c.now = time.Unix(1_000_000_000, 0)
+	w := newWaiter()
+	w.left = func(target time.Time) time.Duration { return target.Sub(c.now) }
+	w.coarse = func(_ context.Context, d time.Duration) bool {
+		c.coarse = append(c.coarse, d)
+		c.now = c.now.Add(d + c.overshoot)
+		return true
+	}
+	w.tail = func(d time.Duration) bool {
+		c.tails = append(c.tails, d)
+		return tail(c, d)
+	}
+	return w
+}
+
 // TestWaiterFallsBackWhenTailFails gives the waiter a tail that reports
 // itself unusable without sleeping. The tail must be entered once, no
 // further than tailGuard from the target, and the wait must still reach
 // the target on the runtime timer.
 func TestWaiterFallsBackWhenTailFails(t *testing.T) {
-	w := newWaiter()
-	var asked []time.Duration
-	w.tail = func(d time.Duration) bool {
-		asked = append(asked, d)
-		return false
-	}
-	target := time.Now().Add(tailGuard + 2*time.Millisecond)
-	if _, alive := w.until(context.Background(), target); !alive {
-		t.Fatal("live context reported cancelled")
-	}
-	if early := time.Until(target); early > 0 {
-		t.Fatalf("returned %v before the target after a failed tail", early)
-	}
-	if len(asked) != 1 {
-		t.Fatalf("tail entered %d times, want once", len(asked))
-	}
-	if asked[0] > tailGuard {
-		t.Errorf("tail asked to sleep %v, beyond the %v guard", asked[0], tailGuard)
-	}
-}
-
-// TestWaiterReissuesInterruptedTail gives the waiter a tail that returns
-// at once as if interrupted by a signal: it must be re-issued, each time
-// for what is left, until the target has passed.
-func TestWaiterReissuesInterruptedTail(t *testing.T) {
-	w := newWaiter()
-	var asked []time.Duration
-	w.tail = func(d time.Duration) bool {
-		asked = append(asked, d)
-		return true
-	}
-	target := time.Now().Add(tailGuard + 2*time.Millisecond)
+	c := &waitClock{}
+	w := newClockedWaiter(c, func(*waitClock, time.Duration) bool { return false })
+	target := c.now.Add(tailGuard + 2*time.Millisecond)
 	over, alive := w.until(context.Background(), target)
 	if !alive {
 		t.Fatal("live context reported cancelled")
 	}
-	if early := time.Until(target); early > 0 {
+	if early := target.Sub(c.now); early > 0 {
+		t.Fatalf("returned %v before the target after a failed tail", early)
+	}
+	if over != 0 {
+		t.Errorf("overshoot %v on a clock that lands every sleep exactly", over)
+	}
+	if len(c.tails) != 1 {
+		t.Fatalf("tail entered %d times, want once", len(c.tails))
+	}
+	if c.tails[0] > tailGuard {
+		t.Errorf("tail asked to sleep %v, beyond the %v guard", c.tails[0], tailGuard)
+	}
+	// The coarse leg to the guard, then what the failed tail left over.
+	if want := []time.Duration{2 * time.Millisecond, tailGuard}; !reflect.DeepEqual(c.coarse, want) {
+		t.Errorf("coarse sleeps %v, want %v", c.coarse, want)
+	}
+}
+
+// TestWaiterReissuesInterruptedTail gives the waiter a tail that a signal
+// interrupts a quarter of the guard in: it must be re-issued, each time
+// for what is left, until the target has passed.
+func TestWaiterReissuesInterruptedTail(t *testing.T) {
+	const slice = tailGuard / 4
+	c := &waitClock{}
+	w := newClockedWaiter(c, func(c *waitClock, d time.Duration) bool {
+		if d > slice {
+			d = slice
+		}
+		c.now = c.now.Add(d)
+		return true
+	})
+	target := c.now.Add(tailGuard + 2*time.Millisecond)
+	over, alive := w.until(context.Background(), target)
+	if !alive {
+		t.Fatal("live context reported cancelled")
+	}
+	if early := target.Sub(c.now); early > 0 {
 		t.Fatalf("returned %v before the target", early)
 	}
 	if over < 0 {
 		t.Errorf("overshoot %v is negative", over)
 	}
-	if len(asked) == 0 {
+	if len(c.tails) == 0 {
 		t.Fatal("a wait longer than the guard never entered the tail")
 	}
-	for i := 1; i < len(asked); i++ {
-		if asked[i] > asked[i-1] {
-			t.Fatalf("re-issued tail %d asked for %v after %v: not what is left", i, asked[i], asked[i-1])
+	for i := 1; i < len(c.tails); i++ {
+		if c.tails[i] > c.tails[i-1] {
+			t.Fatalf("re-issued tail %d asked for %v after %v: not what is left", i, c.tails[i], c.tails[i-1])
 		}
+	}
+	if want := []time.Duration{tailGuard, 3 * slice, 2 * slice, slice}; !reflect.DeepEqual(c.tails, want) {
+		t.Errorf("tails asked for %v, want %v", c.tails, want)
+	}
+	if len(c.coarse) != 1 {
+		t.Errorf("%d coarse sleeps around a tail that only ever was interrupted, want the one leg to the guard", len(c.coarse))
+	}
+}
+
+// TestWaiterCoarseOvershootSkipsTail: a coarse leg the host stalls past
+// the target itself (further than tailGuard past its request) ends the
+// wait there, reporting how late, and the tail is never entered.
+func TestWaiterCoarseOvershootSkipsTail(t *testing.T) {
+	const late = 500 * time.Microsecond
+	c := &waitClock{overshoot: tailGuard + late}
+	w := newClockedWaiter(c, func(*waitClock, time.Duration) bool { return true })
+	target := c.now.Add(tailGuard + 2*time.Millisecond)
+	over, alive := w.until(context.Background(), target)
+	if !alive {
+		t.Fatal("live context reported cancelled")
+	}
+	if over != late {
+		t.Errorf("overshoot %v, want the %v the coarse leg landed past the target", over, late)
+	}
+	if len(c.tails) != 0 {
+		t.Errorf("tail entered %d times after the target had passed", len(c.tails))
+	}
+	if len(c.coarse) != 1 {
+		t.Errorf("%d coarse sleeps, want 1", len(c.coarse))
 	}
 }
 

@@ -1,12 +1,20 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"time"
 
+	"schemble/internal/adapt"
+	"schemble/internal/cluster"
 	"schemble/internal/dataset"
+	"schemble/internal/discrepancy"
 	"schemble/internal/ensemble"
+	"schemble/internal/metrics"
+	"schemble/internal/pipeline"
 	"schemble/internal/qos"
+	"schemble/internal/rcache"
+	"schemble/internal/rng"
 	"schemble/internal/trace"
 )
 
@@ -26,15 +34,11 @@ func simClassMix() []trace.ClassMix {
 	}
 }
 
-// TestSimClassedFlashCrowd drives a 5x flash crowd through the classed
-// simulator: the admission controller must shed strictly lowest-priority
-// first, every record must carry its class label, and the gold class must
-// keep its deadline-miss rate near zero while the crowd rages.
-func TestSimClassedFlashCrowd(t *testing.T) {
-	a := artifacts(t)
-	// Bottleneck capacity with single replicas is ~11 q/s; the crowd peaks
-	// at 5x the background.
-	tr := trace.FlashCrowd(trace.FlashCrowdConfig{
+// flashCrowdTrace is the 5x flash crowd the classed tests share. Bottleneck
+// capacity with single replicas is ~11 q/s; the crowd peaks at 5x the
+// background.
+func flashCrowdTrace(a *pipeline.Artifacts) *trace.Trace {
+	return trace.FlashCrowd(trace.FlashCrowdConfig{
 		BackgroundRate: 11,
 		Classes:        simClassMix(),
 		PeakFactor:     5,
@@ -42,14 +46,19 @@ func TestSimClassedFlashCrowd(t *testing.T) {
 		Samples:        a.Serve,
 		Seed:           3,
 	})
-	cfg := schembleConfig(a)
-	cfg.Classes = simClasses()
-	recs := Run(cfg, tr, a.Serve)
+}
 
-	type agg struct{ submitted, rejected, missed int }
-	byClass := map[string]*agg{}
+// classOutcomes are one class's outcome counts over a run's records.
+type classOutcomes struct{ submitted, rejected, missed, cached int }
+
+func (c classOutcomes) shedRate() float64 { return float64(c.rejected) / float64(c.submitted) }
+func (c classOutcomes) dmr() float64      { return float64(c.missed) / float64(c.submitted-c.rejected) }
+
+func outcomesByClass(t *testing.T, recs []metrics.Record) map[string]*classOutcomes {
+	t.Helper()
+	byClass := map[string]*classOutcomes{}
 	for _, c := range simClasses() {
-		byClass[c.Name] = &agg{}
+		byClass[c.Name] = &classOutcomes{}
 	}
 	for _, r := range recs {
 		cs := byClass[r.Class]
@@ -57,32 +66,47 @@ func TestSimClassedFlashCrowd(t *testing.T) {
 			t.Fatalf("record carries unknown class %q", r.Class)
 		}
 		cs.submitted++
-		if r.Rejected {
+		switch {
+		case r.Rejected:
 			cs.rejected++
-		} else if r.Missed {
+		case r.Missed:
 			cs.missed++
+		case r.Cached:
+			cs.cached++
 		}
 	}
-	shedRate := func(name string) float64 {
-		cs := byClass[name]
-		return float64(cs.rejected) / float64(cs.submitted)
-	}
-	dmr := func(name string) float64 {
-		cs := byClass[name]
-		return float64(cs.missed) / float64(cs.submitted-cs.rejected)
-	}
-	// The crowd overloads the fleet, so someone must be shed — and the
-	// shedding must be priority-ordered.
-	if shedRate("bronze") == 0 {
+	return byClass
+}
+
+// checkCrowdProtection holds a flash-crowd run to the class contract: the
+// crowd overloads the fleet, so someone must be shed, the shedding must be
+// priority-ordered, and gold must keep its deadlines.
+func checkCrowdProtection(t *testing.T, byClass map[string]*classOutcomes) {
+	t.Helper()
+	gold, silver, bronze := byClass["gold"], byClass["silver"], byClass["bronze"]
+	if bronze.rejected == 0 {
 		t.Fatal("5x flash crowd shed nothing")
 	}
-	if shedRate("gold") > shedRate("silver")+0.02 || shedRate("silver") > shedRate("bronze")+0.02 {
+	if gold.shedRate() > silver.shedRate()+0.02 || silver.shedRate() > bronze.shedRate()+0.02 {
 		t.Errorf("shedding not priority-ordered: gold %.3f silver %.3f bronze %.3f",
-			shedRate("gold"), shedRate("silver"), shedRate("bronze"))
+			gold.shedRate(), silver.shedRate(), bronze.shedRate())
 	}
-	if d := dmr("gold"); d > 0.05 {
+	if d := gold.dmr(); d > 0.05 {
 		t.Errorf("gold deadline-miss rate %.3f under crowd, want near zero", d)
 	}
+}
+
+// TestSimClassedFlashCrowd drives a 5x flash crowd through the classed
+// simulator: the admission controller must shed strictly lowest-priority
+// first, every record must carry its class label, and the gold class must
+// keep its deadline-miss rate near zero while the crowd rages.
+func TestSimClassedFlashCrowd(t *testing.T) {
+	a := artifacts(t)
+	tr := flashCrowdTrace(a)
+	cfg := schembleConfig(a)
+	cfg.Classes = simClasses()
+	recs := Run(cfg, tr, a.Serve)
+	checkCrowdProtection(t, outcomesByClass(t, recs))
 
 	// Determinism: the classed path must replay bit-identically.
 	again := Run(cfg, tr, a.Serve)
@@ -93,6 +117,159 @@ func TestSimClassedFlashCrowd(t *testing.T) {
 		if recs[i] != again[i] {
 			t.Fatalf("classed replay diverged at record %d", i)
 		}
+	}
+}
+
+// TestSimClassedFlashCrowdCached runs the same crowd with the result cache
+// on, classes against cache: the lookup comes before admission, so a query
+// the cache can answer is answered whatever the controller thinks of its
+// class, every arrival is looked up exactly once, and the class contract
+// holds as it does without the cache.
+func TestSimClassedFlashCrowdCached(t *testing.T) {
+	a := artifacts(t)
+	tr := flashCrowdTrace(a)
+	points := make([][]float64, len(a.Serve))
+	for i, s := range a.Serve {
+		points[i] = s.Features
+	}
+	const regions = 32
+	km, err := cluster.Fit(points, regions, 30, rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyer := rcache.CentroidKeyer{KM: km}
+	// Gate at the trace's median predicted score: half the arrivals are
+	// cacheable, half always need the ensemble.
+	scores, keys := make([]float64, tr.N()), make([]int, tr.N())
+	for i, arr := range tr.Arrivals {
+		scores[i] = a.Predictor.Predict(a.Serve[arr.SampleIdx])
+		keys[i], _ = keyer.Key(a.Serve[arr.SampleIdx].Features)
+	}
+	sorted := append([]float64(nil), scores...)
+	sort.Float64s(sorted)
+	gate := sorted[len(sorted)/2]
+
+	cfg := schembleConfig(a)
+	cfg.Classes = simClasses()
+	// No TTL and room for every region: an entry, once filled, stays live.
+	cfg.Cache = rcache.Config{Keyer: keyer, Capacity: regions, DifficultyMax: gate}
+	// With half the crowd answerable from the cache the default rungs, 0.5
+	// of load apart, never reach bronze's shed rung on this trace; a fifth
+	// of that does, for about a tenth of the arrivals.
+	cfg.Admission = qos.Tuning{LadderStep: 0.1}
+	s := newSim(cfg, tr, a.Serve)
+	// shedAt[i] is whether the ladder held arrival i's class at shed when it
+	// arrived (the ladder moves only in planning passes, never in between).
+	shedAt := make([]bool, tr.N())
+	for len(s.events) > 0 {
+		if e := s.events[0]; e.kind == evArrival {
+			ci := s.qosCtl.ClassIndex(tr.Arrivals[e.arrIdx].Class)
+			shedAt[e.arrIdx] = s.qosCtl.Level(ci) == qos.LevelShed
+		}
+		s.step()
+	}
+	recs, snap := s.records, s.cache.Snapshot()
+
+	if got := snap.Hits + snap.Misses + snap.Bypasses; got != uint64(tr.N()) {
+		t.Errorf("%d cache lookups for %d arrivals: every arrival is looked up once, shed or not", got, tr.N())
+	}
+	// An easy query fills its region when it completes cleanly; from then on
+	// every easy arrival in the region must come back cached — rejected
+	// least of all.
+	filledAt := map[int]time.Duration{}
+	for i, r := range recs {
+		if scores[i] > gate || r.Cached || r.Missed || r.Degraded {
+			continue
+		}
+		if at, ok := filledAt[keys[i]]; !ok || r.Done < at {
+			filledAt[keys[i]] = r.Done
+		}
+	}
+	answerable, cachedWhileShed := 0, map[string]int{}
+	for i, r := range recs {
+		if scores[i] > gate {
+			if r.Cached {
+				t.Fatalf("arrival %d scored %.3f over the %.3f gate and was served from the cache", i, scores[i], gate)
+			}
+			continue
+		}
+		if at, ok := filledAt[keys[i]]; ok && at < r.Arrival {
+			answerable++
+			if !r.Cached {
+				t.Fatalf("arrival %d (%s, rejected=%v): easy, region %d filled at %v before it arrived at %v, yet not answered from the cache",
+					i, r.Class, r.Rejected, keys[i], at, r.Arrival)
+			}
+		}
+		if r.Cached && shedAt[i] {
+			cachedWhileShed[r.Class]++
+		}
+	}
+	if answerable == 0 {
+		t.Fatal("no arrival met a filled region; the fixture lost its point")
+	}
+	t.Logf("%d of %d arrivals answerable from the cache; cached while the class was at shed: %v", answerable, tr.N(), cachedWhileShed)
+	if cachedWhileShed["bronze"] == 0 {
+		t.Error("no cached answer reached bronze while the ladder held it at shed")
+	}
+	byClass := outcomesByClass(t, recs)
+	checkCrowdProtection(t, byClass)
+	var cached int
+	for _, c := range byClass {
+		cached += c.cached
+	}
+	if uint64(cached) != snap.Hits {
+		t.Errorf("records carry %d cached answers, the cache counted %d hits", cached, snap.Hits)
+	}
+}
+
+// countingEstimator counts the predictor's forward passes.
+type countingEstimator struct {
+	inner discrepancy.ScoreEstimator
+	calls int
+}
+
+func (c *countingEstimator) Predict(s *dataset.Sample) float64 {
+	c.calls++
+	return c.inner.Predict(s)
+}
+
+// TestSimClassedAdaptScoresEveryArrival, classes against adaptation: every
+// arrival is scored and reaches the score-drift window exactly once, the
+// shed ones included. The window is made long enough to span the crowd, so
+// the baseline it self-calibrates is the mean raw score of everything that
+// arrived in it — which it can only be if the shed arrivals were observed.
+func TestSimClassedAdaptScoresEveryArrival(t *testing.T) {
+	a := artifacts(t)
+	tr := flashCrowdTrace(a)
+	const window = 30 * time.Second
+	est := &countingEstimator{inner: a.Predictor}
+	cfg := schembleConfig(a)
+	cfg.Estimator = est
+	cfg.Classes = simClasses()
+	cfg.Adapt = adapt.Config{Enable: true, DriftWindow: window}
+	recs, _, snap := RunAdapt(cfg, tr, a.Serve)
+
+	if est.calls != tr.N() {
+		t.Errorf("predictor scored %d of %d arrivals: every arrival is scored once, shed or not", est.calls, tr.N())
+	}
+	var sum float64
+	n, shed := 0, 0
+	for i, arr := range tr.Arrivals {
+		if arr.At-tr.Arrivals[0].At >= window {
+			break
+		}
+		sum += a.Predictor.Predict(a.Serve[arr.SampleIdx])
+		n++
+		if recs[i].Rejected {
+			shed++
+		}
+	}
+	if shed == 0 || n == tr.N() {
+		t.Fatalf("first window holds %d of %d arrivals, %d of them shed; the fixture lost its point", n, tr.N(), shed)
+	}
+	if want := sum / float64(n); snap.BaselineScore != want {
+		t.Errorf("score baseline %v, want %v: the mean over all %d arrivals of the first window, %d shed ones included",
+			snap.BaselineScore, want, n, shed)
 	}
 }
 

@@ -86,9 +86,9 @@ type Config struct {
 	// Negative disables; zero means the 0.1 default.
 	EstimateMargin float64
 
-	// FastFirst enables the paper's Exp-5 optimization: when a query
-	// arrives to an empty buffer and an idle fastest model, it bypasses
-	// the predictor and the scheduler entirely and runs on the fastest
+	// FastFirst enables the paper's Exp-5 optimization: when an admitted
+	// query meets an empty buffer and an idle fastest model, it waits for
+	// neither the predictor nor the scheduler and runs on the fastest
 	// model immediately — eliminating the extra waiting time at the cost
 	// of single-model accuracy on those queries.
 	FastFirst bool
@@ -283,6 +283,23 @@ func RunStats(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics
 // snapshot (nil when adaptation is off) so the drift soak can report
 // inflation factors, drift events and recalibration counters.
 func RunAdapt(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics.Record, rcache.Snapshot, *adapt.Snapshot) {
+	s := newSim(cfg, tr, samples)
+	for s.step() {
+	}
+	var snap rcache.Snapshot
+	if s.cache != nil {
+		snap = s.cache.Snapshot()
+	}
+	var asnap *adapt.Snapshot
+	if s.adapt != nil {
+		asnap = s.adapt.Snapshot()
+	}
+	return s.records, snap, asnap
+}
+
+// newSim validates cfg and builds a run's state with every arrival of the
+// trace on the event heap.
+func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 	if (cfg.Select == nil) == (cfg.Scheduler == nil) {
 		panic("sim: exactly one of Select / Scheduler must be set")
 	}
@@ -361,20 +378,19 @@ func RunAdapt(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics
 	for i := range tr.Arrivals {
 		s.push(&event{at: tr.Arrivals[i].At, kind: evArrival, arrIdx: i})
 	}
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*event)
-		s.now = e.at
-		s.handle(e)
+	return s
+}
+
+// step advances the clock to the earliest pending event and handles it;
+// false means the run is over.
+func (s *sim) step() bool {
+	if len(s.events) == 0 {
+		return false
 	}
-	var snap rcache.Snapshot
-	if s.cache != nil {
-		snap = s.cache.Snapshot()
-	}
-	var asnap *adapt.Snapshot
-	if s.adapt != nil {
-		asnap = s.adapt.Snapshot()
-	}
-	return s.records, snap, asnap
+	e := heap.Pop(&s.events).(*event)
+	s.now = e.at
+	s.handle(e)
+	return true
 }
 
 func (s *sim) push(e *event) {
@@ -453,27 +469,8 @@ func (s *sim) onArrival(arrIdx int) {
 		s.immediateAdmit(q)
 		return
 	}
-	// Admission control at arrival, before any scoring work — mirroring
-	// serve.SubmitClass. A shed query records an explicit rejection.
-	if q.class >= 0 && !s.qosCtl.Admit(s.now, q.class) {
-		s.records[q.id].Rejected = true
-		return
-	}
-	// Fast path (Exp-5): empty buffer + an idle replica of the fastest
-	// model -> bypass scoring and scheduling, dispatch now.
-	if s.cfg.FastFirst && len(s.buffer) == 0 {
-		fastest := 0
-		for j := 1; j < s.cfg.Ensemble.M(); j++ {
-			if s.exec[j] < s.exec[fastest] {
-				fastest = j
-			}
-		}
-		if s.anyIdle(fastest) {
-			s.commit(q, ensemble.Single(fastest))
-			return
-		}
-	}
-	// Buffered mode: the query becomes schedulable once the discrepancy
+	// Buffered mode, in serve.SubmitClass's order: score, cache lookup,
+	// admission. The query becomes schedulable once the discrepancy
 	// predictor has scored it.
 	if s.cfg.Estimator != nil {
 		q.score = s.cfg.Estimator.Predict(q.sample)
@@ -493,7 +490,8 @@ func (s *sim) onArrival(arrIdx int) {
 		switch outcome {
 		case obsv.CacheOutcomeHit:
 			// Zero-cost plan: the query finishes at arrival from the
-			// cached answer; no ready/deadline events are ever pushed.
+			// cached answer, ahead of admission; no ready/deadline events
+			// are ever pushed.
 			q.finished = true
 			rec := &s.records[q.id]
 			rec.Done = s.now
@@ -506,6 +504,27 @@ func (s *sim) onArrival(arrIdx int) {
 			q.cacheable, q.cacheKey = true, key
 		case obsv.CacheOutcomeBypass:
 			// Too hard (or unkeyable): the ensemble always runs.
+		}
+	}
+	// Admission control after the cache — mirroring serve.SubmitClass: only
+	// a query that needs model capacity can be shed or spend a token. A
+	// shed query records an explicit rejection.
+	if q.class >= 0 && !s.qosCtl.Admit(s.now, q.class) {
+		s.records[q.id].Rejected = true
+		return
+	}
+	// Fast path (Exp-5): empty buffer + an idle replica of the fastest
+	// model -> skip the predictor's delay and the scheduler, dispatch now.
+	if s.cfg.FastFirst && len(s.buffer) == 0 {
+		fastest := 0
+		for j := 1; j < s.cfg.Ensemble.M(); j++ {
+			if s.exec[j] < s.exec[fastest] {
+				fastest = j
+			}
+		}
+		if s.anyIdle(fastest) {
+			s.commit(q, ensemble.Single(fastest))
+			return
 		}
 	}
 	s.push(&event{at: s.now + s.cfg.ScoreDelay, kind: evReady, q: q})
