@@ -41,6 +41,7 @@ import (
 	"schemble/internal/adapt"
 	"schemble/internal/core"
 	"schemble/internal/dataset"
+	"schemble/internal/engine"
 	"schemble/internal/metrics"
 	"schemble/internal/model"
 	"schemble/internal/pipeline"
@@ -123,21 +124,11 @@ func main() {
 	fmt.Fprintln(os.Stderr, "fitting pipeline...")
 	arts := pipeline.Build(pipeCfg)
 
-	// Pre-drift bottleneck capacity with one replica per model, mirroring
-	// the serve/sim default the admission controller derives. The ramp
-	// shrinks the real capacity by drift-factor mid-run, so an offered
-	// rate below 1x still saturates the fleet once drift sets in.
-	capacity := 0.0
-	for _, md := range arts.Ensemble.Models {
-		lat := md.MeanLatency().Seconds()
-		if lat <= 0 {
-			continue
-		}
-		c := 1 / lat
-		if capacity <= 0 || c < capacity {
-			capacity = c
-		}
-	}
+	// Pre-drift bottleneck capacity with one replica per model: the
+	// admission controller's own default. The ramp shrinks the real
+	// capacity by drift-factor mid-run, so an offered rate below 1x still
+	// saturates the fleet once drift sets in.
+	capacity := engine.BottleneckCapacity(arts.Ensemble.Models, nil)
 	rate := *rateFactor * capacity
 	n := int(rate * horizon.Seconds())
 	rampStart := horizon / 5

@@ -38,6 +38,7 @@ import (
 
 	"schemble/internal/core"
 	"schemble/internal/dataset"
+	"schemble/internal/engine"
 	"schemble/internal/metrics"
 	"schemble/internal/model"
 	"schemble/internal/pipeline"
@@ -203,19 +204,9 @@ func main() {
 	fmt.Fprintln(os.Stderr, "fitting pipeline...")
 	arts := pipeline.Build(pipeCfg)
 
-	// Bottleneck capacity with one replica per model, mirroring the
-	// serve/sim default the admission controller derives.
-	capacity := 0.0
-	for _, md := range arts.Ensemble.Models {
-		lat := md.MeanLatency().Seconds()
-		if lat <= 0 {
-			continue
-		}
-		c := 1 / lat
-		if capacity <= 0 || c < capacity {
-			capacity = c
-		}
-	}
+	// Bottleneck capacity with one replica per model: the admission
+	// controller's own default.
+	capacity := engine.BottleneckCapacity(arts.Ensemble.Models, nil)
 	classes := benchClasses()
 
 	rep := report{

@@ -36,6 +36,7 @@ var criticalPkgs = map[string]bool{
 	"schemble/internal/rcache":      true,
 	"schemble/internal/trace":       true,
 	"schemble/internal/adapt":       true,
+	"schemble/internal/engine":      true,
 }
 
 // Analyzer is the detrand analyzer.

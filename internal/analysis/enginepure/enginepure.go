@@ -30,6 +30,7 @@ var Packages = map[string]bool{
 	"schemble/internal/rcache":  true,
 	"schemble/internal/cluster": true,
 	"schemble/internal/adapt":   true,
+	"schemble/internal/engine":  true,
 }
 
 // Analyzer is the enginepure analyzer.

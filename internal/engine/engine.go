@@ -1,0 +1,452 @@
+// Package engine is the decision pipeline of the paper — discrepancy
+// predictor, query buffer, scheduler, per-model task queues — written once
+// and driven twice: internal/serve runs it on goroutines against the wall
+// clock, internal/sim on an event heap in virtual time. A request passes
+// through it in four steps:
+//
+//	arrive  class, class-default deadline, score (observed and recalibrated
+//	        when adaptation is on), cache lookup, admission
+//	plan    a pass over the query buffer: load observation, cost refresh,
+//	        room gate, ladder partition, schedule, blocked-model strip,
+//	        subset truncation, per-query room check
+//	commit  the driver's Executor dispatches the query's tasks
+//	settle  aggregate, classify, feed recalibration from a clean
+//	        full-ensemble result, fill the cache
+//
+// The package is pure (the enginepure and detrand analyzers hold it to
+// that): no goroutines, channels, timers or randomness, and every instant
+// is an argument. What a driver owns is what differs between a server and
+// a simulator: when it calls Pass, the order in which a pass commits
+// (Config.Before), and its Executor — above all what "room" means.
+//
+// Classify, Arrive and the QoS, Cache and Adapt components lock
+// internally and may be called from any goroutine. The buffer, Pass,
+// Settle and Delivered belong to the one goroutine that coordinates the
+// driver.
+package engine
+
+import (
+	"time"
+
+	"schemble/internal/adapt"
+	"schemble/internal/core"
+	"schemble/internal/dataset"
+	"schemble/internal/discrepancy"
+	"schemble/internal/ensemble"
+	"schemble/internal/model"
+	"schemble/internal/obsv"
+	"schemble/internal/qos"
+	"schemble/internal/rcache"
+)
+
+// blockHorizon is how far past now a blocked model's availability is
+// pushed in the scheduler's capacity view: far enough that no
+// deadline-feasible plan can include it.
+const blockHorizon = time.Hour
+
+// Config assembles an Engine. Ensemble, Replicas and BaseExec are always
+// required; Scheduler and Rewarder by any driver that calls Pass.
+type Config struct {
+	Ensemble  *ensemble.Ensemble
+	Scheduler core.Scheduler
+	Rewarder  core.Rewarder
+	// Estimator predicts discrepancy scores; nil scores every query 0.5.
+	Estimator discrepancy.ScoreEstimator
+	// Replicas[k] is model k's pool size; BaseExec[k] its frozen planning
+	// cost, with whatever margin or batch amortization the driver plans by.
+	Replicas []int
+	BaseExec []time.Duration
+	// Classes, Admission, Cache and Adapt are the drivers' Config fields of
+	// the same names, passed through; Admission.Capacity defaults to
+	// BottleneckCapacity.
+	Classes   []qos.Class
+	Admission qos.Tuning
+	Cache     rcache.Config
+	Adapt     adapt.Config
+	// Before orders a pass's commits: among the queries a plan placed, a
+	// precedes b when Before(a, b). nil commits in buffer (arrival) order.
+	Before func(a, b *Query) bool
+}
+
+// Query is the engine's view of one request. A driver embeds it in its own
+// request type, which makes that type an Item.
+type Query struct {
+	// ID numbers the query when it enters the buffer: the scheduler's
+	// QueryInfo.ID, stable for as long as the query waits.
+	ID                int
+	Arrival, Deadline time.Duration
+	// Score is what the cache is gated and the scheduler plans with;
+	// RawScore the predictor's own, which recalibration pairs with the
+	// observed discrepancy.
+	Score, RawScore float64
+	// Class is the class index, -1 without classes.
+	Class int
+	// Cacheable marks a query whose lookup missed; CacheKey is the entry a
+	// clean result fills.
+	Cacheable bool
+	CacheKey  int
+	// Level and Subset are what the query was committed at and onto. The
+	// engine never writes them: the driver's Commit does, under whatever
+	// lock it shares the query by.
+	Level  qos.Level
+	Subset ensemble.Subset
+}
+
+// Q returns q; a type that embeds Query is an Item through it.
+func (q *Query) Q() *Query { return q }
+
+// Item is a driver's request type seen from the buffer.
+type Item interface{ Q() *Query }
+
+// Executor is the fleet a pass commits onto, as the driver sees it at now.
+type Executor interface {
+	// Backlog counts committed tasks not yet finished.
+	Backlog() int
+	// Blocked is the set of models no plan may use.
+	Blocked(now time.Duration) ensemble.Subset
+	// Capacity is when each replica drains the work committed to it. It is
+	// read afresh for every plan of a pass, so it may alias live state.
+	Capacity() core.Capacity
+	// Room reports whether model k can take one more task.
+	Room(now time.Duration, k int) bool
+	// Commit takes the query out of the buffer for good: the driver
+	// dispatches one task per model of sub, or resolves the query some
+	// other way (its queue is full, it is already gone).
+	Commit(now time.Duration, it Item, sub ensemble.Subset, lvl qos.Level)
+}
+
+// Engine is one pipeline instance.
+type Engine struct {
+	cfg Config
+	m   int
+
+	// QoS is the overload controller, never nil: without classes it only
+	// estimates load. Cache and Adapt are nil when their config is off.
+	QoS   *qos.Controller
+	Cache *rcache.Cache
+	Adapt *adapt.Engine
+
+	// degraded plans the classes the ladder holds at LevelGreedy; a planner
+	// of its own because scheduler scratch cannot be shared.
+	degraded *core.Greedy
+	exec     []time.Duration
+
+	buffer []Item
+	nextID int
+	// slack is the share of the last pass's buffer that stayed, the
+	// controller's "capacity exhausted" signal beside the raw backlog.
+	slack float64
+
+	// Per-pass scratch, reused so a pass allocates only what a commit needs.
+	main, deg, order []int
+	lvl              []qos.Level
+	left             []bool
+	infos            []core.QueryInfo
+	avail            core.Capacity
+	pushed           [][]time.Duration
+}
+
+// BottleneckCapacity estimates the full-ensemble service rate a fleet
+// sustains, in requests per second: the slowest pool's throughput, min
+// over k of replicas[k] / meanLatency[k]. nil replicas means one each.
+func BottleneckCapacity(models []model.Model, replicas []int) float64 {
+	capacity := 0.0
+	for k, md := range models {
+		lat := md.MeanLatency().Seconds()
+		if lat <= 0 {
+			continue
+		}
+		c := 1 / lat
+		if replicas != nil {
+			c = float64(replicas[k]) / lat
+		}
+		if capacity <= 0 || c < capacity {
+			capacity = c
+		}
+	}
+	if capacity <= 0 {
+		capacity = 1
+	}
+	return capacity
+}
+
+// New builds the pipeline's shared components from cfg.
+func New(cfg Config) *Engine {
+	m := cfg.Ensemble.M()
+	if cfg.Admission.Capacity <= 0 {
+		cfg.Admission.Capacity = BottleneckCapacity(cfg.Ensemble.Models, cfg.Replicas)
+	}
+	profiled := make([]time.Duration, m)
+	for k, md := range cfg.Ensemble.Models {
+		profiled[k] = md.MeanLatency()
+	}
+	e := &Engine{
+		cfg:    cfg,
+		m:      m,
+		QoS:    qos.New(qos.Config{Classes: cfg.Classes, Tuning: cfg.Admission}),
+		Cache:  rcache.New(cfg.Cache),
+		Adapt:  adapt.New(cfg.Adapt, profiled, cfg.BaseExec, cfg.Replicas),
+		exec:   append([]time.Duration(nil), cfg.BaseExec...),
+		avail:  make(core.Capacity, m),
+		pushed: make([][]time.Duration, m),
+	}
+	if len(cfg.Classes) > 0 {
+		e.degraded = &core.Greedy{Order: core.EDF}
+	}
+	return e
+}
+
+// Exec is the working planning-cost vector, read-only to the driver: every
+// Pass refreshes it from the live latency profile when adaptation is on,
+// and it is BaseExec otherwise.
+func (e *Engine) Exec() []time.Duration { return e.exec }
+
+// Classify resolves a class name to its index (-1 without classes; unknown
+// and empty names are the lowest-priority class) and a request's relative
+// deadline, which a non-positive budget leaves to the class.
+func (e *Engine) Classify(class string, budget time.Duration) (int, time.Duration) {
+	ci := e.QoS.ClassIndex(class)
+	if ci >= 0 && budget <= 0 {
+		budget = e.QoS.Class(ci).Deadline
+	}
+	return ci, budget
+}
+
+// Verdict is what Arrive decided.
+type Verdict uint8
+
+const (
+	// Admitted: the query needs model capacity and may enter the buffer.
+	Admitted Verdict = iota
+	// Hit: the cache answered; Arrival.Value is the result.
+	Hit
+	// Shed: admission control refused the query.
+	Shed
+)
+
+// Arrival is the outcome of the pre-buffer path.
+type Arrival struct {
+	Verdict Verdict
+	// Cache is the lookup's obsv.CacheOutcome* label, empty without a cache.
+	Cache string
+	Value rcache.Value
+}
+
+// Arrive runs the pre-buffer path for a query whose Class, Arrival and
+// Deadline are set: score it, offer it to the cache, and only then to
+// admission — so every arrival is scored and observed once, shed or not,
+// and a query the cache can answer is never shed and spends no token.
+func (e *Engine) Arrive(q *Query, s *dataset.Sample) Arrival {
+	q.RawScore = 0.5
+	if e.cfg.Estimator != nil {
+		q.RawScore = e.cfg.Estimator.Predict(s)
+	}
+	q.Score = q.RawScore
+	if e.Adapt != nil {
+		e.Adapt.ObserveScore(q.Arrival, q.RawScore)
+		q.Score = e.Adapt.Calibrate(q.RawScore)
+	}
+	var a Arrival
+	if e.Cache != nil {
+		var key int
+		a.Value, key, a.Cache = e.Cache.Lookup(q.Arrival, s.Features, q.Score)
+		// Exhaustive over the cache taxonomy (the exhaustiveoutcome analyzer
+		// enforces it): a new outcome must decide what it means here.
+		switch a.Cache {
+		case obsv.CacheOutcomeHit:
+			a.Verdict = Hit
+			return a
+		case obsv.CacheOutcomeMiss:
+			q.Cacheable, q.CacheKey = true, key
+		case obsv.CacheOutcomeBypass:
+			// Too hard, or unkeyable: the ensemble always runs.
+		}
+	}
+	if q.Class >= 0 && !e.QoS.Admit(q.Arrival, q.Class) {
+		a.Verdict = Shed
+	}
+	return a
+}
+
+// Buffer appends an admitted query to the buffer and numbers it.
+func (e *Engine) Buffer(it Item) {
+	it.Q().ID = e.nextID
+	e.nextID++
+	e.buffer = append(e.buffer, it)
+}
+
+// Buffered is the number of queries waiting for a plan.
+func (e *Engine) Buffered() int { return len(e.buffer) }
+
+// Filter drops the buffered queries keep rejects (one whose deadline
+// passed, or that the driver resolved some other way) and keeps the rest
+// in order.
+func (e *Engine) Filter(keep func(Item) bool) {
+	kept := e.buffer[:0]
+	for _, it := range e.buffer {
+		if keep(it) {
+			kept = append(kept, it)
+		}
+	}
+	e.buffer = kept
+}
+
+// Pass plans the buffer at now and commits what the plan placed and x has
+// room for; it returns how many queries left the buffer. A query whose plan
+// is empty, or whose planned models are all full, waits for the next pass.
+func (e *Engine) Pass(now time.Duration, x Executor) int {
+	// The load estimate drives admission and the ladder, never the plan.
+	e.QoS.Observe(now, len(e.buffer)+x.Backlog(), e.slack)
+	if e.Adapt != nil {
+		// One cost view for the whole pass.
+		e.Adapt.ExecInto(e.exec)
+	}
+	if len(e.buffer) == 0 {
+		return 0
+	}
+	blocked := x.Blocked(now)
+	// A commit needs a model with room and a pass only makes models busier,
+	// so when no unblocked model has room nothing can commit whatever the
+	// plan: every query stays, which is slack 1. Skip the planning.
+	if !e.room(now, x, ensemble.Full(e.m)&^blocked) {
+		e.slack = 1
+		return 0
+	}
+	// Partition by the ladder's current level (full service without
+	// classes). Greedy-level classes are planned after the protected ones,
+	// against what those left, by the cheap planner. A class that climbed to
+	// shed after its query was admitted plans as greedy: admission is not
+	// retroactive.
+	e.main, e.deg, e.lvl, e.left = e.main[:0], e.deg[:0], e.lvl[:0], e.left[:0]
+	for i, it := range e.buffer {
+		lvl := qos.LevelFull
+		if e.degraded != nil {
+			lvl = min(e.QoS.Level(it.Q().Class), qos.LevelGreedy)
+		}
+		e.lvl, e.left = append(e.lvl, lvl), append(e.left, false)
+		if lvl == qos.LevelGreedy {
+			e.deg = append(e.deg, i)
+		} else {
+			e.main = append(e.main, i)
+		}
+	}
+	e.planGroup(now, x, e.cfg.Scheduler, e.main, blocked)
+	e.planGroup(now, x, e.degraded, e.deg, blocked)
+	planned := len(e.buffer)
+	kept := e.buffer[:0]
+	for i, it := range e.buffer {
+		if !e.left[i] {
+			kept = append(kept, it)
+		}
+	}
+	e.buffer = kept
+	e.slack = float64(len(kept)) / float64(planned)
+	return planned - len(kept)
+}
+
+// room reports whether some model of set can take a commit.
+func (e *Engine) room(now time.Duration, x Executor, set ensemble.Subset) bool {
+	for k := 0; k < e.m; k++ {
+		if set.Contains(k) && x.Room(now, k) {
+			return true
+		}
+	}
+	return false
+}
+
+// planGroup schedules the buffer positions in idx and commits, in the
+// driver's order, every query the plan placed on a subset with room.
+func (e *Engine) planGroup(now time.Duration, x Executor, sched core.Scheduler, idx []int, blocked ensemble.Subset) {
+	if len(idx) == 0 {
+		return
+	}
+	e.infos = e.infos[:0]
+	for _, bi := range idx {
+		q := e.buffer[bi].Q()
+		e.infos = append(e.infos, core.QueryInfo{ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline, Score: q.Score})
+	}
+	plan := sched.Schedule(now, e.infos, e.capacity(now, x, blocked), e.exec, e.cfg.Rewarder)
+	if e.cfg.Before != nil {
+		e.order = append(e.order[:0], idx...)
+		idx = e.order
+		for i := 1; i < len(idx); i++ {
+			for j := i; j > 0 && e.cfg.Before(e.buffer[idx[j]].Q(), e.buffer[idx[j-1]].Q()); j-- {
+				idx[j-1], idx[j] = idx[j], idx[j-1]
+			}
+		}
+	}
+	for _, bi := range idx {
+		it := e.buffer[bi]
+		// A blocked model is stripped even if the scheduler chose it.
+		sub := plan.Subset(it.Q().ID) &^ blocked
+		if sub == ensemble.Empty {
+			continue
+		}
+		lvl := e.lvl[bi]
+		if lvl > qos.LevelFull {
+			// The ladder caps the subset to the class's level, keeping the
+			// cheapest models.
+			sub = qos.TruncateSubset(sub, qos.SubsetCap(lvl, e.m), e.exec)
+		}
+		// One chosen model with room is enough; the others' tasks queue
+		// behind what their replicas hold.
+		if !e.room(now, x, sub) {
+			continue
+		}
+		x.Commit(now, it, sub, lvl)
+		e.left[bi] = true
+	}
+}
+
+// capacity is x's view with every blocked model pushed out of reach.
+func (e *Engine) capacity(now time.Duration, x Executor, blocked ensemble.Subset) core.Capacity {
+	view := x.Capacity()
+	if blocked == ensemble.Empty {
+		return view
+	}
+	for k := range e.avail {
+		e.avail[k] = view[k]
+		if blocked.Contains(k) {
+			e.pushed[k] = e.pushed[k][:0]
+			for range view[k] {
+				e.pushed[k] = append(e.pushed[k], now+blockHorizon)
+			}
+			e.avail[k] = e.pushed[k]
+		}
+	}
+	return e.avail
+}
+
+// Settlement is a committed query's aggregated result.
+type Settlement struct {
+	Output model.Output
+	// Degraded: in time, but from fewer models than planned at full
+	// service — tasks failed, or the ladder capped the plan.
+	Degraded bool
+	fill     bool
+}
+
+// Settle aggregates the outputs of ok, the non-empty set of q's models that
+// produced one; failed counts those that did not, and late says the result
+// missed the deadline. A clean full-ensemble result is the one case where
+// the true discrepancy is known, and feeds recalibration.
+func (e *Engine) Settle(now time.Duration, q *Query, outs []model.Output, ok ensemble.Subset, failed int, late bool) Settlement {
+	s := Settlement{Output: e.cfg.Ensemble.Predict(outs, ok)}
+	s.Degraded = !late && (failed > 0 || q.Level > qos.LevelFull)
+	clean := !late && !s.Degraded
+	if e.Adapt != nil && clean && ok == ensemble.Full(e.m) {
+		e.Adapt.ObserveOutcome(now, q.RawScore, outs, s.Output)
+	}
+	s.fill = clean && q.Cacheable && e.Cache != nil
+	return s
+}
+
+// Delivered tells the engine that s was the result q's caller got. If it
+// was in time and at full quality it fills the cache entry q's lookup
+// missed, so the next easy query of the region hits; a degraded or late
+// result, or one that lost the race to resolve q, fills nothing.
+func (e *Engine) Delivered(now time.Duration, q *Query, s Settlement) {
+	if s.fill {
+		e.Cache.Fill(now, q.CacheKey, rcache.Value{Output: s.Output, Subset: q.Subset})
+	}
+}

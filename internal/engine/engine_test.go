@@ -1,0 +1,548 @@
+package engine
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"schemble/internal/adapt"
+	"schemble/internal/core"
+	"schemble/internal/dataset"
+	"schemble/internal/ensemble"
+	"schemble/internal/model"
+	"schemble/internal/qos"
+	"schemble/internal/rcache"
+)
+
+// The tests drive the engine the way a driver does, from a script: a fake
+// fleet whose room the test sets, a scheduler that plans what the test
+// says, a predictor that reads the score off the sample, and a clock that
+// is a number the test passes in.
+
+const ms = time.Millisecond
+
+// byDifficulty scores a sample by its Difficulty field and counts calls.
+type byDifficulty struct{ calls int }
+
+func (e *byDifficulty) Predict(s *dataset.Sample) float64 {
+	e.calls++
+	return s.Difficulty
+}
+
+// regionKeyer keys a sample by its first feature.
+type regionKeyer struct{}
+
+func (regionKeyer) Key(f []float64) (int, bool) { return int(f[0]), true }
+
+// countingScorer is adapt's outcome scorer: it counts the outcomes that
+// reached recalibration.
+type countingScorer struct{ calls int }
+
+func (c *countingScorer) Score([]model.Output, model.Output) float64 {
+	c.calls++
+	return 0.5
+}
+
+// planner is the stub scheduler: it plans assign(q) for every query and
+// records what each call was shown.
+type planner struct {
+	assign func(core.QueryInfo) ensemble.Subset
+	calls  [][]int         // query IDs per call
+	avail  []core.Capacity // the capacity each call saw, copied
+}
+
+func (*planner) Name() string { return "stub" }
+func (p *planner) Schedule(_ time.Duration, qs []core.QueryInfo, avail core.Capacity, _ []time.Duration, _ core.Rewarder) core.Plan {
+	var ids []int
+	plan := core.Plan{Assignments: map[int]ensemble.Subset{}}
+	for _, q := range qs {
+		ids = append(ids, q.ID)
+		plan.Assignments[q.ID] = p.assign(q)
+	}
+	seen := make(core.Capacity, len(avail))
+	for k := range avail {
+		seen[k] = append([]time.Duration(nil), avail[k]...)
+	}
+	p.calls, p.avail = append(p.calls, ids), append(p.avail, seen)
+	return plan
+}
+
+// sizeReward prefers larger subsets, for the greedy planner.
+type sizeReward struct{}
+
+func (sizeReward) Reward(_ float64, s ensemble.Subset) float64 { return float64(s.Size()) }
+
+// req is the test's request type.
+type req struct {
+	Query
+	sample *dataset.Sample
+	// What a fleet tracks of a committed request: the tasks still to
+	// finish, the models that succeeded, the count of those that failed.
+	committed bool
+	left      int
+	ok        ensemble.Subset
+	failed    int
+}
+
+// fleet is a scripted Executor with one FIFO queue per model: model k has
+// room while its queue holds fewer than depth[k] tasks.
+type fleet struct {
+	t       *testing.T
+	depth   []int
+	queue   [][]*req
+	blocked ensemble.Subset
+	busy    core.Capacity
+	exec    []time.Duration
+	log     []string // "capacity" reads and "commit id subset level"
+}
+
+func newFleet(t *testing.T, exec []time.Duration, depth ...int) *fleet {
+	f := &fleet{t: t, depth: depth, queue: make([][]*req, len(exec)), exec: exec, busy: make(core.Capacity, len(exec))}
+	for k := range f.busy {
+		f.busy[k] = make([]time.Duration, 1)
+	}
+	return f
+}
+
+func (f *fleet) Backlog() (n int) {
+	for _, q := range f.queue {
+		n += len(q)
+	}
+	return n
+}
+func (f *fleet) Blocked(time.Duration) ensemble.Subset { return f.blocked }
+func (f *fleet) Capacity() core.Capacity {
+	f.log = append(f.log, "capacity")
+	return f.busy
+}
+func (f *fleet) Room(_ time.Duration, k int) bool { return len(f.queue[k]) < f.depth[k] }
+func (f *fleet) Commit(now time.Duration, it Item, sub ensemble.Subset, lvl qos.Level) {
+	r := it.(*req)
+	if sub&f.blocked != 0 {
+		f.t.Errorf("query %d committed onto %v with %v blocked", r.ID, sub.Models(), f.blocked.Models())
+	}
+	if sub.Size() > qos.SubsetCap(lvl, len(f.exec)) {
+		f.t.Errorf("query %d committed onto %v at level %v, over its cap", r.ID, sub.Models(), lvl)
+	}
+	r.Subset, r.Level, r.committed, r.left = sub, lvl, true, sub.Size()
+	for _, k := range sub.Models() {
+		f.queue[k] = append(f.queue[k], r)
+		f.busy[k][0] = max(f.busy[k][0], now) + f.exec[k]
+	}
+	f.log = append(f.log, fmt.Sprintf("commit %d %v %v", r.ID, sub.Models(), lvl))
+}
+
+// commits is the log without the capacity reads.
+func (f *fleet) commits() []string {
+	var out []string
+	for _, l := range f.log {
+		if l != "capacity" {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+var (
+	threeClasses = []qos.Class{
+		{Name: "gold", Priority: 2, Deadline: time.Second},
+		{Name: "silver", Priority: 1, Deadline: time.Second},
+		{Name: "bronze", Priority: 0, Deadline: time.Second},
+	}
+	// slackLadder makes load a readout of the slack the last pass fed the
+	// controller (the backlog term vanishes, the average forgets at once),
+	// with rungs at 0.25, 0.5, 0.75 and 1: a pass that follows a pass nothing
+	// left climbs one rung, whatever the clock says.
+	slackLadder = qos.Tuning{Capacity: 1e9, Target: time.Second, Tau: time.Nanosecond,
+		LadderBase: 0.25, LadderStep: 0.25, Dwell: time.Nanosecond}
+)
+
+func testModels() []model.Model {
+	var models []model.Model
+	for i, lat := range []time.Duration{10 * ms, 20 * ms, 30 * ms} {
+		models = append(models, model.NewSynthetic(model.SyntheticConfig{
+			Name: fmt.Sprint("m", i), Task: dataset.Classification, Classes: 2, Latency: lat, Seed: uint64(i + 1),
+		}))
+	}
+	return models
+}
+
+// rig is an engine over three models (10, 20 and 30 ms) with the stubs
+// wired in; tweak adjusts the configuration first.
+type rig struct {
+	*Engine
+	plan *planner
+	est  *byDifficulty
+	next int
+}
+
+func newRig(tweak func(*Config)) *rig {
+	r := &rig{plan: &planner{assign: func(core.QueryInfo) ensemble.Subset { return ensemble.Full(3) }}, est: &byDifficulty{}}
+	models := testModels()
+	cfg := Config{
+		Ensemble:  ensemble.New(dataset.Classification, models, &ensemble.Average{}, nil),
+		Scheduler: r.plan,
+		Rewarder:  sizeReward{},
+		Estimator: r.est,
+		Replicas:  []int{1, 1, 1},
+		BaseExec:  []time.Duration{10 * ms, 20 * ms, 30 * ms},
+	}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	r.Engine = New(cfg)
+	return r
+}
+
+// arrive sends one request through the pre-buffer path and buffers it if
+// it was admitted.
+func (r *rig) arrive(now time.Duration, class string, score float64, region int, budget time.Duration) (*req, Arrival) {
+	ci, budget := r.Classify(class, budget)
+	q := &req{
+		Query:  Query{Class: ci, Arrival: now, Deadline: now + budget},
+		sample: &dataset.Sample{ID: r.next, Features: []float64{float64(region)}, Difficulty: score},
+	}
+	r.next++
+	a := r.Arrive(&q.Query, q.sample)
+	if a.Verdict == Admitted {
+		r.Buffer(q)
+	}
+	return q, a
+}
+
+// climb runs passes against a fleet without room until the ladder stands
+// one rung below rung: the next pass, the one the test is about, steps onto
+// it before it partitions the buffer. It needs a non-empty buffer.
+func (r *rig) climb(t *testing.T, now *time.Duration, rung int) {
+	t.Helper()
+	full := newFleet(t, r.Exec(), 0, 0, 0)
+	for r.QoS.Ladder() < rung-1 || r.slack != 1 {
+		if *now > time.Second {
+			t.Fatalf("ladder at %d, slack %v: never got within a pass of rung %d", r.QoS.Ladder(), r.slack, rung)
+		}
+		*now += ms
+		if r.Pass(*now, full) != 0 {
+			t.Fatal("a pass committed onto a fleet without room")
+		}
+	}
+}
+
+func outputs() []model.Output {
+	return []model.Output{{Probs: []float64{0.9, 0.1}}, {Probs: []float64{0.6, 0.4}}, {Probs: []float64{0.3, 0.7}}}
+}
+
+func classSnap(t *testing.T, e *Engine, name string) qos.ClassSnapshot {
+	t.Helper()
+	_, _, snaps := e.QoS.Snapshot()
+	for _, c := range snaps {
+		if c.Name == name {
+			return c
+		}
+	}
+	t.Fatalf("no class %q", name)
+	return qos.ClassSnapshot{}
+}
+
+// ---- (a) the order of the pipeline, feature by feature ----
+
+// TestArriveHitIsNeverShed: with bronze held at shed, an easy bronze query
+// in a filled region is answered from the cache and admission never hears
+// of it; a hard one, and an easy one in an empty region, are shed, having
+// been looked up first.
+func TestArriveHitIsNeverShed(t *testing.T) {
+	r := newRig(func(c *Config) {
+		c.Classes, c.Admission = threeClasses, slackLadder
+		c.Cache = rcache.Config{Keyer: regionKeyer{}, DifficultyMax: 0.5}
+	})
+	now := ms
+	filler, a := r.arrive(now, "bronze", 0.1, 7, 0)
+	if a.Verdict != Admitted || a.Cache != "miss" || !filler.Cacheable {
+		t.Fatalf("first easy arrival: %+v cacheable=%v, want an admitted cacheable miss", a, filler.Cacheable)
+	}
+	f := newFleet(t, r.Exec(), 1, 1, 1)
+	r.Pass(now, f)
+	st := r.Settle(now+30*ms, &filler.Query, outputs(), filler.Subset, 0, false)
+	r.Delivered(now+30*ms, &filler.Query, st)
+
+	r.arrive(now, "gold", 0.9, 100, 0)
+	now += 40 * ms
+	r.climb(t, &now, 3)
+	now += ms
+	r.Pass(now, newFleet(t, r.Exec(), 0, 0, 0))
+	if lvl := r.QoS.Level(2); lvl != qos.LevelShed {
+		t.Fatalf("bronze at %v after the climb, want shed", lvl)
+	}
+
+	before := classSnap(t, r.Engine, "bronze")
+	_, hit := r.arrive(now, "bronze", 0.1, 7, 0)
+	if hit.Verdict != Hit || !reflect.DeepEqual(hit.Value.Output, st.Output) || hit.Value.Subset != filler.Subset {
+		t.Fatalf("easy bronze arrival in the filled region: %+v, want the filled answer", hit)
+	}
+	if after := classSnap(t, r.Engine, "bronze"); after != before {
+		t.Errorf("a hit moved bronze's admission state: %+v -> %+v", before, after)
+	}
+	if _, a := r.arrive(now, "bronze", 0.9, 7, 0); a.Verdict != Shed || a.Cache != "bypass" {
+		t.Errorf("hard bronze arrival: %+v, want shed after a bypass", a)
+	}
+	if _, a := r.arrive(now, "bronze", 0.1, 8, 0); a.Verdict != Shed || a.Cache != "miss" {
+		t.Errorf("easy bronze arrival in an empty region: %+v, want shed after a miss", a)
+	}
+	if after := classSnap(t, r.Engine, "bronze"); after.Shed != before.Shed+2 {
+		t.Errorf("bronze sheds %d -> %d over two shed arrivals", before.Shed, after.Shed)
+	}
+	if cs := r.Cache.Snapshot(); cs.Hits+cs.Misses+cs.Bypasses != uint64(r.next) {
+		t.Errorf("%d lookups for %d arrivals", cs.Hits+cs.Misses+cs.Bypasses, r.next)
+	}
+}
+
+// TestArriveScoresEveryArrivalOnce: shed or not, an arrival is scored once
+// and reaches the score-drift window. The window closes only if it saw all
+// n arrivals, and its mean is the baseline.
+func TestArriveScoresEveryArrivalOnce(t *testing.T) {
+	const n = 8
+	r := newRig(func(c *Config) {
+		c.Classes, c.Admission = threeClasses, slackLadder
+		c.Adapt = adapt.Config{Enable: true, DriftWindow: time.Second, DriftMinCount: n}
+	})
+	now := ms
+	r.arrive(now, "gold", 0.9, 0, 0)
+	r.climb(t, &now, 3)
+	now += ms
+	r.Pass(now, newFleet(t, r.Exec(), 0, 0, 0))
+	sum, shed := 0.9, 0
+	for i := 1; i < n; i++ {
+		score := float64(i) / 16
+		sum += score
+		if _, a := r.arrive(now, "bronze", score, 0, 0); a.Verdict == Shed {
+			shed++
+		}
+	}
+	if shed != n-1 {
+		t.Fatalf("%d of %d bronze arrivals shed with bronze at shed", shed, n-1)
+	}
+	r.arrive(now+2*time.Second, "gold", 0.5, 0, 0) // closes the first window
+	if r.est.calls != r.next {
+		t.Errorf("predictor asked %d times for %d arrivals", r.est.calls, r.next)
+	}
+	if got, want := r.Adapt.Snapshot().BaselineScore, sum/n; got != want {
+		t.Errorf("score baseline %v, want %v: the mean over all %d arrivals, the shed ones included", got, want, n)
+	}
+}
+
+// TestNilEstimatorScoresHalf: without a predictor every query scores 0.5,
+// and adaptation still sees it.
+func TestNilEstimatorScoresHalf(t *testing.T) {
+	r := newRig(func(c *Config) {
+		c.Estimator = nil
+		c.Adapt = adapt.Config{Enable: true, DriftWindow: time.Second, DriftMinCount: 2}
+	})
+	for _, at := range []time.Duration{0, ms, 2 * time.Second} {
+		if q, _ := r.arrive(at, "", 0.9, 0, time.Second); q.Score != 0.5 || q.RawScore != 0.5 {
+			t.Fatalf("score %v raw %v without a predictor, want 0.5", q.Score, q.RawScore)
+		}
+	}
+	if got := r.Adapt.Snapshot().BaselineScore; got != 0.5 {
+		t.Errorf("score baseline %v: adaptation did not observe the default score", got)
+	}
+}
+
+// TestSettleFillsAndLearnsOnlyFromCleanResults: a cacheable miss fills its
+// entry, and feeds recalibration, only from an in-time result at full
+// quality — and recalibration only from the full ensemble.
+func TestSettleFillsAndLearnsOnlyFromCleanResults(t *testing.T) {
+	full := ensemble.Full(3)
+	cases := []struct {
+		name        string
+		sub, ok     ensemble.Subset
+		failed      int
+		late        bool
+		lvl         qos.Level
+		fill, learn bool
+		degraded    bool
+	}{
+		{name: "clean full ensemble", sub: full, ok: full, fill: true, learn: true},
+		{name: "clean planned pair", sub: 0b011, ok: 0b011, fill: true},
+		{name: "a task failed", sub: full, ok: 0b011, failed: 1, degraded: true},
+		{name: "ladder-capped", sub: 0b011, ok: 0b011, lvl: qos.LevelCapped, degraded: true},
+		{name: "late", sub: full, ok: full, late: true},
+	}
+	for region, tc := range cases {
+		scorer := &countingScorer{}
+		r := newRig(func(c *Config) {
+			c.Cache = rcache.Config{Keyer: regionKeyer{}, DifficultyMax: 0.5}
+			c.Adapt = adapt.Config{Enable: true, Scorer: scorer}
+		})
+		q, a := r.arrive(0, "", 0.1, region, time.Second)
+		if a.Cache != "miss" {
+			t.Fatalf("%s: lookup %q, want a miss", tc.name, a.Cache)
+		}
+		q.Subset, q.Level = tc.sub, tc.lvl
+		st := r.Settle(50*ms, &q.Query, outputs(), tc.ok, tc.failed, tc.late)
+		r.Delivered(50*ms, &q.Query, st)
+		if st.Degraded != tc.degraded {
+			t.Errorf("%s: degraded=%v, want %v", tc.name, st.Degraded, tc.degraded)
+		}
+		if got := r.Cache.Snapshot().Fills == 1; got != tc.fill {
+			t.Errorf("%s: filled=%v, want %v", tc.name, got, tc.fill)
+		}
+		if got := scorer.calls == 1; got != tc.learn {
+			t.Errorf("%s: reached recalibration=%v, want %v", tc.name, got, tc.learn)
+		}
+		if _, again := r.arrive(60*ms, "", 0.1, region, time.Second); (again.Verdict == Hit) != tc.fill {
+			t.Errorf("%s: the next easy arrival of the region: %+v", tc.name, again)
+		}
+	}
+}
+
+// ---- (b) the pass ----
+
+// TestPassGate: with no unblocked model that has room nothing is planned,
+// nothing leaves and slack reads 1 — a blocked model's room does not count.
+func TestPassGate(t *testing.T) {
+	r := newRig(nil)
+	r.arrive(0, "", 0.5, 0, time.Second)
+	r.arrive(0, "", 0.5, 0, time.Second)
+	f := newFleet(t, r.Exec(), 0, 1, 0)
+	f.blocked = ensemble.Single(1)
+	if left := r.Pass(ms, f); left != 0 || len(r.plan.calls) != 0 || r.slack != 1 || r.Buffered() != 2 {
+		t.Fatalf("gated pass: %d left, %d scheduler calls, slack %v, %d buffered", left, len(r.plan.calls), r.slack, r.Buffered())
+	}
+	f.blocked = ensemble.Empty
+	if left := r.Pass(2*ms, f); left != 1 || len(r.plan.calls) != 1 {
+		t.Fatalf("pass with room on model 1: %d left, %d scheduler calls", left, len(r.plan.calls))
+	}
+	// An empty buffer is observed but not planned.
+	empty := newRig(nil)
+	if left := empty.Pass(ms, f); left != 0 || len(empty.plan.calls) != 0 {
+		t.Fatalf("pass over an empty buffer: %d left, %d scheduler calls", left, len(empty.plan.calls))
+	}
+}
+
+// TestPassStripsBlockedModels: the scheduler sees a blocked model out of
+// reach, a plan that names it anyway commits without it, and a query
+// planned onto nothing else stays.
+func TestPassStripsBlockedModels(t *testing.T) {
+	r := newRig(nil)
+	r.plan.assign = func(q core.QueryInfo) ensemble.Subset {
+		if q.ID == 1 {
+			return ensemble.Single(1)
+		}
+		return ensemble.Full(3)
+	}
+	for i := 0; i < 3; i++ {
+		r.arrive(0, "", 0.5, 0, time.Second)
+	}
+	f := newFleet(t, r.Exec(), 9, 9, 9)
+	f.blocked = ensemble.Single(1)
+	if left := r.Pass(5*ms, f); left != 2 || r.Buffered() != 1 {
+		t.Fatalf("%d left, %d buffered, want 2 and 1", left, r.Buffered())
+	}
+	if want := []string{"commit 0 [0 2] full", "commit 2 [0 2] full"}; !reflect.DeepEqual(f.commits(), want) {
+		t.Errorf("commits %q, want %q", f.commits(), want)
+	}
+	if seen := r.plan.avail[0]; seen[1][0] != 5*ms+blockHorizon || seen[0][0] != 0 {
+		t.Errorf("scheduler saw capacity %v, want model 1 at now + blockHorizon and the rest untouched", seen)
+	}
+}
+
+// TestPassLadder: at rung 2 of three classes bronze is planned by the
+// greedy planner, after the protected classes and against what they left,
+// onto one model; silver is capped to the two cheapest models of its plan;
+// gold keeps the whole plan.
+func TestPassLadder(t *testing.T) {
+	r := newRig(func(c *Config) { c.Classes, c.Admission = threeClasses, slackLadder })
+	now := ms
+	for _, class := range []string{"bronze", "gold", "silver"} {
+		r.arrive(now, class, 0.5, 0, 0)
+	}
+	r.climb(t, &now, 2)
+	now += ms
+	f := newFleet(t, r.Exec(), 9, 9, 9)
+	if left := r.Pass(now, f); left != 3 {
+		t.Fatalf("%d left, want all 3", left)
+	}
+	if got := r.QoS.Ladder(); got != 2 {
+		t.Fatalf("ladder at %d during the pass, want 2", got)
+	}
+	if want := [][]int{{1, 2}}; !reflect.DeepEqual(r.plan.calls, want) {
+		t.Errorf("configured scheduler planned %v, want only the protected queries %v", r.plan.calls, want)
+	}
+	want := []string{"capacity", "commit 1 [0 1 2] full", "commit 2 [0 1] capped", "capacity", "commit 0 [0] greedy"}
+	if !reflect.DeepEqual(f.log, want) {
+		t.Errorf("pass did %q, want %q", f.log, want)
+	}
+}
+
+// TestPassRoomCheckAndSlack: a query commits only if a model of its own
+// subset has room; slack is the share of the buffer that stayed, and what
+// stays keeps its order.
+func TestPassRoomCheckAndSlack(t *testing.T) {
+	r := newRig(nil)
+	r.plan.assign = func(q core.QueryInfo) ensemble.Subset {
+		return []ensemble.Subset{ensemble.Single(0), ensemble.Empty, ensemble.Single(2), 0b101, ensemble.Empty}[q.ID]
+	}
+	var qs []*req
+	for i := 0; i < 5; i++ {
+		q, _ := r.arrive(0, "", 0.5, 0, time.Second)
+		qs = append(qs, q)
+	}
+	f := newFleet(t, r.Exec(), 2, 0, 0)
+	if left := r.Pass(ms, f); left != 2 || r.slack != 0.6 {
+		t.Fatalf("%d left, slack %v, want 2 and 0.6", left, r.slack)
+	}
+	// 0 has room on its model; 1 and 4 have no plan; 2's only model is full;
+	// 3 commits on the room model 0 has left, its other task queueing.
+	if want := []string{"commit 0 [0] full", "commit 3 [0 2] full"}; !reflect.DeepEqual(f.commits(), want) {
+		t.Errorf("commits %q, want %q", f.commits(), want)
+	}
+	if r.buffer[0] != Item(qs[1]) || r.buffer[1] != Item(qs[2]) || r.buffer[2] != Item(qs[4]) {
+		t.Error("the queries that stayed changed order")
+	}
+	r.Filter(func(it Item) bool { return it != qs[2] })
+	if r.Buffered() != 2 || r.buffer[0] != Item(qs[1]) || r.buffer[1] != Item(qs[4]) {
+		t.Errorf("%d buffered after filtering the middle one of three out", r.Buffered())
+	}
+}
+
+func edf(a, b *Query) bool {
+	return a.Deadline < b.Deadline || (a.Deadline == b.Deadline && a.ID < b.ID)
+}
+
+// TestPassCommitOrder: one slot, three queries that all want it. Buffer
+// order gives it to the first arrival, EDF to the earliest deadline with
+// the tie going to the earlier arrival.
+func TestPassCommitOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		before func(a, b *Query) bool
+		want   []string
+	}{
+		{"buffer order", nil, []string{"commit 0 [0] full", "commit 1 [0] full", "commit 2 [0] full"}},
+		{"EDF", edf, []string{"commit 1 [0] full", "commit 2 [0] full", "commit 0 [0] full"}},
+	} {
+		r := newRig(func(c *Config) { c.Before = tc.before })
+		r.plan.assign = func(core.QueryInfo) ensemble.Subset { return ensemble.Single(0) }
+		for _, budget := range []time.Duration{300 * ms, 100 * ms, 100 * ms} {
+			r.arrive(0, "", 0.5, 0, budget)
+		}
+		f := newFleet(t, r.Exec(), 1, 0, 0)
+		for f.depth[0] <= 3 {
+			r.Pass(ms, f)
+			f.depth[0]++
+		}
+		if !reflect.DeepEqual(f.commits(), tc.want) {
+			t.Errorf("%s: commits %q, want %q", tc.name, f.commits(), tc.want)
+		}
+	}
+}
+
+func TestBottleneckCapacity(t *testing.T) {
+	models := testModels()
+	if got := BottleneckCapacity(models, nil); got != 1/(30*ms).Seconds() {
+		t.Errorf("one replica each: %v", got)
+	}
+	if got := BottleneckCapacity(models, []int{1, 1, 4}); got != 1/(20*ms).Seconds() {
+		t.Errorf("four replicas of the slowest: %v", got)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"time"
 )
 
 // Config opts a serving runtime into request-level observability. The
@@ -167,11 +166,3 @@ func NewJSONLSink(w io.Writer) (sink func(DecisionTrace), closeFn func() (droppe
 	}
 	return sink, closeFn
 }
-
-// virtual is a tiny helper shared by runtimes converting wall durations
-// to virtual time: wall / scale.
-func virtual(wall time.Duration, scale float64) time.Duration {
-	return time.Duration(float64(wall) / scale)
-}
-
-var _ = virtual // referenced by serve; kept here for reuse across runtimes

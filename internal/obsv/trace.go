@@ -21,6 +21,19 @@ const (
 // Outcomes lists every outcome label, in severity order.
 var Outcomes = []string{OutcomeServed, OutcomeDegraded, OutcomeMissed, OutcomeRejected}
 
+// Outcome is an outcome as an index into Outcomes, for counters kept per
+// outcome: a request is classified once and every counter indexed by it.
+type Outcome uint8
+
+const (
+	Served Outcome = iota
+	Degraded
+	Missed
+	Rejected
+	// NumOutcomes sizes an array indexed by Outcome.
+	NumOutcomes = iota
+)
+
 // Cache-outcome labels for DecisionTrace.Cache, matching the result
 // cache's lookup taxonomy (internal/rcache): a hit is served from the
 // cache without dispatch, a miss runs the ensemble and fills on a clean

@@ -537,7 +537,7 @@ func (c *Controller) Snapshot() (load float64, ladder int, classes []ClassSnapsh
 	return c.load, c.ladder, classes
 }
 
-// SubsetCap is the per-level subset-size cap both engines apply to
+// SubsetCap is the per-level subset-size cap internal/engine applies to
 // degraded plans: capped classes run at most half the ensemble (rounded
 // up), greedy classes a single model, everything else uncapped.
 func SubsetCap(l Level, m int) int {
@@ -552,9 +552,7 @@ func SubsetCap(l Level, m int) int {
 
 // TruncateSubset enforces a subset-size cap on a planned subset, keeping
 // the cap cheapest models (by expected execution time, ties by index) so
-// a degraded plan frees the most contended capacity. Both engines share
-// this rule, keeping the sim<->serve equivalence exact under degraded
-// ladder states.
+// a degraded plan frees the most contended capacity.
 func TruncateSubset(sub ensemble.Subset, cap int, exec []time.Duration) ensemble.Subset {
 	if cap <= 0 || sub.Size() <= cap {
 		return sub

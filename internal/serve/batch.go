@@ -125,10 +125,10 @@ func (s *Server) runBatch(ctx context.Context, w *waiter, m model.Model, inj *mo
 	// deadline were completed by their own deadline's arrival.
 	var cutoffAt time.Time
 	if n := len(live); n > 0 {
-		deadline := live[0].req.deadline
+		deadline := live[0].req.wallDeadline
 		for _, t := range live[1:] {
-			if t.req.deadline.After(deadline) {
-				deadline = t.req.deadline
+			if t.req.wallDeadline.After(deadline) {
+				deadline = t.req.wallDeadline
 			}
 		}
 		rc := &s.rstats[k][r]
@@ -145,11 +145,10 @@ func (s *Server) runBatch(ctx context.Context, w *waiter, m model.Model, inj *mo
 		s.batchHist[k][n-1].Add(1)
 		s.mstats[k].executed.Add(uint64(n))
 		rc.executed.Add(uint64(n))
-		if ok && s.adapt != nil {
-			//schemble:wallclock observation is timestamped at completion in virtual time against the Start anchor
-			vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
+		if ok && s.eng.Adapt != nil {
+			vnow := s.vnow()
 			for range live {
-				s.adapt.ObserveLatency(vnow, k, r, vlat)
+				s.eng.Adapt.ObserveLatency(vnow, k, r, vlat)
 			}
 		}
 		for i, t := range live {
@@ -190,7 +189,7 @@ func (s *Server) runBatch(ctx context.Context, w *waiter, m model.Model, inj *mo
 			li++
 		}
 		select {
-		case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: ran && t.req.deadline.Equal(cutoffAt)}:
+		case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: ran && t.req.wallDeadline.Equal(cutoffAt)}:
 			s.forming[k].Add(-1)
 			reported++
 		case <-ctx.Done():
@@ -228,8 +227,7 @@ func (s *Server) executeBatch(ctx context.Context, w *waiter, m model.Model, inj
 		//schemble:wallclock the batch attempt's wall-clock start: the drift schedule, the fault injector's crash windows, the deadline budget and the wait target are all taken from this one instant
 		now := time.Now()
 		if s.cfg.Drift != nil {
-			vnow := time.Duration(float64(now.Sub(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
-			lat = time.Duration(float64(lat) * s.cfg.Drift(k, vnow))
+			lat = time.Duration(float64(lat) * s.cfg.Drift(k, s.virtual(now)))
 		}
 		lat = curve.Latency(lat, n)
 		dec := model.Decision{Kind: model.FaultNone, LatencyFactor: 1}
@@ -282,7 +280,7 @@ func (s *Server) executeBatch(ctx context.Context, w *waiter, m model.Model, inj
 			return 0, endCutoff
 		}
 		// The batch's virtual service time: each member task observes
-		// the full batch duration (mirrors sim's per-task events).
+		// the full batch duration (as each of sim's per-task events does).
 		return time.Duration(float64(lat) * dec.LatencyFactor), endOK
 	}
 }

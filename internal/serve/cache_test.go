@@ -13,9 +13,6 @@ import (
 	"schemble/internal/pipeline"
 	"schemble/internal/rcache"
 	"schemble/internal/rng"
-	"schemble/internal/sim"
-	"schemble/internal/testutil"
-	"schemble/internal/trace"
 )
 
 // testKeyer fits a small centroid keyer on the serving pool's feature
@@ -180,86 +177,5 @@ func TestServeCacheAccountingConcurrent(t *testing.T) {
 	}
 	if cs.Fills > cs.Misses {
 		t.Errorf("fills %d > misses %d", cs.Fills, cs.Misses)
-	}
-}
-
-// TestSimServeEquivalenceCached extends the cross-engine contract to the
-// result cache: on a seeded Zipf repeat-query trace with deterministic
-// spacing, both engines share the rcache implementation and must agree
-// per query on subset, outcome, and whether the answer came from the
-// cache — and on the aggregate hit/miss/bypass counters.
-func TestSimServeEquivalenceCached(t *testing.T) {
-	a := artifacts(t)
-	keyer := testKeyer(t, a, 4)
-	cacheCfg := rcache.Config{Keyer: keyer, Capacity: 64, DifficultyMax: 1}
-	const spacing = 400 * time.Millisecond
-	pool := a.Serve[:10]
-	ztr := trace.Zipfian(trace.ZipfianConfig{
-		Spacing: spacing, N: 18, Samples: pool,
-		Deadline: trace.ConstantDeadline(300 * time.Millisecond), Seed: 5,
-	})
-
-	recs, snap := sim.RunStats(sim.Config{
-		Ensemble:  a.Ensemble,
-		Refs:      a.Refs,
-		Scorer:    a.Scorer,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		Cache:     cacheCfg,
-		Seed:      1,
-	}, ztr, pool)
-	if snap.Hits == 0 {
-		t.Fatal("fixture produced no simulator cache hits; the Zipf trace lost its point")
-	}
-
-	const scale = 0.2
-	results := make([]Result, ztr.N())
-	at := make([]time.Time, ztr.N())
-	var cs *rcache.Snapshot
-	testutil.Unstalled(t, func() []testutil.Window {
-		s := New(Config{
-			Ensemble:  a.Ensemble,
-			Scheduler: &core.DP{Delta: 0.01},
-			Rewarder:  a.Profile,
-			Estimator: a.Predictor,
-			TimeScale: scale,
-			Seed:      1,
-			Cache:     cacheCfg,
-		})
-		s.Start(context.Background())
-		defer s.Stop()
-		chans := make([]<-chan Result, ztr.N())
-		for i, arr := range ztr.Arrivals {
-			at[i] = time.Now()
-			chans[i] = s.Submit(pool[arr.SampleIdx], arr.Deadline-arr.At)
-			//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival to meet the same cache and fleet state as in the simulated trace
-			time.Sleep(time.Duration(float64(spacing) * scale))
-		}
-		collect(t, chans, results)
-		cs = s.Stats().Cache
-		// An arrival meets the cache and fleet state the simulator's did
-		// as long as the query before it resolved inside its own window.
-		return pacedWindows(at, results, recs, a.Ensemble.Models, nil, scale)
-	})
-	for i, res := range results {
-		rec := recs[i]
-		if res.Cached != rec.Cached {
-			t.Errorf("query %d: runtime cached=%v, simulator cached=%v", i, res.Cached, rec.Cached)
-		}
-		if res.Subset != rec.Subset {
-			t.Errorf("query %d: runtime subset %v, simulator subset %v",
-				i, res.Subset.Models(), rec.Subset.Models())
-		}
-		if res.Missed != rec.Missed {
-			t.Errorf("query %d: runtime missed=%v, simulator missed=%v", i, res.Missed, rec.Missed)
-		}
-	}
-	if cs == nil {
-		t.Fatal("no runtime cache snapshot")
-	}
-	if cs.Hits != snap.Hits || cs.Misses != snap.Misses || cs.Bypasses != snap.Bypasses {
-		t.Errorf("counter divergence: runtime %d/%d/%d, simulator %d/%d/%d (hits/misses/bypasses)",
-			cs.Hits, cs.Misses, cs.Bypasses, snap.Hits, snap.Misses, snap.Bypasses)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"schemble/internal/obsv"
 	"schemble/internal/qos"
 )
 
@@ -20,10 +21,7 @@ type AdmissionConfig = qos.Tuning
 // resolve and read by Stats.
 type classCounters struct {
 	submitted atomic.Uint64
-	served    atomic.Uint64
-	degraded  atomic.Uint64
-	missed    atomic.Uint64
-	rejected  atomic.Uint64
+	outcome   [obsv.NumOutcomes]atomic.Uint64
 	// shed counts rejections decided by the admission controller (a
 	// subset of rejected; the rest are saturation/drain rejections).
 	shed atomic.Uint64
@@ -70,10 +68,10 @@ func (s *Server) classStatsFrom(snaps []qos.ClassSnapshot) []ClassStats {
 			Weight:        snap.Weight,
 			Level:         snap.Level.String(),
 			Submitted:     cc.submitted.Load(),
-			Served:        cc.served.Load(),
-			Degraded:      cc.degraded.Load(),
-			Missed:        cc.missed.Load(),
-			Rejected:      cc.rejected.Load(),
+			Served:        cc.outcome[obsv.Served].Load(),
+			Degraded:      cc.outcome[obsv.Degraded].Load(),
+			Missed:        cc.outcome[obsv.Missed].Load(),
+			Rejected:      cc.outcome[obsv.Rejected].Load(),
 			Shed:          cc.shed.Load(),
 			Cached:        cc.cached.Load(),
 			SLOAttainment: 1,
@@ -93,14 +91,14 @@ func (s *Server) Classed() bool { return s.classStats != nil }
 
 // Load returns the overload controller's smoothed pressure estimate
 // (~0 idle, 1 at the target backlog, unbounded above).
-func (s *Server) Load() float64 { return s.qosCtl.Load() }
+func (s *Server) Load() float64 { return s.eng.QoS.Load() }
 
 // RetryAfterSeconds derives the Retry-After hint for 503 responses from
 // the load estimator: roughly how many wall-clock seconds until the
 // smoothed backlog drains, never less than 1. Monotone in the observed
 // load, so clients back off harder the deeper the overload.
 func (s *Server) RetryAfterSeconds() int {
-	wall := time.Duration(float64(s.qosCtl.RetryAfter()) * s.scale)
+	wall := time.Duration(float64(s.eng.QoS.RetryAfter()) * s.scale)
 	secs := int((wall + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1

@@ -9,7 +9,6 @@ import (
 	"schemble/internal/ensemble"
 	"schemble/internal/metrics"
 	"schemble/internal/model"
-	"schemble/internal/qos"
 	"schemble/internal/sim"
 	"schemble/internal/testutil"
 	"schemble/internal/trace"
@@ -74,18 +73,35 @@ func collect(t *testing.T, chans []<-chan Result, results []Result) {
 	}
 }
 
-// TestSimServeEquivalence cross-validates the two execution engines: the
-// discrete-event simulator and the live concurrent runtime, given the
-// same fitted pipeline, the same seeded trace, single replicas, no
-// batching, and no faults, must commit every query to the same model
-// subset and produce the same outcome (served vs missed) per query. The
-// trace spaces arrivals so each query is planned against an idle fleet —
-// the regime where a scheduling decision depends only on (score,
-// deadline, exec), not on wall-clock jitter — and mixes deadline budgets
-// that exercise full-ensemble, single-model, and infeasible plans. Budgets
-// sit far from subset-feasibility boundaries (22/88/99ms at 10% headroom)
-// so the runtime's microsecond-scale planning delays cannot flip a
-// decision the simulator made at exact virtual instants.
+// TestSimServeEquivalence is the driver-agreement check. The simulator and
+// the live runtime run one decision pipeline (internal/engine, whose own
+// tests pin its order, its pass and its settlement feature by feature), so
+// what is left to compare is what each driver feeds it: the capacity view,
+// the cost vector and the clock. Given the same fitted pipeline, the same
+// seeded trace, single replicas, no batching and no faults, the two must
+// commit every query to the same model subset and produce the same outcome
+// (served vs missed) per query. The trace spaces arrivals so each query is
+// planned against an idle fleet — the regime where a scheduling decision
+// depends only on (score, deadline, exec), not on wall-clock jitter, and
+// where the drivers' own choices (commit order, what room means, when a
+// pass runs) have nothing to decide — and mixes deadline budgets that
+// exercise full-ensemble, single-model, and infeasible plans. Budgets sit
+// far from subset-feasibility boundaries (22/88/99ms at 10% headroom) so
+// the runtime's microsecond-scale planning delays cannot flip a decision
+// the simulator made at exact virtual instants.
+//
+// Two wider versions of this test were deleted when the pipeline became one
+// implementation. What TestSimServeEquivalenceClassed asserted: the class a
+// record carries and the class-default deadline (engine.Classify, one
+// implementation; per driver TestSimClassedUnknownClassDefaults and the
+// zero-deadline SubmitClass calls of submit_order_test.go), subset and
+// outcome agreement (this test), nothing shed below the gate (internal/qos).
+// What TestSimServeEquivalenceCached asserted: which queries are answered
+// from the cache and with what (internal/engine's TestArriveHitIsNeverShed
+// and TestSettleFillsAndLearnsOnlyFromCleanResults; per driver
+// TestServeCacheHitFlow and TestSimClassedFlashCrowdCached), the lookup
+// counters (one lookup per arrival: TestArriveHitIsNeverShed,
+// TestFeatureMatrix), subset and outcome agreement (this test).
 func TestSimServeEquivalence(t *testing.T) {
 	a := artifacts(t)
 	const spacing = 400 * time.Millisecond
@@ -166,97 +182,5 @@ func TestSimServeEquivalence(t *testing.T) {
 	if st.Degraded != 0 || st.Rejected != 0 {
 		t.Errorf("faultless equivalence run produced degraded=%d rejected=%d",
 			st.Degraded, st.Rejected)
-	}
-}
-
-// TestSimServeEquivalenceClassed extends the cross-engine contract to
-// classed traces: both engines share the internal/qos controller, so
-// given the same classes, the same spaced arrivals (far below the
-// admission gate — no shedding, ladder at full service) and deadlines
-// inherited from each class, they must default deadlines identically and
-// commit every query to the same subset with the same outcome.
-func TestSimServeEquivalenceClassed(t *testing.T) {
-	a := artifacts(t)
-	classes := []qos.Class{
-		{Name: "slow", Priority: 2, Deadline: 300 * time.Millisecond, Weight: 2},
-		{Name: "mid", Priority: 1, Deadline: 60 * time.Millisecond, Weight: 1},
-		{Name: "tight", Priority: 0, Deadline: 10 * time.Millisecond, Weight: 1},
-	}
-	const spacing = 400 * time.Millisecond
-	names := []string{
-		"slow", "mid", "slow", "tight", "slow", "mid",
-		"slow", "slow", "tight", "mid", "slow", "slow",
-	}
-	tr := &trace.Trace{}
-	for i, name := range names {
-		// No trace deadline: both engines must apply the class default.
-		tr.Arrivals = append(tr.Arrivals, trace.Arrival{
-			SampleIdx: i, At: time.Duration(i) * spacing, Class: name,
-		})
-	}
-
-	recs := sim.Run(sim.Config{
-		Ensemble:  a.Ensemble,
-		Refs:      a.Refs,
-		Scorer:    a.Scorer,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		Classes:   classes,
-		Seed:      1,
-	}, tr, a.Serve)
-
-	const scale = 0.2
-	results := make([]Result, len(names))
-	at := make([]time.Time, len(names))
-	var st Stats
-	testutil.Unstalled(t, func() []testutil.Window {
-		s := New(Config{
-			Ensemble:  a.Ensemble,
-			Scheduler: &core.DP{Delta: 0.01},
-			Rewarder:  a.Profile,
-			Estimator: a.Predictor,
-			TimeScale: scale,
-			Classes:   classes,
-			Seed:      1,
-		})
-		s.Start(context.Background())
-		defer s.Stop()
-		chans := make([]<-chan Result, len(names))
-		for i, name := range names {
-			at[i] = time.Now()
-			// Zero deadline: the runtime must fall back to the class
-			// default, exactly as the simulator did.
-			chans[i] = s.SubmitClass(a.Serve[i], 0, name)
-			//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival to meet an idle fleet, exactly as in the simulated trace
-			time.Sleep(time.Duration(float64(spacing) * scale))
-		}
-		collect(t, chans, results)
-		st = s.Stats()
-		return pacedWindows(at, results, recs, a.Ensemble.Models, nil, scale)
-	})
-
-	for i, res := range results {
-		rec := recs[i]
-		if rec.Class != names[i] {
-			t.Errorf("query %d: simulator recorded class %q, want %q", i, rec.Class, names[i])
-		}
-		if res.Subset != rec.Subset {
-			t.Errorf("query %d (class %s): runtime subset %v, simulator subset %v",
-				i, names[i], res.Subset.Models(), rec.Subset.Models())
-		}
-		if res.Missed != rec.Missed {
-			t.Errorf("query %d (class %s): runtime missed=%v, simulator missed=%v",
-				i, names[i], res.Missed, rec.Missed)
-		}
-		// The tight class's 10ms default is infeasible for every subset;
-		// both engines must agree it misses, and only it.
-		if want := names[i] == "tight"; rec.Missed != want {
-			t.Errorf("query %d (class %s): simulator missed=%v, fixture expects %v",
-				i, names[i], rec.Missed, want)
-		}
-	}
-	if st.Rejected != 0 {
-		t.Errorf("spaced classed run shed %d requests", st.Rejected)
 	}
 }

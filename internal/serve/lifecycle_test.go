@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"schemble/internal/core"
+	"schemble/internal/engine"
 	"schemble/internal/testutil"
 )
 
@@ -273,7 +274,7 @@ func TestServeSubmitRacesStart(t *testing.T) {
 // later just to find the request resolved.
 func TestResolveStopsDeadlineTimer(t *testing.T) {
 	s := newServer(t, artifacts(t))
-	r := &request{class: -1, done: make(chan Result, 1)}
+	r := &request{Query: engine.Query{Class: -1}, done: make(chan Result, 1)}
 	r.deadlineTimer = time.AfterFunc(time.Hour, func() {})
 	s.resolve(r, Result{})
 	if r.deadlineTimer.Stop() {

@@ -89,98 +89,57 @@ func aggregateByClass(tr *trace.Trace, res []Result) map[string]*classAgg {
 	return byClass
 }
 
-// TestServeFlashCrowdSoak is the overload-survival lock: a seeded flash
-// crowd at 5x the fleet's bottleneck capacity hits the classed concurrent
-// runtime. The run must (a) resolve every request exactly once — no lost
-// or double-resolved requests even while shedding hard; (b) shed
-// lowest-priority classes first; and (c) keep the gold class's
-// deadline-miss rate within 2x of an uncrowded baseline run.
+// TestServeFlashCrowdSoak drives a seeded multi-class flash crowd peaking at
+// 5x the fleet's bottleneck capacity through the classed runtime. It must
+// (a) resolve every request exactly once, the outcome taxonomy partitioning
+// the submissions overall and per class, and (b) shed — explicit
+// rejections, never silent drops — from the lowest-priority classes first.
+// How well the top class keeps its deadlines under the crowd is not judged
+// on the wall clock: TestSimClassedFlashCrowd holds gold's miss rate to
+// 0.05 deterministically, on the same engine code.
 func TestServeFlashCrowdSoak(t *testing.T) {
 	a := artifacts(t)
-	// 5x compression (not more): the suite's packages run in parallel
-	// under -race, and tighter wall-clock deadlines turn CPU contention
-	// into spurious misses — at 10x the gold-DMR gate flaked once the
-	// suite grew enough neighbors.
 	const scale = 0.2
 	const horizon = 20 * time.Second
-	// Baseline: pure background at ~1x capacity (the crowd never starts
-	// inside the horizon, so only background arrivals materialize).
-	base := trace.FlashCrowd(trace.FlashCrowdConfig{
-		BackgroundRate: 11, Classes: testClassMix(),
-		CrowdStart: horizon, RampUp: time.Second, Hold: time.Second, RampDown: time.Second,
-		Horizon: horizon, Samples: a.Serve, Seed: 5,
-	})
-	// Crowd: same background plus a bronze-labeled crowd peaking at 5x.
+	// Background at ~1x capacity plus a bronze-labeled crowd peaking at 5x.
 	crowd := trace.FlashCrowd(trace.FlashCrowdConfig{
 		BackgroundRate: 11, Classes: testClassMix(), PeakFactor: 5,
 		CrowdStart: 4 * time.Second, RampUp: 2 * time.Second,
 		Hold: 8 * time.Second, RampDown: 2 * time.Second,
 		Horizon: horizon, Samples: a.Serve, Seed: 5,
 	})
+	s := newClassedServer(t, a, scale)
+	s.Start(context.Background())
+	defer s.Stop()
+	agg := aggregateByClass(crowd, replayTrace(t, s, a, crowd, scale))
+	st := s.Stats()
 
-	run := func(tr *trace.Trace) (map[string]*classAgg, Stats) {
-		s := newClassedServer(t, a, scale)
-		s.Start(context.Background())
-		defer s.Stop()
-		res := replayTrace(t, s, a, tr, scale)
-		return aggregateByClass(tr, res), s.Stats()
+	// Exactly-once accounting: every submission resolved, and the outcome
+	// taxonomy partitions them.
+	if st.Resolved != st.Submitted {
+		t.Errorf("resolved %d of %d submitted", st.Resolved, st.Submitted)
 	}
-	baseAgg, baseStats := run(base)
-	crowdAgg, crowdStats := run(crowd)
-
-	// Exactly-once accounting on both runs: every submission resolved, and
-	// the outcome taxonomy partitions them.
-	for name, st := range map[string]Stats{"baseline": baseStats, "crowd": crowdStats} {
-		if st.Resolved != st.Submitted {
-			t.Errorf("%s: resolved %d of %d submitted", name, st.Resolved, st.Submitted)
-		}
-		if st.Served+st.Degraded+st.Missed+st.Rejected != st.Resolved {
-			t.Errorf("%s: outcomes %d+%d+%d+%d do not partition %d resolved",
-				name, st.Served, st.Degraded, st.Missed, st.Rejected, st.Resolved)
-		}
-		for _, cs := range st.Classes {
-			if cs.Served+cs.Degraded+cs.Missed+cs.Rejected != cs.Submitted {
-				t.Errorf("%s class %s: outcomes do not partition %d submitted",
-					name, cs.Name, cs.Submitted)
-			}
+	if st.Served+st.Degraded+st.Missed+st.Rejected != st.Resolved {
+		t.Errorf("outcomes %d+%d+%d+%d do not partition %d resolved",
+			st.Served, st.Degraded, st.Missed, st.Rejected, st.Resolved)
+	}
+	for _, cs := range st.Classes {
+		if cs.Served+cs.Degraded+cs.Missed+cs.Rejected != cs.Submitted {
+			t.Errorf("class %s: outcomes do not partition %d submitted", cs.Name, cs.Submitted)
 		}
 	}
 
-	shedRate := func(m map[string]*classAgg, name string) float64 {
-		return float64(m[name].rejected) / float64(m[name].submitted)
-	}
-	dmr := func(m map[string]*classAgg, name string) float64 {
-		cs := m[name]
-		accepted := cs.submitted - cs.rejected
-		if accepted == 0 {
-			return 0
-		}
-		return float64(cs.missed) / float64(accepted)
+	shedRate := func(name string) float64 {
+		return float64(agg[name].rejected) / float64(agg[name].submitted)
 	}
 	// The crowd must overload the fleet enough to shed, and the shedding
 	// must be priority-ordered (small tolerance absorbs arrival noise).
-	if shedRate(crowdAgg, "bronze") == 0 {
+	if shedRate("bronze") == 0 {
 		t.Error("5x flash crowd shed nothing")
 	}
-	if shedRate(crowdAgg, "gold") > shedRate(crowdAgg, "silver")+0.05 ||
-		shedRate(crowdAgg, "silver") > shedRate(crowdAgg, "bronze")+0.05 {
+	if shedRate("gold") > shedRate("silver")+0.05 || shedRate("silver") > shedRate("bronze")+0.05 {
 		t.Errorf("shedding not priority-ordered: gold %.3f silver %.3f bronze %.3f",
-			shedRate(crowdAgg, "gold"), shedRate(crowdAgg, "silver"), shedRate(crowdAgg, "bronze"))
-	}
-	// Top-class survival: gold's deadline-miss rate under the crowd stays
-	// within 2x of the uncrowded baseline (plus a 3% absolute floor so a
-	// zero-miss baseline does not demand a zero-miss crowd, and wall-clock
-	// pacing noise under a loaded CI machine cannot flake the gate).
-	baseDMR, crowdDMR := dmr(baseAgg, "gold"), dmr(crowdAgg, "gold")
-	if crowdDMR > 2*baseDMR+0.03 {
-		t.Errorf("gold miss rate %.3f under crowd vs %.3f baseline (want <= 2x + 0.03)",
-			crowdDMR, baseDMR)
-	}
-	// The crowd run must have climbed the ladder at some point; by the end
-	// (load drained) per-class levels may have recovered, but the counters
-	// prove degradation engaged: bronze lost more than gold did.
-	if crowdStats.Load < 0 {
-		t.Error("negative load estimate")
+			shedRate("gold"), shedRate("silver"), shedRate("bronze"))
 	}
 }
 

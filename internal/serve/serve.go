@@ -1,17 +1,18 @@
 // Package serve is the real-time concurrent counterpart of the discrete
 // event simulator: a pool of replica worker goroutines per deployed base
 // model (Config.Replicas; one each by default) sharing that model's task
-// queue, a coordinator goroutine that owns the query buffer and runs the
-// scheduler against per-replica capacity (core.Capacity), and
+// queue, a coordinator goroutine that drives the decision pipeline both
+// share (internal/engine: arrival path, query buffer, planning pass,
+// settlement) against per-replica capacity (core.Capacity), and
 // channel-based task dispatch.
 //
-// Dispatch is work-conserving: the coordinator commits a query while a
-// chosen model's replica runs out of committed work within one task time
-// (stageable), so one task waits staged in the model's queue behind each
-// running one, and a replica that finishes starts it at once — while the
-// coordinator is still planning the pass that completion triggered. The
-// simulator binds only to idle replicas, virtual time having no planning
-// cost to hide; the two agree whenever an arrival meets an idle fleet.
+// Dispatch is work-conserving: a model has room for a commit while its
+// replica runs out of committed work within one task time (stageable), so
+// one task waits staged in the model's queue behind each running one, and
+// a replica that finishes starts it at once — while the coordinator is
+// still planning the pass that completion triggered. The simulator binds
+// only to idle replicas, virtual time having no planning cost to hide; the
+// two agree whenever an arrival meets an idle fleet.
 //
 // Replicas can additionally micro-batch queued tasks (Config.Batching): a
 // replica drains its queue up to MaxBatch tasks — lingering briefly for
@@ -60,6 +61,7 @@ import (
 	"schemble/internal/core"
 	"schemble/internal/dataset"
 	"schemble/internal/discrepancy"
+	"schemble/internal/engine"
 	"schemble/internal/ensemble"
 	"schemble/internal/model"
 	"schemble/internal/obsv"
@@ -71,11 +73,6 @@ import (
 
 // ErrNotStarted is returned by Drain when Start was never called.
 var ErrNotStarted = errors.New("serve: server not started")
-
-// blockHorizon is how far into the future an open-breaker (or crashed)
-// model's availability is pushed when the scheduler is consulted: far
-// enough that no deadline-feasible plan can include it.
-const blockHorizon = time.Hour
 
 // Config configures a Server.
 type Config struct {
@@ -203,28 +200,16 @@ const (
 
 // request tracks one in-flight query.
 type request struct {
-	sample   *dataset.Sample
-	arrived  time.Time
-	deadline time.Time
-	score    float64
-	// rawScore is the predictor's uncalibrated score (equal to score
-	// when adaptation is off); the recalibration reservoir pairs it with
-	// the observed discrepancy on clean full-ensemble resolves.
-	rawScore float64
-
-	// class is the request's class index (-1 when the runtime is
-	// classless); level is the degradation-ladder service level the
-	// request was committed at (written under mu at commit time — a
-	// committed level above LevelFull marks the result Degraded).
-	class int
-	level qos.Level
-
-	// cacheable marks a request whose cache lookup missed (written in
-	// SubmitClass before the request is shared, so resolve's fill-back
-	// read is ordered by the event-channel send); cacheKey is the entry
-	// it fills on a clean resolve.
-	cacheable bool
-	cacheKey  int
+	// Query is the decision engine's view. SubmitClass fills it before the
+	// request is shared (the event-channel send orders those writes); from
+	// then on only the coordinator touches it: ID when the request is
+	// buffered, Level and Subset, under mu, when it is committed.
+	engine.Query
+	sample *dataset.Sample
+	// arrived and wallDeadline are Query.Arrival and Query.Deadline on the
+	// wall clock.
+	arrived      time.Time
+	wallDeadline time.Time
 
 	mu sync.Mutex
 	//schemble:guardedby mu lifecycle state machine
@@ -239,8 +224,6 @@ type request struct {
 	ok ensemble.Subset
 	//schemble:guardedby mu permanent-failure count
 	failed int
-	//schemble:guardedby mu committed subset
-	subset ensemble.Subset
 	// deadlineTimer turns the deadline into an evDeadline event; resolve
 	// stops it so a request resolved early fires nothing at its deadline.
 	//schemble:guardedby mu deadline timer handle
@@ -366,34 +349,20 @@ type Server struct {
 	obs    *obsv.Observer
 	reqSeq atomic.Uint64
 
-	// qosCtl is the overload controller: load estimator, degradation
-	// ladder, and (in classed mode) per-class admission. Always non-nil;
-	// classless configs get an estimator-only controller that admits
-	// everything. classStats holds per-class outcome counters (nil when
-	// classless); degradedSched plans LevelGreedy classes with a cheap
-	// greedy planner — a dedicated instance, since scheduler scratch is
-	// not shareable with cfg.Scheduler.
-	qosCtl        *qos.Controller
-	classStats    []classCounters
-	degradedSched *core.Greedy
+	// eng is the decision pipeline (internal/engine) this runtime drives:
+	// SubmitClass calls its arrival path from any goroutine, the coordinator
+	// owns its buffer, passes and settlements, and Stats snapshots its
+	// overload controller (eng.QoS, never nil), result cache (eng.Cache)
+	// and adaptation layer (eng.Adapt), the last two nil when their config
+	// is the zero value. classStats holds per-class outcome counters (nil
+	// when classless).
+	eng        *engine.Engine
+	classStats []classCounters
 
-	// cache is the shared result cache, nil when Config.Cache is the zero
-	// value (caching off).
-	cache *rcache.Cache
-
-	// adapt is the online-adaptation engine, nil when Config.Adapt is
-	// the zero value (adaptation off); baseExec is the frozen planning
-	// cost vector the coordinator copies its working exec slice from.
-	adapt    *adapt.Engine
-	baseExec []time.Duration
-
-	// Health counters behind the Stats snapshot. buffered/inflight mirror
+	// Health counters behind the Stats snapshot. nBuffered/nInflight follow
 	// the coordinator's private structures.
 	nSubmitted atomic.Uint64
-	nServed    atomic.Uint64
-	nDegraded  atomic.Uint64
-	nMissed    atomic.Uint64
-	nRejected  atomic.Uint64
+	nOutcome   [obsv.NumOutcomes]atomic.Uint64
 	nBuffered  atomic.Int64
 	nInflight  atomic.Int64
 }
@@ -555,7 +524,6 @@ func New(cfg Config) *Server {
 		events:   make(chan event, 4*cfg.QueueDepth),
 		src:      rng.New(cfg.Seed ^ 0x5e7e),
 		obs:      obsv.NewObserver(cfg.Obs),
-		cache:    rcache.New(cfg.Cache),
 		mstats:   make([]modelCounters, m),
 		breakers: make([]breakerState, m),
 		replicas: make([]int, m),
@@ -574,14 +542,8 @@ func New(cfg Config) *Server {
 		s.replicas[k] = r
 		s.rstats[k] = make([]replicaCounters, r)
 	}
-	adm := cfg.Admission
-	if adm.Capacity <= 0 {
-		adm.Capacity = bottleneckCapacity(cfg.Ensemble, s.replicas)
-	}
-	s.qosCtl = qos.New(qos.Config{Classes: cfg.Classes, Tuning: adm})
 	if len(cfg.Classes) > 0 {
 		s.classStats = make([]classCounters, len(cfg.Classes))
-		s.degradedSched = &core.Greedy{Order: core.EDF}
 	}
 	if maxBatch > 1 {
 		s.batchHist = make([][]atomic.Uint64, m)
@@ -596,20 +558,22 @@ func New(cfg Config) *Server {
 	// latency jitter does not turn feasible-looking plans into deadline
 	// misses. With batching on, a task's capacity cost is the amortized
 	// per-item share of a full batch, so the scheduler sees the
-	// throughput gain. The coordinator copies its working exec slice
-	// from this; with adaptation on, adapt.ExecInto rescales it by the
+	// throughput gain. With adaptation on, the engine rescales it by the
 	// live inflation factor each planning pass.
-	profiled := make([]time.Duration, m)
-	s.baseExec = make([]time.Duration, m)
+	baseExec := make([]time.Duration, m)
 	for k, md := range cfg.Ensemble.Models {
-		profiled[k] = md.MeanLatency()
 		e := time.Duration(float64(md.MeanLatency()) * 1.1)
 		if maxBatch > 1 {
 			e = cfg.Batching.curve(k).Amortized(e, maxBatch)
 		}
-		s.baseExec[k] = e
+		baseExec[k] = e
 	}
-	s.adapt = adapt.New(cfg.Adapt, profiled, s.baseExec, s.replicas)
+	// Commits go in buffer (arrival) order: Before stays nil.
+	s.eng = engine.New(engine.Config{
+		Ensemble: cfg.Ensemble, Scheduler: cfg.Scheduler, Rewarder: cfg.Rewarder,
+		Estimator: cfg.Estimator, Replicas: s.replicas, BaseExec: baseExec,
+		Classes: cfg.Classes, Admission: cfg.Admission, Cache: cfg.Cache, Adapt: cfg.Adapt,
+	})
 	for k, md := range cfg.Ensemble.Models {
 		fc := cfg.Faults
 		if k < len(cfg.FaultsPerModel) {
@@ -632,29 +596,6 @@ func New(cfg Config) *Server {
 		s.faulty[k] = model.NewFaulty(md, fc)
 	}
 	return s
-}
-
-// bottleneckCapacity estimates the fleet's sustainable full-ensemble
-// service rate in requests per virtual second: the slowest model's pool
-// throughput, min over k of replicas[k] / meanLatency[k]. This is the
-// admission controller's default Capacity; an explicit
-// AdmissionConfig.Capacity overrides it.
-func bottleneckCapacity(e *ensemble.Ensemble, replicas []int) float64 {
-	capacity := 0.0
-	for k, md := range e.Models {
-		lat := md.MeanLatency().Seconds()
-		if lat <= 0 {
-			continue
-		}
-		c := float64(replicas[k]) / lat
-		if capacity <= 0 || c < capacity {
-			capacity = c
-		}
-	}
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return capacity
 }
 
 // Start launches the workers and the coordinator. It returns immediately;
@@ -748,10 +689,10 @@ func (s *Server) Stats() Stats {
 	s.lifeMu.Unlock()
 	st := Stats{
 		Submitted:   s.nSubmitted.Load(),
-		Served:      s.nServed.Load(),
-		Degraded:    s.nDegraded.Load(),
-		Missed:      s.nMissed.Load(),
-		Rejected:    s.nRejected.Load(),
+		Served:      s.nOutcome[obsv.Served].Load(),
+		Degraded:    s.nOutcome[obsv.Degraded].Load(),
+		Missed:      s.nOutcome[obsv.Missed].Load(),
+		Rejected:    s.nOutcome[obsv.Rejected].Load(),
 		Buffered:    int(s.nBuffered.Load()),
 		InFlight:    int(s.nInflight.Load()),
 		QueueDepth:  make([]int, len(s.taskCh)),
@@ -762,19 +703,19 @@ func (s *Server) Stats() Stats {
 		Draining:    draining,
 	}
 	st.Resolved = st.Served + st.Degraded + st.Missed + st.Rejected
-	load, ladder, snaps := s.qosCtl.Snapshot()
+	load, ladder, snaps := s.eng.QoS.Snapshot()
 	st.Load = load
 	st.Ladder = ladder
 	st.LadderState = qos.LadderName(ladder)
 	if s.classStats != nil {
 		st.Classes = s.classStatsFrom(snaps)
 	}
-	if s.cache != nil {
-		cs := s.cache.Snapshot()
+	if s.eng.Cache != nil {
+		cs := s.eng.Cache.Snapshot()
 		st.Cache = &cs
 	}
-	if s.adapt != nil {
-		st.Adapt = s.adapt.Snapshot()
+	if s.eng.Adapt != nil {
+		st.Adapt = s.eng.Adapt.Snapshot()
 	}
 	for k, ch := range s.taskCh {
 		st.QueueDepth[k] = len(ch)
@@ -890,34 +831,35 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	if ctx == nil {
 		panic("serve: Submit before Start")
 	}
-	ci := s.qosCtl.ClassIndex(class)
-	if ci >= 0 && deadline <= 0 {
-		deadline = s.qosCtl.Class(ci).Deadline
-	}
+	ci, deadline := s.eng.Classify(class, deadline)
 	//schemble:wallclock arrival is wall-anchored; deadlines and virtual timestamps are derived from it via the configured TimeScale
 	now := time.Now()
-	// arrival is the one virtual instant the engine-agnostic layers —
-	// adaptation, the cache, admission — are handed for this request, as
-	// the simulator hands them its clock.
-	arrival := time.Duration(float64(now.Sub(s.start)) / s.scale)
+	wallDeadline := now.Add(time.Duration(float64(deadline) * s.scale))
+	// Query.Arrival is the one virtual instant the engine's arrival path —
+	// adaptation, the cache, admission — sees for this request, as the
+	// simulator hands it its clock.
 	req := &request{
-		sample:   sample,
-		arrived:  now,
-		deadline: now.Add(time.Duration(float64(deadline) * s.scale)),
-		class:    ci,
-		done:     make(chan Result, 1),
+		Query: engine.Query{
+			Class:    ci,
+			Arrival:  s.virtual(now),
+			Deadline: s.virtual(wallDeadline),
+		},
+		sample:       sample,
+		arrived:      now,
+		wallDeadline: wallDeadline,
+		done:         make(chan Result, 1),
 	}
 	if s.obs != nil {
 		req.tr = &obsv.DecisionTrace{
 			ID:       s.reqSeq.Add(1),
 			SampleID: sample.ID,
 			CameraID: sample.CameraID,
-			Queued:   arrival,
-			Deadline: arrival + deadline,
+			Queued:   req.Arrival,
+			Deadline: req.Arrival + deadline,
 		}
 		if ci >= 0 {
-			req.tr.Class = s.qosCtl.Class(ci).Name
-			req.tr.Ladder = s.qosCtl.Ladder()
+			req.tr.Class = s.eng.QoS.Class(ci).Name
+			req.tr.Ladder = s.eng.QoS.Ladder()
 		}
 	}
 	s.nSubmitted.Add(1)
@@ -928,53 +870,27 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		s.resolve(req, Result{Missed: true, Rejected: true})
 		return req.done
 	}
-	req.score = 0.5
-	if s.cfg.Estimator != nil {
-		req.score = s.cfg.Estimator.Predict(sample)
-	}
-	req.rawScore = req.score
-	if s.adapt != nil {
-		s.adapt.ObserveScore(arrival, req.rawScore)
-		req.score = s.adapt.Calibrate(req.rawScore)
-	}
+	arr := s.eng.Arrive(&req.Query, sample)
 	req.advance(stateScored)
 	if req.tr != nil {
-		req.tr.Score = req.score
-		//schemble:wallclock converts a wall instant to virtual time against the Start anchor
-		req.tr.Scored = time.Duration(float64(time.Since(s.start)) / s.scale)
+		req.tr.Score = req.Score
+		req.tr.Scored = s.vnow()
+		req.tr.Cache = arr.Cache
 	}
-	if s.cache != nil {
-		v, key, outcome := s.cache.Lookup(arrival, sample.Features, req.score)
-		if req.tr != nil {
-			req.tr.Cache = outcome
-		}
-		// Exhaustive over the cache taxonomy (enforced by the
-		// exhaustiveoutcome analyzer): a new cache outcome must decide its
-		// scheduling consequence here.
-		switch outcome {
-		case obsv.CacheOutcomeHit:
-			// Zero-cost plan: the cached answer resolves immediately,
-			// skipping admission, the buffer, the scheduler, dispatch, and
-			// the deadline timer entirely.
-			s.resolve(req, Result{
-				Output: v.Output,
-				Subset: v.Subset,
-				Cached: true,
-				//schemble:wallclock latency is the wall-clock distance from arrival, descaled to virtual time
-				Latency: time.Duration(float64(time.Since(req.arrived)) / s.scale),
-			})
-			return req.done
-		case obsv.CacheOutcomeMiss:
-			// Cacheable: fill the entry when the request resolves cleanly.
-			req.cacheable, req.cacheKey = true, key
-		case obsv.CacheOutcomeBypass:
-			// Too hard (or unkeyable): the ensemble always runs.
-		}
-	}
-	if ci >= 0 && !s.qosCtl.Admit(arrival, ci) {
-		// Admission-controlled shed: an explicit rejection decided by
-		// class quota and ladder state. It comes after the cache, so only a
-		// request that needs model capacity can be shed or spend a token.
+	switch arr.Verdict {
+	case engine.Hit:
+		// Zero-cost plan: the cached answer resolves immediately, skipping
+		// admission, the buffer, the scheduler, dispatch, and the deadline
+		// timer entirely.
+		s.resolve(req, Result{
+			Output:  arr.Value.Output,
+			Subset:  arr.Value.Subset,
+			Cached:  true,
+			Latency: s.latency(req),
+		})
+		return req.done
+	case engine.Shed:
+		// An explicit rejection decided by class quota and ladder state.
 		s.classStats[ci].shed.Add(1)
 		s.resolve(req, Result{Missed: true, Rejected: true})
 		return req.done
@@ -1000,7 +916,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	// goroutine blocks until the coordinator takes the event, and falls
 	// back to resolving directly once the runtime is shutting down.
 	//schemble:wallclock deadline timers fire in wall time; the deadline itself was derived from the virtual budget at Submit
-	t := time.AfterFunc(time.Until(req.deadline), func() {
+	t := time.AfterFunc(time.Until(req.wallDeadline), func() {
 		if req.isResolved() {
 			return
 		}
@@ -1019,6 +935,25 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	}
 	req.mu.Unlock()
 	return req.done
+}
+
+// virtual converts a wall instant to virtual time: the distance from the
+// Start anchor, descaled.
+func (s *Server) virtual(at time.Time) time.Duration {
+	//schemble:guardedby-ok start is written once in Start, before the workers and the coordinator launch and before a Submit is legal; reads are ordered by goroutine creation
+	return time.Duration(float64(at.Sub(s.start)) / s.scale)
+}
+
+// vnow is the current virtual time.
+func (s *Server) vnow() time.Duration {
+	//schemble:wallclock virtual time is the wall clock's distance from the Start anchor, descaled
+	return s.virtual(time.Now())
+}
+
+// latency is how long ago r arrived, in virtual time.
+func (s *Server) latency(r *request) time.Duration {
+	//schemble:wallclock latency is the wall-clock distance from arrival, descaled to virtual time
+	return time.Duration(float64(time.Since(r.arrived)) / s.scale)
 }
 
 // worker is replica r of model k: it pulls tasks off the model's shared
@@ -1112,10 +1047,8 @@ func (s *Server) runTask(ctx context.Context, w *waiter, m model.Model, inj *mod
 			s.mstats[k].failures.Add(1)
 			rc.failures.Add(1)
 			failed = true
-		} else if s.adapt != nil {
-			//schemble:wallclock observation is timestamped at completion in virtual time against the Start anchor
-			vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
-			s.adapt.ObserveLatency(vnow, k, r, vlat)
+		} else if s.eng.Adapt != nil {
+			s.eng.Adapt.ObserveLatency(s.vnow(), k, r, vlat)
 		}
 		t.req.mu.Lock()
 		if t.req.state != stateResolved {
@@ -1171,8 +1104,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 		now := time.Now()
 		drift := 1.0
 		if s.cfg.Drift != nil {
-			vnow := time.Duration(float64(now.Sub(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the workers launch; reads are ordered by goroutine creation
-			drift = s.cfg.Drift(k, vnow)
+			drift = s.cfg.Drift(k, s.virtual(now))
 			lat = time.Duration(float64(lat) * drift)
 		}
 		dec := model.Decision{Kind: model.FaultNone, LatencyFactor: 1}
@@ -1185,7 +1117,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 			} else {
 				c.transient.Add(1)
 			}
-			retry, alive := s.backoffUntil(ctx, w, r.deadline, attempt)
+			retry, alive := s.backoffUntil(ctx, w, r.wallDeadline, attempt)
 			if !alive {
 				return out, 0, endDead
 			}
@@ -1206,7 +1138,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 		// An attempt already out of budget arms nothing.
 		cutoff := never
 		if s.tol.TaskTimeout {
-			if cutoff = r.deadline.Sub(now); cutoff <= 0 {
+			if cutoff = r.wallDeadline.Sub(now); cutoff <= 0 {
 				timedOut()
 				return out, 0, endCutoff
 			}
@@ -1230,8 +1162,8 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 			// under drift the frozen mean would fire hedges on every
 			// (now-normal) slow attempt.
 			mean := float64(m.MeanLatency())
-			if s.adapt != nil {
-				mean *= s.adapt.Inflation(k)
+			if s.eng.Adapt != nil {
+				mean *= s.eng.Adapt.Inflation(k)
 			}
 			if hd := time.Duration((s.tol.HedgeFactor*mean + float64(hlat)) * s.scale); hd < d {
 				hedge = hd
@@ -1264,7 +1196,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 		}
 		// Predict panicked: contained by safePredict; treat like a
 		// transient fault.
-		retry, alive := s.backoffUntil(ctx, w, r.deadline, attempt)
+		retry, alive := s.backoffUntil(ctx, w, r.wallDeadline, attempt)
 		if !alive {
 			return out, 0, endDead
 		}
@@ -1314,468 +1246,311 @@ func (s *Server) safePredict(m model.Model, k int, sample *dataset.Sample) (out 
 	return m.Predict(sample), true
 }
 
-// coordinate owns the buffer and the scheduler.
-func (s *Server) coordinate(ctx context.Context) {
-	var buffer []*request
-	m := s.cfg.Ensemble.M()
-	exec := make([]time.Duration, m)
-	copy(exec, s.baseExec)
-	// busyUntil[k][r] approximates, in unscaled virtual time since start,
-	// when replica r of model k drains the work committed to it;
-	// pending[k] counts dispatched-but-unfinished tasks so completions can
-	// re-anchor the estimate on reality (mirroring sim.onTaskDone) instead
-	// of accumulating jitter.
-	busyUntil := make([][]time.Duration, m)
-	for k := range busyUntil {
-		busyUntil[k] = make([]time.Duration, s.replicas[k])
-	}
-	pending := make([]int, m)
+// coordinator is the goroutine that drives the decision engine: it owns the
+// event loop, the engine's buffer, passes and settlements, the committed
+// requests, and the estimate of the fleet the passes plan against — it is
+// the engine's Executor.
+type coordinator struct {
+	s *Server
+	// busyUntil[k][r] approximates, in virtual time since start, when
+	// replica r of model k drains the work committed to it; pending[k]
+	// counts dispatched-but-unfinished tasks so completions can re-anchor
+	// the estimate on reality instead of accumulating jitter.
+	busyUntil [][]time.Duration
+	pending   []int
+	// blocked is the mask the current pass plans around, kept for the
+	// decision traces of its commits.
+	blocked ensemble.Subset
 	// inflight tracks committed-but-unfinished requests so shutdown can
 	// resolve them and drain knows when it is done.
-	inflight := make(map[*request]bool)
-	draining := false
+	inflight map[*request]bool
+	draining bool
+}
 
-	now := func() time.Duration {
-		//schemble:wallclock converts a wall instant to virtual time against the Start anchor
-		return time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before this goroutine launches; reads are ordered by goroutine creation
+// coordinate runs the coordinator: every event is followed by one planning
+// pass of the engine over the buffer.
+func (s *Server) coordinate(ctx context.Context) {
+	m := s.cfg.Ensemble.M()
+	c := &coordinator{
+		s:         s,
+		busyUntil: make([][]time.Duration, m),
+		pending:   make([]int, m),
+		inflight:  make(map[*request]bool),
 	}
-	syncGauges := func() {
-		s.nBuffered.Store(int64(len(buffer)))
-		s.nInflight.Store(int64(len(inflight)))
+	for k := range c.busyUntil {
+		c.busyUntil[k] = make([]time.Duration, s.replicas[k])
 	}
-	latency := func(r *request) time.Duration {
-		//schemble:wallclock latency is the wall-clock distance from arrival, descaled to virtual time
-		return time.Duration(float64(time.Since(r.arrived)) / s.scale)
-	}
-
-	// lastSlack is the fraction of the previous planning pass's buffer the
-	// scheduler left unplaced — the controller's "capacity exhausted"
-	// signal alongside the raw backlog.
-	lastSlack := 0.0
-
-	// Per-pass scratch, owned by the coordinator and reused across passes
-	// so a pass allocates only what a commit itself needs: the planned
-	// groups' buffer positions and ladder levels, the scheduler's query
-	// view, the marks of buffer positions that left this pass, and the
-	// capacity view that pushes blocked models out of reach.
-	var (
-		mainIdx, degIdx []int
-		mainLvl, degLvl []qos.Level
-		infos           []core.QueryInfo
-		removed         []bool
-		avail           = make(core.Capacity, m)
-		blockedSlots    = make([][]time.Duration, m)
-	)
-	for k := range blockedSlots {
-		blockedSlots[k] = make([]time.Duration, s.replicas[k])
-	}
-
-	dispatch := func() {
-		// Shed requests that resolved while buffered (direct deadline
-		// delivery during saturation).
-		live := buffer[:0]
-		for _, r := range buffer {
-			if !r.isResolved() {
-				live = append(live, r)
-			}
-		}
-		buffer = live
-		t := now()
-		// Feed the overload controller: outstanding work everywhere in the
-		// engine (buffer + model queues + forming batches) plus the last
-		// pass's scheduler slack. The estimate drives admission and
-		// Retry-After only — never the plan — so classless results are
-		// untouched.
-		backlog := len(buffer)
-		for k := range s.taskCh {
-			backlog += len(s.taskCh[k]) + int(s.forming[k].Load())
-		}
-		s.qosCtl.Observe(t, backlog, lastSlack)
-		if s.adapt != nil {
-			// Refresh the planning cost vector from the live quantile
-			// sketches so the whole pass sees one consistent cost view.
-			s.adapt.ExecInto(exec)
-		}
-		if len(buffer) == 0 {
-			syncGauges()
-			return
-		}
-		// Health consultation: models behind an open breaker or inside a
-		// crash-recovery window are pushed beyond any feasible deadline so
-		// the scheduler plans subsets around them.
-		blocked := s.breakerBlocked(t)
-		if s.faulty != nil {
-			//schemble:wallclock crash-recovery windows are wall-clock scheduled by the fault injector
-			wallNow := time.Now()
-			for k, f := range s.faulty {
-				if f != nil && f.Down(wallNow) {
-					blocked = blocked.With(k)
-				}
-			}
-		}
-		// room reports whether some model of set can take a commit now.
-		room := func(set ensemble.Subset) bool {
-			for k, slots := range busyUntil {
-				if set.Contains(k) && stageable(slots, t, exec[k]) {
-					return true
-				}
-			}
-			return false
-		}
-		// commitGroup commits a query only onto a subset with room, and a
-		// pass only ever makes replicas busier. So when no unblocked model
-		// has room, whatever the scheduler would plan, nothing commits and
-		// nothing is rejected: every query stays buffered, which is slack
-		// 1. Skip the planning.
-		if !room(ensemble.Full(m) &^ blocked) {
-			lastSlack = 1
-			syncGauges()
-			return
-		}
-		mkAvail := func() core.Capacity {
-			if blocked == ensemble.Empty {
-				return busyUntil
-			}
-			for k := range avail {
-				avail[k] = busyUntil[k]
-				if blocked.Contains(k) {
-					for i := range blockedSlots[k] {
-						blockedSlots[k][i] = t + blockHorizon
-					}
-					avail[k] = blockedSlots[k]
-				}
-			}
-			return avail
-		}
-		mkInfos := func(idx []int) []core.QueryInfo {
-			infos = infos[:0]
-			for pi, bi := range idx {
-				r := buffer[bi]
-				infos = append(infos, core.QueryInfo{
-					ID: pi,
-					//schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
-					Arrival: time.Duration(float64(r.arrived.Sub(s.start)) / s.scale),
-					//schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
-					Deadline: time.Duration(float64(r.deadline.Sub(s.start)) / s.scale),
-					Score:    r.score,
-				})
-			}
-			return infos
-		}
-		// removed marks buffer positions whose request left the buffer this
-		// pass (committed or rejected); everything else stays buffered.
-		removed = removed[:0]
-		for range buffer {
-			removed = append(removed, false)
-		}
-		commitGroup := func(idx []int, lvls []qos.Level, plan core.Plan) {
-			for pi, bi := range idx {
-				r := buffer[bi]
-				// Unhealthy models are stripped even if the scheduler chose
-				// them; a subset emptied by the mask stays buffered.
-				sub := plan.Subset(pi) &^ blocked
-				if sub == ensemble.Empty {
-					continue
-				}
-				if lvls != nil && lvls[pi] > qos.LevelFull {
-					// Degradation ladder: cap the planned subset to the
-					// class's service level, keeping the cheapest models.
-					sub = qos.TruncateSubset(sub, qos.SubsetCap(lvls[pi], m), exec)
-				}
-				// Commit only when at least one chosen model has room; the
-				// others' tasks queue behind what their replicas hold.
-				if !room(sub) {
-					continue
-				}
-				// A saturated task queue means dispatch would leak: reject
-				// explicitly before committing anything. The coordinator is
-				// the channels' only sender, so this pre-flight check cannot
-				// race another producer.
-				saturated := false
-				for _, k := range sub.Models() {
-					if len(s.taskCh[k]) == cap(s.taskCh[k]) {
-						saturated = true
-						break
-					}
-				}
-				if saturated {
-					removed[bi] = true
-					s.resolve(r, Result{Missed: true, Rejected: true})
-					continue
-				}
-				r.mu.Lock()
-				if r.state == stateResolved {
-					r.mu.Unlock()
-					removed[bi] = true
-					continue
-				}
-				r.subset = sub
-				r.remaining = sub.Size()
-				r.outs = make([]model.Output, m)
-				r.state = stateCommitted
-				if lvls != nil {
-					r.level = lvls[pi]
-				}
-				if r.tr != nil {
-					// Decision context: what the runtime looked like when the
-					// subset was locked in.
-					r.tr.Committed = t
-					r.tr.Subset = sub.Models()
-					r.tr.Alternatives = s.alternatives(r.score)
-					depths := make([]int, len(s.taskCh))
-					forming := make([]int, len(s.taskCh))
-					for k, ch := range s.taskCh {
-						depths[k] = len(ch)
-						forming[k] = int(s.forming[k].Load())
-					}
-					r.tr.QueueDepths = depths
-					r.tr.Forming = forming
-					// Per-model earliest replica availability: the capacity
-					// signal the scheduler keyed its feasibility checks on.
-					bu := make([]time.Duration, m)
-					for k, slots := range busyUntil {
-						_, bu[k] = earliestSlot(slots)
-					}
-					r.tr.BusyUntil = bu
-					r.tr.Blocked = blocked.Models()
-					if s.adapt != nil {
-						r.tr.Drift = s.adapt.ActiveDrift()
-					}
-				}
-				r.mu.Unlock()
-				removed[bi] = true
-				inflight[r] = true
-				for _, k := range sub.Models() {
-					// The task lands on the earliest-available replica slot,
-					// exactly the assumption the scheduler's capacity model
-					// (core.Capacity) made when it judged feasibility.
-					slot, start := earliestSlot(busyUntil[k])
-					if start < t {
-						start = t
-					}
-					select {
-					case s.taskCh[k] <- &task{req: r, k: k}:
-						busyUntil[k][slot] = start + exec[k]
-						pending[k]++
-					default:
-						// Unreachable given the pre-flight check; if it ever
-						// happens, roll back instead of leaking: busyUntil is
-						// untouched for this model, inflight forgets the
-						// request, it resolves as rejected, and workers skip
-						// its already-queued sibling tasks.
-						delete(inflight, r)
-						s.resolve(r, Result{Missed: true, Rejected: true})
-					}
-				}
-			}
-		}
-		if s.classStats == nil {
-			// Classless: one plan over the whole buffer with the configured
-			// scheduler — exactly the pre-class runtime.
-			mainIdx = mainIdx[:0]
-			for i := range buffer {
-				mainIdx = append(mainIdx, i)
-			}
-			commitGroup(mainIdx, nil, s.cfg.Scheduler.Schedule(t, mkInfos(mainIdx), mkAvail(), exec, s.cfg.Rewarder))
-		} else {
-			// Classed: partition the buffer by the ladder's current service
-			// level. Full and capped classes keep the configured scheduler;
-			// greedy-level classes are planned afterwards — against whatever
-			// capacity the protected tiers left behind — with the cheap
-			// greedy planner. Requests whose class climbed to shed after
-			// they were admitted are clamped to greedy: admission decisions
-			// are not retroactive.
-			mainIdx, degIdx = mainIdx[:0], degIdx[:0]
-			mainLvl, degLvl = mainLvl[:0], degLvl[:0]
-			for i, r := range buffer {
-				lvl := s.qosCtl.Level(r.class)
-				if lvl > qos.LevelGreedy {
-					lvl = qos.LevelGreedy
-				}
-				if lvl == qos.LevelGreedy {
-					degIdx = append(degIdx, i)
-					degLvl = append(degLvl, lvl)
-				} else {
-					mainIdx = append(mainIdx, i)
-					mainLvl = append(mainLvl, lvl)
-				}
-			}
-			if len(mainIdx) > 0 {
-				commitGroup(mainIdx, mainLvl,
-					s.cfg.Scheduler.Schedule(t, mkInfos(mainIdx), mkAvail(), exec, s.cfg.Rewarder))
-			}
-			if len(degIdx) > 0 {
-				commitGroup(degIdx, degLvl,
-					s.degradedSched.Schedule(t, mkInfos(degIdx), mkAvail(), exec, s.cfg.Rewarder))
-			}
-		}
-		planned := len(buffer)
-		kept := buffer[:0]
-		for i, r := range buffer {
-			if !removed[i] {
-				kept = append(kept, r)
-			}
-		}
-		buffer = kept
-		if planned > 0 {
-			lastSlack = float64(len(buffer)) / float64(planned)
-		}
-		syncGauges()
-	}
-
-	shutdown := func() {
-		for _, r := range buffer {
-			s.resolve(r, Result{Missed: true})
-		}
-		buffer = nil
-		//schemble:maporder-ok each in-flight request resolves independently to its own channel; no ordered output derives from this sweep
-		for r := range inflight {
-			s.resolve(r, Result{Missed: true})
-			delete(inflight, r)
-		}
-		syncGauges()
-		// Drain events that raced with shutdown so their requests still
-		// resolve. Blocked deadline timers resolve themselves via
-		// ctx.Done.
-		for {
-			select {
-			case e := <-s.events:
-				if e.kind == evSubmit {
-					s.resolve(e.req, Result{Missed: true, Rejected: true})
-				}
-			default:
-				return
-			}
-		}
-	}
-
 	for {
 		select {
 		case <-ctx.Done():
-			shutdown()
+			c.shutdown()
 			return
 		case e := <-s.events:
 			switch e.kind {
 			case evSubmit:
-				if draining {
+				if c.draining {
 					s.resolve(e.req, Result{Missed: true, Rejected: true})
 					break
 				}
 				e.req.advance(stateBuffered)
-				buffer = append(buffer, e.req)
-				syncGauges()
+				s.eng.Buffer(e.req)
+				c.syncGauges()
 			case evTaskDone:
-				if e.ran {
-					s.breakerRecord(e.k, !e.failed, now())
-				}
-				if pending[e.k] > 0 {
-					pending[e.k]--
-				}
-				// Re-anchor the backlog estimate on the actual completion
-				// time so latency jitter cannot accumulate drift: the
-				// pending tasks are assumed spread evenly over the pool,
-				// replica i finishing after (pending+i)/R more tasks (the
-				// slot estimates sum to pending, preserving total
-				// capacity; with one replica this is the scalar
-				// now + pending*exec).
-				R := len(busyUntil[e.k])
-				anchor := now()
-				for i := range busyUntil[e.k] {
-					busyUntil[e.k][i] = anchor + time.Duration((pending[e.k]+i)/R)*exec[e.k]
-				}
-				if e.done {
-					r := e.req
-					delete(inflight, r)
-					syncGauges()
-					r.mu.Lock()
-					outs, okMask, sub, nfailed, lvl := r.outs, r.ok, r.subset, r.failed, r.level
-					r.mu.Unlock()
-					if okMask == ensemble.Empty {
-						// Every task failed permanently: nothing to
-						// aggregate.
-						s.resolve(r, Result{Subset: sub, Missed: true, Latency: latency(r)})
-					} else {
-						out := s.cfg.Ensemble.Predict(outs, okMask)
-						// A request completed by a deadline cutoff is what the
-						// deadline event degrades: what finished, finished in
-						// time. The cutoff wakes at the deadline itself, so
-						// whether it or the deadline timer reaches the
-						// coordinator first must not decide the outcome.
-						//schemble:wallclock lateness is judged against the wall-clock deadline set at Submit
-						late := time.Now().After(r.deadline) && !(e.cutoff && s.tol.Degrade)
-						if s.adapt != nil && !late && nfailed == 0 &&
-							lvl == qos.LevelFull && okMask == ensemble.Full(m) {
-							// Clean full-ensemble resolve: pair the raw score
-							// with the observed discrepancy for the
-							// recalibration reservoir (mirrors sim).
-							s.adapt.ObserveOutcome(now(), r.rawScore, outs, out)
-						}
-						s.resolve(r, Result{
-							Output: out,
-							Subset: okMask,
-							Missed: late,
-							// Degraded: some committed tasks failed, or the
-							// degradation ladder served the class a reduced
-							// plan (level above full).
-							Degraded: !late && (nfailed > 0 || lvl > qos.LevelFull),
-							Latency:  latency(r),
-						})
-					}
-				}
+				c.onTaskDone(e)
 			case evDeadline:
-				r := e.req
-				r.mu.Lock()
-				started := r.state >= stateCommitted
-				committed := r.state == stateCommitted
-				outs, okMask, sub := r.outs, r.ok, r.subset
-				r.mu.Unlock()
-				switch {
-				case !started:
-					// Never committed: drop from the buffer and miss.
-					for i, b := range buffer {
-						if b == r {
-							buffer = append(buffer[:i], buffer[i+1:]...)
-							break
-						}
-					}
-					s.resolve(r, Result{Missed: true})
-					syncGauges()
-				case committed && s.tol.Degrade && okMask != ensemble.Empty && okMask != sub:
-					// Partial-ensemble degradation: the deadline arrived
-					// with some but not all subset outputs. Aggregate what
-					// completed and serve it degraded instead of missing.
-					// Still-running sibling tasks observe the resolved
-					// state and are skipped; exactly-once holds. (Writes
-					// to outs land on indices outside okMask, so the
-					// aggregation below never races them.)
-					out := s.cfg.Ensemble.Predict(outs, okMask)
-					delete(inflight, r)
-					s.resolve(r, Result{
-						Output:   out,
-						Subset:   okMask,
-						Degraded: true,
-						Latency:  latency(r),
-					})
-					syncGauges()
-				}
+				c.onDeadline(e.req)
 			case evDrain:
-				draining = true
+				c.draining = true
 				// Uncommitted work cannot finish under drain: resolve it
 				// now. Committed work runs to completion.
-				for _, r := range buffer {
-					s.resolve(r, Result{Missed: true})
-				}
-				buffer = nil
-				syncGauges()
+				c.missBuffered()
 			}
-			if draining {
-				if len(inflight) == 0 {
+			if c.draining {
+				if len(c.inflight) == 0 {
 					// Last committed request resolved: complete the drain.
 					s.cancelRuntime()
 				}
 				continue
 			}
-			dispatch()
+			// Requests that resolved while buffered (a Submit racing
+			// shutdown) leave before the engine counts and plans them.
+			s.eng.Filter(func(it engine.Item) bool { return !it.(*request).isResolved() })
+			s.eng.Pass(s.vnow(), c)
+			c.syncGauges()
+		}
+	}
+}
+
+func (c *coordinator) syncGauges() {
+	c.s.nBuffered.Store(int64(c.s.eng.Buffered()))
+	c.s.nInflight.Store(int64(len(c.inflight)))
+}
+
+// missBuffered resolves every buffered request as missed.
+func (c *coordinator) missBuffered() {
+	c.s.eng.Filter(func(it engine.Item) bool {
+		c.s.resolve(it.(*request), Result{Missed: true})
+		return false
+	})
+	c.syncGauges()
+}
+
+func (c *coordinator) shutdown() {
+	//schemble:maporder-ok each in-flight request resolves independently to its own channel; no ordered output derives from this sweep
+	for r := range c.inflight {
+		c.s.resolve(r, Result{Missed: true})
+		delete(c.inflight, r)
+	}
+	c.missBuffered()
+	// Drain events that raced with shutdown so their requests still
+	// resolve. Blocked deadline timers resolve themselves via ctx.Done.
+	for {
+		select {
+		case e := <-c.s.events:
+			if e.kind == evSubmit {
+				c.s.resolve(e.req, Result{Missed: true, Rejected: true})
+			}
+		default:
+			return
+		}
+	}
+}
+
+// onTaskDone books one finished (or skipped) task and, when it was its
+// request's last, settles the request.
+func (c *coordinator) onTaskDone(e event) {
+	s := c.s
+	if e.ran {
+		s.breakerRecord(e.k, !e.failed, s.vnow())
+	}
+	if c.pending[e.k] > 0 {
+		c.pending[e.k]--
+	}
+	// Re-anchor the backlog estimate on the actual completion time so
+	// latency jitter cannot accumulate drift: the pending tasks are assumed
+	// spread evenly over the pool, replica i finishing after (pending+i)/R
+	// more tasks (the slot estimates sum to pending, preserving total
+	// capacity; with one replica this is the scalar now + pending*exec).
+	R := len(c.busyUntil[e.k])
+	anchor := s.vnow()
+	for i := range c.busyUntil[e.k] {
+		c.busyUntil[e.k][i] = anchor + time.Duration((c.pending[e.k]+i)/R)*s.eng.Exec()[e.k]
+	}
+	if !e.done {
+		return
+	}
+	r := e.req
+	delete(c.inflight, r)
+	c.syncGauges()
+	r.mu.Lock()
+	outs, okMask, nfailed := r.outs, r.ok, r.failed
+	r.mu.Unlock()
+	if okMask == ensemble.Empty {
+		// Every task failed permanently: nothing to aggregate.
+		s.resolve(r, Result{Subset: r.Subset, Missed: true, Latency: s.latency(r)})
+		return
+	}
+	// A request completed by a deadline cutoff is what the deadline event
+	// degrades: what finished, finished in time. The cutoff wakes at the
+	// deadline itself, so whether it or the deadline timer reaches the
+	// coordinator first must not decide the outcome.
+	//schemble:wallclock lateness is judged against the wall-clock deadline set at Submit
+	late := time.Now().After(r.wallDeadline) && !(e.cutoff && s.tol.Degrade)
+	st := s.eng.Settle(s.vnow(), &r.Query, outs, okMask, nfailed, late)
+	res := Result{
+		Output:   st.Output,
+		Subset:   okMask,
+		Missed:   late,
+		Degraded: st.Degraded,
+		Latency:  s.latency(r),
+	}
+	if s.claim(r, res) {
+		// Only the result that is delivered may fill the cache, and it
+		// does before the caller has it: whoever holds the answer finds
+		// the entry filled.
+		s.eng.Delivered(s.vnow(), &r.Query, st)
+		r.done <- res
+	}
+}
+
+// onDeadline handles a request's deadline arriving before it resolved.
+func (c *coordinator) onDeadline(r *request) {
+	s := c.s
+	r.mu.Lock()
+	started := r.state >= stateCommitted
+	committed := r.state == stateCommitted
+	outs, okMask := r.outs, r.ok
+	r.mu.Unlock()
+	switch {
+	case !started:
+		// Never committed: drop from the buffer and miss.
+		s.eng.Filter(func(it engine.Item) bool { return it != r })
+		s.resolve(r, Result{Missed: true})
+		c.syncGauges()
+	case committed && s.tol.Degrade && okMask != ensemble.Empty && okMask != r.Subset:
+		// Partial-ensemble degradation: the deadline arrived with some but
+		// not all subset outputs. Aggregate what completed — the rest count
+		// as failed — and serve it degraded instead of missing.
+		// Still-running sibling tasks observe the resolved state and are
+		// skipped; exactly-once holds. (Writes to outs land on indices
+		// outside okMask, so the aggregation never races them.)
+		st := s.eng.Settle(s.vnow(), &r.Query, outs, okMask, r.Subset.Size()-okMask.Size(), false)
+		delete(c.inflight, r)
+		s.resolve(r, Result{
+			Output:   st.Output,
+			Subset:   okMask,
+			Degraded: st.Degraded,
+			Latency:  s.latency(r),
+		})
+		c.syncGauges()
+	}
+}
+
+// Backlog implements engine.Executor: tasks in the model queues and in
+// forming or executing batches.
+func (c *coordinator) Backlog() int {
+	n := 0
+	for k, ch := range c.s.taskCh {
+		n += len(ch) + int(c.s.forming[k].Load())
+	}
+	return n
+}
+
+// Blocked implements engine.Executor: models behind an open breaker or
+// inside a crash-recovery window, which plans must go around.
+func (c *coordinator) Blocked(now time.Duration) ensemble.Subset {
+	c.blocked = c.s.breakerBlocked(now)
+	if c.s.faulty != nil {
+		//schemble:wallclock crash-recovery windows are wall-clock scheduled by the fault injector
+		wallNow := time.Now()
+		for k, f := range c.s.faulty {
+			if f != nil && f.Down(wallNow) {
+				c.blocked = c.blocked.With(k)
+			}
+		}
+	}
+	return c.blocked
+}
+
+// Capacity implements engine.Executor.
+func (c *coordinator) Capacity() core.Capacity { return c.busyUntil }
+
+// Room implements engine.Executor with the staging rule.
+func (c *coordinator) Room(now time.Duration, k int) bool {
+	return stageable(c.busyUntil[k], now, c.s.eng.Exec()[k])
+}
+
+// Commit implements engine.Executor: it locks the request onto sub and
+// queues one task per model.
+func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subset, lvl qos.Level) {
+	s, r := c.s, it.(*request)
+	m := len(c.busyUntil)
+	// A saturated task queue means dispatch would leak: reject explicitly
+	// before committing anything. The coordinator is the channels' only
+	// sender, so this pre-flight check cannot race another producer.
+	for _, k := range sub.Models() {
+		if len(s.taskCh[k]) == cap(s.taskCh[k]) {
+			s.resolve(r, Result{Missed: true, Rejected: true})
+			return
+		}
+	}
+	r.mu.Lock()
+	if r.state == stateResolved {
+		r.mu.Unlock()
+		return
+	}
+	r.Subset = sub
+	r.Level = lvl
+	r.remaining = sub.Size()
+	r.outs = make([]model.Output, m)
+	r.state = stateCommitted
+	if r.tr != nil {
+		// Decision context: what the runtime looked like when the subset
+		// was locked in.
+		r.tr.Committed = t
+		r.tr.Subset = sub.Models()
+		r.tr.Alternatives = s.alternatives(r.Score)
+		depths := make([]int, m)
+		forming := make([]int, m)
+		for k, ch := range s.taskCh {
+			depths[k] = len(ch)
+			forming[k] = int(s.forming[k].Load())
+		}
+		r.tr.QueueDepths = depths
+		r.tr.Forming = forming
+		// Per-model earliest replica availability: the capacity signal the
+		// scheduler keyed its feasibility checks on.
+		bu := make([]time.Duration, m)
+		for k, slots := range c.busyUntil {
+			_, bu[k] = earliestSlot(slots)
+		}
+		r.tr.BusyUntil = bu
+		r.tr.Blocked = c.blocked.Models()
+		if s.eng.Adapt != nil {
+			r.tr.Drift = s.eng.Adapt.ActiveDrift()
+		}
+	}
+	r.mu.Unlock()
+	c.inflight[r] = true
+	for _, k := range sub.Models() {
+		// The task lands on the earliest-available replica slot, exactly
+		// the assumption the scheduler's capacity model (core.Capacity)
+		// made when it judged feasibility.
+		slot, start := earliestSlot(c.busyUntil[k])
+		if start < t {
+			start = t
+		}
+		select {
+		case s.taskCh[k] <- &task{req: r, k: k}:
+			c.busyUntil[k][slot] = start + s.eng.Exec()[k]
+			c.pending[k]++
+		default:
+			// Unreachable given the pre-flight check; if it ever happens,
+			// roll back instead of leaking: busyUntil is untouched for this
+			// model, inflight forgets the request, it resolves as rejected,
+			// and workers skip its already-queued sibling tasks.
+			delete(c.inflight, r)
+			s.resolve(r, Result{Missed: true, Rejected: true})
 		}
 	}
 }
@@ -1806,41 +1581,54 @@ func stageable(slots []time.Duration, t, exec time.Duration) bool {
 	return at <= t+exec
 }
 
+// outcome classifies a result, once, for the trace and every counter.
+func (res Result) outcome() obsv.Outcome {
+	switch {
+	case res.Rejected:
+		return obsv.Rejected
+	case res.Missed:
+		return obsv.Missed
+	case res.Degraded:
+		return obsv.Degraded
+	}
+	return obsv.Served
+}
+
 // resolve delivers a result exactly once; entering stateResolved is the
 // only transition allowed from any stage, so late task completions,
 // deadline timers and shutdown sweeps cannot double-deliver.
 func (s *Server) resolve(r *request, res Result) {
+	if s.claim(r, res) {
+		r.done <- res
+	}
+}
+
+// claim is resolve up to the delivery: it reports whether res won the
+// exactly-once race for r, and books it if so. The winner owes r.done the
+// result.
+func (s *Server) claim(r *request, res Result) bool {
 	r.mu.Lock()
 	if r.state == stateResolved {
 		r.mu.Unlock()
-		return
+		return false
 	}
 	r.state = stateResolved
 	if r.deadlineTimer != nil {
 		r.deadlineTimer.Stop()
 	}
+	out := res.outcome()
 	var trace *obsv.DecisionTrace
 	if r.tr != nil {
 		// Finalize the trace while holding the mutex that guarded its
 		// commit-time fields, then hand a copy to the observer outside the
 		// lock.
 		t := r.tr
-		//schemble:wallclock converts the resolution instant to virtual time against the Start anchor
-		t.Resolved = time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
+		t.Resolved = s.vnow()
 		t.Latency = t.Resolved - t.Queued
 		t.Retries = int(r.obsRetries.Load())
 		t.Hedges = int(r.obsHedges.Load())
 		t.Timeouts = int(r.obsTimeouts.Load())
-		switch {
-		case res.Rejected:
-			t.Outcome = obsv.OutcomeRejected
-		case res.Missed:
-			t.Outcome = obsv.OutcomeMissed
-		case res.Degraded:
-			t.Outcome = obsv.OutcomeDegraded
-		default:
-			t.Outcome = obsv.OutcomeServed
-		}
+		t.Outcome = obsv.Outcomes[out]
 		if !res.Missed {
 			t.Served = res.Subset.Models()
 		}
@@ -1848,41 +1636,16 @@ func (s *Server) resolve(r *request, res Result) {
 		trace = &c
 	}
 	r.mu.Unlock()
-	if s.cache != nil && r.cacheable && !res.Missed && !res.Degraded {
-		// Clean full-quality resolve of a cacheable miss: fill the entry
-		// so the next query in this centroid region hits.
-		//schemble:wallclock converts the resolution instant to virtual time against the Start anchor
-		vnow := time.Duration(float64(time.Since(s.start)) / s.scale) //schemble:guardedby-ok start is written once in Start before the coordinator launches; reads are ordered by goroutine creation
-		s.cache.Fill(vnow, r.cacheKey, rcache.Value{Output: res.Output, Subset: res.Subset})
-	}
-	switch {
-	case res.Rejected:
-		s.nRejected.Add(1)
-	case res.Missed:
-		s.nMissed.Add(1)
-	case res.Degraded:
-		s.nDegraded.Add(1)
-	default:
-		s.nServed.Add(1)
-	}
-	if r.class >= 0 && s.classStats != nil {
-		cc := &s.classStats[r.class]
-		switch {
-		case res.Rejected:
-			cc.rejected.Add(1)
-		case res.Missed:
-			cc.missed.Add(1)
-		case res.Degraded:
-			cc.degraded.Add(1)
-		default:
-			cc.served.Add(1)
-			if res.Cached {
-				cc.cached.Add(1)
-			}
+	s.nOutcome[out].Add(1)
+	if r.Class >= 0 && s.classStats != nil {
+		cc := &s.classStats[r.Class]
+		cc.outcome[out].Add(1)
+		if res.Cached {
+			cc.cached.Add(1)
 		}
 	}
 	if trace != nil {
 		s.obs.Done(*trace)
 	}
-	r.done <- res
+	return true
 }

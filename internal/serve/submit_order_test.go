@@ -14,11 +14,13 @@ import (
 	"schemble/internal/testutil"
 )
 
-// This file pins the order of the submit path — score, cache lookup,
-// admission — on the gate_test.go rig, features against each other: the
-// blocking models hold a backlog, every gated pass reads slack 1, and the
-// ladder climbs a rung per pass, so a class sits at shed without a clock
-// having anything to do with it.
+// This file pins what the runtime makes of the engine's arrival path —
+// score, cache lookup, admission, whose order internal/engine's own tests
+// pin — in the state only the runtime keeps: results, class counters and
+// decision traces. It runs on the gate_test.go rig, features against each
+// other: the blocking models hold a backlog, every gated pass reads slack 1,
+// and the ladder climbs a rung per pass, so a class sits at shed without a
+// clock having anything to do with it.
 
 // difficultyEstimator scores a sample by its Difficulty field and counts
 // how often it is asked.
@@ -107,10 +109,10 @@ func (o *orderRig) shedBronze(t *testing.T) {
 }
 
 // TestSubmitOrderCacheAnswersShedClass: with bronze held at shed and one
-// cache entry filled, an easy bronze request in that region is answered
-// from the cache without admission ever hearing of it, while a hard one in
-// the same region, and an easy one in an empty region, are shed — each
-// carrying the score and cache outcome that say why.
+// cache entry filled, an easy bronze request in that region resolves as a
+// cached result, while a hard one in the same region, and an easy one in an
+// empty region, resolve rejected — each with a trace carrying the score and
+// cache outcome that say why — and the class counters book all three.
 func TestSubmitOrderCacheAnswersShedClass(t *testing.T) {
 	const region = 7
 	rig := newOrderRig(t, func(c *Config) {
@@ -130,27 +132,12 @@ func TestSubmitOrderCacheAnswersShedClass(t *testing.T) {
 	}
 	rig.shedBronze(t)
 
-	bronze := func() (tokens float64, admitted, shed uint64) {
-		_, _, snaps := rig.srv.qosCtl.Snapshot()
-		for _, c := range snaps {
-			if c.Name == "bronze" {
-				return c.Tokens, c.Admitted, c.Shed
-			}
-		}
-		t.Fatal("no bronze class in the controller snapshot")
-		return 0, 0, 0
-	}
-	tokens, admitted, shed := bronze()
 	hit := <-rig.send("bronze", easyScore, region)
 	if !hit.Cached || hit.Missed || hit.Rejected {
 		t.Fatalf("easy bronze request in a filled region resolved %+v with bronze at shed, want a cache hit", hit)
 	}
 	if hit.Subset != first.Subset || !reflect.DeepEqual(hit.Output, first.Output) {
 		t.Error("cached answer differs from the one that filled the entry")
-	}
-	if tk, ad, sh := bronze(); tk != tokens || ad != admitted || sh != shed {
-		t.Errorf("a cache hit moved bronze's admission state: tokens %v -> %v, admitted %d -> %d, shed %d -> %d",
-			tokens, tk, admitted, ad, shed, sh)
 	}
 
 	shedTrace := func(what string, res Result, score float64, cache string) {
@@ -169,9 +156,6 @@ func TestSubmitOrderCacheAnswersShedClass(t *testing.T) {
 	}
 	shedTrace("hard request in the filled region", <-rig.send("bronze", hardScore, region), hardScore, obsv.CacheOutcomeBypass)
 	shedTrace("easy request in an empty region", <-rig.send("bronze", easyScore, region+1), easyScore, obsv.CacheOutcomeMiss)
-	if _, _, sh := bronze(); sh != shed+2 {
-		t.Errorf("controller counts %d bronze sheds after two shed requests, had %d", sh, shed)
-	}
 
 	// Stopping resolves everything still held as missed; then the books
 	// must balance.
@@ -194,14 +178,11 @@ func TestSubmitOrderCacheAnswersShedClass(t *testing.T) {
 	if cached != st.Cache.Hits {
 		t.Errorf("classes count %d cached answers, the cache %d hits", cached, st.Cache.Hits)
 	}
-	if looked := st.Cache.Hits + st.Cache.Misses + st.Cache.Bypasses; looked != st.Submitted {
-		t.Errorf("%d cache lookups for %d submissions: every arrival is looked up once, shed or not", looked, st.Submitted)
-	}
 }
 
-// TestSubmitOrderScoresShedArrivals: with adaptation on, a shed request is
-// still scored — and so still reaches the score-drift window — exactly
-// once, like an admitted one.
+// TestSubmitOrderScoresShedArrivals: with adaptation on, the runtime hands a
+// request it then resolves as shed to the engine's arrival path like any
+// other: the predictor is asked once per submission.
 func TestSubmitOrderScoresShedArrivals(t *testing.T) {
 	rig := newOrderRig(t, func(c *Config) {
 		c.Adapt = adapt.Config{Enable: true}

@@ -121,10 +121,11 @@ func TestSimClassedFlashCrowd(t *testing.T) {
 }
 
 // TestSimClassedFlashCrowdCached runs the same crowd with the result cache
-// on, classes against cache: the lookup comes before admission, so a query
-// the cache can answer is answered whatever the controller thinks of its
-// class, every arrival is looked up exactly once, and the class contract
-// holds as it does without the cache.
+// on, classes against cache, as the records show it: a query the cache can
+// answer is recorded as cached whatever the controller thinks of its class,
+// the records and the cache count the same hits, and the class contract
+// holds as it does without the cache. (The order of the arrival path itself
+// is pinned on the engine, internal/engine's TestArriveHitIsNeverShed.)
 func TestSimClassedFlashCrowdCached(t *testing.T) {
 	a := artifacts(t)
 	tr := flashCrowdTrace(a)
@@ -157,22 +158,7 @@ func TestSimClassedFlashCrowdCached(t *testing.T) {
 	// of load apart, never reach bronze's shed rung on this trace; a fifth
 	// of that does, for about a tenth of the arrivals.
 	cfg.Admission = qos.Tuning{LadderStep: 0.1}
-	s := newSim(cfg, tr, a.Serve)
-	// shedAt[i] is whether the ladder held arrival i's class at shed when it
-	// arrived (the ladder moves only in planning passes, never in between).
-	shedAt := make([]bool, tr.N())
-	for len(s.events) > 0 {
-		if e := s.events[0]; e.kind == evArrival {
-			ci := s.qosCtl.ClassIndex(tr.Arrivals[e.arrIdx].Class)
-			shedAt[e.arrIdx] = s.qosCtl.Level(ci) == qos.LevelShed
-		}
-		s.step()
-	}
-	recs, snap := s.records, s.cache.Snapshot()
-
-	if got := snap.Hits + snap.Misses + snap.Bypasses; got != uint64(tr.N()) {
-		t.Errorf("%d cache lookups for %d arrivals: every arrival is looked up once, shed or not", got, tr.N())
-	}
+	recs, snap := RunStats(cfg, tr, a.Serve)
 	// An easy query fills its region when it completes cleanly; from then on
 	// every easy arrival in the region must come back cached — rejected
 	// least of all.
@@ -185,7 +171,7 @@ func TestSimClassedFlashCrowdCached(t *testing.T) {
 			filledAt[keys[i]] = r.Done
 		}
 	}
-	answerable, cachedWhileShed := 0, map[string]int{}
+	answerable := 0
 	for i, r := range recs {
 		if scores[i] > gate {
 			if r.Cached {
@@ -200,16 +186,9 @@ func TestSimClassedFlashCrowdCached(t *testing.T) {
 					i, r.Class, r.Rejected, keys[i], at, r.Arrival)
 			}
 		}
-		if r.Cached && shedAt[i] {
-			cachedWhileShed[r.Class]++
-		}
 	}
 	if answerable == 0 {
 		t.Fatal("no arrival met a filled region; the fixture lost its point")
-	}
-	t.Logf("%d of %d arrivals answerable from the cache; cached while the class was at shed: %v", answerable, tr.N(), cachedWhileShed)
-	if cachedWhileShed["bronze"] == 0 {
-		t.Error("no cached answer reached bronze while the ladder held it at shed")
 	}
 	byClass := outcomesByClass(t, recs)
 	checkCrowdProtection(t, byClass)
@@ -233,43 +212,32 @@ func (c *countingEstimator) Predict(s *dataset.Sample) float64 {
 	return c.inner.Predict(s)
 }
 
-// TestSimClassedAdaptScoresEveryArrival, classes against adaptation: every
-// arrival is scored and reaches the score-drift window exactly once, the
-// shed ones included. The window is made long enough to span the crowd, so
-// the baseline it self-calibrates is the mean raw score of everything that
-// arrived in it — which it can only be if the shed arrivals were observed.
+// TestSimClassedAdaptScoresEveryArrival, classes against adaptation: the
+// simulator hands every arrival to the engine's arrival path, the ones it
+// then records as shed included. (That a scored arrival also reaches the
+// score-drift window is pinned on the engine,
+// TestArriveScoresEveryArrivalOnce.)
 func TestSimClassedAdaptScoresEveryArrival(t *testing.T) {
 	a := artifacts(t)
 	tr := flashCrowdTrace(a)
-	const window = 30 * time.Second
 	est := &countingEstimator{inner: a.Predictor}
 	cfg := schembleConfig(a)
 	cfg.Estimator = est
 	cfg.Classes = simClasses()
-	cfg.Adapt = adapt.Config{Enable: true, DriftWindow: window}
-	recs, _, snap := RunAdapt(cfg, tr, a.Serve)
+	cfg.Adapt = adapt.Config{Enable: true}
+	recs, _, _ := RunAdapt(cfg, tr, a.Serve)
 
 	if est.calls != tr.N() {
 		t.Errorf("predictor scored %d of %d arrivals: every arrival is scored once, shed or not", est.calls, tr.N())
 	}
-	var sum float64
-	n, shed := 0, 0
-	for i, arr := range tr.Arrivals {
-		if arr.At-tr.Arrivals[0].At >= window {
-			break
-		}
-		sum += a.Predictor.Predict(a.Serve[arr.SampleIdx])
-		n++
-		if recs[i].Rejected {
+	shed := 0
+	for _, r := range recs {
+		if r.Rejected {
 			shed++
 		}
 	}
-	if shed == 0 || n == tr.N() {
-		t.Fatalf("first window holds %d of %d arrivals, %d of them shed; the fixture lost its point", n, tr.N(), shed)
-	}
-	if want := sum / float64(n); snap.BaselineScore != want {
-		t.Errorf("score baseline %v, want %v: the mean over all %d arrivals of the first window, %d shed ones included",
-			snap.BaselineScore, want, n, shed)
+	if shed == 0 {
+		t.Fatal("the crowd shed nothing; the fixture lost its point")
 	}
 }
 

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"container/heap"
+	"sort"
 	"testing"
 	"time"
+
+	"schemble/internal/engine"
 )
 
 func TestEventHeapOrdering(t *testing.T) {
@@ -29,36 +32,16 @@ func TestEventHeapOrdering(t *testing.T) {
 }
 
 func TestSortQueriesEDF(t *testing.T) {
-	qs := []*query{
-		{id: 3, deadline: 100 * time.Millisecond},
-		{id: 1, deadline: 50 * time.Millisecond},
-		{id: 2, deadline: 100 * time.Millisecond},
+	qs := []*engine.Query{
+		{ID: 3, Deadline: 100 * time.Millisecond},
+		{ID: 1, Deadline: 50 * time.Millisecond},
+		{ID: 2, Deadline: 100 * time.Millisecond},
 	}
-	sortQueriesEDF(qs)
+	sort.Slice(qs, func(i, j int) bool { return edfBefore(qs[i], qs[j]) })
 	wantIDs := []int{1, 2, 3} // earliest deadline first; ties by id
 	for i, q := range qs {
-		if q.id != wantIDs[i] {
-			t.Fatalf("order %v, want %v", ids(qs), wantIDs)
+		if q.ID != wantIDs[i] {
+			t.Fatalf("query %d at position %d, want order %v", q.ID, i, wantIDs)
 		}
-	}
-}
-
-func ids(qs []*query) []int {
-	out := make([]int, len(qs))
-	for i, q := range qs {
-		out[i] = q.id
-	}
-	return out
-}
-
-func TestFilterQueries(t *testing.T) {
-	qs := []*query{{id: 1}, {id: 2}, {id: 3}}
-	kept := filterQueries(qs, func(q *query) bool { return q.id != 2 })
-	if len(kept) != 2 || kept[0].id != 1 || kept[1].id != 3 {
-		t.Fatalf("filter result %v", ids(kept))
-	}
-	none := filterQueries(kept, func(*query) bool { return false })
-	if len(none) != 0 {
-		t.Fatal("filter-all left residue")
 	}
 }

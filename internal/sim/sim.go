@@ -15,7 +15,10 @@
 //     re-plans whenever a query becomes ready or a model goes idle, and
 //     tasks are dispatched to idle models per plan in EDF order. The
 //     discrepancy predictor's latency and the scheduler's own compute cost
-//     are charged in virtual time.
+//     are charged in virtual time. The arrival path, the planning pass and
+//     the settlement are internal/engine's, the pipeline the serving
+//     runtime drives too; the simulator is its event heap, its virtual
+//     servers and the paper's wrapper around them.
 //
 // Determinism: all latency jitter comes from a seeded rng.Source and the
 // event heap breaks time ties by sequence number, so a (Config, Trace) pair
@@ -30,10 +33,10 @@ import (
 	"schemble/internal/core"
 	"schemble/internal/dataset"
 	"schemble/internal/discrepancy"
+	"schemble/internal/engine"
 	"schemble/internal/ensemble"
 	"schemble/internal/metrics"
 	"schemble/internal/model"
-	"schemble/internal/obsv"
 	"schemble/internal/qos"
 	"schemble/internal/rcache"
 	"schemble/internal/rng"
@@ -104,25 +107,25 @@ type Config struct {
 	// model.DefaultBatchMarginal).
 	BatchMarginal float64
 
-	// Classes mirrors serve.Config.Classes: request classes with
-	// priorities, default deadlines and admission weights. Arrivals are
-	// mapped to classes by trace.Arrival.Class (unknown/empty names land
-	// in the lowest-priority class); under overload the shared qos
-	// controller sheds and degrades the lowest classes first, exactly as
-	// the concurrent runtime does. Classed mode requires buffered mode.
+	// Classes is serve.Config.Classes: request classes with priorities,
+	// default deadlines and admission weights. Arrivals are mapped to
+	// classes by trace.Arrival.Class (unknown/empty names land in the
+	// lowest-priority class); under overload the engine's qos controller
+	// sheds and degrades the lowest classes first. Classed mode requires
+	// buffered mode.
 	Classes []qos.Class
-	// Admission tunes the overload controller (defaults like serve:
-	// capacity derived from mean latencies and replica counts).
+	// Admission tunes the overload controller (capacity defaults to
+	// engine.BottleneckCapacity).
 	Admission qos.Tuning
 
-	// Cache mirrors serve.Config.Cache: the difficulty-gated result cache
-	// (internal/rcache) with identical lookup/fill semantics — a hit
-	// finishes the query at arrival without dispatch, a cacheable miss
-	// fills the entry on a clean full-quality completion. The zero value
-	// disables caching. Cached mode requires buffered mode.
+	// Cache is serve.Config.Cache: the difficulty-gated result cache
+	// (internal/rcache) — a hit finishes the query at arrival without
+	// dispatch, a cacheable miss fills the entry on a clean full-quality
+	// completion. The zero value disables caching. Cached mode requires
+	// buffered mode.
 	Cache rcache.Config
 
-	// Adapt mirrors serve.Config.Adapt: the online-adaptation layer
+	// Adapt is serve.Config.Adapt: the online-adaptation layer
 	// (internal/adapt) — live latency quantile profiles feeding the
 	// scheduler's cost vector, drift detection, and incremental
 	// recalibration of the discrepancy predictor. The zero value
@@ -183,30 +186,16 @@ func (h *eventHeap) Pop() interface{} {
 }
 
 type query struct {
-	id       int
-	sample   *dataset.Sample
-	arrival  time.Duration
-	deadline time.Duration
-	score    float64
-	// rawScore is the predictor's uncalibrated score (equal to score
-	// when adaptation is off); the recalibration reservoir pairs it with
-	// the observed discrepancy.
-	rawScore float64
-	// class is the query's class index (-1 classless); level is the
-	// ladder service level it was committed at.
-	class int
-	level qos.Level
+	// Query is the decision engine's view of the query.
+	engine.Query
+	// idx is the query's arrival index in the trace, and its record's.
+	idx    int
+	sample *dataset.Sample
 
 	committed bool
-	subset    ensemble.Subset
 	remaining int
 	outs      []model.Output
 	finished  bool
-
-	// cacheable marks a query whose cache lookup missed; cacheKey is the
-	// entry it fills on a clean completion.
-	cacheable bool
-	cacheKey  int
 }
 
 type task struct {
@@ -239,29 +228,20 @@ type sim struct {
 	servers []*server
 	// byType[j] lists server indices of model type j.
 	byType [][]int
-	exec   []time.Duration // mean exec per model type
+	// eng is the decision pipeline; exec is its working planning-cost
+	// vector (mean exec per model type, refreshed by each pass when
+	// adaptation is on) and avail the capacity view its passes plan
+	// against, refilled from the servers' backlogs on every read.
+	eng   *engine.Engine
+	exec  []time.Duration
+	avail core.Capacity
 
-	buffer      []*query
 	planPending bool
 	batch       model.BatchCurve
 
 	src     *rng.Source
 	records []metrics.Record
 	tr      *trace.Trace
-
-	// qosCtl is the overload controller shared (by construction, not by
-	// instance) with the serve runtime; always non-nil, estimator-only
-	// when Classes is empty. degradedSched plans greedy-level classes;
-	// lastSlack is the previous pass's unplanned-buffer fraction.
-	qosCtl        *qos.Controller
-	degradedSched *core.Greedy
-	lastSlack     float64
-
-	// cache is the result cache, nil when Config.Cache is the zero value.
-	cache *rcache.Cache
-	// adapt is the online-adaptation engine, nil when Config.Adapt is
-	// the zero value.
-	adapt *adapt.Engine
 }
 
 // Run simulates the trace against the configured pipeline and returns one
@@ -287,12 +267,12 @@ func RunAdapt(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics
 	for s.step() {
 	}
 	var snap rcache.Snapshot
-	if s.cache != nil {
-		snap = s.cache.Snapshot()
+	if s.eng.Cache != nil {
+		snap = s.eng.Cache.Snapshot()
 	}
 	var asnap *adapt.Snapshot
-	if s.adapt != nil {
-		asnap = s.adapt.Snapshot()
+	if s.eng.Adapt != nil {
+		asnap = s.eng.Adapt.Snapshot()
 	}
 	return s.records, snap, asnap
 }
@@ -322,7 +302,6 @@ func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 		tr:      tr,
 		records: make([]metrics.Record, tr.N()),
 		batch:   model.BatchCurve{Marginal: cfg.BatchMarginal},
-		cache:   rcache.New(cfg.Cache),
 	}
 	m := cfg.Ensemble.M()
 	replicas := cfg.Replicas
@@ -341,40 +320,23 @@ func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 		margin = 0
 	}
 	s.byType = make([][]int, m)
-	s.exec = make([]time.Duration, m)
-	profiled := make([]time.Duration, m)
+	s.avail = make(core.Capacity, m)
+	baseExec := make([]time.Duration, m)
 	for j := 0; j < m; j++ {
-		profiled[j] = cfg.Ensemble.Models[j].MeanLatency()
-		s.exec[j] = time.Duration(float64(profiled[j]) * (1 + margin))
+		baseExec[j] = time.Duration(float64(cfg.Ensemble.Models[j].MeanLatency()) * (1 + margin))
 		for r := 0; r < replicas[j]; r++ {
 			s.byType[j] = append(s.byType[j], len(s.servers))
 			s.servers = append(s.servers, &server{typeIdx: j, replica: r})
 		}
+		s.avail[j] = make([]time.Duration, replicas[j])
 	}
-	// The engine copies profiled/exec, so later ExecInto refreshes of
-	// s.exec never corrupt the frozen baseline.
-	s.adapt = adapt.New(cfg.Adapt, profiled, s.exec, replicas)
-	adm := cfg.Admission
-	if adm.Capacity <= 0 {
-		// Mirror serve.bottleneckCapacity: the slowest pool's throughput.
-		for j := 0; j < m; j++ {
-			lat := cfg.Ensemble.Models[j].MeanLatency().Seconds()
-			if lat <= 0 {
-				continue
-			}
-			c := float64(replicas[j]) / lat
-			if adm.Capacity <= 0 || c < adm.Capacity {
-				adm.Capacity = c
-			}
-		}
-		if adm.Capacity <= 0 {
-			adm.Capacity = 1
-		}
-	}
-	s.qosCtl = qos.New(qos.Config{Classes: cfg.Classes, Tuning: adm})
-	if len(cfg.Classes) > 0 {
-		s.degradedSched = &core.Greedy{Order: core.EDF}
-	}
+	s.eng = engine.New(engine.Config{
+		Ensemble: cfg.Ensemble, Scheduler: cfg.Scheduler, Rewarder: cfg.Rewarder,
+		Estimator: cfg.Estimator, Replicas: replicas, BaseExec: baseExec,
+		Classes: cfg.Classes, Admission: cfg.Admission, Cache: cfg.Cache, Adapt: cfg.Adapt,
+		Before: edfBefore,
+	})
+	s.exec = s.eng.Exec()
 	for i := range tr.Arrivals {
 		s.push(&event{at: tr.Arrivals[i].At, kind: evArrival, arrIdx: i})
 	}
@@ -414,18 +376,18 @@ func (s *sim) handle(e *event) {
 		if e.q.committed || e.q.finished {
 			break
 		}
-		if !s.cfg.ForceProcess && e.q.deadline <= s.now {
+		if !s.cfg.ForceProcess && e.q.Deadline <= s.now {
 			break
 		}
-		s.buffer = append(s.buffer, e.q)
+		s.eng.Buffer(e.q)
 		s.schedulePlan()
 	case evTaskDone:
-		if s.adapt != nil {
-			// Observe before resolving, mirroring serve: the worker
-			// records its latency before the coordinator processes the
-			// completion (and possibly refits at an epoch boundary).
+		if s.eng.Adapt != nil {
+			// Observe before resolving, as a serve worker records its
+			// latency before the coordinator processes the completion
+			// (and possibly refits at an epoch boundary).
 			sv := s.servers[e.server]
-			s.adapt.ObserveLatency(s.now, sv.typeIdx, sv.replica, e.dur)
+			s.eng.Adapt.ObserveLatency(s.now, sv.typeIdx, sv.replica, e.dur)
 		}
 		s.finishTask(e.q)
 		s.onTaskDone(e.server)
@@ -433,35 +395,34 @@ func (s *sim) handle(e *event) {
 		s.onDeadline(e.q)
 	case evPlan:
 		s.planPending = false
-		s.planAndDispatch()
+		if s.eng.Pass(s.now, s) > 0 {
+			// Committing may have left other planned queries adjacent to
+			// idle servers; re-plan cheaply at the same instant.
+			s.schedulePlan()
+		}
 	}
 }
 
 // onArrival admits a new query in the appropriate mode.
 func (s *sim) onArrival(arrIdx int) {
 	a := s.tr.Arrivals[arrIdx]
+	class, budget := s.eng.Classify(a.Class, a.Deadline-a.At)
 	q := &query{
-		id:       arrIdx,
-		sample:   s.samples[a.SampleIdx],
-		arrival:  a.At,
-		deadline: a.Deadline,
-		class:    s.qosCtl.ClassIndex(a.Class),
+		Query:  engine.Query{Arrival: a.At, Deadline: a.At + budget, Class: class},
+		idx:    arrIdx,
+		sample: s.samples[a.SampleIdx],
 	}
 	var className string
-	if q.class >= 0 {
-		cls := s.qosCtl.Class(q.class)
-		className = cls.Name
-		if q.deadline <= q.arrival {
-			// Per-class default deadline, mirroring serve.SubmitClass.
-			q.deadline = q.arrival + cls.Deadline
-		}
+	if class >= 0 {
+		className = s.eng.QoS.Class(class).Name
 	}
-	s.records[q.id] = metrics.Record{
-		QueryID:  q.id,
+	rec := &s.records[q.idx]
+	*rec = metrics.Record{
+		QueryID:  q.idx,
 		SampleID: q.sample.ID,
 		CameraID: q.sample.CameraID,
-		Arrival:  q.arrival,
-		Deadline: q.deadline,
+		Arrival:  q.Arrival,
+		Deadline: q.Deadline,
 		Missed:   true, // flipped on successful completion
 		Class:    className,
 	}
@@ -469,66 +430,48 @@ func (s *sim) onArrival(arrIdx int) {
 		s.immediateAdmit(q)
 		return
 	}
-	// Buffered mode, in serve.SubmitClass's order: score, cache lookup,
-	// admission. The query becomes schedulable once the discrepancy
-	// predictor has scored it.
-	if s.cfg.Estimator != nil {
-		q.score = s.cfg.Estimator.Predict(q.sample)
-		q.rawScore = q.score
-		if s.adapt != nil {
-			// Feed the raw score to the drift detector, then plan (and
-			// gate the cache) on the recalibrated score — mirroring
-			// serve.SubmitClass exactly.
-			s.adapt.ObserveScore(s.now, q.rawScore)
-			q.score = s.adapt.Calibrate(q.rawScore)
-		}
-	}
-	if s.cache != nil {
-		v, key, outcome := s.cache.Lookup(s.now, q.sample.Features, q.score)
-		// Exhaustive over the cache taxonomy (enforced by the
-		// exhaustiveoutcome analyzer), mirroring serve.SubmitClass.
-		switch outcome {
-		case obsv.CacheOutcomeHit:
-			// Zero-cost plan: the query finishes at arrival from the
-			// cached answer, ahead of admission; no ready/deadline events
-			// are ever pushed.
-			q.finished = true
-			rec := &s.records[q.id]
-			rec.Done = s.now
-			rec.Subset = v.Subset
-			rec.Missed = false
-			rec.Cached = true
-			rec.Agreement = s.cfg.Scorer.Score(v.Output, s.cfg.Refs[q.sample.ID])
-			return
-		case obsv.CacheOutcomeMiss:
-			q.cacheable, q.cacheKey = true, key
-		case obsv.CacheOutcomeBypass:
-			// Too hard (or unkeyable): the ensemble always runs.
-		}
-	}
-	// Admission control after the cache — mirroring serve.SubmitClass: only
-	// a query that needs model capacity can be shed or spend a token. A
-	// shed query records an explicit rejection.
-	if q.class >= 0 && !s.qosCtl.Admit(s.now, q.class) {
-		s.records[q.id].Rejected = true
+	// Buffered mode: the engine scores the query, offers it to the cache
+	// and then to admission.
+	arr := s.eng.Arrive(&q.Query, q.sample)
+	switch arr.Verdict {
+	case engine.Hit:
+		// Zero-cost plan: the query finishes at arrival from the cached
+		// answer; no ready/deadline events are ever pushed.
+		q.finished = true
+		rec.Done = s.now
+		rec.Subset = arr.Value.Subset
+		rec.Missed = false
+		rec.Cached = true
+		rec.Agreement = s.cfg.Scorer.Score(arr.Value.Output, s.cfg.Refs[q.sample.ID])
+		return
+	case engine.Shed:
+		rec.Rejected = true
 		return
 	}
 	// Fast path (Exp-5): empty buffer + an idle replica of the fastest
 	// model -> skip the predictor's delay and the scheduler, dispatch now.
-	if s.cfg.FastFirst && len(s.buffer) == 0 {
-		fastest := 0
-		for j := 1; j < s.cfg.Ensemble.M(); j++ {
-			if s.exec[j] < s.exec[fastest] {
-				fastest = j
-			}
-		}
-		if s.anyIdle(fastest) {
+	if s.cfg.FastFirst && s.eng.Buffered() == 0 {
+		if fastest := s.fastest(); s.anyIdle(fastest) {
 			s.commit(q, ensemble.Single(fastest))
 			return
 		}
 	}
+	// The query becomes schedulable once the discrepancy predictor has
+	// scored it.
 	s.push(&event{at: s.now + s.cfg.ScoreDelay, kind: evReady, q: q})
-	s.push(&event{at: q.deadline, kind: evDeadline, q: q})
+	s.push(&event{at: q.Deadline, kind: evDeadline, q: q})
+}
+
+// fastest is the model with the lowest planning cost, ties to the lowest
+// index.
+func (s *sim) fastest() int {
+	fastest := 0
+	for j := 1; j < len(s.exec); j++ {
+		if s.exec[j] < s.exec[fastest] {
+			fastest = j
+		}
+	}
+	return fastest
 }
 
 // immediateAdmit implements the arrival path of the immediate-selection
@@ -555,11 +498,11 @@ func (s *sim) immediateAdmit(q *query) {
 		}
 		chosen = append(chosen, best)
 	}
-	if !s.cfg.ForceProcess && est > q.deadline {
+	if !s.cfg.ForceProcess && est > q.Deadline {
 		return // rejected: estimated completion exceeds the deadline
 	}
 	q.committed = true
-	q.subset = sub
+	q.Subset = sub
 	q.remaining = len(chosen)
 	q.outs = make([]model.Output, s.cfg.Ensemble.M())
 	for _, si := range chosen {
@@ -635,180 +578,79 @@ func (s *sim) finishTask(q *query) {
 		return
 	}
 	q.finished = true
-	rec := &s.records[q.id]
+	rec := &s.records[q.idx]
 	rec.Done = s.now
-	rec.Subset = q.subset
-	late := s.now > q.deadline
+	rec.Subset = q.Subset
+	late := s.now > q.Deadline
 	if late && !s.cfg.ForceProcess {
 		// Completed after the deadline: counts as a miss.
 		return
 	}
+	// Every task of a simulated query succeeds; under ForceProcess a late
+	// result still counts as served, though the engine learns nothing
+	// from it.
+	st := s.eng.Settle(s.now, &q.Query, q.outs, q.Subset, 0, late)
 	rec.Missed = false
-	// A ladder-capped plan is reduced-quality service, mirroring
-	// serve's Result.Degraded.
-	rec.Degraded = q.level > qos.LevelFull
-	out := s.cfg.Ensemble.Predict(q.outs, q.subset)
-	rec.Agreement = s.cfg.Scorer.Score(out, s.cfg.Refs[q.sample.ID])
-	if s.adapt != nil && !late && !rec.Degraded &&
-		q.subset == ensemble.Full(s.cfg.Ensemble.M()) {
-		// Clean full-ensemble completion: the true discrepancy score is
-		// computable, so feed the recalibration reservoir — mirroring
-		// the serve coordinator's done branch.
-		s.adapt.ObserveOutcome(s.now, q.rawScore, q.outs, out)
-	}
-	if s.cache != nil && q.cacheable && !rec.Degraded {
-		// Clean full-quality completion of a cacheable miss: fill the
-		// entry, mirroring serve.resolve.
-		s.cache.Fill(s.now, q.cacheKey, rcache.Value{Output: out, Subset: q.subset})
-	}
+	rec.Degraded = st.Degraded
+	rec.Agreement = s.cfg.Scorer.Score(st.Output, s.cfg.Refs[q.sample.ID])
+	s.eng.Delivered(s.now, &q.Query, st)
 }
 
-// schedulePlan coalesces planning requests: at most one pending evPlan.
+// schedulePlan coalesces planning requests: at most one pending evPlan,
+// and none while the buffer is empty.
 func (s *sim) schedulePlan() {
-	if s.planPending || len(s.buffer) == 0 {
+	if s.planPending || s.eng.Buffered() == 0 {
 		return
 	}
 	var overhead time.Duration
 	if s.cfg.SchedOverhead != nil {
-		overhead = s.cfg.SchedOverhead(len(s.buffer))
+		overhead = s.cfg.SchedOverhead(s.eng.Buffered())
 	}
 	s.planPending = true
 	s.push(&event{at: s.now + overhead, kind: evPlan})
 }
 
-// planAndDispatch runs the scheduler over the buffer and commits queries to
-// idle servers in EDF order.
-func (s *sim) planAndDispatch() {
-	// Feed the overload controller (backlog + previous pass's slack)
-	// before planning, mirroring the serve coordinator's dispatch.
-	backlog := len(s.buffer)
+// Backlog implements engine.Executor: queued and running tasks.
+func (s *sim) Backlog() int {
+	n := 0
 	for _, sv := range s.servers {
-		backlog += len(sv.queue)
+		n += len(sv.queue)
 		if sv.running {
-			backlog++
+			n++
 		}
 	}
-	s.qosCtl.Observe(s.now, backlog, s.lastSlack)
-	if s.adapt != nil {
-		// Refresh the live cost vector before planning: the scheduler,
-		// ladder truncation and backlog re-anchoring below all read
-		// s.exec, so the whole pass plans against one consistent view.
-		s.adapt.ExecInto(s.exec)
-	}
-	if len(s.buffer) == 0 {
-		return
-	}
-	m := s.cfg.Ensemble.M()
-	// Mirror of the serve coordinator's gate: a query commits only onto a
-	// subset with an idle replica, and a pass only makes replicas busier,
-	// so with every replica busy the whole buffer stays (slack 1) whatever
-	// the plan says. Skip the planning.
-	idle := false
-	for j := 0; j < m && !idle; j++ {
-		idle = s.anyIdle(j)
-	}
-	if !idle {
-		s.lastSlack = 1
-		return
-	}
-	mkAvail := func() core.Capacity {
-		avail := make(core.Capacity, m)
-		for j := 0; j < m; j++ {
-			slots := make([]time.Duration, len(s.byType[j]))
-			for i, si := range s.byType[j] {
-				slots[i] = s.servers[si].backlogEnd
-			}
-			avail[j] = slots
-		}
-		return avail
-	}
-	mkInfos := func(group []*query) []core.QueryInfo {
-		infos := make([]core.QueryInfo, len(group))
-		for i, q := range group {
-			infos[i] = core.QueryInfo{
-				ID: q.id, Arrival: q.arrival, Deadline: q.deadline, Score: q.score,
-			}
-		}
-		return infos
-	}
-	committed := map[int]bool{}
-	// dispatchGroup walks a planned group in EDF order; a query commits as
-	// soon as one of its planned models has an idle replica (its other
-	// tasks queue behind busy replicas, the paper's per-model task
-	// buffer). lvl caps committed subsets per the degradation ladder.
-	dispatchGroup := func(group []*query, lvl map[int]qos.Level, plan core.Plan) {
-		order := make([]*query, len(group))
-		copy(order, group)
-		sortQueriesEDF(order)
-		for _, q := range order {
-			if q.committed || q.finished {
-				// Defensive: a committed query must never be re-dispatched.
-				committed[q.id] = true
-				continue
-			}
-			sub := plan.Subset(q.id)
-			if sub == ensemble.Empty {
-				continue
-			}
-			if l := lvl[q.id]; l > qos.LevelFull {
-				sub = qos.TruncateSubset(sub, qos.SubsetCap(l, m), s.exec)
-			}
-			anyIdle := false
-			for _, j := range sub.Models() {
-				if s.anyIdle(j) {
-					anyIdle = true
-					break
-				}
-			}
-			if !anyIdle {
-				continue
-			}
-			q.level = lvl[q.id]
-			s.commit(q, sub)
-			committed[q.id] = true
+	return n
+}
+
+// Blocked implements engine.Executor: simulated models never fail.
+func (s *sim) Blocked(time.Duration) ensemble.Subset { return ensemble.Empty }
+
+// Capacity implements engine.Executor: every replica's backlog end.
+func (s *sim) Capacity() core.Capacity {
+	for j, slots := range s.avail {
+		for i, si := range s.byType[j] {
+			slots[i] = s.servers[si].backlogEnd
 		}
 	}
-	if s.degradedSched == nil {
-		// Classless: one plan over the whole buffer, as before.
-		dispatchGroup(s.buffer, nil,
-			s.cfg.Scheduler.Schedule(s.now, mkInfos(s.buffer), mkAvail(), s.exec, s.cfg.Rewarder))
-	} else {
-		// Classed: full/capped classes keep the configured scheduler;
-		// greedy-level classes are planned afterwards against the capacity
-		// the protected tiers left behind — mirroring the serve
-		// coordinator. Shed-level buffered queries clamp to greedy
-		// (admission is not retroactive).
-		var main, deg []*query
-		mainLvl, degLvl := map[int]qos.Level{}, map[int]qos.Level{}
-		for _, q := range s.buffer {
-			lvl := s.qosCtl.Level(q.class)
-			if lvl > qos.LevelGreedy {
-				lvl = qos.LevelGreedy
-			}
-			if lvl == qos.LevelGreedy {
-				deg = append(deg, q)
-				degLvl[q.id] = lvl
-			} else {
-				main = append(main, q)
-				mainLvl[q.id] = lvl
-			}
-		}
-		if len(main) > 0 {
-			dispatchGroup(main, mainLvl,
-				s.cfg.Scheduler.Schedule(s.now, mkInfos(main), mkAvail(), s.exec, s.cfg.Rewarder))
-		}
-		if len(deg) > 0 {
-			dispatchGroup(deg, degLvl,
-				s.degradedSched.Schedule(s.now, mkInfos(deg), mkAvail(), s.exec, s.cfg.Rewarder))
-		}
-	}
-	s.lastSlack = float64(len(s.buffer)-len(committed)) / float64(len(s.buffer))
-	if len(committed) > 0 {
-		s.buffer = filterQueries(s.buffer, func(q *query) bool { return !committed[q.id] })
-		// Committing may have left other planned queries adjacent to idle
-		// servers; re-plan cheaply at the same instant.
-		s.schedulePlan()
-	}
+	return s.avail
+}
+
+// Room implements engine.Executor with the paper's wrapper: a query
+// commits as soon as one of its planned models has an idle replica (its
+// other tasks queue behind busy replicas, the per-model task buffer).
+func (s *sim) Room(_ time.Duration, j int) bool { return s.anyIdle(j) }
+
+// Commit implements engine.Executor.
+func (s *sim) Commit(_ time.Duration, it engine.Item, sub ensemble.Subset, lvl qos.Level) {
+	q := it.(*query)
+	q.Level = lvl
+	s.commit(q, sub)
+}
+
+// edfBefore is the order a pass commits in: earliest deadline first, ties
+// to the earlier arrival.
+func edfBefore(a, b *engine.Query) bool {
+	return a.Deadline < b.Deadline || (a.Deadline == b.Deadline && a.ID < b.ID)
 }
 
 // commit locks a buffered query onto a subset and enqueues its tasks.
@@ -819,7 +661,7 @@ func (s *sim) commit(q *query, sub ensemble.Subset) {
 		return
 	}
 	q.committed = true
-	q.subset = sub
+	q.Subset = sub
 	q.remaining = sub.Size()
 	q.outs = make([]model.Output, s.cfg.Ensemble.M())
 	for _, j := range sub.Models() {
@@ -857,41 +699,11 @@ func (s *sim) onDeadline(q *query) {
 	if q.committed || q.finished {
 		return
 	}
-	s.buffer = filterQueries(s.buffer, func(x *query) bool { return x != q })
+	s.eng.Filter(func(it engine.Item) bool { return it != q })
 	if s.cfg.ForceProcess {
 		// Fall back to the fastest single model; latency is recorded,
 		// the query is not counted as missed.
-		fastest := 0
-		for j := 1; j < s.cfg.Ensemble.M(); j++ {
-			if s.exec[j] < s.exec[fastest] {
-				fastest = j
-			}
-		}
-		s.commit(q, ensemble.Single(fastest))
+		s.commit(q, ensemble.Single(s.fastest()))
 	}
 	// Otherwise the record simply stays missed.
-}
-
-func sortQueriesEDF(qs []*query) {
-	for i := 1; i < len(qs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := qs[j-1], qs[j]
-			if b.deadline < a.deadline ||
-				(b.deadline == a.deadline && b.id < a.id) {
-				qs[j-1], qs[j] = qs[j], qs[j-1]
-			} else {
-				break
-			}
-		}
-	}
-}
-
-func filterQueries(qs []*query, keep func(*query) bool) []*query {
-	out := qs[:0]
-	for _, q := range qs {
-		if keep(q) {
-			out = append(out, q)
-		}
-	}
-	return out
 }
