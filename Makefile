@@ -102,8 +102,10 @@ bench-json:
 # robustness-trajectory file. The run itself gates on priority-ordered
 # shedding and the gold class's 5x SLO floor; CI runs it as
 #   make overload OVERLOAD_FLAGS="-quick -baseline BENCH_overload.json"
-# which additionally fails on a gold-SLO regression against the committed
-# baseline (read before the file is rewritten).
+# which additionally fails, per tier, on a gold-SLO regression or on
+# aggregate goodput more than 10% below the committed baseline (read before
+# the file is rewritten): the simulator is deterministic, so overload control
+# that sheds or queues traffic the fleet had room for fails in two seconds.
 OVERLOAD_FLAGS ?=
 overload:
 	$(GO) run ./cmd/schemble-overload -out BENCH_overload.json $(OVERLOAD_FLAGS)

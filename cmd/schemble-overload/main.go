@@ -19,13 +19,17 @@
 //
 //	schemble-overload [-quick] [-out BENCH_overload.json]
 //	                  [-baseline BENCH_overload.json] [-max-slo-drop 0.05]
+//	                  [-max-goodput-drop 0.10]
 //
 // -quick shrinks the pipeline fit and the soak horizon for CI. When
 // -baseline names an existing result file, the run fails (exit 1) if any
 // tier's gold-class SLO attainment drops more than -max-slo-drop below
-// the baseline; the baseline is read before -out is rewritten, so both
-// may name the same file. The output contains no wall-clock timestamps:
-// two runs of the same tree produce identical files.
+// the baseline, or any tier's aggregate goodput falls more than the
+// fraction -max-goodput-drop below it — goodput is what a controller that
+// sheds or queues traffic the fleet had room for gives up, and the gold
+// SLO alone does not see it; the baseline is read before -out is
+// rewritten, so both may name the same file. The output contains no
+// wall-clock timestamps: two runs of the same tree produce identical files.
 package main
 
 import (
@@ -186,6 +190,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink the pipeline fit and soak horizon for CI")
 	baselinePath := flag.String("baseline", "", "compare against this prior BENCH_overload.json and fail on SLO regression")
 	maxSLODrop := flag.Float64("max-slo-drop", 0.05, "largest tolerated drop in gold-class SLO attainment vs the baseline, per tier")
+	maxGoodputDrop := flag.Float64("max-goodput-drop", 0.10, "largest tolerated relative drop in aggregate goodput vs the baseline, per tier")
 	goldFloor := flag.Float64("gold-floor", 0.85, "hard floor on gold-class SLO attainment at the 5x tier")
 	seed := flag.Uint64("seed", 7, "seed")
 	flag.Parse()
@@ -276,6 +281,12 @@ func main() {
 						fmt.Fprintf(os.Stderr,
 							"FAIL: gold SLO attainment at %.0fx regressed %.3f -> %.3f (tolerance %.3f)\n",
 							bt.Load, prev, cur, *maxSLODrop)
+						failed = true
+					}
+					if cur, prev := rep.Tiers[i].GoodputPerSec, bt.GoodputPerSec; cur < prev*(1-*maxGoodputDrop) {
+						fmt.Fprintf(os.Stderr,
+							"FAIL: goodput at %.0fx regressed %.1f/s -> %.1f/s (tolerance %.0f%%)\n",
+							bt.Load, prev, cur, 100**maxGoodputDrop)
 						failed = true
 					}
 				}

@@ -6,9 +6,10 @@
 //
 //	arrive  class, class-default deadline, score (observed and recalibrated
 //	        when adaptation is on), cache lookup, admission
-//	plan    a pass over the query buffer: load observation, cost refresh,
-//	        room gate, ladder partition, schedule, blocked-model strip,
-//	        subset truncation, per-query room check
+//	plan    a pass over the query buffer: load observation (the fleet's
+//	        committed work, in seconds), cost refresh, room gate, ladder
+//	        partition, schedule, blocked-model strip, subset cap (keeping
+//	        the models that finish first), per-query room check
 //	commit  the driver's Executor dispatches the query's tasks
 //	settle  aggregate, classify, feed recalibration from a clean
 //	        full-ensemble result, fill the cache
@@ -26,6 +27,7 @@
 package engine
 
 import (
+	"slices"
 	"time"
 
 	"schemble/internal/adapt"
@@ -90,6 +92,10 @@ type Query struct {
 	// lock it shares the query by.
 	Level  qos.Level
 	Subset ensemble.Subset
+	// Planned is what the scheduler last chose for the query, before the
+	// blocked models were stripped and the ladder's cap applied: the pass
+	// writes it, and a Commit may read it for the driver's trace.
+	Planned ensemble.Subset
 }
 
 // Q returns q; a type that embeds Query is an Item through it.
@@ -99,13 +105,16 @@ func (q *Query) Q() *Query { return q }
 type Item interface{ Q() *Query }
 
 // Executor is the fleet a pass commits onto, as the driver sees it at now.
+// Its capacity view is the one picture of the fleet every decision of a pass
+// reads: the load the controller is fed, the plan, and which models a capped
+// subset keeps.
 type Executor interface {
-	// Backlog counts committed tasks not yet finished.
-	Backlog() int
 	// Blocked is the set of models no plan may use.
 	Blocked(now time.Duration) ensemble.Subset
 	// Capacity is when each replica drains the work committed to it. It is
-	// read afresh for every plan of a pass, so it may alias live state.
+	// read afresh for the load observation, for every plan of a pass and for
+	// every subset the ladder caps, so it may alias live state; a Commit
+	// must show in the next read.
 	Capacity() core.Capacity
 	// Room reports whether model k can take one more task.
 	Room(now time.Duration, k int) bool
@@ -144,6 +153,9 @@ type Engine struct {
 	infos            []core.QueryInfo
 	avail            core.Capacity
 	pushed           [][]time.Duration
+	// work[k] is model k's committed work as the pass's observation read it,
+	// finish[k] when model k would finish one more task.
+	work, finish []time.Duration
 }
 
 // BottleneckCapacity estimates the full-ensemble service rate a fleet
@@ -189,6 +201,8 @@ func New(cfg Config) *Engine {
 		exec:   append([]time.Duration(nil), cfg.BaseExec...),
 		avail:  make(core.Capacity, m),
 		pushed: make([][]time.Duration, m),
+		work:   make([]time.Duration, m),
+		finish: make([]time.Duration, m),
 	}
 	if len(cfg.Classes) > 0 {
 		e.degraded = &core.Greedy{Order: core.EDF}
@@ -200,6 +214,12 @@ func New(cfg Config) *Engine {
 // Pass refreshes it from the live latency profile when adaptation is on,
 // and it is BaseExec otherwise.
 func (e *Engine) Exec() []time.Duration { return e.exec }
+
+// Work is each model's committed work as the last pass fed it to the
+// controller — the mean over the model's replicas of the time each still
+// needs to drain — read-only to the driver. The controller's load is built
+// on the largest of them.
+func (e *Engine) Work() []time.Duration { return e.work }
 
 // Classify resolves a class name to its index (-1 without classes; unknown
 // and empty names are the lowest-priority class) and a request's relative
@@ -296,7 +316,7 @@ func (e *Engine) Filter(keep func(Item) bool) {
 // is empty, or whose planned models are all full, waits for the next pass.
 func (e *Engine) Pass(now time.Duration, x Executor) int {
 	// The load estimate drives admission and the ladder, never the plan.
-	e.QoS.Observe(now, len(e.buffer)+x.Backlog(), e.slack)
+	e.QoS.Observe(now, e.committedWork(now, x), e.slack)
 	if e.Adapt != nil {
 		// One cost view for the whole pass.
 		e.Adapt.ExecInto(e.exec)
@@ -344,6 +364,34 @@ func (e *Engine) Pass(now time.Duration, x Executor) int {
 	return planned - len(kept)
 }
 
+// committedWork is the backlog the controller is fed, in seconds of service:
+// the committed work of the most loaded model (a pool's work is the mean over
+// its replicas of what each has left at now), plus what the buffered queries
+// — no subset chosen for them yet — take at the admission capacity. It reads
+// x's own view, so a blocked model counts what it holds, not blockHorizon.
+func (e *Engine) committedWork(now time.Duration, x Executor) time.Duration {
+	var deepest time.Duration
+	for k, slots := range x.Capacity() {
+		var sum time.Duration
+		for _, until := range slots {
+			sum += max(0, until-now)
+		}
+		e.work[k] = sum / time.Duration(len(slots))
+		deepest = max(deepest, e.work[k])
+	}
+	buffered := float64(len(e.buffer)) / e.cfg.Admission.Capacity
+	return deepest + time.Duration(buffered*float64(time.Second))
+}
+
+// finishTimes is when each model would finish one more task committed at
+// now, on the replica that frees up first: what a capped subset is ranked by.
+func (e *Engine) finishTimes(now time.Duration, x Executor) []time.Duration {
+	for k, slots := range x.Capacity() {
+		e.finish[k] = max(now, slices.Min(slots)) + e.exec[k]
+	}
+	return e.finish
+}
+
 // room reports whether some model of set can take a commit.
 func (e *Engine) room(now time.Duration, x Executor, set ensemble.Subset) bool {
 	for k := 0; k < e.m; k++ {
@@ -378,15 +426,19 @@ func (e *Engine) planGroup(now time.Duration, x Executor, sched core.Scheduler, 
 	for _, bi := range idx {
 		it := e.buffer[bi]
 		// A blocked model is stripped even if the scheduler chose it.
-		sub := plan.Subset(it.Q().ID) &^ blocked
+		q := it.Q()
+		q.Planned = plan.Subset(q.ID)
+		sub := q.Planned &^ blocked
 		if sub == ensemble.Empty {
 			continue
 		}
 		lvl := e.lvl[bi]
-		if lvl > qos.LevelFull {
+		if limit := qos.SubsetCap(lvl, e.m); sub.Size() > limit {
 			// The ladder caps the subset to the class's level, keeping the
-			// cheapest models.
-			sub = qos.TruncateSubset(sub, qos.SubsetCap(lvl, e.m), e.exec)
+			// models that would finish this query's task first. The view is
+			// read per commit: the commits before this one show in it, so
+			// capped traffic spreads over equals instead of queueing on one.
+			sub = qos.TruncateSubset(sub, limit, e.finishTimes(now, x))
 		}
 		// One chosen model with room is enough; the others' tasks queue
 		// behind what their replicas hold.

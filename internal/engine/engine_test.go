@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -95,6 +97,8 @@ type fleet struct {
 	busy    core.Capacity
 	exec    []time.Duration
 	log     []string // "capacity" reads and "commit id subset level"
+	// cut counts the commits the ladder's cap took a model from.
+	cut int
 }
 
 func newFleet(t *testing.T, exec []time.Duration, depth ...int) *fleet {
@@ -105,12 +109,6 @@ func newFleet(t *testing.T, exec []time.Duration, depth ...int) *fleet {
 	return f
 }
 
-func (f *fleet) Backlog() (n int) {
-	for _, q := range f.queue {
-		n += len(q)
-	}
-	return n
-}
 func (f *fleet) Blocked(time.Duration) ensemble.Subset { return f.blocked }
 func (f *fleet) Capacity() core.Capacity {
 	f.log = append(f.log, "capacity")
@@ -125,12 +123,30 @@ func (f *fleet) Commit(now time.Duration, it Item, sub ensemble.Subset, lvl qos.
 	if sub.Size() > qos.SubsetCap(lvl, len(f.exec)) {
 		f.t.Errorf("query %d committed onto %v at level %v, over its cap", r.ID, sub.Models(), lvl)
 	}
+	// What the cap dropped would have finished no sooner than anything it
+	// kept, on the fleet as it stands at this commit.
+	if dropped := r.Planned &^ f.blocked &^ sub; dropped != ensemble.Empty {
+		f.cut++
+		for _, k := range sub.Models() {
+			for _, d := range dropped.Models() {
+				if f.finish(now, k) > f.finish(now, d) {
+					f.t.Errorf("query %d at %v: the cap kept model %d (done at %v) and dropped model %d (done at %v)",
+						r.ID, now, k, f.finish(now, k), d, f.finish(now, d))
+				}
+			}
+		}
+	}
 	r.Subset, r.Level, r.committed, r.left = sub, lvl, true, sub.Size()
 	for _, k := range sub.Models() {
 		f.queue[k] = append(f.queue[k], r)
 		f.busy[k][0] = max(f.busy[k][0], now) + f.exec[k]
 	}
 	f.log = append(f.log, fmt.Sprintf("commit %d %v %v", r.ID, sub.Models(), lvl))
+}
+
+// finish is when model k would be done with one more task committed at now.
+func (f *fleet) finish(now time.Duration, k int) time.Duration {
+	return max(now, slices.Min(f.busy[k])) + f.exec[k]
 }
 
 // commits is the log without the capacity reads.
@@ -151,9 +167,10 @@ var (
 		{Name: "bronze", Priority: 0, Deadline: time.Second},
 	}
 	// slackLadder makes load a readout of the slack the last pass fed the
-	// controller (the backlog term vanishes, the average forgets at once),
-	// with rungs at 0.25, 0.5, 0.75 and 1: a pass that follows a pass nothing
-	// left climbs one rung, whatever the clock says.
+	// controller, plus the seconds of work the fleet holds (the buffered term
+	// vanishes, the average forgets at once), with rungs at 0.25, 0.5, 0.75
+	// and 1: over a fleet with little committed, a pass that follows a pass
+	// nothing left climbs one rung, whatever the clock says.
 	slackLadder = qos.Tuning{Capacity: 1e9, Target: time.Second, Tau: time.Nanosecond,
 		LadderBase: 0.25, LadderStep: 0.25, Dwell: time.Nanosecond}
 )
@@ -448,8 +465,9 @@ func TestPassStripsBlockedModels(t *testing.T) {
 
 // TestPassLadder: at rung 2 of three classes bronze is planned by the
 // greedy planner, after the protected classes and against what they left,
-// onto one model; silver is capped to the two cheapest models of its plan;
-// gold keeps the whole plan.
+// onto one model; silver is capped to the two models of its plan that finish
+// its task first; gold keeps the whole plan. The fleet's view is read once for
+// the load, once per plan, and once for every subset the cap cuts.
 func TestPassLadder(t *testing.T) {
 	r := newRig(func(c *Config) { c.Classes, c.Admission = threeClasses, slackLadder })
 	now := ms
@@ -468,7 +486,8 @@ func TestPassLadder(t *testing.T) {
 	if want := [][]int{{1, 2}}; !reflect.DeepEqual(r.plan.calls, want) {
 		t.Errorf("configured scheduler planned %v, want only the protected queries %v", r.plan.calls, want)
 	}
-	want := []string{"capacity", "commit 1 [0 1 2] full", "commit 2 [0 1] capped", "capacity", "commit 0 [0] greedy"}
+	want := []string{"capacity", "capacity", "commit 1 [0 1 2] full", "capacity", "commit 2 [0 1] capped",
+		"capacity", "capacity", "commit 0 [0] greedy"}
 	if !reflect.DeepEqual(f.log, want) {
 		t.Errorf("pass did %q, want %q", f.log, want)
 	}
@@ -502,6 +521,191 @@ func TestPassRoomCheckAndSlack(t *testing.T) {
 	r.Filter(func(it Item) bool { return it != qs[2] })
 	if r.Buffered() != 2 || r.buffer[0] != Item(qs[1]) || r.buffer[1] != Item(qs[4]) {
 		t.Errorf("%d buffered after filtering the middle one of three out", r.Buffered())
+	}
+}
+
+// ---- (c) the overload decisions read the fleet ----
+
+// TestCapSpreads: one class held at a capped level, models of 20, 80 and 90
+// ms, ten queries the scheduler plans onto all three, one pass onto an idle
+// fleet. Capped to two, every query keeps the fast model and the other task
+// alternates between the slow two as each fills; capped to one at the greedy
+// level, a slow model takes a query whenever the fast one's queue has grown
+// past it. (That no
+// commit keeps a model that finishes after one it dropped, the fleet checks.)
+func TestCapSpreads(t *testing.T) {
+	for _, tc := range []struct {
+		rung int
+		lvl  qos.Level
+	}{{1, qos.LevelCapped}, {2, qos.LevelGreedy}} {
+		r := newRig(func(c *Config) {
+			c.Classes = []qos.Class{{Name: "only", Deadline: 2 * time.Second}}
+			c.Admission = slackLadder
+			c.BaseExec = []time.Duration{20 * ms, 80 * ms, 90 * ms}
+		})
+		now := ms
+		for i := 0; i < 10; i++ {
+			r.arrive(now, "only", 0.5, 0, 0)
+		}
+		r.climb(t, &now, tc.rung)
+		now += ms
+		f := newFleet(t, r.Exec(), 99, 99, 99)
+		if left := r.Pass(now, f); left != 10 || r.QoS.Level(0) != tc.lvl {
+			t.Fatalf("%v: %d of 10 left in a pass at %v", tc.lvl, left, r.QoS.Level(0))
+		}
+		n := []int{len(f.queue[0]), len(f.queue[1]), len(f.queue[2])}
+		t.Logf("%v: tasks per model %v, commits %q", tc.lvl, n, f.commits())
+		if f.cut != 10 {
+			t.Errorf("%v: the cap cut %d of 10 plans", tc.lvl, f.cut)
+		}
+		if d := n[1] - n[2]; d < -1 || d > 1 || n[1] == 0 {
+			t.Errorf("%v: the slow models took %d and %d tasks, want them within one of each other", tc.lvl, n[1], n[2])
+		}
+		if want := 10 * qos.SubsetCap(tc.lvl, 3); n[0]+n[1]+n[2] != want {
+			t.Errorf("%v: %d tasks in all, want %d", tc.lvl, n[0]+n[1]+n[2], want)
+		}
+	}
+}
+
+// TestLoadIsWork: what a pass feeds the controller is the seconds of work
+// committed to the most loaded model, read off the fleet's own view, plus
+// the buffered queries at the admission capacity — not a count of tasks.
+func TestLoadIsWork(t *testing.T) {
+	// Load reads the last observation, in seconds (Target 1 s), while slack
+	// is 0; the capacity prices a buffered query at 10 ms.
+	tuning := qos.Tuning{Capacity: 100, Target: time.Second, Tau: time.Nanosecond}
+	const now = 500 * ms
+	at := func(d ...time.Duration) []time.Duration {
+		for i := range d {
+			d[i] += now
+		}
+		return d
+	}
+	for _, tc := range []struct {
+		name     string
+		busy     core.Capacity
+		buffered int
+		load     float64
+		work     []time.Duration
+	}{
+		{"ten staged 20 ms tasks on model 0", core.Capacity{at(200 * ms), at(0), at(0)}, 0, 0.2, []time.Duration{200 * ms, 0, 0}},
+		{"one 90 ms task on model 2", core.Capacity{at(0), at(0), at(90 * ms)}, 0, 0.09, []time.Duration{0, 0, 90 * ms}},
+		{"the same work over two replicas", core.Capacity{at(200*ms, 0), at(0), at(0)}, 0, 0.1, []time.Duration{100 * ms, 0, 0}},
+		{"the deepest model, not the sum", core.Capacity{at(200 * ms), at(150 * ms), at(90 * ms)}, 0, 0.2, []time.Duration{200 * ms, 150 * ms, 90 * ms}},
+		{"a replica that drained long ago", core.Capacity{at(-400*ms, 60*ms), at(0), at(0)}, 0, 0.03, []time.Duration{30 * ms, 0, 0}},
+		{"an empty fleet, three buffered", core.Capacity{at(0), at(0), at(0)}, 3, 0.03, []time.Duration{0, 0, 0}},
+		{"work and buffer add", core.Capacity{at(0), at(80 * ms), at(0)}, 2, 0.1, []time.Duration{0, 80 * ms, 0}},
+	} {
+		r := newRig(func(c *Config) { c.Admission = tuning })
+		for i := 0; i < tc.buffered; i++ {
+			r.arrive(now, "", 0.5, 0, time.Second)
+		}
+		f := newFleet(t, r.Exec(), 0, 0, 0)
+		f.busy = tc.busy
+		r.Pass(now, f)
+		if got := r.QoS.Load(); math.Abs(got-tc.load) > 1e-9 {
+			t.Errorf("%s: load %v, want %v", tc.name, got, tc.load)
+		}
+		if !reflect.DeepEqual(r.Work(), tc.work) {
+			t.Errorf("%s: per-model work %v, want %v", tc.name, r.Work(), tc.work)
+		}
+	}
+
+	// An open breaker pushes its model blockHorizon away in the scheduler's
+	// view only: the controller reads what the model really holds.
+	r := newRig(func(c *Config) { c.Admission = tuning })
+	r.arrive(now, "", 0.5, 0, time.Second)
+	r.arrive(now, "", 0.5, 0, time.Second)
+	f := newFleet(t, r.Exec(), 1, 1, 1)
+	f.blocked = ensemble.Single(1)
+	f.busy[1][0] = now + 40*ms
+	if left := r.Pass(now, f); left != 1 || r.plan.avail[0][1][0] != now+blockHorizon {
+		t.Fatalf("%d left, scheduler saw %v: want one commit around a model pushed out of reach", left, r.plan.avail[0])
+	}
+	if f.busy[1][0] != now+40*ms {
+		t.Fatalf("the push wrote through to the fleet's view: model 1 busy until %v", f.busy[1][0])
+	}
+	r.Pass(now+ms, f)
+	// Model 1 holds 39 ms, model 2 the commit's 30 ms task less the 1 ms
+	// gone; one query is still buffered, and half the last buffer stayed.
+	if got, want := r.QoS.Load(), 0.039+0.01+0.5; math.Abs(got-want) > 1e-9 {
+		t.Errorf("load %v with a breaker open, want %v", got, want)
+	}
+	if want := []time.Duration{9 * ms, 39 * ms, 29 * ms}; !reflect.DeepEqual(r.Work(), want) {
+		t.Errorf("per-model work %v with a breaker open, want %v", r.Work(), want)
+	}
+}
+
+// still is an Executor that allocates nothing: a commit only books its work.
+type still struct {
+	busy   core.Capacity
+	exec   []time.Duration
+	capped int // commits onto exactly two models
+}
+
+func (*still) Blocked(time.Duration) ensemble.Subset { return ensemble.Empty }
+func (x *still) Capacity() core.Capacity             { return x.busy }
+func (*still) Room(time.Duration, int) bool          { return true }
+func (x *still) Commit(now time.Duration, _ Item, sub ensemble.Subset, _ qos.Level) {
+	for k := range x.busy {
+		if sub.Contains(k) {
+			x.busy[k][0] = max(x.busy[k][0], now) + x.exec[k]
+		}
+	}
+	if sub.Size() == 2 {
+		x.capped++
+	}
+}
+
+// fullPlan plans every query onto all three models, into one retained map.
+type fullPlan struct{ plan core.Plan }
+
+func (*fullPlan) Name() string { return "full" }
+func (p *fullPlan) Schedule(_ time.Duration, qs []core.QueryInfo, _ core.Capacity, _ []time.Duration, _ core.Rewarder) core.Plan {
+	clear(p.plan.Assignments)
+	for _, q := range qs {
+		p.plan.Assignments[q.ID] = ensemble.Full(3)
+	}
+	return p.plan
+}
+
+// TestCappedPassAllocatesNothing: the load observation, the finish vector and
+// the truncation live in the engine's scratch. A pass that caps and commits
+// four queries onto an executor and a scheduler that allocate nothing
+// allocates nothing.
+func TestCappedPassAllocatesNothing(t *testing.T) {
+	r := newRig(func(c *Config) {
+		c.Classes = []qos.Class{{Name: "only", Deadline: time.Second}}
+		// The fleet below always holds 0.3 s of work: rung 1 (capped) engages
+		// at that load and keeps, rung 2 is out of reach.
+		c.Admission = qos.Tuning{Capacity: 1e9, Target: time.Second, Tau: time.Nanosecond,
+			LadderBase: 0.25, LadderStep: 10, Dwell: time.Nanosecond}
+		c.Scheduler = &fullPlan{plan: core.Plan{Assignments: map[int]ensemble.Subset{}}}
+	})
+	x := &still{busy: core.Capacity{{0}, {0}, {0}}, exec: r.Exec()}
+	reqs := []*req{{}, {}, {}, {}}
+	now := time.Duration(0)
+	pass := func() {
+		now += ms
+		for k := range x.busy {
+			x.busy[k][0] = now + 300*ms
+		}
+		for _, q := range reqs {
+			q.Query = Query{Deadline: now + time.Second}
+			r.Buffer(q)
+		}
+		if left := r.Pass(now, x); left != len(reqs) {
+			t.Fatalf("%d of %d left", left, len(reqs))
+		}
+	}
+	pass()
+	pass()
+	x.capped = 0
+	if n := testing.AllocsPerRun(50, pass); n != 0 {
+		t.Errorf("a capped pass allocates %v times", n)
+	}
+	if want := 51 * len(reqs); x.capped != want || r.QoS.Level(0) != qos.LevelCapped {
+		t.Fatalf("%d of %d commits capped to two models, class at %v", x.capped, want, r.QoS.Level(0))
 	}
 }
 

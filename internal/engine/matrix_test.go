@@ -217,6 +217,9 @@ func (w *world) check(name string) {
 		if decided != uint64(w.arrivals-w.hits) || total.rejected == 0 {
 			t.Errorf("%s: admission decided %d of %d arrivals (%d hits, %d shed)", name, decided, w.arrivals, w.hits, total.rejected)
 		}
+		if w.f.cut == 0 {
+			t.Errorf("%s: the ladder's cap never cut a plan", name)
+		}
 	} else if total.rejected != 0 {
 		t.Errorf("%s: %d rejections without classes", name, total.rejected)
 	}
@@ -240,8 +243,8 @@ func (w *world) check(name string) {
 
 // TestFeatureMatrix runs {classes, cache, adapt} one at a time, pairwise and
 // all together through one script and one set of properties. (The fleet
-// checks on every commit that no blocked model is used and no ladder cap
-// exceeded.)
+// checks on every commit that no blocked model is used, no ladder cap
+// exceeded, and that a cap kept the models that finish the query first.)
 func TestFeatureMatrix(t *testing.T) {
 	classes := func(c *Config) {
 		c.Classes = threeClasses

@@ -214,6 +214,11 @@ type ModelHealth struct {
 	Retries    uint64 `json:"retries,omitempty"`
 	Hedges     uint64 `json:"hedges,omitempty"`
 	HedgeWins  uint64 `json:"hedge_wins,omitempty"`
+	// BacklogSeconds is the work committed to the model and not yet
+	// drained, in virtual seconds averaged over its replicas, as the last
+	// planning pass fed it to the overload controller: the per-model term
+	// of "load".
+	BacklogSeconds float64 `json:"backlog_seconds"`
 	// TimerOvershootUSP50/P99 are quantiles of the wall time by which a
 	// completed model wait outlasted the duration it was asked for — the
 	// runtime's own reading of the bench's serve.timer_overshoot_us.
@@ -571,6 +576,7 @@ func modelHealth(rt serve.Stats) []ModelHealth {
 			Hedges:     m.Hedges,
 			HedgeWins:  m.HedgeWins,
 
+			BacklogSeconds:      m.BacklogSeconds,
 			TimerOvershootUSP50: float64(m.TimerOvershoot.Quantile(0.5)) / float64(time.Microsecond),
 			TimerOvershootUSP99: float64(m.TimerOvershoot.Quantile(0.99)) / float64(time.Microsecond),
 			StarvedCount:        m.Starved.Count,

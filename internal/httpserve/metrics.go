@@ -82,7 +82,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter) {
 	writeHeader(&b, "schemble_draining", "gauge", "1 while the runtime is draining.")
 	fmt.Fprintf(&b, "schemble_draining %d\n", boolGauge(rt.Draining))
 
-	writeHeader(&b, "schemble_load", "gauge", "Smoothed overload-controller pressure (~1 at the target backlog).")
+	writeHeader(&b, "schemble_load", "gauge", "Smoothed overload-controller pressure (~1 when the admission target's seconds of service work wait).")
 	fmt.Fprintf(&b, "schemble_load %g\n", rt.Load)
 	writeHeader(&b, "schemble_ladder_state", "gauge", "Degradation-ladder rung (0 = full service).")
 	fmt.Fprintf(&b, "schemble_ladder_state %d\n", rt.Ladder)
@@ -302,6 +302,11 @@ func writeModelMetrics(b *strings.Builder, rt serve.Stats) {
 	writeHeader(b, "schemble_model_down", "gauge", "1 while the model replica sits in a crash-recovery window.")
 	for _, m := range rt.Models {
 		fmt.Fprintf(b, "schemble_model_down{model=%q} %d\n", m.Name, boolGauge(m.Down))
+	}
+	writeHeader(b, "schemble_model_backlog_seconds", "gauge",
+		"Virtual seconds of committed work the model has yet to drain, averaged over its replicas, as the last planning pass read it; schemble_load is built on the largest.")
+	for _, m := range rt.Models {
+		fmt.Fprintf(b, "schemble_model_backlog_seconds{model=%q} %g\n", m.Name, m.BacklogSeconds)
 	}
 	counters := []struct {
 		name, help string

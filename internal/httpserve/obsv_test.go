@@ -264,6 +264,41 @@ func TestTaskOvershootExported(t *testing.T) {
 	}
 }
 
+// TestModelBacklogExported: the per-model term of the load estimate is on
+// both surfaces and they agree, so "load" can be taken apart from outside.
+func TestModelBacklogExported(t *testing.T) {
+	c, _, a := startServer(t)
+	for i := 0; i < 6; i++ {
+		if _, err := c.Predict(a.Serve[i].ID, 500*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPromText(t, text)
+	if !strings.Contains(text, "# TYPE schemble_model_backlog_seconds gauge") {
+		t.Fatal("exposition missing the schemble_model_backlog_seconds family")
+	}
+	for _, m := range st.Runtime.Models {
+		// No request is in flight, so no pass ran between the two reads.
+		want := fmt.Sprintf("schemble_model_backlog_seconds{model=%q} %g\n", m.Name, m.BacklogSeconds)
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q", strings.TrimSpace(want))
+		}
+		// One closed-loop caller: a pass never finds more than the tasks of
+		// one request committed, each under a tenth of a second of work.
+		if m.BacklogSeconds < 0 || m.BacklogSeconds > 0.2 {
+			t.Errorf("model %s: backlog %v s behind one caller", m.Name, m.BacklogSeconds)
+		}
+	}
+}
+
 func TestTraceEndpoint(t *testing.T) {
 	c, _, a := startObsServer(t)
 	const n = 6

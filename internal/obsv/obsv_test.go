@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"schemble/internal/ensemble"
 	"schemble/internal/mathx"
 	"schemble/internal/metrics"
 	"schemble/internal/rng"
@@ -268,6 +269,7 @@ func TestObserverRecordsByOutcome(t *testing.T) {
 func TestDecisionTraceJSONRoundTrip(t *testing.T) {
 	in := DecisionTrace{
 		ID: 7, SampleID: 123, CameraID: 2, Score: 0.42,
+		Class: "bronze", Ladder: 1, Level: "capped", Planned: ensemble.Full(3),
 		Queued: 100 * time.Millisecond, Scored: 101 * time.Millisecond,
 		Committed: 102 * time.Millisecond, Resolved: 190 * time.Millisecond,
 		Deadline: 300 * time.Millisecond, Latency: 90 * time.Millisecond,

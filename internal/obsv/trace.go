@@ -73,6 +73,10 @@ type DecisionTrace struct {
 	// request arrived (0 = full service).
 	Class  string
 	Ladder int
+	// Level is the service level the query was committed at, which the
+	// ladder may have moved since it arrived: "capped" or "greedy", empty at
+	// full service (and so for every classless trace).
+	Level string
 	// Score is the predicted discrepancy score the cache was gated and the
 	// scheduler planned with. Scoring precedes admission, so a shed request
 	// carries it too.
@@ -91,7 +95,14 @@ type DecisionTrace struct {
 	Latency time.Duration
 
 	// Decision context captured when the coordinator committed the query.
-	Subset       []int         // chosen subset (model indices)
+	Subset []int // chosen subset (model indices)
+	// Planned is the subset the scheduler chose, when Subset is not it: a
+	// model in Planned and not in Subset was blocked (see Blocked) or cut by
+	// the level's cap, which keeps the models that would finish first (see
+	// BusyUntil). Empty when the plan was committed whole. It stays a
+	// bitmask until the trace is marshalled: the commit allocates nothing
+	// for it.
+	Planned      ensemble.Subset
 	Alternatives []Alternative // top candidate subsets by profiled reward
 	QueueDepths  []int         // per-model task-queue occupancy
 	// Forming counts tasks per model that replicas had pulled into forming
@@ -134,6 +145,7 @@ type traceJSON struct {
 	CameraID     int           `json:"camera_id,omitempty"`
 	Class        string        `json:"class,omitempty"`
 	Ladder       int           `json:"ladder,omitempty"`
+	Level        string        `json:"level,omitempty"`
 	Score        float64       `json:"score"`
 	QueuedUS     int64         `json:"queued_us"`
 	ScoredUS     int64         `json:"scored_us,omitempty"`
@@ -142,6 +154,7 @@ type traceJSON struct {
 	DeadlineUS   int64         `json:"deadline_us"`
 	LatencyUS    int64         `json:"latency_us"`
 	Subset       []int         `json:"subset,omitempty"`
+	Planned      []int         `json:"planned,omitempty"`
 	Alternatives []Alternative `json:"alternatives,omitempty"`
 	QueueDepths  []int         `json:"queue_depths,omitempty"`
 	Forming      []int         `json:"forming,omitempty"`
@@ -164,6 +177,7 @@ func (t DecisionTrace) MarshalJSON() ([]byte, error) {
 		CameraID:     t.CameraID,
 		Class:        t.Class,
 		Ladder:       t.Ladder,
+		Level:        t.Level,
 		Score:        t.Score,
 		QueuedUS:     t.Queued.Microseconds(),
 		ScoredUS:     t.Scored.Microseconds(),
@@ -183,6 +197,9 @@ func (t DecisionTrace) MarshalJSON() ([]byte, error) {
 		Outcome:      t.Outcome,
 		Served:       t.Served,
 		Cache:        t.Cache,
+	}
+	if t.Planned != ensemble.Empty {
+		w.Planned = t.Planned.Models()
 	}
 	if t.BusyUntil != nil {
 		w.BusyUntilUS = make([]int64, len(t.BusyUntil))
@@ -205,6 +222,7 @@ func (t *DecisionTrace) UnmarshalJSON(data []byte) error {
 		CameraID:     w.CameraID,
 		Class:        w.Class,
 		Ladder:       w.Ladder,
+		Level:        w.Level,
 		Score:        w.Score,
 		Queued:       time.Duration(w.QueuedUS) * time.Microsecond,
 		Scored:       time.Duration(w.ScoredUS) * time.Microsecond,
@@ -224,6 +242,9 @@ func (t *DecisionTrace) UnmarshalJSON(data []byte) error {
 		Outcome:      w.Outcome,
 		Served:       w.Served,
 		Cache:        w.Cache,
+	}
+	for _, k := range w.Planned {
+		t.Planned = t.Planned.With(k)
 	}
 	if w.BusyUntilUS != nil {
 		t.BusyUntil = make([]time.Duration, len(w.BusyUntilUS))

@@ -9,8 +9,10 @@
 // The model: requests belong to classes (tenant/priority tiers), each
 // with a priority, a default deadline, and a weighted share of the
 // runtime's estimated service capacity. A load estimator smooths the
-// backlog (buffered + queued + forming work, in seconds of service) and
-// the scheduler's slack into a single pressure figure. From that figure a
+// backlog (seconds of service work, which internal/engine reads off the
+// capacity view it plans against: a count would weigh a queued 2 ms task
+// like a 90 ms one) and the scheduler's slack into a single pressure
+// figure. From that figure a
 // hysteresis-guarded degradation ladder assigns every class a service
 // level — full, capped, greedy, or shed — always degrading the
 // lowest-priority classes first and restoring them last. Admission is
@@ -85,11 +87,13 @@ func (l Level) String() string {
 type Tuning struct {
 	// Capacity is the estimated sustainable service rate in requests per
 	// virtual second. 0 means the caller's estimate (engines derive it
-	// from profiled latencies and replica counts).
+	// from profiled latencies and replica counts). It sets the token refill
+	// rates and prices a still-buffered query at 1/Capacity seconds of
+	// backlog; the work committed to the models is measured, not derived.
 	Capacity float64
-	// Target is the backlog — expressed as virtual seconds of queued
-	// service work — regarded as full utilization: load 1.0 means "about
-	// Target seconds of work is waiting". Default 500ms.
+	// Target is the backlog — virtual seconds of queued service work, the
+	// unit Observe takes — regarded as full utilization: load 1.0 means
+	// "Target seconds of work is waiting". Default 500ms.
 	Target time.Duration
 	// Tau is the load EWMA's time constant; observations older than a few
 	// Tau stop mattering. Default 200ms.
@@ -312,18 +316,19 @@ func (c *Controller) ClassIndex(name string) int {
 //schemble:guardedby-ok rank is written once in New and never mutated; no lock needed for this immutable read
 func (c *Controller) Rank(i int) int { return c.classes[i].rank }
 
-// Observe feeds the load estimator one measurement: backlog is the count
-// of requests waiting anywhere in the engine (buffer + model queues +
-// forming batches), and slack is the fraction of the last planning pass's
-// buffer the scheduler could not place (0 = everything planned). now is
-// the caller's virtual clock.
-func (c *Controller) Observe(now time.Duration, backlog int, slack float64) {
+// Observe feeds the load estimator one measurement: backlog is the service
+// work waiting in the engine, in virtual seconds of it (what the most loaded
+// model has yet to drain, plus what the buffered queries will take), and
+// slack is the fraction of the last planning pass's buffer the scheduler
+// could not place (0 = everything planned). now is the caller's virtual
+// clock.
+func (c *Controller) Observe(now, backlog time.Duration, slack float64) {
 	if slack < 0 {
 		slack = 0
 	} else if slack > 1 {
 		slack = 1
 	}
-	raw := (float64(backlog)/c.tun.Capacity)/c.tun.Target.Seconds() + slack
+	raw := backlog.Seconds()/c.tun.Target.Seconds() + slack
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.seen {
@@ -551,19 +556,23 @@ func SubsetCap(l Level, m int) int {
 }
 
 // TruncateSubset enforces a subset-size cap on a planned subset, keeping
-// the cap cheapest models (by expected execution time, ties by index) so
-// a degraded plan frees the most contended capacity.
-func TruncateSubset(sub ensemble.Subset, cap int, exec []time.Duration) ensemble.Subset {
+// the cap models of least cost (ties to the lower index). cost[k] is what the
+// caller ranks model k by: internal/engine passes when each model would
+// finish the query's task, so capped traffic spreads as the fleet fills.
+// Nothing is allocated.
+func TruncateSubset(sub ensemble.Subset, cap int, cost []time.Duration) ensemble.Subset {
 	if cap <= 0 || sub.Size() <= cap {
 		return sub
 	}
-	models := sub.Models()
-	sort.SliceStable(models, func(a, b int) bool {
-		return exec[models[a]] < exec[models[b]]
-	})
 	out := ensemble.Empty
-	for _, k := range models[:cap] {
-		out = out.With(k)
+	for n := 0; n < cap; n++ {
+		best := -1
+		for k := range cost {
+			if sub.Contains(k) && !out.Contains(k) && (best < 0 || cost[k] < cost[best]) {
+				best = k
+			}
+		}
+		out = out.With(best)
 	}
 	return out
 }

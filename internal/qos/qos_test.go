@@ -72,7 +72,7 @@ func TestClasslessAlwaysAdmits(t *testing.T) {
 	}
 	// Even under enormous observed load, classless controllers admit.
 	for i := 0; i < 50; i++ {
-		c.Observe(time.Duration(i)*100*time.Millisecond, 10_000, 1)
+		c.Observe(time.Duration(i)*100*time.Millisecond, time.Hour, 1)
 	}
 	if !c.Admit(5*time.Second, 0) {
 		t.Fatal("classless controller rejected a request")
@@ -114,7 +114,7 @@ func TestLadderMonotoneByPriority(t *testing.T) {
 		before := c.Ladder()
 		for i := 0; i < 10; i++ {
 			now += 300 * time.Millisecond
-			c.Observe(now, 10_000, 1)
+			c.Observe(now, time.Hour, 1)
 			if d := c.Ladder() - before; d > 1 {
 				t.Fatalf("ladder jumped %d rungs in one window", d)
 			}
@@ -151,8 +151,8 @@ func TestHysteresisNoFlap(t *testing.T) {
 	tun := Tuning{Capacity: 10, Target: 500 * time.Millisecond}.withDefaults()
 	c := New(Config{Classes: threeClasses(), Tuning: tun})
 	// backlog such that raw load == LadderBase exactly: raw =
-	// (backlog/capacity)/target + slack.
-	backlog := int(tun.LadderBase * tun.Capacity * tun.Target.Seconds()) // = 5
+	// backlog/target + slack.
+	backlog := time.Duration(tun.LadderBase * float64(tun.Target)) // = 500ms
 	transitions := 0
 	last := c.Ladder()
 	now := time.Duration(0)
@@ -170,7 +170,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 	// And at a load parked exactly on rung 1's release threshold, same story.
 	c2 := New(Config{Classes: threeClasses(), Tuning: tun})
 	downLoad := tun.LadderBase * tun.DownFactor
-	backlogDown := int(downLoad * tun.Capacity * tun.Target.Seconds())
+	backlogDown := time.Duration(downLoad * float64(tun.Target))
 	transitions, last, now = 0, c2.Ladder(), 0
 	for i := 0; i < 2000; i++ {
 		now += 50 * time.Millisecond
@@ -192,7 +192,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 	tun := Tuning{Capacity: 10}
 	prev := time.Duration(-1)
 	grew := false
-	for _, backlog := range []int{0, 10, 50, 200, 1000} {
+	for _, backlog := range []time.Duration{0, time.Second, 5 * time.Second, 20 * time.Second, 100 * time.Second} {
 		c := New(Config{Classes: threeClasses(), Tuning: tun})
 		now := time.Duration(0)
 		for i := 0; i < 20; i++ {
@@ -201,7 +201,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 		}
 		ra := c.RetryAfter()
 		if ra < prev {
-			t.Fatalf("RetryAfter shrank: backlog %d -> %v (prev %v)", backlog, ra, prev)
+			t.Fatalf("RetryAfter shrank: backlog %v -> %v (prev %v)", backlog, ra, prev)
 		}
 		if ra > prev && prev >= 0 {
 			grew = true
@@ -209,7 +209,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 		prev = ra
 	}
 	if !grew {
-		t.Fatal("RetryAfter never grew as backlog climbed 0 -> 1000")
+		t.Fatal("RetryAfter never grew as backlog climbed 0 -> 100s")
 	}
 }
 
@@ -242,7 +242,7 @@ func TestAdmissionPropertySeeds(t *testing.T) {
 		over := 2 + r.Float64()*4
 		perClassRate := capacity * over / float64(nClasses)
 		horizon := 5 * time.Second
-		backlog := int(capacity * 2) // raw load ≈ 4 with default target
+		backlog := 2 * time.Second // raw load ≈ 4 with default target
 
 		type stat struct{ offered, admitted int }
 		stats := make([]stat, nClasses)
@@ -310,7 +310,7 @@ func TestAdmitShedsLowestFirst(t *testing.T) {
 	for step := 0; step < 600; step++ {
 		now += 5 * time.Millisecond
 		if step%10 == 0 {
-			c.Observe(now, 200, 1)
+			c.Observe(now, 20*time.Second, 1)
 		}
 		for cls := 0; cls < 3; cls++ {
 			if step%2 == cls%2 {
@@ -345,22 +345,41 @@ func TestSubsetCapAndTruncate(t *testing.T) {
 	if got := SubsetCap(LevelGreedy, 3); got != 1 {
 		t.Errorf("greedy cap(3) = %d, want 1", got)
 	}
-	exec := []time.Duration{20 * time.Millisecond, 80 * time.Millisecond, 90 * time.Millisecond}
+	// The ranking vector is the caller's: here, when each model would finish.
+	finish := []time.Duration{20 * time.Millisecond, 80 * time.Millisecond, 90 * time.Millisecond}
 	full := ensemble.Empty.With(0).With(1).With(2)
-	got := TruncateSubset(full, 2, exec)
+	got := TruncateSubset(full, 2, finish)
 	want := ensemble.Empty.With(0).With(1)
 	if got != want {
-		t.Errorf("truncate to 2 = %v, want cheapest two %v", got, want)
+		t.Errorf("truncate to 2 = %v, want the two that finish first %v", got, want)
 	}
-	if got := TruncateSubset(full, 1, exec); got != ensemble.Empty.With(0) {
-		t.Errorf("truncate to 1 = %v, want cheapest model", got)
+	if got := TruncateSubset(full, 1, finish); got != ensemble.Empty.With(0) {
+		t.Errorf("truncate to 1 = %v, want the model that finishes first", got)
 	}
 	// No-op when already within cap, and cap<=0 means uncapped.
-	if got := TruncateSubset(want, 2, exec); got != want {
+	if got := TruncateSubset(want, 2, finish); got != want {
 		t.Errorf("truncate no-op changed subset: %v", got)
 	}
-	if got := TruncateSubset(full, 0, exec); got != full {
+	if got := TruncateSubset(full, 0, finish); got != full {
 		t.Errorf("cap 0 should be uncapped, got %v", got)
+	}
+	// A queue on model 1 moves it behind model 2, and a queue on model 0
+	// deep enough moves it behind both.
+	queued := []time.Duration{100 * time.Millisecond, 160 * time.Millisecond, 90 * time.Millisecond}
+	if got, want := TruncateSubset(full, 2, queued), ensemble.Empty.With(0).With(2); got != want {
+		t.Errorf("truncate to 2 by %v = %v, want %v", queued, got, want)
+	}
+	if got := TruncateSubset(full, 1, queued); got != ensemble.Single(2) {
+		t.Errorf("truncate to 1 by %v = %v, want model 2", queued, got)
+	}
+	// Ties go to the lower index, and a model outside the subset never
+	// enters it however soon it would finish.
+	tied := []time.Duration{5 * time.Millisecond, 70 * time.Millisecond, 70 * time.Millisecond, 70 * time.Millisecond}
+	if got, want := TruncateSubset(ensemble.Empty.With(1).With(2).With(3), 2, tied), ensemble.Empty.With(1).With(2); got != want {
+		t.Errorf("truncate a three-way tie to 2 = %v, want %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { TruncateSubset(full, 2, queued) }); n != 0 {
+		t.Errorf("TruncateSubset allocates %v times per call", n)
 	}
 }
 
@@ -396,7 +415,7 @@ func TestDeterministicReplay(t *testing.T) {
 				t.Fatalf("step %d: Admit diverged", i)
 			}
 		case 1:
-			bl := r.Intn(100)
+			bl := time.Duration(r.Intn(100)) * 125 * time.Millisecond
 			sl := r.Float64()
 			a.Observe(now, bl, sl)
 			b.Observe(now, bl, sl)
@@ -409,16 +428,16 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 // TestRetryAfterExtremeLoad is the overflow regression: with a tiny
-// capacity and an astronomically large backlog the load*Target product
-// exceeds int64 nanoseconds, and the naive conversion wrapped negative —
+// target and the largest backlog a Duration holds the load*Target product
+// reaches 2^63 nanoseconds, and the naive conversion wrapped negative —
 // an overloaded server telling clients to retry immediately. The hint
 // must stay clamped to [Target, maxRetryAfter] at every load.
 func TestRetryAfterExtremeLoad(t *testing.T) {
-	c := New(Config{Classes: threeClasses(), Tuning: Tuning{Capacity: 1e-9}})
+	c := New(Config{Classes: threeClasses(), Tuning: Tuning{Target: time.Nanosecond}})
 	now := time.Duration(0)
 	for i := 0; i < 50; i++ {
 		now += 100 * time.Millisecond
-		c.Observe(now, math.MaxInt32, 1)
+		c.Observe(now, math.MaxInt64, 1)
 	}
 	if load := c.Load(); load < 1e12 {
 		t.Fatalf("load = %g; fixture failed to reach an overflowing regime", load)

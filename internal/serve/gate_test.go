@@ -157,8 +157,10 @@ func newGateRig(t *testing.T, nModels int, blocked ensemble.Subset, tweak ...fun
 		Rewarder:  sizeRewarder{},
 		Seed:      1,
 		// Load becomes a readout of the slack fed to the controller: the
-		// backlog term is negligible and the EWMA forgets instantly.
-		Admission: AdmissionConfig{Capacity: 1e9, Target: time.Second, Tau: time.Nanosecond},
+		// backlog term is negligible — the hours of work the gate models
+		// claim are nothing against a target of a century — and the EWMA
+		// forgets instantly. The capacity keeps tokens from ever binding.
+		Admission: AdmissionConfig{Capacity: 1e9, Target: 100 * 365 * 24 * time.Hour, Tau: time.Nanosecond},
 		Tolerance: ToleranceConfig{BreakerThreshold: 1, BreakerCooldown: 1000 * time.Hour},
 	}
 	for _, f := range tweak {

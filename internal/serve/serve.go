@@ -269,6 +269,10 @@ type modelCounters struct {
 	retries    atomic.Uint64 // retry attempts issued
 	hedges     atomic.Uint64 // hedge attempts issued
 	hedgeWins  atomic.Uint64 // hedge attempts that finished first
+	// backlog is the model's committed work as the coordinator's last pass
+	// fed it to the overload controller (engine.Work), in virtual
+	// nanoseconds.
+	backlog atomic.Int64
 	// overshoot is how long past its asked-for duration each completed
 	// model wait returned, in wall time: one observation per wait that ran
 	// to its wake, so per executed task in a fault-free unbatched run.
@@ -419,6 +423,11 @@ type ModelHealth struct {
 	Retries   uint64
 	Hedges    uint64
 	HedgeWins uint64
+	// BacklogSeconds is the work committed to the model and not yet drained,
+	// in virtual seconds, averaged over its replicas, as the last planning
+	// pass read it. Stats.Load is built on the largest of these: it is the
+	// term to look at when the load is high and the buffer is not.
+	BacklogSeconds float64
 	// TimerOvershoot is the distribution of how long past its asked-for
 	// duration each completed model wait returned, in wall time — the
 	// runtime's own reading of the bench's serve.timer_overshoot_us.
@@ -466,11 +475,14 @@ type Stats struct {
 	Draining bool
 
 	// Load is the overload controller's smoothed pressure estimate (~0
-	// idle, 1 at the target backlog); Ladder is the degradation ladder's
-	// current rung and LadderState its name ("full-service",
-	// "degrade-N"). Classes holds per-class outcome counters and SLO
-	// attainment, in declaration order; nil when the runtime is
-	// classless.
+	// idle, 1 when Admission.Target seconds of service work wait: the
+	// committed work of the most loaded model — Models[k].BacklogSeconds —
+	// plus the buffered queries at the admission capacity, over the target,
+	// plus the share of the last pass's buffer that could not commit);
+	// Ladder is the degradation ladder's current rung and LadderState its
+	// name ("full-service", "degrade-N"). Classes holds per-class outcome
+	// counters and SLO attainment, in declaration order; nil when the
+	// runtime is classless.
 	Load        float64
 	Ladder      int
 	LadderState string
@@ -755,6 +767,7 @@ func (s *Server) Stats() Stats {
 			Hedges:     c.hedges.Load(),
 			HedgeWins:  c.hedgeWins.Load(),
 
+			BacklogSeconds: time.Duration(c.backlog.Load()).Seconds(),
 			TimerOvershoot: c.overshoot.Snapshot(),
 			Starved:        c.starved.Snapshot(),
 		}
@@ -1317,6 +1330,9 @@ func (s *Server) coordinate(ctx context.Context) {
 			s.eng.Filter(func(it engine.Item) bool { return !it.(*request).isResolved() })
 			s.eng.Pass(s.vnow(), c)
 			c.syncGauges()
+			for k, w := range s.eng.Work() {
+				s.mstats[k].backlog.Store(int64(w))
+			}
 		}
 	}
 }
@@ -1446,16 +1462,6 @@ func (c *coordinator) onDeadline(r *request) {
 	}
 }
 
-// Backlog implements engine.Executor: tasks in the model queues and in
-// forming or executing batches.
-func (c *coordinator) Backlog() int {
-	n := 0
-	for k, ch := range c.s.taskCh {
-		n += len(ch) + int(c.s.forming[k].Load())
-	}
-	return n
-}
-
 // Blocked implements engine.Executor: models behind an open breaker or
 // inside a crash-recovery window, which plans must go around.
 func (c *coordinator) Blocked(now time.Duration) ensemble.Subset {
@@ -1509,6 +1515,12 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 		// was locked in.
 		r.tr.Committed = t
 		r.tr.Subset = sub.Models()
+		if lvl > qos.LevelFull {
+			r.tr.Level = lvl.String()
+		}
+		if r.Planned != sub {
+			r.tr.Planned = r.Planned
+		}
 		r.tr.Alternatives = s.alternatives(r.Score)
 		depths := make([]int, m)
 		forming := make([]int, m)

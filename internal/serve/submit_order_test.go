@@ -180,6 +180,66 @@ func TestSubmitOrderCacheAnswersShedClass(t *testing.T) {
 	}
 }
 
+// TestSubmitOrderTraceSaysWhoCutTheSubset: a bronze request arrives at rung 0
+// and commits a pass later at the capped level, onto the one model of its
+// plan that finishes first — model 1, which just completed a task, not model
+// 0, which a ranking by static cost would keep. Its trace says all of that:
+// the level at commit beside the rung at arrival, and the scheduler's subset
+// beside the committed one; a request committed whole says neither. The
+// per-model backlog the pass fed the controller is in the stats.
+func TestSubmitOrderTraceSaysWhoCutTheSubset(t *testing.T) {
+	rig := newOrderRig(t, func(c *Config) { c.Obs = obsv.Config{TraceBuffer: 16} })
+	inFlight := func(n, buffered int) func() bool {
+		return func() bool {
+			st := rig.srv.Stats()
+			return st.InFlight == n && st.Buffered == buffered
+		}
+	}
+	// Two gold requests fill both models: one task running, one staged.
+	whole := rig.send("gold", hardScore, 1)
+	testutil.Poll(t, rigWait, "first gold request committed", inFlight(1, 0))
+	rig.send("gold", hardScore, 2)
+	testutil.Poll(t, rigWait, "second gold request staged", inFlight(2, 0))
+	// The bronze request finds no room: its pass is gated and reads slack 1.
+	// It also reads two tasks' worth of work on either model (the pass before
+	// it read one), which the stats publish once it is over.
+	cut := rig.send("bronze", hardScore, 3)
+	testutil.Poll(t, rigWait, "bronze request's pass over", func() bool {
+		for k, m := range rig.srv.Stats().Models[:2] {
+			if two := 2 * rig.srv.eng.Exec()[k].Seconds(); m.BacklogSeconds > two || m.BacklogSeconds < two-1 {
+				return false
+			}
+		}
+		return inFlight(2, 1)()
+	})
+	// Model 1 completes a task. The pass that follows is fed that slack,
+	// steps the ladder onto rung 1 — bronze capped, to one model of two —
+	// and has room on model 1 only.
+	rig.finish(t, 1)
+	testutil.Poll(t, rigWait, "bronze request committed", inFlight(3, 0))
+	rig.finish(t, 1)
+	rig.finish(t, 1)
+	if res := <-cut; !res.Degraded || res.Subset != ensemble.Single(1) {
+		t.Fatalf("capped bronze request resolved %+v, want degraded from model 1 alone", res)
+	}
+	tr := rig.srv.Observer().Last(1)[0]
+	if tr.Class != "bronze" || tr.Ladder != 0 || tr.Level != "capped" ||
+		tr.Planned != ensemble.Full(2) || !reflect.DeepEqual(tr.Subset, []int{1}) {
+		t.Errorf("capped trace: class %q ladder %d level %q planned %v subset %v, want bronze 0 capped [0 1] [1]",
+			tr.Class, tr.Ladder, tr.Level, tr.Planned, tr.Subset)
+	}
+	if tr.BusyUntil[1] >= tr.BusyUntil[0] {
+		t.Errorf("capped trace: busy-until %v does not show model 1 freeing up first", tr.BusyUntil)
+	}
+	rig.finish(t, 0)
+	if res := <-whole; res.Degraded || res.Subset != ensemble.Full(2) {
+		t.Fatalf("first gold request resolved %+v, want a clean answer from both models", res)
+	}
+	if tr := rig.srv.Observer().Last(1)[0]; tr.Class != "gold" || tr.Level != "" || tr.Planned != ensemble.Empty {
+		t.Errorf("whole trace: class %q level %q planned %v, want gold with neither", tr.Class, tr.Level, tr.Planned)
+	}
+}
+
 // TestSubmitOrderScoresShedArrivals: with adaptation on, the runtime hands a
 // request it then resolves as shed to the engine's arrival path like any
 // other: the predictor is asked once per submission.

@@ -108,6 +108,22 @@ func TestSimClassedFlashCrowd(t *testing.T) {
 	recs := Run(cfg, tr, a.Serve)
 	checkCrowdProtection(t, outcomesByClass(t, recs))
 
+	// While the ladder is engaged the capped queries' tasks spread over the
+	// fleet: roberta (80 ms) and bert (90 ms) are near-twins, so neither may
+	// take the degraded traffic while the other idles. 137 and 101 tasks here;
+	// a cap that keeps the statically cheapest models gave 209 and 23.
+	perModel := make([]int, a.Ensemble.M())
+	for _, r := range recs {
+		if r.Degraded {
+			for _, k := range r.Subset.Models() {
+				perModel[k]++
+			}
+		}
+	}
+	if lo, hi := min(perModel[1], perModel[2]), max(perModel[1], perModel[2]); lo == 0 || 2*lo < hi {
+		t.Errorf("degraded queries ran %v tasks per model: the slow twins are more than 2x apart", perModel)
+	}
+
 	// Determinism: the classed path must replay bit-identically.
 	again := Run(cfg, tr, a.Serve)
 	if len(again) != len(recs) {

@@ -610,18 +610,6 @@ func (s *sim) schedulePlan() {
 	s.push(&event{at: s.now + overhead, kind: evPlan})
 }
 
-// Backlog implements engine.Executor: queued and running tasks.
-func (s *sim) Backlog() int {
-	n := 0
-	for _, sv := range s.servers {
-		n += len(sv.queue)
-		if sv.running {
-			n++
-		}
-	}
-	return n
-}
-
 // Blocked implements engine.Executor: simulated models never fail.
 func (s *sim) Blocked(time.Duration) ensemble.Subset { return ensemble.Empty }
 

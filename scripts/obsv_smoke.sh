@@ -55,6 +55,10 @@ echo "${METRICS}" | grep -q '^# TYPE schemble_request_latency_seconds histogram$
     || { echo "missing latency histogram:"; echo "${METRICS}"; exit 1; } >&2
 echo "${METRICS}" | grep -q '^schemble_model_queue_depth{model=' \
     || { echo "missing per-model gauges:"; echo "${METRICS}"; exit 1; } >&2
+echo "${METRICS}" | grep -Eq '^schemble_model_backlog_seconds\{model="[^"]+"\} [0-9]' \
+    || { echo "missing per-model backlog gauge:"; echo "${METRICS}"; exit 1; } >&2
+curl -fsS "http://${ADDR}/v1/stats" | grep -q '"backlog_seconds":' \
+    || { echo "/v1/stats models carry no backlog_seconds"; exit 1; } >&2
 
 TRACES="$(curl -fsS "http://${ADDR}/v1/trace?last=5")"
 echo "${TRACES}" | grep -q '"enabled":true' \
