@@ -49,16 +49,17 @@ test-race:
 
 # rig hammers the tests of internal/serve that no wall clock paces: the
 # coordinator's dispatch tests (blocking models, a stub scheduler the test
-# can hold mid-pass), the submit-order tests on the same rig (score, cache
-# lookup, admission — with a class held at shed by the backlog alone), and
-# the waiter's paths on a clock the test owns. About a second per pass. The
-# hand-off the dispatch tests cover — a worker takes its staged task while
-# the coordinator is still planning — is the one place the two run
-# unsynchronised by an event, so it is race-tested many interleavings deep
-# on every push.
+# can hold mid-pass), the turn tests on the same rig (events queued behind a
+# held pass are handled together and planned once), the submit-order tests
+# (score, cache lookup, admission — with a class held at shed by the backlog
+# alone), and the waiter's paths on a clock the test owns. About a second
+# per pass. The hand-off the dispatch tests cover — a worker takes its
+# staged task while the coordinator is still planning — is the one place
+# the two run unsynchronised by an event, so it is race-tested many
+# interleavings deep on every push.
 rig:
 	$(GO) test -race -count=20 \
-		-run 'TestDispatchGate|TestStaged|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
+		-run 'TestDispatchGate|TestStaged|TestTurn|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
 		./internal/serve/
 
 # Fault-injection stress tests: every chaos/fault/drain scenario under the

@@ -17,8 +17,8 @@
 // The package is pure (the enginepure and detrand analyzers hold it to
 // that): no goroutines, channels, timers or randomness, and every instant
 // is an argument. What a driver owns is what differs between a server and
-// a simulator: when it calls Pass, the order in which a pass commits
-// (Config.Before), and its Executor — above all what "room" means.
+// a simulator: when it calls Pass, and its Executor — above all what "room"
+// means.
 //
 // Classify, Arrive and the QoS, Cache and Adapt components lock
 // internally and may be called from any goroutine. The buffer, Pass,
@@ -27,6 +27,7 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -65,9 +66,6 @@ type Config struct {
 	Admission qos.Tuning
 	Cache     rcache.Config
 	Adapt     adapt.Config
-	// Before orders a pass's commits: among the queries a plan placed, a
-	// precedes b when Before(a, b). nil commits in buffer (arrival) order.
-	Before func(a, b *Query) bool
 }
 
 // Query is the engine's view of one request. A driver embeds it in its own
@@ -147,12 +145,12 @@ type Engine struct {
 	slack float64
 
 	// Per-pass scratch, reused so a pass allocates only what a commit needs.
-	main, deg, order []int
-	lvl              []qos.Level
-	left             []bool
-	infos            []core.QueryInfo
-	avail            core.Capacity
-	pushed           [][]time.Duration
+	main, deg []int
+	lvl       []qos.Level
+	left      []bool
+	infos     []core.QueryInfo
+	avail     core.Capacity
+	pushed    [][]time.Duration
 	// work[k] is model k's committed work as the pass's observation read it,
 	// finish[k] when model k would finish one more task.
 	work, finish []time.Duration
@@ -402,8 +400,10 @@ func (e *Engine) room(now time.Duration, x Executor, set ensemble.Subset) bool {
 	return false
 }
 
-// planGroup schedules the buffer positions in idx and commits, in the
-// driver's order, every query the plan placed on a subset with room.
+// planGroup schedules the buffer positions in idx and commits every query
+// the plan placed on a subset with room, earliest deadline first with ties to
+// the lower ID: the sequence the scheduler judged each subset feasible along
+// (Alg. 1), so what runs is what the plan proved on time.
 func (e *Engine) planGroup(now time.Duration, x Executor, sched core.Scheduler, idx []int, blocked ensemble.Subset) {
 	if len(idx) == 0 {
 		return
@@ -414,15 +414,11 @@ func (e *Engine) planGroup(now time.Duration, x Executor, sched core.Scheduler, 
 		e.infos = append(e.infos, core.QueryInfo{ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline, Score: q.Score})
 	}
 	plan := sched.Schedule(now, e.infos, e.capacity(now, x, blocked), e.exec, e.cfg.Rewarder)
-	if e.cfg.Before != nil {
-		e.order = append(e.order[:0], idx...)
-		idx = e.order
-		for i := 1; i < len(idx); i++ {
-			for j := i; j > 0 && e.cfg.Before(e.buffer[idx[j]].Q(), e.buffer[idx[j-1]].Q()); j-- {
-				idx[j-1], idx[j] = idx[j], idx[j-1]
-			}
-		}
-	}
+	// idx is the pass's own scratch and is not read in buffer order again.
+	slices.SortFunc(idx, func(a, b int) int {
+		qa, qb := e.buffer[a].Q(), e.buffer[b].Q()
+		return cmp.Or(cmp.Compare(qa.Deadline, qb.Deadline), cmp.Compare(qa.ID, qb.ID))
+	})
 	for _, bi := range idx {
 		it := e.buffer[bi]
 		// A blocked model is stripped even if the scheduler chose it.

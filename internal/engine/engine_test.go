@@ -709,35 +709,41 @@ func TestCappedPassAllocatesNothing(t *testing.T) {
 	}
 }
 
-func edf(a, b *Query) bool {
-	return a.Deadline < b.Deadline || (a.Deadline == b.Deadline && a.ID < b.ID)
-}
-
-// TestPassCommitOrder: one slot, three queries that all want it. Buffer
-// order gives it to the first arrival, EDF to the earliest deadline with
-// the tie going to the earlier arrival.
+// TestPassCommitOrder: a pass commits in the order the scheduler planned in,
+// earliest deadline first with ties to the lower ID, whatever order the
+// queries arrived in — and still checks room query by query, so a query
+// whose model is full does not hold back a later one whose model is not.
 func TestPassCommitOrder(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		before func(a, b *Query) bool
-		want   []string
-	}{
-		{"buffer order", nil, []string{"commit 0 [0] full", "commit 1 [0] full", "commit 2 [0] full"}},
-		{"EDF", edf, []string{"commit 1 [0] full", "commit 2 [0] full", "commit 0 [0] full"}},
-	} {
-		r := newRig(func(c *Config) { c.Before = tc.before })
-		r.plan.assign = func(core.QueryInfo) ensemble.Subset { return ensemble.Single(0) }
-		for _, budget := range []time.Duration{300 * ms, 100 * ms, 100 * ms} {
-			r.arrive(0, "", 0.5, 0, budget)
-		}
-		f := newFleet(t, r.Exec(), 1, 0, 0)
-		for f.depth[0] <= 3 {
-			r.Pass(ms, f)
-			f.depth[0]++
-		}
-		if !reflect.DeepEqual(f.commits(), tc.want) {
-			t.Errorf("%s: commits %q, want %q", tc.name, f.commits(), tc.want)
-		}
+	// One slot on model 0, three queries that all want it.
+	r := newRig(nil)
+	r.plan.assign = func(core.QueryInfo) ensemble.Subset { return ensemble.Single(0) }
+	for _, budget := range []time.Duration{300 * ms, 100 * ms, 100 * ms} {
+		r.arrive(0, "", 0.5, 0, budget)
+	}
+	f := newFleet(t, r.Exec(), 1, 0, 0)
+	for f.depth[0] <= 3 {
+		r.Pass(ms, f)
+		f.depth[0]++
+	}
+	if want := []string{"commit 1 [0] full", "commit 2 [0] full", "commit 0 [0] full"}; !reflect.DeepEqual(f.commits(), want) {
+		t.Errorf("one slot: commits %q, want %q", f.commits(), want)
+	}
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(r.plan.calls[0], want) {
+		t.Errorf("the scheduler was shown %v, want the buffer in arrival order %v", r.plan.calls[0], want)
+	}
+
+	// The earliest deadline wants model 0, which is full; the later one
+	// wants model 1, which is not.
+	r = newRig(nil)
+	r.plan.assign = func(q core.QueryInfo) ensemble.Subset { return ensemble.Single(1 - q.ID) }
+	late, _ := r.arrive(0, "", 0.5, 0, 300*ms)
+	urgent, _ := r.arrive(0, "", 0.5, 0, 100*ms)
+	f = newFleet(t, r.Exec(), 0, 1, 0)
+	if left := r.Pass(ms, f); left != 1 || r.Buffered() != 1 || r.buffer[0] != Item(urgent) {
+		t.Fatalf("%d left, %d buffered: want the urgent query alone to wait", left, r.Buffered())
+	}
+	if want := []string{"commit 0 [1] full"}; !reflect.DeepEqual(f.commits(), want) || !late.committed {
+		t.Errorf("full model first: commits %q, want %q", f.commits(), want)
 	}
 }
 

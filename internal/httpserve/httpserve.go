@@ -28,6 +28,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -35,6 +36,7 @@ import (
 
 	"schemble/internal/dataset"
 	"schemble/internal/discrepancy"
+	"schemble/internal/obsv"
 	"schemble/internal/serve"
 )
 
@@ -129,6 +131,13 @@ type RuntimeStats struct {
 	Ladder      int          `json:"ladder"`
 	LadderState string       `json:"ladder_state"`
 	Classes     []ClassStats `json:"classes,omitempty"`
+	// TurnEventsP50/P99 are quantiles of how many events a coordinator turn
+	// handled before its one planning pass (above one: events queued while
+	// the turn before was planning), PassUSP50/P99 of that pass's wall time.
+	TurnEventsP50 float64 `json:"turn_events_p50"`
+	TurnEventsP99 float64 `json:"turn_events_p99"`
+	PassUSP50     float64 `json:"pass_us_p50"`
+	PassUSP99     float64 `json:"pass_us_p99"`
 	// Cache carries the result-cache counters; omitted when no cache is
 	// configured.
 	Cache *CacheStats `json:"cache,omitempty"`
@@ -468,6 +477,13 @@ func (h *Handler) handleStats(w http.ResponseWriter) {
 		Classes:     classStats(rt),
 		Cache:       cacheStats(rt),
 		Adapt:       adaptStats(rt),
+
+		// One event is one second of the TurnEvents histogram, and a count
+		// is whole: round the bucket interpolation up.
+		TurnEventsP50: math.Ceil(rt.TurnEvents.Quantile(0.5).Seconds()),
+		TurnEventsP99: math.Ceil(rt.TurnEvents.Quantile(0.99).Seconds()),
+		PassUSP50:     quantileUS(rt.PassTime, 0.5),
+		PassUSP99:     quantileUS(rt.PassTime, 0.99),
 	}
 	writeJSON(w, out)
 }
@@ -555,6 +571,12 @@ func classStats(rt serve.Stats) []ClassStats {
 	return out
 }
 
+// quantileUS is a histogram's q-th quantile in microseconds, the JSON API's
+// unit for wall-clock instruments.
+func quantileUS(h obsv.HistogramSnapshot, q float64) float64 {
+	return float64(h.Quantile(q)) / float64(time.Microsecond)
+}
+
 // modelHealth converts the runtime's per-model snapshot to the JSON shape.
 func modelHealth(rt serve.Stats) []ModelHealth {
 	out := make([]ModelHealth, len(rt.Models))
@@ -577,11 +599,11 @@ func modelHealth(rt serve.Stats) []ModelHealth {
 			HedgeWins:  m.HedgeWins,
 
 			BacklogSeconds:      m.BacklogSeconds,
-			TimerOvershootUSP50: float64(m.TimerOvershoot.Quantile(0.5)) / float64(time.Microsecond),
-			TimerOvershootUSP99: float64(m.TimerOvershoot.Quantile(0.99)) / float64(time.Microsecond),
+			TimerOvershootUSP50: quantileUS(m.TimerOvershoot, 0.5),
+			TimerOvershootUSP99: quantileUS(m.TimerOvershoot, 0.99),
 			StarvedCount:        m.Starved.Count,
-			StarvedUSP50:        float64(m.Starved.Quantile(0.5)) / float64(time.Microsecond),
-			StarvedUSP99:        float64(m.Starved.Quantile(0.99)) / float64(time.Microsecond),
+			StarvedUSP50:        quantileUS(m.Starved, 0.5),
+			StarvedUSP99:        quantileUS(m.Starved, 0.99),
 		}
 		if len(m.ReplicaExecuted) > 1 {
 			// Single-replica pools collapse to the model-level counters;

@@ -86,6 +86,11 @@ func (h *Handler) handleMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(&b, "schemble_load %g\n", rt.Load)
 	writeHeader(&b, "schemble_ladder_state", "gauge", "Degradation-ladder rung (0 = full service).")
 	fmt.Fprintf(&b, "schemble_ladder_state %d\n", rt.Ladder)
+	writeHeader(&b, "schemble_turn_events", "histogram",
+		"Events (submissions, task completions, deadlines) a coordinator turn handled before its one planning pass.")
+	writeHistogram(&b, "schemble_turn_events", "", rt.TurnEvents)
+	writeHeader(&b, "schemble_pass_seconds", "histogram", "Wall time of a coordinator turn's planning pass.")
+	writeHistogram(&b, "schemble_pass_seconds", "", rt.PassTime)
 	writeCacheMetrics(&b, rt)
 	writeAdaptMetrics(&b, rt)
 	writeClassMetrics(&b, rt)
@@ -365,18 +370,22 @@ func writeObserverMetrics(b *strings.Builder, obs *obsv.Observer) {
 	}
 }
 
-// writeHistogram renders one labelled series of a Prometheus histogram:
-// cumulative le-buckets, sum and count. label is a preformatted
-// name="value" pair.
+// writeHistogram renders one series of a Prometheus histogram: cumulative
+// le-buckets, sum and count. label is a preformatted name="value" pair, or
+// empty for a family of one series.
 func writeHistogram(b *strings.Builder, name, label string, hs obsv.HistogramSnapshot) {
+	var le, series string
+	if label != "" {
+		le, series = label+",", "{"+label+"}"
+	}
 	var cum uint64
 	for i, bound := range hs.Bounds {
 		cum += hs.Counts[i]
-		fmt.Fprintf(b, "%s_bucket{%s,le=%q} %d\n", name, label, formatSeconds(bound.Seconds()), cum)
+		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, le, formatSeconds(bound.Seconds()), cum)
 	}
-	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, label, hs.Count)
-	fmt.Fprintf(b, "%s_sum{%s} %s\n", name, label, formatSeconds(hs.Sum.Seconds()))
-	fmt.Fprintf(b, "%s_count{%s} %d\n", name, label, hs.Count)
+	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, hs.Count)
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, series, formatSeconds(hs.Sum.Seconds()))
+	fmt.Fprintf(b, "%s_count%s %d\n", name, series, hs.Count)
 }
 
 func formatSeconds(v float64) string {

@@ -264,6 +264,58 @@ func TestTaskOvershootExported(t *testing.T) {
 	}
 }
 
+// TestTurnInstrumentsExported: the coordinator's two series — events per
+// turn and the wall time of a turn's pass — are on both surfaces and add up:
+// every submission and every task completion is one event of some turn, a
+// turn holds at least one, and every turn ran one pass.
+func TestTurnInstrumentsExported(t *testing.T) {
+	c, _, a := startServer(t)
+	const n = 6
+	for i := 0; i < n; i++ {
+		if _, err := c.Predict(a.Serve[i].ID, 500*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := uint64(n)
+	for _, m := range st.Runtime.Models {
+		events += m.Executed
+	}
+	rt := st.Runtime
+	if !(rt.TurnEventsP50 >= 1 && rt.TurnEventsP50 <= rt.TurnEventsP99) {
+		t.Errorf("turn events p50=%v p99=%v", rt.TurnEventsP50, rt.TurnEventsP99)
+	}
+	if !(rt.PassUSP50 > 0 && rt.PassUSP50 <= rt.PassUSP99) {
+		t.Errorf("pass p50=%v p99=%v us", rt.PassUSP50, rt.PassUSP99)
+	}
+	// The last answer is sent from inside the last turn, a moment before
+	// that turn books itself: wait for the books to close.
+	var text string
+	var turns, passes uint64
+	testutil.Poll(t, 5*time.Second, "the last turn booked", func() bool {
+		if text, err = c.Metrics(); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(text, "\n") {
+			fmt.Sscanf(line, "schemble_turn_events_count %d", &turns)
+			fmt.Sscanf(line, "schemble_pass_seconds_count %d", &passes)
+		}
+		return passes == turns && strings.Contains(text, fmt.Sprintf("schemble_turn_events_sum %d\n", events))
+	})
+	checkPromText(t, text)
+	for _, family := range []string{"schemble_turn_events", "schemble_pass_seconds"} {
+		if !strings.Contains(text, "# TYPE "+family+" histogram") {
+			t.Fatalf("exposition missing the %s family", family)
+		}
+	}
+	if turns == 0 || turns > events {
+		t.Errorf("%d turns over %d events", turns, events)
+	}
+}
+
 // TestModelBacklogExported: the per-model term of the load estimate is on
 // both surfaces and they agree, so "load" can be taken apart from outside.
 func TestModelBacklogExported(t *testing.T) {

@@ -58,7 +58,9 @@ func (g *gateModel) Predict(s *dataset.Sample) model.Output {
 // call on entered and blocks inside it until resumed, which leaves the
 // coordinator stuck mid-pass.
 type pairScheduler struct {
-	calls   atomic.Int64
+	calls atomic.Int64
+	// last is how many queries the latest call was shown.
+	last    atomic.Int64
 	held    atomic.Bool
 	entered chan struct{}
 	resume  chan struct{}
@@ -67,6 +69,7 @@ type pairScheduler struct {
 
 func (*pairScheduler) Name() string { return "pair" }
 func (p *pairScheduler) Schedule(_ time.Duration, queries []core.QueryInfo, _ core.Capacity, _ []time.Duration, _ core.Rewarder) core.Plan {
+	p.last.Store(int64(len(queries)))
 	p.calls.Add(1)
 	if p.held.Load() {
 		p.meet(p.entered)
@@ -219,7 +222,8 @@ func (g *gateRig) finish(t *testing.T, k int) {
 }
 
 // gateOracle is the coordinator's pass reduced to what the script can
-// reach: requests commit in arrival order onto the planned, unblocked
+// reach: requests commit in deadline order — arrival order here, every
+// request having the one budget — onto the planned, unblocked
 // models as long as one of them has fewer than two tasks outstanding — the
 // running one and one staged behind it.
 type gateOracle struct {

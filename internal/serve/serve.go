@@ -14,6 +14,11 @@
 // only to idle replicas, virtual time having no planning cost to hide; the
 // two agree whenever an arrival meets an idle fleet.
 //
+// The coordinator works in turns: it handles the event that woke it and
+// every event already queued behind it, then plans once, and the engine
+// commits in the plan's own earliest-deadline-first order — the events a
+// long pass let pile up cost one pass, not one each.
+//
 // Replicas can additionally micro-batch queued tasks (Config.Batching): a
 // replica drains its queue up to MaxBatch tasks — lingering briefly for
 // stragglers — and executes the batch as one unit whose duration follows
@@ -369,6 +374,15 @@ type Server struct {
 	nOutcome   [obsv.NumOutcomes]atomic.Uint64
 	nBuffered  atomic.Int64
 	nInflight  atomic.Int64
+
+	// turnEvents is how many events each coordinator turn handled before its
+	// one planning pass, a count carried as that many seconds so it shares
+	// the duration histograms' path to /v1/stats and /v1/metrics (buckets 1,
+	// 2, 4 ... 2048); passTime is the wall time of each turn's pass (buckets
+	// from 5µs by 1.6x to ~0.25s: a gated pass is microseconds, a deep
+	// buffer's DP tens of milliseconds).
+	turnEvents *obsv.Histogram
+	passTime   *obsv.Histogram
 }
 
 type task struct {
@@ -474,6 +488,15 @@ type Stats struct {
 	Models   []ModelHealth
 	Draining bool
 
+	// TurnEvents is the distribution of how many events — submissions, task
+	// completions, deadlines — a coordinator turn handled before its one
+	// planning pass, one event carried as one second: Count is turns, Sum
+	// events. Above one, events queued while the turn before was planning.
+	// PassTime is the wall time of each turn's pass: what a query that
+	// arrives mid-pass waits before it can be planned.
+	TurnEvents obsv.HistogramSnapshot
+	PassTime   obsv.HistogramSnapshot
+
 	// Load is the overload controller's smoothed pressure estimate (~0
 	// idle, 1 when Admission.Target seconds of service work wait: the
 	// committed work of the most loaded model — Models[k].BacklogSeconds —
@@ -541,6 +564,9 @@ func New(cfg Config) *Server {
 		replicas: make([]int, m),
 		rstats:   make([][]replicaCounters, m),
 		forming:  make([]atomic.Int64, m),
+
+		turnEvents: obsv.NewLogHistogram(time.Second, 2, 12),
+		passTime:   obsv.NewLogHistogram(5*time.Microsecond, 1.6, 24),
 	}
 	for k := range s.mstats {
 		s.mstats[k].overshoot = obsv.NewLogHistogram(5*time.Microsecond, 1.5, 21)
@@ -580,7 +606,6 @@ func New(cfg Config) *Server {
 		}
 		baseExec[k] = e
 	}
-	// Commits go in buffer (arrival) order: Before stays nil.
 	s.eng = engine.New(engine.Config{
 		Ensemble: cfg.Ensemble, Scheduler: cfg.Scheduler, Rewarder: cfg.Rewarder,
 		Estimator: cfg.Estimator, Replicas: s.replicas, BaseExec: baseExec,
@@ -713,6 +738,8 @@ func (s *Server) Stats() Stats {
 		ReplicaBusy: make([][]int, len(s.taskCh)),
 		Models:      make([]ModelHealth, len(s.taskCh)),
 		Draining:    draining,
+		TurnEvents:  s.turnEvents.Snapshot(),
+		PassTime:    s.passTime.Snapshot(),
 	}
 	st.Resolved = st.Served + st.Degraded + st.Missed + st.Rejected
 	load, ladder, snaps := s.eng.QoS.Snapshot()
@@ -1260,7 +1287,7 @@ func (s *Server) safePredict(m model.Model, k int, sample *dataset.Sample) (out 
 }
 
 // coordinator is the goroutine that drives the decision engine: it owns the
-// event loop, the engine's buffer, passes and settlements, the committed
+// event loop (turn), the engine's buffer, passes and settlements, the committed
 // requests, and the estimate of the fleet the passes plan against — it is
 // the engine's Executor.
 type coordinator struct {
@@ -1280,8 +1307,7 @@ type coordinator struct {
 	draining bool
 }
 
-// coordinate runs the coordinator: every event is followed by one planning
-// pass of the engine over the buffer.
+// coordinate runs the coordinator, one turn per wake-up.
 func (s *Server) coordinate(ctx context.Context) {
 	m := s.cfg.Ensemble.M()
 	c := &coordinator{
@@ -1299,41 +1325,66 @@ func (s *Server) coordinate(ctx context.Context) {
 			c.shutdown()
 			return
 		case e := <-s.events:
-			switch e.kind {
-			case evSubmit:
-				if c.draining {
-					s.resolve(e.req, Result{Missed: true, Rejected: true})
-					break
-				}
-				e.req.advance(stateBuffered)
-				s.eng.Buffer(e.req)
-				c.syncGauges()
-			case evTaskDone:
-				c.onTaskDone(e)
-			case evDeadline:
-				c.onDeadline(e.req)
-			case evDrain:
-				c.draining = true
-				// Uncommitted work cannot finish under drain: resolve it
-				// now. Committed work runs to completion.
-				c.missBuffered()
-			}
-			if c.draining {
-				if len(c.inflight) == 0 {
-					// Last committed request resolved: complete the drain.
-					s.cancelRuntime()
-				}
-				continue
-			}
-			// Requests that resolved while buffered (a Submit racing
-			// shutdown) leave before the engine counts and plans them.
-			s.eng.Filter(func(it engine.Item) bool { return !it.(*request).isResolved() })
-			s.eng.Pass(s.vnow(), c)
-			c.syncGauges()
-			for k, w := range s.eng.Work() {
-				s.mstats[k].backlog.Store(int64(w))
-			}
+			c.turn(e)
 		}
+	}
+}
+
+// turn handles the event the coordinator woke on and every event that was
+// already queued behind it when the turn began, then plans once: the events
+// a pass let pile up cost one pass, not one each. The count is taken up
+// front, so events that arrive while these are handled wait for the next
+// turn and a flood cannot keep the pass from running.
+func (c *coordinator) turn(e event) {
+	s := c.s
+	n := len(s.events)
+	c.handle(e)
+	for i := 0; i < n; i++ {
+		// The coordinator is the channel's only receiver: the n are there.
+		c.handle(<-s.events)
+	}
+	s.turnEvents.Observe(time.Duration(n+1) * time.Second)
+	if c.draining {
+		if len(c.inflight) == 0 {
+			// Last committed request resolved: complete the drain.
+			s.cancelRuntime()
+		}
+		return
+	}
+	// Requests that resolved while buffered (their deadline passed, or a
+	// Submit raced shutdown) leave before the engine counts and plans them.
+	s.eng.Filter(func(it engine.Item) bool { return !it.(*request).isResolved() })
+	now := s.vnow()
+	s.eng.Pass(now, c)
+	// Virtual time is wall time descaled: scaled back, the pass's wall time.
+	s.passTime.Observe(time.Duration(float64(s.vnow()-now) * s.scale))
+	c.syncGauges()
+	for k, w := range s.eng.Work() {
+		s.mstats[k].backlog.Store(int64(w))
+	}
+}
+
+// handle applies one event to the coordinator's state; the planning it may
+// call for is the turn's.
+func (c *coordinator) handle(e event) {
+	switch e.kind {
+	case evSubmit:
+		if c.draining {
+			c.s.resolve(e.req, Result{Missed: true, Rejected: true})
+			return
+		}
+		e.req.advance(stateBuffered)
+		c.s.eng.Buffer(e.req)
+		c.syncGauges()
+	case evTaskDone:
+		c.onTaskDone(e)
+	case evDeadline:
+		c.onDeadline(e.req)
+	case evDrain:
+		c.draining = true
+		// Uncommitted work cannot finish under drain: resolve it
+		// now. Committed work runs to completion.
+		c.missBuffered()
 	}
 }
 
@@ -1439,10 +1490,8 @@ func (c *coordinator) onDeadline(r *request) {
 	r.mu.Unlock()
 	switch {
 	case !started:
-		// Never committed: drop from the buffer and miss.
-		s.eng.Filter(func(it engine.Item) bool { return it != r })
+		// Never committed: miss. The turn's filter takes it off the buffer.
 		s.resolve(r, Result{Missed: true})
-		c.syncGauges()
 	case committed && s.tol.Degrade && okMask != ensemble.Empty && okMask != r.Subset:
 		// Partial-ensemble degradation: the deadline arrived with some but
 		// not all subset outputs. Aggregate what completed — the rest count

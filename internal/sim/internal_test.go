@@ -2,11 +2,10 @@ package sim
 
 import (
 	"container/heap"
-	"sort"
 	"testing"
 	"time"
 
-	"schemble/internal/engine"
+	"schemble/internal/trace"
 )
 
 func TestEventHeapOrdering(t *testing.T) {
@@ -31,17 +30,32 @@ func TestEventHeapOrdering(t *testing.T) {
 	}
 }
 
+// TestSortQueriesEDF: three queries ready at one instant, every one planned
+// onto the whole ensemble. The pass commits them in the engine's order —
+// earliest deadline first, ties to the earlier arrival — one per round of
+// completions, since a commit needs an idle replica.
 func TestSortQueriesEDF(t *testing.T) {
-	qs := []*engine.Query{
-		{ID: 3, Deadline: 100 * time.Millisecond},
-		{ID: 1, Deadline: 50 * time.Millisecond},
-		{ID: 2, Deadline: 100 * time.Millisecond},
-	}
-	sort.Slice(qs, func(i, j int) bool { return edfBefore(qs[i], qs[j]) })
-	wantIDs := []int{1, 2, 3} // earliest deadline first; ties by id
-	for i, q := range qs {
-		if q.ID != wantIDs[i] {
-			t.Fatalf("query %d at position %d, want order %v", q.ID, i, wantIDs)
+	a := artifacts(t)
+	tr := &trace.Trace{Arrivals: []trace.Arrival{
+		{SampleIdx: 0, At: 0, Deadline: 10 * time.Second},
+		{SampleIdx: 1, At: 0, Deadline: 5 * time.Second},
+		{SampleIdx: 2, At: 0, Deadline: 5 * time.Second},
+	}}
+	recs := Run(Config{
+		Ensemble:  a.Ensemble,
+		Refs:      a.Refs,
+		Scorer:    a.Scorer,
+		Scheduler: fullPlanScheduler{m: a.Ensemble.M()},
+		Rewarder:  a.Profile,
+		Estimator: a.Predictor,
+		Seed:      1,
+	}, tr, a.Serve)
+	for _, r := range recs {
+		if r.Missed {
+			t.Fatalf("query %d missed", r.QueryID)
 		}
+	}
+	if !(recs[1].Done < recs[2].Done && recs[2].Done < recs[0].Done) {
+		t.Fatalf("done at %v, %v, %v: want query 1, then 2, then 0", recs[0].Done, recs[1].Done, recs[2].Done)
 	}
 }

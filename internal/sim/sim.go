@@ -334,7 +334,6 @@ func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 		Ensemble: cfg.Ensemble, Scheduler: cfg.Scheduler, Rewarder: cfg.Rewarder,
 		Estimator: cfg.Estimator, Replicas: replicas, BaseExec: baseExec,
 		Classes: cfg.Classes, Admission: cfg.Admission, Cache: cfg.Cache, Adapt: cfg.Adapt,
-		Before: edfBefore,
 	})
 	s.exec = s.eng.Exec()
 	for i := range tr.Arrivals {
@@ -633,12 +632,6 @@ func (s *sim) Commit(_ time.Duration, it engine.Item, sub ensemble.Subset, lvl q
 	q := it.(*query)
 	q.Level = lvl
 	s.commit(q, sub)
-}
-
-// edfBefore is the order a pass commits in: earliest deadline first, ties
-// to the earlier arrival.
-func edfBefore(a, b *engine.Query) bool {
-	return a.Deadline < b.Deadline || (a.Deadline == b.Deadline && a.ID < b.ID)
 }
 
 // commit locks a buffered query onto a subset and enqueues its tasks.

@@ -57,8 +57,15 @@ echo "${METRICS}" | grep -q '^schemble_model_queue_depth{model=' \
     || { echo "missing per-model gauges:"; echo "${METRICS}"; exit 1; } >&2
 echo "${METRICS}" | grep -Eq '^schemble_model_backlog_seconds\{model="[^"]+"\} [0-9]' \
     || { echo "missing per-model backlog gauge:"; echo "${METRICS}"; exit 1; } >&2
-curl -fsS "http://${ADDR}/v1/stats" | grep -q '"backlog_seconds":' \
-    || { echo "/v1/stats models carry no backlog_seconds"; exit 1; } >&2
+for family in schemble_turn_events schemble_pass_seconds; do
+    echo "${METRICS}" | grep -Eq "^${family}_count [1-9]" \
+        || { echo "missing coordinator histogram ${family}:"; echo "${METRICS}"; exit 1; } >&2
+done
+STATS="$(curl -fsS "http://${ADDR}/v1/stats")"
+for field in backlog_seconds turn_events_p50 turn_events_p99 pass_us_p50 pass_us_p99; do
+    echo "${STATS}" | grep -q "\"${field}\":" \
+        || { echo "/v1/stats carries no ${field}"; exit 1; } >&2
+done
 
 TRACES="$(curl -fsS "http://${ADDR}/v1/trace?last=5")"
 echo "${TRACES}" | grep -q '"enabled":true' \
