@@ -4,12 +4,12 @@
 // It runs two kinds of measurements:
 //
 //   - Micro-benchmarks of the scheduling kernel itself (via
-//     testing.Benchmark): the arena DP on its maximal-reuse steady state,
-//     the arena DP forced to re-solve from scratch every call, the frozen
-//     pre-arena ReferenceDP (the in-file baseline the speedup fields are
-//     relative to), and the Greedy baseline; and of the cold start every
-//     server, soak and experiment pays: one predictor-shaped training run
-//     and one whole pipeline.Build.
+//     testing.Benchmark): the DP re-solving two alternating instances,
+//     the DP on the two window shapes the live coordinator hands it
+//     (overload, and the all-feasible slack of a staged fleet), and the
+//     Greedy baseline; and of the cold start every server, soak and
+//     experiment pays: one predictor-shaped training run and one whole
+//     pipeline.Build.
 //   - A high-arrival-rate soak of the real internal/serve runtime over a
 //     fitted text-matching pipeline under a compressed TimeScale,
 //     reporting outcome counts (a drain-and-accounting smoke; wall-clock
@@ -58,14 +58,7 @@ type report struct {
 	// dp/* and greedy/*, of Net.Train and pipeline.Build for the cold-start
 	// entries).
 	Micro []microResult `json:"micro"`
-	// BaselineName names the Micro entry the speedups are relative to.
-	BaselineName string `json:"baseline_name"`
-	// SpeedupSteady is reference ns/decision over the steady-state
-	// (maximal reuse) ns/decision; SpeedupResolve the same for the
-	// forced full re-solve.
-	SpeedupSteady  float64     `json:"speedup_steady_vs_reference"`
-	SpeedupResolve float64     `json:"speedup_resolve_vs_reference"`
-	Soak           *soakResult `json:"soak,omitempty"`
+	Soak  *soakResult   `json:"soak,omitempty"`
 }
 
 type microResult struct {
@@ -153,6 +146,34 @@ func liveInstance(seed uint64) (time.Duration, []core.QueryInfo, core.Capacity, 
 	return now, queries, core.SingleReplica(avail), exec
 }
 
+// slackInstance builds the window shape behind the live path's slowest
+// calls on burst: deadlines uniform in 150 ms-1 s from arrival against a
+// fleet staged one task deep (each model busy with a running task and the
+// one behind it), so nearly every query can still be placed and the
+// plan's top level sits near the upper bound the window can add.
+func slackInstance(seed uint64) (time.Duration, []core.QueryInfo, core.Capacity, []time.Duration) {
+	const n = 16
+	ms := time.Millisecond
+	src := rng.New(seed)
+	now := time.Duration(2000+src.Intn(500)) * ms
+	queries := make([]core.QueryInfo, n)
+	for i := range queries {
+		arrival := now - time.Duration(src.Intn(60))*ms
+		queries[i] = core.QueryInfo{
+			ID:       i,
+			Arrival:  arrival,
+			Deadline: arrival + time.Duration(150+src.Intn(851))*ms,
+			Score:    src.Float64(),
+		}
+	}
+	exec := []time.Duration{22 * ms, 88 * ms, 99 * ms}
+	avail := make([]time.Duration, len(exec))
+	for k, e := range exec {
+		avail[k] = now + e + time.Duration(src.Intn(int(e/ms)))*ms
+	}
+	return now, queries, core.SingleReplica(avail), exec
+}
+
 // measure runs f under testing.Benchmark and converts the result.
 func measure(name string, f func(b *testing.B)) microResult {
 	r := testing.Benchmark(f)
@@ -222,11 +243,12 @@ func runMicro() []microResult {
 
 	nowL1, qL1, capL1, execL1 := liveInstance(44)
 	nowL2, qL2, capL2, execL2 := liveInstance(45)
+	nowS1, qS1, capS1, execS1 := slackInstance(46)
+	nowS2, qS2, capS2, execS2 := slackInstance(47)
 
-	steadyDP := &core.DP{Delta: 0.01}
 	resolveDP := &core.DP{Delta: 0.01}
 	liveDP := &core.DP{Delta: 0.01}
-	refDP := &core.ReferenceDP{Delta: 0.01}
+	slackDP := &core.DP{Delta: 0.01}
 	greedy := &core.Greedy{Order: core.EDF}
 	fit := predictorFit()
 	buildCfg := pipeline.Config{
@@ -236,39 +258,29 @@ func runMicro() []microResult {
 	}
 	// Warm the arenas so the measured window is the steady state.
 	for i := 0; i < 4; i++ {
-		steadyDP.Schedule(0, qA, capA, execA, rw)
 		resolveDP.Schedule(0, qA, capA, execA, rw)
 		resolveDP.Schedule(0, qB, capB, execB, rw)
 		greedy.Schedule(0, qA, capA, execA, rw)
 		liveDP.Schedule(nowL1, qL1, capL1, execL1, rw)
 		liveDP.Schedule(nowL2, qL2, capL2, execL2, rw)
+		slackDP.Schedule(nowS1, qS1, capS1, execS1, rw)
+		slackDP.Schedule(nowS2, qS2, capS2, execS2, rw)
 	}
 
 	return []microResult{
-		// Maximal reuse: the queue and capacity are unchanged between
-		// calls, so the DP answers from its retained frontier tables.
-		measure("dp/steady-reuse", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				steadyDP.Schedule(0, qA, capA, execA, rw)
-			}
-		}),
-		// Forced re-solve: alternating instances defeat prefix reuse, so
-		// every call rebuilds all tables (on a warm arena).
+		// Two instances in turn: every call solves from scratch (on a
+		// warm arena).
 		alternating("dp/resolve",
 			func() { resolveDP.Schedule(0, qA, capA, execA, rw) },
 			func() { resolveDP.Schedule(0, qB, capB, execB, rw) }),
-		// The live path's call: a full window under overload with one
-		// idle model, and no reuse because the clock (hence base) moved.
+		// The live path's calls: a full window under overload with one
+		// idle model, and a full window of slack on a staged fleet.
 		alternating("dp/live-overload",
 			func() { liveDP.Schedule(nowL1, qL1, capL1, execL1, rw) },
 			func() { liveDP.Schedule(nowL2, qL2, capL2, execL2, rw) }),
-		// The frozen pre-arena implementation on dp/resolve's inputs: the
-		// in-file baseline (it re-solves every call whether or not inputs
-		// repeat, so alternation only keeps the workload identical).
-		alternating("dp/reference",
-			func() { refDP.Schedule(0, qA, capA, execA, rw) },
-			func() { refDP.Schedule(0, qB, capB, execB, rw) }),
+		alternating("dp/live-slack",
+			func() { slackDP.Schedule(nowS1, qS1, capS1, execS1, rw) },
+			func() { slackDP.Schedule(nowS2, qS2, capS2, execS2, rw) }),
 		measure("greedy/edf", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -366,15 +378,6 @@ func checkRegression(baseline report, micro []microResult, maxRegress float64) [
 	return bad
 }
 
-func find(micro []microResult, name string) (microResult, bool) {
-	for _, m := range micro {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return microResult{}, false
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "shrink the soak and pipeline fit (CI mode)")
 	out := flag.String("out", "BENCH_dp.json", "output file")
@@ -400,25 +403,15 @@ func main() {
 	}
 
 	rep := report{
-		Schema:       "schemble-bench/v1",
-		Go:           runtime.Version(),
-		Quick:        *quick,
-		Micro:        runMicro(),
-		BaselineName: "dp/reference",
-	}
-	ref, _ := find(rep.Micro, "dp/reference")
-	if steady, ok := find(rep.Micro, "dp/steady-reuse"); ok && steady.NsPerDecision > 0 {
-		rep.SpeedupSteady = ref.NsPerDecision / steady.NsPerDecision
-	}
-	if resolve, ok := find(rep.Micro, "dp/resolve"); ok && resolve.NsPerDecision > 0 {
-		rep.SpeedupResolve = ref.NsPerDecision / resolve.NsPerDecision
+		Schema: "schemble-bench/v1",
+		Go:     runtime.Version(),
+		Quick:  *quick,
+		Micro:  runMicro(),
 	}
 	for _, m := range rep.Micro {
 		fmt.Printf("%-18s %12.1f ns/decision %14.0f decisions/sec %4d allocs/op %6d B/op\n",
 			m.Name, m.NsPerDecision, m.DecisionsPerSec, m.AllocsPerOp, m.BytesPerOp)
 	}
-	fmt.Printf("speedup vs %s: steady %.2fx, resolve %.2fx\n",
-		rep.BaselineName, rep.SpeedupSteady, rep.SpeedupResolve)
 
 	if !*noSoak {
 		soak, err := runSoak(*quick)

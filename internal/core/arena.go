@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"sort"
 	"time"
 
@@ -22,21 +21,14 @@ import (
 //     its table is being built has no children yet (children are only
 //     created in later steps), so its id and slab region are immediately
 //     reusable.
-//   - steps:    one frontier table per DP step, RETAINED between calls.
-//     When consecutive Schedule calls see the same capacity, exec
-//     vector, rewarder and config, and the EDF-ordered queue prefix is
-//     unchanged, the tables for that prefix are reused verbatim and the
-//     DP resumes from the first divergent query. At and above its
-//     floor (below), step table i+1 is a pure function of table i,
-//     queries[order[i]], exec, the flattened layout, the Rewarder and
-//     the DP config, so prefix reuse is bit-identical to a from-scratch
-//     solve (ReferenceDP is the oracle; see dp_identity_test.go).
+//   - steps:    one frontier table per DP step. Every call rebuilds them
+//     from the root; keeping the tables (and each level's id slice)
+//     across calls is what keeps a warmed call at zero allocations.
 //   - bounds:   per window position, each subset's reward and level
-//     evaluated once from base, and the most the remaining queries can
-//     still add. Cells that cannot reach the final top level even so
-//     are never built (boundFrom has the exactness argument); each table
-//     records the floor it was built under, and reuse stops at the first
-//     retained table whose floor is too high for the new suffix.
+//     evaluated once from base, the most the remaining queries can still
+//     add, and the level of an EDF-greedy plan. Cells that cannot reach
+//     the best level known reachable are never built (boundFrom has the
+//     exactness argument).
 //
 // The arena also caches the flatten buffers, the EDF index sorter, the
 // subset enumeration and the returned Assignments map. None of this is
@@ -66,13 +58,11 @@ type dpLevel struct {
 }
 
 // dpTable is the frontier table after one DP step. top is its highest
-// non-empty level. floor is the level bound the table was built under:
-// levels at or above it hold exactly the entries an unbounded solve would
-// put there, levels below it are empty (see boundFrom).
+// non-empty level, -1 while the table is empty: insert maintains it, and
+// an insert never empties a level.
 type dpTable struct {
 	levels []dpLevel
 	top    int
-	floor  int
 }
 
 // dpScratch is the reusable arena owned by one DP instance.
@@ -80,23 +70,25 @@ type dpScratch struct {
 	fl     flattenScratch
 	sorter edfSorter
 
-	w       int       // width of every availability vector this generation
+	w       int       // width of every availability vector this call
 	entries []dpEntry // arena; ids are indices into this slice
 	slab    []time.Duration
 	free    []int32 // recycled entry ids
 	steps   []dpTable
-	nsteps  int // steps[:nsteps] hold valid tables
 
 	comp []time.Duration // completion() output buffer
+	cur  []time.Duration // incumbent's availability so far
+	pick []time.Duration // incumbent's best completion for the current query
 
 	// Per-query quantities hoisted out of the per-entry loop, indexed by
 	// window position (times the subset count for qrw/qlvl). They depend
-	// only on the query, base, exec and the Rewarder, so positions inside
-	// a reused prefix stay valid across calls. See boundFrom.
+	// only on the query, base, exec and the Rewarder. See boundFrom.
 	qrw  []float64 // exact reward of (query, subset)
 	qlvl []int     // its clamped quantized level; -1 if it cannot meet the deadline even from base
 	qmax []int     // the query's best level over its feasible subsets
 	rest []int     // rest[i] = sum of qmax[i:], len(window)+1
+
+	rebuilds int // solves the incumbent bound had to redo; tests read it
 
 	subsets  []ensemble.Subset
 	subsetsM int
@@ -107,18 +99,6 @@ type dpScratch struct {
 	vanilla  bool
 	noPrune  bool
 	maxFront int
-
-	// Fingerprint of the previous call, for incremental prefix reuse.
-	pValid    bool
-	pDelta    float64
-	pVanilla  bool
-	pNoPrune  bool
-	pMaxFront int
-	pRewarder Rewarder
-	pExec     []time.Duration
-	pOff      []int
-	pBase     []time.Duration
-	pOrder    []QueryInfo // the EDF-ordered window actually planned
 }
 
 // avail returns entry id's availability vector. The result aliases the
@@ -146,20 +126,11 @@ func (s *dpScratch) allSubsets(m int) []ensemble.Subset {
 	return s.subsets
 }
 
-// resetArena discards all entries and tables and fixes the availability
-// width for the new generation. Stale ids left inside retained step
-// tables are harmless: prepTable truncates every level before use.
-func (s *dpScratch) resetArena(w int) {
+// setWidth fixes the availability width for this call and sizes the
+// per-vector buffers to it.
+func (s *dpScratch) setWidth(w int) {
 	s.w = w
-	s.entries = s.entries[:0]
-	s.slab = s.slab[:0]
-	s.free = s.free[:0]
-	s.nsteps = 0
-	if cap(s.comp) < w {
-		s.comp = make([]time.Duration, w)
-	} else {
-		s.comp = s.comp[:w]
-	}
+	s.comp, s.cur, s.pick = sized(s.comp, w), sized(s.cur, w), sized(s.pick, w)
 }
 
 // ensureSteps grows the step-table slice to at least n tables.
@@ -180,33 +151,40 @@ func (s *dpScratch) prepTable(t *dpTable, n int) {
 		t.levels[i].ids = t.levels[i].ids[:0]
 		t.levels[i].worst = -1
 	}
-	t.top, t.floor = 0, 0
+	t.top = -1
 }
 
-// boundFrom computes the level bounds for the window order: for every
-// position from p on it evaluates each subset once — exact reward, clamped
-// level, and whether it meets the query's deadline from base — and then
-// rebuilds rest over the whole window (positions before p keep the values
-// the previous call left; the caller guarantees they share its
-// fingerprint).
+// boundFrom computes the level bounds for the window order: it evaluates
+// each subset once per query — exact reward, clamped level, and whether it
+// meets the query's deadline from base — and sums rest from the back.
 //
 // Why skipping below the bound is exact. An insert touches one (step,
 // level) cell only, so a cell's content is a function of the inserts into
-// it. The skip transition re-inserts every non-empty level one step on,
-// so the final top level is at least top[i] for every step i. Every
-// entry's availability is >= base and completion is monotone in
-// availability, so a query adds at most qmax to a level, and a cell
-// (i, L) with L+rest[i] < top[i] has no descendant in the final top
-// level — the only cell a plan is extracted from. Such cells feed only
-// cells of the same kind, so dropping them, and every candidate landing
-// in one, leaves all other cells with the identical insert sequence in
-// every mode (Vanilla, DisablePrune, beam).
-func (s *dpScratch) boundFrom(p int, queries []QueryInfo, order []int, base []time.Duration, lay layout, exec []time.Duration, r Rewarder, perQueryLevels int) {
+// it. Every entry's availability is >= base and completion is monotone in
+// availability, so a query adds at most qmax to a level. Let K_i =
+// max(top[i], inc), the best level known reachable after step i. build
+// reads step i only from lo_i = floorOf(K_i, rest[i]) up and inserts into
+// step i+1 only from floor_i+1 = floorOf(K_i, rest[i+1]) up. A cell at or
+// above floor_i+1 is fed only from levels at or above lo_i (the two differ
+// by qmax[i]), and lo_i >= floor_i because K never falls: when top[i] >
+// inc the skip transition re-inserts top[i] one step on. By induction
+// every cell at or above its floor sees exactly the inserts an unbounded
+// solve makes, in every mode (Vanilla, DisablePrune, beam), whatever inc
+// is. The final floor is K_n-1 and the unbounded final top is at least
+// top[n-1] (skips again), so a non-empty bounded final table has the
+// unbounded top level, holding the cells an unbounded solve extracts
+// from. It is empty exactly when the unbounded top lies below inc, and
+// never with inc = 0.
+//
+// incumbent's plan is a path of DP transitions, so an exact table reaches
+// its level; only the beam or the unpruned cap can drop it, and then
+// Schedule rebuilds once with inc = 0.
+func (s *dpScratch) boundFrom(queries []QueryInfo, order []int, base []time.Duration, lay layout, exec []time.Duration, r Rewarder, perQueryLevels int) {
 	n, nsub := len(order), len(s.subsets)
-	s.qrw, s.qlvl = grown(s.qrw, n*nsub), grown(s.qlvl, n*nsub)
-	s.qmax, s.rest = grown(s.qmax, n), grown(s.rest, n+1)
-	for i := p; i < n; i++ {
-		q := queries[order[i]]
+	s.qrw, s.qlvl = sized(s.qrw, n*nsub), sized(s.qlvl, n*nsub)
+	s.qmax, s.rest = sized(s.qmax, n), sized(s.rest, n+1)
+	for i, qi := range order {
+		q := queries[qi]
 		best := 0
 		for si, sub := range s.subsets {
 			lvl := -1
@@ -231,24 +209,6 @@ func (s *dpScratch) boundFrom(p int, queries []QueryInfo, order []int, base []ti
 	for i := n - 1; i >= 0; i-- {
 		s.rest[i] = s.rest[i+1] + s.qmax[i]
 	}
-}
-
-// invalidateFrom recycles the entries of steps[i:] and marks them
-// invalid. Entries in the surviving prefix never reference freed ones:
-// back-pointers only point to earlier steps.
-func (s *dpScratch) invalidateFrom(i int) {
-	if i >= s.nsteps {
-		return
-	}
-	for j := i; j < s.nsteps; j++ {
-		t := &s.steps[j]
-		for l := range t.levels {
-			s.free = append(s.free, t.levels[l].ids...)
-			t.levels[l].ids = t.levels[l].ids[:0]
-			t.levels[l].worst = -1
-		}
-	}
-	s.nsteps = i
 }
 
 // newEntry allocates an arena entry holding a copy of cand, preferring
@@ -283,6 +243,9 @@ func (s *dpScratch) newEntry(cand []time.Duration, rw float64, fin time.Duration
 // historical closure exactly, so plans stay bit-identical to
 // ReferenceDP; dp_identity_test.go enforces that.
 func (s *dpScratch) insert(t *dpTable, lvl int, cand []time.Duration, rw float64, parent int32, choice ensemble.Subset, qID int) {
+	if lvl > t.top {
+		t.top = lvl
+	}
 	L := &t.levels[lvl]
 	front := L.ids
 	if s.noPrune {
@@ -404,50 +367,11 @@ func (e *edfSorter) Less(i, j int) bool {
 	return edfLess(e.qs[e.idx[i]], e.qs[e.idx[j]])
 }
 
-// sameRewarder reports whether two Rewarders are the same value, the
-// last leg of the reuse fingerprint. Dynamic types must match and be
-// comparable before the interfaces are compared, so non-comparable
-// implementations (closures over slices, say) never panic — they simply
-// never fingerprint as equal.
-func sameRewarder(a, b Rewarder) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+// sized returns s resliced to n elements, reallocated only when its
+// capacity is short; contents are not kept.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	ta := reflect.TypeOf(a)
-	if ta != reflect.TypeOf(b) || !ta.Comparable() {
-		return false
-	}
-	return a == b
-}
-
-// grown returns s extended to at least n elements, contents kept.
-func grown[T any](s []T, n int) []T {
-	if len(s) >= n {
-		return s
-	}
-	return append(s, make([]T, n-len(s))...)
-}
-
-func durEq(a, b []time.Duration) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func intEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return s[:n]
 }

@@ -262,7 +262,7 @@ func TestParetoPruning(t *testing.T) {
 	c := []time.Duration{5, 30}
 	newLevel := func(maxFront int, vanilla bool) (*dpScratch, *dpTable) {
 		s := &dpScratch{maxFront: maxFront, vanilla: vanilla}
-		s.resetArena(2)
+		s.setWidth(2)
 		s.ensureSteps(1)
 		tab := &s.steps[0]
 		s.prepTable(tab, 1)

@@ -15,21 +15,16 @@ import (
 // optimum for Delta = epsilon/N.
 //
 // A DP instance owns a reusable arena (see arena.go) so the steady-state
-// Schedule path performs no allocations, and it reuses the frontier tables
-// of the previous call when the inputs share an unchanged EDF prefix.
-// Consequences:
+// Schedule path performs no allocations. Consequences:
 //
 //   - A DP instance must NOT be shared by concurrent Schedule calls.
 //     Distinct instances are fully independent.
 //   - The returned Plan's Assignments map is owned by the scheduler and
 //     valid only until the next Schedule call on the same instance;
 //     callers that retain plans must copy the map.
-//   - The Rewarder must be a pure function of (score, subset): the
-//     incremental path assumes the same Rewarder value yields the same
-//     rewards it did on the previous call.
 //
-// Both paths — incremental and from-scratch — produce bit-identical plans
-// to ReferenceDP, the retained pre-arena implementation
+// Every call solves from scratch and produces bit-identical plans to
+// ReferenceDP, the pre-arena implementation kept test-side
 // (dp_identity_test.go pins this over thousands of seeded instances).
 type DP struct {
 	// Delta is the reward quantization step; the paper's sweet spot is
@@ -106,107 +101,27 @@ func (d *DP) Schedule(now time.Duration, queries []QueryInfo, avail Capacity, ex
 
 	plan := Plan{Assignments: s.planMap()}
 	if len(queries) == 0 {
-		return plan // previous arena state stays valid for the next call
+		return plan
 	}
 	order := s.edfOrder(queries)
 	if len(order) > window {
 		order = order[:window]
 	}
 	base, lay := s.fl.flatten(now, avail)
-	subsets := s.allSubsets(avail.M())
+	s.allSubsets(avail.M())
+	s.setWidth(len(base))
 	// Each query adds at most this many levels. Rewards above 1.0 clamp
 	// into the top level (and negative rewards into level 0) rather than
 	// indexing out of range; the exact reward is carried unclamped, so
 	// extraction and TotalReward remain truthful.
 	perQueryLevels := quantize(1, delta) + 1
-
-	// Incremental reuse: when everything but the queue is unchanged, keep
-	// the frontier tables of the longest shared EDF-ordered queue prefix
-	// and re-solve only from the first divergent query.
-	p := 0
-	reuse := s.pValid && s.pVanilla == d.Vanilla && s.pNoPrune == d.DisablePrune &&
-		s.pMaxFront == maxFront && sameRewarder(s.pRewarder, r) &&
-		durEq(s.pExec, exec) && intEq(s.pOff, lay.off) && durEq(s.pBase, base)
-	//schemble:floateq-ok reuse fingerprint: prefix reuse requires the exact same quantization step
-	reuse = reuse && s.pDelta == delta
-	s.pValid = false // invalid while rebuilding (a Rewarder may panic mid-solve)
-	if reuse {
-		max := len(order)
-		if len(s.pOrder) < max {
-			max = len(s.pOrder)
-		}
-		for p < max && queries[order[p]] == s.pOrder[p] {
-			p++
-		}
-	} else {
-		s.resetArena(len(base))
-		s.ensureSteps(1)
-		t0 := &s.steps[0]
-		s.prepTable(t0, 1)
-		root := s.newEntry(base, 0, maxOf(base), -1, ensemble.Empty, 0)
-		t0.levels[0].ids = append(t0.levels[0].ids, root)
-		s.nsteps = 1
-	}
-	if p < len(order) {
-		// At least one step is rebuilt: refresh the level bounds (the
-		// verbatim-repeat path skips this — a window that only lost its
-		// tail can only raise the floors its retained tables satisfy).
-		// Retained tables built under a floor above what this suffix
-		// needs lack cells that are live now, so reuse stops before the
-		// first such step.
-		s.boundFrom(p, queries, order, base, lay, exec, r, perQueryLevels)
-		for j := 1; j <= p; j++ {
-			if s.steps[j].floor > floorOf(s.steps[j-1].top, s.rest[j]) {
-				p = j - 1
-				break
-			}
-		}
-	}
-	s.invalidateFrom(p + 1)
-
-	nsub := len(subsets)
-	for i := p; i < len(order); i++ {
-		q := queries[order[i]]
-		s.ensureSteps(i + 2)
-		// Take table pointers only after ensureSteps: growth moves steps.
-		prev := &s.steps[i]
-		next := &s.steps[i+1]
-		s.prepTable(next, prev.top+perQueryLevels)
-		// Level bounds (see boundFrom): a cell below lo cannot reach the
-		// final top level whatever the remaining queries add, and neither
-		// can a candidate landing below next.floor; both are skipped. The
-		// skip transition keeps prev's top level non-empty in next.
-		lo := floorOf(prev.top, s.rest[i])
-		next.floor = floorOf(prev.top, s.rest[i+1])
-		next.top = prev.top
-		qrw, qlvl := s.qrw[i*nsub:(i+1)*nsub], s.qlvl[i*nsub:(i+1)*nsub]
-		for level := lo; level <= prev.top; level++ {
-			for _, eid := range prev.levels[level].ids {
-				// Copy the entry's fields: inserts below may grow the
-				// entries slice and would invalidate a pointer.
-				e := s.entries[eid]
-				// Skip the query: same level, same availability.
-				if level >= next.floor {
-					s.insert(next, level, s.avail(eid), e.reward, eid, ensemble.Empty, q.ID)
-				}
-				// Try every subset that meets the deadline.
-				for si, sub := range subsets {
-					lvl := qlvl[si]
-					if lvl < 0 || level+lvl < next.floor {
-						continue
-					}
-					done := lay.completion(s.avail(eid), exec, sub, s.comp)
-					if done > q.Deadline {
-						continue
-					}
-					s.insert(next, level+lvl, s.comp, e.reward+qrw[si], eid, sub, q.ID)
-					if level+lvl > next.top {
-						next.top = level + lvl
-					}
-				}
-			}
-		}
-		s.nsteps = i + 2
+	s.boundFrom(queries, order, base, lay, exec, r, perQueryLevels)
+	if !s.build(queries, order, base, lay, exec, s.incumbent(queries, order, base, lay, exec), perQueryLevels) {
+		// The beam or the unpruned cap dropped the greedy plan, so the
+		// final top level lies below the incumbent: rebuild once under
+		// the plain bound, which always reaches it (see boundFrom).
+		s.rebuilds++
+		s.build(queries, order, base, lay, exec, 0, perQueryLevels)
 	}
 
 	// Visit the non-empty cell with the largest quantized reward; within
@@ -214,8 +129,7 @@ func (d *DP) Schedule(now time.Duration, queries []QueryInfo, avail Capacity, ex
 	// overall (most room for future arrivals), then a lexicographic
 	// tie-break for determinism.
 	final := &s.steps[len(order)]
-	bestLevel := final.top
-	ids := final.levels[bestLevel].ids
+	ids := final.levels[final.top].ids
 	best := ids[0]
 	for _, eid := range ids[1:] {
 		if s.vanilla {
@@ -232,29 +146,101 @@ func (d *DP) Schedule(now time.Duration, queries []QueryInfo, avail Capacity, ex
 		plan.Assignments[s.entries[id].qID] = s.entries[id].choice
 	}
 	plan.TotalReward = s.entries[best].reward
-
-	// Record the fingerprint for the next call's prefix reuse.
-	s.pDelta, s.pVanilla, s.pNoPrune, s.pMaxFront = delta, d.Vanilla, d.DisablePrune, maxFront
-	s.pRewarder = r
-	s.pExec = append(s.pExec[:0], exec...)
-	s.pOff = append(s.pOff[:0], lay.off...)
-	s.pBase = append(s.pBase[:0], base...)
-	s.pOrder = s.pOrder[:0]
-	for _, qi := range order {
-		s.pOrder = append(s.pOrder, queries[qi])
-	}
-	s.pValid = true
 	return plan
 }
 
-// floorOf is the lowest level of a step that can still reach the final
-// top level: top is the highest non-empty level of the step before it and
-// rest the most the remaining queries can add.
-func floorOf(top, rest int) int {
-	if top < rest {
+// build fills the step tables for the window order from base, building at
+// step i only the levels that can still reach max(top[i], inc) — the best
+// level known reachable — given what the remaining queries can add (see
+// boundFrom for why that is exact). It reports whether the final table is
+// non-empty, which holds whenever inc is at most the final top level.
+func (s *dpScratch) build(queries []QueryInfo, order []int, base []time.Duration, lay layout, exec []time.Duration, inc, perQueryLevels int) bool {
+	s.entries, s.slab, s.free = s.entries[:0], s.slab[:0], s.free[:0]
+	s.ensureSteps(len(order) + 1)
+	t0 := &s.steps[0]
+	s.prepTable(t0, 1)
+	t0.levels[0].ids = append(t0.levels[0].ids, s.newEntry(base, 0, maxOf(base), -1, ensemble.Empty, 0))
+	t0.top = 0
+
+	nsub := len(s.subsets)
+	for i, qi := range order {
+		q := queries[qi]
+		prev, next := &s.steps[i], &s.steps[i+1]
+		s.prepTable(next, prev.top+perQueryLevels)
+		// A cell below lo cannot reach the best known level whatever the
+		// remaining queries add, and neither can a candidate landing below
+		// floor; both are skipped.
+		known := max(prev.top, inc)
+		lo, floor := floorOf(known, s.rest[i]), floorOf(known, s.rest[i+1])
+		qrw, qlvl := s.qrw[i*nsub:(i+1)*nsub], s.qlvl[i*nsub:(i+1)*nsub]
+		for level := lo; level <= prev.top; level++ {
+			for _, eid := range prev.levels[level].ids {
+				// Copy the entry's fields: inserts below may grow the
+				// entries slice and would invalidate a pointer.
+				e := s.entries[eid]
+				// Skip the query: same level, same availability.
+				if level >= floor {
+					s.insert(next, level, s.avail(eid), e.reward, eid, ensemble.Empty, q.ID)
+				}
+				// Try every subset that meets the deadline.
+				for si, sub := range s.subsets {
+					lvl := qlvl[si]
+					if lvl < 0 || level+lvl < floor {
+						continue
+					}
+					done := lay.completion(s.avail(eid), exec, sub, s.comp)
+					if done > q.Deadline {
+						continue
+					}
+					s.insert(next, level+lvl, s.comp, e.reward+qrw[si], eid, sub, q.ID)
+				}
+			}
+		}
+	}
+	return s.steps[len(order)].top >= 0
+}
+
+// incumbent is the level of the EDF-greedy plan: walking the window from
+// base, each query takes the subset with the highest level that still
+// meets its deadline on the availability the queries before it left (ties
+// to the earliest completion), and nothing when only level 0 fits. Every
+// step of that walk is a transition the DP itself makes, so without a beam
+// or the unpruned cap the final table reaches at least this level.
+func (s *dpScratch) incumbent(queries []QueryInfo, order []int, base []time.Duration, lay layout, exec []time.Duration) int {
+	copy(s.cur, base)
+	nsub := len(s.subsets)
+	inc := 0
+	for i, qi := range order {
+		deadline := queries[qi].Deadline
+		qlvl := s.qlvl[i*nsub : (i+1)*nsub]
+		best, bestDone := 0, time.Duration(0)
+		for si, sub := range s.subsets {
+			lvl := qlvl[si]
+			if lvl <= 0 || lvl < best {
+				continue
+			}
+			done := lay.completion(s.cur, exec, sub, s.comp)
+			if done > deadline || lvl == best && done >= bestDone {
+				continue
+			}
+			best, bestDone = lvl, done
+			copy(s.pick, s.comp)
+		}
+		if best > 0 {
+			inc += best
+			copy(s.cur, s.pick)
+		}
+	}
+	return inc
+}
+
+// floorOf is the lowest level of a step that can still reach level known:
+// rest is the most the remaining queries can add.
+func floorOf(known, rest int) int {
+	if known < rest {
 		return 0
 	}
-	return top - rest
+	return known - rest
 }
 
 func maxOf(xs []time.Duration) time.Duration {

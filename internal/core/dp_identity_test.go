@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -11,8 +12,9 @@ import (
 
 // This file pins the arena-based DP (and scratch-based Greedy) to the
 // frozen pre-arena implementations: every shortcut the hot path takes —
-// frontier prefix reuse, entry recycling, the Pareto short-circuit, the
-// closure-free sorts — must leave the produced plans bit-identical.
+// the level bounds and their incumbent, entry recycling, the Pareto
+// short-circuit, the closure-free sorts — must leave the produced plans
+// bit-identical.
 
 // samePlan requires exact equality: bitwise TotalReward and identical
 // Assignments maps (including explicit Empty entries).
@@ -80,8 +82,9 @@ func TestDPBitIdenticalToReference(t *testing.T) {
 // TestDPIncrementalReuseIdentity drives a single DP instance through an
 // evolving queue — repeats, tail arrivals, head departures, clock
 // advances, capacity perturbations — and requires every decision to
-// match a from-scratch reference solve. This is the property that
-// licenses prefix reuse of the frontier tables.
+// match a from-scratch reference solve: consecutive calls on one instance
+// equal a fresh one, so nothing the arena keeps across calls (tables,
+// entries, slab, bound vectors) leaks into a decision.
 func TestDPIncrementalReuseIdentity(t *testing.T) {
 	const seeds = 300
 	for seed := uint64(0); seed < seeds; seed++ {
@@ -97,10 +100,9 @@ func TestDPIncrementalReuseIdentity(t *testing.T) {
 			samePlan(t, "incremental", got, want)
 			switch src.Intn(5) {
 			case 0:
-				// Identical repeat: the maximal-reuse path that decides
-				// without rebuilding any table.
+				// Identical repeat.
 			case 1:
-				// Tail arrival: extends the shared EDF prefix by one.
+				// Tail arrival: extends the EDF window by one.
 				var last time.Duration
 				for _, q := range inst.queries {
 					if q.Deadline > last {
@@ -115,7 +117,7 @@ func TestDPIncrementalReuseIdentity(t *testing.T) {
 				})
 				nextID++
 			case 2:
-				// Head departure: invalidates every table.
+				// Head departure: shifts every window position.
 				if len(inst.queries) > 1 {
 					head := 0
 					for i, q := range inst.queries {
@@ -230,6 +232,134 @@ func TestDPLevelBoundsIdentity(t *testing.T) {
 	}
 }
 
+// genSlackInstance draws the shape behind the live path's slowest calls
+// on burst, where the incumbent does its work: a window of queries with
+// budgets uniform in 150 ms-1 s from arrival, against three models whose
+// replicas each run one task with one more staged behind it. Nearly every
+// query can still be placed, so the final top level sits in a narrow band
+// under the most the window can add — the band the greedy plan's level
+// opens at. Ten queries, not sixteen: the oracle builds every cell, and
+// sixteen cost it seconds per instance.
+func genSlackInstance(seed uint64) instance {
+	src := rng.New(seed ^ 0x736c61636b)
+	const m, n = 3, 10
+	now := time.Duration(1000+src.Intn(1000)) * ms
+	inst := instance{
+		now:  now,
+		m:    m,
+		cap:  make(Capacity, m),
+		exec: []time.Duration{time.Duration(15+src.Intn(15)) * ms, time.Duration(60+src.Intn(40)) * ms, time.Duration(70+src.Intn(40)) * ms},
+	}
+	for k := range inst.cap {
+		slots := make([]time.Duration, 1+src.Intn(2))
+		for r := range slots {
+			slots[r] = now + inst.exec[k] + time.Duration(src.Intn(int(inst.exec[k]/ms)))*ms
+		}
+		inst.cap[k] = slots
+	}
+	inst.queries = make([]QueryInfo, n)
+	for i := range inst.queries {
+		arrival := now - time.Duration(src.Intn(60))*ms
+		inst.queries[i] = QueryInfo{
+			ID:       i,
+			Arrival:  arrival,
+			Deadline: arrival + time.Duration(150+src.Intn(851))*ms,
+			Score:    src.Float64(),
+		}
+	}
+	return inst
+}
+
+// TestDPIncumbentIdentity pins the incumbent bound on slack-shaped
+// instances, where it skips most of the table, under every configuration
+// corner of the seeded identity test. One DP per corner is reused across
+// seeds.
+func TestDPIncumbentIdentity(t *testing.T) {
+	for _, cfg := range dpIdentityConfigs {
+		d, ref := cfg.mk()
+		for seed := uint64(0); seed < 4; seed++ {
+			inst := genSlackInstance(seed)
+			r := rootRewarder{m: inst.m}
+			got := d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+			samePlan(t, cfg.name+"/slack", got, ref.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r))
+		}
+	}
+}
+
+// TestDPIncumbentNeverRebuildsWhenExact: without a beam the table keeps
+// every level a DP transition path reaches, and the greedy plan is such a
+// path, so the incumbent never forces the rebuild. This is what holds the
+// incumbent to a plan that is really feasible at its clamped level: one
+// that counted a subset past its deadline, or summed unclamped rewards,
+// would overshoot the top and rebuild.
+func TestDPIncumbentNeverRebuildsWhenExact(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(uint64) instance
+	}{{"property", genInstance}, {"live", genLiveInstance}, {"slack", genSlackInstance}}
+	for _, vanilla := range []bool{false, true} {
+		d := &DP{Delta: 0.01, MaxFrontier: -1, MaxWindow: 10, Vanilla: vanilla}
+		for _, g := range gens {
+			for seed := uint64(0); seed < 40; seed++ {
+				inst := g.gen(seed)
+				for _, r := range []Rewarder{rootRewarder{m: inst.m}, scaledRewarder{scale: 2.5, m: inst.m}} {
+					d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+					if d.scr.rebuilds != 0 {
+						t.Fatalf("vanilla=%v %s seed %d: an exact table fell below the incumbent", vanilla, g.name, seed)
+					}
+				}
+			}
+		}
+	}
+}
+
+// subsetRewarder pays a fixed reward per subset, whatever the score.
+type subsetRewarder map[ensemble.Subset]float64
+
+func (r subsetRewarder) Reward(_ float64, s ensemble.Subset) float64 { return r[s] }
+
+// fallbackInstance is the smallest instance on which the beam drops the
+// greedy plan: two idle models, two queries due after one task time, and
+// three subsets on one coarse level. Greedy runs one model per query
+// (level 2); a one-entry beam keeps only the highest exact reward on
+// level 1, the full ensemble for the first query, which leaves no room for
+// the second, so the final top level is 1.
+func fallbackInstance() (instance, Rewarder) {
+	return instance{
+		now: 0,
+		m:   2,
+		cap: SingleReplica([]time.Duration{0, 0}),
+		queries: []QueryInfo{
+			{ID: 1, Deadline: 10 * ms},
+			{ID: 2, Deadline: 10 * ms},
+		},
+		exec: []time.Duration{10 * ms, 10 * ms},
+	}, subsetRewarder{ensemble.Single(0): 0.30, ensemble.Single(1): 0.45, ensemble.Full(2): 0.49}
+}
+
+// TestDPIncumbentFallback forces the rebuild: the incumbent lies above
+// the beam's true top, the bounded solve ends with an empty final table,
+// and the plan must still be the reference's.
+func TestDPIncumbentFallback(t *testing.T) {
+	inst, r := fallbackInstance()
+	d := &DP{Delta: 0.25, MaxFrontier: 1}
+	got := d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+	if d.scr.rebuilds != 1 {
+		t.Fatalf("rebuilds = %d, want 1: the instance no longer forces the fallback", d.scr.rebuilds)
+	}
+	samePlan(t, "fallback", got, (&ReferenceDP{Delta: 0.25, MaxFrontier: 1}).Schedule(inst.now, inst.queries, inst.cap, inst.exec, r))
+	if got.TotalReward != 0.49 {
+		t.Fatalf("TotalReward = %v, want the beam's 0.49", got.TotalReward)
+	}
+
+	// Without the beam the greedy plan survives: no rebuild, both served.
+	exact := &DP{Delta: 0.25, MaxFrontier: -1}
+	plan := exact.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+	if exact.scr.rebuilds != 0 || plan.Subset(1) == ensemble.Empty || plan.Subset(2) == ensemble.Empty {
+		t.Fatalf("exact solve: rebuilds %d, plan %v; want 0 and both served", exact.scr.rebuilds, plan.Assignments)
+	}
+}
+
 // TestDPLevelBoundsOutOfRange covers rewards far outside [0,1], where
 // ReferenceDP panics or diverges by design (see its doc): a DP that has
 // just solved a different instance must agree with a fresh one, and the
@@ -256,8 +386,7 @@ func TestDPLevelBoundsOutOfRange(t *testing.T) {
 	}
 }
 
-// countingRewarder counts Reward calls; a pointer, so it fingerprints as
-// the same Rewarder across calls and prefix reuse stays available.
+// countingRewarder counts Reward calls.
 type countingRewarder struct {
 	Rewarder
 	calls int
@@ -279,10 +408,11 @@ func (scoreRewarder) Reward(score float64, s ensemble.Subset) float64 {
 }
 
 // TestDPLevelBoundsReuseCutsOnRicherSuffix is the smallest instance on
-// which reusing a table past its floor picks the wrong plan: one model
-// with room for one task before the shared deadline. Solving {A, B}
-// retains only the cell that ran A; when the far more valuable T arrives
-// behind them, the winning plan skips both — a cell below that floor.
+// which floors kept from a previous call pick the wrong plan: one model
+// with room for one task before the shared deadline. Solving {A, B} leaves
+// only the cell that ran A above the floor; when the far more valuable T
+// arrives behind them, the winning plan skips both — a cell below that
+// floor. A warm instance must plan T exactly as a fresh one does.
 func TestDPLevelBoundsReuseCutsOnRicherSuffix(t *testing.T) {
 	queries := []QueryInfo{
 		{ID: 0, Arrival: 0, Deadline: 10 * ms, Score: 0.2},
@@ -302,12 +432,13 @@ func TestDPLevelBoundsReuseCutsOnRicherSuffix(t *testing.T) {
 	}
 }
 
-// TestDPLevelBoundsReuseIdentity is the reuse regression for the bounds:
-// a retained table was built under a floor that depended on the queries
-// after it, so a tail arrival that raises what the suffix can still add
-// lowers the floor and must cut reuse, while a shrinking suffix must not.
-// Clock and capacity are held fixed so the prefix fingerprint matches and
-// reuse is really in play (the call counts prove it).
+// TestDPLevelBoundsReuseIdentity holds consecutive calls on one instance
+// to a fresh solve across the queue edits that move the bounds: a tail
+// arrival that raises what the suffix can add (lowering every floor), a
+// departure mid-window, a verbatim repeat, a shrinking suffix and a
+// hopeless tail. Clock and capacity stay fixed, so only the queue moves.
+// Every call evaluates each (query, subset) reward at most once, whatever
+// the incumbent and a rebuild do.
 func TestDPLevelBoundsReuseIdentity(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		inst := genLiveInstance(seed)
@@ -318,36 +449,30 @@ func TestDPLevelBoundsReuseIdentity(t *testing.T) {
 		}
 		last := queries[len(queries)-1].Deadline
 		d := &DP{Delta: 0.01}
-		ref := &ReferenceDP{Delta: 0.01}
 		r := &countingRewarder{Rewarder: rootRewarder{m: inst.m}}
 		nsub := len(ensemble.AllSubsets(inst.m))
-		check := func(tag string, maxCalls int) {
+		check := func(tag string) {
 			t.Helper()
 			r.calls = 0
 			got := d.Schedule(inst.now, queries, inst.cap, inst.exec, r).Clone()
-			if r.calls > maxCalls {
-				t.Fatalf("seed %d %s: %d Reward calls, want at most %d", seed, tag, r.calls, maxCalls)
+			if r.calls > len(queries)*nsub {
+				t.Fatalf("seed %d %s: %d Reward calls, want at most %d", seed, tag, r.calls, len(queries)*nsub)
 			}
-			samePlan(t, tag, got, ref.Schedule(inst.now, queries, inst.cap, inst.exec, r))
+			samePlan(t, tag, got, (&DP{Delta: 0.01}).Schedule(inst.now, queries, inst.cap, inst.exec, r))
+			samePlan(t, tag, got, (&ReferenceDP{Delta: 0.01}).Schedule(inst.now, queries, inst.cap, inst.exec, r))
 		}
-		check("first", len(queries)*nsub)
-		// An easy tail query due with the last one: the whole prefix
-		// matches, but plans that kept capacity free — below every
-		// retained floor — are now the ones that can win.
+		check("first")
+		// An easy tail query due with the last one: plans that keep
+		// capacity free can now win.
 		queries = append(queries, QueryInfo{ID: 100, Arrival: inst.now, Deadline: last, Score: 0.01})
-		check("tail appended", nsub)
-		// A prefix query leaves: reuse stops at its position.
+		check("tail appended")
 		queries = append(queries[:3], queries[4:]...)
-		check("prefix removed", (len(queries)-3)*nsub)
-		check("verbatim repeat", 0)
-		// The tail leaves again: the suffix shrinks, floors only rise, and
-		// every retained table still holds what is needed.
+		check("prefix removed")
+		check("verbatim repeat")
 		queries = queries[:len(queries)-1]
-		check("tail removed", 0)
-		// A hopeless tail query adds nothing to the suffix: full reuse of
-		// the prefix, one new step.
+		check("tail removed")
 		queries = append(queries, QueryInfo{ID: 101, Arrival: inst.now, Deadline: last + ms, Score: 0.99})
-		check("hopeless tail", nsub)
+		check("hopeless tail")
 	}
 }
 
@@ -424,10 +549,10 @@ func TestGreedyBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestDPScheduleSteadyStateZeroAlloc is the tentpole's regression guard:
-// after warmup, Schedule must not allocate — neither on the
-// maximal-reuse path (identical consecutive inputs) nor when alternating
-// between two instances that force full re-solves.
+// TestDPScheduleSteadyStateZeroAlloc is the arena's regression guard:
+// after warmup, Schedule must not allocate — neither on identical
+// consecutive inputs nor when alternating between two instances, nor
+// when a call falls back to the rebuild.
 func TestDPScheduleSteadyStateZeroAlloc(t *testing.T) {
 	instA := genInstance(7)
 	instB := genInstance(8)
@@ -446,7 +571,7 @@ func TestDPScheduleSteadyStateZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		d.Schedule(instA.now, instA.queries, instA.cap, instA.exec, rA)
 	}); n != 0 {
-		t.Errorf("DP.Schedule steady state (full reuse): %v allocs/op, want 0", n)
+		t.Errorf("DP.Schedule steady state (repeat): %v allocs/op, want 0", n)
 	}
 
 	d2 := &DP{}
@@ -459,6 +584,17 @@ func TestDPScheduleSteadyStateZeroAlloc(t *testing.T) {
 		d2.Schedule(instB.now, instB.queries, instB.cap, instB.exec, rB)
 	}); n != 0 {
 		t.Errorf("DP.Schedule steady state (alternating re-solve): %v allocs/op, want 0", n)
+	}
+
+	fb, rFB := fallbackInstance()
+	d4 := &DP{Delta: 0.25, MaxFrontier: 1}
+	for i := 0; i < 3; i++ {
+		d4.Schedule(fb.now, fb.queries, fb.cap, fb.exec, rFB)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		d4.Schedule(fb.now, fb.queries, fb.cap, fb.exec, rFB)
+	}); n != 0 {
+		t.Errorf("DP.Schedule steady state (rebuild): %v allocs/op, want 0", n)
 	}
 
 	g := &Greedy{Order: EDF}
@@ -564,7 +700,7 @@ func TestZeroReplicaConvention(t *testing.T) {
 
 	fz, lz := flatten(now, zero)
 	fo, lo := flatten(now, one)
-	if !durEq(fz, fo) || !intEq(lz.off, lo.off) {
+	if !slices.Equal(fz, fo) || !slices.Equal(lz.off, lo.off) {
 		t.Fatalf("flatten(zero-replica) = %v %v, want %v %v", fz, lz.off, fo, lo.off)
 	}
 

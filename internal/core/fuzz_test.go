@@ -71,7 +71,8 @@ func decodeFuzzInstance(data []byte) (instance, bool) {
 // real query with a subset inside the model universe. The same DP then
 // re-plans the queue after an arrival and after a departure, and all
 // three plans must equal ReferenceDP's bit for bit — the property the
-// level bounds and their interaction with prefix reuse have to keep.
+// level bounds and the incumbent that raises them have to keep, on a
+// fresh instance and on a warm one.
 func FuzzDPSchedule(f *testing.F) {
 	f.Add([]byte("\x02\x10\x01\x05\x14\x01\x0a\x1e\x20\x40\x30\x10\x60\x55\x30\x21"), uint16(10), uint16(0), false, false)
 	f.Add([]byte("\x02\x00\x02\x00\x10\x20\x32\x00\x50\x14\x01\x05\x06\x40\x00\x64\x80\x10\x20\xff"), uint16(1), uint16(2), true, false)
