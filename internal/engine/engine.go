@@ -7,9 +7,10 @@
 //	arrive  class, class-default deadline, score (observed and recalibrated
 //	        when adaptation is on), cache lookup, admission
 //	plan    a pass over the query buffer: load observation (the fleet's
-//	        committed work, in seconds), cost refresh, room gate, ladder
-//	        partition, schedule, blocked-model strip, subset cap (keeping
-//	        the models that finish first), per-query room check
+//	        committed work, in seconds), cost refresh, room gate, one
+//	        schedule of every buffered query, blocked-model strip, the
+//	        ladder's subset cap (keeping the models that finish first),
+//	        per-query room check
 //	commit  the driver's Executor dispatches the query's tasks
 //	settle  aggregate, classify, feed recalibration from a clean
 //	        full-ensemble result, fill the cache
@@ -133,24 +134,17 @@ type Engine struct {
 	Cache *rcache.Cache
 	Adapt *adapt.Engine
 
-	// degraded plans the classes the ladder holds at LevelGreedy; a planner
-	// of its own because scheduler scratch cannot be shared.
-	degraded *core.Greedy
-	exec     []time.Duration
+	exec []time.Duration
 
 	buffer []Item
 	nextID int
-	// slack is the share of the last pass's buffer that stayed, the
-	// controller's "capacity exhausted" signal beside the raw backlog.
-	slack float64
 
 	// Per-pass scratch, reused so a pass allocates only what a commit needs.
-	main, deg []int
-	lvl       []qos.Level
-	left      []bool
-	infos     []core.QueryInfo
-	avail     core.Capacity
-	pushed    [][]time.Duration
+	order  []int
+	left   []bool
+	infos  []core.QueryInfo
+	avail  core.Capacity
+	pushed [][]time.Duration
 	// work[k] is model k's committed work as the pass's observation read it,
 	// finish[k] when model k would finish one more task.
 	work, finish []time.Duration
@@ -190,7 +184,7 @@ func New(cfg Config) *Engine {
 	for k, md := range cfg.Ensemble.Models {
 		profiled[k] = md.MeanLatency()
 	}
-	e := &Engine{
+	return &Engine{
 		cfg:    cfg,
 		m:      m,
 		QoS:    qos.New(qos.Config{Classes: cfg.Classes, Tuning: cfg.Admission}),
@@ -202,10 +196,6 @@ func New(cfg Config) *Engine {
 		work:   make([]time.Duration, m),
 		finish: make([]time.Duration, m),
 	}
-	if len(cfg.Classes) > 0 {
-		e.degraded = &core.Greedy{Order: core.EDF}
-	}
-	return e
 }
 
 // Exec is the working planning-cost vector, read-only to the driver: every
@@ -314,7 +304,7 @@ func (e *Engine) Filter(keep func(Item) bool) {
 // is empty, or whose planned models are all full, waits for the next pass.
 func (e *Engine) Pass(now time.Duration, x Executor) int {
 	// The load estimate drives admission and the ladder, never the plan.
-	e.QoS.Observe(now, e.committedWork(now, x), e.slack)
+	e.QoS.Observe(now, e.committedWork(now, x))
 	if e.Adapt != nil {
 		// One cost view for the whole pass.
 		e.Adapt.ExecInto(e.exec)
@@ -325,31 +315,11 @@ func (e *Engine) Pass(now time.Duration, x Executor) int {
 	blocked := x.Blocked(now)
 	// A commit needs a model with room and a pass only makes models busier,
 	// so when no unblocked model has room nothing can commit whatever the
-	// plan: every query stays, which is slack 1. Skip the planning.
+	// plan. Skip the planning.
 	if !e.room(now, x, ensemble.Full(e.m)&^blocked) {
-		e.slack = 1
 		return 0
 	}
-	// Partition by the ladder's current level (full service without
-	// classes). Greedy-level classes are planned after the protected ones,
-	// against what those left, by the cheap planner. A class that climbed to
-	// shed after its query was admitted plans as greedy: admission is not
-	// retroactive.
-	e.main, e.deg, e.lvl, e.left = e.main[:0], e.deg[:0], e.lvl[:0], e.left[:0]
-	for i, it := range e.buffer {
-		lvl := qos.LevelFull
-		if e.degraded != nil {
-			lvl = min(e.QoS.Level(it.Q().Class), qos.LevelGreedy)
-		}
-		e.lvl, e.left = append(e.lvl, lvl), append(e.left, false)
-		if lvl == qos.LevelGreedy {
-			e.deg = append(e.deg, i)
-		} else {
-			e.main = append(e.main, i)
-		}
-	}
-	e.planGroup(now, x, e.cfg.Scheduler, e.main, blocked)
-	e.planGroup(now, x, e.degraded, e.deg, blocked)
+	e.plan(now, x, blocked)
 	planned := len(e.buffer)
 	kept := e.buffer[:0]
 	for i, it := range e.buffer {
@@ -358,7 +328,6 @@ func (e *Engine) Pass(now time.Duration, x Executor) int {
 		}
 	}
 	e.buffer = kept
-	e.slack = float64(len(kept)) / float64(planned)
 	return planned - len(kept)
 }
 
@@ -400,26 +369,26 @@ func (e *Engine) room(now time.Duration, x Executor, set ensemble.Subset) bool {
 	return false
 }
 
-// planGroup schedules the buffer positions in idx and commits every query
-// the plan placed on a subset with room, earliest deadline first with ties to
-// the lower ID: the sequence the scheduler judged each subset feasible along
-// (Alg. 1), so what runs is what the plan proved on time.
-func (e *Engine) planGroup(now time.Duration, x Executor, sched core.Scheduler, idx []int, blocked ensemble.Subset) {
-	if len(idx) == 0 {
-		return
-	}
-	e.infos = e.infos[:0]
-	for _, bi := range idx {
-		q := e.buffer[bi].Q()
+// plan schedules the whole buffer, every class in the one call of the
+// configured scheduler, and commits every query the plan placed on a subset
+// with room, earliest deadline first with ties to the lower ID: the sequence
+// the scheduler judged each subset feasible along (Alg. 1), so what runs is
+// what the plan proved on time. A class's level on the ladder only cuts what
+// its query commits onto. It marks in left the buffer positions that
+// committed.
+func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
+	e.infos, e.order, e.left = e.infos[:0], e.order[:0], e.left[:0]
+	for i, it := range e.buffer {
+		q := it.Q()
 		e.infos = append(e.infos, core.QueryInfo{ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline, Score: q.Score})
+		e.order, e.left = append(e.order, i), append(e.left, false)
 	}
-	plan := sched.Schedule(now, e.infos, e.capacity(now, x, blocked), e.exec, e.cfg.Rewarder)
-	// idx is the pass's own scratch and is not read in buffer order again.
-	slices.SortFunc(idx, func(a, b int) int {
+	plan := e.cfg.Scheduler.Schedule(now, e.infos, e.capacity(now, x, blocked), e.exec, e.cfg.Rewarder)
+	slices.SortFunc(e.order, func(a, b int) int {
 		qa, qb := e.buffer[a].Q(), e.buffer[b].Q()
 		return cmp.Or(cmp.Compare(qa.Deadline, qb.Deadline), cmp.Compare(qa.ID, qb.ID))
 	})
-	for _, bi := range idx {
+	for _, bi := range e.order {
 		it := e.buffer[bi]
 		// A blocked model is stripped even if the scheduler chose it.
 		q := it.Q()
@@ -428,7 +397,7 @@ func (e *Engine) planGroup(now time.Duration, x Executor, sched core.Scheduler, 
 		if sub == ensemble.Empty {
 			continue
 		}
-		lvl := e.lvl[bi]
+		lvl := e.level(q.Class)
 		if limit := qos.SubsetCap(lvl, e.m); sub.Size() > limit {
 			// The ladder caps the subset to the class's level, keeping the
 			// models that would finish this query's task first. The view is
@@ -444,6 +413,16 @@ func (e *Engine) planGroup(now time.Duration, x Executor, sched core.Scheduler, 
 		x.Commit(now, it, sub, lvl)
 		e.left[bi] = true
 	}
+}
+
+// level is what a query of class ci commits at: its class's rung on the
+// ladder, full service without classes. A class that climbed to shed after
+// its query was admitted commits at greedy: admission is not retroactive.
+func (e *Engine) level(ci int) qos.Level {
+	if len(e.cfg.Classes) == 0 {
+		return qos.LevelFull
+	}
+	return min(e.QoS.Level(ci), qos.LevelGreedy)
 }
 
 // capacity is x's view with every blocked model pushed out of reach.

@@ -70,7 +70,7 @@ func (p *planner) Schedule(_ time.Duration, qs []core.QueryInfo, avail core.Capa
 	return plan
 }
 
-// sizeReward prefers larger subsets, for the greedy planner.
+// sizeReward prefers larger subsets.
 type sizeReward struct{}
 
 func (sizeReward) Reward(_ float64, s ensemble.Subset) float64 { return float64(s.Size()) }
@@ -144,6 +144,16 @@ func (f *fleet) Commit(now time.Duration, it Item, sub ensemble.Subset, lvl qos.
 	f.log = append(f.log, fmt.Sprintf("commit %d %v %v", r.ID, sub.Models(), lvl))
 }
 
+// hold books loaded of work on every replica, due at now, and returns f.
+func (f *fleet) hold(now time.Duration) *fleet {
+	for k := range f.busy {
+		for r := range f.busy[k] {
+			f.busy[k][r] = now + loaded
+		}
+	}
+	return f
+}
+
 // finish is when model k would be done with one more task committed at now.
 func (f *fleet) finish(now time.Duration, k int) time.Duration {
 	return max(now, slices.Min(f.busy[k])) + f.exec[k]
@@ -166,14 +176,16 @@ var (
 		{Name: "silver", Priority: 1, Deadline: time.Second},
 		{Name: "bronze", Priority: 0, Deadline: time.Second},
 	}
-	// slackLadder makes load a readout of the slack the last pass fed the
-	// controller, plus the seconds of work the fleet holds (the buffered term
-	// vanishes, the average forgets at once), with rungs at 0.25, 0.5, 0.75
-	// and 1: over a fleet with little committed, a pass that follows a pass
-	// nothing left climbs one rung, whatever the clock says.
-	slackLadder = qos.Tuning{Capacity: 1e9, Target: time.Second, Tau: time.Nanosecond,
+	// workLadder makes load a readout of the seconds of work the fleet held
+	// at the latest pass (the buffered term vanishes, the average forgets at
+	// once), with rungs at 0.25, 0.5, 0.75 and 1: a pass over a fleet that
+	// holds loaded climbs one rung, whatever the clock says.
+	workLadder = qos.Tuning{Capacity: 1e9, Target: time.Second, Tau: time.Nanosecond,
 		LadderBase: 0.25, LadderStep: 0.25, Dwell: time.Nanosecond}
 )
+
+// loaded is twice workLadder's Target: work that reads as load 2.
+const loaded = 2 * time.Second
 
 func testModels() []model.Model {
 	var models []model.Model
@@ -228,17 +240,21 @@ func (r *rig) arrive(now time.Duration, class string, score float64, region int,
 	return q, a
 }
 
-// climb runs passes against a fleet without room until the ladder stands
-// one rung below rung: the next pass, the one the test is about, steps onto
-// it before it partitions the buffer. It needs a non-empty buffer.
+// climb runs passes from rung 0 against a fleet without room until the ladder
+// stands one rung below rung: the next pass, the one the test is about, steps
+// onto it if its fleet holds loaded. The first pass holds no work and only
+// starts the controller's clock; each one after it holds loaded.
 func (r *rig) climb(t *testing.T, now *time.Duration, rung int) {
 	t.Helper()
 	full := newFleet(t, r.Exec(), 0, 0, 0)
-	for r.QoS.Ladder() < rung-1 || r.slack != 1 {
-		if *now > time.Second {
-			t.Fatalf("ladder at %d, slack %v: never got within a pass of rung %d", r.QoS.Ladder(), r.slack, rung)
+	for pass := 0; pass == 0 || r.QoS.Ladder() < rung-1; pass++ {
+		if pass > 2*rung {
+			t.Fatalf("ladder at %d after %d passes: never got within a pass of rung %d", r.QoS.Ladder(), pass, rung)
 		}
 		*now += ms
+		if pass > 0 {
+			full.hold(*now)
+		}
 		if r.Pass(*now, full) != 0 {
 			t.Fatal("a pass committed onto a fleet without room")
 		}
@@ -269,7 +285,7 @@ func classSnap(t *testing.T, e *Engine, name string) qos.ClassSnapshot {
 // been looked up first.
 func TestArriveHitIsNeverShed(t *testing.T) {
 	r := newRig(func(c *Config) {
-		c.Classes, c.Admission = threeClasses, slackLadder
+		c.Classes, c.Admission = threeClasses, workLadder
 		c.Cache = rcache.Config{Keyer: regionKeyer{}, DifficultyMax: 0.5}
 	})
 	now := ms
@@ -286,7 +302,7 @@ func TestArriveHitIsNeverShed(t *testing.T) {
 	now += 40 * ms
 	r.climb(t, &now, 3)
 	now += ms
-	r.Pass(now, newFleet(t, r.Exec(), 0, 0, 0))
+	r.Pass(now, newFleet(t, r.Exec(), 0, 0, 0).hold(now))
 	if lvl := r.QoS.Level(2); lvl != qos.LevelShed {
 		t.Fatalf("bronze at %v after the climb, want shed", lvl)
 	}
@@ -319,14 +335,14 @@ func TestArriveHitIsNeverShed(t *testing.T) {
 func TestArriveScoresEveryArrivalOnce(t *testing.T) {
 	const n = 8
 	r := newRig(func(c *Config) {
-		c.Classes, c.Admission = threeClasses, slackLadder
+		c.Classes, c.Admission = threeClasses, workLadder
 		c.Adapt = adapt.Config{Enable: true, DriftWindow: time.Second, DriftMinCount: n}
 	})
 	now := ms
 	r.arrive(now, "gold", 0.9, 0, 0)
 	r.climb(t, &now, 3)
 	now += ms
-	r.Pass(now, newFleet(t, r.Exec(), 0, 0, 0))
+	r.Pass(now, newFleet(t, r.Exec(), 0, 0, 0).hold(now))
 	sum, shed := 0.9, 0
 	for i := 1; i < n; i++ {
 		score := float64(i) / 16
@@ -414,16 +430,16 @@ func TestSettleFillsAndLearnsOnlyFromCleanResults(t *testing.T) {
 
 // ---- (b) the pass ----
 
-// TestPassGate: with no unblocked model that has room nothing is planned,
-// nothing leaves and slack reads 1 — a blocked model's room does not count.
+// TestPassGate: with no unblocked model that has room nothing is planned
+// and nothing leaves — a blocked model's room does not count.
 func TestPassGate(t *testing.T) {
 	r := newRig(nil)
 	r.arrive(0, "", 0.5, 0, time.Second)
 	r.arrive(0, "", 0.5, 0, time.Second)
 	f := newFleet(t, r.Exec(), 0, 1, 0)
 	f.blocked = ensemble.Single(1)
-	if left := r.Pass(ms, f); left != 0 || len(r.plan.calls) != 0 || r.slack != 1 || r.Buffered() != 2 {
-		t.Fatalf("gated pass: %d left, %d scheduler calls, slack %v, %d buffered", left, len(r.plan.calls), r.slack, r.Buffered())
+	if left := r.Pass(ms, f); left != 0 || len(r.plan.calls) != 0 || r.Buffered() != 2 {
+		t.Fatalf("gated pass: %d left, %d scheduler calls, %d buffered", left, len(r.plan.calls), r.Buffered())
 	}
 	f.blocked = ensemble.Empty
 	if left := r.Pass(2*ms, f); left != 1 || len(r.plan.calls) != 1 {
@@ -463,40 +479,100 @@ func TestPassStripsBlockedModels(t *testing.T) {
 	}
 }
 
-// TestPassLadder: at rung 2 of three classes bronze is planned by the
-// greedy planner, after the protected classes and against what they left,
-// onto one model; silver is capped to the two models of its plan that finish
-// its task first; gold keeps the whole plan. The fleet's view is read once for
-// the load, once per plan, and once for every subset the cap cuts.
+// TestPassLadder: at rung 2 of three classes the configured scheduler plans
+// all three queries in one call, and each commits in deadline order at its
+// class's level: bronze onto the one model of its plan that finishes its task
+// first, gold onto the whole plan, silver onto the two that finish first. The
+// fleet's view is read once for the load, once for the plan, and once for
+// every subset the cap cuts.
 func TestPassLadder(t *testing.T) {
-	r := newRig(func(c *Config) { c.Classes, c.Admission = threeClasses, slackLadder })
+	r := newRig(func(c *Config) { c.Classes, c.Admission = threeClasses, workLadder })
 	now := ms
 	for _, class := range []string{"bronze", "gold", "silver"} {
 		r.arrive(now, class, 0.5, 0, 0)
 	}
 	r.climb(t, &now, 2)
 	now += ms
-	f := newFleet(t, r.Exec(), 9, 9, 9)
+	f := newFleet(t, r.Exec(), 9, 9, 9).hold(now)
 	if left := r.Pass(now, f); left != 3 {
 		t.Fatalf("%d left, want all 3", left)
 	}
 	if got := r.QoS.Ladder(); got != 2 {
 		t.Fatalf("ladder at %d during the pass, want 2", got)
 	}
-	if want := [][]int{{1, 2}}; !reflect.DeepEqual(r.plan.calls, want) {
-		t.Errorf("configured scheduler planned %v, want only the protected queries %v", r.plan.calls, want)
+	if want := [][]int{{0, 1, 2}}; !reflect.DeepEqual(r.plan.calls, want) {
+		t.Errorf("configured scheduler planned %v, want every buffered query in one call %v", r.plan.calls, want)
 	}
-	want := []string{"capacity", "capacity", "commit 1 [0 1 2] full", "capacity", "commit 2 [0 1] capped",
-		"capacity", "capacity", "commit 0 [0] greedy"}
+	want := []string{"capacity", "capacity", "capacity", "commit 0 [0] greedy", "commit 1 [0 1 2] full",
+		"capacity", "commit 2 [0 1] capped"}
 	if !reflect.DeepEqual(f.log, want) {
 		t.Errorf("pass did %q, want %q", f.log, want)
 	}
 }
 
-// TestPassRoomCheckAndSlack: a query commits only if a model of its own
-// subset has room; slack is the share of the buffer that stayed, and what
-// stays keeps its order.
-func TestPassRoomCheckAndSlack(t *testing.T) {
+// TestGreedyLevelIsCappedPlan: a query of a class at the greedy level is
+// planned by the configured scheduler, and commits onto the one model of that
+// plan that would finish its task first — here model 2, whose replica frees
+// up sooner than model 1's — not onto a model the plan left out.
+func TestGreedyLevelIsCappedPlan(t *testing.T) {
+	r := newRig(func(c *Config) {
+		c.Classes = []qos.Class{{Name: "only", Deadline: 10 * time.Second}}
+		c.Admission = workLadder
+	})
+	r.plan.assign = func(core.QueryInfo) ensemble.Subset { return ensemble.Single(1).With(2) }
+	now := ms
+	q, _ := r.arrive(now, "only", 0.5, 0, 0)
+	r.climb(t, &now, 2)
+	now += ms
+	f := newFleet(t, r.Exec(), 9, 9, 9).hold(now)
+	f.busy[1][0] += 50 * ms
+	if left := r.Pass(now, f); left != 1 || r.QoS.Level(0) != qos.LevelGreedy {
+		t.Fatalf("%d left at %v, want the query committed at greedy", left, r.QoS.Level(0))
+	}
+	if want := [][]int{{q.ID}}; !reflect.DeepEqual(r.plan.calls, want) {
+		t.Errorf("configured scheduler planned %v, want %v", r.plan.calls, want)
+	}
+	if want := []string{"commit 0 [2] greedy"}; !reflect.DeepEqual(f.commits(), want) || q.Planned != ensemble.Single(1).With(2) {
+		t.Errorf("commits %q from plan %v, want %q from [1 2]", f.commits(), q.Planned.Models(), want)
+	}
+}
+
+// TestStagedFleetUnderTargetHoldsRung0: a fully staged fleet — no model has
+// room, so every pass is gated — whose committed work and short buffer come
+// to well under Target reads as the load that work is, pass after pass, and
+// the ladder never leaves rung 0: a fleet that is busy is not overloaded.
+func TestStagedFleetUnderTargetHoldsRung0(t *testing.T) {
+	r := newRig(func(c *Config) {
+		c.Classes = threeClasses
+		// Default rungs (the first at load 1); a buffered query is 10 ms.
+		c.Admission = qos.Tuning{Capacity: 100, Target: time.Second, Tau: time.Nanosecond, Dwell: time.Nanosecond}
+	})
+	for _, class := range []string{"gold", "silver", "bronze"} {
+		r.arrive(0, class, 0.5, 0, 10*time.Second)
+	}
+	staged := newFleet(t, r.Exec(), 0, 0, 0)
+	for now := ms; now <= 500*ms; now += ms {
+		for k := range staged.busy {
+			// One task running, one staged behind it.
+			staged.busy[k][0] = now + 2*r.Exec()[k]
+		}
+		if r.Pass(now, staged) != 0 {
+			t.Fatal("a pass committed onto a fleet without room")
+		}
+		if got, want := r.QoS.Load(), 0.06+0.03; math.Abs(got-want) > 1e-9 || r.QoS.Ladder() != 0 {
+			t.Fatalf("pass at %v: load %v, ladder %d; want %v at rung 0", now, got, r.QoS.Ladder(), want)
+		}
+	}
+	for ci := 0; ci < 3; ci++ {
+		if lvl := r.QoS.Level(ci); lvl != qos.LevelFull {
+			t.Errorf("class %d at %v after the staged passes", ci, lvl)
+		}
+	}
+}
+
+// TestPassRoomCheck: a query commits only if a model of its own subset has
+// room, and what stays keeps its order.
+func TestPassRoomCheck(t *testing.T) {
 	r := newRig(nil)
 	r.plan.assign = func(q core.QueryInfo) ensemble.Subset {
 		return []ensemble.Subset{ensemble.Single(0), ensemble.Empty, ensemble.Single(2), 0b101, ensemble.Empty}[q.ID]
@@ -507,8 +583,8 @@ func TestPassRoomCheckAndSlack(t *testing.T) {
 		qs = append(qs, q)
 	}
 	f := newFleet(t, r.Exec(), 2, 0, 0)
-	if left := r.Pass(ms, f); left != 2 || r.slack != 0.6 {
-		t.Fatalf("%d left, slack %v, want 2 and 0.6", left, r.slack)
+	if left := r.Pass(ms, f); left != 2 || r.Buffered() != 3 {
+		t.Fatalf("%d left, %d buffered, want 2 and 3", left, r.Buffered())
 	}
 	// 0 has room on its model; 1 and 4 have no plan; 2's only model is full;
 	// 3 commits on the room model 0 has left, its other task queueing.
@@ -527,8 +603,9 @@ func TestPassRoomCheckAndSlack(t *testing.T) {
 // ---- (c) the overload decisions read the fleet ----
 
 // TestCapSpreads: one class held at a capped level, models of 20, 80 and 90
-// ms, ten queries the scheduler plans onto all three, one pass onto an idle
-// fleet. Capped to two, every query keeps the fast model and the other task
+// ms, ten queries the scheduler plans onto all three, one pass onto a fleet
+// holding the same work on every model. Capped to two, every query keeps the
+// fast model and the other task
 // alternates between the slow two as each fills; capped to one at the greedy
 // level, a slow model takes a query whenever the fast one's queue has grown
 // past it. (That no
@@ -540,7 +617,7 @@ func TestCapSpreads(t *testing.T) {
 	}{{1, qos.LevelCapped}, {2, qos.LevelGreedy}} {
 		r := newRig(func(c *Config) {
 			c.Classes = []qos.Class{{Name: "only", Deadline: 2 * time.Second}}
-			c.Admission = slackLadder
+			c.Admission = workLadder
 			c.BaseExec = []time.Duration{20 * ms, 80 * ms, 90 * ms}
 		})
 		now := ms
@@ -549,7 +626,7 @@ func TestCapSpreads(t *testing.T) {
 		}
 		r.climb(t, &now, tc.rung)
 		now += ms
-		f := newFleet(t, r.Exec(), 99, 99, 99)
+		f := newFleet(t, r.Exec(), 99, 99, 99).hold(now)
 		if left := r.Pass(now, f); left != 10 || r.QoS.Level(0) != tc.lvl {
 			t.Fatalf("%v: %d of 10 left in a pass at %v", tc.lvl, left, r.QoS.Level(0))
 		}
@@ -571,8 +648,8 @@ func TestCapSpreads(t *testing.T) {
 // committed to the most loaded model, read off the fleet's own view, plus
 // the buffered queries at the admission capacity — not a count of tasks.
 func TestLoadIsWork(t *testing.T) {
-	// Load reads the last observation, in seconds (Target 1 s), while slack
-	// is 0; the capacity prices a buffered query at 10 ms.
+	// Load reads the last observation, in seconds (Target 1 s); the capacity
+	// prices a buffered query at 10 ms.
 	tuning := qos.Tuning{Capacity: 100, Target: time.Second, Tau: time.Nanosecond}
 	const now = 500 * ms
 	at := func(d ...time.Duration) []time.Duration {
@@ -627,8 +704,9 @@ func TestLoadIsWork(t *testing.T) {
 	}
 	r.Pass(now+ms, f)
 	// Model 1 holds 39 ms, model 2 the commit's 30 ms task less the 1 ms
-	// gone; one query is still buffered, and half the last buffer stayed.
-	if got, want := r.QoS.Load(), 0.039+0.01+0.5; math.Abs(got-want) > 1e-9 {
+	// gone; one query is still buffered. That the last pass left half its
+	// buffer behind adds nothing.
+	if got, want := r.QoS.Load(), 0.039+0.01; math.Abs(got-want) > 1e-9 {
 		t.Errorf("load %v with a breaker open, want %v", got, want)
 	}
 	if want := []time.Duration{9 * ms, 39 * ms, 29 * ms}; !reflect.DeepEqual(r.Work(), want) {

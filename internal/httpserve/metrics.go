@@ -82,7 +82,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter) {
 	writeHeader(&b, "schemble_draining", "gauge", "1 while the runtime is draining.")
 	fmt.Fprintf(&b, "schemble_draining %d\n", boolGauge(rt.Draining))
 
-	writeHeader(&b, "schemble_load", "gauge", "Smoothed overload-controller pressure (~1 when the admission target's seconds of service work wait).")
+	writeHeader(&b, "schemble_load", "gauge", "Smoothed overload-controller pressure: committed and buffered work over the admission target (~1 when the target's seconds of service work wait).")
 	fmt.Fprintf(&b, "schemble_load %g\n", rt.Load)
 	writeHeader(&b, "schemble_ladder_state", "gauge", "Degradation-ladder rung (0 = full service).")
 	fmt.Fprintf(&b, "schemble_ladder_state %d\n", rt.Ladder)
@@ -233,7 +233,7 @@ func writeClassMetrics(b *strings.Builder, rt serve.Stats) {
 	for _, c := range rt.Classes {
 		fmt.Fprintf(b, "schemble_class_slo_attainment{class=%q} %g\n", c.Name, c.SLOAttainment)
 	}
-	writeHeader(b, "schemble_class_service_level", "gauge", "Degradation level by class (0 full, 1 capped, 2 greedy, 3 shed).")
+	writeHeader(b, "schemble_class_service_level", "gauge", "Degradation level by class (0 full; 1 capped to half the ensemble; 2 greedy, one model; 3 shed). Every admitted level is planned by the configured scheduler.")
 	for _, c := range rt.Classes {
 		var lvl int
 		switch c.Level {

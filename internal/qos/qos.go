@@ -11,8 +11,7 @@
 // runtime's estimated service capacity. A load estimator smooths the
 // backlog (seconds of service work, which internal/engine reads off the
 // capacity view it plans against: a count would weigh a queued 2 ms task
-// like a 90 ms one) and the scheduler's slack into a single pressure
-// figure. From that figure a
+// like a 90 ms one) into a single pressure figure. From that figure a
 // hysteresis-guarded degradation ladder assigns every class a service
 // level — full, capped, greedy, or shed — always degrading the
 // lowest-priority classes first and restoring them last. Admission is
@@ -59,8 +58,8 @@ const (
 	// LevelCapped keeps the configured scheduler but caps the subset size,
 	// trading accuracy for capacity; results are marked Degraded.
 	LevelCapped
-	// LevelGreedy switches the class to the cheap greedy planner with a
-	// single-model cap; results are marked Degraded.
+	// LevelGreedy is a single-model cap, planned by the configured
+	// scheduler; results are marked Degraded.
 	LevelGreedy
 	// LevelShed rejects the class's new requests at admission.
 	LevelShed
@@ -196,7 +195,6 @@ type Controller struct {
 	load     float64       //schemble:guardedby mu smoothed load estimate
 	seen     bool          //schemble:guardedby mu first-observation latch
 	lastObs  time.Duration //schemble:guardedby mu estimator clock
-	slack    float64       //schemble:guardedby mu latest deadline-slack sample
 	ladder   int           //schemble:guardedby mu degradation rung
 	maxRung  int
 	sinceLad time.Duration //schemble:guardedby mu ladder dwell clock
@@ -318,17 +316,10 @@ func (c *Controller) Rank(i int) int { return c.classes[i].rank }
 
 // Observe feeds the load estimator one measurement: backlog is the service
 // work waiting in the engine, in virtual seconds of it (what the most loaded
-// model has yet to drain, plus what the buffered queries will take), and
-// slack is the fraction of the last planning pass's buffer the scheduler
-// could not place (0 = everything planned). now is the caller's virtual
-// clock.
-func (c *Controller) Observe(now, backlog time.Duration, slack float64) {
-	if slack < 0 {
-		slack = 0
-	} else if slack > 1 {
-		slack = 1
-	}
-	raw := backlog.Seconds()/c.tun.Target.Seconds() + slack
+// model has yet to drain, plus what the buffered queries will take). now is
+// the caller's virtual clock.
+func (c *Controller) Observe(now, backlog time.Duration) {
+	raw := backlog.Seconds() / c.tun.Target.Seconds()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.seen {
@@ -345,7 +336,6 @@ func (c *Controller) Observe(now, backlog time.Duration, slack float64) {
 		w := 1 - math.Exp(-dt.Seconds()/c.tun.Tau.Seconds())
 		c.load += w * (raw - c.load)
 	}
-	c.slack = slack
 	c.stepLadderLocked(now)
 }
 

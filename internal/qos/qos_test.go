@@ -72,7 +72,7 @@ func TestClasslessAlwaysAdmits(t *testing.T) {
 	}
 	// Even under enormous observed load, classless controllers admit.
 	for i := 0; i < 50; i++ {
-		c.Observe(time.Duration(i)*100*time.Millisecond, time.Hour, 1)
+		c.Observe(time.Duration(i)*100*time.Millisecond, time.Hour)
 	}
 	if !c.Admit(5*time.Second, 0) {
 		t.Fatal("classless controller rejected a request")
@@ -114,7 +114,7 @@ func TestLadderMonotoneByPriority(t *testing.T) {
 		before := c.Ladder()
 		for i := 0; i < 10; i++ {
 			now += 300 * time.Millisecond
-			c.Observe(now, time.Hour, 1)
+			c.Observe(now, time.Hour)
 			if d := c.Ladder() - before; d > 1 {
 				t.Fatalf("ladder jumped %d rungs in one window", d)
 			}
@@ -135,7 +135,7 @@ func TestLadderMonotoneByPriority(t *testing.T) {
 		before := c.Ladder()
 		for i := 0; i < 50 && c.Ladder() == before; i++ {
 			now += 300 * time.Millisecond
-			c.Observe(now, 0, 0)
+			c.Observe(now, 0)
 		}
 		if c.Ladder() != before-1 {
 			t.Fatalf("recovery: ladder %d -> %d, want one rung down", before, c.Ladder())
@@ -151,14 +151,14 @@ func TestHysteresisNoFlap(t *testing.T) {
 	tun := Tuning{Capacity: 10, Target: 500 * time.Millisecond}.withDefaults()
 	c := New(Config{Classes: threeClasses(), Tuning: tun})
 	// backlog such that raw load == LadderBase exactly: raw =
-	// backlog/target + slack.
+	// backlog/target.
 	backlog := time.Duration(tun.LadderBase * float64(tun.Target)) // = 500ms
 	transitions := 0
 	last := c.Ladder()
 	now := time.Duration(0)
 	for i := 0; i < 2000; i++ {
 		now += 50 * time.Millisecond
-		c.Observe(now, backlog, 0)
+		c.Observe(now, backlog)
 		if l := c.Ladder(); l != last {
 			transitions++
 			last = l
@@ -174,7 +174,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 	transitions, last, now = 0, c2.Ladder(), 0
 	for i := 0; i < 2000; i++ {
 		now += 50 * time.Millisecond
-		c2.Observe(now, backlogDown, 0)
+		c2.Observe(now, backlogDown)
 		if l := c2.Ladder(); l != last {
 			transitions++
 			last = l
@@ -197,7 +197,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 		now := time.Duration(0)
 		for i := 0; i < 20; i++ {
 			now += 100 * time.Millisecond
-			c.Observe(now, backlog, 0)
+			c.Observe(now, backlog)
 		}
 		ra := c.RetryAfter()
 		if ra < prev {
@@ -266,7 +266,7 @@ func TestAdmissionPropertySeeds(t *testing.T) {
 			}
 			for lastObs+50*time.Millisecond <= at {
 				lastObs += 50 * time.Millisecond
-				c.Observe(lastObs, backlog, 0.5)
+				c.Observe(lastObs, backlog)
 			}
 			for _, i := range order {
 				stats[i].offered++
@@ -310,7 +310,7 @@ func TestAdmitShedsLowestFirst(t *testing.T) {
 	for step := 0; step < 600; step++ {
 		now += 5 * time.Millisecond
 		if step%10 == 0 {
-			c.Observe(now, 20*time.Second, 1)
+			c.Observe(now, 20*time.Second)
 		}
 		for cls := 0; cls < 3; cls++ {
 			if step%2 == cls%2 {
@@ -416,9 +416,8 @@ func TestDeterministicReplay(t *testing.T) {
 			}
 		case 1:
 			bl := time.Duration(r.Intn(100)) * 125 * time.Millisecond
-			sl := r.Float64()
-			a.Observe(now, bl, sl)
-			b.Observe(now, bl, sl)
+			a.Observe(now, bl)
+			b.Observe(now, bl)
 		case 2:
 			if a.Ladder() != b.Ladder() || a.Load() != b.Load() {
 				t.Fatalf("step %d: state diverged", i)
@@ -437,7 +436,7 @@ func TestRetryAfterExtremeLoad(t *testing.T) {
 	now := time.Duration(0)
 	for i := 0; i < 50; i++ {
 		now += 100 * time.Millisecond
-		c.Observe(now, math.MaxInt64, 1)
+		c.Observe(now, math.MaxInt64)
 	}
 	if load := c.Load(); load < 1e12 {
 		t.Fatalf("load = %g; fixture failed to reach an overflowing regime", load)
@@ -460,7 +459,7 @@ func TestRetryAfterIdleAndNaN(t *testing.T) {
 	if got := c.RetryAfter(); got != c.tun.Target {
 		t.Errorf("unobserved RetryAfter = %v, want Target %v", got, c.tun.Target)
 	}
-	c.Observe(100*time.Millisecond, 0, 0)
+	c.Observe(100*time.Millisecond, 0)
 	if got := c.RetryAfter(); got != c.tun.Target {
 		t.Errorf("idle RetryAfter = %v, want Target %v", got, c.tun.Target)
 	}

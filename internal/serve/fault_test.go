@@ -168,6 +168,50 @@ func TestServeNoFaultsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDefaultToleranceFaultFreeNeverHedgesOrRetries: with every mitigation
+// on and no fault injected, a few hundred requests submitted at once — the
+// buffer deep, workers queued, the coordinator behind — take no hedge and
+// no retry. A hedge is armed only on an attempt the injector marked as a
+// straggler, and a retry only after an injected fault or a Predict panic:
+// host queueing alone triggers neither.
+func TestDefaultToleranceFaultFreeNeverHedgesOrRetries(t *testing.T) {
+	a := artifacts(t)
+	s := New(Config{
+		Ensemble:  a.Ensemble,
+		Scheduler: &core.DP{Delta: 0.01},
+		Rewarder:  a.Profile,
+		Estimator: a.Predictor,
+		TimeScale: 0.02,
+		Seed:      1,
+		Tolerance: DefaultTolerance(),
+	})
+	s.Start(context.Background())
+	defer s.Stop()
+	const n = 300
+	chans := make([]<-chan Result, n)
+	for i := range chans {
+		chans[i] = s.Submit(a.Serve[i%len(a.Serve)], 10*time.Second)
+	}
+	for _, ch := range chans {
+		<-ch
+	}
+	st := s.Stats()
+	if st.Resolved != n {
+		t.Fatalf("%d of %d requests resolved", st.Resolved, n)
+	}
+	var executed uint64
+	for k, m := range st.Models {
+		executed += m.Executed
+		if m.Retries+m.Hedges+m.HedgeWins+m.Stragglers+m.Transient+m.Crashes+m.Panics != 0 {
+			t.Errorf("model %d took mitigations with no fault injected: %+v", k, m)
+		}
+	}
+	if executed == 0 {
+		t.Fatal("no task ran")
+	}
+	t.Logf("served %d degraded %d missed %d over %d tasks", st.Served, st.Degraded, st.Missed, executed)
+}
+
 // TestServeDegradedPartialEnsemble forces one model to straggle far past
 // every deadline: requests whose subset includes it must still be served —
 // degraded, from the models that completed — instead of missing.

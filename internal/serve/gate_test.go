@@ -20,7 +20,7 @@ import (
 // This file pins the coordinator's dispatch gate: a planning pass that
 // cannot commit anything — every unblocked replica already holds a running
 // task and a staged one — must not call the scheduler, and must leave the
-// buffer, the slack signal and the counters exactly as a pass that planned
+// buffer, the load signal and the counters exactly as a pass that planned
 // and then committed nothing. staged_test.go drives the same rig through
 // the staging rule's own properties.
 //
@@ -159,11 +159,11 @@ func newGateRig(t *testing.T, nModels int, blocked ensemble.Subset, tweak ...fun
 		Scheduler: rig.sched,
 		Rewarder:  sizeRewarder{},
 		Seed:      1,
-		// Load becomes a readout of the slack fed to the controller: the
-		// backlog term is negligible — the hours of work the gate models
-		// claim are nothing against a target of a century — and the EWMA
-		// forgets instantly. The capacity keeps tokens from ever binding.
-		Admission: AdmissionConfig{Capacity: 1e9, Target: 100 * 365 * 24 * time.Hour, Tau: time.Nanosecond},
+		// Load becomes a readout of the hours of work committed to the most
+		// loaded model at the latest pass: the buffered term is negligible at
+		// this capacity, which also keeps tokens from ever binding, and the
+		// EWMA forgets instantly.
+		Admission: AdmissionConfig{Capacity: 1e9, Target: time.Hour, Tau: time.Nanosecond},
 		Tolerance: ToleranceConfig{BreakerThreshold: 1, BreakerCooldown: 1000 * time.Hour},
 	}
 	for _, f := range tweak {
@@ -233,10 +233,11 @@ type gateOracle struct {
 	remaining map[int]int
 	inflight  int
 	served    int
-	lastSlack float64
-	fedSlack  float64 // what the latest pass fed the controller
-	calls     int     // Schedule calls with the gate
-	ungated   int     // Schedule calls without it
+	// fedTasks is what the latest pass fed the controller, in tasks: the
+	// most any model had committed to it.
+	fedTasks int
+	calls    int // Schedule calls with the gate
+	ungated  int // Schedule calls without it
 }
 
 func (o *gateOracle) free() bool {
@@ -249,17 +250,15 @@ func (o *gateOracle) free() bool {
 }
 
 func (o *gateOracle) pass() {
-	o.fedSlack = o.lastSlack
+	o.fedTasks = max(len(o.queue[0]), len(o.queue[1]))
 	if len(o.buffer) == 0 {
 		return
 	}
 	o.ungated++
 	if !o.free() {
-		o.lastSlack = 1
 		return
 	}
 	o.calls++
-	planned := len(o.buffer)
 	kept := o.buffer[:0]
 	for _, id := range o.buffer {
 		if !o.free() {
@@ -273,7 +272,6 @@ func (o *gateOracle) pass() {
 		o.inflight++
 	}
 	o.buffer = kept
-	o.lastSlack = float64(len(kept)) / float64(planned)
 }
 
 func (o *gateOracle) submit(id int) {
@@ -296,13 +294,21 @@ func (g *gateRig) settled(o *gateOracle, calls int) bool {
 	st := g.srv.Stats()
 	return st.Buffered == len(o.buffer) && st.InFlight == o.inflight &&
 		st.Served == uint64(o.served) && st.Missed == 0 && st.Rejected == 0 &&
-		math.Abs(st.Load-o.fedSlack) < 1e-3 && int(g.sched.calls.Load()) == calls
+		g.loadInTasks() == o.fedTasks && int(g.sched.calls.Load()) == calls
+}
+
+// loadInTasks reads the controller's load, hours of committed work, in the
+// gate models' task times, to the nearest whole task: a task is over an hour
+// and the script takes seconds, so the rounding absorbs the clock.
+func (g *gateRig) loadInTasks() int {
+	hours := g.srv.Stats().Load * time.Hour.Seconds()
+	return int(math.Round(hours / g.srv.eng.Exec()[0].Seconds()))
 }
 
 func (g *gateRig) state() string {
 	st := g.srv.Stats()
-	return fmt.Sprintf("buffered %d inflight %d served %d missed %d rejected %d load %.6f calls %d",
-		st.Buffered, st.InFlight, st.Served, st.Missed, st.Rejected, st.Load, g.sched.calls.Load())
+	return fmt.Sprintf("buffered %d inflight %d served %d missed %d rejected %d load %.6f (%d tasks) calls %d",
+		st.Buffered, st.InFlight, st.Served, st.Missed, st.Rejected, st.Load, g.loadInTasks(), g.sched.calls.Load())
 }
 
 // runGateScript drives the gated server and its ungated twin through one

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -18,9 +19,10 @@ import (
 // score, cache lookup, admission, whose order internal/engine's own tests
 // pin — in the state only the runtime keeps: results, class counters and
 // decision traces. It runs on the gate_test.go rig, features against each
-// other: the blocking models hold a backlog, every gated pass reads slack 1,
-// and the ladder climbs a rung per pass, so a class sits at shed without a
-// clock having anything to do with it.
+// other: the blocking models hold a backlog of hour-long tasks, every request
+// left in the buffer adds an hour more, and the ladder climbs a rung per pass
+// while that backlog is deep, so a class sits at shed without a clock having
+// anything to do with it.
 
 // difficultyEstimator scores a sample by its Difficulty field and counts
 // how often it is asked.
@@ -59,9 +61,15 @@ func newOrderRig(t *testing.T, tweak func(*Config)) *orderRig {
 			{Name: "gold", Priority: 1, Deadline: 2 * time.Hour},
 			{Name: "bronze", Priority: 0, Deadline: 2 * time.Hour},
 		}
-		// Load is the last pass's slack (see newGateRig), so rungs at
-		// 0.25, 0.5 and 0.75 all engage at slack 1, one pass apart.
-		c.Admission.LadderBase, c.Admission.LadderStep = 0.25, 0.25
+		// Load is the latest pass's backlog in hours (see newGateRig): 1.1
+		// per task committed to the deeper model, 1 per buffered request.
+		// Rungs engage at 3, 4 and 5, so a fleet with a task running and one
+		// staged on each model (2.2) holds rung 0, and behind it the n-th
+		// buffered request's pass climbs onto rung n. The gate load keeps
+		// tokens from binding: only the ladder sheds.
+		c.Admission.Capacity = 1 / time.Hour.Seconds()
+		c.Admission.GateLoad = math.Inf(1)
+		c.Admission.LadderBase, c.Admission.LadderStep = 3, 1
 		c.Admission.Dwell = time.Nanosecond
 		c.Estimator = o.est
 		tweak(c)
@@ -200,9 +208,11 @@ func TestSubmitOrderTraceSaysWhoCutTheSubset(t *testing.T) {
 	testutil.Poll(t, rigWait, "first gold request committed", inFlight(1, 0))
 	rig.send("gold", hardScore, 2)
 	testutil.Poll(t, rigWait, "second gold request staged", inFlight(2, 0))
-	// The bronze request finds no room: its pass is gated and reads slack 1.
-	// It also reads two tasks' worth of work on either model (the pass before
-	// it read one), which the stats publish once it is over.
+	// The bronze request finds no room: its pass is gated. It reads two
+	// tasks' worth of work on either model (the pass before it read one),
+	// which the stats publish once it is over, and the bronze request itself
+	// in the buffer: the ladder steps onto rung 1, bronze capped to one model
+	// of two.
 	cut := rig.send("bronze", hardScore, 3)
 	testutil.Poll(t, rigWait, "bronze request's pass over", func() bool {
 		for k, m := range rig.srv.Stats().Models[:2] {
@@ -212,9 +222,11 @@ func TestSubmitOrderTraceSaysWhoCutTheSubset(t *testing.T) {
 		}
 		return inFlight(2, 1)()
 	})
-	// Model 1 completes a task. The pass that follows is fed that slack,
-	// steps the ladder onto rung 1 — bronze capped, to one model of two —
-	// and has room on model 1 only.
+	if got := rig.srv.Stats().Ladder; got != 1 {
+		t.Fatalf("ladder at %d after the gated pass, want 1", got)
+	}
+	// Model 1 completes a task. The pass that follows reads the same
+	// backlog on model 0, holds rung 1, and has room on model 1 only.
 	rig.finish(t, 1)
 	testutil.Poll(t, rigWait, "bronze request committed", inFlight(3, 0))
 	rig.finish(t, 1)

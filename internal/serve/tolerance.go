@@ -25,7 +25,10 @@ type ToleranceConfig struct {
 	// HedgeFactor > 0 hedges straggling attempts: once an attempt is known
 	// to straggle, a hedge attempt is issued after HedgeFactor × the
 	// model's mean latency, and the first to finish wins. 0 disables
-	// hedging.
+	// hedging. Only the fault injector marks an attempt as a straggler
+	// (model.FaultStraggler), so without injected faults nothing hedges,
+	// however long the host makes a task queue — and nothing retries either
+	// unless Predict panics.
 	HedgeFactor float64
 	// BreakerThreshold > 0 opens a model's circuit breaker after that many
 	// consecutive task failures; the scheduler then avoids the model until
