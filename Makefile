@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet build cross test test-race rig repo-bench chaos obsv bench bench-json overload cache drift fuzz cover
+.PHONY: check lint vet build cross test test-race rig repo-bench golden chaos obsv bench bench-json overload cache drift fuzz cover
 
 check: vet build cross test-race rig repo-bench
 
@@ -61,6 +61,15 @@ rig:
 	$(GO) test -race -count=20 \
 		-run 'TestDispatchGate|TestStaged|TestTurn|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
 		./internal/serve/
+
+# golden regenerates every paper table and figure and fails unless the
+# output is byte-identical to the committed results_all_experiments.txt:
+# every experiment runs the DP and the decision engine, so a change to
+# either that moves any decision shows here (~2 min).
+golden:
+	$(GO) run ./cmd/schemble exp -id all > golden.out
+	cmp golden.out results_all_experiments.txt
+	rm -f golden.out
 
 # Fault-injection stress tests: every chaos/fault/drain scenario under the
 # race detector with a tight timeout so a hung drain or leaked goroutine

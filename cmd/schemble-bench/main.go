@@ -5,11 +5,11 @@
 //
 //   - Micro-benchmarks of the scheduling kernel itself (via
 //     testing.Benchmark): the DP re-solving two alternating instances,
-//     the DP on the two window shapes the live coordinator hands it
-//     (overload, and the all-feasible slack of a staged fleet), and the
-//     Greedy baseline; and of the cold start every server, soak and
-//     experiment pays: one predictor-shaped training run and one whole
-//     pipeline.Build.
+//     the DP on the three shapes the live coordinator hands it (overload,
+//     the all-feasible slack of a staged fleet, and that fleet under a
+//     buffer deeper than the window), and the Greedy baseline; and of the
+//     cold start every server, soak and experiment pays: one
+//     predictor-shaped training run and one whole pipeline.Build.
 //   - A high-arrival-rate soak of the real internal/serve runtime over a
 //     fitted text-matching pipeline under a compressed TimeScale,
 //     reporting outcome counts (a drain-and-accounting smoke; wall-clock
@@ -146,13 +146,14 @@ func liveInstance(seed uint64) (time.Duration, []core.QueryInfo, core.Capacity, 
 	return now, queries, core.SingleReplica(avail), exec
 }
 
-// slackInstance builds the window shape behind the live path's slowest
-// calls on burst: deadlines uniform in 150 ms-1 s from arrival against a
-// fleet staged one task deep (each model busy with a running task and the
-// one behind it), so nearly every query can still be placed and the
-// plan's top level sits near the upper bound the window can add.
-func slackInstance(seed uint64) (time.Duration, []core.QueryInfo, core.Capacity, []time.Duration) {
-	const n = 16
+// slackInstance builds the shape behind the live path's slowest calls on
+// burst: n buffered queries with deadlines uniform in 150 ms-1 s from
+// arrival against a fleet staged one task deep (each model busy with a
+// running task and the one behind it), so nearly every query can still be
+// placed and the plan's top level sits near the upper bound the window
+// can add. At n = 16 the buffer is one window; deeper, the window is
+// truncated and planned over single models.
+func slackInstance(n int, seed uint64) (time.Duration, []core.QueryInfo, core.Capacity, []time.Duration) {
 	ms := time.Millisecond
 	src := rng.New(seed)
 	now := time.Duration(2000+src.Intn(500)) * ms
@@ -243,12 +244,15 @@ func runMicro() []microResult {
 
 	nowL1, qL1, capL1, execL1 := liveInstance(44)
 	nowL2, qL2, capL2, execL2 := liveInstance(45)
-	nowS1, qS1, capS1, execS1 := slackInstance(46)
-	nowS2, qS2, capS2, execS2 := slackInstance(47)
+	nowS1, qS1, capS1, execS1 := slackInstance(16, 46)
+	nowS2, qS2, capS2, execS2 := slackInstance(16, 47)
+	nowD1, qD1, capD1, execD1 := slackInstance(40, 48)
+	nowD2, qD2, capD2, execD2 := slackInstance(40, 49)
 
 	resolveDP := &core.DP{Delta: 0.01}
 	liveDP := &core.DP{Delta: 0.01}
 	slackDP := &core.DP{Delta: 0.01}
+	deepDP := &core.DP{Delta: 0.01}
 	greedy := &core.Greedy{Order: core.EDF}
 	fit := predictorFit()
 	buildCfg := pipeline.Config{
@@ -265,6 +269,8 @@ func runMicro() []microResult {
 		liveDP.Schedule(nowL2, qL2, capL2, execL2, rw)
 		slackDP.Schedule(nowS1, qS1, capS1, execS1, rw)
 		slackDP.Schedule(nowS2, qS2, capS2, execS2, rw)
+		deepDP.Schedule(nowD1, qD1, capD1, execD1, rw)
+		deepDP.Schedule(nowD2, qD2, capD2, execD2, rw)
 	}
 
 	return []microResult{
@@ -274,13 +280,17 @@ func runMicro() []microResult {
 			func() { resolveDP.Schedule(0, qA, capA, execA, rw) },
 			func() { resolveDP.Schedule(0, qB, capB, execB, rw) }),
 		// The live path's calls: a full window under overload with one
-		// idle model, and a full window of slack on a staged fleet.
+		// idle model, a full window of slack on a staged fleet, and the
+		// same fleet under a burst-deep buffer of 40.
 		alternating("dp/live-overload",
 			func() { liveDP.Schedule(nowL1, qL1, capL1, execL1, rw) },
 			func() { liveDP.Schedule(nowL2, qL2, capL2, execL2, rw) }),
 		alternating("dp/live-slack",
 			func() { slackDP.Schedule(nowS1, qS1, capS1, execS1, rw) },
 			func() { slackDP.Schedule(nowS2, qS2, capS2, execS2, rw) }),
+		alternating("dp/live-deep",
+			func() { deepDP.Schedule(nowD1, qD1, capD1, execD1, rw) },
+			func() { deepDP.Schedule(nowD2, qD2, capD2, execD2, rw) }),
 		measure("greedy/edf", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

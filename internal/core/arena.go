@@ -31,7 +31,7 @@ import (
 //     exactness argument).
 //
 // The arena also caches the flatten buffers, the EDF index sorter, the
-// subset enumeration and the returned Assignments map. None of this is
+// two subset enumerations and the returned Assignments map. None of this is
 // goroutine-safe: a DP instance must not be shared across concurrent
 // Schedule calls (no caller does — see the DP doc comment).
 
@@ -90,9 +90,12 @@ type dpScratch struct {
 
 	rebuilds int // solves the incumbent bound had to redo; tests read it
 
-	subsets  []ensemble.Subset
-	subsetsM int
-	plan     map[int]ensemble.Subset
+	// subsets is the list this call plans over: all (every non-empty
+	// subset) or singles (the m one-model subsets), both cached per model
+	// count.
+	subsets, all, singles []ensemble.Subset
+	subsetsM              int
+	plan                  map[int]ensemble.Subset
 
 	// Per-call resolved configuration, set by Schedule.
 	delta    float64
@@ -117,13 +120,17 @@ func (s *dpScratch) planMap() map[int]ensemble.Subset {
 	return s.plan
 }
 
-// allSubsets caches the non-empty subset enumeration for m models.
-func (s *dpScratch) allSubsets(m int) []ensemble.Subset {
-	if s.subsets == nil && m > 0 || s.subsetsM != m {
-		s.subsets = ensemble.AllSubsets(m)
+// pickSubsets sets the call's subset list for m models: the singletons
+// when singles is set, else every non-empty subset.
+func (s *dpScratch) pickSubsets(m int, singles bool) {
+	if s.all == nil || s.subsetsM != m {
+		s.all, s.singles = ensemble.AllSubsets(m), ensemble.SubsetsOfSize(m, 1)
 		s.subsetsM = m
 	}
-	return s.subsets
+	s.subsets = s.all
+	if singles {
+		s.subsets = s.singles
+	}
 }
 
 // setWidth fixes the availability width for this call and sizes the

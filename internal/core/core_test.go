@@ -361,6 +361,46 @@ func TestDPWindowCap(t *testing.T) {
 	}
 }
 
+// TestDPTruncatedWindowPlansSingles pins the window rule on an idle fleet
+// with loose deadlines, where every query could take the full ensemble:
+// handed window+1 queries, the DP gives the window one model each and
+// leaves the query behind it unassigned; handed the window alone, it
+// still grants more than one model.
+func TestDPTruncatedWindowPlansSingles(t *testing.T) {
+	const window = 6
+	queries := make([]QueryInfo, window+1)
+	for i := range queries {
+		queries[i] = QueryInfo{ID: i + 1, Deadline: time.Duration(10+i) * time.Second, Score: 0.3}
+	}
+	avail := SingleReplica([]time.Duration{0, 0, 0})
+	exec := []time.Duration{20 * ms, 30 * ms, 40 * ms}
+	r := rootRewarder{m: 3}
+	d := &DP{Delta: 0.05, MaxWindow: window}
+
+	deep := d.Schedule(0, queries, avail, exec, r).Clone()
+	for _, q := range queries[:window] {
+		if got := deep.Subset(q.ID); got.Size() != 1 {
+			t.Errorf("truncated window: query %d got %v, want one model", q.ID, got)
+		}
+	}
+	if got := deep.Subset(queries[window].ID); got != ensemble.Empty {
+		t.Errorf("query behind the window got %v, want it left for the next call", got)
+	}
+
+	full := d.Schedule(0, queries[:window], avail, exec, r)
+	multi := false
+	for _, q := range queries[:window] {
+		got := full.Subset(q.ID)
+		if got == ensemble.Empty {
+			t.Errorf("full window: query %d unassigned on an idle fleet", q.ID)
+		}
+		multi = multi || got.Size() > 1
+	}
+	if !multi {
+		t.Error("a buffer that fits the window got only single models; the rule must not engage")
+	}
+}
+
 func TestDPBusyModelsDelayStart(t *testing.T) {
 	// Model 0 is busy until t=90; a 100ms deadline can only be met by
 	// model 1.

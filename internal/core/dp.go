@@ -34,6 +34,14 @@ type DP struct {
 	// (bounding worst-case latency of the scheduler itself under bursts);
 	// 0 means 16. Queries beyond the window are left unassigned and picked
 	// up by the next invocation.
+	//
+	// A call handed more queries than the window plans the window over the
+	// m single-model subsets only. The reward trade-off cannot see the
+	// queries queued behind the window, so a second model for one query in
+	// it would spend capacity they need; the solve is also cheaper (m
+	// transitions per frontier entry instead of 2^m - 1) exactly when the
+	// buffer is deep. Which model still follows Reward(score, {k}), and
+	// Theorem 3's bound holds over the singleton space.
 	MaxWindow int
 	// DisablePrune turns dominance pruning off (the abl-prune ablation);
 	// frontiers are then truncated at UnprunedCap entries per level to
@@ -104,11 +112,12 @@ func (d *DP) Schedule(now time.Duration, queries []QueryInfo, avail Capacity, ex
 		return plan
 	}
 	order := s.edfOrder(queries)
-	if len(order) > window {
+	truncated := len(order) > window
+	if truncated {
 		order = order[:window]
 	}
 	base, lay := s.fl.flatten(now, avail)
-	s.allSubsets(avail.M())
+	s.pickSubsets(avail.M(), truncated)
 	s.setWidth(len(base))
 	// Each query adds at most this many levels. Rewards above 1.0 clamp
 	// into the top level (and negative rewards into level 0) rather than

@@ -180,6 +180,16 @@ func genLiveInstance(seed uint64) instance {
 	return inst
 }
 
+// edfPrefix returns the n earliest-deadline queries, in EDF order: the
+// window a call on all of queries plans.
+func edfPrefix(queries []QueryInfo, n int) []QueryInfo {
+	var out []QueryInfo
+	for _, qi := range edfOrder(queries)[:n] {
+		out = append(out, queries[qi])
+	}
+	return out
+}
+
 // edgeRewarder strays just outside [0,1] — above 1 for easy full
 // ensembles, below 0 for a single model on a hard query — by less than
 // any Delta under test, the range where ReferenceDP's unclamped level
@@ -199,23 +209,27 @@ func (r edgeRewarder) Reward(score float64, s ensemble.Subset) float64 {
 // TestDPLevelBoundsIdentity pins the level bounds on live-shaped overload
 // instances, where they skip most of the table, in every mode the
 // exactness argument covers: refinement on and off, pruning off, beam
-// off. One DP per configuration is reused across seeds.
+// off. Each instance is planned whole, a buffer the window truncates and
+// so plans over single models, and as its earliest-deadline queries that
+// fill the configuration's window exactly, planned over every subset. One
+// DP per configuration is reused across seeds.
 func TestDPLevelBoundsIdentity(t *testing.T) {
 	configs := []struct {
-		name  string
-		seeds uint64
-		mk    func() (*DP, *ReferenceDP)
+		name   string
+		seeds  uint64
+		window int
+		mk     func() (*DP, *ReferenceDP)
 	}{
-		{"default", 10, func() (*DP, *ReferenceDP) {
+		{"default", 10, 16, func() (*DP, *ReferenceDP) {
 			return &DP{Delta: 0.01}, &ReferenceDP{Delta: 0.01}
 		}},
-		{"vanilla", 10, func() (*DP, *ReferenceDP) {
+		{"vanilla", 10, 16, func() (*DP, *ReferenceDP) {
 			return &DP{Delta: 0.01, Vanilla: true}, &ReferenceDP{Delta: 0.01, Vanilla: true}
 		}},
-		{"noprune", 6, func() (*DP, *ReferenceDP) {
+		{"noprune", 6, 16, func() (*DP, *ReferenceDP) {
 			return &DP{Delta: 0.05, DisablePrune: true}, &ReferenceDP{Delta: 0.05, DisablePrune: true}
 		}},
-		{"unbounded-frontier", 6, func() (*DP, *ReferenceDP) {
+		{"unbounded-frontier", 6, 10, func() (*DP, *ReferenceDP) {
 			return &DP{Delta: 0.02, MaxFrontier: -1, MaxWindow: 10}, &ReferenceDP{Delta: 0.02, MaxFrontier: -1, MaxWindow: 10}
 		}},
 	}
@@ -223,10 +237,15 @@ func TestDPLevelBoundsIdentity(t *testing.T) {
 		d, ref := cfg.mk()
 		for seed := uint64(0); seed < cfg.seeds; seed++ {
 			inst := genLiveInstance(seed)
-			for _, r := range []Rewarder{rootRewarder{m: inst.m}, edgeRewarder{m: inst.m}} {
-				got := d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
-				want := ref.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
-				samePlan(t, cfg.name+"/live", got, want)
+			for i, queries := range [][]QueryInfo{inst.queries, edfPrefix(inst.queries, cfg.window)} {
+				for _, r := range []Rewarder{rootRewarder{m: inst.m}, edgeRewarder{m: inst.m}} {
+					got := d.Schedule(inst.now, queries, inst.cap, inst.exec, r)
+					if every := len(d.scr.subsets) == len(d.scr.all); every != (i == 1) {
+						t.Fatalf("%s seed %d: %d queries planned over every subset = %v, want %v", cfg.name, seed, len(queries), every, i == 1)
+					}
+					want := ref.Schedule(inst.now, queries, inst.cap, inst.exec, r)
+					samePlan(t, cfg.name+"/live", got, want)
+				}
 			}
 		}
 	}
@@ -291,21 +310,29 @@ func TestDPIncumbentIdentity(t *testing.T) {
 // path, so the incumbent never forces the rebuild. This is what holds the
 // incumbent to a plan that is really feasible at its clamped level: one
 // that counted a subset past its deadline, or summed unclamped rewards,
-// would overshoot the top and rebuild.
+// would overshoot the top and rebuild. A buffer deeper than the window is
+// also planned as its window alone, so both subset lists are covered.
 func TestDPIncumbentNeverRebuildsWhenExact(t *testing.T) {
+	const window = 10
 	gens := []struct {
 		name string
 		gen  func(uint64) instance
 	}{{"property", genInstance}, {"live", genLiveInstance}, {"slack", genSlackInstance}}
 	for _, vanilla := range []bool{false, true} {
-		d := &DP{Delta: 0.01, MaxFrontier: -1, MaxWindow: 10, Vanilla: vanilla}
+		d := &DP{Delta: 0.01, MaxFrontier: -1, MaxWindow: window, Vanilla: vanilla}
 		for _, g := range gens {
 			for seed := uint64(0); seed < 40; seed++ {
 				inst := g.gen(seed)
-				for _, r := range []Rewarder{rootRewarder{m: inst.m}, scaledRewarder{scale: 2.5, m: inst.m}} {
-					d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
-					if d.scr.rebuilds != 0 {
-						t.Fatalf("vanilla=%v %s seed %d: an exact table fell below the incumbent", vanilla, g.name, seed)
+				lists := [][]QueryInfo{inst.queries}
+				if len(inst.queries) > window {
+					lists = append(lists, edfPrefix(inst.queries, window))
+				}
+				for _, queries := range lists {
+					for _, r := range []Rewarder{rootRewarder{m: inst.m}, scaledRewarder{scale: 2.5, m: inst.m}} {
+						d.Schedule(inst.now, queries, inst.cap, inst.exec, r)
+						if d.scr.rebuilds != 0 {
+							t.Fatalf("vanilla=%v %s seed %d, %d queries: an exact table fell below the incumbent", vanilla, g.name, seed, len(queries))
+						}
 					}
 				}
 			}
@@ -363,24 +390,25 @@ func TestDPIncumbentFallback(t *testing.T) {
 // TestDPLevelBoundsOutOfRange covers rewards far outside [0,1], where
 // ReferenceDP panics or diverges by design (see its doc): a DP that has
 // just solved a different instance must agree with a fresh one, and the
-// plan must replay feasibly with a truthful TotalReward.
+// plan must replay feasibly with a truthful TotalReward. Each instance is
+// planned whole (a truncated window, single models) and as its 16-query
+// window alone (every subset); both plans replay against that window.
 func TestDPLevelBoundsOutOfRange(t *testing.T) {
 	for _, scale := range []float64{2.5, -0.5} {
 		warm := &DP{Delta: 0.01}
 		for seed := uint64(0); seed < 8; seed++ {
 			inst := genLiveInstance(seed)
-			r := scaledRewarder{scale: scale, m: inst.m}
-			got := warm.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r).Clone()
-			want := (&DP{Delta: 0.01}).Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
-			samePlan(t, "out-of-range/live", got, want)
 			windowed := inst
-			windowed.queries = nil
-			for _, qi := range edfOrder(inst.queries)[:16] {
-				windowed.queries = append(windowed.queries, inst.queries[qi])
-			}
-			replayFeasible(t, "out-of-range/live", seed, windowed, got, r)
-			if scale < 0 && got.TotalReward != 0 {
-				t.Fatalf("seed %d: negative rewards must never beat skipping, got %v", seed, got.TotalReward)
+			windowed.queries = edfPrefix(inst.queries, 16)
+			r := scaledRewarder{scale: scale, m: inst.m}
+			for _, queries := range [][]QueryInfo{inst.queries, windowed.queries} {
+				got := warm.Schedule(inst.now, queries, inst.cap, inst.exec, r).Clone()
+				want := (&DP{Delta: 0.01}).Schedule(inst.now, queries, inst.cap, inst.exec, r)
+				samePlan(t, "out-of-range/live", got, want)
+				replayFeasible(t, "out-of-range/live", seed, windowed, got, r)
+				if scale < 0 && got.TotalReward != 0 {
+					t.Fatalf("seed %d: negative rewards must never beat skipping, got %v", seed, got.TotalReward)
+				}
 			}
 		}
 	}
@@ -551,8 +579,8 @@ func TestGreedyBitIdenticalToReference(t *testing.T) {
 
 // TestDPScheduleSteadyStateZeroAlloc is the arena's regression guard:
 // after warmup, Schedule must not allocate — neither on identical
-// consecutive inputs nor when alternating between two instances, nor
-// when a call falls back to the rebuild.
+// consecutive inputs nor when alternating between two instances, nor on
+// a truncated window, nor when a call falls back to the rebuild.
 func TestDPScheduleSteadyStateZeroAlloc(t *testing.T) {
 	instA := genInstance(7)
 	instB := genInstance(8)
@@ -584,6 +612,24 @@ func TestDPScheduleSteadyStateZeroAlloc(t *testing.T) {
 		d2.Schedule(instB.now, instB.queries, instB.cap, instB.exec, rB)
 	}); n != 0 {
 		t.Errorf("DP.Schedule steady state (alternating re-solve): %v allocs/op, want 0", n)
+	}
+
+	// A buffer deeper than the window plans over the singleton list;
+	// alternating with a call that fits the window switches lists.
+	deep := genLiveInstance(3)
+	fits := deep
+	fits.queries = edfPrefix(deep.queries, 16)
+	rDeep := rootRewarder{m: deep.m}
+	d5 := &DP{}
+	for i := 0; i < 3; i++ {
+		d5.Schedule(deep.now, deep.queries, deep.cap, deep.exec, rDeep)
+		d5.Schedule(fits.now, fits.queries, fits.cap, fits.exec, rDeep)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		d5.Schedule(deep.now, deep.queries, deep.cap, deep.exec, rDeep)
+		d5.Schedule(fits.now, fits.queries, fits.cap, fits.exec, rDeep)
+	}); n != 0 {
+		t.Errorf("DP.Schedule steady state (truncated window): %v allocs/op, want 0", n)
 	}
 
 	fb, rFB := fallbackInstance()

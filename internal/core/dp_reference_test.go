@@ -13,11 +13,12 @@ import (
 // licenses every shortcut the arena-based DP takes (level bounds, the
 // incumbent, the Pareto short-circuit, entry recycling).
 //
-// Do not "fix" it: its value is being the frozen pre-arena semantics.
-// That includes one historical wart the live DP repaired — a Rewarder
-// returning a reward above 1.0 makes ReferenceDP index past its level
-// table and panic, whereas DP clamps into the top level (see
-// TestDPOutOfRangeRewarder).
+// Do not "fix" it: its value is being the frozen pre-arena semantics, plus
+// the one rule DP has gained since — a truncated window plans over the
+// single-model subsets (see DP.MaxWindow). That includes one historical
+// wart the live DP repaired — a Rewarder returning a reward above 1.0
+// makes ReferenceDP index past its level table and panic, whereas DP
+// clamps into the top level (see TestDPOutOfRangeRewarder).
 type ReferenceDP struct {
 	// Fields mirror DP; see that type for documentation.
 	Delta        float64
@@ -62,6 +63,9 @@ func (d *ReferenceDP) Schedule(now time.Duration, queries []QueryInfo, avail Cap
 	}
 	base, lay := flatten(now, avail)
 	subsets := ensemble.AllSubsets(avail.M())
+	if len(queries) > window {
+		subsets = ensemble.SubsetsOfSize(avail.M(), 1)
+	}
 
 	// frontier[level] holds the Pareto entries attaining quantized reward
 	// level after the queries processed so far. Levels index a dense

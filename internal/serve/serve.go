@@ -500,8 +500,7 @@ type Stats struct {
 	// Load is the overload controller's smoothed pressure estimate (~0
 	// idle, 1 when Admission.Target seconds of service work wait: the
 	// committed work of the most loaded model — Models[k].BacklogSeconds —
-	// plus the buffered queries at the admission capacity, over the target,
-	// plus the share of the last pass's buffer that could not commit);
+	// plus the buffered queries at the admission capacity, over the target);
 	// Ladder is the degradation ladder's current rung and LadderState its
 	// name ("full-service", "degrade-N"). Classes holds per-class outcome
 	// counters and SLO attainment, in declaration order; nil when the
