@@ -115,8 +115,10 @@ type Executor interface {
 	// every subset the ladder caps, so it may alias live state; a Commit
 	// must show in the next read.
 	Capacity() core.Capacity
-	// Room reports whether model k can take one more task.
-	Room(now time.Duration, k int) bool
+	// Room reports whether the fleet can take a query committed onto sub,
+	// by the driver's own rule: every model of sub, or some. A pass asks it
+	// of each unblocked model alone, then of each query's committed subset.
+	Room(now time.Duration, sub ensemble.Subset) bool
 	// Commit takes the query out of the buffer for good: the driver
 	// dispatches one task per model of sub, or resolves the query some
 	// other way (its queue is full, it is already gone).
@@ -301,7 +303,7 @@ func (e *Engine) Filter(keep func(Item) bool) {
 
 // Pass plans the buffer at now and commits what the plan placed and x has
 // room for; it returns how many queries left the buffer. A query whose plan
-// is empty, or whose planned models are all full, waits for the next pass.
+// is empty, or whose subset x has no room for, waits for the next pass.
 func (e *Engine) Pass(now time.Duration, x Executor) int {
 	// The load estimate drives admission and the ladder, never the plan.
 	e.QoS.Observe(now, e.committedWork(now, x))
@@ -359,10 +361,10 @@ func (e *Engine) finishTimes(now time.Duration, x Executor) []time.Duration {
 	return e.finish
 }
 
-// room reports whether some model of set can take a commit.
+// room reports whether some model of set has room on its own.
 func (e *Engine) room(now time.Duration, x Executor, set ensemble.Subset) bool {
 	for k := 0; k < e.m; k++ {
-		if set.Contains(k) && x.Room(now, k) {
+		if set.Contains(k) && x.Room(now, ensemble.Single(k)) {
 			return true
 		}
 	}
@@ -405,9 +407,9 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 			// capped traffic spreads over equals instead of queueing on one.
 			sub = qos.TruncateSubset(sub, limit, e.finishTimes(now, x))
 		}
-		// One chosen model with room is enough; the others' tasks queue
-		// behind what their replicas hold.
-		if !e.room(now, x, sub) {
+		// Room is asked about what would run, not what was planned: the
+		// driver decides whether it needs every model of it or some.
+		if !x.Room(now, sub) {
 			continue
 		}
 		x.Commit(now, it, sub, lvl)

@@ -88,7 +88,8 @@ type req struct {
 }
 
 // fleet is a scripted Executor with one FIFO queue per model: model k has
-// room while its queue holds fewer than depth[k] tasks.
+// room while its queue holds fewer than depth[k] tasks, and a subset while
+// every model of it does — serve's quantifier.
 type fleet struct {
 	t       *testing.T
 	depth   []int
@@ -97,6 +98,8 @@ type fleet struct {
 	busy    core.Capacity
 	exec    []time.Duration
 	log     []string // "capacity" reads and "commit id subset level"
+	// asked is every subset Room was asked about, in order.
+	asked []ensemble.Subset
 	// cut counts the commits the ladder's cap took a model from.
 	cut int
 }
@@ -114,7 +117,15 @@ func (f *fleet) Capacity() core.Capacity {
 	f.log = append(f.log, "capacity")
 	return f.busy
 }
-func (f *fleet) Room(_ time.Duration, k int) bool { return len(f.queue[k]) < f.depth[k] }
+func (f *fleet) Room(_ time.Duration, sub ensemble.Subset) bool {
+	f.asked = append(f.asked, sub)
+	for _, k := range sub.Models() {
+		if len(f.queue[k]) >= f.depth[k] {
+			return false
+		}
+	}
+	return true
+}
 func (f *fleet) Commit(now time.Duration, it Item, sub ensemble.Subset, lvl qos.Level) {
 	r := it.(*req)
 	if sub&f.blocked != 0 {
@@ -431,9 +442,14 @@ func TestSettleFillsAndLearnsOnlyFromCleanResults(t *testing.T) {
 // ---- (b) the pass ----
 
 // TestPassGate: with no unblocked model that has room nothing is planned
-// and nothing leaves — a blocked model's room does not count.
+// and nothing leaves — a blocked model's room does not count. The gate asks
+// about each unblocked model alone, so a full model does not hold back a
+// query planned onto another one.
 func TestPassGate(t *testing.T) {
 	r := newRig(nil)
+	r.plan.assign = func(q core.QueryInfo) ensemble.Subset {
+		return []ensemble.Subset{ensemble.Full(3), ensemble.Single(1)}[q.ID]
+	}
 	r.arrive(0, "", 0.5, 0, time.Second)
 	r.arrive(0, "", 0.5, 0, time.Second)
 	f := newFleet(t, r.Exec(), 0, 1, 0)
@@ -444,6 +460,15 @@ func TestPassGate(t *testing.T) {
 	f.blocked = ensemble.Empty
 	if left := r.Pass(2*ms, f); left != 1 || len(r.plan.calls) != 1 {
 		t.Fatalf("pass with room on model 1: %d left, %d scheduler calls", left, len(r.plan.calls))
+	}
+	// The gate's questions, then the plan's: the query planned onto all three
+	// waits for models 0 and 2, the one planned onto model 1 commits.
+	one := ensemble.Single
+	if want := []ensemble.Subset{one(0), one(2), one(0), one(1), ensemble.Full(3), one(1)}; !reflect.DeepEqual(f.asked, want) {
+		t.Errorf("Room was asked about %v, want %v", f.asked, want)
+	}
+	if want := []string{"commit 1 [1] full"}; !reflect.DeepEqual(f.commits(), want) {
+		t.Errorf("commits %q, want %q", f.commits(), want)
 	}
 	// An empty buffer is observed but not planned.
 	empty := newRig(nil)
@@ -570,33 +595,58 @@ func TestStagedFleetUnderTargetHoldsRung0(t *testing.T) {
 	}
 }
 
-// TestPassRoomCheck: a query commits only if a model of its own subset has
-// room, and what stays keeps its order.
+// TestPassRoomCheck: a query commits only if the executor has room for the
+// subset it would commit onto — after the blocked-model strip and the
+// ladder's cap, not the plan — and what stays keeps its order.
 func TestPassRoomCheck(t *testing.T) {
 	r := newRig(nil)
 	r.plan.assign = func(q core.QueryInfo) ensemble.Subset {
-		return []ensemble.Subset{ensemble.Single(0), ensemble.Empty, ensemble.Single(2), 0b101, ensemble.Empty}[q.ID]
+		return []ensemble.Subset{ensemble.Single(0), ensemble.Empty, ensemble.Single(2), 0b101, 0b011}[q.ID]
 	}
 	var qs []*req
 	for i := 0; i < 5; i++ {
 		q, _ := r.arrive(0, "", 0.5, 0, time.Second)
 		qs = append(qs, q)
 	}
+	// Model 1 is blocked and full, model 2 full.
 	f := newFleet(t, r.Exec(), 2, 0, 0)
+	f.blocked = ensemble.Single(1)
 	if left := r.Pass(ms, f); left != 2 || r.Buffered() != 3 {
 		t.Fatalf("%d left, %d buffered, want 2 and 3", left, r.Buffered())
 	}
-	// 0 has room on its model; 1 and 4 have no plan; 2's only model is full;
-	// 3 commits on the room model 0 has left, its other task queueing.
-	if want := []string{"commit 0 [0] full", "commit 3 [0 2] full"}; !reflect.DeepEqual(f.commits(), want) {
+	// 0 has room on its model; 1 has no plan; 2's only model is full, and so
+	// is one of 3's; 4 commits onto what the strip left of its plan.
+	if want := []string{"commit 0 [0] full", "commit 4 [0] full"}; !reflect.DeepEqual(f.commits(), want) {
 		t.Errorf("commits %q, want %q", f.commits(), want)
 	}
-	if r.buffer[0] != Item(qs[1]) || r.buffer[1] != Item(qs[2]) || r.buffer[2] != Item(qs[4]) {
+	one := ensemble.Single
+	if want := []ensemble.Subset{one(0), one(0), one(2), 0b101, one(0)}; !reflect.DeepEqual(f.asked, want) {
+		t.Errorf("Room was asked about %v, want the gate's model 0, then %v", f.asked, want[1:])
+	}
+	if r.buffer[0] != Item(qs[1]) || r.buffer[1] != Item(qs[2]) || r.buffer[2] != Item(qs[3]) {
 		t.Error("the queries that stayed changed order")
 	}
 	r.Filter(func(it Item) bool { return it != qs[2] })
-	if r.Buffered() != 2 || r.buffer[0] != Item(qs[1]) || r.buffer[1] != Item(qs[4]) {
+	if r.Buffered() != 2 || r.buffer[0] != Item(qs[1]) || r.buffer[1] != Item(qs[3]) {
 		t.Errorf("%d buffered after filtering the middle one of three out", r.Buffered())
+	}
+
+	// Capped to two, a plan of all three asks about the two models that
+	// finish first, and commits while the third is full.
+	r = newRig(func(c *Config) {
+		c.Classes = []qos.Class{{Name: "only", Deadline: time.Second}}
+		c.Admission = workLadder
+	})
+	now := ms
+	r.arrive(now, "only", 0.5, 0, 0)
+	r.climb(t, &now, 1)
+	now += ms
+	f = newFleet(t, r.Exec(), 9, 9, 0).hold(now)
+	if left := r.Pass(now, f); left != 1 || r.QoS.Level(0) != qos.LevelCapped {
+		t.Fatalf("%d left at %v, want the query committed capped", left, r.QoS.Level(0))
+	}
+	if got, want := f.asked[len(f.asked)-1], ensemble.Subset(0b011); got != want {
+		t.Errorf("Room was asked about %v for a capped commit, want %v", got.Models(), want.Models())
 	}
 }
 
@@ -721,9 +771,9 @@ type still struct {
 	capped int // commits onto exactly two models
 }
 
-func (*still) Blocked(time.Duration) ensemble.Subset { return ensemble.Empty }
-func (x *still) Capacity() core.Capacity             { return x.busy }
-func (*still) Room(time.Duration, int) bool          { return true }
+func (*still) Blocked(time.Duration) ensemble.Subset    { return ensemble.Empty }
+func (x *still) Capacity() core.Capacity                { return x.busy }
+func (*still) Room(time.Duration, ensemble.Subset) bool { return true }
 func (x *still) Commit(now time.Duration, _ Item, sub ensemble.Subset, _ qos.Level) {
 	for k := range x.busy {
 		if sub.Contains(k) {

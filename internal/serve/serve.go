@@ -6,13 +6,14 @@
 // settlement) against per-replica capacity (core.Capacity), and
 // channel-based task dispatch.
 //
-// Dispatch is work-conserving: a model has room for a commit while its
-// replica runs out of committed work within one task time (stageable), so
-// one task waits staged in the model's queue behind each running one, and
-// a replica that finishes starts it at once — while the coordinator is
-// still planning the pass that completion triggered. The simulator binds
-// only to idle replicas, virtual time having no planning cost to hide; the
-// two agree whenever an arrival meets an idle fleet.
+// Dispatch is work-conserving: a query commits once every model of its
+// subset has room, a replica running out of committed work within one task
+// time (stageable). So at most one task waits staged behind each running
+// one, which a replica that finishes starts at once — while the coordinator
+// still plans the pass that completion triggered — and the rest of the wait
+// is in the buffer, where the query can still be re-planned. The simulator
+// commits once some model of the subset is idle, having no planning cost to
+// hide; the two agree whenever an arrival meets an idle fleet.
 //
 // The coordinator works in turns: it handles the event that woke it and
 // every event already queued behind it, then plans once, and the engine
@@ -1529,9 +1530,15 @@ func (c *coordinator) Blocked(now time.Duration) ensemble.Subset {
 // Capacity implements engine.Executor.
 func (c *coordinator) Capacity() core.Capacity { return c.busyUntil }
 
-// Room implements engine.Executor with the staging rule.
-func (c *coordinator) Room(now time.Duration, k int) bool {
-	return stageable(c.busyUntil[k], now, c.s.eng.Exec()[k])
+// Room implements engine.Executor with the staging rule, asked of every
+// model of sub.
+func (c *coordinator) Room(now time.Duration, sub ensemble.Subset) bool {
+	for k, slots := range c.busyUntil {
+		if sub.Contains(k) && !stageable(slots, now, c.s.eng.Exec()[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Commit implements engine.Executor: it locks the request onto sub and
@@ -1628,14 +1635,14 @@ func earliestSlot(slots []time.Duration) (idx int, at time.Duration) {
 	return idx, slots[idx]
 }
 
-// stageable is the coordinator's commit rule: at time t a model can take
-// one more task while the work already committed to its earliest replica
-// slot runs out within one task time, exec. A busy replica therefore holds
-// at most one task staged in the model's queue behind the running one, and
-// an idle replica can be handed two in one pass: the worker picks the
-// staged task up the instant it finishes, and the planning pass that
-// completion triggers runs during that task instead of in front of it
-// (DESIGN.md "Online wrapper").
+// stageable is the coordinator's commit rule for one model: at time t it
+// can take one more task while the work committed to its earliest replica
+// slot runs out within one task time, exec. The task lands on that slot,
+// which then drains by t + 2·exec; Room asks it of every model a query
+// commits onto, so a busy replica holds at most one task staged behind the
+// running one, and an idle one can be handed two in one pass. The worker
+// starts the staged task the instant it finishes, and the pass that
+// completion triggers runs during it (DESIGN.md "Online wrapper").
 func stageable(slots []time.Duration, t, exec time.Duration) bool {
 	_, at := earliestSlot(slots)
 	return at <= t+exec

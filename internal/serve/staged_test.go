@@ -11,8 +11,9 @@ import (
 
 // This file drives gate_test.go's wall-clock-free rig through the staging
 // rule (stageable): a replica takes a commit while the work it holds runs
-// out within one task time, so one task waits in the model's queue behind
-// the running one and the worker starts it without the coordinator.
+// out within one task time, and a query commits only when every model of its
+// subset can take one, so one task waits in each model's queue behind the
+// running one and the worker starts it without the coordinator.
 
 // commit makes n arrivals one at a time, each after the one before has
 // committed, so each is its own planning pass.
@@ -97,6 +98,51 @@ func TestStagedIdleReplicaTakesTwoInOnePass(t *testing.T) {
 	})
 	if res := rig.result(t, 0); res.Missed || res.Subset != ensemble.Single(0) {
 		t.Fatalf("first request: %+v", res)
+	}
+}
+
+// TestStagedCommitWaitsForEveryModel: a query commits only when every model
+// of its subset can stage a task. Model 1 holds a running task and a staged
+// one while model 0 is idle: a query planned onto both waits in the buffer,
+// one planned onto model 0 alone commits past it, and the first commits once
+// model 1 finishes its running task.
+func TestStagedCommitWaitsForEveryModel(t *testing.T) {
+	rig := newGateRig(t, 2, ensemble.Empty)
+	rig.commit(t, 2)
+	rig.finish(t, 0)
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "model 0 idle, model 1 running and staged", func() bool {
+		st := rig.srv.Stats()
+		return rig.models[0].entered.Load() == 2 && st.Models[0].Executed == 2 && st.Forming[0] == 0 &&
+			st.ReplicaBusy[1][0] == 1 && st.QueueDepth[1] == 1
+	})
+	calls := rig.sched.calls.Load()
+	rig.arrive()
+	testutil.Poll(t, rigWait, "the pair query planned", func() bool {
+		return rig.sched.calls.Load() == calls+1
+	})
+	if st := rig.srv.Stats(); st.Buffered != 1 || st.InFlight != 2 {
+		t.Fatalf("a query planned onto both models: buffered %d inflight %d, want it to wait", st.Buffered, st.InFlight)
+	}
+	rig.sched.alone.Store(3)
+	rig.arrive()
+	testutil.Poll(t, rigWait, "the model-0 query committed", func() bool {
+		st := rig.srv.Stats()
+		return st.Buffered == 1 && st.InFlight == 3
+	})
+	rig.finish(t, 1)
+	testutil.Poll(t, rigWait, "the pair query committed", func() bool {
+		st := rig.srv.Stats()
+		return st.Served == 1 && st.Buffered == 0 && st.InFlight == 3
+	})
+	rig.finish(t, 0)
+	rig.finish(t, 1)
+	rig.finish(t, 0)
+	rig.finish(t, 1)
+	for i, want := range []ensemble.Subset{ensemble.Full(2), ensemble.Full(2), ensemble.Full(2), ensemble.Single(0)} {
+		if res := rig.result(t, i); res.Missed || res.Subset != want {
+			t.Fatalf("request %d: %+v, want served by %v", i, res, want.Models())
+		}
 	}
 }
 

@@ -60,21 +60,28 @@ func TestTurnPlansQueuedEventsOnce(t *testing.T) {
 	rig.queued(t, k+1)
 	turns, events := rig.turns()
 	rig.sched.resumeHeld(t)
-	// The held pass stages the second request; the completion left model 0
-	// room for one of the three, and the other two stay.
+	// The held pass stages the second request. The completion left model 0
+	// room for one of the three, but model 1 still holds a running task and a
+	// staged one, so the batch's pass commits none of them.
 	testutil.Poll(t, rigWait, "the batch planned", func() bool {
 		st := rig.srv.Stats()
 		nt, _ := rig.turns()
-		return st.InFlight == 3 && st.Buffered == k-1 && nt == turns+1
+		return st.InFlight == 2 && st.Buffered == k && nt == turns+1 && rig.sched.calls.Load() == 3
 	})
-	if got := rig.sched.calls.Load(); got != 3 {
-		t.Fatalf("%d scheduler calls, want 3: one pass for the whole batch", got)
-	}
 	if got := rig.sched.last.Load(); got != k {
 		t.Fatalf("the batch's pass planned %d queries, want all %d", got, k)
 	}
 	if _, ne := rig.turns(); ne != events+k+1 {
 		t.Fatalf("the turn handled %d events, want %d", ne-events, k+1)
+	}
+	// Model 1's completion leaves both models room for one.
+	rig.finish(t, 1)
+	testutil.Poll(t, rigWait, "one of the batch committed", func() bool {
+		st := rig.srv.Stats()
+		return st.Served == 1 && st.InFlight == 2 && st.Buffered == k-1
+	})
+	if got := rig.sched.calls.Load(); got != 4 {
+		t.Fatalf("%d scheduler calls, want 4: one pass for the whole batch, one for the completion", got)
 	}
 }
 

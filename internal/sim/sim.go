@@ -450,7 +450,7 @@ func (s *sim) onArrival(arrIdx int) {
 	// Fast path (Exp-5): empty buffer + an idle replica of the fastest
 	// model -> skip the predictor's delay and the scheduler, dispatch now.
 	if s.cfg.FastFirst && s.eng.Buffered() == 0 {
-		if fastest := s.fastest(); s.anyIdle(fastest) {
+		if fastest := s.fastest(); s.anyIdle(ensemble.Single(fastest)) {
 			s.commit(q, ensemble.Single(fastest))
 			return
 		}
@@ -622,10 +622,10 @@ func (s *sim) Capacity() core.Capacity {
 	return s.avail
 }
 
-// Room implements engine.Executor with the paper's wrapper: a query
-// commits as soon as one of its planned models has an idle replica (its
-// other tasks queue behind busy replicas, the per-model task buffer).
-func (s *sim) Room(_ time.Duration, j int) bool { return s.anyIdle(j) }
+// Room implements engine.Executor with the paper's wrapper: a query commits
+// once some model of sub has an idle replica. serve asks every model of sub;
+// the simulator keeps the rule the paper's tables were produced under.
+func (s *sim) Room(_ time.Duration, sub ensemble.Subset) bool { return s.anyIdle(sub) }
 
 // Commit implements engine.Executor.
 func (s *sim) Commit(_ time.Duration, it engine.Item, sub ensemble.Subset, lvl qos.Level) {
@@ -663,12 +663,11 @@ func (s *sim) leastBacklogged(j int) int {
 	return best
 }
 
-// anyIdle reports whether any replica of model type j is idle with an
+// anyIdle reports whether some replica of a model of sub is idle with an
 // empty queue.
-func (s *sim) anyIdle(j int) bool {
-	for _, si := range s.byType[j] {
-		sv := s.servers[si]
-		if !sv.running && len(sv.queue) == 0 {
+func (s *sim) anyIdle(sub ensemble.Subset) bool {
+	for _, sv := range s.servers {
+		if sub.Contains(sv.typeIdx) && !sv.running && len(sv.queue) == 0 {
 			return true
 		}
 	}
