@@ -119,9 +119,6 @@ func main() {
 	snapshot := flag.String("snapshot", "", "path to cache the fitted pipeline (empty = refit on every start)")
 	queueDepth := flag.Int("queuedepth", 0, "per-model task queue bound (0 = default 1024); full queues reject instead of blocking")
 	replicasFlag := flag.String("replicas", "", "replica-pool sizes: one int for every model (e.g. 4) or a comma list per model (e.g. 1,2,4); empty = 1 each")
-	batchMax := flag.Int("batch", 0, "micro-batch cap per replica (0 or 1 disables batching)")
-	batchLinger := flag.Duration("batch-linger", 0, "longest a forming batch waits for stragglers once the queue is empty, in virtual time")
-	batchMarginal := flag.Float64("batch-marginal", 0, "incremental cost of one extra batched item as a fraction of single-item latency (0 = default 0.15)")
 	drainTimeout := flag.Duration("drain", 10*time.Second, "graceful-shutdown grace period for committed in-flight work")
 	faultRate := flag.Float64("fault-rate", 0, "chaos: probability a task attempt fails transiently (0 = off)")
 	stragglerRate := flag.Float64("straggler-rate", 0, "chaos: probability a task attempt straggles at 8x latency (0 = off)")
@@ -283,17 +280,12 @@ func main() {
 		TimeScale:  *timescale,
 		QueueDepth: *queueDepth,
 		Replicas:   replicas,
-		Batching: serve.BatchConfig{
-			MaxBatch:  *batchMax,
-			MaxLinger: *batchLinger,
-			Curve:     model.BatchCurve{Marginal: *batchMarginal},
-		},
-		Classes:   classes,
-		Admission: serve.AdmissionConfig{Capacity: *admCapacity, Target: *admTarget},
-		Cache:     cacheCfg,
-		Adapt:     adaptCfg,
-		Seed:      *seed,
-		Faults:    faults,
+		Classes:    classes,
+		Admission:  serve.AdmissionConfig{Capacity: *admCapacity, Target: *admTarget},
+		Cache:      cacheCfg,
+		Adapt:      adaptCfg,
+		Seed:       *seed,
+		Faults:     faults,
 		// Mitigations stay on even without injection: they also cover
 		// panics and real stragglers, and degrade at the deadline instead
 		// of missing outright.
@@ -305,9 +297,8 @@ func main() {
 			"chaos enabled: fault-rate=%.3f straggler-rate=%.3f crash-mtbf=%v\n",
 			*faultRate, *stragglerRate, *crashMTBF)
 	}
-	if replicas != nil || *batchMax > 1 {
-		fmt.Fprintf(os.Stderr, "replica pools: %v  micro-batching: max=%d linger=%v\n",
-			replicas, *batchMax, *batchLinger)
+	if replicas != nil {
+		fmt.Fprintf(os.Stderr, "replica pools: %v\n", replicas)
 	}
 	if len(classes) > 0 {
 		names := make([]string, len(classes))

@@ -75,7 +75,7 @@ type Scheduler interface {
 	// avail[k][r] is the absolute time replica r of model k finishes its
 	// in-flight work (values in the past mean "idle now"); exec[k] is the
 	// expected execution time of one task on model k — the amortized
-	// per-item cost when the runtime micro-batches.
+	// per-item cost when the simulator batches.
 	Schedule(now time.Duration, queries []QueryInfo, avail Capacity, exec []time.Duration, r Rewarder) Plan
 }
 

@@ -57,7 +57,8 @@ type Config struct {
 	// Estimator predicts discrepancy scores; nil scores every query 0.5.
 	Estimator discrepancy.ScoreEstimator
 	// Replicas[k] is model k's pool size; BaseExec[k] its frozen planning
-	// cost, with whatever margin or batch amortization the driver plans by.
+	// cost: the mean latency with whatever margin the driver plans by. Batch
+	// amortization is the simulator's alone and stays in its own backlog.
 	Replicas []int
 	BaseExec []time.Duration
 	// Classes, Admission, Cache and Adapt are the drivers' Config fields of

@@ -30,7 +30,6 @@ func FuzzHTTPPredict(f *testing.F) {
 			TimeScale: 0.05,
 			Seed:      42,
 			Replicas:  []int{1, 2, 1},
-			Batching:  serve.BatchConfig{MaxBatch: 4, MaxLinger: 5 * time.Millisecond},
 		}),
 		Estimator: a.Predictor,
 		Pool:      a.Serve,

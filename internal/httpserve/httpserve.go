@@ -111,18 +111,14 @@ type RuntimeStats struct {
 	Buffered   int    `json:"buffered"`
 	InFlight   int    `json:"in_flight"`
 	QueueDepth []int  `json:"queue_depth"`
-	// Replicas[k] is model k's replica-pool size; Forming[k] counts tasks
-	// pulled off model k's queue into a forming or executing batch (so
-	// QueueDepth[k]+Forming[k] covers every outstanding task exactly
-	// once); ReplicaBusy[k][r] is the batch size replica r is executing.
-	Replicas    []int   `json:"replicas"`
-	Forming     []int   `json:"forming"`
-	ReplicaBusy [][]int `json:"replica_busy"`
-	// BatchSizes[k][b-1] counts executed batches of size b; omitted when
-	// batching is disabled.
-	BatchSizes [][]uint64    `json:"batch_sizes,omitempty"`
-	Models     []ModelHealth `json:"models"`
-	Draining   bool          `json:"draining"`
+	// Replicas[k] is model k's replica-pool size; ReplicaBusy[k][r] is 1
+	// while replica r holds a task whose completion is not reported yet (so
+	// QueueDepth[k] plus the sum of ReplicaBusy[k] covers every outstanding
+	// task exactly once), 0 when it is idle.
+	Replicas    []int         `json:"replicas"`
+	ReplicaBusy [][]int       `json:"replica_busy"`
+	Models      []ModelHealth `json:"models"`
+	Draining    bool          `json:"draining"`
 	// Load is the admission controller's smoothed pressure estimate (~1 at
 	// the target backlog); Ladder/LadderState describe the degradation
 	// rung; Classes carries per-class outcome counters and SLO attainment
@@ -466,9 +462,7 @@ func (h *Handler) handleStats(w http.ResponseWriter) {
 		InFlight:    rt.InFlight,
 		QueueDepth:  rt.QueueDepth,
 		Replicas:    rt.Replicas,
-		Forming:     rt.Forming,
 		ReplicaBusy: rt.ReplicaBusy,
-		BatchSizes:  rt.BatchSizes,
 		Models:      modelHealth(rt),
 		Draining:    rt.Draining,
 		Load:        rt.Load,

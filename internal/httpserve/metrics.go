@@ -254,7 +254,7 @@ func writeClassMetrics(b *strings.Builder, rt serve.Stats) {
 // replica-pool gauges, breaker and crash-window state, and the
 // fault/mitigation counters.
 func writeModelMetrics(b *strings.Builder, rt serve.Stats) {
-	writeHeader(b, "schemble_model_queue_depth", "gauge", "Per-model task queue occupancy (excludes tasks pulled into forming batches).")
+	writeHeader(b, "schemble_model_queue_depth", "gauge", "Per-model task queue occupancy (excludes tasks a replica has taken).")
 	for k, m := range rt.Models {
 		fmt.Fprintf(b, "schemble_model_queue_depth{model=%q} %d\n", m.Name, rt.QueueDepth[k])
 	}
@@ -262,11 +262,7 @@ func writeModelMetrics(b *strings.Builder, rt serve.Stats) {
 	for k, m := range rt.Models {
 		fmt.Fprintf(b, "schemble_model_replicas{model=%q} %d\n", m.Name, rt.Replicas[k])
 	}
-	writeHeader(b, "schemble_model_forming", "gauge", "Tasks pulled off the model's queue into a forming or executing batch.")
-	for k, m := range rt.Models {
-		fmt.Fprintf(b, "schemble_model_forming{model=%q} %d\n", m.Name, rt.Forming[k])
-	}
-	writeHeader(b, "schemble_replica_busy", "gauge", "Batch size the replica is executing right now (0 = idle).")
+	writeHeader(b, "schemble_replica_busy", "gauge", "1 while the replica holds a task whose completion is not reported yet, 0 when idle.")
 	for k, m := range rt.Models {
 		for r, busy := range rt.ReplicaBusy[k] {
 			fmt.Fprintf(b, "schemble_replica_busy{model=%q,replica=\"%d\"} %d\n", m.Name, r, busy)
@@ -282,22 +278,6 @@ func writeModelMetrics(b *strings.Builder, rt serve.Stats) {
 	for _, m := range rt.Models {
 		for r, v := range m.ReplicaFailures {
 			fmt.Fprintf(b, "schemble_replica_failures_total{model=%q,replica=\"%d\"} %d\n", m.Name, r, v)
-		}
-	}
-	if rt.BatchSizes != nil {
-		// Cumulative le-buckets over executed batch sizes: the Prometheus
-		// histogram shape, rendered from the exact per-size counts.
-		writeHeader(b, "schemble_batch_size", "histogram", "Executed micro-batch sizes per model.")
-		for k, m := range rt.Models {
-			var cum, sum uint64
-			for i, c := range rt.BatchSizes[k] {
-				cum += c
-				sum += uint64(i+1) * c
-				fmt.Fprintf(b, "schemble_batch_size_bucket{model=%q,le=\"%d\"} %d\n", m.Name, i+1, cum)
-			}
-			fmt.Fprintf(b, "schemble_batch_size_bucket{model=%q,le=\"+Inf\"} %d\n", m.Name, cum)
-			fmt.Fprintf(b, "schemble_batch_size_sum{model=%q} %d\n", m.Name, sum)
-			fmt.Fprintf(b, "schemble_batch_size_count{model=%q} %d\n", m.Name, cum)
 		}
 	}
 	writeHeader(b, "schemble_model_breaker_open", "gauge", "1 while the model's circuit breaker is open.")

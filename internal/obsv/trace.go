@@ -105,9 +105,6 @@ type DecisionTrace struct {
 	Planned      ensemble.Subset
 	Alternatives []Alternative // top candidate subsets by profiled reward
 	QueueDepths  []int         // per-model task-queue occupancy
-	// Forming counts tasks per model that replicas had pulled into forming
-	// batches at commit time (they have left the queue but not finished).
-	Forming []int
 	// BusyUntil is each model's earliest replica availability — the
 	// capacity signal the scheduler's feasibility checks keyed on.
 	BusyUntil []time.Duration
@@ -157,7 +154,6 @@ type traceJSON struct {
 	Planned      []int         `json:"planned,omitempty"`
 	Alternatives []Alternative `json:"alternatives,omitempty"`
 	QueueDepths  []int         `json:"queue_depths,omitempty"`
-	Forming      []int         `json:"forming,omitempty"`
 	BusyUntilUS  []int64       `json:"busy_until_us,omitempty"`
 	Blocked      []int         `json:"blocked,omitempty"`
 	Drift        []string      `json:"drift,omitempty"`
@@ -188,7 +184,6 @@ func (t DecisionTrace) MarshalJSON() ([]byte, error) {
 		Subset:       t.Subset,
 		Alternatives: t.Alternatives,
 		QueueDepths:  t.QueueDepths,
-		Forming:      t.Forming,
 		Blocked:      t.Blocked,
 		Drift:        t.Drift,
 		Retries:      t.Retries,
@@ -233,7 +228,6 @@ func (t *DecisionTrace) UnmarshalJSON(data []byte) error {
 		Subset:       w.Subset,
 		Alternatives: w.Alternatives,
 		QueueDepths:  w.QueueDepths,
-		Forming:      w.Forming,
 		Blocked:      w.Blocked,
 		Drift:        w.Drift,
 		Retries:      w.Retries,

@@ -94,6 +94,15 @@ func TestServeStressExactlyOnce(t *testing.T) {
 		t.Errorf("post-shutdown backlog: buffered=%d inflight=%d, want 0/0",
 			st.Buffered, st.InFlight)
 	}
+	// A worker killed mid-task releases its busy gauge, so Stats never
+	// reports a ghost task after shutdown.
+	for k, busy := range st.ReplicaBusy {
+		for r, b := range busy {
+			if b != 0 {
+				t.Errorf("model %d replica %d busy gauge stuck at %d after Stop", k, r, b)
+			}
+		}
+	}
 }
 
 // TestServeTinyQueueOverflow floods a QueueDepth=1 server: saturation must

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"schemble/internal/dataset"
 	"schemble/internal/ensemble"
 	"schemble/internal/model"
-	"schemble/internal/testutil"
 )
 
 // bottleneckRewarder models a profile where acceptable accuracy requires
@@ -59,9 +57,9 @@ func poolSamples(n int) []*dataset.Sample {
 
 // TestServeReplicasSingleBitIdentical pins the compatibility guarantee of
 // the replica-pool refactor: a server configured with an explicit
-// one-replica pool per model and batching disabled must produce Results
-// bit-identical to the zero-config server, request for request — the
-// replica machinery may not perturb scheduling, RNG draws, or outputs.
+// one-replica pool per model must produce Results bit-identical to the
+// zero-config server, request for request — the replica machinery may not
+// perturb scheduling, RNG draws, or outputs.
 func TestServeReplicasSingleBitIdentical(t *testing.T) {
 	a := artifacts(t)
 	plain := newServer(t, a)
@@ -73,7 +71,6 @@ func TestServeReplicasSingleBitIdentical(t *testing.T) {
 		TimeScale: 0.1,
 		Seed:      1,
 		Replicas:  []int{1, 1, 1},
-		Batching:  BatchConfig{}, // explicitly off
 	})
 	plain.Start(context.Background())
 	defer plain.Stop()
@@ -103,9 +100,6 @@ func TestServeReplicasSingleBitIdentical(t *testing.T) {
 		if r != 1 {
 			t.Errorf("model %d replica count = %d, want 1", k, r)
 		}
-	}
-	if st.BatchSizes != nil {
-		t.Error("batch histogram allocated with batching disabled")
 	}
 }
 
@@ -180,169 +174,5 @@ func TestServeReplicaPoolThroughput(t *testing.T) {
 	}
 	if d4, d1 := dmr(missed4, served4, rej4), dmr(missed1, served1, rej1); d4 > d1 {
 		t.Errorf("DMR rose with replicas: %.3f (R=4) vs %.3f (R=1)", d4, d1)
-	}
-}
-
-// TestServeBatchingFormsBatches pins the micro-batching path end to end: a
-// burst against a batching pool must execute real multi-task batches
-// (visible in the batch-size histogram), still resolve every request, and
-// leave the queue-depth/forming accounting at exactly zero once quiescent.
-func TestServeBatchingFormsBatches(t *testing.T) {
-	s := New(Config{
-		Ensemble:  slowEnsemble(7),
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  bottleneckRewarder{slow: 2},
-		TimeScale: 0.05,
-		Seed:      5,
-		Replicas:  []int{1, 1, 2},
-		Batching:  BatchConfig{MaxBatch: 4, MaxLinger: 40 * time.Millisecond},
-	})
-	s.Start(context.Background())
-	defer s.Stop()
-
-	samples := poolSamples(40)
-	chans := make([]<-chan Result, len(samples))
-	for i, smp := range samples {
-		chans[i] = s.Submit(smp, 2*time.Second)
-	}
-	served := 0
-	for i, ch := range chans {
-		select {
-		case r := <-ch:
-			if !r.Missed {
-				served++
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("request %d never resolved", i)
-		}
-	}
-	if served == 0 {
-		t.Fatal("batching burst served nothing")
-	}
-	st := s.Stats()
-	if st.BatchSizes == nil {
-		t.Fatal("batching enabled but no batch histogram")
-	}
-	multi := uint64(0)
-	for _, sizes := range st.BatchSizes {
-		for b, c := range sizes {
-			if b >= 1 { // index b counts batches of size b+1
-				multi += c
-			}
-		}
-	}
-	if multi == 0 {
-		t.Error("burst of 40 executed no batch larger than one task")
-	}
-	// Quiescent accounting: every pulled task was reported back, nothing
-	// double-counted or stranded.
-	testutil.Poll(t, 5*time.Second, "queues and forming gauges drain to zero", func() bool {
-		st := s.Stats()
-		for k := range st.QueueDepth {
-			if st.QueueDepth[k] != 0 || st.Forming[k] != 0 {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// TestServeDrainWaitsForFormingBatch is the drain/batch regression test:
-// requests whose tasks sit inside a forming (lingering) batch are still
-// committed in-flight work, so Drain must wait for the batch to execute
-// and the requests to serve — not cut them off mid-linger.
-func TestServeDrainWaitsForFormingBatch(t *testing.T) {
-	s := New(Config{
-		Ensemble:  slowEnsemble(9),
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  bottleneckRewarder{slow: 2},
-		TimeScale: 0.1,
-		Seed:      8,
-		Replicas:  []int{1, 1, 1},
-		// A long linger window relative to model latencies: the drain
-		// overlaps the forming batch with high probability.
-		Batching: BatchConfig{MaxBatch: 8, MaxLinger: 300 * time.Millisecond},
-	})
-	s.Start(context.Background())
-
-	const n = 6
-	chans := make([]<-chan Result, n)
-	for i, smp := range poolSamples(n) {
-		chans[i] = s.Submit(smp, 6*time.Second)
-	}
-	// Wait until every request is either committed (in-flight) or already
-	// resolved — drain only promises to finish *committed* work, so the
-	// test must not race the coordinator's buffer. With the long linger the
-	// last commits sit in a forming batch when Drain lands.
-	testutil.Poll(t, 5*time.Second, "all requests committed", func() bool {
-		st := s.Stats()
-		return st.Buffered == 0 && st.InFlight > 0 &&
-			st.Resolved+uint64(st.InFlight) == uint64(n)
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	for i, ch := range chans {
-		select {
-		case r := <-ch:
-			if r.Missed {
-				t.Errorf("request %d missed: drain abandoned a committed batch", i)
-			}
-		default:
-			t.Fatalf("request %d unresolved after Drain returned", i)
-		}
-	}
-	st := s.Stats()
-	for k := range st.QueueDepth {
-		if st.QueueDepth[k] != 0 || st.Forming[k] != 0 {
-			t.Errorf("model %d accounting dirty after drain: depth=%d forming=%d",
-				k, st.QueueDepth[k], st.Forming[k])
-		}
-	}
-}
-
-// TestServeStopMidLingerReleasesFormingGauge pins the forming-gauge leak
-// fix: a worker killed while its batch lingers (or executes) must release
-// every forming count it holds, so Stats never reports ghost tasks after
-// shutdown.
-func TestServeStopMidLingerReleasesFormingGauge(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	s := New(Config{
-		Ensemble:  slowEnsemble(13),
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  bottleneckRewarder{slow: 2},
-		TimeScale: 0.1,
-		Seed:      2,
-		Batching:  BatchConfig{MaxBatch: 8, MaxLinger: 5 * time.Second},
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	s.Start(ctx)
-
-	ch := s.Submit(poolSamples(1)[0], 10*time.Second)
-	// The single task is pulled into a batch that lingers far beyond the
-	// test horizon waiting for companions.
-	testutil.Poll(t, 5*time.Second, "task pulled into a forming batch", func() bool {
-		st := s.Stats()
-		for k := range st.Forming {
-			if st.Forming[k] > 0 {
-				return true
-			}
-		}
-		return false
-	})
-	cancel()
-	s.Stop()
-	<-ch
-	st := s.Stats()
-	for k := range st.Forming {
-		if st.Forming[k] != 0 {
-			t.Errorf("model %d forming gauge stuck at %d after Stop", k, st.Forming[k])
-		}
-	}
-	testutil.Wait(5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline })
-	if g := runtime.NumGoroutine(); g > baseline {
-		t.Errorf("goroutine leak: %d running, baseline %d", g, baseline)
 	}
 }

@@ -20,15 +20,11 @@
 // commits in the plan's own earliest-deadline-first order — the events a
 // long pass let pile up cost one pass, not one each.
 //
-// Replicas can additionally micro-batch queued tasks (Config.Batching): a
-// replica drains its queue up to MaxBatch tasks — lingering briefly for
-// stragglers — and executes the batch as one unit whose duration follows
-// the model's batch latency curve. Model execution is simulated by
+// A replica runs one task at a time. Model execution is simulated by
 // sleeping for the model's (scaled) latency, so examples can replay a
 // trace in compressed wall-clock time while exercising the same
-// scheduling logic the paper deploys. With every replica count at 1 and
-// batching off, the runtime is bit-identical to the original
-// single-worker design.
+// scheduling logic the paper deploys. With every replica count at 1, the
+// runtime is bit-identical to the original single-worker design.
 //
 // Lifecycle: New -> Start(ctx) -> Submit()... -> Drain/Stop. Every request
 // moves through an explicit state machine
@@ -102,9 +98,6 @@ type Config struct {
 	// the set of deadline-feasible plans instead of merely draining the
 	// queue faster.
 	Replicas []int
-	// Batching opts the replica pools into adaptive micro-batching; the
-	// zero value disables it. See BatchConfig.
-	Batching BatchConfig
 	Seed     uint64
 
 	// Faults injects deterministic failures into every model's task
@@ -281,7 +274,7 @@ type modelCounters struct {
 	backlog atomic.Int64
 	// overshoot is how long past its asked-for duration each completed
 	// model wait returned, in wall time: one observation per wait that ran
-	// to its wake, so per executed task in a fault-free unbatched run.
+	// to its wake, so per executed task in a fault-free run.
 	// Buckets run from 5µs by 1.5x to ~17ms, so both the tail sleep's tens
 	// of microseconds and a runtime timer's full millisecond interpolate.
 	overshoot *obsv.Histogram
@@ -294,10 +287,11 @@ type modelCounters struct {
 	starved *obsv.Histogram
 }
 
-// replicaCounters are one replica's health counters. busy is the batch
-// size the replica is currently executing (0 = idle, 1 = a single task);
-// executed/failures break the model's totals down per replica so the
-// tolerance layer's effects are attributable to individual replicas.
+// replicaCounters are one replica's health counters. busy is 1 from the
+// moment the replica takes a task off its model's queue until the task's
+// completion event is sent, 0 otherwise; executed/failures break the
+// model's totals down per replica so the tolerance layer's effects are
+// attributable to individual replicas.
 type replicaCounters struct {
 	busy     atomic.Int32
 	executed atomic.Uint64
@@ -313,23 +307,14 @@ type Server struct {
 	events chan event
 	wg     sync.WaitGroup
 
-	// replicas[k] is model k's resolved replica-pool size (>= 1);
-	// maxBatch is the resolved micro-batch cap (1 = batching off).
+	// replicas[k] is model k's resolved replica-pool size (>= 1).
 	replicas []int
-	maxBatch int
 
 	// faulty[k] is model k's fault injector (nil when injection is off).
 	faulty []*model.Faulty
 	mstats []modelCounters
-	// rstats[k][r] is replica r of model k's counters; forming[k] counts
-	// tasks pulled off model k's queue into a forming or executing batch
-	// whose completion event has not been sent yet (queue-depth gauges
-	// exclude them, so QueueDepth[k]+Forming[k] counts every outstanding
-	// task exactly once); batchHist[k][b-1] counts executed batches of
-	// size b (nil when batching is off).
-	rstats    [][]replicaCounters
-	forming   []atomic.Int64
-	batchHist [][]atomic.Uint64
+	// rstats[k][r] is replica r of model k's counters.
+	rstats [][]replicaCounters
 
 	// breakerMu guards the per-model circuit breakers, which the
 	// coordinator mutates and Stats snapshots.
@@ -470,21 +455,16 @@ type Stats struct {
 	Resolved  uint64 // Served + Degraded + Missed + Rejected
 	Buffered  int    // awaiting scheduling in the coordinator's buffer
 	InFlight  int    // committed, not all tasks finished
-	// QueueDepth[k] is model k's task-channel occupancy. Tasks a replica
-	// has pulled into a forming batch are counted in Forming, never here.
+	// QueueDepth[k] is model k's task-channel occupancy. A task a replica
+	// has taken is counted in ReplicaBusy, never here.
 	QueueDepth []int
 	// Replicas[k] is model k's replica-pool size.
 	Replicas []int
-	// Forming[k] counts tasks pulled off model k's queue into a forming
-	// or executing batch whose completion has not been reported yet;
-	// QueueDepth[k]+Forming[k] counts each outstanding task exactly once.
-	Forming []int
-	// ReplicaBusy[k][r] is the batch size replica r of model k is
-	// executing right now (0 = idle).
+	// ReplicaBusy[k][r] is 1 while replica r of model k holds a task whose
+	// completion has not been reported yet, 0 when it is idle; QueueDepth[k]
+	// plus the sum of ReplicaBusy[k] counts each outstanding task exactly
+	// once.
 	ReplicaBusy [][]int
-	// BatchSizes[k][b-1] counts batches of size b executed by model k's
-	// replicas; nil when batching is disabled.
-	BatchSizes [][]uint64
 	// Models[k] is model k's fault/mitigation health.
 	Models   []ModelHealth
 	Draining bool
@@ -544,18 +524,10 @@ func New(cfg Config) *Server {
 		cfg.QueueDepth = 1024
 	}
 	m := len(cfg.Ensemble.Models)
-	maxBatch := 1
-	if cfg.Batching.enabled() {
-		maxBatch = cfg.Batching.MaxBatch
-		if maxBatch > maxBatchCap {
-			maxBatch = maxBatchCap
-		}
-	}
 	s := &Server{
 		cfg:      cfg,
 		tol:      cfg.Tolerance.withDefaults(),
 		scale:    cfg.TimeScale,
-		maxBatch: maxBatch,
 		events:   make(chan event, 4*cfg.QueueDepth),
 		src:      rng.New(cfg.Seed ^ 0x5e7e),
 		obs:      obsv.NewObserver(cfg.Obs),
@@ -563,7 +535,6 @@ func New(cfg Config) *Server {
 		breakers: make([]breakerState, m),
 		replicas: make([]int, m),
 		rstats:   make([][]replicaCounters, m),
-		forming:  make([]atomic.Int64, m),
 
 		turnEvents: obsv.NewLogHistogram(time.Second, 2, 12),
 		passTime:   obsv.NewLogHistogram(5*time.Microsecond, 1.6, 24),
@@ -583,28 +554,16 @@ func New(cfg Config) *Server {
 	if len(cfg.Classes) > 0 {
 		s.classStats = make([]classCounters, len(cfg.Classes))
 	}
-	if maxBatch > 1 {
-		s.batchHist = make([][]atomic.Uint64, m)
-		for k := range s.batchHist {
-			s.batchHist[k] = make([]atomic.Uint64, maxBatch)
-		}
-	}
 	for range cfg.Ensemble.Models {
 		s.taskCh = append(s.taskCh, make(chan *task, cfg.QueueDepth))
 	}
 	// Frozen planning cost vector: mean latency with 10% headroom so
 	// latency jitter does not turn feasible-looking plans into deadline
-	// misses. With batching on, a task's capacity cost is the amortized
-	// per-item share of a full batch, so the scheduler sees the
-	// throughput gain. With adaptation on, the engine rescales it by the
-	// live inflation factor each planning pass.
+	// misses. With adaptation on, the engine rescales it by the live
+	// inflation factor each planning pass.
 	baseExec := make([]time.Duration, m)
 	for k, md := range cfg.Ensemble.Models {
-		e := time.Duration(float64(md.MeanLatency()) * 1.1)
-		if maxBatch > 1 {
-			e = cfg.Batching.curve(k).Amortized(e, maxBatch)
-		}
-		baseExec[k] = e
+		baseExec[k] = time.Duration(float64(md.MeanLatency()) * 1.1)
 	}
 	s.eng = engine.New(engine.Config{
 		Ensemble: cfg.Ensemble, Scheduler: cfg.Scheduler, Rewarder: cfg.Rewarder,
@@ -734,7 +693,6 @@ func (s *Server) Stats() Stats {
 		InFlight:    int(s.nInflight.Load()),
 		QueueDepth:  make([]int, len(s.taskCh)),
 		Replicas:    append([]int(nil), s.replicas...),
-		Forming:     make([]int, len(s.taskCh)),
 		ReplicaBusy: make([][]int, len(s.taskCh)),
 		Models:      make([]ModelHealth, len(s.taskCh)),
 		Draining:    draining,
@@ -758,22 +716,11 @@ func (s *Server) Stats() Stats {
 	}
 	for k, ch := range s.taskCh {
 		st.QueueDepth[k] = len(ch)
-		st.Forming[k] = int(s.forming[k].Load())
 		busy := make([]int, s.replicas[k])
 		for r := range busy {
 			busy[r] = int(s.rstats[k][r].busy.Load())
 		}
 		st.ReplicaBusy[k] = busy
-	}
-	if s.batchHist != nil {
-		st.BatchSizes = make([][]uint64, len(s.taskCh))
-		for k := range s.batchHist {
-			sizes := make([]uint64, s.maxBatch)
-			for b := range sizes {
-				sizes[b] = s.batchHist[k][b].Load()
-			}
-			st.BatchSizes[k] = sizes
-		}
 	}
 	//schemble:wallclock health snapshot: crash-recovery windows are wall-clock scheduled by the fault injector
 	wallNow := time.Now()
@@ -997,10 +944,10 @@ func (s *Server) latency(r *request) time.Duration {
 }
 
 // worker is replica r of model k: it pulls tasks off the model's shared
-// queue and executes them serially — one at a time, or as micro-batches
-// when batching is enabled. Tasks whose request already resolved
-// (rejected, direct-deadline, degraded, or shutdown) are skipped but
-// still reported, so the coordinator's backlog accounting stays truthful.
+// queue and executes them one at a time. Tasks whose request already
+// resolved (rejected, direct-deadline, degraded, or shutdown) are skipped
+// but still reported, so the coordinator's backlog accounting stays
+// truthful.
 // A task whose attempt chain fails permanently is reported as failed
 // rather than killing the worker, so one bad input or fault window can
 // never strand the replica.
@@ -1015,12 +962,6 @@ func (s *Server) worker(ctx context.Context, k, r int) {
 		t, alive := s.nextTask(ctx, k)
 		if !alive {
 			return
-		}
-		if s.maxBatch > 1 {
-			if !s.runBatch(ctx, w, m, inj, k, r, s.formBatch(ctx, w, k, t)) {
-				return
-			}
-			continue
 		}
 		if !s.runTask(ctx, w, m, inj, k, r, t) {
 			return
@@ -1063,19 +1004,19 @@ func (s *Server) nextTask(ctx context.Context, k int) (t *task, alive bool) {
 	}
 }
 
-// runTask executes one unbatched task on replica r of model k and reports
-// its completion event. Returns false when the runtime context was
-// cancelled and the worker must exit.
+// runTask executes one task on replica r of model k and reports its
+// completion event. The replica counts as busy for the whole of it, a
+// skipped task included, so a task is in its model's queue or on a busy
+// replica until the coordinator hears of it. Returns false when the runtime
+// context was cancelled and the worker must exit.
 func (s *Server) runTask(ctx context.Context, w *waiter, m model.Model, inj *model.Faulty, k, r int, t *task) bool {
-	s.forming[k].Add(1)
-	defer s.forming[k].Add(-1)
+	rc := &s.rstats[k][r]
+	rc.busy.Store(1)
+	defer rc.busy.Store(0)
 	var done, ran, failed, cutoff bool
 	if !t.req.isResolved() {
 		ran = true
-		rc := &s.rstats[k][r]
-		rc.busy.Store(1)
 		out, vlat, end := s.execute(ctx, w, m, inj, k, t.req)
-		rc.busy.Store(0)
 		if end == endDead {
 			return false
 		}
@@ -1252,9 +1193,8 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 }
 
 // backoffUntil decides whether a failed attempt may retry, sleeping the
-// jittered exponential backoff first. deadline is the request's — for
-// batches, the latest live deadline in the batch. alive is false when the
-// runtime context was cancelled during the sleep.
+// jittered exponential backoff first. deadline is the request's. alive is
+// false when the runtime context was cancelled during the sleep.
 func (s *Server) backoffUntil(ctx context.Context, w *waiter, deadline time.Time, attempt int) (retry, alive bool) {
 	if attempt >= s.tol.MaxRetries {
 		return false, true
@@ -1578,13 +1518,10 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 		}
 		r.tr.Alternatives = s.alternatives(r.Score)
 		depths := make([]int, m)
-		forming := make([]int, m)
 		for k, ch := range s.taskCh {
 			depths[k] = len(ch)
-			forming[k] = int(s.forming[k].Load())
 		}
 		r.tr.QueueDepths = depths
-		r.tr.Forming = forming
 		// Per-model earliest replica availability: the capacity signal the
 		// scheduler keyed its feasibility checks on.
 		bu := make([]time.Duration, m)

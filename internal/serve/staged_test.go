@@ -113,7 +113,7 @@ func TestStagedCommitWaitsForEveryModel(t *testing.T) {
 	rig.finish(t, 0)
 	testutil.Poll(t, rigWait, "model 0 idle, model 1 running and staged", func() bool {
 		st := rig.srv.Stats()
-		return rig.models[0].entered.Load() == 2 && st.Models[0].Executed == 2 && st.Forming[0] == 0 &&
+		return rig.models[0].entered.Load() == 2 && st.Models[0].Executed == 2 && st.ReplicaBusy[0][0] == 0 &&
 			st.ReplicaBusy[1][0] == 1 && st.QueueDepth[1] == 1
 	})
 	calls := rig.sched.calls.Load()
@@ -261,7 +261,7 @@ func TestStagedSkippedWhenResolvedFirst(t *testing.T) {
 	rig.finish(t, 1)
 	testutil.Poll(t, rigWait, "model 1 done and reported, model 0 running", func() bool {
 		st := rig.srv.Stats()
-		return st.Models[1].Executed == 2 && st.Forming[1] == 0 &&
+		return st.Models[1].Executed == 2 && st.ReplicaBusy[1][0] == 0 &&
 			rig.models[0].entered.Load() == 1 && st.QueueDepth[0] == 1
 	})
 	second := rig.stagedRequest(0)

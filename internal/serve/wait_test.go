@@ -263,8 +263,8 @@ func TestWaiterCancelDuringCoarsePhase(t *testing.T) {
 	}
 }
 
-// TestTaskOvershootCountsExecutedTasks: with no faults, no retries and
-// no batching every executed task is exactly one completed model wait,
+// TestTaskOvershootCountsExecutedTasks: with no faults and no retries
+// every executed task is exactly one completed model wait,
 // so each model's overshoot histogram holds as many observations as the
 // model executed tasks.
 func TestTaskOvershootCountsExecutedTasks(t *testing.T) {
