@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet build cross test test-race rig repo-bench golden chaos obsv bench bench-json overload cache drift fuzz cover
+.PHONY: check lint vet build cross test test-race rig repo-bench golden chaos obsv bench fuzz cover
 
 check: vet build cross test-race rig repo-bench
 
@@ -96,53 +96,22 @@ bench:
 repo-bench:
 	$(GO) run ./bench -quick
 
-# bench-json runs cmd/schemble-bench — the scheduler micro-benchmarks
-# plus a high-arrival-rate serve soak — and writes the BENCH_dp.json
-# perf-trajectory file the ROADMAP tracks. CI runs it as
-#   make bench-json BENCH_FLAGS="-quick -baseline BENCH_dp.json"
-# which shrinks the soak and fails on a >25% ns/decision regression
-# against the committed baseline (the baseline is read before the file
-# is rewritten).
+# bench-<scenario> runs one scenario of cmd/schemble-bench and writes its
+# BENCH_<scenario>.json trajectory file:
+#   dp        scheduler micro-benchmarks plus a serve-runtime soak
+#   overload  the classed flash-crowd soak at 1x/2x/5x of capacity
+#   cache     the Zipf result-cache soak, cache-off vs cache-on
+#   drift     the drifting-workload soak, frozen profiles vs adaptation
+# Each run gates itself (see the scenario's gate function). CI runs
+#   make bench-overload BENCH_FLAGS="-quick -baseline BENCH_overload.json"
+# and the same for dp, cache and drift, which also fails on a regression
+# against the committed file (read before it is rewritten; a baseline that
+# cannot be read fails the run). The simulator soaks are deterministic, so
+# overload control that sheds traffic the fleet had room for fails in
+# seconds.
 BENCH_FLAGS ?=
-bench-json:
-	$(GO) run ./cmd/schemble-bench -out BENCH_dp.json $(BENCH_FLAGS)
-
-# overload runs cmd/schemble-overload — the multi-class flash-crowd soak
-# at 1x/2x/5x of bottleneck capacity — and writes the BENCH_overload.json
-# robustness-trajectory file. The run itself gates on priority-ordered
-# shedding and the gold class's 5x SLO floor; CI runs it as
-#   make overload OVERLOAD_FLAGS="-quick -baseline BENCH_overload.json"
-# which additionally fails, per tier, on a gold-SLO regression or on
-# aggregate goodput more than 10% below the committed baseline (read before
-# the file is rewritten): the simulator is deterministic, so overload control
-# that sheds or queues traffic the fleet had room for fails in two seconds.
-OVERLOAD_FLAGS ?=
-overload:
-	$(GO) run ./cmd/schemble-overload -out BENCH_overload.json $(OVERLOAD_FLAGS)
-
-# cache runs cmd/schemble-cache — the Zipf-popularity result-cache soak at
-# 2x bottleneck capacity, cache-off vs cache-on over the identical trace —
-# and writes the BENCH_cache.json cache-trajectory file. The run itself
-# gates on the hit-rate floor and on caching not costing deadlines; CI
-# runs it as
-#   make cache CACHE_FLAGS="-quick -baseline BENCH_cache.json"
-# which additionally fails on a hit-rate regression against the committed
-# baseline (read before the file is rewritten).
-CACHE_FLAGS ?=
-cache:
-	$(GO) run ./cmd/schemble-cache -out BENCH_cache.json $(CACHE_FLAGS)
-
-# drift runs cmd/schemble-drift — the drifting-workload soak (latency ramp
-# plus difficulty shift over the identical seeded trace), frozen profiles
-# vs online adaptation — and writes the BENCH_drift.json
-# drift-resilience file. The run itself gates on adaptation strictly
-# beating the frozen reference's deadline-miss rate; CI runs it as
-#   make drift DRIFT_FLAGS="-quick -baseline BENCH_drift.json"
-# which additionally fails on an adapt-on DMR regression against the
-# committed baseline (read before the file is rewritten).
-DRIFT_FLAGS ?=
-drift:
-	$(GO) run ./cmd/schemble-drift -out BENCH_drift.json $(DRIFT_FLAGS)
+bench-%:
+	$(GO) run ./cmd/schemble-bench -scenario $* $(BENCH_FLAGS)
 
 # Short coverage-guided fuzzing bursts over the scheduler and the HTTP
 # surface, seeded from testdata/fuzz. FUZZTIME=5m for a deeper local run;

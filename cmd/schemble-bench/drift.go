@@ -1,0 +1,149 @@
+package main
+
+// The drift scenario soaks the online-adaptation layer under a drifting
+// workload and writes BENCH_drift.json.
+//
+// The soak composes the two drift modes the adaptation layer exists for:
+// a latency ramp (every model slows to driftFactor times its profiled
+// speed across the middle of the horizon, the thermal-throttling /
+// co-tenant-pressure shape) and a difficulty shift (the arrival mix
+// moves from the pool's easy tail to its hard tail, staling the frozen
+// score calibration). The same seeded trace runs twice through the
+// deterministic simulator — once with frozen profiles as the reference,
+// once with adaptation on — so every delta in the report is attributable
+// to adaptation alone. The gate asserts on every run that the adapt-on
+// deadline-miss rate stays strictly below the frozen reference's; against
+// a baseline it fails an adapt-on DMR rise of more than maxDMRRise.
+
+import (
+	"fmt"
+	"os"
+	"sort"
+	"time"
+
+	"schemble/internal/adapt"
+	"schemble/internal/sim"
+	"schemble/internal/trace"
+)
+
+const (
+	schemaDrift = "schemble-drift/v1"
+	maxDMRRise  = 0.05 // adapt-on DMR vs the baseline; absorbs the quick-vs-full gap
+	driftFactor = 1.8  // latency multiplier every model ramps to mid-soak
+	rateFactor  = 0.9  // offered load over pre-drift bottleneck capacity
+)
+
+// driftReport is the BENCH_drift.json schema.
+type driftReport struct {
+	header
+	// CapacityPerSec is the derived pre-drift bottleneck service rate;
+	// the soak offers OfferedRate against a fleet that slows to
+	// DriftFactor times its profiled latency mid-run.
+	CapacityPerSec float64 `json:"capacity_per_sec"`
+	OfferedRate    float64 `json:"offered_rate_per_sec"`
+	HorizonSec     float64 `json:"horizon_sec"`
+	Arrivals       int     `json:"arrivals"`
+	DriftFactor    float64 `json:"drift_factor"`
+	// RampStartSec/RampEndSec bound the latency ramp; the difficulty
+	// shift runs over the same window.
+	RampStartSec float64 `json:"ramp_start_sec"`
+	RampEndSec   float64 `json:"ramp_end_sec"`
+
+	// Frozen is the reference run planning with frozen profiles; Adapt
+	// is the adaptation-on run over the identical trace and seed.
+	Frozen run `json:"frozen"`
+	Adapt  run `json:"adapt"`
+
+	// Adaptation-layer aggregates from the adapt-on run.
+	Inflation     []float64 `json:"inflation"`
+	LatencyEvents uint64    `json:"latency_events"`
+	ScoreEvents   uint64    `json:"score_events"`
+	RecalEpochs   uint64    `json:"recal_epochs"`
+	RecalSwaps    uint64    `json:"recal_swaps"`
+}
+
+func runDrift(o options) (driftReport, error) {
+	d := fit(o)
+	// The ramp shrinks the real capacity by driftFactor mid-run, so an
+	// offered rate below 1x still saturates the fleet once drift sets in.
+	rate := rateFactor * d.capacity
+	n := int(rate * d.horizon.Seconds())
+	rampStart := d.horizon / 5
+	rampEnd := d.horizon * 7 / 10
+
+	// Easy/hard pools by predicted difficulty: the bottom and top thirds
+	// of the serving pool, ties in pool order. The arrival mix shifts from
+	// all-easy to all-hard across the ramp window, staling the frozen
+	// calibration.
+	ranked := make([]int, len(d.arts.Serve))
+	scores := make([]float64, len(d.arts.Serve))
+	for i, s := range d.arts.Serve {
+		ranked[i], scores[i] = i, d.arts.Predictor.Predict(s)
+	}
+	sort.SliceStable(ranked, func(a, b int) bool { return scores[ranked[a]] < scores[ranked[b]] })
+	third := len(ranked) / 3
+	easy, hard := ranked[:third], ranked[len(ranked)-third:]
+
+	tr := trace.DifficultyShift(trace.DifficultyShiftConfig{
+		RatePerSec: rate, N: n, Samples: d.arts.Serve,
+		EasyIdx: easy, HardIdx: hard,
+		ShiftStart: rampStart, ShiftEnd: rampEnd,
+		Deadline: trace.ConstantDeadline(400 * time.Millisecond),
+		Seed:     o.seed,
+	})
+	drifting := func(a adapt.Config) sim.Config {
+		cfg := d.simConfig()
+		cfg.Drift = trace.RampDrift(rampStart, rampEnd, 1, driftFactor)
+		cfg.Adapt = a
+		return cfg
+	}
+
+	fmt.Fprintf(os.Stderr,
+		"soaking %d arrivals at %.1f q/s (%.2fx capacity), drift ramp 1.0->%.2f over [%v, %v], frozen profiles...\n",
+		n, rate, rateFactor, driftFactor, rampStart, rampEnd)
+	frozenRecs, _ := sim.RunStats(drifting(adapt.Config{}), tr, d.arts.Serve)
+	fmt.Fprintln(os.Stderr, "soaking the identical trace with adaptation on...")
+	adaptRecs, _, snap := sim.RunAdapt(drifting(adapt.Config{Enable: true, Scorer: d.arts.DisScorer}), tr, d.arts.Serve)
+
+	rep := driftReport{
+		header:         newHeader(schemaDrift, o),
+		CapacityPerSec: d.capacity,
+		OfferedRate:    rate,
+		HorizonSec:     d.horizon.Seconds(),
+		Arrivals:       n,
+		DriftFactor:    driftFactor,
+		RampStartSec:   rampStart.Seconds(),
+		RampEndSec:     rampEnd.Seconds(),
+		Frozen:         d.summarize(frozenRecs),
+		Adapt:          d.summarize(adaptRecs),
+	}
+	if snap != nil {
+		rep.Inflation = make([]float64, len(snap.Models))
+		for k, m := range snap.Models {
+			rep.Inflation[k] = m.Inflation
+		}
+		rep.LatencyEvents = snap.LatencyEvents
+		rep.ScoreEvents = snap.ScoreEvents
+		rep.RecalEpochs = snap.RecalEpochs
+		rep.RecalSwaps = snap.RecalSwaps
+	}
+	fmt.Fprintf(os.Stderr,
+		"frozen: %.1f served/s dmr %.3f acc %.3f\nadapt:  %.1f served/s dmr %.3f acc %.3f (inflation %v, %d drift events, %d/%d recal swaps)\n",
+		rep.Frozen.ServedPerSec, rep.Frozen.DMR, rep.Frozen.Accuracy,
+		rep.Adapt.ServedPerSec, rep.Adapt.DMR, rep.Adapt.Accuracy,
+		rep.Inflation, rep.LatencyEvents+rep.ScoreEvents, rep.RecalSwaps, rep.RecalEpochs)
+	return rep, nil
+}
+
+func gateDrift(rep driftReport, base *driftReport) []string {
+	var bad []string
+	if rep.Adapt.DMR >= rep.Frozen.DMR {
+		bad = append(bad, fmt.Sprintf("adapt-on DMR %.3f not below frozen reference %.3f",
+			rep.Adapt.DMR, rep.Frozen.DMR))
+	}
+	if base != nil && rep.Adapt.DMR > base.Adapt.DMR+maxDMRRise {
+		bad = append(bad, fmt.Sprintf("adapt-on DMR regressed %.3f -> %.3f (tolerance %.3f)",
+			base.Adapt.DMR, rep.Adapt.DMR, maxDMRRise))
+	}
+	return bad
+}
