@@ -56,11 +56,15 @@ test-race:
 # per pass. The hand-off the dispatch tests cover — a worker takes its
 # staged task while the coordinator is still planning — is the one place
 # the two run unsynchronised by an event, so it is race-tested many
-# interleavings deep on every push.
+# interleavings deep on every push. Then the tests on the frozen test
+# clock — the sim/serve equivalence replays, the turn and the deadline
+# tests — run twenty times at one and at two CPUs: each run must make the
+# same decisions.
 rig:
 	$(GO) test -race -count=20 \
 		-run 'TestDispatchGate|TestStaged|TestTurn|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
 		./internal/serve/
+	$(GO) test -count=20 -cpu 1,2 -run 'SimServeEquivalence|Turn|Deadline' ./internal/serve/
 
 # golden regenerates every paper table and figure and fails unless the
 # output is byte-identical to the committed results_all_experiments.txt:

@@ -4,44 +4,56 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"schemble/internal/core"
 	"schemble/internal/serve"
+	"schemble/internal/testutil"
 )
 
-// startClassedServer spins up the HTTP stack over a classed runtime.
-func startClassedServer(t *testing.T) (*httptest.Server, *Handler) {
+// startClassedServer spins up the HTTP stack over a classed runtime; tweak
+// adjusts the runtime's configuration before it is built. The cleanup
+// drains the runtime first, so a request still waiting in it is answered
+// before the HTTP server waits for it.
+func startClassedServer(t *testing.T, tweak ...func(*serve.Config)) (*httptest.Server, *Handler) {
 	t.Helper()
 	a := artifacts(t)
-	h := New(Config{
-		Server: serve.New(serve.Config{
-			Ensemble:  a.Ensemble,
-			Scheduler: &core.DP{Delta: 0.01},
-			Rewarder:  a.Profile,
-			Estimator: a.Predictor,
-			TimeScale: 0.05,
-			Classes: []serve.Class{
-				{Name: "gold", Priority: 1, Deadline: 400 * time.Millisecond, Weight: 3},
-				{Name: "bronze", Priority: 0, Deadline: 600 * time.Millisecond, Weight: 1},
-			},
-			Seed: 1,
-		}),
+	cfg := serve.Config{
+		Ensemble:  a.Ensemble,
+		Scheduler: &core.DP{Delta: 0.01},
+		Rewarder:  a.Profile,
 		Estimator: a.Predictor,
-		Pool:      a.Serve,
-	})
+		TimeScale: 0.05,
+		Classes: []serve.Class{
+			{Name: "gold", Priority: 1, Deadline: 400 * time.Millisecond, Weight: 3},
+			{Name: "bronze", Priority: 0, Deadline: 600 * time.Millisecond, Weight: 1},
+		},
+		Seed: 1,
+	}
+	for _, f := range tweak {
+		f(&cfg)
+	}
+	h := New(Config{Server: serve.New(cfg), Estimator: a.Predictor, Pool: a.Serve})
 	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
-		ts.Close()
 		h.Close()
+		ts.Close()
 	})
 	return ts, h
+}
+
+// planNothing is a scheduler that never places a query.
+type planNothing struct{}
+
+func (planNothing) Name() string { return "none" }
+func (planNothing) Schedule(time.Duration, []core.QueryInfo, core.Capacity, []time.Duration, core.Rewarder) core.Plan {
+	return core.Plan{}
 }
 
 func postPredict(t *testing.T, url string, body string, header string) *http.Response {
@@ -130,70 +142,53 @@ func TestClassedPredictDefaults(t *testing.T) {
 	}
 }
 
-// TestRetryAfterDerivedFromLoad floods a classed deployment far past
-// capacity and checks the 503 contract: every shed response carries a
-// Retry-After header that is a positive integer, and the header value
-// tracks the runtime's load-derived hint rather than a hard-coded "1"
-// (the serve-level growth law is pinned by qos.TestRetryAfterGrowsWithBacklog).
-//
-// The flood is a closed loop that runs until sheds have been seen, not a
-// single volley: admission only engages once the coordinator has observed
-// the backlog, and a volley can be admitted whole before it has run a
-// pass. The live hint is read by a client that was just shed, while the
-// other clients' requests still hold the backlog — the estimator decays
-// within milliseconds of the flood draining.
+// TestRetryAfterDerivedFromLoad: every 503 a shed request gets carries a
+// Retry-After of at least a second, the hint comes from the live estimator,
+// and the flood shows in /v1/metrics. A scheduler that plans nothing keeps
+// every admitted request buffered for its hour-long deadline, and a buffered
+// request is priced at one Target of backlog, so each gold arrival's pass
+// climbs the ladder one rung from load 3 on, until bronze is shed. A shed
+// arrival runs no pass, so the ladder then holds for every bronze request.
 func TestRetryAfterDerivedFromLoad(t *testing.T) {
-	ts, h := startClassedServer(t)
+	ts, h := startClassedServer(t, func(c *serve.Config) {
+		c.Scheduler = planNothing{}
+		c.Classes[0].Deadline, c.Classes[1].Deadline = time.Hour, time.Hour
+		c.Admission = serve.AdmissionConfig{Capacity: 1 / time.Hour.Seconds(), Target: time.Hour,
+			Tau: time.Nanosecond, GateLoad: math.Inf(1), LadderBase: 3, LadderStep: 1, Dwell: time.Nanosecond}
+	})
 	a := artifacts(t)
-
-	const clients, wantSheds = 64, 10
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	sheds := 0
-	retryAfters := map[string]int{}
-	liveHints := map[int]int{}
-	deadline := time.Now().Add(20 * time.Second)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; ; i += clients {
-				mu.Lock()
-				done := sheds >= wantSheds
-				mu.Unlock()
-				if done || time.Now().After(deadline) {
-					return
-				}
-				body := `{"sample_id": ` + strconv.Itoa(a.Serve[i%50].ID) + `, "class": "bronze"}`
-				resp := postPredict(t, ts.URL, body, "")
-				ra := resp.Header.Get("Retry-After")
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusServiceUnavailable {
-					continue
-				}
-				// The handler derives the hint from the live estimator.
-				live := h.srv.RetryAfterSeconds()
-				mu.Lock()
-				sheds++
-				retryAfters[ra]++
-				liveHints[live]++
-				mu.Unlock()
-			}
-		}(c)
+	body := func(i int, class string) string {
+		return `{"sample_id": ` + strconv.Itoa(a.Serve[i].ID) + `, "class": "` + class + `"}`
 	}
-	wg.Wait()
-	if sheds < wantSheds {
-		t.Fatalf("%d closed-loop bronze clients at 5x+ capacity shed %d requests, want %d", clients, sheds, wantSheds)
-	}
-	for ra, count := range retryAfters {
-		secs, err := strconv.Atoi(ra)
-		if err != nil || secs < 1 {
-			t.Errorf("%d sheds carried invalid Retry-After %q", count, ra)
+	bronze := func() string { return h.srv.Stats().Classes[1].Level }
+	for gold := 0; bronze() != "shed"; gold++ {
+		if gold == 16 {
+			t.Fatalf("bronze at %q after 16 buffered gold requests", bronze())
 		}
+		// The request waits in the runtime until the cleanup drains it.
+		go func() {
+			if resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body(gold, "gold"))); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		testutil.Poll(t, 10*time.Second, "gold arrival planned", func() bool {
+			return h.srv.Stats().TurnEvents.Count == uint64(gold+1)
+		})
 	}
-	for live, count := range liveHints {
-		if live < 1 {
-			t.Errorf("RetryAfterSeconds = %d on %d reads under load, want >= 1", live, count)
+	const wantSheds = 10
+	for i := 0; i < wantSheds; i++ {
+		resp := postPredict(t, ts.URL, body(i, "bronze"), "")
+		ra := resp.Header.Get("Retry-After")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("bronze request %d at the shed rung: status %d, want 503", i, resp.StatusCode)
+		}
+		if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+			t.Errorf("shed %d carried invalid Retry-After %q", i, ra)
+		}
+		// The handler derives the hint from the live estimator.
+		if live := h.srv.RetryAfterSeconds(); live < 1 {
+			t.Errorf("RetryAfterSeconds = %d under load, want >= 1", live)
 		}
 	}
 

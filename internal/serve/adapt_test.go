@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"context"
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -13,7 +11,6 @@ import (
 	"schemble/internal/model"
 	"schemble/internal/pipeline"
 	"schemble/internal/sim"
-	"schemble/internal/testutil"
 	"schemble/internal/trace"
 )
 
@@ -24,39 +21,11 @@ import (
 // produce bit-identical Results request for request — the engine observes
 // everything and changes nothing.
 func TestServeAdaptBitIdenticalWhenOff(t *testing.T) {
-	a := artifacts(t)
-	plain := newServer(t, a)
+	plain, inert := twins(t, artifacts(t), 25, func(c *Config) {
+		c.Adapt = adapt.Config{Enable: true, MinSamples: math.MaxUint64}
+	})
 	if plain.Stats().Adapt != nil {
 		t.Fatal("zero-value Adapt config built an engine")
-	}
-	inert := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.1,
-		Seed:      1,
-		Adapt:     adapt.Config{Enable: true, MinSamples: math.MaxUint64},
-	})
-	plain.Start(context.Background())
-	defer plain.Stop()
-	inert.Start(context.Background())
-	defer inert.Stop()
-
-	const n = 25
-	for i := 0; i < n; i++ {
-		rp := <-plain.Submit(a.Serve[i], time.Second)
-		ri := <-inert.Submit(a.Serve[i], time.Second)
-		if rp.Missed != ri.Missed {
-			t.Fatalf("request %d missed diverged: plain=%v inert=%v", i, rp.Missed, ri.Missed)
-		}
-		if rp.Subset != ri.Subset {
-			t.Fatalf("request %d subset diverged: %v vs %v",
-				i, rp.Subset.Models(), ri.Subset.Models())
-		}
-		if !reflect.DeepEqual(rp.Output, ri.Output) {
-			t.Fatalf("request %d output not bit-identical with an inert adapt engine", i)
-		}
 	}
 	snap := inert.Stats().Adapt
 	if snap == nil {
@@ -116,10 +85,10 @@ func adaptEquivModels(seed uint64) []model.Model {
 // it), both drivers must feed the same samples — per-model sample counts,
 // inflation factors and latency-drift events agree — and, planning with the
 // inflated costs, still commit every query to the same subset with the same
-// outcome. Every detector window and the drift step is placed mid-gap, at
-// least 100ms of virtual time from any observation, so the runtime's
-// pacing jitter cannot flip a window assignment the simulator made at
-// exact virtual instants.
+// outcome. On the frozen clock (replay) the runtime observes each sample at
+// the virtual instant the simulator does; every detector window and the
+// drift step still sit mid-gap, at least 100ms of virtual time from any
+// observation.
 func TestSimServeEquivalenceAdapt(t *testing.T) {
 	seed := uint64(55)
 	ds := dataset.TextMatching(dataset.Config{N: 1200, Seed: seed})
@@ -179,58 +148,18 @@ func TestSimServeEquivalenceAdapt(t *testing.T) {
 		t.Fatal("fixture fired no latency drift events; the drift step lost its point")
 	}
 
-	const scale = 0.25
-	results := make([]Result, n)
-	at := make([]time.Time, n)
-	var snap *adapt.Snapshot
-	// The inflation factors only grow over this trace, so the simulator's
-	// final ones bound every query's planning cost from above.
-	inflation := make([]float64, len(simSnap.Models))
-	for k, m := range simSnap.Models {
-		inflation[k] = m.Inflation
-	}
-	// Every detector window and the drift step sit at least 100ms of
-	// virtual time from the nearest observation.
-	const boundarySlack = time.Duration(float64(100*time.Millisecond) * scale)
-	testutil.Unstalled(t, func() []testutil.Window {
-		s := New(Config{
-			Ensemble:  a.Ensemble,
-			Scheduler: &core.DP{Delta: 0.01},
-			Rewarder:  a.Profile,
-			Estimator: a.Predictor,
-			TimeScale: scale,
-			Seed:      1,
-			Adapt:     adaptCfg,
-			Drift:     drift,
-		})
-		s.Start(context.Background())
-		defer s.Stop()
-		began := time.Now()
-		chans := make([]<-chan Result, n)
-		var windows []testutil.Window
-		for i := 0; i < n; i++ {
-			// Each arrival is paced against the run's start, not the one
-			// before it, so a late one does not push every later arrival
-			// (and observation) towards the next boundary.
-			due := began.Add(time.Duration(float64(tr.Arrivals[i].At) * scale))
-			//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival (and so each detector window and recal epoch) to land in the same virtual-time gap as in the simulated trace
-			time.Sleep(time.Until(due))
-			at[i] = time.Now()
-			chans[i] = s.Submit(a.Serve[i], budget(i))
-			windows = append(windows, testutil.Window{From: due, To: at[i], Slack: boundarySlack})
-		}
-		collect(t, chans, results)
-		snap = s.Stats().Adapt
-		// A query's completion is an observation too, so while it runs the
-		// boundary margin applies wherever it is the smaller one.
-		for _, w := range pacedWindows(at, results, recs, a.Ensemble.Models, inflation, scale) {
-			if w.Slack > boundarySlack {
-				w.Slack = boundarySlack
-			}
-			windows = append(windows, w)
-		}
-		return windows
+	s := New(Config{
+		Ensemble:  a.Ensemble,
+		Scheduler: &core.DP{Delta: 0.01},
+		Rewarder:  a.Profile,
+		Estimator: a.Predictor,
+		TimeScale: 0.25,
+		Seed:      1,
+		Adapt:     adaptCfg,
+		Drift:     drift,
 	})
+	results := replay(t, s, tr, a.Serve)
+	snap := s.Stats().Adapt
 	for i, res := range results {
 		rec := recs[i]
 		if res.Subset != rec.Subset {

@@ -32,15 +32,9 @@ func testKeyer(t *testing.T, a *pipeline.Artifacts, k int) rcache.CentroidKeyer 
 
 func newCacheServer(t *testing.T, a *pipeline.Artifacts, cc rcache.Config) *Server {
 	t.Helper()
-	return New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.1,
-		Seed:      1,
-		Cache:     cc,
-	})
+	cfg := baseConfig(a)
+	cfg.Cache = cc
+	return New(cfg)
 }
 
 // TestServeCacheBitIdenticalWhenOff pins the zero-config guarantee with a
@@ -50,33 +44,12 @@ func newCacheServer(t *testing.T, a *pipeline.Artifacts, cc rcache.Config) *Serv
 // a bypass never touches planning, dispatch, or the RNG.
 func TestServeCacheBitIdenticalWhenOff(t *testing.T) {
 	a := artifacts(t)
-	plain := newServer(t, a)
+	const n = 25
+	plain, gated := twins(t, a, n, func(c *Config) {
+		c.Cache = rcache.Config{Keyer: testKeyer(t, a, 4), DifficultyMax: -1}
+	})
 	if plain.Stats().Cache != nil {
 		t.Fatal("zero-value Cache config built a cache")
-	}
-	gated := newCacheServer(t, a, rcache.Config{Keyer: testKeyer(t, a, 4), DifficultyMax: -1})
-	plain.Start(context.Background())
-	defer plain.Stop()
-	gated.Start(context.Background())
-	defer gated.Stop()
-
-	const n = 25
-	for i := 0; i < n; i++ {
-		rp := <-plain.Submit(a.Serve[i], time.Second)
-		rg := <-gated.Submit(a.Serve[i], time.Second)
-		if rp.Missed || rg.Missed {
-			t.Fatalf("request %d missed: plain=%v gated=%v", i, rp.Missed, rg.Missed)
-		}
-		if rg.Cached {
-			t.Fatalf("request %d served from a fully gated cache", i)
-		}
-		if rp.Subset != rg.Subset {
-			t.Fatalf("request %d subset diverged: %v vs %v",
-				i, rp.Subset.Models(), rg.Subset.Models())
-		}
-		if !reflect.DeepEqual(rp.Output, rg.Output) {
-			t.Fatalf("request %d output not bit-identical with the cache gated shut", i)
-		}
 	}
 	cs := gated.Stats().Cache
 	if cs == nil || cs.Bypasses != n || cs.Hits+cs.Misses+cs.Fills != 0 {

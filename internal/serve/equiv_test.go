@@ -6,71 +6,37 @@ import (
 	"time"
 
 	"schemble/internal/core"
-	"schemble/internal/ensemble"
-	"schemble/internal/metrics"
-	"schemble/internal/model"
+	"schemble/internal/dataset"
 	"schemble/internal/sim"
-	"schemble/internal/testutil"
 	"schemble/internal/trace"
 )
 
-// planCost is the planning cost of running subset: the slowest chosen
-// model's mean latency with the coordinator's 10% headroom, times that
-// model's inflation factor when the run adapts.
-func planCost(models []model.Model, subset ensemble.Subset, inflation []float64) time.Duration {
-	var cost time.Duration
-	for _, k := range subset.Models() {
-		c := float64(models[k].MeanLatency()) * 1.1
-		if inflation != nil {
-			c *= inflation[k]
-		}
-		if time.Duration(c) > cost {
-			cost = time.Duration(c)
-		}
-	}
-	return cost
-}
-
-// pacedWindows lists, for testutil.Unstalled, the stretches of a paced
-// equivalence run in which a query's fate hung on the wall clock: from
-// its Submit at at[i] until it resolved (its whole budget if it missed).
-// A stall there shorter than the budget less the planning cost of the
-// subset the simulator chose can neither make that plan infeasible nor
-// make its result late; a longer one can, and the run then says nothing
-// about the engines. Queries the simulator could not place at all miss
-// however the run is paced and get no window.
-func pacedWindows(at []time.Time, results []Result, recs []metrics.Record,
-	models []model.Model, inflation []float64, scale float64) []testutil.Window {
-	var windows []testutil.Window
-	for i, res := range results {
-		rec := recs[i]
-		if rec.Subset == ensemble.Empty {
-			continue
-		}
-		budget := rec.Deadline - rec.Arrival
-		span := res.Latency
-		if res.Missed || span > budget {
-			span = budget
-		}
-		windows = append(windows, testutil.Window{
-			From:  at[i],
-			To:    at[i].Add(time.Duration(float64(span) * scale)),
-			Slack: time.Duration(float64(budget-planCost(models, rec.Subset, inflation)) * scale),
-		})
-	}
-	return windows
-}
-
-// collect waits for every paced query's result, in submission order.
-func collect(t *testing.T, chans []<-chan Result, results []Result) {
+// replay puts s on a frozen clock, starts it and submits tr's queries to
+// it, each at its arrival's virtual instant and in its class, then runs the
+// clock an hour on
+// and returns the results in submission order: on that clock every query
+// has resolved by then.
+func replay(t *testing.T, s *Server, tr *trace.Trace, samples []*dataset.Sample) []Result {
 	t.Helper()
-	for i := range results {
-		select {
-		case results[i] = <-chans[i]:
-		case <-time.After(10 * time.Second):
+	clk := useTestClock(s, true)
+	s.Start(context.Background())
+	t.Cleanup(s.Stop)
+	start := clk.now() // the anchor of the server's virtual time
+	chans := make([]<-chan Result, len(tr.Arrivals))
+	for i, a := range tr.Arrivals {
+		at := start.Add(time.Duration(float64(a.At) * s.scale))
+		clk.advance(t, at.Sub(clk.now()))
+		chans[i] = s.SubmitClass(samples[a.SampleIdx], a.Deadline-a.At, a.Class)
+	}
+	clk.advance(t, time.Hour)
+	results := make([]Result, len(chans))
+	for i, ch := range chans {
+		if len(ch) == 0 {
 			t.Fatalf("query %d never resolved in the runtime", i)
 		}
+		results[i] = <-ch
 	}
+	return results
 }
 
 // TestSimServeEquivalence is the driver-agreement check. The simulator and
@@ -82,13 +48,12 @@ func collect(t *testing.T, chans []<-chan Result, results []Result) {
 // commit every query to the same model subset and produce the same outcome
 // (served vs missed) per query. The trace spaces arrivals so each query is
 // planned against an idle fleet — the regime where a scheduling decision
-// depends only on (score, deadline, exec), not on wall-clock jitter, and
-// where the drivers' own choices (commit order, what room means, when a
-// pass runs) have nothing to decide — and mixes deadline budgets that
-// exercise full-ensemble, single-model, and infeasible plans. Budgets sit
-// far from subset-feasibility boundaries (22/88/99ms at 10% headroom) so
-// the runtime's microsecond-scale planning delays cannot flip a decision
-// the simulator made at exact virtual instants.
+// depends only on (score, deadline, exec), and where the drivers' own
+// choices (commit order, what room means, when a pass runs) have nothing to
+// decide — and mixes deadline budgets that exercise full-ensemble,
+// single-model, and infeasible plans. The runtime runs on a frozen clock
+// (replay), so it plans each query at the instant the simulator does, and
+// no host can make it late.
 //
 // Two wider versions of this test were deleted when the pipeline became one
 // implementation. What TestSimServeEquivalenceClassed asserted: the class a
@@ -127,32 +92,16 @@ func TestSimServeEquivalence(t *testing.T) {
 		Seed:      1,
 	}, tr, a.Serve)
 
-	const scale = 0.2
-	results := make([]Result, len(budgets))
-	at := make([]time.Time, len(budgets))
-	var st Stats
-	testutil.Unstalled(t, func() []testutil.Window {
-		s := New(Config{
-			Ensemble:  a.Ensemble,
-			Scheduler: &core.DP{Delta: 0.01},
-			Rewarder:  a.Profile,
-			Estimator: a.Predictor,
-			TimeScale: scale,
-			Seed:      1,
-		})
-		s.Start(context.Background())
-		defer s.Stop()
-		chans := make([]<-chan Result, len(budgets))
-		for i, b := range budgets {
-			at[i] = time.Now()
-			chans[i] = s.Submit(a.Serve[i], b)
-			//schemble:sleep-ok trace pacing: the equivalence contract requires each arrival to meet an idle fleet, exactly as in the simulated trace
-			time.Sleep(time.Duration(float64(spacing) * scale))
-		}
-		collect(t, chans, results)
-		st = s.Stats()
-		return pacedWindows(at, results, recs, a.Ensemble.Models, nil, scale)
+	s := New(Config{
+		Ensemble:  a.Ensemble,
+		Scheduler: &core.DP{Delta: 0.01},
+		Rewarder:  a.Profile,
+		Estimator: a.Predictor,
+		TimeScale: 0.2,
+		Seed:      1,
 	})
+	results := replay(t, s, tr, a.Serve)
+	st := s.Stats()
 
 	simMissed, serveMissed := 0, 0
 	for i, res := range results {

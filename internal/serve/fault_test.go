@@ -102,10 +102,9 @@ func TestChaosFaultInjectionStress(t *testing.T) {
 			t.Fatalf("request %d never resolved", i)
 		}
 	}
-	// Exactly once: give late timers a beat, then check no channel holds a
-	// second result.
-	//schemble:sleep-ok negative check: waits for a double-delivery that must NOT happen, so there is no condition to poll
-	time.Sleep(100 * time.Millisecond)
+	// Exactly once: once Stop returns nothing is left that could deliver,
+	// and no channel may hold a second result.
+	s.Stop()
 	for i, ch := range chans {
 		assertNoSecondResult(t, i, ch)
 	}
@@ -424,7 +423,7 @@ func TestServeDrainUnderFaultsNoLeaks(t *testing.T) {
 		t.Error("drain finished no committed work under faults on any attempt")
 	}
 
-	// All runtime goroutines (workers, coordinator, deadline timers) must
+	// All runtime goroutines (workers and the coordinator) must
 	// unwind back to the pre-Start baseline.
 	testutil.Wait(5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline })
 	if g := runtime.NumGoroutine(); g > baseline {
@@ -483,9 +482,8 @@ func drainUnderFaultsOnce(t *testing.T, a *pipeline.Artifacts, seed uint64) bool
 			t.Fatalf("request %d unresolved after Drain returned", i)
 		}
 	}
-	// Exactly once, even with retries/hedges racing the drain.
-	//schemble:sleep-ok negative check: waits for a double-delivery that must NOT happen, so there is no condition to poll
-	time.Sleep(150 * time.Millisecond)
+	// Exactly once, even with retries/hedges racing the drain: Drain has
+	// returned, so nothing is left that could deliver a second result.
 	for i, ch := range chans {
 		assertNoSecondResult(t, i, ch)
 	}

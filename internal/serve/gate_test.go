@@ -28,7 +28,10 @@ import (
 // of mean latency, so a committed replica stays busy in the coordinator's
 // estimate until its completion re-anchors it; they draw zero actual
 // latency and then block in Predict until the test releases them, so
-// every coordinator event is one the script caused. The scheduler is a
+// every coordinator event is one the script caused. The server runs on a
+// test clock (clock_test.go): unfrozen it only counts, which tells the rig
+// when every worker waits for a task; frozen, deadlines arrive when the
+// test advances it. The scheduler is a
 // stub that plans every query onto models 0 and 1, counts its calls, and
 // can be held inside a call the way the DP holds the coordinator while it
 // plans a deep buffer.
@@ -36,6 +39,7 @@ import (
 // gateModel is a model the test holds inside Predict.
 type gateModel struct {
 	model.Model
+	clk     *testClock
 	release chan struct{}
 	quit    chan struct{}
 	// entered counts the tasks that reached Predict, finished or not.
@@ -46,6 +50,7 @@ func (g *gateModel) MeanLatency() time.Duration              { return time.Hour 
 func (g *gateModel) SampleLatency(*rng.Source) time.Duration { return 0 }
 func (g *gateModel) Predict(s *dataset.Sample) model.Output {
 	g.entered.Add(1)
+	g.clk.hold(1)
 	select {
 	case <-g.release:
 	case <-g.quit:
@@ -122,32 +127,34 @@ func (p *pairScheduler) resumeHeld(t *testing.T) {
 // rigWait bounds every wait on the rig; nothing is expected to come near it.
 const rigWait = 10 * time.Second
 
-// workerWait is the frame of a worker blocked waiting for its next task.
-const workerWait = "serve.(*Server).nextTask"
-
 // gateRig is one server under the script.
 type gateRig struct {
 	srv     *Server
+	clk     *testClock
 	sched   *pairScheduler
 	models  []*gateModel
 	results []<-chan Result
 	quit    chan struct{}
 	once    sync.Once
-	// idle is what testutil.ParkedInSelect(workerWait) reads when every
-	// worker of this rig waits for a task.
-	idle int
 }
 
-// allIdle reports whether every worker waits for its next task: none is
-// still on its way there from the task, or the start, before.
-func (g *gateRig) allIdle() bool { return testutil.ParkedInSelect(workerWait) == g.idle }
-
-// newGateRig builds a server over nModels gate models. A third model is
-// never planned and so always idle: it keeps the gate open on every pass,
-// which makes that server the twin without the gate. blocked forces those
-// models' breakers open until the test says otherwise; tweak adjusts the
-// server's configuration before it is built.
+// newGateRig builds a server over nModels gate models, on an unfrozen test
+// clock. A third model is never planned and so always idle: it keeps the
+// gate open on every pass, which makes that server the twin without the
+// gate. blocked forces those models' breakers open until the test says
+// otherwise; tweak adjusts the server's configuration before it is built.
 func newGateRig(t *testing.T, nModels int, blocked ensemble.Subset, tweak ...func(*Config)) *gateRig {
+	t.Helper()
+	return buildGateRig(t, false, nModels, blocked, tweak...)
+}
+
+// newFrozenRig is newGateRig on a frozen clock.
+func newFrozenRig(t *testing.T, nModels int, blocked ensemble.Subset, tweak ...func(*Config)) *gateRig {
+	t.Helper()
+	return buildGateRig(t, true, nModels, blocked, tweak...)
+}
+
+func buildGateRig(t *testing.T, frozen bool, nModels int, blocked ensemble.Subset, tweak ...func(*Config)) *gateRig {
 	t.Helper()
 	quit := make(chan struct{})
 	rig := &gateRig{quit: quit, sched: &pairScheduler{
@@ -176,18 +183,18 @@ func newGateRig(t *testing.T, nModels int, blocked ensemble.Subset, tweak ...fun
 		f(&cfg)
 	}
 	rig.srv = New(cfg)
+	rig.clk = useTestClock(rig.srv, frozen)
+	for _, gm := range rig.models {
+		gm.clk = rig.clk
+	}
 	for _, k := range blocked.Models() {
 		rig.setBreaker(k, breakerOpen)
-	}
-	rig.idle = testutil.ParkedInSelect(workerWait)
-	for _, n := range rig.srv.replicas {
-		rig.idle += n
 	}
 	rig.srv.Start(context.Background())
 	t.Cleanup(rig.shutdown)
 	// The script starts from a fleet at rest: a worker still on its way to
 	// its queue could otherwise meet the first arrival half-dispatched.
-	testutil.Poll(t, rigWait, "workers waiting", rig.allIdle)
+	testutil.Poll(t, rigWait, "workers waiting", rig.clk.allIdle)
 	return rig
 }
 
@@ -211,15 +218,25 @@ func (g *gateRig) submit(sample *dataset.Sample) {
 }
 
 // arrive submits one more request, a sample of its own.
-func (g *gateRig) arrive() {
+func (g *gateRig) arrive() { g.arriveWithin(2 * time.Hour) }
+
+// arriveWithin is arrive with a deadline budget of its own.
+func (g *gateRig) arriveWithin(budget time.Duration) {
 	i := len(g.results)
-	g.submit(poolSamples(i + 1)[i])
+	g.results = append(g.results, g.srv.Submit(poolSamples(i + 1)[i], budget))
+}
+
+// post hands the coordinator an event the test made.
+func (g *gateRig) post(e event) {
+	g.clk.sent(toCoordinator, 1)
+	g.srv.events <- e
 }
 
 // finish lets model k's running task complete; it blocks until the worker
 // is actually inside Predict.
 func (g *gateRig) finish(t *testing.T, k int) {
 	t.Helper()
+	g.clk.hold(-1)
 	select {
 	case g.models[k].release <- struct{}{}:
 	case <-time.After(rigWait):

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"schemble/internal/core"
 	"schemble/internal/obsv"
 )
 
@@ -14,16 +13,9 @@ import (
 // otherwise identical to newServer.
 func newObsServer(t *testing.T, obs obsv.Config) *Server {
 	t.Helper()
-	a := artifacts(t)
-	return New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.1,
-		Seed:      1,
-		Obs:       obs,
-	})
+	cfg := baseConfig(artifacts(t))
+	cfg.Obs = obs
+	return New(cfg)
 }
 
 // TestServeObservabilityBitIdentical extends the determinism guarantee to
@@ -33,36 +25,10 @@ func newObsServer(t *testing.T, obs obsv.Config) *Server {
 // from the runtime's RNG. Requests are submitted sequentially so subset
 // selection is deterministic.
 func TestServeObservabilityBitIdentical(t *testing.T) {
-	a := artifacts(t)
-	plain := newServer(t, a)
+	const n = 25
+	plain, traced := twins(t, artifacts(t), n, func(c *Config) { c.Obs = obsv.Config{TraceBuffer: 256} })
 	if plain.Observer() != nil {
 		t.Fatal("zero-value Obs config built an observer")
-	}
-	traced := newObsServer(t, obsv.Config{TraceBuffer: 256})
-	if traced.Observer() == nil {
-		t.Fatal("TraceBuffer > 0 did not build an observer")
-	}
-	plain.Start(context.Background())
-	defer plain.Stop()
-	traced.Start(context.Background())
-	defer traced.Stop()
-
-	const n = 25
-	for i := 0; i < n; i++ {
-		rp := <-plain.Submit(a.Serve[i], time.Second)
-		rt := <-traced.Submit(a.Serve[i], time.Second)
-		if rp.Missed || rt.Missed {
-			// An uncontended sequential request missing would be a runtime
-			// bug, not a determinism difference.
-			t.Fatalf("request %d missed: plain=%v traced=%v", i, rp.Missed, rt.Missed)
-		}
-		if rp.Subset != rt.Subset {
-			t.Fatalf("request %d subset diverged: %v vs %v",
-				i, rp.Subset.Models(), rt.Subset.Models())
-		}
-		if !reflect.DeepEqual(rp.Output, rt.Output) {
-			t.Fatalf("request %d output not bit-identical with tracing on", i)
-		}
 	}
 	// The traced twin recorded one trace per request, outcomes matching.
 	traces := traced.Observer().Last(n)

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"reflect"
 	"testing"
 	"time"
 
@@ -38,30 +36,6 @@ func newClassedServer(t *testing.T, a *pipeline.Artifacts, scale float64) *Serve
 		Classes:   testClasses(),
 		Seed:      1,
 	})
-}
-
-// replayTrace submits every arrival of a classed trace at its (scaled)
-// instant and waits for every outcome — exactly once per request.
-func replayTrace(t *testing.T, s *Server, a *pipeline.Artifacts, tr *trace.Trace, scale float64) []Result {
-	t.Helper()
-	chans := make([]<-chan Result, len(tr.Arrivals))
-	start := time.Now()
-	for i, arr := range tr.Arrivals {
-		if wait := time.Duration(float64(arr.At)*scale) - time.Since(start); wait > 0 {
-			//schemble:sleep-ok trace pacing: arrivals must land at their seeded instants
-			time.Sleep(wait)
-		}
-		chans[i] = s.SubmitClass(a.Serve[arr.SampleIdx], arr.Deadline-arr.At, arr.Class)
-	}
-	out := make([]Result, len(chans))
-	for i, ch := range chans {
-		select {
-		case out[i] = <-ch:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("request %d never resolved (lost request)", i)
-		}
-	}
-	return out
 }
 
 type classAgg struct{ submitted, rejected, missed, degraded, served int }
@@ -109,9 +83,7 @@ func TestServeFlashCrowdSoak(t *testing.T) {
 		Horizon: horizon, Samples: a.Serve, Seed: 5,
 	})
 	s := newClassedServer(t, a, scale)
-	s.Start(context.Background())
-	defer s.Stop()
-	agg := aggregateByClass(crowd, replayTrace(t, s, a, crowd, scale))
+	agg := aggregateByClass(crowd, replay(t, s, crowd, a.Serve))
 	st := s.Stats()
 
 	// Exactly-once accounting: every submission resolved, and the outcome
@@ -149,39 +121,9 @@ func TestServeFlashCrowdSoak(t *testing.T) {
 // admission tuning but no classes produces bit-identical results to the
 // plain zero-config runtime, request for request.
 func TestServeClasslessAdmissionBitIdentical(t *testing.T) {
-	a := artifacts(t)
-	plain := newServer(t, a)
-	tuned := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.1,
-		Admission: AdmissionConfig{Capacity: 2, Target: 50 * time.Millisecond},
-		Seed:      1,
+	_, tuned := twins(t, artifacts(t), 25, func(c *Config) {
+		c.Admission = AdmissionConfig{Capacity: 2, Target: 50 * time.Millisecond}
 	})
-	plain.Start(context.Background())
-	defer plain.Stop()
-	tuned.Start(context.Background())
-	defer tuned.Stop()
-
-	for i := 0; i < 25; i++ {
-		rp := <-plain.Submit(a.Serve[i], time.Second)
-		// SubmitClass with an empty class on a classless deployment is the
-		// same code path as Submit.
-		rt := <-tuned.SubmitClass(a.Serve[i], time.Second, "")
-		if rp.Missed || rt.Missed || rp.Rejected || rt.Rejected {
-			t.Fatalf("request %d: uncontended request missed/rejected (plain %+v tuned %+v)",
-				i, rp.Missed, rt.Missed)
-		}
-		if rp.Subset != rt.Subset {
-			t.Fatalf("request %d subset diverged: %v vs %v",
-				i, rp.Subset.Models(), rt.Subset.Models())
-		}
-		if !reflect.DeepEqual(rp.Output, rt.Output) {
-			t.Fatalf("request %d output not bit-identical with admission tuning set", i)
-		}
-	}
 	st := tuned.Stats()
 	if len(st.Classes) != 0 {
 		t.Errorf("classless runtime reports %d classes", len(st.Classes))

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"reflect"
 	"testing"
 	"time"
 
@@ -61,40 +59,7 @@ func poolSamples(n int) []*dataset.Sample {
 // zero-config server, request for request — the replica machinery may not
 // perturb scheduling, RNG draws, or outputs.
 func TestServeReplicasSingleBitIdentical(t *testing.T) {
-	a := artifacts(t)
-	plain := newServer(t, a)
-	pooled := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.1,
-		Seed:      1,
-		Replicas:  []int{1, 1, 1},
-	})
-	plain.Start(context.Background())
-	defer plain.Stop()
-	pooled.Start(context.Background())
-	defer pooled.Stop()
-
-	const n = 25
-	for i := 0; i < n; i++ {
-		rp := <-plain.Submit(a.Serve[i], time.Second)
-		rr := <-pooled.Submit(a.Serve[i], time.Second)
-		if rp.Missed || rr.Missed {
-			t.Fatalf("request %d missed: plain=%v pooled=%v", i, rp.Missed, rr.Missed)
-		}
-		if rp.Subset != rr.Subset {
-			t.Fatalf("request %d subset diverged: %v vs %v",
-				i, rp.Subset.Models(), rr.Subset.Models())
-		}
-		if !reflect.DeepEqual(rp.Output, rr.Output) {
-			t.Fatalf("request %d output not bit-identical under single-replica pools", i)
-		}
-		if rp.Degraded != rr.Degraded || rp.Rejected != rr.Rejected {
-			t.Fatalf("request %d outcome flags diverged", i)
-		}
-	}
+	_, pooled := twins(t, artifacts(t), 25, func(c *Config) { c.Replicas = []int{1, 1, 1} })
 	st := pooled.Stats()
 	for k, r := range st.Replicas {
 		if r != 1 {
@@ -108,38 +73,21 @@ func TestServeReplicasSingleBitIdentical(t *testing.T) {
 // rejected, virtual elapsed).
 func runBottleneckLoad(t *testing.T, replicas []int) (served, missed, rejected uint64, elapsed time.Duration) {
 	t.Helper()
-	const scale = 0.05
 	s := New(Config{
 		Ensemble:  slowEnsemble(11),
 		Scheduler: &core.DP{Delta: 0.01},
 		Rewarder:  bottleneckRewarder{slow: 2},
-		TimeScale: scale,
+		TimeScale: 0.05,
 		Seed:      3,
 		Replicas:  replicas,
 	})
-	s.Start(context.Background())
-	defer s.Stop()
-
-	samples := poolSamples(60)
-	start := time.Now()
-	chans := make([]<-chan Result, len(samples))
-	for i, smp := range samples {
-		chans[i] = s.Submit(smp, 500*time.Millisecond)
-		// Arrival pacing at ~3x the single-replica service rate of the slow
-		// model (200ms virtual -> 10ms wall at 0.05; one arrival every
-		// ~3.3ms wall = 66ms virtual), so a lone slow replica saturates
-		// while four keep up.
-		//schemble:sleep-ok arrival pacing: the offered load must exceed single-replica capacity for the scaling measurement to mean anything
-		time.Sleep(3300 * time.Microsecond)
+	// One arrival every 66ms, ~3x the single-replica service rate of the
+	// slow model (200ms), so a lone slow replica saturates while four keep
+	// up.
+	tr := spaced(60, 66*time.Millisecond, 500*time.Millisecond)
+	for i, r := range replay(t, s, tr, poolSamples(60)) {
+		elapsed = max(elapsed, tr.Arrivals[i].At+r.Latency)
 	}
-	for i, ch := range chans {
-		select {
-		case <-ch:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("request %d never resolved", i)
-		}
-	}
-	elapsed = time.Duration(float64(time.Since(start)) / scale)
 	st := s.Stats()
 	return st.Served + st.Degraded, st.Missed, st.Rejected, elapsed
 }

@@ -33,7 +33,11 @@
 //
 // and resolves exactly once: with its aggregated output, as a deadline
 // miss, or as an explicit rejection (Result.Rejected) when the runtime is
-// saturated, draining, or stopped. Backpressure is bounded and visible:
+// saturated, draining, or stopped. The coordinator owns every deadline: each
+// turn, before it plans, resolves the buffered requests whose deadline has
+// passed, and one timer wakes it for the earliest deadline still to come.
+// Every instant the runtime reads or waits for comes from its one clock.
+// Backpressure is bounded and visible:
 // Submit rejects instead of blocking when the event loop is full, and
 // dispatch rejects instead of leaking when a model's task queue is full.
 // Stop abandons committed work; Drain finishes it first.
@@ -206,7 +210,7 @@ type request struct {
 	engine.Query
 	sample *dataset.Sample
 	// arrived and wallDeadline are Query.Arrival and Query.Deadline on the
-	// wall clock.
+	// server's clock.
 	arrived      time.Time
 	wallDeadline time.Time
 
@@ -223,11 +227,7 @@ type request struct {
 	ok ensemble.Subset
 	//schemble:guardedby mu permanent-failure count
 	failed int
-	// deadlineTimer turns the deadline into an evDeadline event; resolve
-	// stops it so a request resolved early fires nothing at its deadline.
-	//schemble:guardedby mu deadline timer handle
-	deadlineTimer *time.Timer
-	done          chan Result
+	done   chan Result
 
 	// tr is the request's decision trace, nil when observability is off.
 	// Creation-time fields are written before the request is shared,
@@ -301,6 +301,7 @@ type replicaCounters struct {
 // Server is a running ensemble-serving instance.
 type Server struct {
 	cfg    Config
+	clk    clock
 	tol    ToleranceConfig
 	scale  float64
 	taskCh []chan *task
@@ -381,7 +382,6 @@ type evKind int
 const (
 	evSubmit evKind = iota
 	evTaskDone
-	evDeadline
 	evDrain
 )
 
@@ -470,9 +470,10 @@ type Stats struct {
 	Draining bool
 
 	// TurnEvents is the distribution of how many events — submissions, task
-	// completions, deadlines — a coordinator turn handled before its one
-	// planning pass, one event carried as one second: Count is turns, Sum
-	// events. Above one, events queued while the turn before was planning.
+	// completions, and the deadline timer's wake — a coordinator turn handled
+	// before its one planning pass, one event carried as one second: Count is
+	// turns, Sum events. Above one, events queued while the turn before was
+	// planning.
 	// PassTime is the wall time of each turn's pass: what a query that
 	// arrives mid-pass waits before it can be planned.
 	TurnEvents obsv.HistogramSnapshot
@@ -526,6 +527,7 @@ func New(cfg Config) *Server {
 	m := len(cfg.Ensemble.Models)
 	s := &Server{
 		cfg:      cfg,
+		clk:      wallClock{},
 		tol:      cfg.Tolerance.withDefaults(),
 		scale:    cfg.TimeScale,
 		events:   make(chan event, 4*cfg.QueueDepth),
@@ -578,7 +580,7 @@ func New(cfg Config) *Server {
 		if !fc.Enabled() {
 			continue
 		}
-		// Faulty.Attempt gets wall-clock nows but virtual latencies, so
+		// Faulty.Attempt gets the clock's nows but virtual latencies, so
 		// CrashMTBF stays virtual while the recovery window is scaled to
 		// wall time here.
 		if fc.CrashRecovery <= 0 {
@@ -604,8 +606,8 @@ func (s *Server) Start(ctx context.Context) {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	s.ctx, s.cancel = ctx, cancel
-	//schemble:wallclock virtual time is anchored to the wall clock once, at Start; every virtual timestamp derives from this instant
-	s.start = time.Now()
+	// Virtual time is anchored to the clock once, here.
+	s.start = s.clk.now()
 	s.lifeMu.Unlock()
 	for k := range s.taskCh {
 		for r := 0; r < s.replicas[k]; r++ {
@@ -648,6 +650,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		return ErrNotStarted
 	}
 	if !already {
+		s.clk.sent(toCoordinator, 1)
 		select {
 		case s.events <- event{kind: evDrain}:
 		case <-sctx.Done():
@@ -722,8 +725,7 @@ func (s *Server) Stats() Stats {
 		}
 		st.ReplicaBusy[k] = busy
 	}
-	//schemble:wallclock health snapshot: crash-recovery windows are wall-clock scheduled by the fault injector
-	wallNow := time.Now()
+	wallNow := s.clk.now()
 	s.breakerMu.Lock()
 	for k := range st.Models {
 		c := &s.mstats[k]
@@ -819,8 +821,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		panic("serve: Submit before Start")
 	}
 	ci, deadline := s.eng.Classify(class, deadline)
-	//schemble:wallclock arrival is wall-anchored; deadlines and virtual timestamps are derived from it via the configured TimeScale
-	now := time.Now()
+	now := s.clk.now()
 	wallDeadline := now.Add(time.Duration(float64(deadline) * s.scale))
 	// Query.Arrival is the one virtual instant the engine's arrival path —
 	// adaptation, the cache, admission — sees for this request, as the
@@ -867,8 +868,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	switch arr.Verdict {
 	case engine.Hit:
 		// Zero-cost plan: the cached answer resolves immediately, skipping
-		// admission, the buffer, the scheduler, dispatch, and the deadline
-		// timer entirely.
+		// admission, the buffer, the scheduler and dispatch entirely.
 		s.resolve(req, Result{
 			Output:  arr.Value.Output,
 			Subset:  arr.Value.Subset,
@@ -882,45 +882,23 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		s.resolve(req, Result{Missed: true, Rejected: true})
 		return req.done
 	}
+	s.clk.sent(toCoordinator, 1)
 	select {
 	case s.events <- event{kind: evSubmit, req: req}:
 	default:
 		// Event loop saturated: reject explicitly instead of blocking the
 		// caller or dropping the request on the floor.
+		s.clk.sent(toCoordinator, -1)
 		s.resolve(req, Result{Missed: true, Rejected: true})
 		return req.done
 	}
 	if ctx.Err() != nil {
 		// Raced shutdown: the coordinator's drain sweep may already be
-		// past; resolve directly rather than leaving the caller to the
-		// deadline-timer fallback. resolve's exactly-once guarantee makes
-		// the duplicate path harmless.
+		// past, and a stopped coordinator reaches no deadline; resolve
+		// directly. resolve's exactly-once guarantee makes the duplicate
+		// path harmless.
 		s.resolve(req, Result{Missed: true, Rejected: true})
-		return req.done
 	}
-	// The timer turns the deadline into an event so the coordinator can
-	// resolve never-scheduled requests. Delivery is lossless: the timer
-	// goroutine blocks until the coordinator takes the event, and falls
-	// back to resolving directly once the runtime is shutting down.
-	//schemble:wallclock deadline timers fire in wall time; the deadline itself was derived from the virtual budget at Submit
-	t := time.AfterFunc(time.Until(req.wallDeadline), func() {
-		if req.isResolved() {
-			return
-		}
-		select {
-		case s.events <- event{kind: evDeadline, req: req}:
-		case <-ctx.Done():
-			s.resolve(req, Result{Missed: true})
-		}
-	})
-	// The coordinator already has the request and may have resolved it.
-	req.mu.Lock()
-	if req.state == stateResolved {
-		t.Stop()
-	} else {
-		req.deadlineTimer = t
-	}
-	req.mu.Unlock()
 	return req.done
 }
 
@@ -932,15 +910,11 @@ func (s *Server) virtual(at time.Time) time.Duration {
 }
 
 // vnow is the current virtual time.
-func (s *Server) vnow() time.Duration {
-	//schemble:wallclock virtual time is the wall clock's distance from the Start anchor, descaled
-	return s.virtual(time.Now())
-}
+func (s *Server) vnow() time.Duration { return s.virtual(s.clk.now()) }
 
 // latency is how long ago r arrived, in virtual time.
 func (s *Server) latency(r *request) time.Duration {
-	//schemble:wallclock latency is the wall-clock distance from arrival, descaled to virtual time
-	return time.Duration(float64(time.Since(r.arrived)) / s.scale)
+	return time.Duration(float64(s.clk.now().Sub(r.arrived)) / s.scale)
 }
 
 // worker is replica r of model k: it pulls tasks off the model's shared
@@ -957,7 +931,7 @@ func (s *Server) worker(ctx context.Context, k, r int) {
 	if s.faulty != nil {
 		inj = s.faulty[k]
 	}
-	w := newWaiter()
+	w := s.clk.newWaiter()
 	for {
 		t, alive := s.nextTask(ctx, k)
 		if !alive {
@@ -981,24 +955,24 @@ func (s *Server) nextTask(ctx context.Context, k int) (t *task, alive bool) {
 	case <-ctx.Done():
 		return nil, false
 	case t = <-s.taskCh[k]:
+		s.clk.sent(k, -1)
 		return t, true
 	default:
-	}
-	clock := func() time.Time {
-		//schemble:wallclock the starved instrument times a replica's idle wait in wall time, on the monotonic clock
-		return time.Now()
 	}
 	var idle time.Time
 	starved := s.nBuffered.Load() > 0
 	if starved {
-		idle = clock()
+		idle = s.clk.now()
 	}
+	s.clk.idle(k, 1)
 	select {
 	case <-ctx.Done():
 		return nil, false
 	case t = <-s.taskCh[k]:
+		s.clk.idle(k, -1)
+		s.clk.sent(k, -1)
 		if starved {
-			s.mstats[k].starved.Observe(clock().Sub(idle))
+			s.mstats[k].starved.Observe(s.clk.now().Sub(idle))
 		}
 		return t, true
 	}
@@ -1044,6 +1018,7 @@ func (s *Server) runTask(ctx context.Context, w *waiter, m model.Model, inj *mod
 		}
 		t.req.mu.Unlock()
 	}
+	s.clk.sent(toCoordinator, 1)
 	select {
 	case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: cutoff}:
 	case <-ctx.Done():
@@ -1081,8 +1056,10 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 		s.srcMu.Lock()
 		lat := m.SampleLatency(s.src)
 		s.srcMu.Unlock()
-		//schemble:wallclock the attempt's wall-clock start: the drift schedule, the fault injector's crash windows, the deadline budget and the wait target are all taken from this one instant
-		now := time.Now()
+		// The attempt's start: the drift schedule, the fault injector's crash
+		// windows, the deadline budget and the wait target all take this
+		// one instant.
+		now := s.clk.now()
 		drift := 1.0
 		if s.cfg.Drift != nil {
 			drift = s.cfg.Drift(k, s.virtual(now))
@@ -1203,8 +1180,7 @@ func (s *Server) backoffUntil(ctx context.Context, w *waiter, deadline time.Time
 	s.srcMu.Lock()
 	jit := time.Duration(s.src.Float64() * float64(base))
 	s.srcMu.Unlock()
-	//schemble:wallclock retry budget check: backoff is only worth paying if it still fits before the wall-clock deadline
-	wake := time.Now().Add(time.Duration(float64(base<<uint(attempt)+jit) * s.scale))
+	wake := s.clk.now().Add(time.Duration(float64(base<<uint(attempt)+jit) * s.scale))
 	if s.tol.TaskTimeout && wake.After(deadline) {
 		// No budget left to retry inside the deadline.
 		return false, true
@@ -1242,9 +1218,12 @@ type coordinator struct {
 	// decision traces of its commits.
 	blocked ensemble.Subset
 	// inflight tracks committed-but-unfinished requests so shutdown can
-	// resolve them and drain knows when it is done.
+	// resolve them and drain knows when it is done; a request maps to true
+	// while its deadline, with Degrade on, is still to come.
 	inflight map[*request]bool
 	draining bool
+	// wake is the one timer, armed for the earliest deadline still to come.
+	wake timer
 }
 
 // coordinate runs the coordinator, one turn per wake-up.
@@ -1255,6 +1234,7 @@ func (s *Server) coordinate(ctx context.Context) {
 		busyUntil: make([][]time.Duration, m),
 		pending:   make([]int, m),
 		inflight:  make(map[*request]bool),
+		wake:      s.clk.newTimer(),
 	}
 	for k := range c.busyUntil {
 		c.busyUntil[k] = make([]time.Duration, s.replicas[k])
@@ -1265,43 +1245,89 @@ func (s *Server) coordinate(ctx context.Context) {
 			c.shutdown()
 			return
 		case e := <-s.events:
-			c.turn(e)
+			c.turn(&e)
+		case <-c.wake.c():
+			c.turn(nil)
 		}
 	}
 }
 
-// turn handles the event the coordinator woke on and every event that was
-// already queued behind it when the turn began, then plans once: the events
-// a pass let pile up cost one pass, not one each. The count is taken up
-// front, so events that arrive while these are handled wait for the next
-// turn and a flood cannot keep the pass from running.
-func (c *coordinator) turn(e event) {
+// turn handles the event the coordinator woke on (nil when its timer woke
+// it) and every event that was already queued behind it when the turn
+// began, resolves what the deadlines have caught up with, then plans once:
+// the events a pass let pile up cost one pass, not one each. The count is
+// taken up front, so events that arrive while these are handled wait for
+// the next turn and a flood cannot keep the pass from running. Last, it
+// re-arms the timer and tells the clock the turn is over.
+func (c *coordinator) turn(e *event) {
 	s := c.s
 	n := len(s.events)
-	c.handle(e)
+	defer s.clk.sent(toCoordinator, -(n + 1))
+	if e != nil {
+		c.handle(*e)
+	}
 	for i := 0; i < n; i++ {
 		// The coordinator is the channel's only receiver: the n are there.
 		c.handle(<-s.events)
 	}
 	s.turnEvents.Observe(time.Duration(n+1) * time.Second)
-	if c.draining {
-		if len(c.inflight) == 0 {
-			// Last committed request resolved: complete the drain.
-			s.cancelRuntime()
-		}
+	now := s.clk.now()
+	next := c.expire(now)
+	if c.draining && len(c.inflight) == 0 {
+		// Last committed request resolved: complete the drain.
+		s.cancelRuntime()
 		return
 	}
-	// Requests that resolved while buffered (their deadline passed, or a
-	// Submit raced shutdown) leave before the engine counts and plans them.
-	s.eng.Filter(func(it engine.Item) bool { return !it.(*request).isResolved() })
-	now := s.vnow()
-	s.eng.Pass(now, c)
-	// Virtual time is wall time descaled: scaled back, the pass's wall time.
-	s.passTime.Observe(time.Duration(float64(s.vnow()-now) * s.scale))
-	c.syncGauges()
-	for k, w := range s.eng.Work() {
-		s.mstats[k].backlog.Store(int64(w))
+	if !c.draining {
+		began := s.clk.now()
+		s.eng.Pass(s.virtual(began), c)
+		s.passTime.Observe(s.clk.now().Sub(began))
+		c.syncGauges()
+		for k, w := range s.eng.Work() {
+			s.mstats[k].backlog.Store(int64(w))
+		}
 	}
+	d := never
+	if !next.IsZero() {
+		d = next.Sub(now)
+	}
+	c.wake.set(d)
+}
+
+// expire resolves what the deadlines have caught up with at now, before the
+// turn's pass — a buffered request misses, and with Degrade an in-flight one
+// serves the outputs it holds — and returns the earliest deadline still to
+// come among them (zero when there is none). The same walk drops the
+// buffered requests that resolved otherwise (a Submit raced shutdown), so
+// the engine neither counts nor plans them.
+func (c *coordinator) expire(now time.Time) (next time.Time) {
+	s := c.s
+	ahead := func(r *request) bool {
+		if !now.Before(r.wallDeadline) {
+			return false
+		}
+		if next.IsZero() || r.wallDeadline.Before(next) {
+			next = r.wallDeadline
+		}
+		return true
+	}
+	s.eng.Filter(func(it engine.Item) bool {
+		r := it.(*request)
+		keep := !r.isResolved() && ahead(r)
+		if !keep {
+			s.resolve(r, Result{Missed: true}) // no-op if it already resolved
+		}
+		return keep
+	})
+	//schemble:maporder-ok each in-flight request settles independently to its own channel, and a minimum does not depend on the order it is taken in
+	for r, due := range c.inflight {
+		if due && !ahead(r) {
+			c.inflight[r] = false
+			c.degrade(r)
+		}
+	}
+	c.syncGauges()
+	return next
 }
 
 // handle applies one event to the coordinator's state; the planning it may
@@ -1318,8 +1344,6 @@ func (c *coordinator) handle(e event) {
 		c.syncGauges()
 	case evTaskDone:
 		c.onTaskDone(e)
-	case evDeadline:
-		c.onDeadline(e.req)
 	case evDrain:
 		c.draining = true
 		// Uncommitted work cannot finish under drain: resolve it
@@ -1350,7 +1374,7 @@ func (c *coordinator) shutdown() {
 	}
 	c.missBuffered()
 	// Drain events that raced with shutdown so their requests still
-	// resolve. Blocked deadline timers resolve themselves via ctx.Done.
+	// resolve.
 	for {
 		select {
 		case e := <-c.s.events:
@@ -1397,12 +1421,11 @@ func (c *coordinator) onTaskDone(e event) {
 		s.resolve(r, Result{Subset: r.Subset, Missed: true, Latency: s.latency(r)})
 		return
 	}
-	// A request completed by a deadline cutoff is what the deadline event
+	// A request completed by a deadline cutoff is what the deadline step
 	// degrades: what finished, finished in time. The cutoff wakes at the
-	// deadline itself, so whether it or the deadline timer reaches the
-	// coordinator first must not decide the outcome.
-	//schemble:wallclock lateness is judged against the wall-clock deadline set at Submit
-	late := time.Now().After(r.wallDeadline) && !(e.cutoff && s.tol.Degrade)
+	// deadline itself, so whether it or the coordinator's deadline step
+	// gets there first must not decide the outcome.
+	late := s.clk.now().After(r.wallDeadline) && !(e.cutoff && s.tol.Degrade)
 	st := s.eng.Settle(s.vnow(), &r.Query, outs, okMask, nfailed, late)
 	res := Result{
 		Output:   st.Output,
@@ -1420,35 +1443,30 @@ func (c *coordinator) onTaskDone(e event) {
 	}
 }
 
-// onDeadline handles a request's deadline arriving before it resolved.
-func (c *coordinator) onDeadline(r *request) {
+// degrade is partial-ensemble degradation, for a committed request whose
+// deadline arrived with some but not all subset outputs: aggregate what
+// completed — the rest count as failed — and serve it degraded instead of
+// missing. Still-running sibling tasks observe the resolved state and are
+// skipped; exactly-once holds. (Writes to outs land on indices outside
+// okMask, so the aggregation never races them.) Any other request is left to
+// its tasks.
+func (c *coordinator) degrade(r *request) {
 	s := c.s
 	r.mu.Lock()
-	started := r.state >= stateCommitted
 	committed := r.state == stateCommitted
 	outs, okMask := r.outs, r.ok
 	r.mu.Unlock()
-	switch {
-	case !started:
-		// Never committed: miss. The turn's filter takes it off the buffer.
-		s.resolve(r, Result{Missed: true})
-	case committed && s.tol.Degrade && okMask != ensemble.Empty && okMask != r.Subset:
-		// Partial-ensemble degradation: the deadline arrived with some but
-		// not all subset outputs. Aggregate what completed — the rest count
-		// as failed — and serve it degraded instead of missing.
-		// Still-running sibling tasks observe the resolved state and are
-		// skipped; exactly-once holds. (Writes to outs land on indices
-		// outside okMask, so the aggregation never races them.)
-		st := s.eng.Settle(s.vnow(), &r.Query, outs, okMask, r.Subset.Size()-okMask.Size(), false)
-		delete(c.inflight, r)
-		s.resolve(r, Result{
-			Output:   st.Output,
-			Subset:   okMask,
-			Degraded: st.Degraded,
-			Latency:  s.latency(r),
-		})
-		c.syncGauges()
+	if !committed || okMask == ensemble.Empty || okMask == r.Subset {
+		return
 	}
+	st := s.eng.Settle(s.vnow(), &r.Query, outs, okMask, r.Subset.Size()-okMask.Size(), false)
+	delete(c.inflight, r)
+	s.resolve(r, Result{
+		Output:   st.Output,
+		Subset:   okMask,
+		Degraded: st.Degraded,
+		Latency:  s.latency(r),
+	})
 }
 
 // Blocked implements engine.Executor: models behind an open breaker or
@@ -1456,8 +1474,7 @@ func (c *coordinator) onDeadline(r *request) {
 func (c *coordinator) Blocked(now time.Duration) ensemble.Subset {
 	c.blocked = c.s.breakerBlocked(now)
 	if c.s.faulty != nil {
-		//schemble:wallclock crash-recovery windows are wall-clock scheduled by the fault injector
-		wallNow := time.Now()
+		wallNow := c.s.clk.now()
 		for k, f := range c.s.faulty {
 			if f != nil && f.Down(wallNow) {
 				c.blocked = c.blocked.With(k)
@@ -1535,7 +1552,7 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 		}
 	}
 	r.mu.Unlock()
-	c.inflight[r] = true
+	c.inflight[r] = s.tol.Degrade
 	for _, k := range sub.Models() {
 		// The task lands on the earliest-available replica slot, exactly
 		// the assumption the scheduler's capacity model (core.Capacity)
@@ -1544,11 +1561,13 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 		if start < t {
 			start = t
 		}
+		s.clk.sent(k, 1)
 		select {
 		case s.taskCh[k] <- &task{req: r, k: k}:
 			c.busyUntil[k][slot] = start + s.eng.Exec()[k]
 			c.pending[k]++
 		default:
+			s.clk.sent(k, -1)
 			// Unreachable given the pre-flight check; if it ever happens,
 			// roll back instead of leaking: busyUntil is untouched for this
 			// model, inflight forgets the request, it resolves as rejected,
@@ -1599,8 +1618,8 @@ func (res Result) outcome() obsv.Outcome {
 }
 
 // resolve delivers a result exactly once; entering stateResolved is the
-// only transition allowed from any stage, so late task completions,
-// deadline timers and shutdown sweeps cannot double-deliver.
+// only transition allowed from any stage, so late task completions, the
+// deadline step and shutdown sweeps cannot double-deliver.
 func (s *Server) resolve(r *request, res Result) {
 	if s.claim(r, res) {
 		r.done <- res
@@ -1617,9 +1636,6 @@ func (s *Server) claim(r *request, res Result) bool {
 		return false
 	}
 	r.state = stateResolved
-	if r.deadlineTimer != nil {
-		r.deadlineTimer.Stop()
-	}
 	out := res.outcome()
 	var trace *obsv.DecisionTrace
 	if r.tr != nil {

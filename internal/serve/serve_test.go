@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"schemble/internal/mathx"
 	"schemble/internal/model"
 	"schemble/internal/pipeline"
+	"schemble/internal/trace"
 )
 
 var (
@@ -31,44 +33,68 @@ func artifacts(t *testing.T) *pipeline.Artifacts {
 	return art
 }
 
-func newServer(t *testing.T, a *pipeline.Artifacts) *Server {
-	t.Helper()
-	return New(Config{
+// baseConfig is what newServer builds: the fitted pipeline under the DP,
+// every other field at its zero value.
+func baseConfig(a *pipeline.Artifacts) Config {
+	return Config{
 		Ensemble:  a.Ensemble,
 		Scheduler: &core.DP{Delta: 0.01},
 		Rewarder:  a.Profile,
 		Estimator: a.Predictor,
 		TimeScale: 0.1, // 10x faster than "real" model latencies
 		Seed:      1,
-	})
+	}
+}
+
+func newServer(t *testing.T, a *pipeline.Artifacts) *Server {
+	t.Helper()
+	return New(baseConfig(a))
+}
+
+// twins submits the same n requests, one at a time, to two servers — the
+// zero-config one and one built with tweak — and fails unless every request
+// gets the same outcome, subset and bit-identical output from both. It
+// returns the pair, stopped, for what the test checks of them.
+func twins(t *testing.T, a *pipeline.Artifacts, n int, tweak func(*Config)) (plain, twin *Server) {
+	t.Helper()
+	cfg := baseConfig(a)
+	plain = New(cfg)
+	tweak(&cfg)
+	twin = New(cfg)
+	for _, s := range []*Server{plain, twin} {
+		s.Start(context.Background())
+		defer s.Stop()
+	}
+	for i := 0; i < n; i++ {
+		rp, rt := <-plain.Submit(a.Serve[i], time.Second), <-twin.Submit(a.Serve[i], time.Second)
+		if rp.Missed || rt.Missed || rp.Subset != rt.Subset || rp.Degraded != rt.Degraded ||
+			rp.Cached != rt.Cached || !reflect.DeepEqual(rp.Output, rt.Output) {
+			t.Fatalf("request %d diverged between twins: %+v vs %+v", i, rp, rt)
+		}
+	}
+	return plain, twin
+}
+
+// spaced is a trace of n queries, one every spacing from 0, each with the
+// same deadline budget.
+func spaced(n int, spacing, budget time.Duration) *trace.Trace {
+	tr := &trace.Trace{}
+	for i := 0; i < n; i++ {
+		at := time.Duration(i) * spacing
+		tr.Arrivals = append(tr.Arrivals, trace.Arrival{SampleIdx: i, At: at, Deadline: at + budget})
+	}
+	return tr
 }
 
 func TestServeLightLoad(t *testing.T) {
 	a := artifacts(t)
-	s := newServer(t, a)
-	s.Start(context.Background())
-	defer s.Stop()
-
 	const n = 40
-	chans := make([]<-chan Result, n)
-	for i := 0; i < n; i++ {
-		chans[i] = s.Submit(a.Serve[i], 600*time.Millisecond)
-		//schemble:sleep-ok arrival pacing: light spacing at 10x time-scale keeps the queue shallow so most requests are servable
-		time.Sleep(25 * time.Millisecond)
-	}
 	missed, agree := 0, 0
-	for i, ch := range chans {
-		select {
-		case r := <-ch:
-			if r.Missed {
-				missed++
-				continue
-			}
-			if mathx.ArgMax(r.Output.Probs) == mathx.ArgMax(a.Refs[a.Serve[i].ID].Probs) {
-				agree++
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("request %d never resolved", i)
+	for i, r := range replay(t, newServer(t, a), spaced(n, 250*time.Millisecond, 600*time.Millisecond), a.Serve) {
+		if r.Missed {
+			missed++
+		} else if mathx.ArgMax(r.Output.Probs) == mathx.ArgMax(a.Refs[a.Serve[i].ID].Probs) {
+			agree++
 		}
 	}
 	if missed > n/10 {
@@ -80,30 +106,19 @@ func TestServeLightLoad(t *testing.T) {
 	}
 }
 
+// TestServeOverloadSheds submits a large burst at once with a tight
+// deadline: some must miss, but every request must resolve (replay fails a
+// request that does not).
 func TestServeOverloadSheds(t *testing.T) {
 	a := artifacts(t)
-	s := newServer(t, a)
-	s.Start(context.Background())
-	defer s.Stop()
-
-	// Submit a large burst at once with a tight deadline: some must miss,
-	// but every request must resolve.
-	const n = 120
-	chans := make([]<-chan Result, n)
-	for i := 0; i < n; i++ {
-		chans[i] = s.Submit(a.Serve[i%len(a.Serve)], 150*time.Millisecond)
-	}
-	resolved := 0
-	for i, ch := range chans {
-		select {
-		case <-ch:
-			resolved++
-		case <-time.After(5 * time.Second):
-			t.Fatalf("request %d never resolved", i)
+	missed := 0
+	for _, r := range replay(t, newServer(t, a), spaced(120, 0, 150*time.Millisecond), a.Serve) {
+		if r.Missed {
+			missed++
 		}
 	}
-	if resolved != n {
-		t.Errorf("resolved %d/%d", resolved, n)
+	if missed == 0 {
+		t.Error("a burst of 120 at once missed nothing")
 	}
 }
 
@@ -126,26 +141,9 @@ func TestServeStopResolvesInFlight(t *testing.T) {
 
 func TestServeSubsetAdaptsToBurst(t *testing.T) {
 	a := artifacts(t)
-	s := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.5, // gentle compression: wall overheads stay small in virtual time
-		Seed:      1,
-	})
-	s.Start(context.Background())
-	defer s.Stop()
-
 	// Burst: mean executed subset size should drop below the full size.
-	const n = 40
-	chans := make([]<-chan Result, n)
-	for i := 0; i < n; i++ {
-		chans[i] = s.Submit(a.Serve[i%len(a.Serve)], 600*time.Millisecond)
-	}
 	var sizeSum, done int
-	for _, ch := range chans {
-		r := <-ch
+	for _, r := range replay(t, newServer(t, a), spaced(40, 0, 600*time.Millisecond), a.Serve) {
 		if !r.Missed {
 			sizeSum += r.Subset.Size()
 			done++

@@ -239,22 +239,15 @@ func TestStagedStopResolvesMissedOnce(t *testing.T) {
 	}
 }
 
-// stagedRequest returns the request whose task waits in model k's queue.
-// The worker must be held inside Predict and the coordinator at rest, so
-// that nothing else touches the queue meanwhile.
-func (g *gateRig) stagedRequest(k int) *request {
-	t := <-g.srv.taskCh[k]
-	g.srv.taskCh[k] <- t
-	return t.req
-}
-
 // TestStagedSkippedWhenResolvedFirst: a request degraded at its deadline
 // leaves its staged task behind. The worker skips it without running it,
 // and the skip's completion event frees the room it held: the query that
 // commits on it would otherwise stay buffered for good.
 func TestStagedSkippedWhenResolvedFirst(t *testing.T) {
-	rig := newGateRig(t, 2, ensemble.Empty, func(c *Config) { c.Tolerance.Degrade = true })
-	rig.commit(t, 2)
+	rig := newFrozenRig(t, 2, ensemble.Empty, func(c *Config) { c.Tolerance.Degrade = true })
+	rig.commit(t, 1)
+	// The second request's deadline comes first.
+	rig.arriveWithin(time.Hour)
 	// Model 1 finishes both its tasks; model 0 still runs the first
 	// request's and holds the second's staged.
 	rig.finish(t, 1)
@@ -264,8 +257,7 @@ func TestStagedSkippedWhenResolvedFirst(t *testing.T) {
 		return st.Models[1].Executed == 2 && st.ReplicaBusy[1][0] == 0 &&
 			rig.models[0].entered.Load() == 1 && st.QueueDepth[0] == 1
 	})
-	second := rig.stagedRequest(0)
-	rig.srv.events <- event{kind: evDeadline, req: second}
+	rig.clk.advance(t, time.Hour)
 	if res := rig.result(t, 1); !res.Degraded || res.Subset != ensemble.Single(1) {
 		t.Fatalf("second request at its deadline: %+v, want degraded to model 1", res)
 	}
@@ -319,7 +311,7 @@ func TestStagedStarvedHistogram(t *testing.T) {
 	// A worker parked waiting for its next task has made its starved
 	// decision; nothing else tells the test that it has.
 	rig.finish(t, 0)
-	testutil.Poll(t, rigWait, "model 0's replica idle", rig.allIdle)
+	testutil.Poll(t, rigWait, "model 0's replica idle", rig.clk.allIdle)
 	if n := starved(); n != 0 {
 		t.Fatalf("%d starved waits before the wait ended", n)
 	}
@@ -333,7 +325,7 @@ func TestStagedStarvedHistogram(t *testing.T) {
 	// Nothing is buffered now, so running dry is plain idleness.
 	rig.finish(t, 0)
 	testutil.Poll(t, rigWait, "all served, model 0's replica idle", func() bool {
-		return rig.srv.Stats().Served == 3 && rig.allIdle()
+		return rig.srv.Stats().Served == 3 && rig.clk.allIdle()
 	})
 	rig.commit(t, 1)
 	if n := starved(); n != 1 {

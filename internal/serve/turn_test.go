@@ -158,58 +158,67 @@ func TestTurnLeavesLaterEventsToTheNextTurn(t *testing.T) {
 	}
 }
 
-// TestTurnCutoffAndDeadlineDegrade: the PR 16 rule inside a batch. A
-// request holds one output; its other task was cut off at the deadline, and
-// that completion and the deadline event sit in one batch. Whichever comes
-// first, the request resolves degraded to the model that finished.
+// TestTurnCutoffAndDeadlineDegrade: the cutoff-and-deadline rule (DESIGN.md
+// "Wall-clock waits") across turns. A request holds model 1's output; model
+// 0's task was cut off at the deadline. Either that completion and the
+// deadline are due in one turn, or the deadline's own turn comes first and
+// the completion in the next: both resolve the request degraded to the
+// model that finished.
 func TestTurnCutoffAndDeadlineDegrade(t *testing.T) {
 	for _, deadlineFirst := range []bool{false, true} {
-		rig := newGateRig(t, 3, ensemble.Empty, func(c *Config) { c.Tolerance.Degrade = true })
+		rig := newFrozenRig(t, 3, ensemble.Empty, func(c *Config) { c.Tolerance.Degrade = true })
 		rig.holdPass(t)
 		rig.finish(t, 1)
 		rig.queued(t, 1)
-		// Model 0's task, as a worker that gave up at the deadline books it.
-		// The coordinator is inside Schedule and the task's own worker inside
-		// Predict: nothing else reads the request now.
+		// The held coordinator takes nothing: the test may, to learn the
+		// request.
 		done1 := <-rig.srv.events
 		first := done1.req
-		first.mu.Lock()
-		first.remaining--
-		first.failed++
-		first.wallDeadline = first.arrived
-		first.mu.Unlock()
-		batch := []event{
-			done1,
-			{kind: evTaskDone, req: first, k: 0, done: true, ran: true, failed: true, cutoff: true},
-			{kind: evDeadline, req: first},
-		}
+		rig.srv.events <- done1
+		cutoff := event{kind: evTaskDone, req: first, k: 0, ran: true, failed: true, cutoff: true}
+		turns, events := rig.turns()
 		if deadlineFirst {
-			batch[1], batch[2] = batch[2], batch[1]
+			rig.sched.resumeHeld(t)
+			rig.clk.advance(t, 2*time.Hour)
+		} else {
+			// Model 0's task, as a worker that gave up at the deadline books
+			// it. The coordinator is inside Schedule and the task's own
+			// worker inside Predict: nothing else reads the request now.
+			first.mu.Lock()
+			first.remaining--
+			first.failed++
+			first.wallDeadline = first.arrived
+			first.mu.Unlock()
+			cutoff.done = true
+			rig.post(cutoff)
+			rig.sched.resumeHeld(t)
 		}
-		for _, e := range batch {
-			rig.srv.events <- e
-		}
-		turns, _ := rig.turns()
-		rig.sched.resumeHeld(t)
 		if res := rig.result(t, 0); !res.Degraded || res.Missed || res.Subset != ensemble.Single(1) {
 			t.Fatalf("deadline first %v: %+v, want degraded to model 1", deadlineFirst, res)
 		}
-		testutil.Poll(t, rigWait, "the batch's turn booked", func() bool {
-			nt, _ := rig.turns()
-			return nt == turns+1
-		})
+		if deadlineFirst {
+			rig.post(cutoff)
+		}
+		rig.clk.advance(t, 0)
+		// One turn of two events, or the deadline's turn and then one for the
+		// completion; a deadline's turn counts its wake as an event.
+		wantTurns, wantEvents := 1, 2
+		if deadlineFirst {
+			wantTurns, wantEvents = 3, 3
+		}
 		st := rig.srv.Stats()
-		if _, ne := rig.turns(); st.Degraded != 1 || st.Missed != 0 || st.InFlight != 1 || ne != 2+3 {
-			t.Fatalf("deadline first %v: degraded %d missed %d inflight %d, %d events", deadlineFirst, st.Degraded, st.Missed, st.InFlight, ne)
+		if nt, ne := rig.turns(); st.Degraded != 1 || st.Missed != 0 || st.InFlight != 1 || nt-turns != wantTurns || ne-events != wantEvents {
+			t.Fatalf("deadline first %v: degraded %d missed %d inflight %d, %d turns of %d events",
+				deadlineFirst, st.Degraded, st.Missed, st.InFlight, nt-turns, ne-events)
 		}
 		rig.shutdown()
 	}
 }
 
-// TestTurnDeadlinesLeaveBeforeThePass: three submissions and the deadlines
-// of two of them in one batch. The two resolve missed where they are handled
-// and the turn's one filter takes them off the buffer: the pass is shown the
-// third alone.
+// TestTurnDeadlinesLeaveBeforeThePass: three submissions in one batch, two
+// of them past their deadlines when the batch is handled. The two resolve
+// missed in the turn's deadline step, before its pass: the pass is shown
+// the third alone.
 func TestTurnDeadlinesLeaveBeforeThePass(t *testing.T) {
 	rig := newGateRig(t, 3, ensemble.Empty)
 	rig.holdPass(t)
@@ -220,7 +229,7 @@ func TestTurnDeadlinesLeaveBeforeThePass(t *testing.T) {
 	// The held coordinator takes nothing: the test may, to learn the requests.
 	batch := []event{<-rig.srv.events, <-rig.srv.events, <-rig.srv.events}
 	for _, e := range batch[:2] {
-		batch = append(batch, event{kind: evDeadline, req: e.req})
+		e.req.wallDeadline = e.req.arrived
 	}
 	for _, e := range batch {
 		rig.srv.events <- e

@@ -45,56 +45,33 @@ func earliestWake(primary, hedge, cutoff time.Duration) (time.Duration, wakeKind
 	return d, kind
 }
 
-// waiter is one worker goroutine's wall-clock wait: a single reused
-// runtime timer plus, where the platform has one, a high-resolution tail
-// sleep. It is owned by its goroutine and not safe for concurrent use.
-// Between uses the timer is stopped with an empty channel. The clock and
-// both sleeps are fields so a test can run until on a clock of its own.
+// waiter is one worker goroutine's wait on the clock: a single reused timer
+// plus, where the platform has one, a high-resolution tail sleep. It is
+// owned by its goroutine and not safe for concurrent use. Between uses the
+// timer is disarmed. The clock and both sleeps are fields: the server's
+// clock builds the waiter, and a test can run until on a clock of its own.
 type waiter struct {
-	timer *time.Timer
-	// left is how long until target on the monotonic clock, negative once
-	// it has passed.
+	timer timer
+	// left is how long until target on the clock, negative once it has
+	// passed.
 	left func(target time.Time) time.Duration
-	// coarse waits d on the runtime timer; false means ctx ended first.
+	// coarse waits d on the timer; false means ctx ended first.
 	coarse func(ctx context.Context, d time.Duration) bool
 	// tail blocks the thread for up to d on the OS's high-resolution
 	// sleep and reports whether it can be called again for what is left
 	// (an interrupted sleep can, a failed one cannot); nil where the
-	// platform has none.
+	// platform or the clock has none.
 	tail func(d time.Duration) bool
 }
 
-func newWaiter() *waiter {
-	w := &waiter{timer: time.NewTimer(time.Hour), left: timeLeft, tail: tailSleep}
-	w.disarm()
-	w.coarse = w.sleep
-	return w
-}
-
-// timeLeft is the waiter's clock outside tests.
-func timeLeft(target time.Time) time.Duration {
-	//schemble:wallclock the wait's remaining wall time, measured on the monotonic clock
-	return time.Until(target)
-}
-
-// disarm stops the timer and drains a fire that raced the stop.
-func (w *waiter) disarm() {
-	if !w.timer.Stop() {
-		select {
-		case <-w.timer.C:
-		default:
-		}
-	}
-}
-
-// sleep waits d on the runtime timer; false means ctx ended first.
+// sleep waits d on the timer; false means ctx ended first.
 func (w *waiter) sleep(ctx context.Context, d time.Duration) bool {
-	w.timer.Reset(d)
+	w.timer.set(d)
 	select {
-	case <-w.timer.C:
+	case <-w.timer.c():
 		return true
 	case <-ctx.Done():
-		w.disarm()
+		w.timer.set(never)
 		return false
 	}
 }

@@ -45,7 +45,7 @@ func TestEarliestWake(t *testing.T) {
 // through one reused waiter and checks each against its own monotonic
 // target: whatever path a wait takes, it may not return before it.
 func TestWaiterNeverEarly(t *testing.T) {
-	w := newWaiter()
+	w := wallClock{}.newWaiter()
 	ctx := context.Background()
 	for i := 0; i < 300; i++ {
 		// 0 .. 2.99 ms in 10 µs steps, visited out of order.
@@ -77,7 +77,7 @@ type waitClock struct {
 // advance (or not) and reports what tailSleep would.
 func newClockedWaiter(c *waitClock, tail func(c *waitClock, d time.Duration) bool) *waiter {
 	c.now = time.Unix(1_000_000_000, 0)
-	w := newWaiter()
+	w := wallClock{}.newWaiter()
 	w.left = func(target time.Time) time.Duration { return target.Sub(c.now) }
 	w.coarse = func(_ context.Context, d time.Duration) bool {
 		c.coarse = append(c.coarse, d)
@@ -187,7 +187,7 @@ func TestWaiterCoarseOvershootSkipsTail(t *testing.T) {
 // TestWaiterShortWaitSkipsTail: a wait no longer than the guard is the
 // runtime timer alone.
 func TestWaiterShortWaitSkipsTail(t *testing.T) {
-	w := newWaiter()
+	w := wallClock{}.newWaiter()
 	tails := 0
 	w.tail = func(time.Duration) bool { tails++; return true }
 	target := time.Now().Add(tailGuard / 2)
@@ -205,7 +205,7 @@ func TestWaiterShortWaitSkipsTail(t *testing.T) {
 // TestWaiterPreCancelled: a context that is already done returns at once —
 // the target is an hour away, so any waiting at all would hang the test.
 func TestWaiterPreCancelled(t *testing.T) {
-	w := newWaiter()
+	w := wallClock{}.newWaiter()
 	tails := 0
 	w.tail = func(time.Duration) bool { tails++; return true }
 	ctx, cancel := context.WithCancel(context.Background())
@@ -236,7 +236,7 @@ func (c *selectSignal) Done() <-chan struct{} {
 // its coarse timer sleep: it must return dead without entering the tail,
 // and leave the reused timer drained for the next wait.
 func TestWaiterCancelDuringCoarsePhase(t *testing.T) {
-	w := newWaiter()
+	w := wallClock{}.newWaiter()
 	tails := 0
 	w.tail = func(time.Duration) bool { tails++; return true }
 	inner, cancel := context.WithCancel(context.Background())
@@ -294,29 +294,11 @@ func TestTaskOvershootCountsExecutedTasks(t *testing.T) {
 }
 
 // TestServeZeroConfigTwinsBitIdentical: the overshoot and starved
-// histograms and the stopped deadline timers are always on, so the
+// histograms and the coordinator's deadline timer are always on, so the
 // zero-config guarantee is pinned on a twin pair of identically seeded
 // zero-config servers — the wait path and the worker's queue read draw
 // nothing from the runtime's RNG and decide nothing, so the two must
 // agree request for request.
 func TestServeZeroConfigTwinsBitIdentical(t *testing.T) {
-	a := artifacts(t)
-	one, two := newServer(t, a), newServer(t, a)
-	one.Start(context.Background())
-	defer one.Stop()
-	two.Start(context.Background())
-	defer two.Stop()
-	for i := 0; i < 25; i++ {
-		r1 := <-one.Submit(a.Serve[i], time.Second)
-		r2 := <-two.Submit(a.Serve[i], time.Second)
-		if r1.Missed || r2.Missed {
-			t.Fatalf("request %d missed on an idle runtime: %v / %v", i, r1.Missed, r2.Missed)
-		}
-		if r1.Subset != r2.Subset {
-			t.Fatalf("request %d subset diverged: %v vs %v", i, r1.Subset.Models(), r2.Subset.Models())
-		}
-		if !reflect.DeepEqual(r1.Output, r2.Output) {
-			t.Fatalf("request %d output not bit-identical between zero-config twins", i)
-		}
-	}
+	twins(t, artifacts(t), 25, func(*Config) {})
 }

@@ -3,10 +3,7 @@
 // tests: the sleeptest analyzer rejects fixed sleeps in _test.go files
 // because a sleep long enough to be reliable is slow and a short one is
 // flaky under race-detector load, while a condition polled against a
-// deadline is exactly as slow as the runtime actually is. ParkedInSelect
-// is a condition to poll for a goroutine having reached its wait, and
-// Unstalled guards the tests that must pace on the wall clock against the
-// host stalling under them.
+// deadline is exactly as slow as the runtime actually is.
 package testutil
 
 import (
@@ -20,7 +17,6 @@ const PollInterval = 2 * time.Millisecond
 // stays importable from non-test helpers.
 type TB interface {
 	Helper()
-	Logf(format string, args ...interface{})
 	Fatalf(format string, args ...interface{})
 }
 
