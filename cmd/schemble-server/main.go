@@ -286,9 +286,10 @@ func main() {
 		Adapt:      adaptCfg,
 		Seed:       *seed,
 		Faults:     faults,
-		// Mitigations stay on even without injection: they also cover
-		// panics and real stragglers, and degrade at the deadline instead
-		// of missing outright.
+		// The tolerance layer's one switch is on even without injection:
+		// retries cover a panicking Predict, and timeouts and degradation
+		// resolve at the deadline instead of missing outright. Hedges fire
+		// only on injected stragglers.
 		Tolerance: serve.DefaultTolerance(),
 		Obs:       obsCfg,
 	})

@@ -71,7 +71,8 @@ type FaultConfig struct {
 	// Each attempt crashes with probability lat/CrashMTBF.
 	CrashMTBF time.Duration
 	// CrashRecovery is how long a crashed replica stays dead, expressed in
-	// the time base of the `now` passed to Attempt (default 2s).
+	// the time base of the `now` passed to Attempt (default
+	// DefaultCrashRecovery).
 	CrashRecovery time.Duration
 	// Seed drives the private fault stream.
 	Seed uint64
@@ -82,13 +83,17 @@ func (c FaultConfig) Enabled() bool {
 	return c.TransientRate > 0 || c.StragglerRate > 0 || c.CrashMTBF > 0
 }
 
+// DefaultCrashRecovery is the recovery window of a FaultConfig that sets
+// none.
+const DefaultCrashRecovery = 2 * time.Second
+
 // withDefaults fills unset tail/recovery parameters.
 func (c FaultConfig) withDefaults() FaultConfig {
 	if c.StragglerFactor <= 1 {
 		c.StragglerFactor = 8
 	}
 	if c.CrashRecovery <= 0 {
-		c.CrashRecovery = 2 * time.Second
+		c.CrashRecovery = DefaultCrashRecovery
 	}
 	return c
 }

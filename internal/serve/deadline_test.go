@@ -31,13 +31,13 @@ func (g *gateRig) armedFor(t *testing.T, from time.Time, want time.Duration, wha
 	}
 }
 
-// TestDeadlineResolvedEarlyLeavesNoWake: with Degrade on, a committed
+// TestDeadlineResolvedEarlyLeavesNoWake: with tolerance on, a committed
 // request's deadline stays armed until the request resolves. Two requests
 // commit a minute apart; the timer is armed for the first one's deadline,
 // then, once it is served, for the second one's, and once that is served,
 // for nothing.
 func TestDeadlineResolvedEarlyLeavesNoWake(t *testing.T) {
-	rig := newFrozenRig(t, 2, ensemble.Empty, func(c *Config) { c.Tolerance.Degrade = true })
+	rig := newFrozenRig(t, 2, ensemble.Empty)
 	from := rig.clk.now()
 	rig.commit(t, 1)
 	rig.clk.advance(t, time.Minute)
@@ -55,15 +55,17 @@ func TestDeadlineResolvedEarlyLeavesNoWake(t *testing.T) {
 
 // TestDeadlineTimerAloneWakesCoordinator: model 0 holds a running and a
 // staged request and model 1 is blocked, so two more arrivals wait in the
-// buffer with nothing to come that would wake the coordinator. Advancing the
-// clock to each one's deadline in turn resolves that one alone, as a miss.
+// buffer with nothing to come that would wake the coordinator. Both are due
+// before the committed pair, whose deadlines arm the timer too. Advancing
+// the clock to each one's deadline in turn resolves that one alone, as a
+// miss.
 func TestDeadlineTimerAloneWakesCoordinator(t *testing.T) {
 	rig := newFrozenRig(t, 2, ensemble.Single(1))
 	rig.commit(t, 2)
-	rig.arriveWithin(time.Hour)
-	rig.arriveWithin(3 * time.Hour)
+	rig.arriveWithin(30 * time.Minute)
+	rig.arriveWithin(90 * time.Minute)
 	rig.clk.advance(t, 0)
-	for i, step := range []time.Duration{time.Hour, 2 * time.Hour} {
+	for i, step := range []time.Duration{30 * time.Minute, time.Hour} {
 		rig.clk.advance(t, step)
 		if res := rig.result(t, 2+i); !res.Missed || res.Rejected {
 			t.Fatalf("request %d at its deadline: %+v, want a plain miss", 2+i, res)
@@ -78,7 +80,7 @@ func TestDeadlineTimerAloneWakesCoordinator(t *testing.T) {
 // its turns still take the deadline step. A request holding one of its two
 // outputs at its deadline serves it degraded, which completes the drain.
 func TestDeadlineDegradesWhileDraining(t *testing.T) {
-	rig := newFrozenRig(t, 2, ensemble.Empty, func(c *Config) { c.Tolerance.Degrade = true })
+	rig := newFrozenRig(t, 2, ensemble.Empty)
 	rig.commit(t, 1)
 	rig.finish(t, 1)
 	rig.clk.advance(t, 0)

@@ -13,10 +13,17 @@ import (
 
 // replay puts s on a frozen clock, starts it and submits tr's queries to
 // it, each at its arrival's virtual instant and in its class, then runs the
-// clock an hour on
-// and returns the results in submission order: on that clock every query
-// has resolved by then.
+// clock an hour on and returns the results in submission order: on that
+// clock every query has resolved by then.
 func replay(t *testing.T, s *Server, tr *trace.Trace, samples []*dataset.Sample) []Result {
+	t.Helper()
+	clk, chans := play(t, s, tr, samples)
+	return collect(t, clk, chans)
+}
+
+// play is replay up to the last arrival: it returns the clock, standing at
+// that arrival's instant, and the result channels in submission order.
+func play(t *testing.T, s *Server, tr *trace.Trace, samples []*dataset.Sample) (*testClock, []<-chan Result) {
 	t.Helper()
 	clk := useTestClock(s, true)
 	s.Start(context.Background())
@@ -28,6 +35,13 @@ func replay(t *testing.T, s *Server, tr *trace.Trace, samples []*dataset.Sample)
 		clk.advance(t, at.Sub(clk.now()))
 		chans[i] = s.SubmitClass(samples[a.SampleIdx], a.Deadline-a.At, a.Class)
 	}
+	return clk, chans
+}
+
+// collect runs clk an hour on and returns the results of chans, failing the
+// test for any that has none.
+func collect(t *testing.T, clk *testClock, chans []<-chan Result) []Result {
+	t.Helper()
 	clk.advance(t, time.Hour)
 	results := make([]Result, len(chans))
 	for i, ch := range chans {

@@ -4,16 +4,22 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"schemble/internal/adapt"
 	"schemble/internal/core"
 	"schemble/internal/dataset"
 	"schemble/internal/ensemble"
 	"schemble/internal/model"
+	"schemble/internal/obsv"
 	"schemble/internal/pipeline"
+	"schemble/internal/rcache"
 	"schemble/internal/testutil"
+	"schemble/internal/trace"
 )
 
 // chaosFaults turns on all three fault modes at rates that exercise every
@@ -211,96 +217,168 @@ func TestDefaultToleranceFaultFreeNeverHedgesOrRetries(t *testing.T) {
 	t.Logf("served %d degraded %d missed %d over %d tasks", st.Served, st.Degraded, st.Missed, executed)
 }
 
-// TestServeDegradedPartialEnsemble forces one model to straggle far past
-// every deadline: requests whose subset includes it must still be served —
-// degraded, from the models that completed — instead of missing.
+// heldModel holds every Predict until the test lets it go, parked on the
+// test clock so that the frozen clock moves on past it.
+type heldModel struct {
+	model.Model
+	srv     *Server
+	held    atomic.Bool
+	release chan struct{}
+}
+
+func (h *heldModel) Predict(s *dataset.Sample) model.Output {
+	select {
+	case <-h.release:
+	default:
+		h.held.Store(true)
+		h.srv.clk.(*testClock).hold(1)
+		<-h.release
+	}
+	return h.Model.Predict(s)
+}
+
+// let lets every Predict through, the held one and all to come; the
+// runtime must be quiet. The model runs one replica, so at most one is held.
+func (h *heldModel) let() {
+	if h.held.Load() {
+		h.srv.clk.(*testClock).hold(-1)
+	}
+	close(h.release)
+}
+
+// TestServeDegradedPartialEnsemble holds one model's first task far past
+// every deadline — where no cutoff reaches it and no hedge rescues it:
+// requests whose subset includes that model must still be served at their
+// deadline — degraded, from the models that completed — instead of
+// missing.
 func TestServeDegradedPartialEnsemble(t *testing.T) {
 	a := artifacts(t)
-	s := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.1,
-		Seed:      1,
-		FaultsPerModel: []model.FaultConfig{
-			{}, {}, {StragglerRate: 1, StragglerFactor: 100, Seed: 5},
-		},
-		Tolerance: ToleranceConfig{TaskTimeout: true, Degrade: true},
-	})
-	s.Start(context.Background())
-	defer s.Stop()
+	models := append([]model.Model(nil), a.Ensemble.Models...)
+	held := &heldModel{Model: models[2], release: make(chan struct{})}
+	models[2] = held
+	cfg := baseConfig(a)
+	cfg.Ensemble = ensemble.New(a.Ensemble.Task, models, a.Ensemble.Agg, a.Ensemble.Weights)
+	cfg.Tolerance = DefaultTolerance()
+	s := New(cfg)
+	held.srv = s
+	const budget = 600 * time.Millisecond
+	clk, chans := play(t, s, spaced(20, 700*time.Millisecond, budget), a.Serve)
+	clk.advance(t, time.Hour) // past every deadline
+	held.let()
 
 	degraded := 0
-	for i := 0; i < 20; i++ {
-		select {
-		case r := <-s.Submit(a.Serve[i], 600*time.Millisecond):
-			if !r.Degraded {
-				continue
-			}
-			degraded++
-			if r.Missed {
-				t.Errorf("request %d both Degraded and Missed", i)
-			}
-			if r.Subset == ensemble.Empty || r.Output.Probs == nil {
-				t.Errorf("degraded request %d carries no real output", i)
-			}
-			if r.Subset.Contains(2) {
-				t.Errorf("degraded request %d includes the permanently straggling model", i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("request %d never resolved", i)
+	for i, r := range collect(t, clk, chans) {
+		if !r.Degraded {
+			continue
+		}
+		degraded++
+		if r.Missed || r.Latency > budget {
+			t.Errorf("request %d degraded after %v (missed %v), past its %v deadline", i, r.Latency, r.Missed, budget)
+		}
+		if r.Subset == ensemble.Empty || r.Output.Probs == nil {
+			t.Errorf("degraded request %d carries no real output", i)
+		}
+		if r.Subset.Contains(2) {
+			t.Errorf("degraded request %d includes the held model", i)
 		}
 	}
 	if degraded == 0 {
-		t.Error("no request degraded despite a permanently straggling model")
+		t.Error("no request degraded despite a model held past every deadline")
 	}
+	t.Logf("%d of %d degraded", degraded, len(chans))
 }
 
 // TestServeBreakerAvoidsFailingModel: a model that always fails must trip
-// its breaker, after which scheduled subsets avoid it entirely.
+// its breaker, after which no subset contains it until the cooldown ends,
+// and a failed half-open probe re-opens it. The clock moves in 1ms steps
+// and the breaker is read at each: model 0's one replica fails its tasks
+// either together or at least a backoff apart, so every instant it
+// (re)opened is seen. Each commit is read off its decision trace.
 func TestServeBreakerAvoidsFailingModel(t *testing.T) {
 	a := artifacts(t)
-	s := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.1,
-		Seed:      1,
-		FaultsPerModel: []model.FaultConfig{
-			{TransientRate: 1, Seed: 9}, {}, {},
-		},
-		// Cooldown far beyond the test horizon so the breaker stays open.
-		Tolerance: ToleranceConfig{BreakerThreshold: 3, BreakerCooldown: time.Hour, Degrade: true},
-	})
+	var mu sync.Mutex
+	var traces []obsv.DecisionTrace
+	cfg := baseConfig(a)
+	cfg.TimeScale = 1
+	cfg.Tolerance = DefaultTolerance()
+	cfg.Obs = obsv.Config{Sink: func(tr obsv.DecisionTrace) {
+		mu.Lock()
+		traces = append(traces, tr)
+		mu.Unlock()
+	}}
+	s := New(cfg)
+	s.injectFaults(0, alwaysFail) // model 0 alone fails
+	clk := useTestClock(s, true)
 	s.Start(context.Background())
-	defer s.Stop()
+	t.Cleanup(s.Stop)
 
-	const n = 30
-	for i := 0; i < n; i++ {
-		select {
-		case r := <-s.Submit(a.Serve[i], time.Second):
-			if i >= n-10 && !r.Missed && r.Subset.Contains(0) {
-				t.Errorf("request %d scheduled onto the broken model after warmup", i)
+	tr := spaced(100, 30*time.Millisecond, time.Second)
+	const tick = time.Millisecond
+	start := clk.now()
+	var (
+		chans       []<-chan Result
+		opened      []time.Duration // every instant model 0's breaker (re)opened
+		last        breakerState
+		probeFailed bool
+		sawOpen     bool
+	)
+	for v := time.Duration(0); v <= tr.Arrivals[len(tr.Arrivals)-1].Deadline; v += tick {
+		clk.advance(t, start.Add(v).Sub(clk.now()))
+		for len(chans) < len(tr.Arrivals) && tr.Arrivals[len(chans)].At == v {
+			arr := tr.Arrivals[len(chans)]
+			chans = append(chans, s.Submit(a.Serve[arr.SampleIdx], arr.Deadline-arr.At))
+			clk.advance(t, 0)
+		}
+		s.breakerMu.Lock()
+		b := s.breakers[0]
+		s.breakerMu.Unlock()
+		if b.openedAt != last.openedAt {
+			opened = append(opened, b.openedAt)
+		}
+		// A trip from any state but closed is a failed half-open probe.
+		if b.trips > last.trips && last.state != breakerClosed && b.state == breakerOpen {
+			probeFailed = true
+		}
+		if b.state == breakerOpen && !sawOpen {
+			sawOpen = true
+			if st := s.Stats(); st.Models[0].Breaker != "open" || st.Healthy() {
+				t.Errorf("breaker open: Stats reads %q, healthy %v", st.Models[0].Breaker, st.Healthy())
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("request %d never resolved", i)
+		}
+		last = b
+	}
+	collect(t, clk, chans)
+	if len(opened) == 0 {
+		t.Fatal("the always-failing model never tripped its breaker")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	probes := 0
+	for _, dt := range traces {
+		if !slices.Contains(dt.Subset, 0) {
+			continue
+		}
+		for _, o := range opened {
+			if dt.Committed >= o && dt.Committed < o+breakerCooldown {
+				t.Errorf("request %d committed onto model 0 at %v, inside the cooldown of the breaker opened at %v",
+					dt.ID, dt.Committed, o)
+			}
+		}
+		if dt.Committed >= opened[0] {
+			probes++
 		}
 	}
-	st := s.Stats()
-	if st.Models[0].Breaker != "open" {
-		t.Errorf("model 0 breaker = %q, want open", st.Models[0].Breaker)
+	if probes == 0 {
+		t.Error("no half-open probe was committed after the first trip")
 	}
-	if st.Models[0].BreakerTrips == 0 {
-		t.Error("no breaker trips recorded")
+	if !probeFailed {
+		t.Error("no failed half-open probe re-opened the breaker")
 	}
-	if st.Healthy() {
-		t.Error("Stats.Healthy() true with an open breaker")
+	if st := s.Stats(); st.Models[0].BreakerTrips < 2 || st.Models[0].Transient == 0 {
+		t.Errorf("model 0: %d trips, %d transient faults", st.Models[0].BreakerTrips, st.Models[0].Transient)
 	}
-	if st.Models[0].Transient == 0 {
-		t.Error("no transient faults counted on the failing model")
-	}
+	t.Logf("%d openings, %d commits onto model 0 after the first", len(opened), probes)
 }
 
 // TestServeHedgeRescuesStragglers: with every attempt straggling 50x,
@@ -308,31 +386,17 @@ func TestServeBreakerAvoidsFailingModel(t *testing.T) {
 // deadlines.
 func TestServeHedgeRescuesStragglers(t *testing.T) {
 	a := artifacts(t)
-	s := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.1,
-		Seed:      1,
-		Faults:    model.FaultConfig{StragglerRate: 1, StragglerFactor: 50, Seed: 3},
-		Tolerance: ToleranceConfig{HedgeFactor: 1},
-	})
-	s.Start(context.Background())
-	defer s.Stop()
-
+	cfg := baseConfig(a)
+	cfg.Faults = model.FaultConfig{StragglerRate: 1, StragglerFactor: 50, Seed: 3}
+	cfg.Tolerance = DefaultTolerance()
+	s := New(cfg)
 	servedInTime := 0
-	for i := 0; i < 10; i++ {
-		select {
-		case r := <-s.Submit(a.Serve[i], 2*time.Second):
-			if !r.Missed {
-				servedInTime++
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("request %d never resolved", i)
+	for _, r := range replay(t, s, spaced(10, 2*time.Second, 2*time.Second), a.Serve) {
+		if !r.Missed {
+			servedInTime++
 		}
 	}
-	if servedInTime < 8 {
+	if servedInTime != 10 {
 		t.Errorf("only %d/10 served in time with hedging on", servedInTime)
 	}
 	st := s.Stats()
@@ -343,6 +407,94 @@ func TestServeHedgeRescuesStragglers(t *testing.T) {
 	}
 	if hedges == 0 || wins == 0 {
 		t.Errorf("hedging not exercised: hedges=%d wins=%d", hedges, wins)
+	}
+}
+
+// TestFaultToleranceAgainstFeatures runs the tolerance layer under chaos
+// faults against each opt-in feature in turn, on the frozen clock: request
+// classes, the result cache, online adaptation and replica pools. In every
+// pairing each request resolves exactly once, the runtime's books per class
+// partition what was submitted and agree with what the callers received,
+// and no commit puts work on a model its pass had blocked — behind a
+// breaker or inside a crash window.
+func TestFaultToleranceAgainstFeatures(t *testing.T) {
+	a := artifacts(t)
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Config)
+	}{
+		{"classes", func(c *Config) { c.Classes = testClasses() }},
+		{"cache", func(c *Config) { c.Cache = rcache.Config{Keyer: testKeyer(t, a, 16), DifficultyMax: 1} }},
+		{"adapt", func(c *Config) { c.Adapt = adapt.Config{Enable: true} }},
+		{"replicas", func(c *Config) { c.Replicas = []int{2, 2, 2} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var traces []obsv.DecisionTrace
+			cfg := baseConfig(a)
+			cfg.Faults = chaosFaults()
+			cfg.Tolerance = DefaultTolerance()
+			cfg.Obs = obsv.Config{Sink: func(tr obsv.DecisionTrace) {
+				mu.Lock()
+				traces = append(traces, tr)
+				mu.Unlock()
+			}}
+			tc.tweak(&cfg)
+			s := New(cfg)
+			tr := &trace.Trace{}
+			for i := 0; i < 200; i++ {
+				at := time.Duration(i) * 40 * time.Millisecond
+				arr := trace.Arrival{SampleIdx: i % 40, At: at, Deadline: at + 400*time.Millisecond}
+				if len(cfg.Classes) > 0 {
+					arr.Class = cfg.Classes[i%len(cfg.Classes)].Name
+				}
+				tr.Arrivals = append(tr.Arrivals, arr)
+			}
+			clk, chans := play(t, s, tr, a.Serve)
+			agg := aggregateByClass(tr, collect(t, clk, chans))
+			s.Stop()
+			for i, ch := range chans {
+				assertNoSecondResult(t, i, ch)
+			}
+
+			st := s.Stats()
+			books := st.Classes
+			if len(books) == 0 {
+				books = []ClassStats{{Submitted: st.Submitted, Served: st.Served, Degraded: st.Degraded, Missed: st.Missed, Rejected: st.Rejected}}
+			}
+			if st.Submitted != uint64(len(chans)) || st.Resolved != st.Submitted {
+				t.Errorf("submitted %d, resolved %d, of %d requests", st.Submitted, st.Resolved, len(chans))
+			}
+			for _, cs := range books {
+				got := classAgg{int(cs.Submitted), int(cs.Rejected), int(cs.Missed), int(cs.Degraded), int(cs.Served)}
+				if cs.Served+cs.Degraded+cs.Missed+cs.Rejected != cs.Submitted || agg[cs.Name] == nil || got != *agg[cs.Name] {
+					t.Errorf("class %q: books %+v, callers received %+v", cs.Name, got, agg[cs.Name])
+				}
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			blocked := 0
+			for _, dt := range traces {
+				if len(dt.Blocked) > 0 {
+					blocked++
+				}
+				for _, k := range dt.Blocked {
+					if slices.Contains(dt.Subset, k) {
+						t.Errorf("request %d committed onto %v with model %d blocked at its pass", dt.ID, dt.Subset, k)
+					}
+				}
+			}
+			var faults uint64
+			for _, m := range st.Models {
+				faults += m.Transient + m.Stragglers + m.Crashes
+			}
+			if faults == 0 || blocked == 0 {
+				t.Errorf("chaos exercised too little: %d faults, %d commits around a blocked model", faults, blocked)
+			}
+			t.Logf("served %d degraded %d missed %d rejected %d; %d faults, %d commits around a blocked model",
+				st.Served, st.Degraded, st.Missed, st.Rejected, faults, blocked)
+		})
 	}
 }
 

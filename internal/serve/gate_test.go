@@ -177,7 +177,7 @@ func buildGateRig(t *testing.T, frozen bool, nModels int, blocked ensemble.Subse
 		// this capacity, which also keeps tokens from ever binding, and the
 		// EWMA forgets instantly.
 		Admission: AdmissionConfig{Capacity: 1e9, Target: time.Hour, Tau: time.Nanosecond},
-		Tolerance: ToleranceConfig{BreakerThreshold: 1, BreakerCooldown: 1000 * time.Hour},
+		Tolerance: DefaultTolerance(),
 	}
 	for _, f := range tweak {
 		f(&cfg)
@@ -206,10 +206,12 @@ func (g *gateRig) shutdown() {
 }
 
 // setBreaker forces model k's breaker into state, as the coordinator's next
-// pass will read it.
+// pass will read it. An open one opened in the far future, so no cooldown
+// the script reaches ends it.
 func (g *gateRig) setBreaker(k, state int) {
 	g.srv.breakerMu.Lock()
 	g.srv.breakers[k].state = state
+	g.srv.breakers[k].openedAt = never
 	g.srv.breakerMu.Unlock()
 }
 

@@ -42,17 +42,17 @@
 // dispatch rejects instead of leaking when a model's task queue is full.
 // Stop abandons committed work; Drain finishes it first.
 //
-// The runtime also survives an unreliable substrate. Config.Faults (or
-// FaultsPerModel) injects deterministic transient errors, stragglers and
-// replica crashes via model.Faulty; Config.Tolerance opts into the
-// mitigations: bounded retries with jittered backoff, hedged re-issue of
+// The runtime also survives an unreliable substrate. Config.Faults injects
+// deterministic transient errors, stragglers and replica crashes via
+// model.Faulty; Config.Tolerance.Enable switches on every mitigation at
+// once: bounded retries with jittered backoff, hedged re-issue of
 // straggling attempts, per-task deadline timeouts, a per-model circuit
 // breaker the scheduler consults so subsets avoid failing models, and
 // partial-ensemble degradation — a request whose deadline arrives with at
 // least one (but not all) subset outputs resolves with Result.Degraded
-// instead of missing. Both configs default to off, in which case the
-// runtime behaves exactly like the fault-free original; a panicking
-// Predict is always contained (the task fails, the worker survives).
+// instead of missing. Both default to off, in which case the runtime
+// behaves exactly like the fault-free original; a panicking Predict is
+// always contained (the task fails, the worker survives).
 package serve
 
 import (
@@ -105,15 +105,12 @@ type Config struct {
 	Seed     uint64
 
 	// Faults injects deterministic failures into every model's task
-	// execution (zero value: no injection). Durations are virtual, like
-	// model latencies.
+	// execution, each model drawing from its own seeded stream (zero value:
+	// no injection). Durations are virtual, like model latencies.
 	Faults model.FaultConfig
-	// FaultsPerModel, when entry k is in range, replaces Faults for model
-	// k — e.g. to crash only one replica in a test.
-	FaultsPerModel []model.FaultConfig
-	// Tolerance opts into the fault-tolerant execution layer. The zero
-	// value disables every mitigation and leaves the runtime bit-identical
-	// to the fault-free worker loop; see DefaultTolerance.
+	// Tolerance switches the fault-tolerant execution layer: every
+	// mitigation on (DefaultTolerance) or none. The zero value leaves the
+	// runtime bit-identical to the fault-free worker loop.
 	Tolerance ToleranceConfig
 
 	// Obs opts into request-level observability: decision traces in a
@@ -394,7 +391,7 @@ type event struct {
 	// ran marks evTaskDone events whose task actually executed (as opposed
 	// to being skipped because the request had already resolved); failed
 	// marks executed tasks that failed permanently, cutoff those among
-	// them that TaskTimeout abandoned at the request deadline.
+	// them that the tolerance layer abandoned at the request deadline.
 	ran    bool
 	failed bool
 	cutoff bool
@@ -528,7 +525,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		clk:      wallClock{},
-		tol:      cfg.Tolerance.withDefaults(),
+		tol:      cfg.Tolerance,
 		scale:    cfg.TimeScale,
 		events:   make(chan event, 4*cfg.QueueDepth),
 		src:      rng.New(cfg.Seed ^ 0x5e7e),
@@ -572,28 +569,29 @@ func New(cfg Config) *Server {
 		Estimator: cfg.Estimator, Replicas: s.replicas, BaseExec: baseExec,
 		Classes: cfg.Classes, Admission: cfg.Admission, Cache: cfg.Cache, Adapt: cfg.Adapt,
 	})
-	for k, md := range cfg.Ensemble.Models {
-		fc := cfg.Faults
-		if k < len(cfg.FaultsPerModel) {
-			fc = cfg.FaultsPerModel[k]
+	if cfg.Faults.Enabled() {
+		for k := range cfg.Ensemble.Models {
+			s.injectFaults(k, cfg.Faults)
 		}
-		if !fc.Enabled() {
-			continue
-		}
-		// Faulty.Attempt gets the clock's nows but virtual latencies, so
-		// CrashMTBF stays virtual while the recovery window is scaled to
-		// wall time here.
-		if fc.CrashRecovery <= 0 {
-			fc.CrashRecovery = 2 * time.Second
-		}
-		fc.CrashRecovery = time.Duration(float64(fc.CrashRecovery) * s.scale)
-		fc.Seed = fc.Seed*0x9e3779b97f4a7c15 + uint64(k) + 1
-		if s.faulty == nil {
-			s.faulty = make([]*model.Faulty, m)
-		}
-		s.faulty[k] = model.NewFaulty(md, fc)
 	}
 	return s
+}
+
+// injectFaults installs model k's fault injector, drawing from a stream of
+// its own; the server must not be started yet.
+func (s *Server) injectFaults(k int, fc model.FaultConfig) {
+	// Faulty.Attempt gets the clock's nows but virtual latencies, so
+	// CrashMTBF stays virtual while the recovery window is scaled to wall
+	// time here.
+	if fc.CrashRecovery <= 0 {
+		fc.CrashRecovery = model.DefaultCrashRecovery
+	}
+	fc.CrashRecovery = time.Duration(float64(fc.CrashRecovery) * s.scale)
+	fc.Seed = fc.Seed*0x9e3779b97f4a7c15 + uint64(k) + 1
+	if s.faulty == nil {
+		s.faulty = make([]*model.Faulty, len(s.replicas))
+	}
+	s.faulty[k] = model.NewFaulty(s.cfg.Ensemble.Models[k], fc)
 }
 
 // Start launches the workers and the coordinator. It returns immediately;
@@ -753,7 +751,7 @@ func (s *Server) Stats() Stats {
 			mh.ReplicaExecuted[r] = s.rstats[k][r].executed.Load()
 			mh.ReplicaFailures[r] = s.rstats[k][r].failures.Load()
 		}
-		if s.tol.BreakerThreshold > 0 {
+		if s.tol.Enable {
 			b := s.breakers[k]
 			mh.Breaker = breakerName(b.state)
 			mh.ConsecutiveFailures = b.consec
@@ -1033,7 +1031,7 @@ type taskEnd uint8
 const (
 	endOK     taskEnd = iota // an output was produced
 	endFailed                // failed permanently: retries exhausted, crash, panic
-	endCutoff                // abandoned at the request deadline by TaskTimeout
+	endCutoff                // abandoned at the request deadline by the tolerance layer
 	endDead                  // the runtime context was cancelled mid-attempt
 )
 
@@ -1095,7 +1093,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 		// its own (possibly straggling) draw, a hedge's, and the deadline.
 		// An attempt already out of budget arms nothing.
 		cutoff := never
-		if s.tol.TaskTimeout {
+		if s.tol.Enable {
 			if cutoff = r.wallDeadline.Sub(now); cutoff <= 0 {
 				timedOut()
 				return out, 0, endCutoff
@@ -1107,8 +1105,8 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 		vlat = time.Duration(float64(lat) * dec.LatencyFactor)
 		hedge := never
 		var hlat time.Duration
-		if dec.Kind == model.FaultStraggler && s.tol.HedgeFactor > 0 {
-			// Hedge: re-issue the attempt after HedgeFactor mean
+		if dec.Kind == model.FaultStraggler && s.tol.Enable {
+			// Hedge: re-issue the attempt after hedgeFactor mean
 			// latencies; the fresh (non-straggling) attempt races the
 			// straggler and the first to finish wins. Outputs are
 			// deterministic, so the winner only decides latency.
@@ -1123,7 +1121,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 			if s.eng.Adapt != nil {
 				mean *= s.eng.Adapt.Inflation(k)
 			}
-			if hd := time.Duration((s.tol.HedgeFactor*mean + float64(hlat)) * s.scale); hd < d {
+			if hd := time.Duration((hedgeFactor*mean + float64(hlat)) * s.scale); hd < d {
 				hedge = hd
 				c.hedges.Add(1)
 				if s.obs != nil {
@@ -1173,15 +1171,14 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 // jittered exponential backoff first. deadline is the request's. alive is
 // false when the runtime context was cancelled during the sleep.
 func (s *Server) backoffUntil(ctx context.Context, w *waiter, deadline time.Time, attempt int) (retry, alive bool) {
-	if attempt >= s.tol.MaxRetries {
+	if !s.tol.Enable || attempt >= maxRetries {
 		return false, true
 	}
-	base := s.tol.RetryBackoff
 	s.srcMu.Lock()
-	jit := time.Duration(s.src.Float64() * float64(base))
+	jit := time.Duration(s.src.Float64() * float64(retryBackoff))
 	s.srcMu.Unlock()
-	wake := s.clk.now().Add(time.Duration(float64(base<<uint(attempt)+jit) * s.scale))
-	if s.tol.TaskTimeout && wake.After(deadline) {
+	wake := s.clk.now().Add(time.Duration(float64(retryBackoff<<uint(attempt)+jit) * s.scale))
+	if wake.After(deadline) {
 		// No budget left to retry inside the deadline.
 		return false, true
 	}
@@ -1219,7 +1216,7 @@ type coordinator struct {
 	blocked ensemble.Subset
 	// inflight tracks committed-but-unfinished requests so shutdown can
 	// resolve them and drain knows when it is done; a request maps to true
-	// while its deadline, with Degrade on, is still to come.
+	// while its deadline, with the tolerance layer on, is still to come.
 	inflight map[*request]bool
 	draining bool
 	// wake is the one timer, armed for the earliest deadline still to come.
@@ -1295,11 +1292,11 @@ func (c *coordinator) turn(e *event) {
 }
 
 // expire resolves what the deadlines have caught up with at now, before the
-// turn's pass — a buffered request misses, and with Degrade an in-flight one
-// serves the outputs it holds — and returns the earliest deadline still to
-// come among them (zero when there is none). The same walk drops the
-// buffered requests that resolved otherwise (a Submit raced shutdown), so
-// the engine neither counts nor plans them.
+// turn's pass — a buffered request misses, and with the tolerance layer on
+// an in-flight one serves the outputs it holds — and returns the earliest
+// deadline still to come among them (zero when there is none). The same
+// walk drops the buffered requests that resolved otherwise (a Submit raced
+// shutdown), so the engine neither counts nor plans them.
 func (c *coordinator) expire(now time.Time) (next time.Time) {
 	s := c.s
 	ahead := func(r *request) bool {
@@ -1425,7 +1422,7 @@ func (c *coordinator) onTaskDone(e event) {
 	// degrades: what finished, finished in time. The cutoff wakes at the
 	// deadline itself, so whether it or the coordinator's deadline step
 	// gets there first must not decide the outcome.
-	late := s.clk.now().After(r.wallDeadline) && !(e.cutoff && s.tol.Degrade)
+	late := s.clk.now().After(r.wallDeadline) && !e.cutoff
 	st := s.eng.Settle(s.vnow(), &r.Query, outs, okMask, nfailed, late)
 	res := Result{
 		Output:   st.Output,
@@ -1552,7 +1549,7 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 		}
 	}
 	r.mu.Unlock()
-	c.inflight[r] = s.tol.Degrade
+	c.inflight[r] = s.tol.Enable
 	for _, k := range sub.Models() {
 		// The task lands on the earliest-available replica slot, exactly
 		// the assumption the scheduler's capacity model (core.Capacity)

@@ -244,7 +244,7 @@ func TestStagedStopResolvesMissedOnce(t *testing.T) {
 // and the skip's completion event frees the room it held: the query that
 // commits on it would otherwise stay buffered for good.
 func TestStagedSkippedWhenResolvedFirst(t *testing.T) {
-	rig := newFrozenRig(t, 2, ensemble.Empty, func(c *Config) { c.Tolerance.Degrade = true })
+	rig := newFrozenRig(t, 2, ensemble.Empty)
 	rig.commit(t, 1)
 	// The second request's deadline comes first.
 	rig.arriveWithin(time.Hour)

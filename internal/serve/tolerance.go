@@ -6,70 +6,43 @@ import (
 	"schemble/internal/ensemble"
 )
 
-// ToleranceConfig configures the fault-tolerant execution layer. Every
-// mechanism is opt-in: the zero value disables all of them, and the
-// runtime's behaviour is then bit-identical to the fault-free worker loop.
-// DefaultTolerance returns a configuration with every mechanism on.
+// ToleranceConfig switches the fault-tolerant execution layer. The zero
+// value disables it, and the runtime's behaviour is then bit-identical to
+// the fault-free worker loop; Enable turns on every mitigation at once:
 //
-// All durations are in virtual (unscaled) time, like model latencies; the
-// runtime applies Config.TimeScale itself.
+//   - bounded retries: a failed attempt (transient error, crash, panic)
+//     retries up to maxRetries times after a jittered exponential backoff
+//     from retryBackoff, never past its request's deadline;
+//   - per-attempt timeouts: an attempt that cannot finish by its request's
+//     deadline is abandoned and counted as a timeout fault instead of
+//     occupying the worker past the point of usefulness;
+//   - hedging: once the fault injector marks an attempt as a straggler
+//     (model.FaultStraggler), a fresh attempt is issued hedgeFactor × the
+//     model's mean latency later and the first to finish wins — without
+//     injected faults nothing hedges, however long the host makes a task
+//     queue;
+//   - a per-model circuit breaker: breakerThreshold consecutive task
+//     failures open it, the scheduler avoids the model for breakerCooldown,
+//     then a half-open probe decides;
+//   - partial-ensemble degradation: a committed request whose deadline
+//     arrives with some (not all) subset outputs resolves with them,
+//     flagged Result.Degraded, instead of missing.
 type ToleranceConfig struct {
-	// MaxRetries bounds how many times a failed attempt (transient error,
-	// crash, panic) is retried before the task fails permanently. 0
-	// disables retries.
-	MaxRetries int
-	// RetryBackoff is the base backoff before a retry; the delay doubles
-	// per attempt and carries uniform jitter in [0, base). Defaults to
-	// 4ms when retries are enabled.
-	RetryBackoff time.Duration
-	// HedgeFactor > 0 hedges straggling attempts: once an attempt is known
-	// to straggle, a hedge attempt is issued after HedgeFactor × the
-	// model's mean latency, and the first to finish wins. 0 disables
-	// hedging. Only the fault injector marks an attempt as a straggler
-	// (model.FaultStraggler), so without injected faults nothing hedges,
-	// however long the host makes a task queue — and nothing retries either
-	// unless Predict panics.
-	HedgeFactor float64
-	// BreakerThreshold > 0 opens a model's circuit breaker after that many
-	// consecutive task failures; the scheduler then avoids the model until
-	// a half-open probe succeeds. 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before allowing a
-	// half-open probe. Defaults to 200ms when the breaker is enabled.
-	BreakerCooldown time.Duration
-	// TaskTimeout caps each attempt at its request's deadline: an attempt
-	// that cannot finish in time is abandoned and counted as a timeout
-	// fault instead of occupying the worker past the point of usefulness.
-	TaskTimeout bool
-	// Degrade resolves a committed request at its deadline with whatever
-	// subset outputs have completed (≥1), flagged Result.Degraded, instead
-	// of letting it run to a late deadline miss.
-	Degrade bool
+	Enable bool
 }
 
-// DefaultTolerance enables every mitigation with production defaults.
-func DefaultTolerance() ToleranceConfig {
-	return ToleranceConfig{
-		MaxRetries:       2,
-		RetryBackoff:     4 * time.Millisecond,
-		HedgeFactor:      1.5,
-		BreakerThreshold: 5,
-		BreakerCooldown:  200 * time.Millisecond,
-		TaskTimeout:      true,
-		Degrade:          true,
-	}
-}
+// DefaultTolerance enables every mitigation.
+func DefaultTolerance() ToleranceConfig { return ToleranceConfig{Enable: true} }
 
-// withDefaults fills dependent parameters of enabled mechanisms.
-func (c ToleranceConfig) withDefaults() ToleranceConfig {
-	if c.MaxRetries > 0 && c.RetryBackoff <= 0 {
-		c.RetryBackoff = 4 * time.Millisecond
-	}
-	if c.BreakerThreshold > 0 && c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 200 * time.Millisecond
-	}
-	return c
-}
+// The tolerance layer's parameters. Durations are virtual (unscaled) time,
+// like model latencies; the runtime applies Config.TimeScale itself.
+const (
+	maxRetries       = 2
+	retryBackoff     = 4 * time.Millisecond
+	hedgeFactor      = 1.5
+	breakerThreshold = 5
+	breakerCooldown  = 200 * time.Millisecond
+)
 
 // Breaker states. A breaker is per model: closed (healthy), open (failing;
 // the scheduler avoids it), half-open (probing recovery).
@@ -96,7 +69,7 @@ func breakerName(state int) string {
 // coordinator both records outcomes and reads the blocked mask, but Stats
 // snapshots race it, hence the state lives behind the Server's breakerMu.
 //
-// closed: outcomes tracked; BreakerThreshold consecutive failures → open.
+// closed: outcomes tracked; breakerThreshold consecutive failures → open.
 // open: blocked from scheduling until the cooldown elapses → half-open.
 // half-open: schedulable; the first recorded outcome decides — success →
 // closed, failure → open again. (Several probes may be committed inside
@@ -110,7 +83,7 @@ type breakerState struct {
 
 // record folds one task outcome into model k's breaker.
 func (s *Server) breakerRecord(k int, ok bool, now time.Duration) {
-	if s.tol.BreakerThreshold <= 0 {
+	if !s.tol.Enable {
 		return
 	}
 	s.breakerMu.Lock()
@@ -118,13 +91,11 @@ func (s *Server) breakerRecord(k int, ok bool, now time.Duration) {
 	b := &s.breakers[k]
 	switch {
 	case ok:
-		if b.state != breakerClosed {
-			b.state = breakerClosed
-		}
+		b.state = breakerClosed
 		b.consec = 0
 	case b.state == breakerClosed:
 		b.consec++
-		if b.consec >= s.tol.BreakerThreshold {
+		if b.consec >= breakerThreshold {
 			b.state = breakerOpen
 			b.openedAt = now
 			b.trips++
@@ -137,7 +108,7 @@ func (s *Server) breakerRecord(k int, ok bool, now time.Duration) {
 		}
 		b.state = breakerOpen
 		b.openedAt = now
-		b.consec = s.tol.BreakerThreshold
+		b.consec = breakerThreshold
 	}
 }
 
@@ -145,7 +116,7 @@ func (s *Server) breakerRecord(k int, ok bool, now time.Duration) {
 // virtual time now, transitioning open breakers whose cooldown elapsed to
 // half-open (which unblocks them for a probe).
 func (s *Server) breakerBlocked(now time.Duration) ensemble.Subset {
-	if s.tol.BreakerThreshold <= 0 {
+	if !s.tol.Enable {
 		return ensemble.Empty
 	}
 	s.breakerMu.Lock()
@@ -154,7 +125,7 @@ func (s *Server) breakerBlocked(now time.Duration) ensemble.Subset {
 	for k := range s.breakers {
 		b := &s.breakers[k]
 		if b.state == breakerOpen {
-			if now-b.openedAt >= s.tol.BreakerCooldown {
+			if now-b.openedAt >= breakerCooldown {
 				b.state = breakerHalfOpen
 			} else {
 				blocked = blocked.With(k)

@@ -166,7 +166,7 @@ func TestTurnLeavesLaterEventsToTheNextTurn(t *testing.T) {
 // model that finished.
 func TestTurnCutoffAndDeadlineDegrade(t *testing.T) {
 	for _, deadlineFirst := range []bool{false, true} {
-		rig := newFrozenRig(t, 3, ensemble.Empty, func(c *Config) { c.Tolerance.Degrade = true })
+		rig := newFrozenRig(t, 3, ensemble.Empty)
 		rig.holdPass(t)
 		rig.finish(t, 1)
 		rig.queued(t, 1)
@@ -182,12 +182,14 @@ func TestTurnCutoffAndDeadlineDegrade(t *testing.T) {
 			rig.clk.advance(t, 2*time.Hour)
 		} else {
 			// Model 0's task, as a worker that gave up at the deadline books
-			// it. The coordinator is inside Schedule and the task's own
-			// worker inside Predict: nothing else reads the request now.
+			// it, heard of by the coordinator just after the deadline, as on
+			// the wall clock. The coordinator is inside Schedule and the
+			// task's own worker inside Predict: nothing else reads the
+			// request now.
 			first.mu.Lock()
 			first.remaining--
 			first.failed++
-			first.wallDeadline = first.arrived
+			first.wallDeadline = first.arrived.Add(-time.Nanosecond)
 			first.mu.Unlock()
 			cutoff.done = true
 			rig.post(cutoff)

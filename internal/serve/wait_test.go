@@ -24,7 +24,7 @@ func TestEarliestWake(t *testing.T) {
 		{"hedge later is never armed", 8 * ms, 20 * ms, never, 8 * ms, wakePrimary},
 		{"cutoff earlier", 8 * ms, never, 3 * ms, 3 * ms, wakeCutoff},
 		{"cutoff later leaves the primary", 8 * ms, never, 50 * ms, 8 * ms, wakePrimary},
-		{"TaskTimeout off", 8 * ms, 5 * ms, never, 5 * ms, wakeHedge},
+		{"hedge with no cutoff", 8 * ms, 5 * ms, never, 5 * ms, wakeHedge},
 		{"hedge before cutoff", 30 * ms, 10 * ms, 20 * ms, 10 * ms, wakeHedge},
 		{"cutoff before hedge", 30 * ms, 20 * ms, 10 * ms, 10 * ms, wakeCutoff},
 		{"primary ties hedge", 8 * ms, 8 * ms, never, 8 * ms, wakePrimary},
