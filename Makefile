@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet build cross test test-race rig repo-bench golden chaos obsv bench fuzz cover
+.PHONY: check lint vet build cross test test-race rig repo-bench golden snapshot chaos obsv bench fuzz cover
 
 check: vet build cross test-race rig repo-bench
 
@@ -78,6 +78,17 @@ golden:
 	$(GO) run ./cmd/schemble exp -id all > golden.out
 	cmp golden.out results_all_experiments.txt
 	rm -f golden.out
+
+# snapshot refits cmd/schemble-server's default deployment and rewrites
+# cmd/schemble-server/deploy.snapshot, the fitted pipeline the binary embeds
+# and restores at start instead of fitting (~1 s). Run it after any change
+# that moves a fitted bit of that deployment; until then the package's
+# TestDeploySnapshotCurrent fails, as a moved decision fails `golden`. The
+# touch lets the generator build when the file is missing.
+snapshot:
+	touch cmd/schemble-server/deploy.snapshot
+	$(GO) run cmd/schemble-server/gensnapshot.go cmd/schemble-server/deploy.go > snapshot.out
+	mv snapshot.out cmd/schemble-server/deploy.snapshot
 
 # Fault-injection stress tests: every chaos/fault/drain scenario under the
 # race detector with a tight timeout so a hung drain or leaked goroutine

@@ -7,8 +7,9 @@
 //	curl -s localhost:8080/v1/predict -d '{"sample_id": 5, "deadline_ms": 150}'
 //	curl -s localhost:8080/v1/stats
 //
-// With -snapshot the fitted pipeline is cached on disk, so restarts skip
-// profiling and predictor training.
+// The binary embeds its default deployment's fitted pipeline (seed 7, see
+// deploy.go) and restores it at start; -quick and other -seeds fit theirs
+// at every start instead, unless -snapshot caches the fit on disk.
 //
 // Observability: -trace-buffer keeps the last N decision traces for
 // GET /v1/trace and feeds the latency histograms behind GET /v1/metrics;
@@ -19,10 +20,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net/http"
 	_ "net/http/pprof" // registers profiling handlers on DefaultServeMux
 	"os"
@@ -35,11 +34,9 @@ import (
 	"schemble/internal/adapt"
 	"schemble/internal/cluster"
 	"schemble/internal/core"
-	"schemble/internal/dataset"
 	"schemble/internal/httpserve"
 	"schemble/internal/model"
 	"schemble/internal/obsv"
-	"schemble/internal/pipeline"
 	"schemble/internal/rcache"
 	"schemble/internal/rng"
 	"schemble/internal/serve"
@@ -115,8 +112,8 @@ func parseReplicas(s string, m int) ([]int, error) {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	timescale := flag.Float64("timescale", 0.1, "wall-clock compression for simulated model latencies")
-	seed := flag.Uint64("seed", 7, "deployment seed")
-	snapshot := flag.String("snapshot", "", "path to cache the fitted pipeline (empty = refit on every start)")
+	seed := flag.Uint64("seed", defaultSeed, "deployment seed")
+	snapshot := flag.String("snapshot", "", "path to cache the fitted pipeline (empty = restore the embedded fit of the default deployment, or fit -quick and other -seeds at every start)")
 	queueDepth := flag.Int("queuedepth", 0, "per-model task queue bound (0 = default 1024); full queues reject instead of blocking")
 	replicasFlag := flag.String("replicas", "", "replica-pool sizes: one int for every model (e.g. 4) or a comma list per model (e.g. 1,2,4); empty = 1 each")
 	drainTimeout := flag.Duration("drain", 10*time.Second, "graceful-shutdown grace period for committed in-flight work")
@@ -139,44 +136,10 @@ func main() {
 	traceBuffer := flag.Int("trace-buffer", 512, "decision traces kept for /v1/trace (0 disables tracing and the latency histograms)")
 	traceLog := flag.String("trace-log", "", "append decision traces as JSONL serving-log records to this file (implies observability on)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this side listener (empty = off)")
-	quick := flag.Bool("quick", false, "fit a small pipeline for smoke tests (a fraction of a second instead of about one)")
+	quick := flag.Bool("quick", false, "fit a small pipeline for smoke tests (a fraction of a second) instead of restoring the embedded fit of the default deployment")
 	flag.Parse()
 
-	cfg := pipeline.Config{
-		Dataset: dataset.TextMatching(dataset.Config{N: 4000, Seed: *seed}),
-		Models:  model.TextMatchingModels(*seed),
-		Seed:    *seed,
-	}
-	if *quick {
-		cfg.Dataset = dataset.TextMatching(dataset.Config{N: 1200, Seed: *seed})
-		cfg.PredictorEpochs = 25
-	}
-	var arts *pipeline.Artifacts
-	if *snapshot != "" {
-		a, err := pipeline.LoadFile(cfg, *snapshot)
-		switch {
-		case err == nil:
-			fmt.Fprintf(os.Stderr, "restored fitted pipeline from %s\n", *snapshot)
-			arts = a
-		case !errors.Is(err, fs.ErrNotExist):
-			// A first start has no file yet; a file that is there but does
-			// not fit this deployment is about to be overwritten.
-			fmt.Fprintf(os.Stderr, "snapshot %s rejected, refitting: %v\n", *snapshot, err)
-		}
-	}
-	if arts == nil {
-		fmt.Fprintln(os.Stderr, "fitting pipeline (profiling + predictor training)...")
-		fitStart := time.Now()
-		arts = pipeline.Build(cfg)
-		fmt.Fprintf(os.Stderr, "fitted pipeline in %.2fs\n", time.Since(fitStart).Seconds())
-		if *snapshot != "" {
-			if err := arts.SaveFile(*snapshot); err != nil {
-				fmt.Fprintf(os.Stderr, "warning: could not save snapshot: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "saved fitted pipeline to %s\n", *snapshot)
-			}
-		}
-	}
+	arts := loadPipeline(deployConfig(*seed, *quick), *snapshot)
 
 	obsCfg := obsv.Config{TraceBuffer: *traceBuffer}
 	var closeSink func() (uint64, error)

@@ -2,13 +2,19 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"time"
 
 	"schemble/internal/calib"
+	"schemble/internal/dataset"
 	"schemble/internal/discrepancy"
 	"schemble/internal/ensemble"
 	"schemble/internal/model"
@@ -17,18 +23,19 @@ import (
 
 func durationOf(ns int64) time.Duration { return time.Duration(ns) }
 
-// Fitting a pipeline costs profiling and predictor training at every
-// process start (about a second for the server's deployment on two cores,
-// growing with samples and epochs); a deployment may prefer to fit once and
-// restore. Save/Load
+// Fitting a pipeline costs profiling and predictor training (about a
+// second for the server's deployment on two cores, growing with samples and
+// epochs); a deployment fits once and restores. cmd/schemble-server embeds
+// the snapshot of its default deployment and restores it at start. Save/Load
 // serialize the fitted state (scorer normalization, calibrators, reward
 // profiles, predictor weights, per-sample artifacts) with encoding/gob.
 // The dataset and models are reconstructed from their generator seeds, so
-// a snapshot stays small and self-consistent: Load verifies the seed and
-// re-derives everything deterministic, then overlays the fitted state.
+// a snapshot stays small and self-consistent: Load verifies the seed, the
+// sample count and a fingerprint of the re-derived scaffold (model outputs,
+// ensemble references, splits), then overlays the fitted state.
 
 // snapshotVersion guards against loading incompatible snapshots.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // snapshot is the serialized fitted state.
 type snapshot struct {
@@ -36,6 +43,11 @@ type snapshot struct {
 	Seed    uint64
 	Task    int
 	Name    string
+
+	// Scaffold fingerprints what Load re-derives instead of storing, so a
+	// snapshot fitted on other models, another aggregator or other splits
+	// is rejected rather than overlaid on outputs it does not describe.
+	Scaffold scaffoldPrint
 
 	// Fitted state that is NOT derivable from the seed alone (training
 	// involves the nn package's own RNG and iteration order, so we store
@@ -66,6 +78,7 @@ func (a *Artifacts) Save(w io.Writer) error {
 		Seed:          a.Seed,
 		Task:          int(a.Dataset.Task),
 		Name:          a.Dataset.Name,
+		Scaffold:      fingerprint(a),
 		TrueScores:    a.TrueScores,
 		EAScores:      a.EAScores,
 		PerModelAgree: a.PerModelAgree,
@@ -129,12 +142,14 @@ func Load(cfg Config, r io.Reader) (*Artifacts, error) {
 	if cfg.Dataset == nil || snap.Name != cfg.Dataset.Name {
 		return nil, fmt.Errorf("pipeline: snapshot dataset %q does not match config", snap.Name)
 	}
-	// Rebuild the deterministic scaffolding without any training.
-	rebuilt := buildScaffold(cfg)
-	a := rebuilt
-	if len(snap.TrueScores) != len(a.Dataset.Samples) {
+	if len(snap.TrueScores) != len(cfg.Dataset.Samples) {
 		return nil, fmt.Errorf("pipeline: snapshot covers %d samples, dataset has %d",
-			len(snap.TrueScores), len(a.Dataset.Samples))
+			len(snap.TrueScores), len(cfg.Dataset.Samples))
+	}
+	// Rebuild the deterministic scaffolding without any training.
+	a := buildScaffold(cfg)
+	if err := snap.Scaffold.check(fingerprint(a)); err != nil {
+		return nil, err
 	}
 	// Overlay fitted state.
 	a.TrueScores = snap.TrueScores
@@ -211,6 +226,71 @@ func buildScaffold(cfg Config) *Artifacts {
 		a.Refs[s.ID] = a.Ensemble.Predict(outs, a.Ensemble.FullSubset())
 	}
 	return a
+}
+
+// scaffoldPrint is a hash of each part of the scaffold: every model's and
+// the full ensemble's outputs on every sample, bit for bit, and the IDs of
+// the three splits.
+type scaffoldPrint struct {
+	Outs, Refs, Splits uint64
+}
+
+func fingerprint(a *Artifacts) scaffoldPrint {
+	var p scaffoldPrint
+	h := fnv.New64a()
+	for _, outs := range a.Outs {
+		for _, o := range outs {
+			hashOutput(h, o)
+		}
+	}
+	p.Outs = h.Sum64()
+	h.Reset()
+	for _, o := range a.Refs {
+		hashOutput(h, o)
+	}
+	p.Refs = h.Sum64()
+	h.Reset()
+	for _, split := range [][]*dataset.Sample{a.Train, a.Val, a.Serve} {
+		hashUint(h, uint64(len(split)))
+		for _, s := range split {
+			hashUint(h, uint64(s.ID))
+		}
+	}
+	p.Splits = h.Sum64()
+	return p
+}
+
+// check names the first part of the scaffold that differs from want.
+func (p scaffoldPrint) check(want scaffoldPrint) error {
+	switch {
+	case p.Outs != want.Outs:
+		return errors.New("pipeline: snapshot was fitted on other model outputs than this config's models give")
+	case p.Refs != want.Refs:
+		return errors.New("pipeline: snapshot was fitted on other ensemble references than this config's aggregator gives")
+	case p.Splits != want.Splits:
+		return errors.New("pipeline: snapshot was fitted on other train/val/serve splits than this config draws")
+	}
+	return nil
+}
+
+func hashOutput(h hash.Hash64, o model.Output) {
+	hashFloats(h, o.Probs)
+	hashUint(h, math.Float64bits(o.Value))
+	hashFloats(h, o.Embedding)
+}
+
+// hashFloats writes the length first, so adjacent slices cannot alias.
+func hashFloats(h hash.Hash64, xs []float64) {
+	hashUint(h, uint64(len(xs)))
+	for _, x := range xs {
+		hashUint(h, math.Float64bits(x))
+	}
+}
+
+func hashUint(h hash.Hash64, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	h.Write(b[:])
 }
 
 func gobBytes(v interface{}) ([]byte, error) {

@@ -2,13 +2,18 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"schemble/internal/dataset"
+	"schemble/internal/discrepancy"
 	"schemble/internal/ensemble"
 	"schemble/internal/model"
+	"schemble/internal/profiling"
 )
 
 func persistFixtureCfg() Config {
@@ -34,31 +39,96 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fitted state must survive exactly.
-	for id := range orig.TrueScores {
-		if orig.TrueScores[id] != restored.TrueScores[id] {
-			t.Fatal("true scores differ after restore")
+	// Fitted state must survive bit for bit, on every sample: a restored
+	// deployment has to make the decisions a fresh fit makes.
+	sameBits(t, "TrueScores", orig.TrueScores, restored.TrueScores)
+	sameBits(t, "EAScores", orig.EAScores, restored.EAScores)
+	sameRows(t, "PerModelAgree", orig.PerModelAgree, restored.PerModelAgree)
+	for _, s := range orig.Dataset.Samples {
+		id := s.ID
+		sameBits(t, fmt.Sprintf("sample %d: Predictor, EAPredictor, DisScorer", id),
+			[]float64{orig.Predictor.Predict(s), orig.EAPredictor.Predict(s),
+				orig.DisScorer.Score(orig.Outs[id], orig.Refs[id])},
+			[]float64{restored.Predictor.Predict(s), restored.EAPredictor.Predict(s),
+				restored.DisScorer.Score(restored.Outs[id], restored.Refs[id])})
+	}
+	for _, p := range [][2]*discrepancy.Predictor{
+		{orig.Predictor, restored.Predictor}, {orig.EAPredictor, restored.EAPredictor},
+	} {
+		wo, err := p[0].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, err := p[1].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wo, wr) || p[0].InferCost != p[1].InferCost || p[0].MemoryBytes != p[1].MemoryBytes {
+			t.Fatal("predictor weights or serving cost differ after restore")
 		}
 	}
-	for _, s := range orig.Serve[:100] {
-		if math.Abs(orig.Predictor.Predict(s)-restored.Predictor.Predict(s)) > 1e-15 {
-			t.Fatal("predictor outputs differ after restore")
+	for _, p := range [][2]*profiling.Profile{
+		{orig.Profile, restored.Profile}, {orig.EAProfile, restored.EAProfile},
+	} {
+		if p[0].M != p[1].M || p[0].Bins != p[1].Bins || !slices.Equal(p[0].Counts, p[1].Counts) {
+			t.Fatal("profile shape or counts differ after restore")
 		}
-		if orig.DisScorer.Score(orig.Outs[s.ID], orig.Refs[s.ID]) !=
-			restored.DisScorer.Score(restored.Outs[s.ID], restored.Refs[s.ID]) {
-			t.Fatal("discrepancy scores differ after restore")
-		}
+		sameBits(t, "profile edges", p[0].Edges, p[1].Edges)
+		sameRows(t, "profile rewards", p[0].U, p[1].U)
 	}
-	for b := 0; b < orig.Profile.Bins; b++ {
-		for _, sub := range ensemble.AllSubsets(orig.Ensemble.M()) {
-			if orig.Profile.RewardBin(b, sub) != restored.Profile.RewardBin(b, sub) {
-				t.Fatal("profile rewards differ after restore")
+	temps := func(a *Artifacts) []float64 {
+		ts := make([]float64, len(a.DisScorer.Calibrators))
+		for k, c := range a.DisScorer.Calibrators {
+			if c != nil {
+				ts[k] = c.T
 			}
 		}
+		return ts
 	}
-	// Splits must be identical (deterministic in seed).
-	if len(orig.Serve) != len(restored.Serve) || orig.Serve[0].ID != restored.Serve[0].ID {
-		t.Fatal("splits differ after restore")
+	sameBits(t, "calibrator temperatures", temps(orig), temps(restored))
+	norms := func(a *Artifacts) [][]float64 {
+		rows := make([][]float64, len(a.DisScorer.Norms))
+		for k, n := range a.DisScorer.Norms {
+			rows[k] = n.Sample()
+		}
+		return rows
+	}
+	sameRows(t, "normalizer samples", norms(orig), norms(restored))
+	// Splits are re-derived from the seed, so they must match ID for ID.
+	ids := func(a *Artifacts) [][]float64 {
+		rows := [][]float64{}
+		for _, split := range [][]*dataset.Sample{a.Train, a.Val, a.Serve} {
+			row := make([]float64, len(split))
+			for i, s := range split {
+				row[i] = float64(s.ID)
+			}
+			rows = append(rows, row)
+		}
+		return rows
+	}
+	sameRows(t, "split IDs", ids(orig), ids(restored))
+}
+
+// sameBits fails unless got has want's length and every value's bits.
+func sameBits(t *testing.T, what string, want, got []float64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d values after restore, %d fitted", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s[%d]: %v after restore, %v fitted", what, i, got[i], want[i])
+		}
+	}
+}
+
+func sameRows(t *testing.T, what string, want, got [][]float64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d rows after restore, %d fitted", what, len(got), len(want))
+	}
+	for i := range want {
+		sameBits(t, fmt.Sprintf("%s[%d]", what, i), want[i], got[i])
 	}
 }
 
@@ -102,6 +172,30 @@ func TestLoadRejectsMismatch(t *testing.T) {
 	wrongSize.Dataset = dataset.TextMatching(dataset.Config{N: 500, Seed: 77})
 	if _, err := Load(wrongSize, bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("size mismatch not rejected")
+	}
+
+	// Same seed, dataset and size, but a scaffold the snapshot was not
+	// fitted on: each must be rejected by name.
+	otherModels := persistFixtureCfg()
+	otherModels.Models = model.TextMatchingModels(78)
+	otherAggregator := persistFixtureCfg()
+	otherAggregator.Aggregator = &ensemble.Vote{}
+	otherSplits := persistFixtureCfg()
+	otherSplits.TrainFrac = 0.4
+	for _, c := range []struct {
+		name, want string
+		cfg        Config
+	}{
+		{"models", "model outputs", otherModels},
+		{"aggregator", "aggregator", otherAggregator},
+		{"splits", "splits", otherSplits},
+	} {
+		_, err := Load(c.cfg, bytes.NewReader(buf.Bytes()))
+		if err == nil {
+			t.Errorf("%s mismatch not rejected", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s mismatch rejected as %q, want it to name %q", c.name, err, c.want)
+		}
 	}
 
 	if _, err := Load(persistFixtureCfg(), bytes.NewReader([]byte("garbage"))); err == nil {
