@@ -7,8 +7,8 @@ package main
 // a latency ramp (every model slows to driftFactor times its profiled
 // speed across the middle of the horizon, the thermal-throttling /
 // co-tenant-pressure shape) and a difficulty shift (the arrival mix
-// moves from the pool's easy tail to its hard tail, staling the frozen
-// score calibration). The same seeded trace runs twice through the
+// moves from the pool's easy tail to its hard tail, which the score-drift
+// detector flags). The same seeded trace runs twice through the
 // deterministic simulator — once with frozen profiles as the reference,
 // once with adaptation on — so every delta in the report is attributable
 // to adaptation alone. The gate asserts on every run that the adapt-on
@@ -58,8 +58,6 @@ type driftReport struct {
 	Inflation     []float64 `json:"inflation"`
 	LatencyEvents uint64    `json:"latency_events"`
 	ScoreEvents   uint64    `json:"score_events"`
-	RecalEpochs   uint64    `json:"recal_epochs"`
-	RecalSwaps    uint64    `json:"recal_swaps"`
 }
 
 func runDrift(o options) (driftReport, error) {
@@ -73,8 +71,7 @@ func runDrift(o options) (driftReport, error) {
 
 	// Easy/hard pools by predicted difficulty: the bottom and top thirds
 	// of the serving pool, ties in pool order. The arrival mix shifts from
-	// all-easy to all-hard across the ramp window, staling the frozen
-	// calibration.
+	// all-easy to all-hard across the ramp window.
 	ranked := make([]int, len(d.arts.Serve))
 	scores := make([]float64, len(d.arts.Serve))
 	for i, s := range d.arts.Serve {
@@ -103,7 +100,7 @@ func runDrift(o options) (driftReport, error) {
 		n, rate, rateFactor, driftFactor, rampStart, rampEnd)
 	frozenRecs, _ := sim.RunStats(drifting(adapt.Config{}), tr, d.arts.Serve)
 	fmt.Fprintln(os.Stderr, "soaking the identical trace with adaptation on...")
-	adaptRecs, _, snap := sim.RunAdapt(drifting(adapt.Config{Enable: true, Scorer: d.arts.DisScorer}), tr, d.arts.Serve)
+	adaptRecs, _, snap := sim.RunAdapt(drifting(adapt.Config{Enable: true}), tr, d.arts.Serve)
 
 	rep := driftReport{
 		header:         newHeader(schemaDrift, o),
@@ -124,14 +121,12 @@ func runDrift(o options) (driftReport, error) {
 		}
 		rep.LatencyEvents = snap.LatencyEvents
 		rep.ScoreEvents = snap.ScoreEvents
-		rep.RecalEpochs = snap.RecalEpochs
-		rep.RecalSwaps = snap.RecalSwaps
 	}
 	fmt.Fprintf(os.Stderr,
-		"frozen: %.1f served/s dmr %.3f acc %.3f\nadapt:  %.1f served/s dmr %.3f acc %.3f (inflation %v, %d drift events, %d/%d recal swaps)\n",
+		"frozen: %.1f served/s dmr %.3f acc %.3f\nadapt:  %.1f served/s dmr %.3f acc %.3f (inflation %v, %d drift events)\n",
 		rep.Frozen.ServedPerSec, rep.Frozen.DMR, rep.Frozen.Accuracy,
 		rep.Adapt.ServedPerSec, rep.Adapt.DMR, rep.Adapt.Accuracy,
-		rep.Inflation, rep.LatencyEvents+rep.ScoreEvents, rep.RecalSwaps, rep.RecalEpochs)
+		rep.Inflation, rep.LatencyEvents+rep.ScoreEvents)
 	return rep, nil
 }
 

@@ -128,11 +128,7 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 0, "cache: entry lifetime in virtual time (0 = never expires)")
 	cacheDifficultyMax := flag.Float64("cache-difficulty-max", 0.5, "cache: only queries with difficulty score <= this are cacheable")
 	cacheRegions := flag.Int("cache-regions", 64, "cache: k-means centroids keying the feature space")
-	adaptOn := flag.Bool("adapt", false, "enable online adaptation: live latency profiles feed the cost model and hedging, drift detection, score recalibration")
-	adaptQuantile := flag.Float64("adapt-quantile", 0, "adapt: latency-sketch quantile the cost model plans with (0 = default 0.9)")
-	adaptMinSamples := flag.Int("adapt-min-samples", 0, "adapt: observations per model before inflation engages (0 = default 32)")
-	adaptDriftWindow := flag.Duration("adapt-drift-window", 0, "adapt: drift-detector window in virtual time (0 = default 2s)")
-	adaptRecalEpoch := flag.Duration("adapt-recal-epoch", 0, "adapt: recalibration refit period in virtual time (0 = default 5s)")
+	adaptOn := flag.Bool("adapt", false, "enable online adaptation: live latency profiles feed the cost model and hedging, and a detector flags latency and difficulty drift")
 	traceBuffer := flag.Int("trace-buffer", 512, "decision traces kept for /v1/trace (0 disables tracing and the latency histograms)")
 	traceLog := flag.String("trace-log", "", "append decision traces as JSONL serving-log records to this file (implies observability on)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this side listener (empty = off)")
@@ -205,36 +201,6 @@ func main() {
 			"result cache: %d centroids, capacity %d, ttl %v, difficulty-max %.2f\n",
 			km.K(), *cacheSize, *cacheTTL, *cacheDifficultyMax)
 	}
-	var adaptCfg adapt.Config
-	if *adaptOn {
-		adaptCfg = adapt.Config{
-			Enable:       true,
-			CostQuantile: *adaptQuantile,
-			MinSamples:   uint64(*adaptMinSamples),
-			DriftWindow:  *adaptDriftWindow,
-			RecalEpoch:   *adaptRecalEpoch,
-			// The pipeline's discrepancy scorer grades served outcomes so
-			// the predictor's calibration can track the workload.
-			Scorer: arts.DisScorer,
-		}
-		// Log the resolved settings, not the zero sentinels the flags use.
-		q, ms, dw, re := *adaptQuantile, *adaptMinSamples, *adaptDriftWindow, *adaptRecalEpoch
-		if q == 0 { //schemble:floateq-ok zero is the flag's explicit "use the default" sentinel
-			q = 0.9
-		}
-		if ms == 0 {
-			ms = 32
-		}
-		if dw == 0 {
-			dw = 2 * time.Second
-		}
-		if re == 0 {
-			re = 5 * time.Second
-		}
-		fmt.Fprintf(os.Stderr,
-			"online adaptation: quantile %.2f, min-samples %d, drift-window %v, recal-epoch %v\n",
-			q, ms, dw, re)
-	}
 	rt := serve.New(serve.Config{
 		Ensemble:   arts.Ensemble,
 		Scheduler:  &core.DP{Delta: 0.01},
@@ -246,7 +212,7 @@ func main() {
 		Classes:    classes,
 		Admission:  serve.AdmissionConfig{Capacity: *admCapacity, Target: *admTarget},
 		Cache:      cacheCfg,
-		Adapt:      adaptCfg,
+		Adapt:      adapt.Config{Enable: *adaptOn},
 		Seed:       *seed,
 		Faults:     faults,
 		// The tolerance layer's one switch is on even without injection:

@@ -1,0 +1,92 @@
+package schemble
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// flagDefiners are the flag and flag.FlagSet methods that register a flag,
+// by the index of the argument holding its name.
+var flagDefiners = map[string]int{
+	"Bool": 0, "Duration": 0, "Float64": 0, "Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0,
+	"Func": 0, "BoolFunc": 0,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1, "StringVar": 1,
+	"UintVar": 1, "Uint64Var": 1, "Var": 1, "TextVar": 1,
+}
+
+// registeredFlags parses every Go file under dir and returns the names of
+// the flags they register.
+func registeredFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			i, ok := flagDefiners[sel.Sel.Name]
+			if !ok || i >= len(call.Args) {
+				return true
+			}
+			if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					names[name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// readmeFlagRow matches a README table row that opens with a flag, as in
+// "| `-cache-size 1024` | ...", and captures the flag's name.
+var readmeFlagRow = regexp.MustCompile("(?m)^\\| `-([A-Za-z0-9][A-Za-z0-9-]*)")
+
+// TestReadmeFlagsAreRegistered: every flag a README table documents is
+// registered by a binary under cmd/, so a flag table cannot outlive the
+// flag it describes.
+func TestReadmeFlagsAreRegistered(t *testing.T) {
+	registered := registeredFlags(t, "cmd")
+	if !registered["addr"] || !registered["adapt"] {
+		t.Fatalf("found %d flag registrations under cmd/, missing schemble-server's -addr or -adapt", len(registered))
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := readmeFlagRow.FindAllSubmatch(readme, -1)
+	if len(rows) == 0 {
+		t.Fatal("README.md has no flag table rows")
+	}
+	for _, row := range rows {
+		if name := string(row[1]); !registered[name] {
+			t.Errorf("README.md documents -%s, which no binary under cmd/ registers", name)
+		}
+	}
+}

@@ -9,10 +9,9 @@ import (
 )
 
 // OutcomeScorer computes the true discrepancy score of a served sample
-// from the full ensemble's outputs. *discrepancy.Scorer satisfies it;
-// the indirection keeps adapt free of a discrepancy dependency (and the
-// import graph acyclic: discrepancy trains predictors, adapt only
-// recalibrates them).
+// from the full ensemble's outputs. *discrepancy.Scorer satisfies it. It
+// is kept only as the type of Config.Scorer, which nothing calls since
+// score recalibration was removed.
 type OutcomeScorer interface {
 	Score(outs []model.Output, ens model.Output) float64
 }
@@ -21,129 +20,59 @@ type OutcomeScorer interface {
 // entirely: New returns nil and the runtimes stay bit-identical to an
 // adaptation-free build (the twin-server test pins this).
 type Config struct {
-	// Enable turns the engine on. All other fields default sensibly.
+	// Enable turns the engine on; every setting is a package constant.
 	Enable bool
 
-	// CostQuantile is the live latency quantile the cost model plans
-	// against (default 0.9). The frozen profiling numbers are means; a
-	// high quantile makes the planner pessimistic exactly when observed
-	// latency spreads or shifts.
-	CostQuantile float64
-	// MinSamples is the per-model observation count below which
-	// Inflation stays 1 (default 32): a cold sketch must not perturb
-	// planning.
-	MinSamples uint64
-	// MaxInflation / MinInflation clamp the inflation factor (defaults
-	// 8 and 0.25) so a pathological sketch can never starve or flood the
-	// planner.
-	MaxInflation float64
-	MinInflation float64
-
-	// DriftWindow is the detector window length in virtual time
-	// (default 2s); DriftMinCount the minimum observations for a window
-	// to be judged (default 8); DriftPatience the consecutive
-	// out-of-band (or in-band) windows required to flip the hysteretic
-	// state machine (default 2).
-	DriftWindow   time.Duration
-	DriftMinCount int
-	DriftPatience int
-	// LatencyBand is the tolerated relative deviation of the windowed
-	// mean latency from the profiled mean before a window counts as
-	// drifted (default 0.5, i.e. ±50%).
-	LatencyBand float64
-	// ScoreBand is the tolerated absolute deviation of the windowed mean
-	// raw difficulty score from the baseline (default 0.15).
-	ScoreBand float64
-	// BaselineScore anchors the score-drift detector; 0 self-calibrates
-	// from the first closed window.
-	BaselineScore float64
-	// EventBuffer bounds the retained drift-event ring (default 64).
-	EventBuffer int
-
-	// Scorer computes true discrepancy scores from full-ensemble
-	// outcomes; nil disables recalibration (the detector and profiles
-	// still run).
-	Scorer OutcomeScorer
-	// RecalEpoch is the virtual-time refit period (default 5s; refits
-	// also require Scorer). RecalReservoir bounds the (raw, observed)
-	// pair ring (default 512); RecalBins the calibration-map resolution
-	// (default 16); RecalMinPairs the support needed before a refit is
-	// attempted (default 64); RecalHysteresis the mean absolute knot
-	// delta below which a candidate map is discarded (default 0.02).
-	RecalEpoch      time.Duration
-	RecalReservoir  int
-	RecalBins       int
-	RecalMinPairs   int
-	RecalHysteresis float64
+	// Scorer and RecalMinPairs are accepted and ignored. They configured
+	// the incremental recalibration of the discrepancy predictor, which
+	// was removed because it never paid on its own soak; the names stay
+	// so that configs written against them still build.
+	Scorer        OutcomeScorer
+	RecalMinPairs int
 }
 
 // Enabled reports whether the config asks for an engine.
 func (c Config) Enabled() bool { return c.Enable }
 
-// withDefaults resolves zero fields to their documented defaults.
-func (c Config) withDefaults() Config {
-	//schemble:floateq-ok zero-value config sentinels: fields are set verbatim by callers, never computed
-	if c.CostQuantile == 0 {
-		c.CostQuantile = 0.9
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 32
-	}
-	//schemble:floateq-ok zero-value config sentinel
-	if c.MaxInflation == 0 {
-		c.MaxInflation = 8
-	}
-	//schemble:floateq-ok zero-value config sentinel
-	if c.MinInflation == 0 {
-		c.MinInflation = 0.25
-	}
-	if c.DriftWindow == 0 {
-		c.DriftWindow = 2 * time.Second
-	}
-	if c.DriftMinCount == 0 {
-		c.DriftMinCount = 8
-	}
-	if c.DriftPatience == 0 {
-		c.DriftPatience = 2
-	}
-	//schemble:floateq-ok zero-value config sentinel
-	if c.LatencyBand == 0 {
-		c.LatencyBand = 0.5
-	}
-	//schemble:floateq-ok zero-value config sentinel
-	if c.ScoreBand == 0 {
-		c.ScoreBand = 0.15
-	}
-	if c.EventBuffer == 0 {
-		c.EventBuffer = 64
-	}
-	if c.RecalEpoch == 0 {
-		c.RecalEpoch = 5 * time.Second
-	}
-	if c.RecalReservoir == 0 {
-		c.RecalReservoir = 512
-	}
-	if c.RecalBins == 0 {
-		c.RecalBins = 16
-	}
-	if c.RecalMinPairs == 0 {
-		c.RecalMinPairs = 64
-	}
-	//schemble:floateq-ok zero-value config sentinel
-	if c.RecalHysteresis == 0 {
-		c.RecalHysteresis = 0.02
-	}
-	return c
-}
+// The engine's settings.
+const (
+	// costQuantile is the live latency quantile the cost model plans
+	// against. The frozen profiling numbers are means; a high quantile
+	// makes the planner pessimistic exactly when observed latency spreads
+	// or shifts.
+	costQuantile = 0.9
+	// minSamples is the per-model observation count below which Inflation
+	// stays 1: a cold sketch must not perturb planning.
+	minSamples = 32
+	// maxInflation and minInflation clamp the inflation factor so a
+	// pathological sketch can never starve or flood the planner.
+	maxInflation = 8
+	minInflation = 0.25
+
+	// driftWindow is the detector window length in virtual time,
+	// driftMinCount the observations a window needs to be judged, and
+	// driftPatience the consecutive out-of-band (or in-band) windows that
+	// flip the hysteretic state machine.
+	driftWindow   = 2 * time.Second
+	driftMinCount = 8
+	driftPatience = 2
+	// latencyBand is the tolerated relative deviation of the windowed
+	// mean latency from the profiled mean (±50%) before a window counts
+	// as drifted.
+	latencyBand = 0.5
+	// scoreBand is the tolerated absolute deviation of the windowed mean
+	// difficulty score from the baseline, which self-calibrates from the
+	// first judged window.
+	scoreBand = 0.15
+	// eventBuffer bounds the retained drift-event ring.
+	eventBuffer = 64
+)
 
 // Engine is the online-adaptation state for one deployment: per-replica
-// latency sketches folded into per-model views, the drift detector, and
-// the recalibration reservoir. All methods are safe for concurrent use;
-// observation and query paths never allocate (refits at epoch
-// boundaries may).
+// latency sketches folded into per-model views, and the drift detector.
+// All methods are safe for concurrent use; observation and query paths
+// never allocate.
 type Engine struct {
-	cfg Config
-
 	mu sync.Mutex
 	//schemble:guardedby mu
 	perModel []Sketch
@@ -151,8 +80,6 @@ type Engine struct {
 	perReplica [][]Sketch
 	//schemble:guardedby mu
 	det detector
-	//schemble:guardedby mu
-	rec recal
 
 	// profiled[k] is model k's frozen profiling mean, the drift and
 	// inflation reference; base[k] the engine's planning cost at that
@@ -171,10 +98,8 @@ func New(cfg Config, profiled, base []time.Duration, replicas []int) *Engine {
 	if !cfg.Enabled() {
 		return nil
 	}
-	cfg = cfg.withDefaults()
 	m := len(profiled)
 	e := &Engine{
-		cfg:      cfg,
 		perModel: make([]Sketch, m),
 		profiled: append([]time.Duration(nil), profiled...),
 		base:     append([]time.Duration(nil), base...),
@@ -190,14 +115,6 @@ func New(cfg Config, profiled, base []time.Duration, replicas []int) *Engine {
 	e.det = detector{
 		latWin:   make([]window, m),
 		latState: make([]driftState, m),
-		events:   make([]DriftEvent, cfg.EventBuffer),
-	}
-	e.rec = recal{
-		pairs:     make([]pair, cfg.RecalReservoir),
-		binSum:    make([]float64, cfg.RecalBins),
-		binCnt:    make([]int, cfg.RecalBins),
-		nextY:     make([]float64, cfg.RecalBins),
-		nextEpoch: cfg.RecalEpoch,
 	}
 	return e
 }
@@ -216,11 +133,11 @@ func (e *Engine) ObserveLatency(now time.Duration, k, r int, lat time.Duration) 
 		e.perReplica[k][r].Insert(lat)
 	}
 	w := &e.det.latWin[k]
-	if w.started && now-w.start >= e.cfg.DriftWindow {
-		if w.n >= e.cfg.DriftMinCount && e.profiled[k] > 0 {
+	if w.started && now-w.start >= driftWindow {
+		if w.n >= driftMinCount && e.profiled[k] > 0 {
 			ratio := w.sum / float64(w.n) / float64(e.profiled[k])
-			out := ratio > 1+e.cfg.LatencyBand || ratio < 1-e.cfg.LatencyBand
-			if e.det.latState[k].observe(out, e.cfg.DriftPatience) {
+			out := ratio > 1+latencyBand || ratio < 1-latencyBand
+			if e.det.latState[k].observe(out, driftPatience) {
 				e.det.push(DriftEvent{At: now, Kind: DriftLatency, Model: k,
 					Enter: e.det.latState[k].active, Value: ratio})
 			}
@@ -234,30 +151,24 @@ func (e *Engine) ObserveLatency(now time.Duration, k, r int, lat time.Duration) 
 	w.n++
 }
 
-// ObserveScore folds one raw (pre-calibration) difficulty score into the
-// score-drift detector. Never allocates.
-func (e *Engine) ObserveScore(now time.Duration, raw float64) {
+// ObserveScore folds one predicted difficulty score into the score-drift
+// detector. Never allocates.
+func (e *Engine) ObserveScore(now time.Duration, score float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	w := &e.det.scoreWin
-	if w.started && now-w.start >= e.cfg.DriftWindow {
-		if w.n >= e.cfg.DriftMinCount {
+	if w.started && now-w.start >= driftWindow {
+		if w.n >= driftMinCount {
 			mean := w.sum / float64(w.n)
 			if !e.det.baselineSet {
-				// Self-calibrate the reference from the first full window
-				// when the config left it unset; that window itself is
-				// never judged.
-				//schemble:floateq-ok zero-value config sentinel
-				if e.cfg.BaselineScore == 0 {
-					e.det.baseline = mean
-				} else {
-					e.det.baseline = e.cfg.BaselineScore
-				}
+				// Self-calibrate the reference from the first judged
+				// window; that window itself is never judged.
+				e.det.baseline = mean
 				e.det.baselineSet = true
 			} else {
 				delta := mean - e.det.baseline
-				out := delta > e.cfg.ScoreBand || delta < -e.cfg.ScoreBand
-				if e.det.scoreState.observe(out, e.cfg.DriftPatience) {
+				out := delta > scoreBand || delta < -scoreBand
+				if e.det.scoreState.observe(out, driftPatience) {
 					e.det.push(DriftEvent{At: now, Kind: DriftScore, Model: -1,
 						Enter: e.det.scoreState.active, Value: mean})
 				}
@@ -268,45 +179,13 @@ func (e *Engine) ObserveScore(now time.Duration, raw float64) {
 	if !w.started {
 		*w = window{started: true, start: now}
 	}
-	w.sum += raw
+	w.sum += score
 	w.n++
 }
 
-// Calibrate maps a raw difficulty score through the active calibration
-// map (identity until the first accepted refit). Never allocates.
-func (e *Engine) Calibrate(raw float64) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rec.calibrate(raw)
-}
-
-// ObserveOutcome feeds one cleanly served full-ensemble outcome into the
-// recalibration reservoir: raw is the predictor's uncalibrated score,
-// outs the per-model outputs and ens the aggregated output. Callers must
-// only report outcomes where every ensemble member produced an output —
-// partial subsets would bias the observed discrepancy. At virtual-time
-// epoch boundaries the reservoir is refit and the calibration map
-// swapped in atomically (the refit may allocate; it is off the planning
-// hot path by construction).
-func (e *Engine) ObserveOutcome(now time.Duration, raw float64, outs []model.Output, ens model.Output) {
-	if e.cfg.Scorer == nil {
-		return
-	}
-	obs := e.cfg.Scorer.Score(outs, ens)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rec.add(pair{raw: raw, obs: obs})
-	if now >= e.rec.nextEpoch {
-		e.rec.refit(e.cfg.RecalMinPairs, e.cfg.RecalHysteresis)
-		for now >= e.rec.nextEpoch {
-			e.rec.nextEpoch += e.cfg.RecalEpoch
-		}
-	}
-}
-
 // Inflation reports model k's current cost inflation factor: the live
-// CostQuantile latency over the frozen profiled mean, clamped to the
-// configured band, or exactly 1 while the sketch is cold. Callers hold
+// costQuantile latency over the frozen profiled mean, clamped to
+// [minInflation, maxInflation], or exactly 1 while the sketch is cold. Callers hold
 // no lock. Never allocates.
 func (e *Engine) Inflation(k int) float64 {
 	e.mu.Lock()
@@ -320,17 +199,11 @@ func (e *Engine) inflationLocked(k int) float64 {
 		return 1
 	}
 	s := &e.perModel[k]
-	if s.Count() < e.cfg.MinSamples || e.profiled[k] <= 0 {
+	if s.Count() < minSamples || e.profiled[k] <= 0 {
 		return 1
 	}
-	infl := float64(s.Quantile(e.cfg.CostQuantile)) / float64(e.profiled[k])
-	if infl > e.cfg.MaxInflation {
-		infl = e.cfg.MaxInflation
-	}
-	if infl < e.cfg.MinInflation {
-		infl = e.cfg.MinInflation
-	}
-	return infl
+	infl := float64(s.Quantile(costQuantile)) / float64(e.profiled[k])
+	return min(max(infl, minInflation), maxInflation)
 }
 
 // Quantile reports model k's live q-quantile latency (0 while empty).
@@ -386,13 +259,6 @@ type Snapshot struct {
 	ScoreEvents   uint64       `json:"score_events"`
 	// Events are the most recent drift transitions, oldest first.
 	Events []DriftEvent `json:"events,omitempty"`
-	// RecalEpochs counts refits attempted, RecalSwaps refits accepted
-	// past the hysteresis guard; RecalPairs is the reservoir occupancy
-	// and RecalActive whether a non-identity calibration map is live.
-	RecalEpochs uint64 `json:"recal_epochs"`
-	RecalSwaps  uint64 `json:"recal_swaps"`
-	RecalPairs  int    `json:"recal_pairs"`
-	RecalActive bool   `json:"recal_active"`
 }
 
 // ModelAdapt is one model's live profile view.
@@ -421,10 +287,6 @@ func (e *Engine) Snapshot() *Snapshot {
 		LatencyEvents: e.det.latencyEvents,
 		ScoreEvents:   e.det.scoreEvents,
 		Events:        e.det.recent(),
-		RecalEpochs:   e.rec.epochs,
-		RecalSwaps:    e.rec.swaps,
-		RecalPairs:    e.rec.filled,
-		RecalActive:   e.rec.knotY != nil,
 	}
 	for k := range e.perModel {
 		s := &e.perModel[k]

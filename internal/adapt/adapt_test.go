@@ -3,15 +3,7 @@ package adapt
 import (
 	"testing"
 	"time"
-
-	"schemble/internal/model"
 )
-
-// valueScorer is a stub OutcomeScorer that reads the observed score the
-// test encoded into the first model output's Value field.
-type valueScorer struct{}
-
-func (valueScorer) Score(outs []model.Output, _ model.Output) float64 { return outs[0].Value }
 
 func TestNewDisabledIsNil(t *testing.T) {
 	if e := New(Config{}, []time.Duration{time.Millisecond}, []time.Duration{time.Millisecond}, nil); e != nil {
@@ -24,25 +16,25 @@ func TestNewDisabledIsNil(t *testing.T) {
 
 func TestInflationColdThenTracks(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond}
-	e := New(Config{Enable: true, MinSamples: 8, CostQuantile: 0.9}, profiled, profiled, nil)
+	e := New(Config{Enable: true}, profiled, profiled, nil)
 	if got := e.Inflation(0); got != 1 {
 		t.Fatalf("cold inflation = %v, want exactly 1", got)
 	}
-	// Below MinSamples the factor must stay pinned at 1 even though the
+	// Below minSamples the factor must stay pinned at 1 even though the
 	// observations are far from profiled.
 	now := time.Duration(0)
-	for i := 0; i < 7; i++ {
+	for i := 0; i < minSamples-1; i++ {
 		now += time.Millisecond
 		e.ObserveLatency(now, 0, 0, 30*time.Millisecond)
 	}
 	if got := e.Inflation(0); got != 1 {
-		t.Fatalf("inflation below MinSamples = %v, want exactly 1", got)
+		t.Fatalf("inflation below minSamples = %v, want exactly 1", got)
 	}
 	now += time.Millisecond
 	e.ObserveLatency(now, 0, 0, 30*time.Millisecond)
 	got := e.Inflation(0)
 	if got < 2.0 || got > 4.0 {
-		t.Fatalf("inflation after 8x 3x-profiled observations = %v, want near 3 (within sketch error)", got)
+		t.Fatalf("inflation after %d 3x-profiled observations = %v, want near 3 (within sketch error)", minSamples, got)
 	}
 	// Out-of-range model indices degrade to the neutral factor.
 	if e.Inflation(-1) != 1 || e.Inflation(5) != 1 {
@@ -52,30 +44,31 @@ func TestInflationColdThenTracks(t *testing.T) {
 
 func TestInflationClamped(t *testing.T) {
 	profiled := []time.Duration{time.Millisecond}
-	e := New(Config{Enable: true, MinSamples: 1, MaxInflation: 2, MinInflation: 0.5}, profiled, profiled, nil)
-	e.ObserveLatency(time.Millisecond, 0, 0, 100*time.Millisecond)
-	if got := e.Inflation(0); got != 2 {
-		t.Fatalf("inflation = %v, want clamped to MaxInflation 2", got)
+	e := New(Config{Enable: true}, profiled, profiled, nil)
+	e2 := New(Config{Enable: true}, []time.Duration{time.Second}, []time.Duration{time.Second}, nil)
+	for i := 1; i <= minSamples; i++ {
+		e.ObserveLatency(time.Duration(i)*time.Millisecond, 0, 0, 100*time.Millisecond)
+		e2.ObserveLatency(time.Duration(i)*time.Millisecond, 0, 0, time.Millisecond)
 	}
-	e2 := New(Config{Enable: true, MinSamples: 1, MaxInflation: 2, MinInflation: 0.5},
-		[]time.Duration{time.Second}, []time.Duration{time.Second}, nil)
-	e2.ObserveLatency(time.Millisecond, 0, 0, time.Millisecond)
-	if got := e2.Inflation(0); got != 0.5 {
-		t.Fatalf("inflation = %v, want clamped to MinInflation 0.5", got)
+	if got := e.Inflation(0); got != maxInflation {
+		t.Fatalf("inflation = %v, want clamped to maxInflation %v", got, maxInflation)
+	}
+	if got := e2.Inflation(0); got != minInflation {
+		t.Fatalf("inflation = %v, want clamped to minInflation %v", got, minInflation)
 	}
 }
 
 func TestExecIntoScalesBase(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
 	base := []time.Duration{11 * time.Millisecond, 22 * time.Millisecond}
-	e := New(Config{Enable: true, MinSamples: 4}, profiled, base, nil)
+	e := New(Config{Enable: true}, profiled, base, nil)
 	exec := make([]time.Duration, 2)
 	e.ExecInto(exec)
 	if exec[0] != base[0] || exec[1] != base[1] {
 		t.Fatalf("cold ExecInto = %v, want base %v unchanged", exec, base)
 	}
 	now := time.Duration(0)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < minSamples; i++ {
 		now += time.Millisecond
 		e.ObserveLatency(now, 1, 0, 60*time.Millisecond) // 3x profiled on model 1
 	}
@@ -92,29 +85,28 @@ func TestExecIntoScalesBase(t *testing.T) {
 	}
 }
 
+// windowStep spaces observations so that each detector window holds ten:
+// a window closes at the observation a full driftWindow after its first.
+const windowStep = driftWindow / 10
+
 // feedWindows pushes enough spaced observations through model k to close
 // cnt detector windows at the given latency.
 func feedWindows(e *Engine, now *time.Duration, k int, lat time.Duration, cnt int) {
-	for w := 0; w < cnt; w++ {
-		for i := 0; i < 10; i++ {
-			*now += 15 * time.Millisecond
-			e.ObserveLatency(*now, k, 0, lat)
-		}
+	for i := 0; i < 10*cnt; i++ {
+		*now += windowStep
+		e.ObserveLatency(*now, k, 0, lat)
 	}
 }
 
 func TestLatencyDriftEnterAndExit(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond}
-	e := New(Config{
-		Enable: true, DriftWindow: 100 * time.Millisecond,
-		DriftMinCount: 4, DriftPatience: 2, MinSamples: 1,
-	}, profiled, profiled, nil)
+	e := New(Config{Enable: true}, profiled, profiled, nil)
 	now := time.Duration(0)
 	feedWindows(e, &now, 0, 10*time.Millisecond, 4)
 	if len(e.ActiveDrift()) != 0 {
 		t.Fatal("drift active before any shift")
 	}
-	// Sustained 2x latency: patience 2 means the first out-of-band window
+	// Sustained 2x latency: driftPatience 2 means the first out-of-band window
 	// must not flip, the second must.
 	feedWindows(e, &now, 0, 20*time.Millisecond, 6)
 	got := e.ActiveDrift()
@@ -151,28 +143,23 @@ func TestLatencyDriftEnterAndExit(t *testing.T) {
 
 func TestScoreDriftSelfCalibratedBaseline(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond}
-	e := New(Config{
-		Enable: true, DriftWindow: 100 * time.Millisecond,
-		DriftMinCount: 4, DriftPatience: 2,
-	}, profiled, profiled, nil)
+	e := New(Config{Enable: true}, profiled, profiled, nil)
 	now := time.Duration(0)
 	feed := func(score float64, windows int) {
-		for w := 0; w < windows; w++ {
-			for i := 0; i < 10; i++ {
-				now += 15 * time.Millisecond
-				e.ObserveScore(now, score)
-			}
+		for i := 0; i < 10*windows; i++ {
+			now += windowStep
+			e.ObserveScore(now, score)
 		}
 	}
-	feed(0.3, 4) // first closed window self-calibrates the baseline
+	feed(0.25, 4) // first closed window self-calibrates the baseline
 	snap := e.Snapshot()
-	if snap.BaselineScore != 0.3 {
-		t.Fatalf("self-calibrated baseline = %v, want 0.3", snap.BaselineScore)
+	if snap.BaselineScore != 0.25 {
+		t.Fatalf("self-calibrated baseline = %v, want 0.25", snap.BaselineScore)
 	}
 	if snap.ScoreEvents != 0 || snap.ScoreDrift {
 		t.Fatal("score drift flagged under a stationary mix")
 	}
-	feed(0.7, 6) // mean shifts by 0.4 >> default band 0.15
+	feed(0.75, 6) // mean shifts by 0.5 >> scoreBand 0.15
 	snap = e.Snapshot()
 	if !snap.ScoreDrift {
 		t.Fatal("score drift not flagged after the mix shifted")
@@ -183,49 +170,6 @@ func TestScoreDriftSelfCalibratedBaseline(t *testing.T) {
 	got := e.ActiveDrift()
 	if len(got) != 1 || got[0] != DriftScore {
 		t.Fatalf("ActiveDrift = %v, want [score]", got)
-	}
-}
-
-func TestObserveOutcomeRecalibrates(t *testing.T) {
-	profiled := []time.Duration{10 * time.Millisecond}
-	e := New(Config{
-		Enable: true, Scorer: valueScorer{},
-		RecalEpoch: time.Second, RecalMinPairs: 16, RecalBins: 8,
-	}, profiled, profiled, nil)
-	if got := e.Calibrate(0.42); got != 0.42 {
-		t.Fatalf("Calibrate before any refit = %v, want identity", got)
-	}
-	// The predictor under-scores by half: raw = obs/2. After a refit the
-	// calibration map must lift raw scores back toward the observed ones.
-	now := time.Duration(0)
-	outs := []model.Output{{}}
-	for i := 0; i < 64; i++ {
-		now += 20 * time.Millisecond
-		raw := float64(i%10) / 10
-		obs := 2 * raw
-		if obs > 1 {
-			obs = 1
-		}
-		outs[0].Value = obs
-		e.ObserveOutcome(now, raw, outs, model.Output{})
-	}
-	snap := e.Snapshot()
-	if snap.RecalEpochs == 0 || snap.RecalSwaps == 0 || !snap.RecalActive {
-		t.Fatalf("no refit landed: epochs=%d swaps=%d active=%v",
-			snap.RecalEpochs, snap.RecalSwaps, snap.RecalActive)
-	}
-	if snap.RecalPairs != 64 {
-		t.Fatalf("RecalPairs = %d, want 64", snap.RecalPairs)
-	}
-	lifted := e.Calibrate(0.3)
-	if lifted <= 0.35 {
-		t.Fatalf("Calibrate(0.3) = %v after refit, want lifted toward observed 0.6", lifted)
-	}
-	// Nil scorer: outcomes must be ignored entirely.
-	e2 := New(Config{Enable: true}, profiled, profiled, nil)
-	e2.ObserveOutcome(10*time.Second, 0.5, outs, model.Output{})
-	if snap := e2.Snapshot(); snap.RecalEpochs != 0 || snap.RecalPairs != 0 {
-		t.Fatal("outcome observed despite nil Scorer")
 	}
 }
 
@@ -250,13 +194,11 @@ func TestSnapshotReplicaBreakdown(t *testing.T) {
 
 // TestObservationPathsZeroAlloc pins the engine's hot-path allocation
 // contract: every per-task observation and every planning-side query is
-// allocation-free (refits at epoch boundaries are exempt and excluded).
+// allocation-free.
 func TestObservationPathsZeroAlloc(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	e := New(Config{Enable: true, MinSamples: 1, Scorer: valueScorer{},
-		RecalEpoch: time.Hour}, profiled, profiled, []int{2, 2})
+	e := New(Config{Enable: true}, profiled, profiled, []int{2, 2})
 	exec := make([]time.Duration, 2)
-	outs := []model.Output{{Value: 0.5}}
 	now := time.Duration(0)
 	cases := []struct {
 		name string
@@ -264,8 +206,6 @@ func TestObservationPathsZeroAlloc(t *testing.T) {
 	}{
 		{"ObserveLatency", func() { now += time.Millisecond; e.ObserveLatency(now, 0, 1, 12*time.Millisecond) }},
 		{"ObserveScore", func() { now += time.Millisecond; e.ObserveScore(now, 0.4) }},
-		{"ObserveOutcome", func() { e.ObserveOutcome(time.Millisecond, 0.4, outs, model.Output{}) }},
-		{"Calibrate", func() { _ = e.Calibrate(0.4) }},
 		{"Inflation", func() { _ = e.Inflation(0) }},
 		{"ExecInto", func() { e.ExecInto(exec) }},
 		{"ActiveDriftQuiet", func() { _ = e.ActiveDrift() }},

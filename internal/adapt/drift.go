@@ -10,7 +10,7 @@ const (
 	// observed task latencies left (or re-entered) the tolerance band
 	// around the frozen profiling mean.
 	DriftLatency = "latency"
-	// DriftScore marks a difficulty-mix shift: the windowed mean of raw
+	// DriftScore marks a difficulty-mix shift: the windowed mean of
 	// difficulty scores left (or re-entered) the band around the
 	// baseline score distribution.
 	DriftScore = "score"
@@ -30,7 +30,7 @@ type DriftEvent struct {
 	// returned to the tolerance band.
 	Enter bool `json:"enter"`
 	// Value is the windowed statistic that crossed: the observed/profiled
-	// mean-latency ratio for latency events, the windowed mean raw score
+	// mean-latency ratio for latency events, the windowed mean score
 	// for score events.
 	Value float64 `json:"value"`
 }
@@ -83,15 +83,15 @@ type detector struct {
 	// scoreWin/scoreState track the difficulty-score distribution.
 	scoreWin   window
 	scoreState driftState
-	// baseline is the reference mean raw score; self-calibrated from the
-	// first closed window when the config leaves it unset.
+	// baseline is the reference mean score, self-calibrated from the
+	// first judged window.
 	baseline    float64
 	baselineSet bool
 
 	// events is a preallocated drop-oldest ring (head is the next write
 	// slot, filled the live count) so event emission never allocates on
 	// the observation path.
-	events []DriftEvent
+	events [eventBuffer]DriftEvent
 	head   int
 	filled int
 	// latencyEvents/scoreEvents are lifetime transition counters by
@@ -106,9 +106,6 @@ func (d *detector) push(ev DriftEvent) {
 		d.latencyEvents++
 	} else {
 		d.scoreEvents++
-	}
-	if len(d.events) == 0 {
-		return
 	}
 	d.events[d.head] = ev
 	d.head = (d.head + 1) % len(d.events)

@@ -1,8 +1,7 @@
 // Package adapt is the online-adaptation layer: drift-tolerant latency
-// profiles kept as mergeable quantile sketches, a windowed drift detector
-// over observed-vs-profiled latency and over the difficulty-score
-// distribution, and incremental recalibration of the discrepancy
-// predictor from served outcomes.
+// profiles kept as mergeable quantile sketches, which scale the planner's
+// cost model, and a windowed drift detector over observed-vs-profiled
+// latency and over the difficulty-score distribution.
 //
 // The package follows the engine-agnostic qos/rcache pattern: every
 // method takes the caller's virtual clock, there are no goroutines, no

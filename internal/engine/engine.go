@@ -4,16 +4,15 @@
 // clock, internal/sim on an event heap in virtual time. A request passes
 // through it in four steps:
 //
-//	arrive  class, class-default deadline, score (observed and recalibrated
-//	        when adaptation is on), cache lookup, admission
+//	arrive  class, class-default deadline, score (observed by the drift
+//	        detector when adaptation is on), cache lookup, admission
 //	plan    a pass over the query buffer: load observation (the fleet's
 //	        committed work, in seconds), cost refresh, room gate, one
 //	        schedule of every buffered query, blocked-model strip, the
 //	        ladder's subset cap (keeping the models that finish first),
 //	        per-query room check
 //	commit  the driver's Executor dispatches the query's tasks
-//	settle  aggregate, classify, feed recalibration from a clean
-//	        full-ensemble result, fill the cache
+//	settle  aggregate, classify, fill the cache
 //
 // The package is pure (the enginepure and detrand analyzers hold it to
 // that): no goroutines, channels, timers or randomness, and every instant
@@ -77,10 +76,9 @@ type Query struct {
 	// QueryInfo.ID, stable for as long as the query waits.
 	ID                int
 	Arrival, Deadline time.Duration
-	// Score is what the cache is gated and the scheduler plans with;
-	// RawScore the predictor's own, which recalibration pairs with the
-	// observed discrepancy.
-	Score, RawScore float64
+	// Score is the predictor's difficulty score: what the cache is gated
+	// and the scheduler plans with.
+	Score float64
 	// Class is the class index, -1 without classes.
 	Class int
 	// Cacheable marks a query whose lookup missed; CacheKey is the entry a
@@ -248,14 +246,12 @@ type Arrival struct {
 // admission — so every arrival is scored and observed once, shed or not,
 // and a query the cache can answer is never shed and spends no token.
 func (e *Engine) Arrive(q *Query, s *dataset.Sample) Arrival {
-	q.RawScore = 0.5
+	q.Score = 0.5
 	if e.cfg.Estimator != nil {
-		q.RawScore = e.cfg.Estimator.Predict(s)
+		q.Score = e.cfg.Estimator.Predict(s)
 	}
-	q.Score = q.RawScore
 	if e.Adapt != nil {
-		e.Adapt.ObserveScore(q.Arrival, q.RawScore)
-		q.Score = e.Adapt.Calibrate(q.RawScore)
+		e.Adapt.ObserveScore(q.Arrival, q.Score)
 	}
 	var a Arrival
 	if e.Cache != nil {
@@ -458,16 +454,11 @@ type Settlement struct {
 
 // Settle aggregates the outputs of ok, the non-empty set of q's models that
 // produced one; failed counts those that did not, and late says the result
-// missed the deadline. A clean full-ensemble result is the one case where
-// the true discrepancy is known, and feeds recalibration.
-func (e *Engine) Settle(now time.Duration, q *Query, outs []model.Output, ok ensemble.Subset, failed int, late bool) Settlement {
+// missed the deadline.
+func (e *Engine) Settle(q *Query, outs []model.Output, ok ensemble.Subset, failed int, late bool) Settlement {
 	s := Settlement{Output: e.cfg.Ensemble.Predict(outs, ok)}
 	s.Degraded = !late && (failed > 0 || q.Level > qos.LevelFull)
-	clean := !late && !s.Degraded
-	if e.Adapt != nil && clean && ok == ensemble.Full(e.m) {
-		e.Adapt.ObserveOutcome(now, q.RawScore, outs, s.Output)
-	}
-	s.fill = clean && q.Cacheable && e.Cache != nil
+	s.fill = !late && !s.Degraded && q.Cacheable && e.Cache != nil
 	return s
 }
 

@@ -37,8 +37,8 @@ type regionKeyer struct{}
 
 func (regionKeyer) Key(f []float64) (int, bool) { return int(f[0]), true }
 
-// countingScorer is adapt's outcome scorer: it counts the outcomes that
-// reached recalibration.
+// countingScorer is an adapt.OutcomeScorer that counts its calls: the
+// engine accepts one and must never call it.
 type countingScorer struct{ calls int }
 
 func (c *countingScorer) Score([]model.Output, model.Output) float64 {
@@ -306,7 +306,7 @@ func TestArriveHitIsNeverShed(t *testing.T) {
 	}
 	f := newFleet(t, r.Exec(), 1, 1, 1)
 	r.Pass(now, f)
-	st := r.Settle(now+30*ms, &filler.Query, outputs(), filler.Subset, 0, false)
+	st := r.Settle(&filler.Query, outputs(), filler.Subset, 0, false)
 	r.Delivered(now+30*ms, &filler.Query, st)
 
 	r.arrive(now, "gold", 0.9, 100, 0)
@@ -341,13 +341,13 @@ func TestArriveHitIsNeverShed(t *testing.T) {
 }
 
 // TestArriveScoresEveryArrivalOnce: shed or not, an arrival is scored once
-// and reaches the score-drift window. The window closes only if it saw all
-// n arrivals, and its mean is the baseline.
+// and reaches the score-drift window. The window is judged only if it saw
+// all n arrivals, the detector's minimum, and its mean is the baseline.
 func TestArriveScoresEveryArrivalOnce(t *testing.T) {
 	const n = 8
 	r := newRig(func(c *Config) {
 		c.Classes, c.Admission = threeClasses, workLadder
-		c.Adapt = adapt.Config{Enable: true, DriftWindow: time.Second, DriftMinCount: n}
+		c.Adapt = adapt.Config{Enable: true}
 	})
 	now := ms
 	r.arrive(now, "gold", 0.9, 0, 0)
@@ -379,11 +379,16 @@ func TestArriveScoresEveryArrivalOnce(t *testing.T) {
 func TestNilEstimatorScoresHalf(t *testing.T) {
 	r := newRig(func(c *Config) {
 		c.Estimator = nil
-		c.Adapt = adapt.Config{Enable: true, DriftWindow: time.Second, DriftMinCount: 2}
+		c.Adapt = adapt.Config{Enable: true}
 	})
-	for _, at := range []time.Duration{0, ms, 2 * time.Second} {
-		if q, _ := r.arrive(at, "", 0.9, 0, time.Second); q.Score != 0.5 || q.RawScore != 0.5 {
-			t.Fatalf("score %v raw %v without a predictor, want 0.5", q.Score, q.RawScore)
+	// Eight arrivals fill the first score window; one 2 s later closes it.
+	for i := 0; i <= 8; i++ {
+		at := time.Duration(i) * ms
+		if i == 8 {
+			at = 2 * time.Second
+		}
+		if q, _ := r.arrive(at, "", 0.9, 0, time.Second); q.Score != 0.5 {
+			t.Fatalf("score %v without a predictor, want 0.5", q.Score)
 		}
 	}
 	if got := r.Adapt.Snapshot().BaselineScore; got != 0.5 {
@@ -392,46 +397,40 @@ func TestNilEstimatorScoresHalf(t *testing.T) {
 }
 
 // TestSettleFillsAndLearnsOnlyFromCleanResults: a cacheable miss fills its
-// entry, and feeds recalibration, only from an in-time result at full
-// quality — and recalibration only from the full ensemble.
+// entry only from an in-time result at full quality.
 func TestSettleFillsAndLearnsOnlyFromCleanResults(t *testing.T) {
 	full := ensemble.Full(3)
 	cases := []struct {
-		name        string
-		sub, ok     ensemble.Subset
-		failed      int
-		late        bool
-		lvl         qos.Level
-		fill, learn bool
-		degraded    bool
+		name     string
+		sub, ok  ensemble.Subset
+		failed   int
+		late     bool
+		lvl      qos.Level
+		fill     bool
+		degraded bool
 	}{
-		{name: "clean full ensemble", sub: full, ok: full, fill: true, learn: true},
+		{name: "clean full ensemble", sub: full, ok: full, fill: true},
 		{name: "clean planned pair", sub: 0b011, ok: 0b011, fill: true},
 		{name: "a task failed", sub: full, ok: 0b011, failed: 1, degraded: true},
 		{name: "ladder-capped", sub: 0b011, ok: 0b011, lvl: qos.LevelCapped, degraded: true},
 		{name: "late", sub: full, ok: full, late: true},
 	}
 	for region, tc := range cases {
-		scorer := &countingScorer{}
 		r := newRig(func(c *Config) {
 			c.Cache = rcache.Config{Keyer: regionKeyer{}, DifficultyMax: 0.5}
-			c.Adapt = adapt.Config{Enable: true, Scorer: scorer}
 		})
 		q, a := r.arrive(0, "", 0.1, region, time.Second)
 		if a.Cache != "miss" {
 			t.Fatalf("%s: lookup %q, want a miss", tc.name, a.Cache)
 		}
 		q.Subset, q.Level = tc.sub, tc.lvl
-		st := r.Settle(50*ms, &q.Query, outputs(), tc.ok, tc.failed, tc.late)
+		st := r.Settle(&q.Query, outputs(), tc.ok, tc.failed, tc.late)
 		r.Delivered(50*ms, &q.Query, st)
 		if st.Degraded != tc.degraded {
 			t.Errorf("%s: degraded=%v, want %v", tc.name, st.Degraded, tc.degraded)
 		}
 		if got := r.Cache.Snapshot().Fills == 1; got != tc.fill {
 			t.Errorf("%s: filled=%v, want %v", tc.name, got, tc.fill)
-		}
-		if got := scorer.calls == 1; got != tc.learn {
-			t.Errorf("%s: reached recalibration=%v, want %v", tc.name, got, tc.learn)
 		}
 		if _, again := r.arrive(60*ms, "", 0.1, region, time.Second); (again.Verdict == Hit) != tc.fill {
 			t.Errorf("%s: the next easy arrival of the region: %+v", tc.name, again)

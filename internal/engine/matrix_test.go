@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,33 +20,28 @@ import (
 // fleet that runs one task per model at a time. It holds every feature
 // combination to the same properties and keeps the books per class.
 type world struct {
-	t      *testing.T
-	r      *rig
-	f      *fleet
-	scorer *countingScorer
-	now    time.Duration
-	log    []string
+	t   *testing.T
+	r   *rig
+	f   *fleet
+	now time.Duration
+	log []string
 
 	buffered []*req
 	arrivals int
 	hits     int
-	// cleanFills and cleanFull are what the world itself saw settle cleanly:
-	// cacheable results, and full-ensemble ones.
-	cleanFills, cleanFull int
-	tally                 map[int]*classTally
+	// cleanFills is what the world itself saw settle cleanly and cacheable.
+	cleanFills int
+	tally      map[int]*classTally
 }
 
 type classTally struct{ submitted, served, degraded, missed, rejected int }
 
 func newWorld(t *testing.T, tweak func(*Config)) *world {
-	w := &world{t: t, scorer: &countingScorer{}, tally: map[int]*classTally{}}
+	w := &world{t: t, tally: map[int]*classTally{}}
 	w.r = newRig(func(c *Config) {
 		c.Scheduler = &core.DP{Delta: 0.05}
 		if tweak != nil {
 			tweak(c)
-		}
-		if c.Adapt.Enable {
-			c.Adapt.Scorer = w.scorer
 		}
 	})
 	w.f = newFleet(t, w.r.Exec(), 1, 1, 1)
@@ -103,7 +99,7 @@ func (w *world) finish(k int, fail bool) {
 		return
 	}
 	late := w.now > q.Deadline
-	st := w.r.Settle(w.now, &q.Query, outputs(), q.ok, q.failed, late)
+	st := w.r.Settle(&q.Query, outputs(), q.ok, q.failed, late)
 	w.r.Delivered(w.now, &q.Query, st)
 	switch {
 	case late:
@@ -114,9 +110,6 @@ func (w *world) finish(k int, fail bool) {
 		c.served++
 		if q.Cacheable {
 			w.cleanFills++
-		}
-		if q.ok == ensemble.Full(3) {
-			w.cleanFull++
 		}
 	}
 	w.note("settle %d: ok %v late %v degraded %v", q.sample.ID, q.ok.Models(), late, st.Degraded)
@@ -235,8 +228,12 @@ func (w *world) check(name string) {
 		t.Errorf("%s: %d hits without a cache", name, w.hits)
 	}
 	if e.Adapt != nil {
-		if w.scorer.calls != w.cleanFull || w.cleanFull == 0 {
-			t.Errorf("%s: recalibration saw %d outcomes, %d full-ensemble results settled cleanly", name, w.scorer.calls, w.cleanFull)
+		// Every model saw enough of the fleet's slowdown to plan with it.
+		for k, m := range e.Adapt.Snapshot().Models {
+			if m.Inflation <= 1 || e.Exec()[k] != time.Duration(float64(e.cfg.BaseExec[k])*m.Inflation) {
+				t.Errorf("%s: model %d: %d samples, inflation %v, planning cost %v over base %v",
+					name, k, m.Samples, m.Inflation, e.Exec()[k], e.cfg.BaseExec[k])
+			}
 		}
 	}
 }
@@ -255,7 +252,7 @@ func TestFeatureMatrix(t *testing.T) {
 		c.Admission = qos.Tuning{Capacity: 40, Target: 50 * ms, Tau: 20 * ms, Dwell: 20 * ms}
 	}
 	cache := func(c *Config) { c.Cache = rcache.Config{Keyer: regionKeyer{}, DifficultyMax: 0.6} }
-	adaptive := func(c *Config) { c.Adapt = adapt.Config{Enable: true, MinSamples: 4} }
+	adaptive := func(c *Config) { c.Adapt = adapt.Config{Enable: true} }
 	features := []struct {
 		name string
 		on   func(*Config)
@@ -285,21 +282,58 @@ func TestZeroValueFeaturesAreAbsent(t *testing.T) {
 		c.Classes = []qos.Class{}
 		c.Admission = qos.Tuning{Tau: 50 * ms}
 		c.Cache = rcache.Config{Capacity: 8, DifficultyMax: 1}
-		c.Adapt = adapt.Config{CostQuantile: 0.99, Scorer: &countingScorer{}}
+		c.Adapt = adapt.Config{Scorer: &countingScorer{}, RecalMinPairs: 1}
 	})
 	if e := zero.r.Engine; e.Cache != nil || e.Adapt != nil || e.QoS.Classes() != 0 {
 		t.Fatalf("disabled features built components: cache %v adapt %v, %d classes", e.Cache, e.Adapt, e.QoS.Classes())
 	}
 	zero.run(9, 400)
-	if !reflect.DeepEqual(plain.log, zero.log) {
-		for i := range plain.log {
-			if i >= len(zero.log) || plain.log[i] != zero.log[i] {
-				t.Fatalf("runs diverge at action %d: %q without the features, %q with their zero values", i, plain.log[i], zero.log[i:min(i+1, len(zero.log))])
+	sameRun(t, plain, zero, "without the features", "with their zero values")
+}
+
+// sameRun fails t unless worlds a and b took the same actions, at least
+// 400 of them.
+func sameRun(t *testing.T, a, b *world, aName, bName string) {
+	t.Helper()
+	if !reflect.DeepEqual(a.log, b.log) {
+		for i := range a.log {
+			if i >= len(b.log) || a.log[i] != b.log[i] {
+				t.Fatalf("runs diverge at action %d: %q %s, %q %s", i, a.log[i], aName, b.log[i:min(i+1, len(b.log))], bName)
 			}
 		}
-		t.Fatalf("%d actions without the features, %d with their zero values", len(plain.log), len(zero.log))
+		t.Fatalf("%d actions %s, %d %s", len(a.log), aName, len(b.log), bName)
 	}
-	if len(plain.log) < 400 {
-		t.Fatalf("only %d actions logged", len(plain.log))
+	if len(a.log) < 400 {
+		t.Fatalf("only %d actions logged", len(a.log))
+	}
+}
+
+// TestAdaptIgnoresRecalibrationFields: adapt.Config's Scorer and
+// RecalMinPairs are accepted and inert. An engine given both takes every
+// decision and ends in every adaptation state of one given neither, and
+// never calls the scorer, though clean full-ensemble results settle.
+func TestAdaptIgnoresRecalibrationFields(t *testing.T) {
+	scorer := &countingScorer{}
+	worlds := make([]*world, 2)
+	for i, cfg := range []adapt.Config{{Enable: true}, {Enable: true, Scorer: scorer, RecalMinPairs: 1}} {
+		worlds[i] = newWorld(t, func(c *Config) {
+			c.Cache = rcache.Config{Keyer: regionKeyer{}, DifficultyMax: 0.6}
+			c.Adapt = cfg
+		})
+		worlds[i].run(13, 600)
+	}
+	sameRun(t, worlds[0], worlds[1], "with Enable alone", "with Scorer and RecalMinPairs too")
+	plain, pinned := worlds[0].r.Adapt.Snapshot(), worlds[1].r.Adapt.Snapshot()
+	if !reflect.DeepEqual(plain, pinned) {
+		t.Errorf("adaptation snapshots differ:\n%+v with Enable alone\n%+v with Scorer and RecalMinPairs too", plain, pinned)
+	}
+	clean := 0
+	for _, l := range worlds[1].log {
+		if strings.HasSuffix(l, "ok [0 1 2] late false degraded false") {
+			clean++
+		}
+	}
+	if scorer.calls != 0 || clean == 0 {
+		t.Errorf("scorer called %d times over %d clean full-ensemble results", scorer.calls, clean)
 	}
 }

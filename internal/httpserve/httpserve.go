@@ -138,7 +138,7 @@ type RuntimeStats struct {
 	// configured.
 	Cache *CacheStats `json:"cache,omitempty"`
 	// Adapt carries the online-adaptation snapshot (live latency
-	// profiles, drift state, recalibration counters); omitted when
+	// profiles and drift state); omitted when
 	// adaptation is off.
 	Adapt *AdaptStats `json:"adapt,omitempty"`
 }
@@ -164,10 +164,6 @@ type AdaptStats struct {
 	BaselineScore float64           `json:"baseline_score"`
 	LatencyEvents uint64            `json:"latency_events"`
 	ScoreEvents   uint64            `json:"score_events"`
-	RecalEpochs   uint64            `json:"recal_epochs"`
-	RecalSwaps    uint64            `json:"recal_swaps"`
-	RecalPairs    int               `json:"recal_pairs"`
-	RecalActive   bool              `json:"recal_active"`
 }
 
 // AdaptModelStats is one model's live latency profile: observed quantiles
@@ -515,10 +511,6 @@ func adaptStats(rt serve.Stats) *AdaptStats {
 		BaselineScore: a.BaselineScore,
 		LatencyEvents: a.LatencyEvents,
 		ScoreEvents:   a.ScoreEvents,
-		RecalEpochs:   a.RecalEpochs,
-		RecalSwaps:    a.RecalSwaps,
-		RecalPairs:    a.RecalPairs,
-		RecalActive:   a.RecalActive,
 	}
 	for k, m := range a.Models {
 		name := ""

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"schemble/internal/obsv"
+	"schemble/internal/qos"
 	"schemble/internal/serve"
 )
 
@@ -149,7 +150,7 @@ func writeCacheMetrics(b *strings.Builder, rt serve.Stats) {
 
 // writeAdaptMetrics renders the online-adaptation layer's state: live
 // latency quantiles and inflation factors per model, drift detector
-// signals, and recalibration counters. Deployments with adaptation off
+// signals and transition counters. Deployments with adaptation off
 // render nothing.
 func writeAdaptMetrics(b *strings.Builder, rt serve.Stats) {
 	a := rt.Adapt
@@ -185,14 +186,6 @@ func writeAdaptMetrics(b *strings.Builder, rt serve.Stats) {
 	writeHeader(b, "schemble_drift_events_total", "counter", "Drift transitions (enter or clear) observed, by signal.")
 	fmt.Fprintf(b, "schemble_drift_events_total{signal=\"latency\"} %d\n", a.LatencyEvents)
 	fmt.Fprintf(b, "schemble_drift_events_total{signal=\"score\"} %d\n", a.ScoreEvents)
-	writeHeader(b, "schemble_adapt_recal_epochs_total", "counter", "Recalibration refits attempted.")
-	fmt.Fprintf(b, "schemble_adapt_recal_epochs_total %d\n", a.RecalEpochs)
-	writeHeader(b, "schemble_adapt_recal_swaps_total", "counter", "Recalibration refits accepted past the hysteresis guard.")
-	fmt.Fprintf(b, "schemble_adapt_recal_swaps_total %d\n", a.RecalSwaps)
-	writeHeader(b, "schemble_adapt_recal_pairs", "gauge", "Outcome pairs in the recalibration reservoir.")
-	fmt.Fprintf(b, "schemble_adapt_recal_pairs %d\n", a.RecalPairs)
-	writeHeader(b, "schemble_adapt_recal_active", "gauge", "1 while a non-identity calibration map is live.")
-	fmt.Fprintf(b, "schemble_adapt_recal_active %d\n", boolGauge(a.RecalActive))
 }
 
 // writeClassMetrics renders per-class admission/outcome metrics; classless
@@ -247,6 +240,12 @@ func writeClassMetrics(b *strings.Builder, rt serve.Stats) {
 			lvl = 3
 		}
 		fmt.Fprintf(b, "schemble_class_service_level{class=%q} %d\n", c.Name, lvl)
+	}
+	writeHeader(b, "schemble_class_level_seconds_total", "counter", "Virtual time spent at each degradation level, by class.")
+	for _, c := range rt.Classes {
+		for l, d := range c.TimeAtLevel {
+			fmt.Fprintf(b, "schemble_class_level_seconds_total{class=%q,level=%q} %s\n", c.Name, qos.Level(l), formatSeconds(d.Seconds()))
+		}
 	}
 }
 

@@ -210,6 +210,8 @@ func TestRetryAfterDerivedFromLoad(t *testing.T) {
 		`schemble_class_shed_total{class="bronze"}`,
 		`schemble_class_slo_attainment{class="gold"}`,
 		`schemble_class_service_level{class="bronze"}`,
+		`schemble_class_level_seconds_total{class="bronze",level="full"}`,
+		`schemble_class_level_seconds_total{class="gold",level="shed"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/v1/metrics missing %q", want)

@@ -31,11 +31,12 @@ func durationOf(ns int64) time.Duration { return time.Duration(ns) }
 // profiles, predictor weights, per-sample artifacts) with encoding/gob.
 // The dataset and models are reconstructed from their generator seeds, so
 // a snapshot stays small and self-consistent: Load verifies the seed, the
-// sample count and a fingerprint of the re-derived scaffold (model outputs,
-// ensemble references, splits), then overlays the fitted state.
+// sample count, the fit settings and a fingerprint of the re-derived
+// scaffold (model outputs, ensemble references, splits), then overlays the
+// fitted state.
 
 // snapshotVersion guards against loading incompatible snapshots.
-const snapshotVersion = 2
+const snapshotVersion = 3
 
 // snapshot is the serialized fitted state.
 type snapshot struct {
@@ -48,6 +49,8 @@ type snapshot struct {
 	// snapshot fitted on other models, another aggregator or other splits
 	// is rejected rather than overlaid on outputs it does not describe.
 	Scaffold scaffoldPrint
+	// Fit is the settings the fitted state was trained with.
+	Fit fitSettings
 
 	// Fitted state that is NOT derivable from the seed alone (training
 	// involves the nn package's own RNG and iteration order, so we store
@@ -79,6 +82,7 @@ func (a *Artifacts) Save(w io.Writer) error {
 		Task:          int(a.Dataset.Task),
 		Name:          a.Dataset.Name,
 		Scaffold:      fingerprint(a),
+		Fit:           a.fit,
 		TrueScores:    a.TrueScores,
 		EAScores:      a.EAScores,
 		PerModelAgree: a.PerModelAgree,
@@ -146,11 +150,15 @@ func Load(cfg Config, r io.Reader) (*Artifacts, error) {
 		return nil, fmt.Errorf("pipeline: snapshot covers %d samples, dataset has %d",
 			len(snap.TrueScores), len(cfg.Dataset.Samples))
 	}
+	if err := snap.Fit.check(fitOf(cfg)); err != nil {
+		return nil, err
+	}
 	// Rebuild the deterministic scaffolding without any training.
 	a := buildScaffold(cfg)
 	if err := snap.Scaffold.check(fingerprint(a)); err != nil {
 		return nil, err
 	}
+	a.fit = snap.Fit
 	// Overlay fitted state.
 	a.TrueScores = snap.TrueScores
 	a.EAScores = snap.EAScores
@@ -226,6 +234,37 @@ func buildScaffold(cfg Config) *Artifacts {
 		a.Refs[s.ID] = a.Ensemble.Predict(outs, a.Ensemble.FullSubset())
 	}
 	return a
+}
+
+// fitSettings are the Config fields that shape the fitted state but not the
+// scaffold, with their defaults resolved.
+type fitSettings struct {
+	PredictorEpochs, Bins int
+	DisableCalibration    bool
+}
+
+func fitOf(cfg Config) fitSettings {
+	s := fitSettings{PredictorEpochs: cfg.PredictorEpochs, Bins: cfg.Bins, DisableCalibration: cfg.DisableCalibration}
+	if s.PredictorEpochs == 0 {
+		s.PredictorEpochs = 150
+	}
+	if s.Bins == 0 {
+		s.Bins = 10
+	}
+	return s
+}
+
+// check names the first setting that differs from want.
+func (s fitSettings) check(want fitSettings) error {
+	switch {
+	case s.PredictorEpochs != want.PredictorEpochs:
+		return fmt.Errorf("pipeline: snapshot was fitted with PredictorEpochs %d, config asks for %d", s.PredictorEpochs, want.PredictorEpochs)
+	case s.Bins != want.Bins:
+		return fmt.Errorf("pipeline: snapshot was fitted with Bins %d, config asks for %d", s.Bins, want.Bins)
+	case s.DisableCalibration != want.DisableCalibration:
+		return fmt.Errorf("pipeline: snapshot was fitted with DisableCalibration %v, config asks for %v", s.DisableCalibration, want.DisableCalibration)
+	}
+	return nil
 }
 
 // scaffoldPrint is a hash of each part of the scaffold: every model's and

@@ -182,6 +182,13 @@ func TestLoadRejectsMismatch(t *testing.T) {
 	otherAggregator.Aggregator = &ensemble.Vote{}
 	otherSplits := persistFixtureCfg()
 	otherSplits.TrainFrac = 0.4
+	// Same scaffold, fitted with other settings: each is named too.
+	otherEpochs := persistFixtureCfg()
+	otherEpochs.PredictorEpochs = 16
+	otherBins := persistFixtureCfg()
+	otherBins.Bins = 12
+	uncalibrated := persistFixtureCfg()
+	uncalibrated.DisableCalibration = true
 	for _, c := range []struct {
 		name, want string
 		cfg        Config
@@ -189,6 +196,9 @@ func TestLoadRejectsMismatch(t *testing.T) {
 		{"models", "model outputs", otherModels},
 		{"aggregator", "aggregator", otherAggregator},
 		{"splits", "splits", otherSplits},
+		{"epochs", "PredictorEpochs", otherEpochs},
+		{"bins", "Bins", otherBins},
+		{"calibration", "DisableCalibration", uncalibrated},
 	} {
 		_, err := Load(c.cfg, bytes.NewReader(buf.Bytes()))
 		if err == nil {

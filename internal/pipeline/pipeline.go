@@ -77,6 +77,8 @@ type Artifacts struct {
 	Train, Val, Serve []*dataset.Sample
 
 	Seed uint64
+	// fit is what Save records of the fit settings, for Load to check.
+	fit fitSettings
 }
 
 // Build fits the full pipeline.
@@ -84,16 +86,13 @@ func Build(cfg Config) *Artifacts {
 	if cfg.Dataset == nil || len(cfg.Models) == 0 {
 		panic("pipeline: dataset and models required")
 	}
-	if cfg.Bins == 0 {
-		cfg.Bins = 10
-	}
-	if cfg.PredictorEpochs == 0 {
-		cfg.PredictorEpochs = 150
-	}
+	fit := fitOf(cfg)
+	cfg.Bins, cfg.PredictorEpochs = fit.Bins, fit.PredictorEpochs
 
 	// Ensemble, splits and every model's output on every sample: the part
 	// Load re-derives too.
 	a := buildScaffold(cfg)
+	a.fit = fit
 	n := len(cfg.Dataset.Samples)
 
 	// Fit the discrepancy scorer on the training split.

@@ -172,6 +172,8 @@ type classState struct {
 	tokens float64
 
 	admitted, shed uint64
+	// atLevel[l] is the virtual time the class has spent at Level l.
+	atLevel [LevelShed + 1]time.Duration
 }
 
 // Controller is the shared overload-control state machine. All methods
@@ -333,6 +335,11 @@ func (c *Controller) Observe(now, backlog time.Duration) {
 			dt = 0
 		}
 		c.lastObs = now
+		// The levels held since the last observation: only this method
+		// moves the ladder.
+		for i := range c.classes {
+			c.classes[i].atLevel[c.levelAtLocked(i)] += dt
+		}
 		w := 1 - math.Exp(-dt.Seconds()/c.tun.Tau.Seconds())
 		c.load += w * (raw - c.load)
 	}
@@ -508,6 +515,9 @@ type ClassSnapshot struct {
 	// Tokens is the reserved bucket's current fill; Rate its refill rate
 	// (requests per virtual second).
 	Tokens, Rate float64
+	// TimeAtLevel[l] is the virtual time the class has spent at Level l,
+	// from the first Observe to the latest.
+	TimeAtLevel [LevelShed + 1]time.Duration
 }
 
 // Snapshot captures the controller's admission state: smoothed load,
@@ -527,6 +537,8 @@ func (c *Controller) Snapshot() (load float64, ladder int, classes []ClassSnapsh
 			Shed:     cs.shed,
 			Tokens:   cs.tokens,
 			Rate:     cs.rate,
+
+			TimeAtLevel: cs.atLevel,
 		}
 	}
 	return c.load, c.ladder, classes

@@ -491,3 +491,55 @@ func TestRetryAfterMonotoneThroughCap(t *testing.T) {
 		prev = ra
 	}
 }
+
+// TestTimeAtLevel: on a scripted load, each class's time at each level adds
+// up to the virtual time between the first and the latest observation, and
+// while the top class is held at greedy it accrues greedy time only.
+func TestTimeAtLevel(t *testing.T) {
+	c := New(Config{Classes: threeClasses(), Tuning: Tuning{Capacity: 10}})
+	gold := c.ClassIndex("gold")
+	src := rng.New(3)
+	start := 7 * time.Second
+	now := start
+	observe := func(backlog time.Duration) {
+		now += time.Duration(1+src.Intn(100)) * time.Millisecond
+		c.Observe(now, backlog)
+	}
+	c.Observe(now, 0)
+	for i := 0; i < 200; i++ {
+		observe(time.Duration(src.Intn(1000)) * time.Millisecond) // load up to 2: gold stays above greedy
+	}
+	for c.Level(gold) != LevelGreedy {
+		observe(time.Hour)
+	}
+	_, _, before := c.Snapshot()
+	if got := before[gold].TimeAtLevel[LevelGreedy]; got != 0 {
+		t.Errorf("gold reached greedy at the latest observation, yet has %v there", got)
+	}
+	held := now
+	for i := 0; i < 50; i++ {
+		observe(time.Hour)
+	}
+	_, _, after := c.Snapshot()
+	for i, cs := range after {
+		var sum time.Duration
+		for _, d := range cs.TimeAtLevel {
+			sum += d
+		}
+		if sum != now-start {
+			t.Errorf("%s: time at levels %v sums to %v, %v elapsed", cs.Name, cs.TimeAtLevel, sum, now-start)
+		}
+		if cs.TimeAtLevel[LevelFull] == 0 || (i != gold && cs.TimeAtLevel[LevelShed] == 0) {
+			t.Errorf("%s: time at levels %v: the script lost its point", cs.Name, cs.TimeAtLevel)
+		}
+	}
+	for l := range after[gold].TimeAtLevel {
+		want := before[gold].TimeAtLevel[l]
+		if Level(l) == LevelGreedy {
+			want += now - held
+		}
+		if got := after[gold].TimeAtLevel[l]; got != want {
+			t.Errorf("gold at %v: %v after %v held at greedy, want %v", Level(l), got, now-held, want)
+		}
+	}
+}

@@ -16,13 +16,13 @@ import (
 
 // TestServeAdaptBitIdenticalWhenOff pins the zero-config guarantee with a
 // twin pair: a server with no Adapt config and one whose engine is on but
-// inert (MinSamples at the uint64 ceiling pins every inflation factor at
-// exactly 1; a nil Scorer keeps the calibration map at identity) must
-// produce bit-identical Results request for request — the engine observes
-// everything and changes nothing.
+// inert must produce bit-identical Results request for request — the
+// engine observes everything and changes nothing. The 25 requests run one
+// at a time, so no model sees the 32 samples that engage inflation: every
+// factor stays exactly 1.
 func TestServeAdaptBitIdenticalWhenOff(t *testing.T) {
 	plain, inert := twins(t, artifacts(t), 25, func(c *Config) {
-		c.Adapt = adapt.Config{Enable: true, MinSamples: math.MaxUint64}
+		c.Adapt = adapt.Config{Enable: true}
 	})
 	if plain.Stats().Adapt != nil {
 		t.Fatal("zero-value Adapt config built an engine")
@@ -35,15 +35,11 @@ func TestServeAdaptBitIdenticalWhenOff(t *testing.T) {
 	for k, m := range snap.Models {
 		samples += m.Samples
 		if m.Inflation != 1 {
-			t.Errorf("model %d inflation = %v, want exactly 1 below MinSamples", k, m.Inflation)
+			t.Errorf("model %d inflation = %v after %d samples, want exactly 1", k, m.Inflation, m.Samples)
 		}
 	}
 	if samples == 0 {
 		t.Error("inert engine observed no latencies; the twin test exercised nothing")
-	}
-	if snap.RecalEpochs != 0 || snap.RecalActive {
-		t.Errorf("recalibration ran with a nil Scorer: epochs=%d active=%v",
-			snap.RecalEpochs, snap.RecalActive)
 	}
 }
 
@@ -53,7 +49,7 @@ func TestServeAdaptBitIdenticalWhenOff(t *testing.T) {
 // streams cannot push the shared adaptation state apart (sketch bucket
 // counts — and therefore inflation factors — depend only on which tasks
 // ran). Latencies are small so every arrival meets an idle fleet at the
-// test's spacing.
+// test's spacing, before the drift step and after it.
 func adaptEquivModels(seed uint64) []model.Model {
 	cfg := []struct {
 		name  string
@@ -78,17 +74,26 @@ func adaptEquivModels(seed uint64) []model.Model {
 // TestSimServeEquivalenceAdapt extends the driver-agreement check to what
 // only a driver can get wrong about online adaptation: the latency samples
 // its executors feed adapt.ObserveLatency, and the drifted cost vector it
-// then plans with. (Score observation, recalibration and what a pass does
-// with the refreshed costs are internal/engine's, tested there.) On a
-// seeded trace whose service times step to 2x mid-run (a drift boundary
-// placed in an arrival gap, so wall-clock jitter cannot move a task across
-// it), both drivers must feed the same samples — per-model sample counts,
-// inflation factors and latency-drift events agree — and, planning with the
-// inflated costs, still commit every query to the same subset with the same
+// then plans with. (Score observation and what a pass does with the
+// refreshed costs are internal/engine's, tested there.) On a seeded trace
+// whose service times step to 2x mid-run (a drift boundary placed in an
+// arrival gap, so wall-clock jitter cannot move a task across it), both
+// drivers must feed the same samples — per-model sample counts, inflation
+// factors and latency-drift events agree — and, planning with the inflated
+// costs, still commit every query to the same subset with the same
 // outcome. On the frozen clock (replay) the runtime observes each sample at
 // the virtual instant the simulator does; every detector window and the
 // drift step still sit mid-gap, at least 100ms of virtual time from any
 // observation.
+//
+// The trace comes in bursts sized to adapt's constants: a burst of 12
+// arrivals, 120ms apart, every 2.4s. A 2s detector window opens at a
+// burst's first sample and closes at the next burst's, so each window holds
+// one burst: 12 samples on the fast model and 10 on the others, past the 8
+// a window needs to be judged. Four bursts land 40 or more samples per
+// model before the drift step, past the 32 that engage inflation; three
+// after it give the two out-of-band windows a latency-drift event needs,
+// and enough 2x samples to move the 0.9 quantile.
 func TestSimServeEquivalenceAdapt(t *testing.T) {
 	seed := uint64(55)
 	ds := dataset.TextMatching(dataset.Config{N: 1200, Seed: seed})
@@ -98,37 +103,33 @@ func TestSimServeEquivalenceAdapt(t *testing.T) {
 	})
 
 	const (
-		spacing = 600 * time.Millisecond
-		n       = 24
+		burst   = 12
+		bursts  = 7
+		spacing = 120 * time.Millisecond
+		period  = 2400 * time.Millisecond
 	)
 	// Mostly roomy budgets (full ensemble stays feasible across the drift
-	// step) with tight 30ms arrivals sprinkled in: pre-drift those plan
+	// step) with two tight 30ms arrivals a burst: pre-drift those plan
 	// around exec≈11ms, post-drift inflation pushes exec toward ~25ms —
 	// still feasible, still single-model, so the plan shape differs from
 	// the roomy ones in both engines.
 	budget := func(i int) time.Duration {
-		if i%5 == 3 {
+		if i%burst == 3 || i%burst == 8 {
 			return 30 * time.Millisecond
 		}
 		return 300 * time.Millisecond
 	}
 	tr := &trace.Trace{}
-	for i := 0; i < n; i++ {
-		at := time.Duration(i+1) * spacing
+	for i := 0; i < burst*bursts; i++ {
+		at := time.Duration(i/burst+1)*period + time.Duration(i%burst)*spacing
 		tr.Arrivals = append(tr.Arrivals, trace.Arrival{
 			SampleIdx: i, At: at, Deadline: at + budget(i),
 		})
 	}
-	// Step at 6.9s: between arrival 11 (6.6s, completions by ~6.69s) and
-	// arrival 12 (7.2s).
-	drift := trace.StepDrift(6900*time.Millisecond, 1, 2)
-	adaptCfg := adapt.Config{
-		Enable:        true,
-		MinSamples:    4,
-		DriftWindow:   1500 * time.Millisecond, // arrival gaps hit 1.2s or 1.8s, never near 1.5s
-		DriftMinCount: 2,
-		LatencyBand:   0.45, // mixed windows mean 1+k/n, never within 0.05 of 1.45
-	}
+	// Step at 11.5s: between the fourth burst (9.6s-10.92s, completions by
+	// ~10.97s) and the fifth (12s).
+	drift := trace.StepDrift(11500*time.Millisecond, 1, 2)
+	adaptCfg := adapt.Config{Enable: true}
 
 	recs, _, simSnap := sim.RunAdapt(sim.Config{
 		Ensemble:  a.Ensemble,

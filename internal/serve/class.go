@@ -38,6 +38,9 @@ type ClassStats struct {
 	// Level is the class's current degradation-ladder service level:
 	// "full", "capped", "greedy" or "shed".
 	Level string
+	// TimeAtLevel[l] is the virtual time the class has spent at qos.Level
+	// l since the runtime started.
+	TimeAtLevel [qos.LevelShed + 1]time.Duration
 	// Outcome counters (Submitted = Served+Degraded+Missed+Rejected once
 	// everything in flight resolves). Shed counts admission-controller
 	// rejections, a subset of Rejected; Cached counts result-cache hits, a
@@ -67,6 +70,7 @@ func (s *Server) classStatsFrom(snaps []qos.ClassSnapshot) []ClassStats {
 			Priority:      snap.Priority,
 			Weight:        snap.Weight,
 			Level:         snap.Level.String(),
+			TimeAtLevel:   snap.TimeAtLevel,
 			Submitted:     cc.submitted.Load(),
 			Served:        cc.outcome[obsv.Served].Load(),
 			Degraded:      cc.outcome[obsv.Degraded].Load(),

@@ -145,10 +145,9 @@ type Config struct {
 	// Adapt opts into the online-adaptation layer (internal/adapt): live
 	// per-model/per-replica latency quantile sketches feed the
 	// scheduler's cost vector and the hedging threshold instead of the
-	// frozen profiling numbers, a windowed detector emits drift events,
-	// and the discrepancy predictor is incrementally recalibrated from
-	// served outcomes. The zero value disables adaptation and keeps
-	// every request on the frozen-profile code paths bit-identically.
+	// frozen profiling numbers, and a windowed detector emits drift
+	// events. The zero value disables adaptation and keeps every request
+	// on the frozen-profile code paths bit-identically.
 	Adapt adapt.Config
 
 	// Drift injects a deterministic service-time drift schedule
@@ -494,7 +493,7 @@ type Stats struct {
 	Cache *rcache.Snapshot
 
 	// Adapt is the online-adaptation engine's snapshot (live quantiles,
-	// inflation factors, drift events, recalibration counters); nil when
+	// inflation factors, drift events); nil when
 	// adaptation is off.
 	Adapt *adapt.Snapshot
 }
@@ -1423,7 +1422,7 @@ func (c *coordinator) onTaskDone(e event) {
 	// deadline itself, so whether it or the coordinator's deadline step
 	// gets there first must not decide the outcome.
 	late := s.clk.now().After(r.wallDeadline) && !e.cutoff
-	st := s.eng.Settle(s.vnow(), &r.Query, outs, okMask, nfailed, late)
+	st := s.eng.Settle(&r.Query, outs, okMask, nfailed, late)
 	res := Result{
 		Output:   st.Output,
 		Subset:   okMask,
@@ -1456,7 +1455,7 @@ func (c *coordinator) degrade(r *request) {
 	if !committed || okMask == ensemble.Empty || okMask == r.Subset {
 		return
 	}
-	st := s.eng.Settle(s.vnow(), &r.Query, outs, okMask, r.Subset.Size()-okMask.Size(), false)
+	st := s.eng.Settle(&r.Query, outs, okMask, r.Subset.Size()-okMask.Size(), false)
 	delete(c.inflight, r)
 	s.resolve(r, Result{
 		Output:   st.Output,

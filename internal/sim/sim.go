@@ -127,8 +127,7 @@ type Config struct {
 
 	// Adapt is serve.Config.Adapt: the online-adaptation layer
 	// (internal/adapt) — live latency quantile profiles feeding the
-	// scheduler's cost vector, drift detection, and incremental
-	// recalibration of the discrepancy predictor. The zero value
+	// scheduler's cost vector, and drift detection. The zero value
 	// disables adaptation and keeps runs bit-identical. Requires
 	// buffered mode.
 	Adapt adapt.Config
@@ -261,7 +260,7 @@ func RunStats(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics
 
 // RunAdapt is RunStats plus the online-adaptation engine's final
 // snapshot (nil when adaptation is off) so the drift soak can report
-// inflation factors, drift events and recalibration counters.
+// inflation factors and drift events.
 func RunAdapt(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics.Record, rcache.Snapshot, *adapt.Snapshot) {
 	s := newSim(cfg, tr, samples)
 	for s.step() {
@@ -588,7 +587,7 @@ func (s *sim) finishTask(q *query) {
 	// Every task of a simulated query succeeds; under ForceProcess a late
 	// result still counts as served, though the engine learns nothing
 	// from it.
-	st := s.eng.Settle(s.now, &q.Query, q.outs, q.Subset, 0, late)
+	st := s.eng.Settle(&q.Query, q.outs, q.Subset, 0, late)
 	rec.Missed = false
 	rec.Degraded = st.Degraded
 	rec.Agreement = s.cfg.Scorer.Score(st.Output, s.cfg.Refs[q.sample.ID])

@@ -254,17 +254,19 @@ func Summarize(recs []Record) Summary { return metrics.Summarize(recs) }
 func (f *Framework) Save(path string) error { return f.arts.SaveFile(path) }
 
 // Load restores a framework from a snapshot written by Save. cfg must
-// describe the same dataset, models and seed the snapshot was fitted on.
+// describe the same dataset, models, seed and PredictorEpochs the snapshot
+// was fitted with.
 func Load(cfg Config, path string) (*Framework, error) {
 	delta := cfg.Delta
 	if delta <= 0 {
 		delta = 0.01
 	}
 	arts, err := pipeline.LoadFile(pipeline.Config{
-		Dataset:    cfg.Dataset,
-		Models:     cfg.Models,
-		Aggregator: cfg.Aggregator,
-		Seed:       cfg.Seed,
+		Dataset:         cfg.Dataset,
+		Models:          cfg.Models,
+		Aggregator:      cfg.Aggregator,
+		PredictorEpochs: cfg.PredictorEpochs,
+		Seed:            cfg.Seed,
 	}, path)
 	if err != nil {
 		return nil, err

@@ -127,7 +127,7 @@ func TestSaveLoadFramework(t *testing.T) {
 	}
 	ds, models := TextMatchingBench(42)
 	ds.Samples = ds.Samples[:2000]
-	restored, err := Load(Config{Dataset: ds, Models: models, Seed: 42}, path)
+	restored, err := Load(Config{Dataset: ds, Models: models, PredictorEpochs: 30, Seed: 42}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,11 @@ func TestSaveLoadFramework(t *testing.T) {
 	if restored.Difficulty(s) != f.Difficulty(s) {
 		t.Error("restored framework predicts differently")
 	}
-	if _, err := Load(Config{Dataset: ds, Models: models, Seed: 43}, path); err == nil {
+	if _, err := Load(Config{Dataset: ds, Models: models, PredictorEpochs: 30, Seed: 43}, path); err == nil {
 		t.Error("seed mismatch not rejected")
+	}
+	if _, err := Load(Config{Dataset: ds, Models: models, Seed: 42}, path); err == nil {
+		t.Error("PredictorEpochs mismatch not rejected")
 	}
 }
 
