@@ -58,16 +58,15 @@ test-race:
 # the two run unsynchronised by an event, so it is race-tested many
 # interleavings deep on every push. Then the tests on the frozen test
 # clock — the sim/serve equivalence replays, the turn and the deadline
-# tests, and the breaker and fault tests — run twenty times at one and at
-# two CPUs: each run must make the same decisions, or, where workers woken
-# at one instant draw from the runtime's shared RNG in the order the host
-# runs them, hold the same properties.
+# tests, the breaker and fault tests, and the chaos replays that must
+# repeat themselves — run twenty times at one and at two CPUs: each run
+# must make the same decisions.
 rig:
 	$(GO) test -race -count=20 \
 		-run 'TestDispatchGate|TestStaged|TestTurn|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
 		./internal/serve/
 	$(GO) test -count=20 -cpu 1,2 \
-		-run 'SimServeEquivalence|Turn|Deadline|Breaker|TestServe(Degraded|Hedge)|TestFaultTolerance' \
+		-run 'SimServeEquivalence|Turn|Deadline|Breaker|TestServe(Degraded|Hedge|NoFaults|Panic)|TestDefaultToleranceFaultFree|TestFaultTolerance|TestChaosReplay' \
 		./internal/serve/
 
 # golden regenerates every paper table and figure and fails unless the

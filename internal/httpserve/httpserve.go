@@ -239,7 +239,7 @@ type ModelHealth struct {
 }
 
 // HealthResponse is the /v1/health report: "ok" when every model is
-// schedulable, "degraded" when a breaker is open or a replica is down.
+// schedulable, "degraded" when a breaker is open or a model is down.
 type HealthResponse struct {
 	Status   string        `json:"status"`
 	Draining bool          `json:"draining,omitempty"`
@@ -602,7 +602,7 @@ func modelHealth(rt serve.Stats) []ModelHealth {
 }
 
 // handleHealth reports per-model schedulability: "degraded" while any
-// breaker is open or any replica sits in a crash-recovery window. Always
+// breaker is open or any model sits in a crash-recovery window. Always
 // HTTP 200 — /v1/healthz remains the liveness probe.
 func (h *Handler) handleHealth(w http.ResponseWriter) {
 	rt := h.srv.Stats()

@@ -283,7 +283,7 @@ func writeModelMetrics(b *strings.Builder, rt serve.Stats) {
 	for _, m := range rt.Models {
 		fmt.Fprintf(b, "schemble_model_breaker_open{model=%q} %d\n", m.Name, boolGauge(m.Breaker == "open"))
 	}
-	writeHeader(b, "schemble_model_down", "gauge", "1 while the model replica sits in a crash-recovery window.")
+	writeHeader(b, "schemble_model_down", "gauge", "1 while the model sits in a crash-recovery window.")
 	for _, m := range rt.Models {
 		fmt.Fprintf(b, "schemble_model_down{model=%q} %d\n", m.Name, boolGauge(m.Down))
 	}

@@ -4,17 +4,19 @@
 // taxonomy real ensemble-serving fleets see:
 //
 //   - transient error: the attempt fails immediately (connection reset,
-//     OOM-killed batch, CUDA error) but the replica stays healthy;
+//     OOM-killed batch, CUDA error) but the model stays healthy;
 //   - straggler: the attempt completes, but its latency is multiplied by a
 //     heavy tail factor (noisy neighbour, GC pause, thermal throttle);
-//   - crash: the replica dies and stays dead for a recovery window; every
-//     attempt inside the window fails instantly.
+//   - crash: the model dies and stays dead for a recovery window; every
+//     attempt that starts inside the window fails instantly.
 //
 // Prediction itself is never corrupted: a Faulty model that completes an
 // attempt returns exactly the wrapped model's deterministic output, so
-// fault injection is opt-in and orthogonal to accuracy. All draws come
-// from a private seeded rng.Source, which makes the fault sequence a pure
-// function of (seed, attempt order).
+// fault injection is opt-in and orthogonal to accuracy. An attempt's fault
+// is a pure function of (seed, the attempt's key), whatever order attempts
+// arrive in. The one state kept between attempts is the crash window, in
+// time: a crash drawn at an instant takes effect for attempts that start
+// after it, so attempts meeting at one instant decide alike in any order.
 package model
 
 import (
@@ -36,8 +38,8 @@ const (
 	// FaultStraggler means the attempt completes with its latency
 	// multiplied by the configured tail factor.
 	FaultStraggler
-	// FaultCrash means the replica is dead: this attempt (and every
-	// attempt until the recovery window elapses) fails instantly.
+	// FaultCrash means the model is dead: this attempt (and every attempt
+	// that starts before the recovery window elapses) fails instantly.
 	FaultCrash
 )
 
@@ -66,15 +68,15 @@ type FaultConfig struct {
 	// StragglerFactor multiplies a straggling attempt's latency
 	// (default 8).
 	StragglerFactor float64
-	// CrashMTBF is the mean time between replica crashes, expressed in the
+	// CrashMTBF is the mean time between model crashes, expressed in the
 	// same time base as the latency passed to Attempt; 0 disables crashes.
 	// Each attempt crashes with probability lat/CrashMTBF.
 	CrashMTBF time.Duration
-	// CrashRecovery is how long a crashed replica stays dead, expressed in
+	// CrashRecovery is how long a crashed model stays dead, expressed in
 	// the time base of the `now` passed to Attempt (default
 	// DefaultCrashRecovery).
 	CrashRecovery time.Duration
-	// Seed drives the private fault stream.
+	// Seed, with each attempt's key, seeds that attempt's fault draws.
 	Seed uint64
 }
 
@@ -114,51 +116,50 @@ type Faulty struct {
 	Model
 	cfg FaultConfig
 
-	mu        sync.Mutex
-	src       *rng.Source
-	downUntil time.Time
+	// mu guards the crash window (crashedAt, downUntil).
+	mu                   sync.Mutex
+	crashedAt, downUntil time.Time
 }
 
 // NewFaulty wraps m with the given fault configuration.
 func NewFaulty(m Model, cfg FaultConfig) *Faulty {
-	cfg = cfg.withDefaults()
-	return &Faulty{Model: m, cfg: cfg, src: rng.New(cfg.Seed ^ 0xfa017)}
+	return &Faulty{Model: m, cfg: cfg.withDefaults()}
 }
 
-// Config returns the (defaulted) fault configuration.
-func (f *Faulty) Config() FaultConfig { return f.cfg }
-
-// Down reports whether the replica is inside a crash-recovery window.
+// Down reports whether an attempt starting at now would meet the model
+// inside a crash-recovery window: false at the crash instant itself.
 func (f *Faulty) Down(now time.Time) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return now.Before(f.downUntil)
+	return now.After(f.crashedAt) && now.Before(f.downUntil)
 }
 
-// Attempt draws the fault outcome for one execution attempt starting at
-// now whose fault-free latency would be lat. A dead replica fails with
-// FaultCrash without consuming a draw, so the fault stream stays a
-// deterministic function of the executed-attempt sequence.
-func (f *Faulty) Attempt(now time.Time, lat time.Duration) Decision {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if now.Before(f.downUntil) {
+// Attempt draws the fault outcome for the execution attempt named key,
+// starting at now, whose fault-free latency would be lat. The draws come
+// from a stream of (Seed, key) alone; an attempt that starts inside a crash
+// window fails with FaultCrash without drawing.
+func (f *Faulty) Attempt(now time.Time, lat time.Duration, key uint64) Decision {
+	if f.Down(now) {
 		return Decision{Kind: FaultCrash, LatencyFactor: 1}
 	}
+	var src rng.Source
+	src.Reseed(rng.Mix(f.cfg.Seed^0xfa017, key))
 	if f.cfg.CrashMTBF > 0 {
 		p := float64(lat) / float64(f.cfg.CrashMTBF)
 		if p > 0.9 {
 			p = 0.9
 		}
-		if f.src.Bool(p) {
-			f.downUntil = now.Add(f.cfg.CrashRecovery)
+		if src.Bool(p) {
+			f.mu.Lock()
+			f.crashedAt, f.downUntil = now, now.Add(f.cfg.CrashRecovery)
+			f.mu.Unlock()
 			return Decision{Kind: FaultCrash, LatencyFactor: 1}
 		}
 	}
-	if f.cfg.TransientRate > 0 && f.src.Bool(f.cfg.TransientRate) {
+	if f.cfg.TransientRate > 0 && src.Bool(f.cfg.TransientRate) {
 		return Decision{Kind: FaultTransient, LatencyFactor: 1}
 	}
-	if f.cfg.StragglerRate > 0 && f.src.Bool(f.cfg.StragglerRate) {
+	if f.cfg.StragglerRate > 0 && src.Bool(f.cfg.StragglerRate) {
 		return Decision{Kind: FaultStraggler, LatencyFactor: f.cfg.StragglerFactor}
 	}
 	return Decision{Kind: FaultNone, LatencyFactor: 1}

@@ -31,11 +31,24 @@ func splitmix64(x *uint64) uint64 {
 // New returns a Source seeded from seed via splitmix64.
 func New(seed uint64) *Source {
 	var src Source
-	x := seed
-	for i := range src.s {
-		src.s[i] = splitmix64(&x)
-	}
+	src.Reseed(seed)
 	return &src
+}
+
+// Reseed resets r in place, allocating nothing, to the stream New(seed)
+// starts.
+func (r *Source) Reseed(seed uint64) {
+	x := seed
+	for i := range r.s {
+		r.s[i] = splitmix64(&x)
+	}
+}
+
+// Mix returns the seed of the stream key names under seed: for one seed a
+// bijection of key, so distinct keys get distinct, unrelated streams.
+func Mix(seed, key uint64) uint64 {
+	x := seed ^ key
+	return splitmix64(&x)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

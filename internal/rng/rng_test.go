@@ -49,6 +49,46 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesNew: a Source reseeded in place, after any use, runs the
+// stream New starts for that seed, and reseeding allocates nothing.
+func TestReseedMatchesNew(t *testing.T) {
+	r := New(1)
+	for _, seed := range []uint64{42, 7, 42} {
+		r.Uint64()
+		r.Reseed(seed)
+		want := New(seed)
+		for i := 0; i < 100; i++ {
+			if r.Uint64() != want.Uint64() {
+				t.Fatalf("seed %d: reseeded stream diverged at step %d", seed, i)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Reseed(Mix(9, r.Uint64())) }); n != 0 {
+		t.Errorf("Reseed(Mix(...)) allocates %v times per call", n)
+	}
+}
+
+// TestMixDistinctKeys: under one seed, nearby keys name distinct streams
+// whose first draws do not collide, and another seed renames them all.
+func TestMixDistinctKeys(t *testing.T) {
+	seen := map[uint64]bool{}
+	first := map[uint64]bool{}
+	for key := uint64(0); key < 4096; key++ {
+		m := Mix(5, key)
+		if seen[m] {
+			t.Fatalf("key %d repeats an earlier key's stream", key)
+		}
+		seen[m] = true
+		first[New(m).Uint64()] = true
+		if Mix(6, key) == m {
+			t.Errorf("key %d: seeds 5 and 6 name the same stream", key)
+		}
+	}
+	if len(first) != len(seen) {
+		t.Errorf("%d first draws over %d streams", len(first), len(seen))
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

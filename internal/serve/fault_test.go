@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"reflect"
 	"runtime"
@@ -138,15 +139,12 @@ func TestChaosFaultInjectionStress(t *testing.T) {
 // TestServeNoFaultsBitIdentical pins the opt-in guarantee: with zero fault
 // and tolerance configs the runtime serves outputs bit-identical to the
 // deterministic fault-free prediction path, never degrades, and touches no
-// fault machinery.
+// fault machinery. The requests arrive a second apart on the frozen clock,
+// each meeting an idle fleet.
 func TestServeNoFaultsBitIdentical(t *testing.T) {
 	a := artifacts(t)
 	s := newServer(t, a) // zero Faults / Tolerance
-	s.Start(context.Background())
-	defer s.Stop()
-
-	for i := 0; i < 30; i++ {
-		r := <-s.Submit(a.Serve[i], time.Second)
+	for i, r := range replay(t, s, spaced(30, time.Second, time.Second), a.Serve) {
 		if r.Degraded {
 			t.Fatalf("request %d degraded with injection off", i)
 		}
@@ -162,7 +160,9 @@ func TestServeNoFaultsBitIdentical(t *testing.T) {
 	if st.Degraded != 0 {
 		t.Errorf("Degraded = %d with injection off", st.Degraded)
 	}
+	var executed uint64
 	for k, m := range st.Models {
+		executed += m.Executed
 		if m.Breaker != "off" {
 			t.Errorf("model %d breaker %q, want off", k, m.Breaker)
 		}
@@ -171,35 +171,25 @@ func TestServeNoFaultsBitIdentical(t *testing.T) {
 			t.Errorf("model %d fault counters non-zero with injection off: %+v", k, m)
 		}
 	}
+	if executed != 90 {
+		t.Errorf("executed %d tasks, want 90", executed)
+	}
 }
 
 // TestDefaultToleranceFaultFreeNeverHedgesOrRetries: with every mitigation
-// on and no fault injected, a few hundred requests submitted at once — the
-// buffer deep, workers queued, the coordinator behind — take no hedge and
-// no retry. A hedge is armed only on an attempt the injector marked as a
-// straggler, and a retry only after an injected fault or a Predict panic:
-// host queueing alone triggers neither.
+// on and no fault injected, a few hundred requests submitted at one instant
+// of the frozen clock — the buffer deep, workers queued, the coordinator
+// behind — take no hedge and no retry. A hedge is armed only on an attempt
+// the injector marked as a straggler, and a retry only after an injected
+// fault or a Predict panic: host queueing alone triggers neither.
 func TestDefaultToleranceFaultFreeNeverHedgesOrRetries(t *testing.T) {
 	a := artifacts(t)
-	s := New(Config{
-		Ensemble:  a.Ensemble,
-		Scheduler: &core.DP{Delta: 0.01},
-		Rewarder:  a.Profile,
-		Estimator: a.Predictor,
-		TimeScale: 0.02,
-		Seed:      1,
-		Tolerance: DefaultTolerance(),
-	})
-	s.Start(context.Background())
-	defer s.Stop()
+	cfg := baseConfig(a)
+	cfg.TimeScale = 0.02
+	cfg.Tolerance = DefaultTolerance()
+	s := New(cfg)
 	const n = 300
-	chans := make([]<-chan Result, n)
-	for i := range chans {
-		chans[i] = s.Submit(a.Serve[i%len(a.Serve)], 10*time.Second)
-	}
-	for _, ch := range chans {
-		<-ch
-	}
+	replay(t, s, spaced(n, 0, 10*time.Second), a.Serve)
 	st := s.Stats()
 	if st.Resolved != n {
 		t.Fatalf("%d of %d requests resolved", st.Resolved, n)
@@ -211,8 +201,8 @@ func TestDefaultToleranceFaultFreeNeverHedgesOrRetries(t *testing.T) {
 			t.Errorf("model %d took mitigations with no fault injected: %+v", k, m)
 		}
 	}
-	if executed == 0 {
-		t.Fatal("no task ran")
+	if executed != 219 {
+		t.Errorf("executed %d tasks, want 219", executed)
 	}
 	t.Logf("served %d degraded %d missed %d over %d tasks", st.Served, st.Degraded, st.Missed, executed)
 }
@@ -410,90 +400,232 @@ func TestServeHedgeRescuesStragglers(t *testing.T) {
 	}
 }
 
-// TestFaultToleranceAgainstFeatures runs the tolerance layer under chaos
-// faults against each opt-in feature in turn, on the frozen clock: request
-// classes, the result cache, online adaptation and replica pools. In every
-// pairing each request resolves exactly once, the runtime's books per class
-// partition what was submitted and agree with what the callers received,
-// and no commit puts work on a model its pass had blocked — behind a
-// breaker or inside a crash window.
-func TestFaultToleranceAgainstFeatures(t *testing.T) {
-	a := artifacts(t)
-	for _, tc := range []struct {
-		name  string
-		tweak func(*Config)
-	}{
+// chaosRun is what one replay of the chaos trace leaves behind, for a
+// second replay to repeat.
+type chaosRun struct {
+	stats   Stats
+	results []Result
+	traces  []obsv.DecisionTrace // by ID
+}
+
+// replayChaos replays the chaos trace on the frozen clock through a server
+// under chaos faults and the tolerance layer, built with tweak: 200 requests
+// 40ms apart, cycling through 40 samples (and, classed, through the
+// classes), each with a 400ms budget. It fails the test unless each request
+// resolves exactly once, the runtime's books per class partition what was
+// submitted and agree with what the callers received, no commit puts work
+// on a model its pass had blocked — behind a breaker or inside a crash
+// window — and the chaos both faulted and blocked.
+func replayChaos(t *testing.T, a *pipeline.Artifacts, tweak func(*Config)) chaosRun {
+	t.Helper()
+	var mu sync.Mutex
+	var traces []obsv.DecisionTrace
+	cfg := baseConfig(a)
+	cfg.Faults = chaosFaults()
+	cfg.Tolerance = DefaultTolerance()
+	cfg.Obs = obsv.Config{Sink: func(tr obsv.DecisionTrace) {
+		mu.Lock()
+		traces = append(traces, tr)
+		mu.Unlock()
+	}}
+	tweak(&cfg)
+	s := New(cfg)
+	tr := &trace.Trace{}
+	for i := 0; i < 200; i++ {
+		at := time.Duration(i) * 40 * time.Millisecond
+		arr := trace.Arrival{SampleIdx: i % 40, At: at, Deadline: at + 400*time.Millisecond}
+		if len(cfg.Classes) > 0 {
+			arr.Class = cfg.Classes[i%len(cfg.Classes)].Name
+		}
+		tr.Arrivals = append(tr.Arrivals, arr)
+	}
+	clk, chans := play(t, s, tr, a.Serve)
+	results := collect(t, clk, chans)
+	agg := aggregateByClass(tr, results)
+	s.Stop()
+	for i, ch := range chans {
+		assertNoSecondResult(t, i, ch)
+	}
+
+	st := s.Stats()
+	books := st.Classes
+	if len(books) == 0 {
+		books = []ClassStats{{Submitted: st.Submitted, Served: st.Served, Degraded: st.Degraded, Missed: st.Missed, Rejected: st.Rejected}}
+	}
+	if st.Submitted != uint64(len(chans)) || st.Resolved != st.Submitted {
+		t.Errorf("submitted %d, resolved %d, of %d requests", st.Submitted, st.Resolved, len(chans))
+	}
+	for _, cs := range books {
+		got := classAgg{int(cs.Submitted), int(cs.Rejected), int(cs.Missed), int(cs.Degraded), int(cs.Served)}
+		if cs.Served+cs.Degraded+cs.Missed+cs.Rejected != cs.Submitted || agg[cs.Name] == nil || got != *agg[cs.Name] {
+			t.Errorf("class %q: books %+v, callers received %+v", cs.Name, got, agg[cs.Name])
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	slices.SortFunc(traces, func(x, y obsv.DecisionTrace) int { return cmp.Compare(x.ID, y.ID) })
+	blocked := 0
+	for _, dt := range traces {
+		if len(dt.Blocked) > 0 {
+			blocked++
+		}
+		for _, k := range dt.Blocked {
+			if slices.Contains(dt.Subset, k) {
+				t.Errorf("request %d committed onto %v with model %d blocked at its pass", dt.ID, dt.Subset, k)
+			}
+		}
+	}
+	var faults uint64
+	for _, m := range st.Models {
+		faults += m.Transient + m.Stragglers + m.Crashes
+	}
+	if faults == 0 || blocked == 0 {
+		t.Errorf("chaos exercised too little: %d faults, %d commits around a blocked model", faults, blocked)
+	}
+	t.Logf("served %d degraded %d missed %d rejected %d; %d faults, %d commits around a blocked model",
+		st.Served, st.Degraded, st.Missed, st.Rejected, faults, blocked)
+	return chaosRun{stats: st, results: results, traces: traces}
+}
+
+// replayChaosTwice replays the chaos trace twice through servers built with
+// tweak and fails the test unless the second run repeats the first: the
+// same result per request, the same Stats and the same decision traces.
+// What a task draws does not depend on the worker that runs it, so only
+// what a run reads off the order in which the host runs goroutines woken
+// at one instant may move, and sameRun leaves that out.
+func replayChaosTwice(t *testing.T, a *pipeline.Artifacts, tweak func(*Config)) Stats {
+	t.Helper()
+	first, second := replayChaos(t, a, tweak), replayChaos(t, a, tweak)
+	first.sameRun()
+	second.sameRun()
+	for i := range first.results {
+		if !reflect.DeepEqual(first.results[i], second.results[i]) {
+			t.Errorf("request %d: %+v, then %+v", i, first.results[i], second.results[i])
+			break
+		}
+	}
+	if !reflect.DeepEqual(first.stats, second.stats) {
+		t.Errorf("Stats differ between two replays:\n%+v\n%+v", first.stats, second.stats)
+	}
+	if len(first.traces) != len(second.traces) {
+		t.Fatalf("%d decision traces, then %d", len(first.traces), len(second.traces))
+	}
+	for i := range first.traces {
+		if !reflect.DeepEqual(first.traces[i], second.traces[i]) {
+			t.Errorf("decision trace %d differs between two replays:\n%+v\n%+v", first.traces[i].ID, first.traces[i], second.traces[i])
+			break
+		}
+	}
+	return first.stats
+}
+
+// sameRun reduces r to what two replays on the frozen clock must agree on
+// by leaving out what is host order:
+//   - which parked replica of a pool takes a task: the per-replica
+//     breakdowns (ReplicaExecuted, ReplicaFailures, adapt's ReplicaSamples)
+//     count by their per-model sums;
+//   - whether a worker woken by a pass takes its task before the same pass
+//     reads the queue depths for a later commit's trace (QueueDepths), or
+//     parks before the coordinator has handled its completion (Starved);
+//   - whether a completion posted at the instant a turn begins lands in
+//     that turn or the next, which moves the turn count (TurnEvents,
+//     PassTime's count) and the load the passes smooth (Load).
+//
+// The last two show under the race detector's scheduling, seldom without.
+func (r *chaosRun) sameRun() {
+	sum := func(xs []uint64) []uint64 {
+		var n uint64
+		for _, x := range xs {
+			n += x
+		}
+		return []uint64{n}
+	}
+	st := &r.stats
+	for k := range st.Models {
+		st.Models[k].ReplicaExecuted = sum(st.Models[k].ReplicaExecuted)
+		st.Models[k].ReplicaFailures = sum(st.Models[k].ReplicaFailures)
+		st.Models[k].Starved = obsv.HistogramSnapshot{}
+	}
+	if st.Adapt != nil {
+		for k := range st.Adapt.Models {
+			st.Adapt.Models[k].ReplicaSamples = sum(st.Adapt.Models[k].ReplicaSamples)
+		}
+	}
+	st.TurnEvents, st.PassTime, st.Load = obsv.HistogramSnapshot{}, obsv.HistogramSnapshot{}, 0
+	for i := range r.traces {
+		r.traces[i].QueueDepths = nil
+	}
+}
+
+// chaosFeature is a named tweak of a chaos replay's server.
+type chaosFeature struct {
+	name  string
+	tweak func(*Config)
+}
+
+// chaosFeatures are the opt-in features the chaos replays run the tolerance
+// layer against.
+func chaosFeatures(t *testing.T, a *pipeline.Artifacts) []chaosFeature {
+	return []chaosFeature{
 		{"classes", func(c *Config) { c.Classes = testClasses() }},
 		{"cache", func(c *Config) { c.Cache = rcache.Config{Keyer: testKeyer(t, a, 16), DifficultyMax: 1} }},
 		{"adapt", func(c *Config) { c.Adapt = adapt.Config{Enable: true} }},
 		{"replicas", func(c *Config) { c.Replicas = []int{2, 2, 2} }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			var traces []obsv.DecisionTrace
-			cfg := baseConfig(a)
-			cfg.Faults = chaosFaults()
-			cfg.Tolerance = DefaultTolerance()
-			cfg.Obs = obsv.Config{Sink: func(tr obsv.DecisionTrace) {
-				mu.Lock()
-				traces = append(traces, tr)
-				mu.Unlock()
-			}}
-			tc.tweak(&cfg)
-			s := New(cfg)
-			tr := &trace.Trace{}
-			for i := 0; i < 200; i++ {
-				at := time.Duration(i) * 40 * time.Millisecond
-				arr := trace.Arrival{SampleIdx: i % 40, At: at, Deadline: at + 400*time.Millisecond}
-				if len(cfg.Classes) > 0 {
-					arr.Class = cfg.Classes[i%len(cfg.Classes)].Name
-				}
-				tr.Arrivals = append(tr.Arrivals, arr)
-			}
-			clk, chans := play(t, s, tr, a.Serve)
-			agg := aggregateByClass(tr, collect(t, clk, chans))
-			s.Stop()
-			for i, ch := range chans {
-				assertNoSecondResult(t, i, ch)
-			}
+	}
+}
 
-			st := s.Stats()
-			books := st.Classes
-			if len(books) == 0 {
-				books = []ClassStats{{Submitted: st.Submitted, Served: st.Served, Degraded: st.Degraded, Missed: st.Missed, Rejected: st.Rejected}}
-			}
-			if st.Submitted != uint64(len(chans)) || st.Resolved != st.Submitted {
-				t.Errorf("submitted %d, resolved %d, of %d requests", st.Submitted, st.Resolved, len(chans))
-			}
-			for _, cs := range books {
-				got := classAgg{int(cs.Submitted), int(cs.Rejected), int(cs.Missed), int(cs.Degraded), int(cs.Served)}
-				if cs.Served+cs.Degraded+cs.Missed+cs.Rejected != cs.Submitted || agg[cs.Name] == nil || got != *agg[cs.Name] {
-					t.Errorf("class %q: books %+v, callers received %+v", cs.Name, got, agg[cs.Name])
-				}
-			}
+// TestChaosReplayIsOneRun: on the frozen clock a run is one run. Every
+// attempt draws its latency, hedge, backoff and fault from a key of its own
+// (the request, the model, the attempt), so workers woken at one instant
+// draw the same whatever order the host runs them in, and the chaos trace
+// replayed twice — bare and with each opt-in feature alone — gives the
+// same Stats, results and decision traces.
+func TestChaosReplayIsOneRun(t *testing.T) {
+	a := artifacts(t)
+	rows := append([]chaosFeature{{"bare", func(*Config) {}}}, chaosFeatures(t, a)...)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) { replayChaosTwice(t, a, row.tweak) })
+	}
+}
 
-			mu.Lock()
-			defer mu.Unlock()
-			blocked := 0
-			for _, dt := range traces {
-				if len(dt.Blocked) > 0 {
-					blocked++
-				}
-				for _, k := range dt.Blocked {
-					if slices.Contains(dt.Subset, k) {
-						t.Errorf("request %d committed onto %v with model %d blocked at its pass", dt.ID, dt.Subset, k)
-					}
-				}
+// TestFaultToleranceAgainstFeatures runs the tolerance layer under chaos
+// faults against every pair of the opt-in features — request classes, the
+// result cache, online adaptation and replica pools — and all four at
+// once, each row replayed twice on the frozen clock (replayChaosTwice):
+// every property replayChaos checks holds in both runs, the two agree, and
+// the outcome counts are the ones pinned here, so a change that moves a
+// decision under faults shows in this table.
+func TestFaultToleranceAgainstFeatures(t *testing.T) {
+	a := artifacts(t)
+	// served, degraded, missed, rejected
+	want := map[string][4]uint64{
+		"classes+cache":                {197, 2, 1, 0},
+		"classes+adapt":                {178, 10, 12, 0},
+		"classes+replicas":             {168, 24, 8, 0},
+		"cache+adapt":                  {197, 2, 1, 0},
+		"cache+replicas":               {199, 1, 0, 0},
+		"adapt+replicas":               {177, 15, 8, 0},
+		"classes+cache+adapt+replicas": {199, 1, 0, 0},
+	}
+	features := chaosFeatures(t, a)
+	var rows []chaosFeature
+	for i, f := range features {
+		for _, g := range features[i+1:] {
+			rows = append(rows, chaosFeature{f.name + "+" + g.name, func(c *Config) { f.tweak(c); g.tweak(c) }})
+		}
+	}
+	rows = append(rows, chaosFeature{"classes+cache+adapt+replicas", func(c *Config) {
+		for _, f := range features {
+			f.tweak(c)
+		}
+	}})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			st := replayChaosTwice(t, a, r.tweak)
+			if got := [4]uint64{st.Served, st.Degraded, st.Missed, st.Rejected}; got != want[r.name] {
+				t.Errorf("served/degraded/missed/rejected = %v, want %v", got, want[r.name])
 			}
-			var faults uint64
-			for _, m := range st.Models {
-				faults += m.Transient + m.Stragglers + m.Crashes
-			}
-			if faults == 0 || blocked == 0 {
-				t.Errorf("chaos exercised too little: %d faults, %d commits around a blocked model", faults, blocked)
-			}
-			t.Logf("served %d degraded %d missed %d rejected %d; %d faults, %d commits around a blocked model",
-				st.Served, st.Degraded, st.Missed, st.Rejected, faults, blocked)
 		})
 	}
 }
@@ -523,25 +655,18 @@ func TestServePanicFailsTaskNotWorker(t *testing.T) {
 		TimeScale: 0.1,
 		Seed:      1,
 	})
-	s.Start(context.Background())
-	defer s.Stop()
-
-	// If the panic killed the worker, its queue would strand and later
-	// requests would hang until their deadlines.
-	for i := 0; i < 5; i++ {
-		select {
-		case r := <-s.Submit(a.Serve[i], time.Second):
-			if r.Rejected {
-				t.Fatalf("request %d rejected", i)
-			}
-			if r.Subset.Contains(0) {
-				t.Errorf("request %d output claims the panicking model contributed", i)
-			}
-			if !r.Missed && r.Output.Probs == nil {
-				t.Errorf("request %d served without output", i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("request %d hung — did the panic kill the worker?", i)
+	// The requests arrive a second apart on the frozen clock, each meeting
+	// an idle fleet. Had the panic killed model 0's one worker, the clock
+	// would never find the runtime quiet again.
+	for i, r := range replay(t, s, spaced(5, time.Second, time.Second), a.Serve) {
+		if r.Rejected || r.Missed {
+			t.Fatalf("request %d rejected or missed: %+v", i, r)
+		}
+		if r.Subset.Contains(0) {
+			t.Errorf("request %d output claims the panicking model contributed", i)
+		}
+		if r.Output.Probs == nil {
+			t.Errorf("request %d served without output", i)
 		}
 	}
 	st := s.Stats()

@@ -21,9 +21,9 @@ func newObsServer(t *testing.T, obs obsv.Config) *Server {
 // TestServeObservabilityBitIdentical extends the determinism guarantee to
 // the new hooks: a twin pair of seeded servers — one with observability
 // off (zero-value config), one with tracing on — must produce identical
-// Results request for request, because the observability path never draws
-// from the runtime's RNG. Requests are submitted sequentially so subset
-// selection is deterministic.
+// Results request for request, because the observability path makes no
+// random draw. Requests are submitted sequentially so subset selection is
+// deterministic.
 func TestServeObservabilityBitIdentical(t *testing.T) {
 	const n = 25
 	plain, traced := twins(t, artifacts(t), n, func(c *Config) { c.Obs = obsv.Config{TraceBuffer: 256} })

@@ -43,7 +43,7 @@
 // Stop abandons committed work; Drain finishes it first.
 //
 // The runtime also survives an unreliable substrate. Config.Faults injects
-// deterministic transient errors, stragglers and replica crashes via
+// deterministic transient errors, stragglers and model crashes via
 // model.Faulty; Config.Tolerance.Enable switches on every mitigation at
 // once: bounded retries with jittered backoff, hedged re-issue of
 // straggling attempts, per-task deadline timeouts, a per-model circuit
@@ -102,11 +102,15 @@ type Config struct {
 	// the set of deadline-feasible plans instead of merely draining the
 	// queue faster.
 	Replicas []int
-	Seed     uint64
+	// Seed, with the request's submission number, the model and the
+	// attempt's index, keys every draw a task attempt makes (latency, hedge
+	// latency, backoff jitter), whichever worker runs it and whenever.
+	Seed uint64
 
 	// Faults injects deterministic failures into every model's task
-	// execution, each model drawing from its own seeded stream (zero value:
-	// no injection). Durations are virtual, like model latencies.
+	// execution (zero value: no injection), each attempt's drawn from
+	// Faults.Seed and the same key; a model's crash window is the one fault
+	// state attempts share. Durations are virtual, like model latencies.
 	Faults model.FaultConfig
 	// Tolerance switches the fault-tolerant execution layer: every
 	// mitigation on (DefaultTolerance) or none. The zero value leaves the
@@ -116,7 +120,7 @@ type Config struct {
 	// Obs opts into request-level observability: decision traces in a
 	// bounded ring buffer plus per-outcome latency histograms. The zero
 	// value disables every hook and keeps the hot path bit-identical
-	// (observability never draws from the runtime's RNG).
+	// (observability makes no random draw).
 	Obs obsv.Config
 
 	// Classes declares the request classes (tenant/priority tiers) and
@@ -199,6 +203,8 @@ const (
 
 // request tracks one in-flight query.
 type request struct {
+	// seq is the submission number, from 1: the trace ID and attemptKey's.
+	seq uint64
 	// Query is the decision engine's view. SubmitClass fills it before the
 	// request is shared (the event-channel send orders those writes); from
 	// then on only the coordinator touches it: ID when the request is
@@ -258,7 +264,7 @@ type modelCounters struct {
 	failures   atomic.Uint64 // tasks that failed permanently
 	transient  atomic.Uint64 // transient faults observed
 	stragglers atomic.Uint64 // straggling attempts observed
-	crashes    atomic.Uint64 // attempts hitting a dead/crashing replica
+	crashes    atomic.Uint64 // attempts hitting a dead/crashing model
 	timeouts   atomic.Uint64 // attempts abandoned at the request deadline
 	panics     atomic.Uint64 // Predict panics contained
 	retries    atomic.Uint64 // retry attempts issued
@@ -331,15 +337,9 @@ type Server struct {
 	//schemble:guardedby lifeMu serving epoch start
 	start time.Time
 
-	//schemble:guardedby srcMu deterministic RNG is not itself concurrency-safe
-	src   *rng.Source
-	srcMu sync.Mutex
-
 	// obs collects decision traces and latency histograms; nil (all hooks
-	// skipped) unless Config.Obs enables it. reqSeq numbers submissions for
-	// trace IDs.
-	obs    *obsv.Observer
-	reqSeq atomic.Uint64
+	// skipped) unless Config.Obs enables it.
+	obs *obsv.Observer
 
 	// eng is the decision pipeline (internal/engine) this runtime drives:
 	// SubmitClass calls its arrival path from any goroutine, the coordinator
@@ -404,7 +404,7 @@ type ModelHealth struct {
 	Breaker             string
 	ConsecutiveFailures int
 	BreakerTrips        uint64
-	// Down is true while the (injected) replica sits in a crash-recovery
+	// Down is true while the (injected) model sits in a crash-recovery
 	// window.
 	Down     bool
 	Executed uint64
@@ -499,7 +499,7 @@ type Stats struct {
 }
 
 // Healthy reports whether every model is schedulable: no breaker open and
-// no replica inside a crash-recovery window.
+// no model inside a crash-recovery window.
 func (st Stats) Healthy() bool {
 	for _, m := range st.Models {
 		if m.Breaker == "open" || m.Down {
@@ -527,8 +527,8 @@ func New(cfg Config) *Server {
 		tol:      cfg.Tolerance,
 		scale:    cfg.TimeScale,
 		events:   make(chan event, 4*cfg.QueueDepth),
-		src:      rng.New(cfg.Seed ^ 0x5e7e),
 		obs:      obsv.NewObserver(cfg.Obs),
+		faulty:   make([]*model.Faulty, m),
 		mstats:   make([]modelCounters, m),
 		breakers: make([]breakerState, m),
 		replicas: make([]int, m),
@@ -576,8 +576,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// injectFaults installs model k's fault injector, drawing from a stream of
-// its own; the server must not be started yet.
+// injectFaults installs model k's fault injector (the attempt keys carry k,
+// so models share fc's seed); the server must not be started yet.
 func (s *Server) injectFaults(k int, fc model.FaultConfig) {
 	// Faulty.Attempt gets the clock's nows but virtual latencies, so
 	// CrashMTBF stays virtual while the recovery window is scaled to wall
@@ -586,10 +586,6 @@ func (s *Server) injectFaults(k int, fc model.FaultConfig) {
 		fc.CrashRecovery = model.DefaultCrashRecovery
 	}
 	fc.CrashRecovery = time.Duration(float64(fc.CrashRecovery) * s.scale)
-	fc.Seed = fc.Seed*0x9e3779b97f4a7c15 + uint64(k) + 1
-	if s.faulty == nil {
-		s.faulty = make([]*model.Faulty, len(s.replicas))
-	}
 	s.faulty[k] = model.NewFaulty(s.cfg.Ensemble.Models[k], fc)
 }
 
@@ -756,8 +752,8 @@ func (s *Server) Stats() Stats {
 			mh.ConsecutiveFailures = b.consec
 			mh.BreakerTrips = b.trips
 		}
-		if s.faulty != nil && s.faulty[k] != nil {
-			mh.Down = s.faulty[k].Down(wallNow)
+		if f := s.faulty[k]; f != nil {
+			mh.Down = f.Down(wallNow)
 		}
 		st.Models[k] = mh
 	}
@@ -824,6 +820,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	// adaptation, the cache, admission — sees for this request, as the
 	// simulator hands it its clock.
 	req := &request{
+		seq: s.nSubmitted.Add(1),
 		Query: engine.Query{
 			Class:    ci,
 			Arrival:  s.virtual(now),
@@ -836,7 +833,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	}
 	if s.obs != nil {
 		req.tr = &obsv.DecisionTrace{
-			ID:       s.reqSeq.Add(1),
+			ID:       req.seq,
 			SampleID: sample.ID,
 			CameraID: sample.CameraID,
 			Queued:   req.Arrival,
@@ -847,7 +844,6 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 			req.tr.Ladder = s.eng.QoS.Ladder()
 		}
 	}
-	s.nSubmitted.Add(1)
 	if ci >= 0 {
 		s.classStats[ci].submitted.Add(1)
 	}
@@ -924,17 +920,16 @@ func (s *Server) latency(r *request) time.Duration {
 // never strand the replica.
 func (s *Server) worker(ctx context.Context, k, r int) {
 	m := s.cfg.Ensemble.Models[k]
-	var inj *model.Faulty
-	if s.faulty != nil {
-		inj = s.faulty[k]
-	}
+	inj := s.faulty[k]
 	w := s.clk.newWaiter()
+	// src is reseeded in place for every attempt the replica runs.
+	src := new(rng.Source)
 	for {
 		t, alive := s.nextTask(ctx, k)
 		if !alive {
 			return
 		}
-		if !s.runTask(ctx, w, m, inj, k, r, t) {
+		if !s.runTask(ctx, w, src, m, inj, k, r, t) {
 			return
 		}
 	}
@@ -980,14 +975,14 @@ func (s *Server) nextTask(ctx context.Context, k int) (t *task, alive bool) {
 // skipped task included, so a task is in its model's queue or on a busy
 // replica until the coordinator hears of it. Returns false when the runtime
 // context was cancelled and the worker must exit.
-func (s *Server) runTask(ctx context.Context, w *waiter, m model.Model, inj *model.Faulty, k, r int, t *task) bool {
+func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k, r int, t *task) bool {
 	rc := &s.rstats[k][r]
 	rc.busy.Store(1)
 	defer rc.busy.Store(0)
 	var done, ran, failed, cutoff bool
 	if !t.req.isResolved() {
 		ran = true
-		out, vlat, end := s.execute(ctx, w, m, inj, k, t.req)
+		out, vlat, end := s.execute(ctx, w, src, m, inj, k, t.req)
 		if end == endDead {
 			return false
 		}
@@ -1034,14 +1029,23 @@ const (
 	endDead                  // the runtime context was cancelled mid-attempt
 )
 
+// attemptKey names attempt a of request seq's task on model k, the key
+// every draw of the attempt is seeded from. k < ensemble.MaxModels and
+// a <= maxRetries each fit their byte.
+func attemptKey(seq uint64, k, a int) uint64 {
+	return seq<<16 | uint64(k)<<8 | uint64(a)
+}
+
 // execute runs one task's attempt chain for model k: draw the injected
 // fault, sleep the (scaled, possibly straggling) latency with optional
 // hedging and deadline cutoff, run Predict panic-safely, and retry failed
-// attempts with jittered exponential backoff while the budget lasts. end
-// says how the chain ended; on endDead the worker must exit silently. vlat
-// is the winning attempt's virtual service time — the sample the
-// adaptation layer's latency sketches ingest.
-func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *model.Faulty, k int, r *request) (out model.Output, vlat time.Duration, end taskEnd) {
+// attempts with jittered exponential backoff while the budget lasts. Each
+// attempt reseeds src from its key and draws from it in one order: the
+// latency, then the hedge's latency, then the backoff jitter. end says how
+// the chain ended; on endDead the worker must exit silently. vlat is the
+// winning attempt's virtual service time — the sample the adaptation
+// layer's latency sketches ingest.
+func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k int, r *request) (out model.Output, vlat time.Duration, end taskEnd) {
 	c := &s.mstats[k]
 	timedOut := func() {
 		c.timeouts.Add(1)
@@ -1050,9 +1054,9 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		s.srcMu.Lock()
-		lat := m.SampleLatency(s.src)
-		s.srcMu.Unlock()
+		key := attemptKey(r.seq, k, attempt)
+		src.Reseed(rng.Mix(s.cfg.Seed^0x5e7e, key))
+		lat := m.SampleLatency(src)
 		// The attempt's start: the drift schedule, the fault injector's crash
 		// windows, the deadline budget and the wait target all take this
 		// one instant.
@@ -1064,118 +1068,101 @@ func (s *Server) execute(ctx context.Context, w *waiter, m model.Model, inj *mod
 		}
 		dec := model.Decision{Kind: model.FaultNone, LatencyFactor: 1}
 		if inj != nil {
-			dec = inj.Attempt(now, lat)
+			dec = inj.Attempt(now, lat, key)
 		}
-		if dec.Kind == model.FaultCrash || dec.Kind == model.FaultTransient {
-			if dec.Kind == model.FaultCrash {
-				c.crashes.Add(1)
-			} else {
-				c.transient.Add(1)
+		switch dec.Kind {
+		case model.FaultCrash:
+			c.crashes.Add(1)
+		case model.FaultTransient:
+			c.transient.Add(1)
+		default:
+			if dec.Kind == model.FaultStraggler {
+				c.stragglers.Add(1)
 			}
-			retry, alive := s.backoffUntil(ctx, w, r.wallDeadline, attempt)
+			// The attempt's three possible ends are all known before it starts:
+			// its own (possibly straggling) draw, a hedge's, and the deadline.
+			// An attempt already out of budget arms nothing.
+			cutoff := never
+			if s.tol.Enable {
+				if cutoff = r.wallDeadline.Sub(now); cutoff <= 0 {
+					timedOut()
+					return out, 0, endCutoff
+				}
+			}
+			d := time.Duration(float64(lat) * dec.LatencyFactor * s.scale)
+			// The winning attempt's virtual service time: the primary's
+			// (possibly straggling) draw unless the hedge wins below.
+			vlat = time.Duration(float64(lat) * dec.LatencyFactor)
+			hedge := never
+			var hlat time.Duration
+			if dec.Kind == model.FaultStraggler && s.tol.Enable {
+				// Hedge: re-issue the attempt after hedgeFactor mean
+				// latencies; the fresh (non-straggling) attempt races the
+				// straggler and the first to finish wins. Outputs are
+				// deterministic, so the winner only decides latency.
+				hlat = time.Duration(float64(m.SampleLatency(src)) * drift)
+				// The hedging threshold consumes the live inflation factor:
+				// under drift the frozen mean would fire hedges on every
+				// (now-normal) slow attempt.
+				mean := float64(m.MeanLatency())
+				if s.eng.Adapt != nil {
+					mean *= s.eng.Adapt.Inflation(k)
+				}
+				if hd := time.Duration((hedgeFactor*mean + float64(hlat)) * s.scale); hd < d {
+					hedge = hd
+					c.hedges.Add(1)
+					if s.obs != nil {
+						r.obsHedges.Add(1)
+					}
+				}
+			}
+			wake, kind := earliestWake(d, hedge, cutoff)
+			over, alive := w.until(ctx, now.Add(wake))
 			if !alive {
 				return out, 0, endDead
 			}
-			if retry {
-				c.retries.Add(1)
-				if s.obs != nil {
-					r.obsRetries.Add(1)
-				}
-				continue
-			}
-			return out, 0, endFailed
-		}
-		if dec.Kind == model.FaultStraggler {
-			c.stragglers.Add(1)
-		}
-		// The attempt's three possible ends are all known before it starts:
-		// its own (possibly straggling) draw, a hedge's, and the deadline.
-		// An attempt already out of budget arms nothing.
-		cutoff := never
-		if s.tol.Enable {
-			if cutoff = r.wallDeadline.Sub(now); cutoff <= 0 {
+			c.overshoot.Observe(over)
+			switch kind {
+			case wakeHedge:
+				c.hedgeWins.Add(1)
+				// The fresh attempt won the race: its own draw is the
+				// observed service time, not the straggler's.
+				vlat = hlat
+			case wakeCutoff:
+				// The deadline arrived mid-attempt: abandon it instead of
+				// occupying the worker past the point of usefulness.
 				timedOut()
 				return out, 0, endCutoff
 			}
-		}
-		d := time.Duration(float64(lat) * dec.LatencyFactor * s.scale)
-		// The winning attempt's virtual service time: the primary's
-		// (possibly straggling) draw unless the hedge wins below.
-		vlat = time.Duration(float64(lat) * dec.LatencyFactor)
-		hedge := never
-		var hlat time.Duration
-		if dec.Kind == model.FaultStraggler && s.tol.Enable {
-			// Hedge: re-issue the attempt after hedgeFactor mean
-			// latencies; the fresh (non-straggling) attempt races the
-			// straggler and the first to finish wins. Outputs are
-			// deterministic, so the winner only decides latency.
-			s.srcMu.Lock()
-			hlat = m.SampleLatency(s.src)
-			s.srcMu.Unlock()
-			hlat = time.Duration(float64(hlat) * drift)
-			// The hedging threshold consumes the live inflation factor:
-			// under drift the frozen mean would fire hedges on every
-			// (now-normal) slow attempt.
-			mean := float64(m.MeanLatency())
-			if s.eng.Adapt != nil {
-				mean *= s.eng.Adapt.Inflation(k)
+			if out, ok := s.safePredict(m, k, r.sample); ok {
+				return out, vlat, endOK
 			}
-			if hd := time.Duration((hedgeFactor*mean + float64(hlat)) * s.scale); hd < d {
-				hedge = hd
-				c.hedges.Add(1)
-				if s.obs != nil {
-					r.obsHedges.Add(1)
-				}
-			}
+			// Predict panicked: contained by safePredict; the attempt
+			// failed like a transient fault.
 		}
-		wake, kind := earliestWake(d, hedge, cutoff)
-		over, alive := w.until(ctx, now.Add(wake))
+		retry, alive := s.backoffUntil(ctx, w, src, r.wallDeadline, attempt)
 		if !alive {
 			return out, 0, endDead
 		}
-		c.overshoot.Observe(over)
-		switch kind {
-		case wakeHedge:
-			c.hedgeWins.Add(1)
-			// The fresh attempt won the race: its own draw is the
-			// observed service time, not the straggler's.
-			vlat = hlat
-		case wakeCutoff:
-			// The deadline arrived mid-attempt: abandon it instead of
-			// occupying the worker past the point of usefulness.
-			timedOut()
-			return out, 0, endCutoff
+		if !retry {
+			return out, 0, endFailed
 		}
-		if out, ok := s.safePredict(m, k, r.sample); ok {
-			return out, vlat, endOK
+		c.retries.Add(1)
+		if s.obs != nil {
+			r.obsRetries.Add(1)
 		}
-		// Predict panicked: contained by safePredict; treat like a
-		// transient fault.
-		retry, alive := s.backoffUntil(ctx, w, r.wallDeadline, attempt)
-		if !alive {
-			return out, 0, endDead
-		}
-		if retry {
-			c.retries.Add(1)
-			if s.obs != nil {
-				r.obsRetries.Add(1)
-			}
-			continue
-		}
-		return out, 0, endFailed
 	}
 }
 
 // backoffUntil decides whether a failed attempt may retry, sleeping the
-// jittered exponential backoff first. deadline is the request's. alive is
-// false when the runtime context was cancelled during the sleep.
-func (s *Server) backoffUntil(ctx context.Context, w *waiter, deadline time.Time, attempt int) (retry, alive bool) {
+// jittered exponential backoff first; the jitter is the attempt's last draw
+// from src. deadline is the request's. alive is false when the runtime
+// context was cancelled during the sleep.
+func (s *Server) backoffUntil(ctx context.Context, w *waiter, src *rng.Source, deadline time.Time, attempt int) (retry, alive bool) {
 	if !s.tol.Enable || attempt >= maxRetries {
 		return false, true
 	}
-	s.srcMu.Lock()
-	jit := time.Duration(s.src.Float64() * float64(retryBackoff))
-	s.srcMu.Unlock()
+	jit := time.Duration(src.Float64() * float64(retryBackoff))
 	wake := s.clk.now().Add(time.Duration(float64(retryBackoff<<uint(attempt)+jit) * s.scale))
 	if wake.After(deadline) {
 		// No budget left to retry inside the deadline.
@@ -1469,12 +1456,9 @@ func (c *coordinator) degrade(r *request) {
 // inside a crash-recovery window, which plans must go around.
 func (c *coordinator) Blocked(now time.Duration) ensemble.Subset {
 	c.blocked = c.s.breakerBlocked(now)
-	if c.s.faulty != nil {
-		wallNow := c.s.clk.now()
-		for k, f := range c.s.faulty {
-			if f != nil && f.Down(wallNow) {
-				c.blocked = c.blocked.With(k)
-			}
+	for k, f := range c.s.faulty {
+		if f != nil && f.Down(c.s.clk.now()) {
+			c.blocked = c.blocked.With(k)
 		}
 	}
 	return c.blocked

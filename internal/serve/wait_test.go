@@ -296,9 +296,9 @@ func TestTaskOvershootCountsExecutedTasks(t *testing.T) {
 // TestServeZeroConfigTwinsBitIdentical: the overshoot and starved
 // histograms and the coordinator's deadline timer are always on, so the
 // zero-config guarantee is pinned on a twin pair of identically seeded
-// zero-config servers — the wait path and the worker's queue read draw
-// nothing from the runtime's RNG and decide nothing, so the two must
-// agree request for request.
+// zero-config servers — the wait path and the worker's queue read make no
+// random draw and decide nothing, so the two must agree request for
+// request.
 func TestServeZeroConfigTwinsBitIdentical(t *testing.T) {
 	twins(t, artifacts(t), 25, func(*Config) {})
 }
