@@ -78,16 +78,17 @@ golden:
 	cmp golden.out results_all_experiments.txt
 	rm -f golden.out
 
-# snapshot refits cmd/schemble-server's default deployment and rewrites
-# cmd/schemble-server/deploy.snapshot, the fitted pipeline the binary embeds
-# and restores at start instead of fitting (~1 s). Run it after any change
-# that moves a fitted bit of that deployment; until then the package's
-# TestDeploySnapshotCurrent fails, as a moved decision fails `golden`. The
-# touch lets the generator build when the file is missing.
+# snapshot refits the shipped deployment (text matching, N 4000, seed 7)
+# with pipeline.Fit and rewrites internal/pipeline/shipped.snapshot, the
+# fitted pipeline pipeline.Build embeds and restores instead of fitting
+# (~1 s). Run it after any change that moves a fitted bit of that
+# deployment; until then internal/pipeline's TestShippedSnapshotCurrent
+# fails, as a moved decision fails `golden`. The touch lets the generator
+# build when the file is missing.
 snapshot:
-	touch cmd/schemble-server/deploy.snapshot
-	$(GO) run cmd/schemble-server/gensnapshot.go cmd/schemble-server/deploy.go > snapshot.out
-	mv snapshot.out cmd/schemble-server/deploy.snapshot
+	touch internal/pipeline/shipped.snapshot
+	$(GO) run internal/pipeline/gensnapshot.go > snapshot.out
+	mv snapshot.out internal/pipeline/shipped.snapshot
 
 # Fault-injection stress tests: every chaos/fault/drain scenario under the
 # race detector with a tight timeout so a hung drain or leaked goroutine

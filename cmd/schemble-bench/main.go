@@ -173,7 +173,7 @@ func fit(o options) deployment {
 	if o.quick {
 		n, epochs, horizon = 1200, 25, 30*time.Second
 	}
-	fmt.Fprintln(os.Stderr, "fitting pipeline...")
+	fmt.Fprintln(os.Stderr, "building pipeline...")
 	arts := pipeline.Build(pipeline.Config{
 		Dataset:         dataset.TextMatching(dataset.Config{N: n, Seed: o.seed}),
 		Models:          model.TextMatchingModels(o.seed),

@@ -33,7 +33,7 @@ func main() {
 	seed := flag.Uint64("seed", 7, "seed")
 	flag.Parse()
 
-	fmt.Fprintln(os.Stderr, "fitting pipeline...")
+	fmt.Fprintln(os.Stderr, "building pipeline...")
 	arts := pipeline.Build(pipeline.Config{
 		Dataset: dataset.TextMatching(dataset.Config{N: 4000, Seed: *seed}),
 		Models:  model.TextMatchingModels(*seed),

@@ -113,7 +113,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	timescale := flag.Float64("timescale", 0.1, "wall-clock compression for simulated model latencies")
 	seed := flag.Uint64("seed", defaultSeed, "deployment seed")
-	snapshot := flag.String("snapshot", "", "path to cache the fitted pipeline (empty = restore the embedded fit of the default deployment, or fit -quick and other -seeds at every start)")
+	snapshot := flag.String("snapshot", "", "path to cache the fitted pipeline (empty = restore the shipped fit of the default deployment, or fit -quick and other -seeds at every start)")
 	queueDepth := flag.Int("queuedepth", 0, "per-model task queue bound (0 = default 1024); full queues reject instead of blocking")
 	replicasFlag := flag.String("replicas", "", "replica-pool sizes: one int for every model (e.g. 4) or a comma list per model (e.g. 1,2,4); empty = 1 each")
 	drainTimeout := flag.Duration("drain", 10*time.Second, "graceful-shutdown grace period for committed in-flight work")
@@ -132,7 +132,7 @@ func main() {
 	traceBuffer := flag.Int("trace-buffer", 512, "decision traces kept for /v1/trace (0 disables tracing and the latency histograms)")
 	traceLog := flag.String("trace-log", "", "append decision traces as JSONL serving-log records to this file (implies observability on)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this side listener (empty = off)")
-	quick := flag.Bool("quick", false, "fit a small pipeline for smoke tests (a fraction of a second) instead of restoring the embedded fit of the default deployment")
+	quick := flag.Bool("quick", false, "fit a small pipeline for smoke tests (a fraction of a second) instead of restoring the shipped fit of the default deployment")
 	flag.Parse()
 
 	arts := loadPipeline(deployConfig(*seed, *quick), *snapshot)

@@ -21,7 +21,7 @@ import (
 // computes, however small, moves it.
 const seed7ScoreHash uint64 = 0xf274e169ce1fa953
 
-// seed7Config is that deployment.
+// seed7Config is that deployment, the one shipped.snapshot was fitted on.
 func seed7Config() Config {
 	return Config{
 		Dataset: dataset.TextMatching(dataset.Config{N: 4000, Seed: 7}),
@@ -60,11 +60,12 @@ func predictorBytes(t *testing.T, a *Artifacts) (pred, ea []byte) {
 // it) and all of them (the fits run side by side) yield byte-equal weights,
 // and those weights score the seed-7 deployment exactly as the serial
 // scalar code before them did. Under -race it is also the test that the
-// two fits share only data they read.
+// two fits share only data they read. It calls Fit, since Build restores
+// this deployment rather than training it.
 func TestBuildIndependentOfParallelism(t *testing.T) {
 	build := func(procs int) *Artifacts {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		return Build(seed7Config())
+		return Fit(seed7Config())
 	}
 	one, all := build(1), build(runtime.NumCPU())
 	p1, ea1 := predictorBytes(t, one)
@@ -83,7 +84,17 @@ func TestBuildIndependentOfParallelism(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild is the cold start every server, soak and experiment pays.
+// BenchmarkFit is the cold start of a deployment that has to fit.
+func BenchmarkFit(b *testing.B) {
+	cfg := seed7Config()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Fit(cfg)
+	}
+}
+
+// BenchmarkBuild is the cold start of the shipped deployment, which
+// restores.
 func BenchmarkBuild(b *testing.B) {
 	cfg := seed7Config()
 	b.ResetTimer()

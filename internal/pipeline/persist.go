@@ -2,15 +2,14 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/binary"
+	_ "embed" // shipped
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
+	"sync"
 	"time"
 
 	"schemble/internal/calib"
@@ -24,19 +23,50 @@ import (
 func durationOf(ns int64) time.Duration { return time.Duration(ns) }
 
 // Fitting a pipeline costs profiling and predictor training (about a
-// second for the server's deployment on two cores, growing with samples and
-// epochs); a deployment fits once and restores. cmd/schemble-server embeds
-// the snapshot of its default deployment and restores it at start. Save/Load
-// serialize the fitted state (scorer normalization, calibrators, reward
-// profiles, predictor weights, per-sample artifacts) with encoding/gob.
-// The dataset and models are reconstructed from their generator seeds, so
-// a snapshot stays small and self-consistent: Load verifies the seed, the
-// sample count, the fit settings and a fingerprint of the re-derived
-// scaffold (model outputs, ensemble references, splits), then overlays the
-// fitted state.
+// second for the shipped deployment on two cores, growing with samples and
+// epochs); a deployment fits once and restores. Save/Load serialize the
+// fitted state (scorer normalization, calibrators, reward profiles,
+// predictor weights, per-sample artifacts) with encoding/gob. The dataset
+// and models are reconstructed from their generator seeds, so a snapshot
+// stays small and self-consistent: a restore checks the snapshot's identity
+// (version, seed, dataset name, sample count, fit settings) against the
+// config, then builds the scaffold (model outputs, ensemble references,
+// splits), checks it against the snapshot's fingerprint of the one it was
+// fitted on, and overlays the fitted state. Load restores a snapshot from
+// anywhere; Build restores the one this package ships, shipped.snapshot,
+// whenever its config is the deployment that snapshot was fitted on.
+
+// shipped is the Save of Fit on the shipped deployment: text matching, N
+// 4000, seed 7, every other setting at its default. `make snapshot`
+// rewrites it, and TestShippedSnapshotCurrent fails once Fit no longer
+// yields the state these bytes restore.
+//
+//go:embed shipped.snapshot
+var shipped []byte
+
+// shippedIdentity is shipped's identity, decoded once per process; an
+// error leaves Build fitting every config.
+var shippedIdentity = sync.OnceValues(func() (identity, error) {
+	snap, err := decodeSnapshot(bytes.NewReader(shipped))
+	if err != nil {
+		return identity{}, err
+	}
+	return snap.identity(), nil
+})
+
+// restoreShipped overlays a freshly decoded copy of shipped's fitted state
+// on a, cfg's scaffold, when shipped was fitted on that very deployment,
+// and says whether it did. cfg has its defaults.
+func restoreShipped(cfg Config, a *Artifacts) bool {
+	if id, err := shippedIdentity(); err != nil || id.check(cfg) != nil {
+		return false
+	}
+	snap, err := decodeSnapshot(bytes.NewReader(shipped))
+	return err == nil && snap.overlay(a) == nil
+}
 
 // snapshotVersion guards against loading incompatible snapshots.
-const snapshotVersion = 3
+const snapshotVersion = 4
 
 // snapshot is the serialized fitted state.
 type snapshot struct {
@@ -45,9 +75,10 @@ type snapshot struct {
 	Task    int
 	Name    string
 
-	// Scaffold fingerprints what Load re-derives instead of storing, so a
-	// snapshot fitted on other models, another aggregator or other splits
-	// is rejected rather than overlaid on outputs it does not describe.
+	// Scaffold fingerprints what a restore re-derives instead of storing,
+	// so a snapshot fitted on other samples, other models, another
+	// aggregator or other splits is rejected rather than overlaid on
+	// outputs it does not describe.
 	Scaffold scaffoldPrint
 	// Fit is the settings the fitted state was trained with.
 	Fit fitSettings
@@ -133,64 +164,17 @@ func (a *Artifacts) SaveFile(path string) error {
 // re-derives the deterministic parts (outputs, references, splits) and
 // overlays the fitted state. It fails when the snapshot does not match.
 func Load(cfg Config, r io.Reader) (*Artifacts, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("pipeline: decode snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("pipeline: snapshot version %d, want %d", snap.Version, snapshotVersion)
-	}
-	if snap.Seed != cfg.Seed {
-		return nil, fmt.Errorf("pipeline: snapshot seed %d does not match config seed %d", snap.Seed, cfg.Seed)
-	}
-	if cfg.Dataset == nil || snap.Name != cfg.Dataset.Name {
-		return nil, fmt.Errorf("pipeline: snapshot dataset %q does not match config", snap.Name)
-	}
-	if len(snap.TrueScores) != len(cfg.Dataset.Samples) {
-		return nil, fmt.Errorf("pipeline: snapshot covers %d samples, dataset has %d",
-			len(snap.TrueScores), len(cfg.Dataset.Samples))
-	}
-	if err := snap.Fit.check(fitOf(cfg)); err != nil {
+	snap, err := decodeSnapshot(r)
+	if err != nil {
 		return nil, err
 	}
-	// Rebuild the deterministic scaffolding without any training.
+	cfg = resolved(cfg)
+	if err := snap.identity().check(cfg); err != nil {
+		return nil, err
+	}
 	a := buildScaffold(cfg)
-	if err := snap.Scaffold.check(fingerprint(a)); err != nil {
+	if err := snap.overlay(a); err != nil {
 		return nil, err
-	}
-	a.fit = snap.Fit
-	// Overlay fitted state.
-	a.TrueScores = snap.TrueScores
-	a.EAScores = snap.EAScores
-	a.PerModelAgree = snap.PerModelAgree
-	a.DisScorer = &discrepancy.Scorer{Task: a.Dataset.Task}
-	if snap.Calibrators != nil {
-		a.DisScorer.Calibrators = make([]*calib.Scaler, len(snap.Calibrators))
-		for i, t := range snap.Calibrators {
-			//schemble:floateq-ok snapshot sentinel: temperature 0 round-trips verbatim through JSON and means no calibrator
-			if t != 0 {
-				a.DisScorer.Calibrators[i] = &calib.Scaler{T: t}
-			}
-		}
-	}
-	a.DisScorer.Norms = make([]*discrepancy.ECDF, len(snap.NormSamples))
-	for i, s := range snap.NormSamples {
-		a.DisScorer.Norms[i] = discrepancy.NewECDF(s)
-	}
-	if err := gobInto(snap.ProfileGob, &a.Profile); err != nil {
-		return nil, fmt.Errorf("pipeline: decode profile: %w", err)
-	}
-	if err := gobInto(snap.EAProfileGob, &a.EAProfile); err != nil {
-		return nil, fmt.Errorf("pipeline: decode ea profile: %w", err)
-	}
-	var err error
-	if a.Predictor, err = discrepancy.RestorePredictor(snap.PredictorGob,
-		durationOf(snap.PredCost), snap.PredMem); err != nil {
-		return nil, fmt.Errorf("pipeline: restore predictor: %w", err)
-	}
-	if a.EAPredictor, err = discrepancy.RestorePredictor(snap.EAPredictGob,
-		durationOf(snap.EAPredCost), snap.EAPredMem); err != nil {
-		return nil, fmt.Errorf("pipeline: restore ea predictor: %w", err)
 	}
 	return a, nil
 }
@@ -205,22 +189,94 @@ func LoadFile(cfg Config, path string) (*Artifacts, error) {
 	return Load(cfg, f)
 }
 
+func decodeSnapshot(r io.Reader) (*snapshot, error) {
+	var snap snapshot
+	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+		return nil, fmt.Errorf("pipeline: decode snapshot: %w", err)
+	}
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("pipeline: snapshot version %d, want %d", snap.Version, snapshotVersion)
+	}
+	return &snap, nil
+}
+
+// identity is what a restore checks against the config before it builds
+// anything: the deployment a snapshot was fitted on, short of the scaffold.
+type identity struct {
+	seed    uint64
+	name    string
+	samples int
+	fit     fitSettings
+}
+
+func (s *snapshot) identity() identity {
+	return identity{seed: s.Seed, name: s.Name, samples: len(s.TrueScores), fit: s.Fit}
+}
+
+// check names the first part of the identity cfg, with its defaults,
+// does not share.
+func (id identity) check(cfg Config) error {
+	switch {
+	case id.seed != cfg.Seed:
+		return fmt.Errorf("pipeline: snapshot seed %d does not match config seed %d", id.seed, cfg.Seed)
+	case cfg.Dataset == nil || id.name != cfg.Dataset.Name:
+		return fmt.Errorf("pipeline: snapshot dataset %q does not match config", id.name)
+	case id.samples != len(cfg.Dataset.Samples):
+		return fmt.Errorf("pipeline: snapshot covers %d samples, dataset has %d",
+			id.samples, len(cfg.Dataset.Samples))
+	}
+	return id.fit.check(fitOf(cfg))
+}
+
+// overlay puts the snapshot's fitted state on a, the scaffold of a config
+// with the snapshot's identity, once a's fingerprint matches the one the
+// state was fitted on. It leaves a untouched when it fails.
+func (s *snapshot) overlay(a *Artifacts) error {
+	if err := s.Scaffold.check(fingerprint(a)); err != nil {
+		return err
+	}
+	dis := &discrepancy.Scorer{Task: a.Dataset.Task}
+	if s.Calibrators != nil {
+		dis.Calibrators = make([]*calib.Scaler, len(s.Calibrators))
+		for i, t := range s.Calibrators {
+			//schemble:floateq-ok snapshot sentinel: temperature 0 round-trips verbatim through JSON and means no calibrator
+			if t != 0 {
+				dis.Calibrators[i] = &calib.Scaler{T: t}
+			}
+		}
+	}
+	dis.Norms = make([]*discrepancy.ECDF, len(s.NormSamples))
+	for i, x := range s.NormSamples {
+		dis.Norms[i] = discrepancy.NewECDF(x)
+	}
+	var profile, eaProfile *profiling.Profile
+	if err := gobInto(s.ProfileGob, &profile); err != nil {
+		return fmt.Errorf("pipeline: decode profile: %w", err)
+	}
+	if err := gobInto(s.EAProfileGob, &eaProfile); err != nil {
+		return fmt.Errorf("pipeline: decode ea profile: %w", err)
+	}
+	pred, err := discrepancy.RestorePredictor(s.PredictorGob, durationOf(s.PredCost), s.PredMem)
+	if err != nil {
+		return fmt.Errorf("pipeline: restore predictor: %w", err)
+	}
+	eaPred, err := discrepancy.RestorePredictor(s.EAPredictGob, durationOf(s.EAPredCost), s.EAPredMem)
+	if err != nil {
+		return fmt.Errorf("pipeline: restore ea predictor: %w", err)
+	}
+	a.fit = s.Fit
+	a.DisScorer = dis
+	a.TrueScores, a.EAScores, a.PerModelAgree = s.TrueScores, s.EAScores, s.PerModelAgree
+	a.Profile, a.EAProfile = profile, eaProfile
+	a.Predictor, a.EAPredictor = pred, eaPred
+	return nil
+}
+
 // buildScaffold derives the deterministic (non-trained) artifacts from
-// cfg: ensemble, outputs, references, splits. Build starts from it and Load
-// re-derives it, so a restored pipeline and a fitted one cannot disagree
-// on them.
+// cfg, which has its defaults: ensemble, outputs, references, splits.
+// Fitting starts from it and restoring re-derives it, so a restored
+// pipeline and a fitted one cannot disagree on them.
 func buildScaffold(cfg Config) *Artifacts {
-	if cfg.Aggregator == nil {
-		cfg.Aggregator = &ensemble.Average{}
-	}
-	//schemble:floateq-ok zero-value config sentinel: the field is set verbatim by callers, never computed
-	if cfg.TrainFrac == 0 {
-		cfg.TrainFrac = 0.5
-	}
-	//schemble:floateq-ok zero-value config sentinel: the field is set verbatim by callers, never computed
-	if cfg.ValFrac == 0 {
-		cfg.ValFrac = 0.1
-	}
 	a := &Artifacts{Dataset: cfg.Dataset, Seed: cfg.Seed}
 	a.Ensemble = ensemble.New(cfg.Dataset.Task, cfg.Models, cfg.Aggregator, nil)
 	a.Scorer = ensemble.NewScorer(cfg.Dataset)
@@ -237,21 +293,15 @@ func buildScaffold(cfg Config) *Artifacts {
 }
 
 // fitSettings are the Config fields that shape the fitted state but not the
-// scaffold, with their defaults resolved.
+// scaffold.
 type fitSettings struct {
 	PredictorEpochs, Bins int
 	DisableCalibration    bool
 }
 
+// fitOf reads cfg's fit settings; cfg has its defaults.
 func fitOf(cfg Config) fitSettings {
-	s := fitSettings{PredictorEpochs: cfg.PredictorEpochs, Bins: cfg.Bins, DisableCalibration: cfg.DisableCalibration}
-	if s.PredictorEpochs == 0 {
-		s.PredictorEpochs = 150
-	}
-	if s.Bins == 0 {
-		s.Bins = 10
-	}
-	return s
+	return fitSettings{PredictorEpochs: cfg.PredictorEpochs, Bins: cfg.Bins, DisableCalibration: cfg.DisableCalibration}
 }
 
 // check names the first setting that differs from want.
@@ -267,41 +317,46 @@ func (s fitSettings) check(want fitSettings) error {
 	return nil
 }
 
-// scaffoldPrint is a hash of each part of the scaffold: every model's and
-// the full ensemble's outputs on every sample, bit for bit, and the IDs of
-// the three splits.
+// scaffoldPrint is a hash of each part of the scaffold and of what the
+// predictors read: every sample's features, every model's and the full
+// ensemble's outputs on every sample, bit for bit, and the IDs of the three
+// splits.
 type scaffoldPrint struct {
-	Outs, Refs, Splits uint64
+	Features, Outs, Refs, Splits uint64
 }
 
 func fingerprint(a *Artifacts) scaffoldPrint {
 	var p scaffoldPrint
-	h := fnv.New64a()
+	h := fnvOffset
+	for _, s := range a.Dataset.Samples {
+		h.floats(s.Features)
+	}
+	p.Features, h = uint64(h), fnvOffset
 	for _, outs := range a.Outs {
 		for _, o := range outs {
-			hashOutput(h, o)
+			h.output(o)
 		}
 	}
-	p.Outs = h.Sum64()
-	h.Reset()
+	p.Outs, h = uint64(h), fnvOffset
 	for _, o := range a.Refs {
-		hashOutput(h, o)
+		h.output(o)
 	}
-	p.Refs = h.Sum64()
-	h.Reset()
+	p.Refs, h = uint64(h), fnvOffset
 	for _, split := range [][]*dataset.Sample{a.Train, a.Val, a.Serve} {
-		hashUint(h, uint64(len(split)))
+		h.uint(uint64(len(split)))
 		for _, s := range split {
-			hashUint(h, uint64(s.ID))
+			h.uint(uint64(s.ID))
 		}
 	}
-	p.Splits = h.Sum64()
+	p.Splits = uint64(h)
 	return p
 }
 
 // check names the first part of the scaffold that differs from want.
 func (p scaffoldPrint) check(want scaffoldPrint) error {
 	switch {
+	case p.Features != want.Features:
+		return errors.New("pipeline: snapshot was fitted on other sample features than this config's dataset has")
 	case p.Outs != want.Outs:
 		return errors.New("pipeline: snapshot was fitted on other model outputs than this config's models give")
 	case p.Refs != want.Refs:
@@ -312,24 +367,38 @@ func (p scaffoldPrint) check(want scaffoldPrint) error {
 	return nil
 }
 
-func hashOutput(h hash.Hash64, o model.Output) {
-	hashFloats(h, o.Probs)
-	hashUint(h, math.Float64bits(o.Value))
-	hashFloats(h, o.Embedding)
+// fnv1a is FNV-1a over the little-endian bytes of the words it is fed,
+// inline: every Build of the shipped deployment fingerprints its scaffold,
+// and hash.Hash's Write costs an interface call and a heap slice per word.
+type fnv1a uint64
+
+const (
+	fnvOffset fnv1a = 14695981039346656037
+	fnvPrime  fnv1a = 1099511628211
+)
+
+func (h *fnv1a) uint(v uint64) {
+	x := *h
+	for i := 0; i < 8; i++ {
+		x ^= fnv1a(byte(v))
+		x *= fnvPrime
+		v >>= 8
+	}
+	*h = x
 }
 
-// hashFloats writes the length first, so adjacent slices cannot alias.
-func hashFloats(h hash.Hash64, xs []float64) {
-	hashUint(h, uint64(len(xs)))
+// floats writes the length first, so adjacent slices cannot alias.
+func (h *fnv1a) floats(xs []float64) {
+	h.uint(uint64(len(xs)))
 	for _, x := range xs {
-		hashUint(h, math.Float64bits(x))
+		h.uint(math.Float64bits(x))
 	}
 }
 
-func hashUint(h hash.Hash64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(b[:])
+func (h *fnv1a) output(o model.Output) {
+	h.floats(o.Probs)
+	h.uint(math.Float64bits(o.Value))
+	h.floats(o.Embedding)
 }
 
 func gobBytes(v interface{}) ([]byte, error) {

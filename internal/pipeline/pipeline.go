@@ -5,7 +5,8 @@
 // and its ensemble-agreement variant, profiles subset rewards per score
 // bin, and trains the DES / Gating baselines. The resulting Artifacts feed
 // the simulator and all experiments; everything is deterministic in the
-// seed.
+// seed. Fit always trains; Build restores the fit this package ships
+// (shipped.snapshot) when asked for that deployment, and trains otherwise.
 package pipeline
 
 import (
@@ -21,7 +22,7 @@ import (
 	"schemble/internal/profiling"
 )
 
-// Config controls Build.
+// Config controls Build and Fit.
 type Config struct {
 	Dataset *dataset.Dataset
 	Models  []model.Model
@@ -81,18 +82,73 @@ type Artifacts struct {
 	fit fitSettings
 }
 
-// Build fits the full pipeline.
+// Build returns cfg's fitted pipeline. When cfg is the shipped deployment
+// (text matching, N 4000, seed 7, default fit settings and scaffold; see
+// shipped.snapshot) it restores that fit, in milliseconds; any other cfg it
+// fits, as Fit does, in about a second for that size. Both paths start from
+// one scaffold and end in the same bits, which TestShippedSnapshotCurrent
+// holds. Every call returns state of its own: nothing is shared with, or
+// cached for, another call.
 func Build(cfg Config) *Artifacts {
+	a, _ := build(cfg)
+	return a
+}
+
+// build is Build, also saying whether it restored the shipped snapshot.
+func build(cfg Config) (a *Artifacts, restored bool) {
+	cfg = withDefaults(cfg)
+	a = buildScaffold(cfg)
+	if restoreShipped(cfg, a) {
+		return a, true
+	}
+	a.train(cfg)
+	return a, false
+}
+
+// Fit fits the full pipeline and never restores: profiling and predictor
+// training run on every call. It is what Build falls back to, and what the
+// checks that measure or pin training call.
+func Fit(cfg Config) *Artifacts {
+	cfg = withDefaults(cfg)
+	a := buildScaffold(cfg)
+	a.train(cfg)
+	return a
+}
+
+// withDefaults checks cfg and fills its zero fields with their defaults.
+func withDefaults(cfg Config) Config {
 	if cfg.Dataset == nil || len(cfg.Models) == 0 {
 		panic("pipeline: dataset and models required")
 	}
-	fit := fitOf(cfg)
-	cfg.Bins, cfg.PredictorEpochs = fit.Bins, fit.PredictorEpochs
+	return resolved(cfg)
+}
 
-	// Ensemble, splits and every model's output on every sample: the part
-	// Load re-derives too.
-	a := buildScaffold(cfg)
-	a.fit = fit
+// resolved fills cfg's zero fields with their defaults.
+func resolved(cfg Config) Config {
+	if cfg.Aggregator == nil {
+		cfg.Aggregator = &ensemble.Average{}
+	}
+	//schemble:floateq-ok zero-value config sentinel: the field is set verbatim by callers, never computed
+	if cfg.TrainFrac == 0 {
+		cfg.TrainFrac = 0.5
+	}
+	//schemble:floateq-ok zero-value config sentinel: the field is set verbatim by callers, never computed
+	if cfg.ValFrac == 0 {
+		cfg.ValFrac = 0.1
+	}
+	if cfg.PredictorEpochs == 0 {
+		cfg.PredictorEpochs = 150
+	}
+	if cfg.Bins == 0 {
+		cfg.Bins = 10
+	}
+	return cfg
+}
+
+// train fits everything above the scaffold: the discrepancy scorer, true
+// and EA scores, the profiles and both predictors. cfg has its defaults.
+func (a *Artifacts) train(cfg Config) {
+	a.fit = fitOf(cfg)
 	n := len(cfg.Dataset.Samples)
 
 	// Fit the discrepancy scorer on the training split.
@@ -178,7 +234,6 @@ func Build(cfg Config) *Artifacts {
 	}()
 	a.Predictor = discrepancy.TrainPredictor(pcfg, a.Train, trainScores, taskTargets)
 	wg.Wait()
-	return a
 }
 
 // taskTarget builds the task-head training target for one sample: the
