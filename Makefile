@@ -60,7 +60,9 @@ test-race:
 # clock — the sim/serve equivalence replays, the turn and the deadline
 # tests, the breaker and fault tests, and the chaos replays that must
 # repeat themselves — run twenty times at one and at two CPUs: each run
-# must make the same decisions.
+# must make the same decisions. Last, the three soaks of
+# cmd/schemble-bench replay on that clock twice each, at one and at two
+# CPUs, and must write the same report (TestSoakIsOneRun, ~3 s a pass).
 rig:
 	$(GO) test -race -count=20 \
 		-run 'TestDispatchGate|TestStaged|TestTurn|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
@@ -68,6 +70,7 @@ rig:
 	$(GO) test -count=20 -cpu 1,2 \
 		-run 'SimServeEquivalence|Turn|Deadline|Breaker|TestServe(Degraded|Hedge|NoFaults|Panic)|TestDefaultToleranceFaultFree|TestFaultTolerance|TestChaosReplay' \
 		./internal/serve/
+	$(GO) test -count=1 -cpu 1,2 -run 'TestSoakIsOneRun' ./cmd/schemble-bench/
 
 # golden regenerates every paper table and figure and fails unless the
 # output is byte-identical to the committed results_all_experiments.txt:
@@ -122,12 +125,13 @@ repo-bench:
 #   cache     the Zipf result-cache soak, cache-off vs cache-on
 #   drift     the drifting-workload soak, frozen profiles vs adaptation
 # Each run gates itself (see the scenario's gate function). CI runs
-#   make bench-overload BENCH_FLAGS="-quick -baseline BENCH_overload.json"
-# and the same for dp, cache and drift, which also fails on a regression
-# against the committed file (read before it is rewritten; a baseline that
-# cannot be read fails the run). The simulator soaks are deterministic, so
-# overload control that sheds traffic the fleet had room for fails in
-# seconds.
+#   make bench-overload BENCH_FLAGS="-baseline BENCH_overload.json"
+# and the same for cache and drift, and dp with -quick, which also fails on
+# a regression against the committed file (read before it is rewritten; a
+# baseline that cannot be read fails the run). The overload, cache and drift
+# soaks replay on the serving runtime in virtual time, one run per seed and
+# under a second each, so overload control that sheds traffic the fleet had
+# room for fails in seconds.
 BENCH_FLAGS ?=
 bench-%:
 	$(GO) run ./cmd/schemble-bench -scenario $* $(BENCH_FLAGS)

@@ -4,9 +4,9 @@ package main
 // Zipf-popularity query stream at twice the deployment's bottleneck
 // capacity and writes BENCH_cache.json.
 //
-// The same seeded trace runs twice through the deterministic simulator —
-// once cache-off as the reference, once cache-on — so every delta in the
-// report is attributable to the cache alone. The gate asserts on every
+// The same seeded trace replays twice on the runtime — once cache-off as
+// the reference, once cache-on — so every delta in the report is
+// attributable to the cache alone. The gate asserts on every
 // run that the hit rate over admitted lookups stays above minHitRate
 // (Zipf head traffic must hit) and that the cache-on deadline-miss rate
 // stays within maxDMRDelta of the cache-off reference; against a baseline
@@ -21,7 +21,7 @@ import (
 	"schemble/internal/cluster"
 	"schemble/internal/rcache"
 	"schemble/internal/rng"
-	"schemble/internal/sim"
+	"schemble/internal/serve"
 	"schemble/internal/trace"
 )
 
@@ -29,7 +29,7 @@ const (
 	schemaCache  = "schemble-cache/v1"
 	minHitRate   = 0.3  // floor on the hit rate
 	maxDMRDelta  = 0.02 // cache-on DMR excess over cache-off
-	maxHitDrop   = 0.1  // vs the baseline; absorbs the quick-vs-full gap
+	maxHitDrop   = 0.1  // vs the baseline; absorbs what a change to the runtime moves
 	cacheRegions = 64   // k-means centroids keying the cache
 	cacheSize    = 1024 // cache entries
 	zipfS        = 1.2  // Zipf popularity exponent of the trace
@@ -90,14 +90,16 @@ func runCache(o options) (cacheReport, error) {
 		S:        zipfS, Seed: o.seed,
 	})
 	fmt.Fprintf(os.Stderr, "soaking %d arrivals at %.1f q/s (2x capacity) cache-off...\n", n, rate)
-	offRecs, _ := sim.RunStats(d.simConfig(), tr, d.arts.Serve)
+	offRes := serve.Replay(serve.New(d.serveConfig()), tr, d.arts.Serve)
 	fmt.Fprintln(os.Stderr, "soaking the identical trace cache-on...")
-	on := d.simConfig()
-	on.Cache = rcache.Config{Keyer: rcache.CentroidKeyer{KM: km}, Capacity: cacheSize, DifficultyMax: dmax}
-	onRecs, snap := sim.RunStats(on, tr, d.arts.Serve)
+	cfg := d.serveConfig()
+	cfg.Cache = rcache.Config{Keyer: rcache.CentroidKeyer{KM: km}, Capacity: cacheSize, DifficultyMax: dmax}
+	on := serve.New(cfg)
+	onRes := serve.Replay(on, tr, d.arts.Serve)
+	snap := on.Stats().Cache
 
 	rep := cacheReport{
-		header:         newHeader(schemaCache, o),
+		header:         newHeader(schemaCache, false),
 		CapacityPerSec: d.capacity,
 		OfferedRate:    rate,
 		HorizonSec:     d.horizon.Seconds(),
@@ -105,8 +107,8 @@ func runCache(o options) (cacheReport, error) {
 		Regions:        km.K(),
 		CacheCapacity:  cacheSize,
 		DifficultyMax:  dmax,
-		Off:            d.summarize(offRecs),
-		On:             d.summarize(onRecs),
+		Off:            d.summarize(tr, offRes),
+		On:             d.summarize(tr, onRes),
 		HitRate:        snap.HitRate,
 		Hits:           snap.Hits,
 		Misses:         snap.Misses,

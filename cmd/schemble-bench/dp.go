@@ -63,7 +63,7 @@ type soakResult struct {
 }
 
 func runDP(o options) (dpReport, error) {
-	rep := dpReport{header: newHeader(schemaDP, o), Micro: runMicro()}
+	rep := dpReport{header: newHeader(schemaDP, o.quick), Micro: runMicro()}
 	for _, m := range rep.Micro {
 		fmt.Fprintf(os.Stderr, "%-18s %12.1f ns/decision %14.0f decisions/sec %4d allocs/op %6d B/op\n",
 			m.Name, m.NsPerDecision, m.DecisionsPerSec, m.AllocsPerOp, m.BytesPerOp)

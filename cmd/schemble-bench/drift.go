@@ -8,10 +8,11 @@ package main
 // speed across the middle of the horizon, the thermal-throttling /
 // co-tenant-pressure shape) and a difficulty shift (the arrival mix
 // moves from the pool's easy tail to its hard tail, which the score-drift
-// detector flags). The same seeded trace runs twice through the
-// deterministic simulator — once with frozen profiles as the reference,
-// once with adaptation on — so every delta in the report is attributable
-// to adaptation alone. The gate asserts on every run that the adapt-on
+// detector flags). The same seeded trace replays twice on the runtime —
+// once with frozen profiles as the reference, once with adaptation on — so
+// every delta in the report is attributable to adaptation alone. The ramp
+// is the models' own (rampModel), so the runtime serves it as it would a
+// fleet that slows down. The gate asserts on every run that the adapt-on
 // deadline-miss rate stays strictly below the frozen reference's; against
 // a baseline it fails an adapt-on DMR rise of more than maxDMRRise.
 
@@ -22,13 +23,16 @@ import (
 	"time"
 
 	"schemble/internal/adapt"
-	"schemble/internal/sim"
+	"schemble/internal/ensemble"
+	"schemble/internal/model"
+	"schemble/internal/rng"
+	"schemble/internal/serve"
 	"schemble/internal/trace"
 )
 
 const (
 	schemaDrift = "schemble-drift/v1"
-	maxDMRRise  = 0.05 // adapt-on DMR vs the baseline; absorbs the quick-vs-full gap
+	maxDMRRise  = 0.05 // adapt-on DMR vs the baseline; absorbs what a change to the runtime moves
 	driftFactor = 1.8  // latency multiplier every model ramps to mid-soak
 	rateFactor  = 0.9  // offered load over pre-drift bottleneck capacity
 )
@@ -88,22 +92,30 @@ func runDrift(o options) (driftReport, error) {
 		Deadline: trace.ConstantDeadline(400 * time.Millisecond),
 		Seed:     o.seed,
 	})
-	drifting := func(a adapt.Config) sim.Config {
-		cfg := d.simConfig()
-		cfg.Drift = trace.RampDrift(rampStart, rampEnd, 1, driftFactor)
+	drifting := func(a adapt.Config) ([]serve.Result, serve.Stats) {
+		var s *serve.Server
+		e := d.arts.Ensemble
+		models := make([]model.Model, len(e.Models))
+		for k, m := range e.Models {
+			models[k] = rampModel{Model: m, start: rampStart, end: rampEnd, now: func() time.Duration { return s.Now() }}
+		}
+		cfg := d.serveConfig()
+		cfg.Ensemble = ensemble.New(e.Task, models, e.Agg, e.Weights)
 		cfg.Adapt = a
-		return cfg
+		s = serve.New(cfg)
+		return serve.Replay(s, tr, d.arts.Serve), s.Stats()
 	}
 
 	fmt.Fprintf(os.Stderr,
 		"soaking %d arrivals at %.1f q/s (%.2fx capacity), drift ramp 1.0->%.2f over [%v, %v], frozen profiles...\n",
 		n, rate, rateFactor, driftFactor, rampStart, rampEnd)
-	frozenRecs, _ := sim.RunStats(drifting(adapt.Config{}), tr, d.arts.Serve)
+	frozenRes, _ := drifting(adapt.Config{})
 	fmt.Fprintln(os.Stderr, "soaking the identical trace with adaptation on...")
-	adaptRecs, _, snap := sim.RunAdapt(drifting(adapt.Config{Enable: true}), tr, d.arts.Serve)
+	adaptRes, st := drifting(adapt.Config{Enable: true})
+	snap := st.Adapt
 
 	rep := driftReport{
-		header:         newHeader(schemaDrift, o),
+		header:         newHeader(schemaDrift, false),
 		CapacityPerSec: d.capacity,
 		OfferedRate:    rate,
 		HorizonSec:     d.horizon.Seconds(),
@@ -111,23 +123,45 @@ func runDrift(o options) (driftReport, error) {
 		DriftFactor:    driftFactor,
 		RampStartSec:   rampStart.Seconds(),
 		RampEndSec:     rampEnd.Seconds(),
-		Frozen:         d.summarize(frozenRecs),
-		Adapt:          d.summarize(adaptRecs),
+		Frozen:         d.summarize(tr, frozenRes),
+		Adapt:          d.summarize(tr, adaptRes),
 	}
-	if snap != nil {
-		rep.Inflation = make([]float64, len(snap.Models))
-		for k, m := range snap.Models {
-			rep.Inflation[k] = m.Inflation
-		}
-		rep.LatencyEvents = snap.LatencyEvents
-		rep.ScoreEvents = snap.ScoreEvents
+	rep.Inflation = make([]float64, len(snap.Models))
+	for k, m := range snap.Models {
+		rep.Inflation[k] = m.Inflation
 	}
+	rep.LatencyEvents = snap.LatencyEvents
+	rep.ScoreEvents = snap.ScoreEvents
 	fmt.Fprintf(os.Stderr,
 		"frozen: %.1f served/s dmr %.3f acc %.3f\nadapt:  %.1f served/s dmr %.3f acc %.3f (inflation %v, %d drift events)\n",
 		rep.Frozen.ServedPerSec, rep.Frozen.DMR, rep.Frozen.Accuracy,
 		rep.Adapt.ServedPerSec, rep.Adapt.DMR, rep.Adapt.Accuracy,
 		rep.Inflation, rep.LatencyEvents+rep.ScoreEvents)
 	return rep, nil
+}
+
+// rampModel is a model slowing down: each latency it draws is its model's
+// times the ramp's multiplier at now, the server's virtual instant.
+type rampModel struct {
+	model.Model
+	start, end time.Duration
+	now        func() time.Duration
+}
+
+func (m rampModel) SampleLatency(src *rng.Source) time.Duration {
+	return time.Duration(float64(m.Model.SampleLatency(src)) * m.multiplier(m.now()))
+}
+
+// multiplier is 1 up to start and driftFactor from end, linear between.
+func (m rampModel) multiplier(t time.Duration) float64 {
+	switch {
+	case t <= m.start:
+		return 1
+	case t >= m.end:
+		return driftFactor
+	default:
+		return 1 + (driftFactor-1)*float64(t-m.start)/float64(m.end-m.start)
+	}
 }
 
 func gateDrift(rep driftReport, base *driftReport) []string {

@@ -3,20 +3,22 @@
 // plus a serve-runtime soak), overload (the classed stack at 1x/2x/5x of
 // capacity), cache (the result cache under Zipf popularity) or drift
 // (online adaptation under a latency ramp and a difficulty shift). Each
-// scenario's file says what it measures and gates.
+// scenario's file says what it measures and gates. The overload, cache and
+// drift soaks replay their traces on the shipped runtime and deployment in
+// virtual time (serve.Replay): one run per seed, under a second each.
 //
 // Usage:
 //
 //	schemble-bench [-scenario dp|overload|cache|drift] [-quick]
 //	               [-out BENCH_<scenario>.json] [-baseline FILE] [-seed 7]
 //
-// -quick shrinks the fit and the soak for CI; -out - writes the report to
-// stdout, and progress goes to stderr. -baseline adds the regression gates
-// against an earlier report of the same scenario. A named baseline that
-// cannot be read or parsed, or is another scenario's, fails the run before
-// it measures anything; it is read before -out is written, so both may
-// name the same file. A failed gate still writes the report, then exits 1.
-// The simulator scenarios are deterministic per seed.
+// -quick shrinks dp's fit and soak for CI (the other soaks are always full
+// size); -out - writes the report to stdout, and progress goes to stderr.
+// -baseline adds the regression gates against an earlier report of the same
+// scenario. A named baseline that cannot be read or parsed, or is another
+// scenario's, fails the run before it measures anything; it is read before
+// -out is written, so both may name the same file. A failed gate still
+// writes the report, then exits 1.
 package main
 
 import (
@@ -30,10 +32,10 @@ import (
 	"schemble/internal/core"
 	"schemble/internal/dataset"
 	"schemble/internal/engine"
-	"schemble/internal/metrics"
 	"schemble/internal/model"
 	"schemble/internal/pipeline"
-	"schemble/internal/sim"
+	"schemble/internal/serve"
+	"schemble/internal/trace"
 )
 
 // options are the flags every scenario sees.
@@ -50,13 +52,13 @@ type header struct {
 	Quick  bool   `json:"quick"`
 }
 
-func newHeader(schema string, o options) header {
-	return header{Schema: schema, Go: runtime.Version(), Quick: o.quick}
+func newHeader(schema string, quick bool) header {
+	return header{Schema: schema, Go: runtime.Version(), Quick: quick}
 }
 
 func main() {
 	name := flag.String("scenario", "dp", "soak to run: dp, overload, cache or drift")
-	quick := flag.Bool("quick", false, "shrink the pipeline fit and the soak (CI mode)")
+	quick := flag.Bool("quick", false, "shrink dp's pipeline fit and soak (CI mode)")
 	out := flag.String("out", "", "output file (default BENCH_<scenario>.json; - for stdout)")
 	baselinePath := flag.String("baseline", "", "earlier report of the same scenario to gate regressions against")
 	seed := flag.Uint64("seed", 7, "seed of the soak (dp's micro-benchmarks use fixed instances)")
@@ -155,8 +157,8 @@ func writeReport(path string, rep any) error {
 	return nil
 }
 
-// deployment is what every simulator scenario starts from: the fitted
-// text-matching pipeline, the soak horizon and the bottleneck capacity.
+// deployment is what every replayed soak starts from: the shipped
+// text-matching deployment, the soak horizon and the bottleneck capacity.
 type deployment struct {
 	arts    *pipeline.Artifacts
 	horizon time.Duration
@@ -166,44 +168,36 @@ type deployment struct {
 	capacity float64
 }
 
-// fit builds the deployment: N 4000 and a 120 s horizon, or under -quick
-// N 1200, 25 predictor epochs and 30 s.
+// fit builds the deployment: N 4000 (at seed 7 the fit pipeline.Build
+// restores) and a 120 s horizon.
 func fit(o options) deployment {
-	n, epochs, horizon := 4000, 0, 120*time.Second
-	if o.quick {
-		n, epochs, horizon = 1200, 25, 30*time.Second
-	}
 	fmt.Fprintln(os.Stderr, "building pipeline...")
 	arts := pipeline.Build(pipeline.Config{
-		Dataset:         dataset.TextMatching(dataset.Config{N: n, Seed: o.seed}),
-		Models:          model.TextMatchingModels(o.seed),
-		PredictorEpochs: epochs,
-		Seed:            o.seed,
+		Dataset: dataset.TextMatching(dataset.Config{N: 4000, Seed: o.seed}),
+		Models:  model.TextMatchingModels(o.seed),
+		Seed:    o.seed,
 	})
 	return deployment{
 		arts:     arts,
-		horizon:  horizon,
+		horizon:  120 * time.Second,
 		capacity: engine.BottleneckCapacity(arts.Ensemble.Models, nil),
 	}
 }
 
-// simConfig is the buffered-mode simulator every soak runs: DP(0.01)
-// planning on predicted scores, charged the predictor's inference time.
-// Each call gets its own planner.
-func (d deployment) simConfig() sim.Config {
-	return sim.Config{
-		Ensemble:   d.arts.Ensemble,
-		Refs:       d.arts.Refs,
-		Scorer:     d.arts.Scorer,
-		Scheduler:  &core.DP{Delta: 0.01},
-		Rewarder:   d.arts.Profile,
-		Estimator:  d.arts.Predictor,
-		ScoreDelay: d.arts.Predictor.InferCost,
-		Seed:       d.arts.Seed,
+// serveConfig is the runtime every soak replays on: DP(0.01) planning on
+// predicted scores, at TimeScale 1. Each call gets its own planner.
+func (d deployment) serveConfig() serve.Config {
+	return serve.Config{
+		Ensemble:  d.arts.Ensemble,
+		Scheduler: &core.DP{Delta: 0.01},
+		Rewarder:  d.arts.Profile,
+		Estimator: d.arts.Predictor,
+		TimeScale: 1,
+		Seed:      d.arts.Seed,
 	}
 }
 
-// run is one simulator pass's outcome aggregates.
+// run is one replay's outcome aggregates.
 type run struct {
 	// ServedPerSec counts in-deadline completions per virtual second
 	// (cached answers included: a hit is a served query).
@@ -215,20 +209,26 @@ type run struct {
 	CachedCount  int     `json:"cached,omitempty"`
 }
 
-func (d deployment) summarize(recs []metrics.Record) run {
-	s := metrics.Summarize(recs)
-	cached := 0
-	for _, r := range recs {
-		if r.Cached {
-			cached++
+// summarize scores tr's results against the full ensemble's outputs.
+func (d deployment) summarize(tr *trace.Trace, results []serve.Result) run {
+	var r run
+	agreement := 0.0
+	for i, res := range results {
+		switch {
+		case res.Rejected:
+			r.Rejected++
+		case res.Missed:
+			r.Missed++
+		default:
+			agreement += d.arts.Scorer.Score(res.Output, d.arts.Refs[d.arts.Serve[tr.Arrivals[i].SampleIdx].ID])
+		}
+		if res.Cached {
+			r.CachedCount++
 		}
 	}
-	return run{
-		ServedPerSec: float64(s.N-s.Missed-s.Rejected) / d.horizon.Seconds(),
-		DMR:          s.DMR,
-		Accuracy:     s.Accuracy,
-		Missed:       s.Missed,
-		Rejected:     s.Rejected,
-		CachedCount:  cached,
-	}
+	n := float64(len(results))
+	r.ServedPerSec = (n - float64(r.Missed+r.Rejected)) / d.horizon.Seconds()
+	r.DMR = float64(r.Missed) / n
+	r.Accuracy = agreement / n
+	return r
 }

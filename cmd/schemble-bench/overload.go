@@ -3,9 +3,9 @@ package main
 // The overload scenario soaks the classed serving stack at 1x, 2x and 5x
 // of the deployment's bottleneck capacity and writes BENCH_overload.json.
 //
-// Each tier offers a steady three-class mixture (gold/silver/bronze with
-// descending priority) to the deterministic simulator with admission
-// control and the degradation ladder enabled, then reports per-class SLO
+// Each tier replays a steady three-class mixture (gold/silver/bronze with
+// descending priority) on the classed runtime, admission control and the
+// degradation ladder on, then reports the runtime's own per-class SLO
 // attainment, shed rate and deadline-miss rate plus aggregate goodput.
 // The gate asserts on every run that sheds are priority-ordered at every
 // tier and that the gold class's SLO attainment at 5x stays above
@@ -20,10 +20,9 @@ import (
 	"time"
 
 	"schemble/internal/dataset"
-	"schemble/internal/metrics"
 	"schemble/internal/qos"
 	"schemble/internal/rng"
-	"schemble/internal/sim"
+	"schemble/internal/serve"
 	"schemble/internal/trace"
 )
 
@@ -88,16 +87,18 @@ func runOverload(o options) (overloadReport, error) {
 	d := fit(o)
 	classes := benchClasses
 	rep := overloadReport{
-		header:         newHeader(schemaOverload, o),
+		header:         newHeader(schemaOverload, false),
 		CapacityPerSec: d.capacity,
 		HorizonSec:     d.horizon.Seconds(),
 	}
 	for _, load := range []float64{1, 2, 5} {
 		rate := load * d.capacity
 		tr := steadyClassedTrace(rate, classes, d.horizon, d.arts.Serve, o.seed)
-		cfg := d.simConfig()
+		cfg := d.serveConfig()
 		cfg.Classes = classes
-		t := summarizeTier(load, rate, classes, sim.Run(cfg, tr, d.arts.Serve), d.horizon)
+		s := serve.New(cfg)
+		serve.Replay(s, tr, d.arts.Serve)
+		t := summarizeTier(load, rate, tr.N(), s.Stats().Classes, d.horizon)
 		rep.Tiers = append(rep.Tiers, t)
 		fmt.Fprintf(os.Stderr, "load %.0fx (%.1f q/s, %d arrivals): goodput %.1f/s\n",
 			load, rate, t.Arrivals, t.GoodputPerSec)
@@ -178,39 +179,15 @@ func steadyClassedTrace(rate float64, classes []qos.Class, horizon time.Duration
 	return &trace.Trace{Arrivals: arrivals, Horizon: horizon}
 }
 
-// summarizeTier folds per-query records into the per-class stats.
-func summarizeTier(load, rate float64, classes []qos.Class, recs []metrics.Record,
-	horizon time.Duration) tier {
-	t := tier{Load: load, OfferedRate: rate, Arrivals: len(recs), Classes: make([]classStats, len(classes))}
-	byName := map[string]*classStats{}
-	for i, c := range classes {
-		t.Classes[i] = classStats{Name: c.Name, Priority: c.Priority}
-		byName[c.Name] = &t.Classes[i]
-	}
-	for _, r := range recs {
-		cs := byName[r.Class]
-		if cs == nil {
-			continue
-		}
-		cs.Submitted++
-		switch {
-		case r.Rejected:
-			cs.Rejected++
-		case r.Missed:
-			cs.Missed++
-		case r.Degraded:
-			cs.Degraded++
-		default:
-			cs.Served++
-		}
-	}
-	good := 0
-	for i := range t.Classes {
-		cs := &t.Classes[i]
-		good += cs.Served + cs.Degraded
-		cs.SLOAttainment = 1
-		if done := cs.Served + cs.Degraded + cs.Missed; done > 0 {
-			cs.SLOAttainment = float64(cs.Served+cs.Degraded) / float64(done)
+// summarizeTier folds the runtime's per-class counters into the tier's
+// stats.
+func summarizeTier(load, rate float64, arrivals int, classes []serve.ClassStats, horizon time.Duration) tier {
+	t := tier{Load: load, OfferedRate: rate, Arrivals: arrivals}
+	for _, c := range classes {
+		cs := classStats{
+			Name: c.Name, Priority: c.Priority, Submitted: int(c.Submitted),
+			Served: int(c.Served), Degraded: int(c.Degraded), Missed: int(c.Missed), Rejected: int(c.Rejected),
+			SLOAttainment: c.SLOAttainment,
 		}
 		if cs.Submitted > 0 {
 			cs.ShedRate = float64(cs.Rejected) / float64(cs.Submitted)
@@ -218,7 +195,8 @@ func summarizeTier(load, rate float64, classes []qos.Class, recs []metrics.Recor
 		if accepted := cs.Submitted - cs.Rejected; accepted > 0 {
 			cs.DMR = float64(cs.Missed) / float64(accepted)
 		}
+		t.GoodputPerSec += float64(c.Served+c.Degraded) / horizon.Seconds()
+		t.Classes = append(t.Classes, cs)
 	}
-	t.GoodputPerSec = float64(good) / horizon.Seconds()
 	return t
 }

@@ -16,8 +16,8 @@ const (
 	DriftScore = "score"
 )
 
-// DriftEvent is one detector transition, recorded in virtual time so
-// serve and sim produce comparable event streams.
+// DriftEvent is one detector transition, recorded in virtual time so a
+// replay produces the same event stream.
 type DriftEvent struct {
 	// At is the virtual time of the window close that triggered the
 	// transition.
@@ -39,8 +39,7 @@ type DriftEvent struct {
 // anchored at the first observation after the previous close rather
 // than on a global grid: the detector then never closes an empty
 // window, and window boundaries are a deterministic function of the
-// observation stream alone — the property the sim<->serve equivalence
-// test relies on.
+// observation stream alone, so a replay closes the same windows.
 type window struct {
 	started bool
 	start   time.Duration

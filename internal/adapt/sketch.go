@@ -6,9 +6,8 @@
 // The package follows the engine-agnostic qos/rcache pattern: every
 // method takes the caller's virtual clock, there are no goroutines, no
 // timers, no wall-clock reads and no RNG (enforced by the enginepure
-// analyzer), so the concurrent runtime (serve) and the event simulator
-// (sim) share it verbatim and the sim<->serve equivalence tests extend
-// to adaptation. Package-level state is absent by construction; all
+// analyzer), so a replay of the serving runtime (serve) adapts the same
+// way every time. Package-level state is absent by construction; all
 // state lives in an Engine guarded by one mutex.
 package adapt
 

@@ -31,10 +31,6 @@ type Record struct {
 	// runtime taxonomy.
 	Rejected bool
 	Degraded bool
-	// Cached marks queries answered from the result cache without any
-	// model execution; Subset names the models that produced the cached
-	// answer. Cached queries count as served.
-	Cached bool
 
 	// Agreement is the query's agreement with the full ensemble in [0,1]
 	// (0 when missed).

@@ -1,10 +1,8 @@
-// Package qos is the overload-control core shared by the concurrent
-// serving runtime (internal/serve) and the discrete-event simulator
-// (internal/sim): multi-class admission control, a load estimator, and a
-// degradation ladder. Keeping it engine-agnostic — all methods take the
-// caller's virtual clock, nothing here reads the wall clock or draws
-// randomness — is what lets sim<->serve equivalence tests pin both
-// engines to the same overload semantics.
+// Package qos is the serving runtime's overload-control core, driven by
+// internal/engine: multi-class admission control, a load estimator, and a
+// degradation ladder. All methods take the caller's virtual clock, and
+// nothing here reads the wall clock or draws randomness, so a replay of the
+// same observations makes the same decisions.
 //
 // The model: requests belong to classes (tenant/priority tiers), each
 // with a priority, a default deadline, and a weighted share of the

@@ -9,10 +9,9 @@
 //
 // The cache is engine-agnostic in the internal/qos mold: every method
 // takes the caller's clock, and there is no wall time, randomness, or
-// goroutine inside, so the concurrent runtime (internal/serve, wall time
-// scaled to virtual) and the discrete-event simulator (internal/sim,
-// pure virtual time) share this implementation verbatim and a fixed
-// (Config, call-sequence) replays bit-identically. Eviction is LRU on
+// goroutine inside, so the serving runtime (internal/serve, its clock
+// scaled to virtual) hands it virtual time and a fixed (Config,
+// call-sequence) replays bit-identically. Eviction is LRU on
 // the call order, staleness is bounded by a virtual-time TTL checked at
 // lookup, and capacity is a hard bound enforced at fill.
 package rcache

@@ -24,8 +24,8 @@ func failBlockedRig(t *testing.T) *gateRig {
 func TestBreakerTransitions(t *testing.T) {
 	rig := newFrozenRig(t, 2, ensemble.Empty)
 	s := rig.srv
-	record := func(ok bool) { s.breakerRecord(0, ok, s.vnow()) }
-	blocked := func() ensemble.Subset { return s.breakerBlocked(s.vnow()) }
+	record := func(ok bool) { s.breakerRecord(0, ok, s.Now()) }
+	blocked := func() ensemble.Subset { return s.breakerBlocked(s.Now()) }
 	health := func() ModelHealth { return s.Stats().Models[0] }
 
 	if got := blocked(); got != ensemble.Empty || health().Breaker != "closed" {
@@ -107,7 +107,7 @@ func TestBreakerCooldownOnFrozenClock(t *testing.T) {
 		return s.Stats().Models[0]
 	}
 	// at moves the clock to virtual instant v (the rig runs unscaled).
-	at := func(v time.Duration) { rig.clk.advance(t, v-s.vnow()) }
+	at := func(v time.Duration) { rig.clk.advance(t, v-s.Now()) }
 
 	for i := 0; i < breakerThreshold; i++ {
 		if h := health(); h.Breaker != "closed" || h.ConsecutiveFailures != i {

@@ -13,8 +13,8 @@ import (
 // SubmitClass (or the X-Schemble-Class header over HTTP).
 type Class = qos.Class
 
-// AdmissionConfig tunes the overload controller shared with the
-// simulator; the zero value means defaults. See qos.Tuning.
+// AdmissionConfig tunes the overload controller; the zero value means
+// defaults. See qos.Tuning.
 type AdmissionConfig = qos.Tuning
 
 // classCounters are one class's outcome counters, written by Submit and

@@ -11,10 +11,10 @@ const toCoordinator = -1
 // clock: the Start anchor, arrivals and deadlines, virtual time and
 // latencies, each attempt's start and the waits it makes, the crash
 // windows, the starved instrument and the coordinator's deadline timer.
-// wallClock is the real one. An in-package test substitutes a fake that
-// moves only while the runtime is quiescent, which it learns from the
-// hand-offs the runtime reports through sent and idle; the real clock
-// ignores them.
+// wallClock is the real one. Replay and the in-package tests substitute a
+// virtual clock (vclock.go) that moves only while the runtime is quiescent,
+// which it learns from the hand-offs the runtime reports through sent and
+// idle; the real clock ignores them.
 type clock interface {
 	now() time.Time
 	// newWaiter returns a wait for one worker goroutine's own use.

@@ -22,7 +22,7 @@ func (g *gateRig) armedFor(t *testing.T, from time.Time, want time.Duration, wha
 	g.clk.advance(t, 0)
 	got := never
 	for _, w := range g.clk.armed { // the runtime is quiet: no one arms
-		if !w.worker {
+		if w.woke == &g.clk.toCoord {
 			got = w.at.Sub(from)
 		}
 	}

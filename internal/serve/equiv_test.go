@@ -11,10 +11,8 @@ import (
 	"schemble/internal/trace"
 )
 
-// replay puts s on a frozen clock, starts it and submits tr's queries to
-// it, each at its arrival's virtual instant and in its class, then runs the
-// clock an hour on and returns the results in submission order: on that
-// clock every query has resolved by then.
+// replay is Replay on the frozen test clock, with its rigWait watchdog on
+// every advance, leaving s to the test's cleanup to stop.
 func replay(t *testing.T, s *Server, tr *trace.Trace, samples []*dataset.Sample) []Result {
 	t.Helper()
 	clk, chans := play(t, s, tr, samples)
@@ -28,14 +26,7 @@ func play(t *testing.T, s *Server, tr *trace.Trace, samples []*dataset.Sample) (
 	clk := useTestClock(s, true)
 	s.Start(context.Background())
 	t.Cleanup(s.Stop)
-	start := clk.now() // the anchor of the server's virtual time
-	chans := make([]<-chan Result, len(tr.Arrivals))
-	for i, a := range tr.Arrivals {
-		at := start.Add(time.Duration(float64(a.At) * s.scale))
-		clk.advance(t, at.Sub(clk.now()))
-		chans[i] = s.SubmitClass(samples[a.SampleIdx], a.Deadline-a.At, a.Class)
-	}
-	return clk, chans
+	return clk, s.submitTrace(tr, samples, func(d time.Duration) { clk.advance(t, d) })
 }
 
 // collect runs clk an hour on and returns the results of chans, failing the
@@ -69,18 +60,23 @@ func collect(t *testing.T, clk *testClock, chans []<-chan Result) []Result {
 // (replay), so it plans each query at the instant the simulator does, and
 // no host can make it late.
 //
-// Two wider versions of this test were deleted when the pipeline became one
-// implementation. What TestSimServeEquivalenceClassed asserted: the class a
-// record carries and the class-default deadline (engine.Classify, one
-// implementation; per driver TestSimClassedUnknownClassDefaults and the
-// zero-deadline SubmitClass calls of submit_order_test.go), subset and
-// outcome agreement (this test), nothing shed below the gate (internal/qos).
-// What TestSimServeEquivalenceCached asserted: which queries are answered
-// from the cache and with what (internal/engine's TestArriveHitIsNeverShed
-// and TestSettleFillsAndLearnsOnlyFromCleanResults; per driver
-// TestServeCacheHitFlow and TestSimClassedFlashCrowdCached), the lookup
-// counters (one lookup per arrival: TestArriveHitIsNeverShed,
-// TestFeatureMatrix), subset and outcome agreement (this test).
+// Three wider versions of this test were deleted: two when the pipeline
+// became one implementation, the third when the simulator dropped classes,
+// the cache and adaptation, which are the runtime's own. What
+// TestSimServeEquivalenceClassed asserted: the class a request lands in and
+// the class-default deadline (engine.Classify, one implementation;
+// internal/qos's TestClassIndexAndRanks and the zero-deadline SubmitClass
+// calls of submit_order_test.go), subset and outcome agreement (this test),
+// nothing shed below the gate (internal/qos). What
+// TestSimServeEquivalenceCached asserted: which queries are answered from
+// the cache and with what (internal/engine's TestArriveHitIsNeverShed and
+// TestSettleFillsAndLearnsOnlyFromCleanResults; TestServeCacheHitFlow and
+// TestSubmitOrderCacheAnswersShedClass), the lookup counters (one lookup per
+// arrival: TestArriveHitIsNeverShed, TestFeatureMatrix), subset and outcome
+// agreement (this test). What TestSimServeEquivalenceAdapt asserted: the
+// latency samples a driver feeds adaptation and the drift they show
+// (TestServeAdaptTracksDriftStep), subset and outcome agreement under
+// adaptation (nothing left to agree with: only the runtime adapts).
 func TestSimServeEquivalence(t *testing.T) {
 	a := artifacts(t)
 	const spacing = 400 * time.Millisecond

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"schemble/internal/core"
+	"schemble/internal/obsv"
 	"schemble/internal/pipeline"
+	"schemble/internal/rcache"
 	"schemble/internal/trace"
 )
 
@@ -25,9 +29,8 @@ func testClassMix() []trace.ClassMix {
 	}
 }
 
-func newClassedServer(t *testing.T, a *pipeline.Artifacts, scale float64) *Server {
-	t.Helper()
-	return New(Config{
+func classedConfig(a *pipeline.Artifacts, scale float64) Config {
+	return Config{
 		Ensemble:  a.Ensemble,
 		Scheduler: &core.DP{Delta: 0.01},
 		Rewarder:  a.Profile,
@@ -35,7 +38,12 @@ func newClassedServer(t *testing.T, a *pipeline.Artifacts, scale float64) *Serve
 		TimeScale: scale,
 		Classes:   testClasses(),
 		Seed:      1,
-	})
+	}
+}
+
+func newClassedServer(t *testing.T, a *pipeline.Artifacts, scale float64) *Server {
+	t.Helper()
+	return New(classedConfig(a, scale))
 }
 
 type classAgg struct{ submitted, rejected, missed, degraded, served int }
@@ -64,13 +72,15 @@ func aggregateByClass(tr *trace.Trace, res []Result) map[string]*classAgg {
 }
 
 // TestServeFlashCrowdSoak drives a seeded multi-class flash crowd peaking at
-// 5x the fleet's bottleneck capacity through the classed runtime. It must
-// (a) resolve every request exactly once, the outcome taxonomy partitioning
-// the submissions overall and per class, and (b) shed — explicit
-// rejections, never silent drops — from the lowest-priority classes first.
-// How well the top class keeps its deadlines under the crowd is not judged
-// on the wall clock: TestSimClassedFlashCrowd holds gold's miss rate to
-// 0.05 deterministically, on the same engine code.
+// 5x the fleet's bottleneck capacity through the classed runtime, with the
+// result cache off and on. Each run must (a) resolve every request exactly
+// once, the outcome taxonomy partitioning the submissions overall and per
+// class, (b) shed — explicit rejections, never silent drops — from the
+// lowest-priority classes first, and (c) keep the top class's deadline-miss
+// rate, over the gold requests it admitted, at most 0.05. With the cache on,
+// (d) no request scored over the cache's gate is answered from it, and the
+// answers it gave are the hits it counted. The replays run on the frozen
+// clock, so (c) is judged on one run, not on the host's pacing.
 func TestServeFlashCrowdSoak(t *testing.T) {
 	a := artifacts(t)
 	const scale = 0.2
@@ -82,10 +92,52 @@ func TestServeFlashCrowdSoak(t *testing.T) {
 		Hold: 8 * time.Second, RampDown: 2 * time.Second,
 		Horizon: horizon, Samples: a.Serve, Seed: 5,
 	})
-	s := newClassedServer(t, a, scale)
-	agg := aggregateByClass(crowd, replay(t, s, crowd, a.Serve))
-	st := s.Stats()
+	// The cache's gate is the crowd's median predicted score: half the
+	// arrivals are cacheable, half always need the ensemble.
+	scores := make([]float64, crowd.N())
+	for i, arr := range crowd.Arrivals {
+		scores[i] = a.Predictor.Predict(a.Serve[arr.SampleIdx])
+	}
+	sorted := append([]float64(nil), scores...)
+	sort.Float64s(sorted)
+	gate := sorted[len(sorted)/2]
 
+	for _, row := range []struct {
+		name  string
+		cache rcache.Config
+	}{
+		{"bare", rcache.Config{}},
+		{"cached", rcache.Config{Keyer: testKeyer(t, a, 32), Capacity: 32, DifficultyMax: gate}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := classedConfig(a, scale)
+			cfg.Cache = row.cache
+			s := New(cfg)
+			results := replay(t, s, crowd, a.Serve)
+			checkCrowd(t, s.Stats(), aggregateByClass(crowd, results))
+			if !row.cache.Enabled() {
+				return
+			}
+			cached := uint64(0)
+			for i, res := range results {
+				if !res.Cached {
+					continue
+				}
+				cached++
+				if scores[i] > gate {
+					t.Fatalf("arrival %d scored %.3f over the %.3f gate and was answered from the cache", i, scores[i], gate)
+				}
+			}
+			if hits := s.Stats().Cache.Hits; cached == 0 || cached != hits {
+				t.Errorf("%d answers from the cache, the cache counted %d hits", cached, hits)
+			}
+		})
+	}
+}
+
+// checkCrowd holds one flash-crowd run to TestServeFlashCrowdSoak's (a)-(c).
+func checkCrowd(t *testing.T, st Stats, agg map[string]*classAgg) {
+	t.Helper()
 	// Exactly-once accounting: every submission resolved, and the outcome
 	// taxonomy partitions them.
 	if st.Resolved != st.Submitted {
@@ -112,6 +164,54 @@ func TestServeFlashCrowdSoak(t *testing.T) {
 	if shedRate("gold") > shedRate("silver")+0.05 || shedRate("silver") > shedRate("bronze")+0.05 {
 		t.Errorf("shedding not priority-ordered: gold %.3f silver %.3f bronze %.3f",
 			shedRate("gold"), shedRate("silver"), shedRate("bronze"))
+	}
+	gold := agg["gold"]
+	if gold.submitted == gold.rejected {
+		t.Fatal("every gold request was shed")
+	}
+	if dmr := float64(gold.missed) / float64(gold.submitted-gold.rejected); dmr > 0.05 {
+		t.Errorf("gold missed %d of %d admitted (%.3f) under the crowd, want at most 0.05",
+			gold.missed, gold.submitted-gold.rejected, dmr)
+	}
+	t.Logf("gold missed %d of %d admitted; shed gold %.3f silver %.3f bronze %.3f",
+		gold.missed, gold.submitted-gold.rejected, shedRate("gold"), shedRate("silver"), shedRate("bronze"))
+}
+
+// TestServeClassDefaults: a request without a deadline takes its class's,
+// and one whose class name is unknown or empty lands in the lowest-priority
+// class, bronze, deadline included.
+func TestServeClassDefaults(t *testing.T) {
+	a := artifacts(t)
+	var mu sync.Mutex
+	traces := map[uint64]obsv.DecisionTrace{}
+	cfg := classedConfig(a, 0.2)
+	cfg.Obs = obsv.Config{Sink: func(tr obsv.DecisionTrace) {
+		mu.Lock()
+		traces[tr.ID] = tr
+		mu.Unlock()
+	}}
+	s := New(cfg)
+	// Zero deadlines, so the class default must apply.
+	tr := &trace.Trace{Arrivals: []trace.Arrival{
+		{SampleIdx: 0, At: 100 * time.Millisecond, Class: "gold"},
+		{SampleIdx: 1, At: 600 * time.Millisecond, Class: "no-such-class"},
+		{SampleIdx: 2, At: 1100 * time.Millisecond},
+	}}
+	results := replay(t, s, tr, a.Serve)
+	mu.Lock()
+	defer mu.Unlock()
+	for i, want := range []struct {
+		class  string
+		budget time.Duration
+	}{{"gold", 400 * time.Millisecond}, {"bronze", 600 * time.Millisecond}, {"bronze", 600 * time.Millisecond}} {
+		d := traces[uint64(i+1)]
+		if d.Class != want.class || d.Deadline-d.Queued != want.budget {
+			t.Errorf("arrival %d: class %q, relative deadline %v; want %q, %v",
+				i, d.Class, d.Deadline-d.Queued, want.class, want.budget)
+		}
+		if results[i].Missed {
+			t.Errorf("uncontended arrival %d missed", i)
+		}
 	}
 }
 

@@ -74,7 +74,6 @@ import (
 	"schemble/internal/qos"
 	"schemble/internal/rcache"
 	"schemble/internal/rng"
-	"schemble/internal/trace"
 )
 
 // ErrNotStarted is returned by Drain when Start was never called.
@@ -153,12 +152,6 @@ type Config struct {
 	// events. The zero value disables adaptation and keeps every request
 	// on the frozen-profile code paths bit-identically.
 	Adapt adapt.Config
-
-	// Drift injects a deterministic service-time drift schedule
-	// (test/soak infrastructure, like Faults): each attempt's drawn
-	// latency is multiplied by Drift(model, virtualNow). nil means no
-	// drift.
-	Drift trace.LatencyDrift
 }
 
 // Result is the outcome of one request.
@@ -817,8 +810,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	now := s.clk.now()
 	wallDeadline := now.Add(time.Duration(float64(deadline) * s.scale))
 	// Query.Arrival is the one virtual instant the engine's arrival path —
-	// adaptation, the cache, admission — sees for this request, as the
-	// simulator hands it its clock.
+	// adaptation, the cache, admission — sees for this request.
 	req := &request{
 		seq: s.nSubmitted.Add(1),
 		Query: engine.Query{
@@ -855,7 +847,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	req.advance(stateScored)
 	if req.tr != nil {
 		req.tr.Score = req.Score
-		req.tr.Scored = s.vnow()
+		req.tr.Scored = s.Now()
 		req.tr.Cache = arr.Cache
 	}
 	switch arr.Verdict {
@@ -902,8 +894,9 @@ func (s *Server) virtual(at time.Time) time.Duration {
 	return time.Duration(float64(at.Sub(s.start)) / s.scale)
 }
 
-// vnow is the current virtual time.
-func (s *Server) vnow() time.Duration { return s.virtual(s.clk.now()) }
+// Now is the server's current virtual time: how long it has served since
+// Start, descaled. A model can read it to vary what it draws over a run.
+func (s *Server) Now() time.Duration { return s.virtual(s.clk.now()) }
 
 // latency is how long ago r arrived, in virtual time.
 func (s *Server) latency(r *request) time.Duration {
@@ -995,7 +988,7 @@ func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m mode
 			rc.failures.Add(1)
 			failed = true
 		} else if s.eng.Adapt != nil {
-			s.eng.Adapt.ObserveLatency(s.vnow(), k, r, vlat)
+			s.eng.Adapt.ObserveLatency(s.Now(), k, r, vlat)
 		}
 		t.req.mu.Lock()
 		if t.req.state != stateResolved {
@@ -1057,15 +1050,9 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 		key := attemptKey(r.seq, k, attempt)
 		src.Reseed(rng.Mix(s.cfg.Seed^0x5e7e, key))
 		lat := m.SampleLatency(src)
-		// The attempt's start: the drift schedule, the fault injector's crash
-		// windows, the deadline budget and the wait target all take this
-		// one instant.
+		// The attempt's start: the fault injector's crash windows, the
+		// deadline budget and the wait target all take this one instant.
 		now := s.clk.now()
-		drift := 1.0
-		if s.cfg.Drift != nil {
-			drift = s.cfg.Drift(k, s.virtual(now))
-			lat = time.Duration(float64(lat) * drift)
-		}
 		dec := model.Decision{Kind: model.FaultNone, LatencyFactor: 1}
 		if inj != nil {
 			dec = inj.Attempt(now, lat, key)
@@ -1100,7 +1087,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 				// latencies; the fresh (non-straggling) attempt races the
 				// straggler and the first to finish wins. Outputs are
 				// deterministic, so the winner only decides latency.
-				hlat = time.Duration(float64(m.SampleLatency(src)) * drift)
+				hlat = m.SampleLatency(src)
 				// The hedging threshold consumes the live inflation factor:
 				// under drift the frozen mean would fire hedges on every
 				// (now-normal) slow attempt.
@@ -1375,7 +1362,7 @@ func (c *coordinator) shutdown() {
 func (c *coordinator) onTaskDone(e event) {
 	s := c.s
 	if e.ran {
-		s.breakerRecord(e.k, !e.failed, s.vnow())
+		s.breakerRecord(e.k, !e.failed, s.Now())
 	}
 	if c.pending[e.k] > 0 {
 		c.pending[e.k]--
@@ -1386,7 +1373,7 @@ func (c *coordinator) onTaskDone(e event) {
 	// more tasks (the slot estimates sum to pending, preserving total
 	// capacity; with one replica this is the scalar now + pending*exec).
 	R := len(c.busyUntil[e.k])
-	anchor := s.vnow()
+	anchor := s.Now()
 	for i := range c.busyUntil[e.k] {
 		c.busyUntil[e.k][i] = anchor + time.Duration((c.pending[e.k]+i)/R)*s.eng.Exec()[e.k]
 	}
@@ -1421,7 +1408,7 @@ func (c *coordinator) onTaskDone(e event) {
 		// Only the result that is delivered may fill the cache, and it
 		// does before the caller has it: whoever holds the answer finds
 		// the entry filled.
-		s.eng.Delivered(s.vnow(), &r.Query, st)
+		s.eng.Delivered(s.Now(), &r.Query, st)
 		r.done <- res
 	}
 }
@@ -1623,7 +1610,7 @@ func (s *Server) claim(r *request, res Result) bool {
 		// commit-time fields, then hand a copy to the observer outside the
 		// lock.
 		t := r.tr
-		t.Resolved = s.vnow()
+		t.Resolved = s.Now()
 		t.Latency = t.Resolved - t.Queued
 		t.Retries = int(r.obsRetries.Load())
 		t.Hedges = int(r.obsHedges.Load())

@@ -20,6 +20,11 @@
 //     runtime drives too; the simulator is its event heap, its virtual
 //     servers and the paper's wrapper around them.
 //
+// The simulator is the paper's: it produces every table and figure of
+// `schemble exp`. Request classes, the result cache and online adaptation
+// are the serving runtime's own, and the soaks that measure them replay
+// their traces on that runtime in virtual time (serve.Replay).
+//
 // Determinism: all latency jitter comes from a seeded rng.Source and the
 // event heap breaks time ties by sequence number, so a (Config, Trace) pair
 // always produces identical records.
@@ -29,7 +34,6 @@ import (
 	"container/heap"
 	"time"
 
-	"schemble/internal/adapt"
 	"schemble/internal/core"
 	"schemble/internal/dataset"
 	"schemble/internal/discrepancy"
@@ -38,7 +42,6 @@ import (
 	"schemble/internal/metrics"
 	"schemble/internal/model"
 	"schemble/internal/qos"
-	"schemble/internal/rcache"
 	"schemble/internal/rng"
 	"schemble/internal/trace"
 )
@@ -107,37 +110,6 @@ type Config struct {
 	// model.DefaultBatchMarginal).
 	BatchMarginal float64
 
-	// Classes is serve.Config.Classes: request classes with priorities,
-	// default deadlines and admission weights. Arrivals are mapped to
-	// classes by trace.Arrival.Class (unknown/empty names land in the
-	// lowest-priority class); under overload the engine's qos controller
-	// sheds and degrades the lowest classes first. Classed mode requires
-	// buffered mode.
-	Classes []qos.Class
-	// Admission tunes the overload controller (capacity defaults to
-	// engine.BottleneckCapacity).
-	Admission qos.Tuning
-
-	// Cache is serve.Config.Cache: the difficulty-gated result cache
-	// (internal/rcache) — a hit finishes the query at arrival without
-	// dispatch, a cacheable miss fills the entry on a clean full-quality
-	// completion. The zero value disables caching. Cached mode requires
-	// buffered mode.
-	Cache rcache.Config
-
-	// Adapt is serve.Config.Adapt: the online-adaptation layer
-	// (internal/adapt) — live latency quantile profiles feeding the
-	// scheduler's cost vector, and drift detection. The zero value
-	// disables adaptation and keeps runs bit-identical. Requires
-	// buffered mode.
-	Adapt adapt.Config
-
-	// Drift injects a deterministic service-time drift schedule
-	// (test/soak infrastructure, like fault injection in serve): each
-	// task's drawn latency is multiplied by Drift(model, now) at start.
-	// nil means no drift.
-	Drift trace.LatencyDrift
-
 	Seed uint64
 }
 
@@ -160,9 +132,6 @@ type event struct {
 	arrIdx int
 	q      *query
 	server int
-	// dur is the task's effective (drifted, batched) service time, fed
-	// to the adaptation layer when the task completes.
-	dur time.Duration
 }
 
 type eventHeap []*event
@@ -204,8 +173,6 @@ type task struct {
 
 type server struct {
 	typeIdx int
-	// replica is this server's index within its model type's pool.
-	replica int
 	// busyUntil is when the in-flight task (if any) finishes.
 	busyUntil time.Duration
 	running   bool
@@ -227,10 +194,10 @@ type sim struct {
 	servers []*server
 	// byType[j] lists server indices of model type j.
 	byType [][]int
-	// eng is the decision pipeline; exec is its working planning-cost
-	// vector (mean exec per model type, refreshed by each pass when
-	// adaptation is on) and avail the capacity view its passes plan
-	// against, refilled from the servers' backlogs on every read.
+	// eng is the decision pipeline; exec is its planning-cost vector (mean
+	// exec per model type, with the estimate margin) and avail the capacity
+	// view its passes plan against, refilled from the servers' backlogs on
+	// every read.
 	eng   *engine.Engine
 	exec  []time.Duration
 	avail core.Capacity
@@ -246,34 +213,10 @@ type sim struct {
 // Run simulates the trace against the configured pipeline and returns one
 // record per arrival, ordered by query ID (= trace order).
 func Run(cfg Config, tr *trace.Trace, samples []*dataset.Sample) []metrics.Record {
-	records, _ := RunStats(cfg, tr, samples)
-	return records
-}
-
-// RunStats is Run plus the result cache's counter snapshot (zero when
-// caching is off) so soaks and tests can report hit rates without
-// re-deriving them from records.
-func RunStats(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics.Record, rcache.Snapshot) {
-	records, cacheSnap, _ := RunAdapt(cfg, tr, samples)
-	return records, cacheSnap
-}
-
-// RunAdapt is RunStats plus the online-adaptation engine's final
-// snapshot (nil when adaptation is off) so the drift soak can report
-// inflation factors and drift events.
-func RunAdapt(cfg Config, tr *trace.Trace, samples []*dataset.Sample) ([]metrics.Record, rcache.Snapshot, *adapt.Snapshot) {
 	s := newSim(cfg, tr, samples)
 	for s.step() {
 	}
-	var snap rcache.Snapshot
-	if s.eng.Cache != nil {
-		snap = s.eng.Cache.Snapshot()
-	}
-	var asnap *adapt.Snapshot
-	if s.eng.Adapt != nil {
-		asnap = s.eng.Adapt.Snapshot()
-	}
-	return s.records, snap, asnap
+	return s.records
 }
 
 // newSim validates cfg and builds a run's state with every arrival of the
@@ -284,15 +227,6 @@ func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 	}
 	if cfg.Scheduler != nil && cfg.Rewarder == nil {
 		panic("sim: buffered mode needs a Rewarder")
-	}
-	if len(cfg.Classes) > 0 && cfg.Scheduler == nil {
-		panic("sim: Classes require buffered mode")
-	}
-	if cfg.Cache.Enabled() && cfg.Scheduler == nil {
-		panic("sim: Cache requires buffered mode")
-	}
-	if cfg.Adapt.Enabled() && cfg.Scheduler == nil {
-		panic("sim: Adapt requires buffered mode")
 	}
 	s := &sim{
 		cfg:     cfg,
@@ -325,14 +259,13 @@ func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 		baseExec[j] = time.Duration(float64(cfg.Ensemble.Models[j].MeanLatency()) * (1 + margin))
 		for r := 0; r < replicas[j]; r++ {
 			s.byType[j] = append(s.byType[j], len(s.servers))
-			s.servers = append(s.servers, &server{typeIdx: j, replica: r})
+			s.servers = append(s.servers, &server{typeIdx: j})
 		}
 		s.avail[j] = make([]time.Duration, replicas[j])
 	}
 	s.eng = engine.New(engine.Config{
 		Ensemble: cfg.Ensemble, Scheduler: cfg.Scheduler, Rewarder: cfg.Rewarder,
 		Estimator: cfg.Estimator, Replicas: replicas, BaseExec: baseExec,
-		Classes: cfg.Classes, Admission: cfg.Admission, Cache: cfg.Cache, Adapt: cfg.Adapt,
 	})
 	s.exec = s.eng.Exec()
 	for i := range tr.Arrivals {
@@ -380,13 +313,6 @@ func (s *sim) handle(e *event) {
 		s.eng.Buffer(e.q)
 		s.schedulePlan()
 	case evTaskDone:
-		if s.eng.Adapt != nil {
-			// Observe before resolving, as a serve worker records its
-			// latency before the coordinator processes the completion
-			// (and possibly refits at an epoch boundary).
-			sv := s.servers[e.server]
-			s.eng.Adapt.ObserveLatency(s.now, sv.typeIdx, sv.replica, e.dur)
-		}
 		s.finishTask(e.q)
 		s.onTaskDone(e.server)
 	case evDeadline:
@@ -404,48 +330,27 @@ func (s *sim) handle(e *event) {
 // onArrival admits a new query in the appropriate mode.
 func (s *sim) onArrival(arrIdx int) {
 	a := s.tr.Arrivals[arrIdx]
-	class, budget := s.eng.Classify(a.Class, a.Deadline-a.At)
 	q := &query{
-		Query:  engine.Query{Arrival: a.At, Deadline: a.At + budget, Class: class},
+		// Classless: the engine's class index for no class is -1.
+		Query:  engine.Query{Arrival: a.At, Deadline: a.Deadline, Class: -1},
 		idx:    arrIdx,
 		sample: s.samples[a.SampleIdx],
 	}
-	var className string
-	if class >= 0 {
-		className = s.eng.QoS.Class(class).Name
-	}
-	rec := &s.records[q.idx]
-	*rec = metrics.Record{
+	s.records[q.idx] = metrics.Record{
 		QueryID:  q.idx,
 		SampleID: q.sample.ID,
 		CameraID: q.sample.CameraID,
 		Arrival:  q.Arrival,
 		Deadline: q.Deadline,
 		Missed:   true, // flipped on successful completion
-		Class:    className,
 	}
 	if s.cfg.Select != nil {
 		s.immediateAdmit(q)
 		return
 	}
-	// Buffered mode: the engine scores the query, offers it to the cache
-	// and then to admission.
-	arr := s.eng.Arrive(&q.Query, q.sample)
-	switch arr.Verdict {
-	case engine.Hit:
-		// Zero-cost plan: the query finishes at arrival from the cached
-		// answer; no ready/deadline events are ever pushed.
-		q.finished = true
-		rec.Done = s.now
-		rec.Subset = arr.Value.Subset
-		rec.Missed = false
-		rec.Cached = true
-		rec.Agreement = s.cfg.Scorer.Score(arr.Value.Output, s.cfg.Refs[q.sample.ID])
-		return
-	case engine.Shed:
-		rec.Rejected = true
-		return
-	}
+	// Buffered mode: the engine scores the query; with no classes and no
+	// cache, its arrival path admits every query.
+	s.eng.Arrive(&q.Query, q.sample)
 	// Fast path (Exp-5): empty buffer + an idle replica of the fastest
 	// model -> skip the predictor's delay and the scheduler, dispatch now.
 	if s.cfg.FastFirst && s.eng.Buffered() == 0 {
@@ -542,17 +447,13 @@ func (s *sim) maybeStart(si int) {
 	}
 	batch := sv.queue[:n]
 	sv.queue = sv.queue[n:]
-	dur := s.cfg.Ensemble.Models[sv.typeIdx].SampleLatency(s.src)
-	if s.cfg.Drift != nil {
-		dur = time.Duration(float64(dur) * s.cfg.Drift(sv.typeIdx, s.now))
-	}
-	dur = s.batch.Latency(dur, n)
+	dur := s.batch.Latency(s.cfg.Ensemble.Models[sv.typeIdx].SampleLatency(s.src), n)
 	sv.running = true
 	sv.busyUntil = s.now + dur
 	for _, t := range batch {
 		// The model's output is materialized when the batch completes.
 		t.q.outs[sv.typeIdx] = s.cfg.Ensemble.Models[sv.typeIdx].Predict(t.q.sample)
-		s.push(&event{at: sv.busyUntil, kind: evTaskDone, server: si, q: t.q, dur: dur})
+		s.push(&event{at: sv.busyUntil, kind: evTaskDone, server: si, q: t.q})
 	}
 }
 
@@ -585,13 +486,10 @@ func (s *sim) finishTask(q *query) {
 		return
 	}
 	// Every task of a simulated query succeeds; under ForceProcess a late
-	// result still counts as served, though the engine learns nothing
-	// from it.
+	// result still counts as served.
 	st := s.eng.Settle(&q.Query, q.outs, q.Subset, 0, late)
 	rec.Missed = false
-	rec.Degraded = st.Degraded
 	rec.Agreement = s.cfg.Scorer.Score(st.Output, s.cfg.Refs[q.sample.ID])
-	s.eng.Delivered(s.now, &q.Query, st)
 }
 
 // schedulePlan coalesces planning requests: at most one pending evPlan,

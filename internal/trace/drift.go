@@ -26,55 +26,6 @@ func Stream(seed uint64, label string) *rng.Source {
 	return rng.New(x)
 }
 
-// LatencyDrift is a deterministic service-time drift schedule: the
-// multiplier applied to model k's drawn latency at virtual time at. It
-// is pure test/soak infrastructure (like fault injection): both engines
-// evaluate it with their own virtual clock at task start, so the same
-// schedule produces the same effective latencies in sim and serve. A nil
-// LatencyDrift means no drift.
-type LatencyDrift func(model int, at time.Duration) float64
-
-// RampDrift linearly interpolates the multiplier from `from` before
-// start to `to` after end, across every model — the slow-burn profile
-// shift (thermal throttling, co-tenant pressure) the drift soak uses.
-func RampDrift(start, end time.Duration, from, to float64) LatencyDrift {
-	return func(_ int, at time.Duration) float64 {
-		switch {
-		case at <= start:
-			return from
-		case at >= end:
-			return to
-		default:
-			frac := float64(at-start) / float64(end-start)
-			return from + (to-from)*frac
-		}
-	}
-}
-
-// StepDrift switches the multiplier from before to after at the given
-// instant, across every model. Piecewise-constant, so it stays
-// bit-stable under the small wall-clock jitter of the concurrent
-// runtime — the shape the adapt-on equivalence test relies on.
-func StepDrift(at time.Duration, before, after float64) LatencyDrift {
-	return func(_ int, t time.Duration) float64 {
-		if t < at {
-			return before
-		}
-		return after
-	}
-}
-
-// ModelDrift restricts a drift schedule to model k; every other model
-// keeps multiplier 1.
-func ModelDrift(k int, d LatencyDrift) LatencyDrift {
-	return func(model int, at time.Duration) float64 {
-		if model != k {
-			return 1
-		}
-		return d(model, at)
-	}
-}
-
 // DifficultyShiftConfig configures a drifting-difficulty trace: arrivals
 // draw from an easy pool early and shift linearly toward a hard pool
 // between ShiftStart and ShiftEnd — the workload-mix drift that stales a

@@ -128,35 +128,6 @@ func TestDifficultyShiftFixedSpacing(t *testing.T) {
 	}
 }
 
-func TestDriftSchedules(t *testing.T) {
-	ramp := RampDrift(10*time.Second, 20*time.Second, 1, 3)
-	if got := ramp(0, 5*time.Second); got != 1 {
-		t.Fatalf("ramp before start = %v, want 1", got)
-	}
-	if got := ramp(0, 25*time.Second); got != 3 {
-		t.Fatalf("ramp after end = %v, want 3", got)
-	}
-	if got := ramp(0, 15*time.Second); got != 2 {
-		t.Fatalf("ramp midpoint = %v, want 2", got)
-	}
-
-	step := StepDrift(10*time.Second, 1, 2.5)
-	if got := step(0, 10*time.Second-time.Nanosecond); got != 1 {
-		t.Fatalf("step before threshold = %v, want 1", got)
-	}
-	if got := step(0, 10*time.Second); got != 2.5 {
-		t.Fatalf("step at threshold = %v, want 2.5", got)
-	}
-
-	only1 := ModelDrift(1, step)
-	if got := only1(0, 20*time.Second); got != 1 {
-		t.Fatalf("ModelDrift leaked onto model 0: %v", got)
-	}
-	if got := only1(1, 20*time.Second); got != 2.5 {
-		t.Fatalf("ModelDrift on model 1 = %v, want 2.5", got)
-	}
-}
-
 func TestDifficultyShiftPanics(t *testing.T) {
 	bad := []func(*DifficultyShiftConfig){
 		func(c *DifficultyShiftConfig) { c.RatePerSec = 0; c.Spacing = 0 },
