@@ -136,8 +136,9 @@ BENCH_FLAGS ?=
 bench-%:
 	$(GO) run ./cmd/schemble-bench -scenario $* $(BENCH_FLAGS)
 
-# Short coverage-guided fuzzing bursts over the scheduler and the HTTP
-# surface, seeded from testdata/fuzz. FUZZTIME=5m for a deeper local run;
+# Short coverage-guided fuzzing bursts over the scheduler, the HTTP
+# surface, the adaptation sketch and the bounded k-means (bitwise against
+# its reference), seeded from testdata/fuzz. FUZZTIME=5m for a deeper local run;
 # new crashers land in testdata/fuzz/<target> and become regression
 # seeds.
 FUZZTIME ?= 20s
@@ -145,6 +146,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDPSchedule' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzHTTPPredict' -fuzztime $(FUZZTIME) ./internal/httpserve/
 	$(GO) test -run '^$$' -fuzz 'FuzzSketch' -fuzztime $(FUZZTIME) ./internal/adapt/
+	$(GO) test -run '^$$' -fuzz 'FuzzFit' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # Coverage gate on the paper-critical packages: the scheduler (the paper's
 # contribution), the decision engine sim and serve both drive, the serving

@@ -186,7 +186,9 @@ func main() {
 		for i, s := range arts.Serve {
 			points[i] = s.Features
 		}
+		start := time.Now()
 		km, err := cluster.Fit(points, *cacheRegions, 30, rng.New(*seed^0xcac4e))
+		fitTime := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "-cache: fitting keyer: %v\n", err)
 			os.Exit(1)
@@ -198,8 +200,8 @@ func main() {
 			DifficultyMax: *cacheDifficultyMax,
 		}
 		fmt.Fprintf(os.Stderr,
-			"result cache: %d centroids, capacity %d, ttl %v, difficulty-max %.2f\n",
-			km.K(), *cacheSize, *cacheTTL, *cacheDifficultyMax)
+			"result cache: %d centroids fitted in %.3fs, capacity %d, ttl %v, difficulty-max %.2f\n",
+			km.K(), fitTime.Seconds(), *cacheSize, *cacheTTL, *cacheDifficultyMax)
 	}
 	rt := serve.New(serve.Config{
 		Ensemble:   arts.Ensemble,

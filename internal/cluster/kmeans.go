@@ -68,13 +68,50 @@ func Fit(points [][]float64, k, maxIter int, src *rng.Source) (*KMeans, error) {
 		return km, nil
 	}
 	centroids := seedPlusPlus(points, k, src)
-	assign := make([]int, len(points))
-	counts := make([]int, len(centroids))
+	lloyd(points, centroids, maxIter, src)
+	return &KMeans{Centroids: centroids}, nil
+}
+
+// lloyd runs at most maxIter Lloyd iterations on centroids in place,
+// stopping at the first iteration after the first that moves no point.
+//
+// It follows Hamerly ("Making k-means even faster", SDM 2010): each point
+// keeps an upper bound on its Euclidean distance to its own centroid and a
+// lower bound on its distance to every other, and an iteration widens them
+// by how far the centroids moved. A point whose upper bound sits below its
+// lower bound by more than the rounding slack keeps its centroid without a
+// distance computation; every other point is measured against every
+// centroid with scan. The slack is absolute, so it covers the rounding of
+// sqDist and of the bounds' own arithmetic even where lower minus drift
+// cancels; a point it lets through has a computed distance to its centroid
+// strictly below every other, which is exactly when a rescan would keep it.
+// So every iteration moves the same points as a full rescan, ties included,
+// and the centroid sums and the empty-cluster draws are a full rescan's.
+func lloyd(points, centroids [][]float64, maxIter int, src *rng.Source) {
+	n, k, dim := len(points), len(centroids), len(points[0])
+	assign := make([]int, n)
+	upper := make([]float64, n)
+	lower := make([]float64, n)
+	counts := make([]int, k)
+	prev := make([]float64, k*dim)
+	drift := make([]float64, k)
+	var maxDrift float64
+	tol := slack(points)
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for i, p := range points {
-			c := nearest(centroids, p)
-			if assign[i] != c {
+			a := assign[i]
+			if iter > 0 {
+				upper[i] += drift[a]
+				lower[i] -= maxDrift
+				if upper[i]+tol < lower[i] {
+					continue
+				}
+			}
+			c, d1, d2 := scan(centroids, p)
+			upper[i] = math.Sqrt(d1) + tol
+			lower[i] = math.Sqrt(d2) - tol
+			if a != c {
 				assign[i] = c
 				changed = true
 			}
@@ -83,6 +120,7 @@ func Fit(points [][]float64, k, maxIter int, src *rng.Source) (*KMeans, error) {
 			break
 		}
 		for c := range centroids {
+			copy(prev[c*dim:], centroids[c])
 			counts[c] = 0
 			for d := range centroids[c] {
 				centroids[c][d] = 0
@@ -95,19 +133,51 @@ func Fit(points [][]float64, k, maxIter int, src *rng.Source) (*KMeans, error) {
 				centroids[c][d] += p[d]
 			}
 		}
+		maxDrift = 0
 		for c := range centroids {
 			if counts[c] == 0 {
 				// Re-seed an empty cluster at a random point.
 				copy(centroids[c], points[src.Intn(len(points))])
-				continue
+			} else {
+				inv := 1 / float64(counts[c])
+				for d := range centroids[c] {
+					centroids[c][d] *= inv
+				}
 			}
-			inv := 1 / float64(counts[c])
-			for d := range centroids[c] {
-				centroids[c][d] *= inv
+			drift[c] = math.Sqrt(sqDist(prev[c*dim:(c+1)*dim], centroids[c])) + tol
+			if drift[c] > maxDrift {
+				maxDrift = drift[c]
 			}
 		}
 	}
-	return &KMeans{Centroids: centroids}, nil
+}
+
+// slack returns the absolute allowance lloyd's bounds carry for rounding:
+// at least four times the most that a distance taken as the square root of
+// sqDist can be off from the exact distance between the same float
+// vectors. Every point and centroid lies in the box of the points' largest
+// coordinate magnitude s, so no exact distance exceeds 2·s·√dim (r doubles
+// that, for means that round past the box); sqDist is off by at most a
+// relative (dim+2)·2⁻⁵³ of the squared distance plus dim·2⁻¹⁰⁷⁴ of
+// underflow, and the square root by one more rounding. Coordinates that
+// are not finite or beyond ±1e60, whose squares may overflow, get +Inf,
+// which no bound passes: every point is rescanned every iteration.
+func slack(points [][]float64) float64 {
+	var s float64
+	for _, p := range points {
+		for _, v := range p {
+			a := math.Abs(v)
+			if !(a <= 1e60) {
+				return math.Inf(1)
+			}
+			if a > s {
+				s = a
+			}
+		}
+	}
+	dim := float64(len(points[0]))
+	r := 4 * s * math.Sqrt(dim)
+	return r*(dim+16)*0x1p-50 + math.Sqrt(dim)*0x1p-500
 }
 
 // seedPlusPlus picks up to k initial centroids with D^2 weighting. When
@@ -118,13 +188,18 @@ func seedPlusPlus(points [][]float64, k int, src *rng.Source) [][]float64 {
 	centroids := make([][]float64, 0, k)
 	first := points[src.Intn(len(points))]
 	centroids = append(centroids, append([]float64(nil), first...))
+	// d2[i] is point i's squared distance to its nearest chosen centroid,
+	// kept by folding in each new centroid rather than rescanning them all:
+	// the minimum is the same value, so total and every pick are too.
 	d2 := make([]float64, len(points))
 	for len(centroids) < k {
+		newest := centroids[len(centroids)-1]
 		var total float64
 		for i, p := range points {
-			d := sqDist(p, centroids[nearest(centroids, p)])
-			d2[i] = d
-			total += d
+			if d := sqDist(p, newest); len(centroids) == 1 || d < d2[i] {
+				d2[i] = d
+			}
+			total += d2[i]
 		}
 		//schemble:floateq-ok total sums non-negative distances; it is exactly 0 only when every point coincides with a centroid
 		if total == 0 {
@@ -183,14 +258,62 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-func nearest(centroids [][]float64, p []float64) int {
-	best, bestD := 0, math.Inf(1)
-	for c, cent := range centroids {
-		if d := sqDist(p, cent); d < bestD {
-			best, bestD = c, d
-		}
+// sqDist4 returns sqDist(p, a), sqDist(p, b), sqDist(p, c) and
+// sqDist(p, d) in one pass over p. Each distance has its own accumulator,
+// summed in sqDist's order, so each is bitwise sqDist's; the four
+// independent chains are what make the pass faster than four calls.
+func sqDist4(p, a, b, c, d []float64) (sa, sb, sc, sd float64) {
+	a, b, c, d = a[:len(p)], b[:len(p)], c[:len(p)], d[:len(p)]
+	for i, v := range p {
+		ea := v - a[i]
+		sa += ea * ea
+		eb := v - b[i]
+		sb += eb * eb
+		ec := v - c[i]
+		sc += ec * ec
+		ed := v - d[i]
+		sd += ed * ed
 	}
-	return best
+	return sa, sb, sc, sd
+}
+
+// nearestTwo folds squared distances, in centroid order, into the nearest
+// centroid, its distance and the smallest distance to any other centroid.
+type nearestTwo struct {
+	best   int
+	d1, d2 float64
+}
+
+func (t *nearestTwo) add(c int, d float64) {
+	if d < t.d1 {
+		t.best, t.d1, t.d2 = c, d, t.d1
+	} else if d < t.d2 {
+		t.d2 = d
+	}
+}
+
+// scan returns the index of the centroid nearest p, the lowest index among
+// equals, with sqDist(p, centroids[best]) and the smallest squared distance
+// from p to any other centroid (+Inf when there is none). A distance is
+// taken only when it is below the nearest so far, starting from +Inf, so a
+// p with no finite distance to any centroid is centroid 0's.
+func scan(centroids [][]float64, p []float64) (best int, d1, d2 float64) {
+	t := nearestTwo{d1: math.Inf(1), d2: math.Inf(1)}
+	c := 0
+	for ; c+4 <= len(centroids); c += 4 {
+		sa, sb, sc, sd := sqDist4(p, centroids[c], centroids[c+1], centroids[c+2], centroids[c+3])
+		t.add(c, sa)
+		t.add(c+1, sb)
+		t.add(c+2, sc)
+		t.add(c+3, sd)
+	}
+	for ; c < len(centroids); c++ {
+		t.add(c, sqDist(p, centroids[c]))
+	}
+	if !(t.d1 < math.Inf(1)) {
+		t.d1 = sqDist(p, centroids[0])
+	}
+	return t.best, t.d1, t.d2
 }
 
 // Assign returns the index of the centroid closest to p. It panics when
@@ -198,10 +321,17 @@ func nearest(centroids [][]float64, p []float64) int {
 // the shorter vector, so a mismatched point would be silently mislabeled
 // — and, used as a cache key, would alias across feature spaces.
 func (km *KMeans) Assign(p []float64) int {
+	c, _ := km.nearest(p)
+	return c
+}
+
+// nearest returns Assign's centroid and p's squared distance to it.
+func (km *KMeans) nearest(p []float64) (int, float64) {
 	if len(p) != km.Dim() {
 		panic(fmt.Sprintf("cluster: Assign called with dim %d, fitted dim is %d", len(p), km.Dim()))
 	}
-	return nearest(km.Centroids, p)
+	c, d, _ := scan(km.Centroids, p)
+	return c, d
 }
 
 // K returns the number of clusters.
@@ -220,7 +350,8 @@ func (km *KMeans) Dim() int {
 func (km *KMeans) Inertia(points [][]float64) float64 {
 	var s float64
 	for _, p := range points {
-		s += sqDist(p, km.Centroids[km.Assign(p)])
+		_, d := km.nearest(p)
+		s += d
 	}
 	return s
 }

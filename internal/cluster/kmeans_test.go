@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"math"
+	"math/big"
 	"testing"
 
 	"schemble/internal/rng"
@@ -201,7 +203,8 @@ func TestAllIdenticalPoints(t *testing.T) {
 
 // TestAssignDimMismatchPanics pins the sqDist mislabeling fix: a point
 // from a different feature space must fail loudly, never silently map to
-// a centroid (cache keys must not alias across feature spaces).
+// a centroid (cache keys must not alias across feature spaces), in Assign
+// and in Inertia alike.
 func TestAssignDimMismatchPanics(t *testing.T) {
 	km := mustFit(t, [][]float64{{0, 0}, {10, 10}}, 2, 10, rng.New(13))
 	for name, p := range map[string][]float64{
@@ -217,5 +220,54 @@ func TestAssignDimMismatchPanics(t *testing.T) {
 			}()
 			km.Assign(p)
 		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Inertia(%s dim) did not panic", name)
+				}
+			}()
+			km.Inertia([][]float64{{5, 5}, p})
+		}()
+	}
+}
+
+// TestSlackCoversRounding checks the claim lloyd's bounds rest on: for any
+// two vectors in the points' box, the square root of sqDist is within a
+// quarter of slack of the exact Euclidean distance, worked out in 4096-bit
+// arithmetic. It runs over every fuzz shape, the 2^±60 scales
+// included, and over point-to-mean pairs, since centroids are means.
+func TestSlackCoversRounding(t *testing.T) {
+	exact := func(a, b []float64) *big.Float {
+		sum := new(big.Float).SetPrec(4096)
+		for i := range a {
+			d := new(big.Float).SetPrec(4096).Sub(big.NewFloat(a[i]), big.NewFloat(b[i]))
+			sum.Add(sum, d.Mul(d, d))
+		}
+		return sum.Sqrt(sum)
+	}
+	for mode := uint8(0); mode < 5; mode++ {
+		for seed := uint64(0); seed < 6; seed++ {
+			src := rng.New(seed)
+			points := fuzzPoints(src, 60, 1+int(seed*3)%17, mode)
+			mean := make([]float64, len(points[0]))
+			for _, p := range points {
+				for d, v := range p {
+					mean[d] += v
+				}
+			}
+			for d := range mean {
+				mean[d] *= 1 / float64(len(points))
+			}
+			quarter := slack(points) / 4
+			for i, p := range points {
+				for _, q := range [][]float64{points[(i+1)%len(points)], mean} {
+					got := big.NewFloat(math.Sqrt(sqDist(p, q)))
+					err, _ := got.Sub(got, exact(p, q)).Abs(got).Float64()
+					if !(err <= quarter) {
+						t.Fatalf("mode %d seed %d: sqrt(sqDist) off by %g, a quarter of slack is %g", mode, seed, err, quarter)
+					}
+				}
+			}
+		}
 	}
 }
