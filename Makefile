@@ -153,12 +153,15 @@ fuzz:
 # runtime (where concurrency bugs hide), and the control subsystems the
 # engine assembles (qos admission, result cache, online adaptation). Each
 # entry is package:floor; floors are floors, not targets — raise them as
-# coverage grows.
+# coverage grows. Coverage runs without the race detector: test-race
+# (`make check`) already runs every one of these tests under -race, and
+# coverage inside the race detector took the DP tests past go test's
+# ten-minute timeout.
 COVER_FLOORS ?= core:90 engine:90 serve:85 qos:85 rcache:85 adapt:85
 cover:
 	@for pf in $(COVER_FLOORS); do \
 		pkg=$${pf%%:*}; floor=$${pf##*:}; \
-		$(GO) test -race -coverprofile=cover-$$pkg.out ./internal/$$pkg/ || exit 1; \
+		$(GO) test -coverprofile=cover-$$pkg.out ./internal/$$pkg/ || exit 1; \
 		got=$$($(GO) tool cover -func=cover-$$pkg.out | awk '/^total:/ {print substr($$3, 1, length($$3)-1)}'); \
 		echo "coverage: internal/$$pkg $$got% (floor $$floor%)"; \
 		awk -v g="$$got" -v f="$$floor" 'BEGIN { exit !(g+0 >= f+0) }' || { echo "coverage below floor"; exit 1; }; \

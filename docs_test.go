@@ -90,3 +90,55 @@ func TestReadmeFlagsAreRegistered(t *testing.T) {
 		}
 	}
 }
+
+// instrumentFamilies parses internal/httpserve's instruments table and
+// returns the metric family names it declares.
+func instrumentFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "httpserve", "metrics.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || len(spec.Names) != 1 || spec.Names[0].Name != "instruments" {
+			return true
+		}
+		ast.Inspect(spec, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil && familyName.MatchString(name) {
+					names[name] = true
+				}
+			}
+			return true
+		})
+		return false
+	})
+	return names
+}
+
+// familyName matches a whole metric family name as the docs write one.
+var familyName = regexp.MustCompile(`^schemble_[a-z_]+$`)
+
+// TestDocsFamiliesAreInstruments: every schemble_ metric family README.md
+// or DESIGN.md names is a row of the instruments table, so the docs cannot
+// name a series the server does not export.
+func TestDocsFamiliesAreInstruments(t *testing.T) {
+	families := instrumentFamilies(t)
+	if !families["schemble_requests_total"] || !families["schemble_model_backlog_seconds"] {
+		t.Fatalf("found %d families in the instruments table, missing schemble_requests_total or schemble_model_backlog_seconds", len(families))
+	}
+	mention := regexp.MustCompile(`schemble_[a-z_]+`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range mention.FindAllString(string(text), -1) {
+			if !families[name] {
+				t.Errorf("%s names %s, which is not a row of internal/httpserve's instruments table", doc, name)
+			}
+		}
+	}
+}

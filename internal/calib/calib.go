@@ -18,9 +18,6 @@ type Scaler struct {
 	T float64
 }
 
-// Identity returns a no-op scaler (T = 1).
-func Identity() *Scaler { return &Scaler{T: 1} }
-
 // Apply returns probs rescaled through temperature T: softmax(log(p)/T).
 // A fresh slice is returned; probs is unmodified.
 func (s *Scaler) Apply(probs []float64) []float64 {

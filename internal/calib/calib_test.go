@@ -30,7 +30,7 @@ func synthOverconfident(src *rng.Source, n int, overTemp float64) ([][]float64, 
 }
 
 func TestApplyIdentity(t *testing.T) {
-	s := Identity()
+	s := &Scaler{T: 1}
 	p := []float64{0.3, 0.7}
 	q := s.Apply(p)
 	if q[0] != 0.3 || q[1] != 0.7 {

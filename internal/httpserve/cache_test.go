@@ -72,12 +72,13 @@ func TestCacheSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := st.Runtime.Cache
-	if cs == nil {
-		t.Fatal("stats omit the cache object on a cached deployment")
+	rt := st.Runtime
+	if _, ok := rt["schemble_cache_requests_total"]; !ok {
+		t.Fatal("stats omit the cache families on a cached deployment")
 	}
-	if cs.Hits != 1 || cs.Misses != 1 || cs.Fills != 1 || cs.HitRate != 0.5 {
-		t.Errorf("cache stats = %+v, want 1 hit / 1 miss / 1 fill", cs)
+	if num(t, rt, "schemble_cache_requests_total", "hit") != 1 || num(t, rt, "schemble_cache_requests_total", "miss") != 1 ||
+		num(t, rt, "schemble_cache_fills_total") != 1 || num(t, rt, "schemble_cache_hit_rate") != 0.5 {
+		t.Errorf("cache stats = %v, want 1 hit / 1 miss / 1 fill", rt)
 	}
 
 	res, err := http.Get(url + "/v1/metrics")
@@ -126,15 +127,20 @@ func TestClassCachedSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cached uint64
-	for _, cs := range st.Runtime.Classes {
-		if want := map[string]uint64{"gold": 0, "bronze": 2}[cs.Name]; cs.Cached != want {
-			t.Errorf("class %s reports %d cached answers, want %d", cs.Name, cs.Cached, want)
-		}
-		cached += cs.Cached
+	byClass := branch(t, st.Runtime, "schemble_class_cached_total")
+	want := map[string]float64{"gold": 0, "bronze": 2}
+	if len(byClass) != len(want) {
+		t.Errorf("cached answers reported for classes %v, want %v", byClass, want)
 	}
-	if st.Runtime.Cache == nil || cached != st.Runtime.Cache.Hits {
-		t.Errorf("classes count %d cached answers, cache stats %+v", cached, st.Runtime.Cache)
+	var cached float64
+	for name, w := range want {
+		if got := num(t, byClass, name); got != w {
+			t.Errorf("class %s reports %v cached answers, want %v", name, got, w)
+		}
+		cached += num(t, byClass, name)
+	}
+	if hits := num(t, st.Runtime, "schemble_cache_requests_total", "hit"); cached != hits {
+		t.Errorf("classes count %v cached answers, the cache %v hits", cached, hits)
 	}
 	text, err := c.Metrics()
 	if err != nil {
@@ -152,7 +158,7 @@ func TestClassCachedSurfaces(t *testing.T) {
 }
 
 // TestCacheSurfacesOmittedWhenOff pins the cacheless wire format: no cache
-// object in stats, no cache series in metrics.
+// family in stats.
 func TestCacheSurfacesOmittedWhenOff(t *testing.T) {
 	c, _, a := startServer(t)
 	if _, err := c.Predict(a.Serve[0].ID, 500*time.Millisecond); err != nil {
@@ -162,7 +168,9 @@ func TestCacheSurfacesOmittedWhenOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Runtime.Cache != nil {
-		t.Errorf("cacheless deployment reports cache stats: %+v", st.Runtime.Cache)
+	for family := range st.Runtime {
+		if strings.HasPrefix(family, "schemble_cache_") {
+			t.Errorf("cacheless deployment reports %s", family)
+		}
 	}
 }

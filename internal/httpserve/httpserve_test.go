@@ -119,16 +119,17 @@ func TestStatsAccumulate(t *testing.T) {
 	// The runtime snapshot rides along: 5 requests submitted, all
 	// resolved, nothing left in flight.
 	rt := st.Runtime
-	if rt.Submitted != 5 || rt.Resolved != 5 {
-		t.Errorf("runtime counters submitted=%d resolved=%d, want 5/5", rt.Submitted, rt.Resolved)
+	resolved := num(t, rt, "schemble_resolved_total")
+	if num(t, rt, "submitted") != 5 || resolved != 5 {
+		t.Errorf("runtime counters submitted=%v resolved=%v, want 5/5", num(t, rt, "submitted"), resolved)
 	}
-	if rt.Served+rt.Missed+rt.Rejected != rt.Resolved {
-		t.Errorf("runtime counter identity broken: %+v", rt)
+	if num(t, rt, "served")+num(t, rt, "missed")+num(t, rt, "rejected") != resolved {
+		t.Errorf("runtime counter identity broken: %v", rt)
 	}
-	if rt.Buffered != 0 || rt.InFlight != 0 || rt.Draining {
-		t.Errorf("idle runtime reports backlog: %+v", rt)
+	if num(t, rt, "schemble_buffered") != 0 || num(t, rt, "schemble_inflight") != 0 || num(t, rt, "schemble_draining") != 0 {
+		t.Errorf("idle runtime reports backlog: %v", rt)
 	}
-	if len(rt.QueueDepth) == 0 {
+	if len(branch(t, rt, "schemble_model_queue_depth")) == 0 {
 		t.Error("runtime snapshot missing queue depths")
 	}
 }
@@ -202,18 +203,19 @@ func TestHealthEndpoint(t *testing.T) {
 	if hr.Draining {
 		t.Error("fresh server reports draining")
 	}
-	if len(hr.Models) != a.Ensemble.M() {
-		t.Fatalf("health lists %d models, want %d", len(hr.Models), a.Ensemble.M())
+	executed := branch(t, hr.Models, "schemble_model_executed_total")
+	if len(executed) != a.Ensemble.M() {
+		t.Fatalf("health lists %d models, want %d", len(executed), a.Ensemble.M())
 	}
-	for _, m := range hr.Models {
-		if m.Name == "" {
+	for name := range executed {
+		if name == "" {
 			t.Error("model health entry missing name")
 		}
-		if m.Breaker != "off" {
-			t.Errorf("model %s breaker = %q, want off with tolerance disabled", m.Name, m.Breaker)
+		if state := branch(t, hr.Models, "schemble_model_breaker_state", name); num(t, state, "off") != 1 {
+			t.Errorf("model %s breaker = %v, want off with tolerance disabled", name, state)
 		}
-		if m.Down || m.Failures != 0 {
-			t.Errorf("fault-free model %s reports faults: %+v", m.Name, m)
+		if num(t, hr.Models, "schemble_model_down", name) != 0 || num(t, hr.Models, "schemble_model_failures_total", name) != 0 {
+			t.Errorf("fault-free model %s reports faults: %v", name, hr.Models)
 		}
 	}
 }
@@ -268,20 +270,24 @@ func TestChaosServerHealthAndStats(t *testing.T) {
 		t.Errorf("handler counters sum to %d, want 40: %+v", got, st)
 	}
 	rt := st.Runtime
-	if rt.Served+rt.Degraded+rt.Missed+rt.Rejected != rt.Resolved {
-		t.Errorf("runtime counter identity broken: %+v", rt)
+	if num(t, rt, "served")+num(t, rt, "degraded")+num(t, rt, "missed")+num(t, rt, "rejected") != num(t, rt, "schemble_resolved_total") {
+		t.Errorf("runtime counter identity broken: %v", rt)
 	}
-	if uint64(st.Degraded) != rt.Degraded {
-		t.Errorf("handler degraded %d != runtime degraded %d", st.Degraded, rt.Degraded)
+	if float64(st.Degraded) != num(t, rt, "degraded") {
+		t.Errorf("handler degraded %d != runtime degraded %v", st.Degraded, num(t, rt, "degraded"))
 	}
-	if len(rt.Models) != a.Ensemble.M() {
-		t.Fatalf("runtime stats list %d models, want %d", len(rt.Models), a.Ensemble.M())
+	executed := branch(t, rt, "schemble_model_executed_total")
+	if len(executed) != a.Ensemble.M() {
+		t.Fatalf("runtime stats list %d models, want %d", len(executed), a.Ensemble.M())
 	}
-	var faults uint64
-	for _, m := range rt.Models {
-		faults += m.Transient + m.Stragglers + m.Crashes + m.Timeouts
-		if m.Breaker == "off" {
-			t.Errorf("model %s breaker off with tolerance enabled", m.Name)
+	var faults float64
+	for name := range executed {
+		for _, family := range []string{"schemble_model_transient_faults_total", "schemble_model_stragglers_total",
+			"schemble_model_crashes_total", "schemble_model_timeouts_total"} {
+			faults += num(t, rt, family, name)
+		}
+		if _, off := branch(t, rt, "schemble_model_breaker_state", name)["off"]; off {
+			t.Errorf("model %s breaker off with tolerance enabled", name)
 		}
 	}
 	if faults == 0 {
@@ -294,7 +300,7 @@ func TestChaosServerHealthAndStats(t *testing.T) {
 	if hr.Status != "ok" && hr.Status != "degraded" {
 		t.Errorf("health status = %q", hr.Status)
 	}
-	if len(hr.Models) != a.Ensemble.M() {
-		t.Errorf("health lists %d models, want %d", len(hr.Models), a.Ensemble.M())
+	if n := len(branch(t, hr.Models, "schemble_model_executed_total")); n != a.Ensemble.M() {
+		t.Errorf("health lists %d models, want %d", n, a.Ensemble.M())
 	}
 }

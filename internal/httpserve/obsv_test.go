@@ -240,23 +240,26 @@ func TestTaskOvershootExported(t *testing.T) {
 			t.Fatalf("exposition missing the %s family", family)
 		}
 	}
-	var executed uint64
-	for _, m := range st.Runtime.Models {
-		executed += m.Executed
-		want := fmt.Sprintf("schemble_task_overshoot_seconds_count{model=%q} %d\n", m.Name, m.Executed)
+	var executed float64
+	for name := range branch(t, st.Runtime, "schemble_model_executed_total") {
+		n := num(t, st.Runtime, "schemble_model_executed_total", name)
+		executed += n
+		want := fmt.Sprintf("schemble_task_overshoot_seconds_count{model=%q} %d\n", name, uint64(n))
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", strings.TrimSpace(want))
 		}
-		want = fmt.Sprintf("schemble_model_starved_seconds_count{model=%q} %d\n", m.Name, m.StarvedCount)
+		starved := branch(t, st.Runtime, "schemble_model_starved_seconds", name)
+		count, p50, p99 := num(t, starved, "count"), num(t, starved, "p50"), num(t, starved, "p99")
+		want = fmt.Sprintf("schemble_model_starved_seconds_count{model=%q} %d\n", name, uint64(count))
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", strings.TrimSpace(want))
 		}
-		if m.StarvedUSP50 > m.StarvedUSP99 || (m.StarvedCount > 0) != (m.StarvedUSP99 > 0) {
-			t.Errorf("model %s: starved count=%d p50=%v p99=%v", m.Name, m.StarvedCount, m.StarvedUSP50, m.StarvedUSP99)
+		if p50 > p99 || (count > 0) != (p99 > 0) {
+			t.Errorf("model %s: starved count=%v p50=%v p99=%v", name, count, p50, p99)
 		}
-		if m.Executed > 0 && !(m.TimerOvershootUSP50 > 0 && m.TimerOvershootUSP50 <= m.TimerOvershootUSP99) {
-			t.Errorf("model %s: overshoot p50=%v p99=%v after %d tasks",
-				m.Name, m.TimerOvershootUSP50, m.TimerOvershootUSP99, m.Executed)
+		over := branch(t, st.Runtime, "schemble_task_overshoot_seconds", name)
+		if p50, p99 := num(t, over, "p50"), num(t, over, "p99"); n > 0 && !(p50 > 0 && p50 <= p99) {
+			t.Errorf("model %s: overshoot p50=%v p99=%v after %v tasks", name, p50, p99, n)
 		}
 	}
 	if executed == 0 {
@@ -265,9 +268,9 @@ func TestTaskOvershootExported(t *testing.T) {
 }
 
 // TestTurnInstrumentsExported: the coordinator's two series — events per
-// turn and the wall time of a turn's pass — are on both surfaces and add up:
-// every submission and every task completion is one event of some turn, a
-// turn holds at least one, and every turn ran one pass.
+// turn and the wall time of a turn's pass — are on both surfaces, agree and
+// add up: every submission and every task completion is one event of some
+// turn, a turn holds at least one, and every turn ran one pass.
 func TestTurnInstrumentsExported(t *testing.T) {
 	c, _, a := startServer(t)
 	const n = 6
@@ -281,15 +284,8 @@ func TestTurnInstrumentsExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := uint64(n)
-	for _, m := range st.Runtime.Models {
-		events += m.Executed
-	}
-	rt := st.Runtime
-	if !(rt.TurnEventsP50 >= 1 && rt.TurnEventsP50 <= rt.TurnEventsP99) {
-		t.Errorf("turn events p50=%v p99=%v", rt.TurnEventsP50, rt.TurnEventsP99)
-	}
-	if !(rt.PassUSP50 > 0 && rt.PassUSP50 <= rt.PassUSP99) {
-		t.Errorf("pass p50=%v p99=%v us", rt.PassUSP50, rt.PassUSP99)
+	for name := range branch(t, st.Runtime, "schemble_model_executed_total") {
+		events += uint64(num(t, st.Runtime, "schemble_model_executed_total", name))
 	}
 	// The last answer is sent from inside the last turn, a moment before
 	// that turn books itself: wait for the books to close.
@@ -314,6 +310,20 @@ func TestTurnInstrumentsExported(t *testing.T) {
 	if turns == 0 || turns > events {
 		t.Errorf("%d turns over %d events", turns, events)
 	}
+	// Nothing ran since: /v1/stats reads the same books.
+	if st, err = c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	turn, pass := branch(t, st.Runtime, "schemble_turn_events"), branch(t, st.Runtime, "schemble_pass_seconds")
+	if num(t, turn, "count") != float64(turns) || num(t, turn, "sum") != float64(events) || num(t, pass, "count") != float64(passes) {
+		t.Errorf("stats turn events %v and pass %v, metrics %d turns of %d events and %d passes", turn, pass, turns, events, passes)
+	}
+	if !(num(t, turn, "p50") > 0 && num(t, turn, "p50") <= num(t, turn, "p99")) {
+		t.Errorf("turn events %v", turn)
+	}
+	if !(num(t, pass, "p50") > 0 && num(t, pass, "p50") <= num(t, pass, "p99")) {
+		t.Errorf("pass seconds %v", pass)
+	}
 }
 
 // TestModelBacklogExported: the per-model term of the load estimate is on
@@ -337,16 +347,21 @@ func TestModelBacklogExported(t *testing.T) {
 	if !strings.Contains(text, "# TYPE schemble_model_backlog_seconds gauge") {
 		t.Fatal("exposition missing the schemble_model_backlog_seconds family")
 	}
-	for _, m := range st.Runtime.Models {
+	backlog := branch(t, st.Runtime, "schemble_model_backlog_seconds")
+	if len(backlog) == 0 {
+		t.Fatal("/v1/stats carries no per-model backlog")
+	}
+	for name := range backlog {
+		b := num(t, backlog, name)
 		// No request is in flight, so no pass ran between the two reads.
-		want := fmt.Sprintf("schemble_model_backlog_seconds{model=%q} %g\n", m.Name, m.BacklogSeconds)
+		want := fmt.Sprintf("schemble_model_backlog_seconds{model=%q} %g\n", name, b)
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", strings.TrimSpace(want))
 		}
 		// One closed-loop caller: a pass never finds more than the tasks of
 		// one request committed, each under a tenth of a second of work.
-		if m.BacklogSeconds < 0 || m.BacklogSeconds > 0.2 {
-			t.Errorf("model %s: backlog %v s behind one caller", m.Name, m.BacklogSeconds)
+		if b < 0 || b > 0.2 {
+			t.Errorf("model %s: backlog %v s behind one caller", name, b)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"schemble/internal/core"
+	"schemble/internal/qos"
 	"schemble/internal/serve"
 	"schemble/internal/testutil"
 )
@@ -115,13 +116,7 @@ func TestClassedPredictDefaults(t *testing.T) {
 	if len(st.Classes) != 2 {
 		t.Fatalf("runtime reports %d classes", len(st.Classes))
 	}
-	var raw struct {
-		Runtime struct {
-			Load        float64      `json:"load"`
-			LadderState string       `json:"ladder_state"`
-			Classes     []ClassStats `json:"classes"`
-		} `json:"runtime"`
-	}
+	var raw statsReply
 	r, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -130,15 +125,18 @@ func TestClassedPredictDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Body.Close()
-	if len(raw.Runtime.Classes) != 2 || raw.Runtime.LadderState == "" {
-		t.Errorf("stats JSON: %d classes, ladder %q", len(raw.Runtime.Classes), raw.Runtime.LadderState)
+	submitted := branch(t, raw.Runtime, "schemble_class_submitted_total")
+	if len(submitted) != 2 {
+		t.Errorf("stats JSON: %d classes", len(submitted))
 	}
-	var total uint64
-	for _, cs := range raw.Runtime.Classes {
-		total += cs.Submitted
+	num(t, raw.Runtime, "schemble_load")
+	num(t, raw.Runtime, "schemble_ladder_state")
+	var total float64
+	for name := range submitted {
+		total += num(t, submitted, name)
 	}
 	if total != 3 {
-		t.Errorf("class-submitted total %d, want 3", total)
+		t.Errorf("class-submitted total %v, want 3", total)
 	}
 }
 
@@ -160,8 +158,8 @@ func TestRetryAfterDerivedFromLoad(t *testing.T) {
 	body := func(i int, class string) string {
 		return `{"sample_id": ` + strconv.Itoa(a.Serve[i].ID) + `, "class": "` + class + `"}`
 	}
-	bronze := func() string { return h.srv.Stats().Classes[1].Level }
-	for gold := 0; bronze() != "shed"; gold++ {
+	bronze := func() qos.Level { return h.srv.Stats().Classes[1].Level }
+	for gold := 0; bronze() != qos.LevelShed; gold++ {
 		if gold == 16 {
 			t.Fatalf("bronze at %q after 16 buffered gold requests", bronze())
 		}

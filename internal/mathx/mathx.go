@@ -46,27 +46,6 @@ func SoftmaxInto(dst, logits []float64) {
 	}
 }
 
-// LogSumExp returns log(sum(exp(x_i))) computed stably.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	max := xs[0]
-	for _, v := range xs[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	if math.IsInf(max, -1) {
-		return max
-	}
-	var sum float64
-	for _, v := range xs {
-		sum += math.Exp(v - max)
-	}
-	return max + math.Log(sum)
-}
-
 // Sigmoid returns 1/(1+exp(-x)) without overflow for large |x|.
 func Sigmoid(x float64) float64 {
 	if x >= 0 {

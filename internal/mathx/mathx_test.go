@@ -65,20 +65,6 @@ func TestSoftmaxShiftInvarianceProperty(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
-	if !almostEqual(got, math.Log(6), 1e-12) {
-		t.Errorf("LogSumExp = %v, want log 6", got)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Error("LogSumExp(nil) should be -Inf")
-	}
-	big := LogSumExp([]float64{1e4, 1e4})
-	if math.IsInf(big, 0) || math.IsNaN(big) {
-		t.Errorf("LogSumExp overflowed: %v", big)
-	}
-}
-
 func TestSigmoid(t *testing.T) {
 	cases := []struct{ x, want float64 }{
 		{0, 0.5},

@@ -35,9 +35,8 @@ type ClassStats struct {
 	Name     string
 	Priority int
 	Weight   float64
-	// Level is the class's current degradation-ladder service level:
-	// "full", "capped", "greedy" or "shed".
-	Level string
+	// Level is the class's current degradation-ladder service level.
+	Level qos.Level
 	// TimeAtLevel[l] is the virtual time the class has spent at qos.Level
 	// l since the runtime started.
 	TimeAtLevel [qos.LevelShed + 1]time.Duration
@@ -69,7 +68,7 @@ func (s *Server) classStatsFrom(snaps []qos.ClassSnapshot) []ClassStats {
 			Name:          snap.Name,
 			Priority:      snap.Priority,
 			Weight:        snap.Weight,
-			Level:         snap.Level.String(),
+			Level:         snap.Level,
 			TimeAtLevel:   snap.TimeAtLevel,
 			Submitted:     cc.submitted.Load(),
 			Served:        cc.outcome[obsv.Served].Load(),

@@ -11,6 +11,7 @@ import (
 	"schemble/internal/dataset"
 	"schemble/internal/ensemble"
 	"schemble/internal/obsv"
+	"schemble/internal/qos"
 	"schemble/internal/rcache"
 	"schemble/internal/testutil"
 )
@@ -104,7 +105,7 @@ func (o *orderRig) shedBronze(t *testing.T) {
 	t.Helper()
 	base := o.srv.Stats()
 	held := base.Buffered + base.InFlight
-	for sent := 1; o.class(t, "bronze").Level != "shed"; sent++ {
+	for sent := 1; o.class(t, "bronze").Level != qos.LevelShed; sent++ {
 		if sent > 16 {
 			t.Fatalf("bronze at %q after %d gold arrivals onto a full fleet", o.class(t, "bronze").Level, sent-1)
 		}

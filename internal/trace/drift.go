@@ -31,11 +31,8 @@ func Stream(seed uint64, label string) *rng.Source {
 // between ShiftStart and ShiftEnd — the workload-mix drift that stales a
 // frozen difficulty-score calibration.
 type DifficultyShiftConfig struct {
-	// RatePerSec is the mean Poisson arrival rate; Spacing, when
-	// positive, replaces it with fixed inter-arrival gaps (for
-	// deterministic equivalence traces).
+	// RatePerSec is the mean Poisson arrival rate.
 	RatePerSec float64
-	Spacing    time.Duration
 	// N is the number of arrivals.
 	N int
 	// Samples is the serving pool Arrival.SampleIdx indexes into;
@@ -58,7 +55,7 @@ type DifficultyShiftConfig struct {
 // composing this generator with any deadline policy (or changing the
 // policy) never perturbs arrival times or sample picks.
 func DifficultyShift(cfg DifficultyShiftConfig) *Trace {
-	if (cfg.RatePerSec <= 0 && cfg.Spacing <= 0) || cfg.N <= 0 ||
+	if cfg.RatePerSec <= 0 || cfg.N <= 0 ||
 		len(cfg.EasyIdx) == 0 || len(cfg.HardIdx) == 0 || len(cfg.Samples) == 0 {
 		panic("trace: bad DifficultyShift config")
 	}
@@ -68,11 +65,7 @@ func DifficultyShift(cfg DifficultyShiftConfig) *Trace {
 	t := &Trace{}
 	var now time.Duration
 	for i := 0; i < cfg.N; i++ {
-		if cfg.Spacing > 0 {
-			now += cfg.Spacing
-		} else {
-			now += time.Duration(gaps.Exponential(cfg.RatePerSec) * float64(time.Second))
-		}
+		now += time.Duration(gaps.Exponential(cfg.RatePerSec) * float64(time.Second))
 		var pHard float64
 		switch {
 		case now <= cfg.ShiftStart:

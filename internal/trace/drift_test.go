@@ -114,23 +114,9 @@ func TestDifficultyShiftMixShift(t *testing.T) {
 	}
 }
 
-func TestDifficultyShiftFixedSpacing(t *testing.T) {
-	cfg := shiftCfg(ConstantDeadline(100 * time.Millisecond))
-	cfg.RatePerSec = 0
-	cfg.Spacing = 10 * time.Millisecond
-	cfg.N = 100
-	tr := DifficultyShift(cfg)
-	for i, a := range tr.Arrivals {
-		want := time.Duration(i+1) * 10 * time.Millisecond
-		if a.At != want {
-			t.Fatalf("arrival %d at %v, want exact spacing %v", i, a.At, want)
-		}
-	}
-}
-
 func TestDifficultyShiftPanics(t *testing.T) {
 	bad := []func(*DifficultyShiftConfig){
-		func(c *DifficultyShiftConfig) { c.RatePerSec = 0; c.Spacing = 0 },
+		func(c *DifficultyShiftConfig) { c.RatePerSec = 0 },
 		func(c *DifficultyShiftConfig) { c.N = 0 },
 		func(c *DifficultyShiftConfig) { c.EasyIdx = nil },
 		func(c *DifficultyShiftConfig) { c.HardIdx = nil },

@@ -16,10 +16,6 @@ import (
 type ZipfianConfig struct {
 	// RatePerSec is the mean arrival rate.
 	RatePerSec float64
-	// Spacing, when positive, replaces the Poisson gaps with a fixed
-	// inter-arrival interval — the deterministic pacing the sim<->serve
-	// equivalence tests need.
-	Spacing time.Duration
 	// N is the number of arrivals to generate.
 	N int
 	// Samples is the pool; popularity ranks are assigned by a seeded
@@ -35,9 +31,9 @@ type ZipfianConfig struct {
 }
 
 // Zipfian generates a Zipf-popularity trace: repeated queries over a
-// shuffled rank order, with Poisson or fixed-interval arrival times.
+// shuffled rank order, with Poisson arrival times.
 func Zipfian(cfg ZipfianConfig) *Trace {
-	if (cfg.RatePerSec <= 0 && cfg.Spacing <= 0) || cfg.N <= 0 || len(cfg.Samples) == 0 {
+	if cfg.RatePerSec <= 0 || cfg.N <= 0 || len(cfg.Samples) == 0 {
 		panic("trace: bad Zipfian config")
 	}
 	if cfg.S <= 0 {
@@ -59,11 +55,7 @@ func Zipfian(cfg ZipfianConfig) *Trace {
 	t := &Trace{}
 	var now time.Duration
 	for i := 0; i < cfg.N; i++ {
-		if cfg.Spacing > 0 {
-			now += cfg.Spacing
-		} else {
-			now += time.Duration(src.Exponential(cfg.RatePerSec) * float64(time.Second))
-		}
+		now += time.Duration(src.Exponential(cfg.RatePerSec) * float64(time.Second))
 		// Invert the cumulative mass by linear scan: the head ranks carry
 		// almost all of it, so the expected scan length is short.
 		u := src.Float64() * total

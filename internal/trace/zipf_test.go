@@ -50,19 +50,6 @@ func TestZipfianBasics(t *testing.T) {
 	}
 }
 
-func TestZipfianFixedSpacing(t *testing.T) {
-	tr := Zipfian(ZipfianConfig{
-		Spacing: 200 * time.Millisecond, N: 100, Samples: pool(50),
-		Deadline: ConstantDeadline(time.Second), Seed: 4,
-	})
-	for i, a := range tr.Arrivals {
-		want := time.Duration(i+1) * 200 * time.Millisecond
-		if a.At != want {
-			t.Fatalf("arrival %d at %v, want %v", i, a.At, want)
-		}
-	}
-}
-
 func TestZipfianDeterminism(t *testing.T) {
 	cfg := ZipfianConfig{RatePerSec: 20, N: 500, Samples: pool(64),
 		Deadline: ConstantDeadline(time.Second), Seed: 9}

@@ -61,10 +61,15 @@ for family in schemble_turn_events schemble_pass_seconds; do
     echo "${METRICS}" | grep -Eq "^${family}_count [1-9]" \
         || { echo "missing coordinator histogram ${family}:"; echo "${METRICS}"; exit 1; } >&2
 done
+# /v1/stats carries every family under its /v1/metrics name: the per-model
+# backlog gauge as {model: seconds}, each coordinator histogram as
+# {count, sum, p50, p99}.
 STATS="$(curl -fsS "http://${ADDR}/v1/stats")"
-for field in backlog_seconds turn_events_p50 turn_events_p99 pass_us_p50 pass_us_p99; do
-    echo "${STATS}" | grep -q "\"${field}\":" \
-        || { echo "/v1/stats carries no ${field}"; exit 1; } >&2
+echo "${STATS}" | grep -Eq '"schemble_model_backlog_seconds":\{"[^"]+":[0-9]' \
+    || { echo "/v1/stats carries no per-model schemble_model_backlog_seconds: ${STATS}"; exit 1; } >&2
+for family in schemble_turn_events schemble_pass_seconds; do
+    echo "${STATS}" | grep -Eq "\"${family}\":\\{\"count\":[1-9][0-9]*,\"sum\":[0-9.e+-]+,\"p50\":[0-9.e+-]+,\"p99\":[0-9.e+-]+\\}" \
+        || { echo "/v1/stats carries no ${family} histogram with its p50 and p99: ${STATS}"; exit 1; } >&2
 done
 
 TRACES="$(curl -fsS "http://${ADDR}/v1/trace?last=5")"
