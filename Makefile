@@ -120,7 +120,7 @@ repo-bench:
 
 # bench-<scenario> runs one scenario of cmd/schemble-bench and writes its
 # BENCH_<scenario>.json trajectory file:
-#   dp        scheduler micro-benchmarks plus a serve-runtime soak
+#   dp        scheduler and cold-start micro-benchmarks
 #   overload  the classed flash-crowd soak at 1x/2x/5x of capacity
 #   cache     the Zipf result-cache soak, cache-off vs cache-on
 #   drift     the drifting-workload soak, frozen profiles vs adaptation
@@ -137,27 +137,29 @@ bench-%:
 	$(GO) run ./cmd/schemble-bench -scenario $* $(BENCH_FLAGS)
 
 # Short coverage-guided fuzzing bursts over the scheduler, the HTTP
-# surface, the adaptation sketch and the bounded k-means (bitwise against
-# its reference), seeded from testdata/fuzz. FUZZTIME=5m for a deeper local run;
+# surface, the latency histogram (every geometry the runtime builds) and
+# the bounded k-means (bitwise against its reference), seeded from
+# testdata/fuzz. FUZZTIME=5m for a deeper local run;
 # new crashers land in testdata/fuzz/<target> and become regression
 # seeds.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDPSchedule' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzHTTPPredict' -fuzztime $(FUZZTIME) ./internal/httpserve/
-	$(GO) test -run '^$$' -fuzz 'FuzzSketch' -fuzztime $(FUZZTIME) ./internal/adapt/
+	$(GO) test -run '^$$' -fuzz 'FuzzHistogram' -fuzztime $(FUZZTIME) ./internal/obsv/
 	$(GO) test -run '^$$' -fuzz 'FuzzFit' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # Coverage gate on the paper-critical packages: the scheduler (the paper's
 # contribution), the decision engine sim and serve both drive, the serving
-# runtime (where concurrency bugs hide), and the control subsystems the
-# engine assembles (qos admission, result cache, online adaptation). Each
+# runtime (where concurrency bugs hide), the control subsystems the
+# engine assembles (qos admission, result cache, online adaptation), and
+# the histogram whose quantiles the adaptation planner reads (obsv). Each
 # entry is package:floor; floors are floors, not targets — raise them as
 # coverage grows. Coverage runs without the race detector: test-race
 # (`make check`) already runs every one of these tests under -race, and
 # coverage inside the race detector took the DP tests past go test's
 # ten-minute timeout.
-COVER_FLOORS ?= core:90 engine:90 serve:85 qos:85 rcache:85 adapt:85
+COVER_FLOORS ?= core:90 engine:90 serve:85 qos:85 rcache:85 adapt:85 obsv:85
 cover:
 	@for pf in $(COVER_FLOORS); do \
 		pkg=$${pf%%:*}; floor=$${pf##*:}; \

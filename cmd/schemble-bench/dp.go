@@ -5,20 +5,16 @@ package main
 // live coordinator hands it (overload, the slack of a staged fleet, and that
 // fleet under a buffer deeper than the window), of the Greedy baseline, and
 // of the cold start of a deployment that has to fit (one predictor-shaped
-// fit, one pipeline.Fit); then a high-arrival-rate soak of
-// the real serve runtime under a compressed TimeScale, whose outcome counts
-// are a drain-and-accounting smoke (wall-clock goodput is the repo
-// benchmark's goodput_rps, see bench/README.md). The gate fails any micro
+// fit, one pipeline.Fit). Serving goodput under load is the repository
+// benchmark's goodput_rps (see bench/README.md). The gate fails any micro
 // whose ns/decision regresses more than maxRegress against the baseline.
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"testing"
 	"time"
 
-	"schemble"
 	"schemble/internal/core"
 	"schemble/internal/dataset"
 	"schemble/internal/ensemble"
@@ -40,7 +36,6 @@ type dpReport struct {
 	// dp/* and greedy/*, of Net.Train and pipeline.Fit for the cold-start
 	// entries).
 	Micro []microResult `json:"micro"`
-	Soak  *soakResult   `json:"soak,omitempty"`
 }
 
 type microResult struct {
@@ -51,30 +46,12 @@ type microResult struct {
 	BytesPerOp      int64   `json:"bytes_per_op"`
 }
 
-type soakResult struct {
-	Queries    int     `json:"queries"`
-	RatePerSec float64 `json:"rate_per_sec"`
-	TimeScale  float64 `json:"time_scale"`
-	DeadlineMs float64 `json:"deadline_ms"`
-	Served     uint64  `json:"served"`
-	Degraded   uint64  `json:"degraded"`
-	Missed     uint64  `json:"missed"`
-	Rejected   uint64  `json:"rejected"`
-}
-
 func runDP(o options) (dpReport, error) {
 	rep := dpReport{header: newHeader(schemaDP, o.quick), Micro: runMicro()}
 	for _, m := range rep.Micro {
 		fmt.Fprintf(os.Stderr, "%-18s %12.1f ns/decision %14.0f decisions/sec %4d allocs/op %6d B/op\n",
 			m.Name, m.NsPerDecision, m.DecisionsPerSec, m.AllocsPerOp, m.BytesPerOp)
 	}
-	soak, err := runServeSoak(o)
-	if err != nil {
-		return rep, err
-	}
-	rep.Soak = soak
-	fmt.Fprintf(os.Stderr, "soak: %d queries @ %.0f/s virtual -> served %d, degraded %d, missed %d, rejected %d\n",
-		soak.Queries, soak.RatePerSec, soak.Served, soak.Degraded, soak.Missed, soak.Rejected)
 	return rep, nil
 }
 
@@ -311,59 +288,4 @@ func runMicro() []microResult {
 		measure("nn/train-predictor", func(int) { fit() }),
 		measure("pipeline/build", func(int) { pipeline.Fit(buildCfg) }),
 	)
-}
-
-// runServeSoak drives the real serve runtime with a Poisson trace and
-// reports its outcome counts after a drain.
-func runServeSoak(o options) (*soakResult, error) {
-	nQueries, nData, epochs := 3000, 2000, 60
-	if o.quick {
-		nQueries, nData, epochs = 400, 600, 20
-	}
-	// 80/s overruns the fastest model's single-replica capacity (20ms =>
-	// 50/s), so the scheduler must triage by difficulty instead of
-	// serving everything — the regime the paper targets.
-	const (
-		rate     = 80.0 // virtual arrivals per second
-		scale    = 0.05 // 20x time compression
-		deadline = 150 * time.Millisecond
-	)
-	ds := dataset.TextMatching(dataset.Config{N: nData, Seed: o.seed})
-	fw := schemble.New(schemble.Config{
-		Dataset:         ds,
-		Models:          model.TextMatchingModels(o.seed),
-		PredictorEpochs: epochs,
-		Seed:            o.seed,
-	})
-	tr := fw.PoissonTrace(rate, nQueries, deadline, 1)
-	pool := fw.ServingPool()
-	srv := fw.NewServer(schemble.ServerOptions{TimeScale: scale})
-	srv.Start(context.Background())
-	start := time.Now()
-	chans := make([]<-chan schemble.ServeResult, 0, len(tr.Arrivals))
-	for _, a := range tr.Arrivals {
-		if d := time.Duration(float64(a.At)*scale) - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		chans = append(chans, srv.Submit(pool[a.SampleIdx], a.Deadline-a.At))
-	}
-	for _, ch := range chans {
-		<-ch
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		return nil, fmt.Errorf("soak drain: %w", err)
-	}
-	st := srv.Stats()
-	return &soakResult{
-		Queries:    nQueries,
-		RatePerSec: rate,
-		TimeScale:  scale,
-		DeadlineMs: float64(deadline) / float64(time.Millisecond),
-		Served:     st.Served,
-		Degraded:   st.Degraded,
-		Missed:     st.Missed,
-		Rejected:   st.Rejected,
-	}, nil
 }

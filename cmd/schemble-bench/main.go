@@ -1,6 +1,6 @@
 // Command schemble-bench runs one of the repository's soaks and writes its
-// BENCH_<scenario>.json trajectory file: dp (scheduler micro-benchmarks
-// plus a serve-runtime soak), overload (the classed stack at 1x/2x/5x of
+// BENCH_<scenario>.json trajectory file: dp (scheduler and cold-start
+// micro-benchmarks), overload (the classed stack at 1x/2x/5x of
 // capacity), cache (the result cache under Zipf popularity) or drift
 // (online adaptation under a latency ramp and a difficulty shift). Each
 // scenario's file says what it measures and gates. The overload, cache and
@@ -12,8 +12,9 @@
 //	schemble-bench [-scenario dp|overload|cache|drift] [-quick]
 //	               [-out BENCH_<scenario>.json] [-baseline FILE] [-seed 7]
 //
-// -quick shrinks dp's fit and soak for CI (the other soaks are always full
-// size); -out - writes the report to stdout, and progress goes to stderr.
+// -quick marks the report as a CI run and shrinks nothing: dp's micros and
+// the soaks are always full size; -out - writes the report to stdout, and
+// progress goes to stderr.
 // -baseline adds the regression gates against an earlier report of the same
 // scenario. A named baseline that cannot be read or parsed, or is another
 // scenario's, fails the run before it measures anything; it is read before
@@ -58,7 +59,7 @@ func newHeader(schema string, quick bool) header {
 
 func main() {
 	name := flag.String("scenario", "dp", "soak to run: dp, overload, cache or drift")
-	quick := flag.Bool("quick", false, "shrink dp's pipeline fit and soak (CI mode)")
+	quick := flag.Bool("quick", false, "mark the report as a CI run (sizes do not change)")
 	out := flag.String("out", "", "output file (default BENCH_<scenario>.json; - for stdout)")
 	baselinePath := flag.String("baseline", "", "earlier report of the same scenario to gate regressions against")
 	seed := flag.Uint64("seed", 7, "seed of the soak (dp's micro-benchmarks use fixed instances)")

@@ -1,3 +1,14 @@
+// Package adapt is the online-adaptation layer: live latency profiles,
+// one obsv.Histogram per model, whose high quantile scales the planner's
+// cost model, and a windowed drift detector over observed-vs-profiled
+// latency and over the difficulty-score distribution.
+//
+// The package follows the engine-agnostic qos/rcache pattern: every
+// method takes the caller's virtual clock, there are no goroutines, no
+// timers, no wall-clock reads and no RNG (enforced by the enginepure
+// analyzer), so a replay of the serving runtime (serve) adapts the same
+// way every time. Package-level state is absent by construction; all
+// state lives in an Engine guarded by one mutex.
 package adapt
 
 import (
@@ -6,6 +17,7 @@ import (
 	"time"
 
 	"schemble/internal/model"
+	"schemble/internal/obsv"
 )
 
 // OutcomeScorer computes the true discrepancy score of a served sample
@@ -42,10 +54,10 @@ const (
 	// or shifts.
 	costQuantile = 0.9
 	// minSamples is the per-model observation count below which Inflation
-	// stays 1: a cold sketch must not perturb planning.
+	// stays 1: a cold profile must not perturb planning.
 	minSamples = 32
 	// maxInflation and minInflation clamp the inflation factor so a
-	// pathological sketch can never starve or flood the planner.
+	// pathological profile can never starve or flood the planner.
 	maxInflation = 8
 	minInflation = 0.25
 
@@ -66,18 +78,23 @@ const (
 	scoreBand = 0.15
 	// eventBuffer bounds the retained drift-event ring.
 	eventBuffer = 64
+
+	// A live profile's buckets are bounded by 50µs·1.22^i for i in
+	// 0..64, then overflow: 50µs to ~17s, around any model service time
+	// this system schedules, so a quantile is within a factor 1.22 of the
+	// true order statistic.
+	profileMin     = 50 * time.Microsecond
+	profileGrowth  = 1.22
+	profileBuckets = 65
 )
 
-// Engine is the online-adaptation state for one deployment: per-replica
-// latency sketches folded into per-model views, and the drift detector.
-// All methods are safe for concurrent use; observation and query paths
-// never allocate.
+// Engine is the online-adaptation state for one deployment: a latency
+// histogram per model, and the drift detector. All methods are safe for
+// concurrent use; observation and query paths never allocate.
 type Engine struct {
 	mu sync.Mutex
 	//schemble:guardedby mu
-	perModel []Sketch
-	//schemble:guardedby mu
-	perReplica [][]Sketch
+	perModel []*obsv.Histogram
 	//schemble:guardedby mu
 	det detector
 
@@ -88,29 +105,24 @@ type Engine struct {
 	base     []time.Duration
 }
 
-// New builds an engine for a fleet of len(profiled) models where model k
-// runs replicas[k] replicas. profiled carries the frozen profiling mean
-// latencies, base the engine's planning cost vector at those means
-// (ExecInto scales base, preserving whatever margin the engine bakes
-// in). Returns nil when the config is disabled, so a nil-check is the
-// only branch adaptation adds to a zero-config runtime.
-func New(cfg Config, profiled, base []time.Duration, replicas []int) *Engine {
+// New builds an engine for a fleet of len(profiled) models. profiled
+// carries the frozen profiling mean latencies, base the engine's planning
+// cost vector at those means (ExecInto scales base, preserving whatever
+// margin the engine bakes in). Returns nil when the config is disabled,
+// so a nil-check is the only branch adaptation adds to a zero-config
+// runtime.
+func New(cfg Config, profiled, base []time.Duration) *Engine {
 	if !cfg.Enabled() {
 		return nil
 	}
 	m := len(profiled)
 	e := &Engine{
-		perModel: make([]Sketch, m),
+		perModel: make([]*obsv.Histogram, m),
 		profiled: append([]time.Duration(nil), profiled...),
 		base:     append([]time.Duration(nil), base...),
 	}
-	e.perReplica = make([][]Sketch, m)
-	for k := 0; k < m; k++ {
-		r := 1
-		if k < len(replicas) && replicas[k] > 1 {
-			r = replicas[k]
-		}
-		e.perReplica[k] = make([]Sketch, r)
+	for k := range e.perModel {
+		e.perModel[k] = obsv.NewHistogram(profileMin, profileGrowth, profileBuckets)
 	}
 	e.det = detector{
 		latWin:   make([]window, m),
@@ -120,18 +132,15 @@ func New(cfg Config, profiled, base []time.Duration, replicas []int) *Engine {
 }
 
 // ObserveLatency folds one completed task execution into model k's
-// (replica r's) sketch and the latency drift detector. now and lat are
-// virtual time. Never allocates.
-func (e *Engine) ObserveLatency(now time.Duration, k, r int, lat time.Duration) {
+// profile and the latency drift detector. now and lat are virtual time.
+// Never allocates.
+func (e *Engine) ObserveLatency(now time.Duration, k int, lat time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if k < 0 || k >= len(e.perModel) {
 		return
 	}
-	e.perModel[k].Insert(lat)
-	if r >= 0 && r < len(e.perReplica[k]) {
-		e.perReplica[k][r].Insert(lat)
-	}
+	e.perModel[k].Observe(lat)
 	w := &e.det.latWin[k]
 	if w.started && now-w.start >= driftWindow {
 		if w.n >= driftMinCount && e.profiled[k] > 0 {
@@ -185,8 +194,8 @@ func (e *Engine) ObserveScore(now time.Duration, score float64) {
 
 // Inflation reports model k's current cost inflation factor: the live
 // costQuantile latency over the frozen profiled mean, clamped to
-// [minInflation, maxInflation], or exactly 1 while the sketch is cold. Callers hold
-// no lock. Never allocates.
+// [minInflation, maxInflation], or exactly 1 while the profile is cold.
+// Callers hold no lock. Never allocates.
 func (e *Engine) Inflation(k int) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -198,11 +207,11 @@ func (e *Engine) inflationLocked(k int) float64 {
 	if k < 0 || k >= len(e.perModel) {
 		return 1
 	}
-	s := &e.perModel[k]
-	if s.Count() < minSamples || e.profiled[k] <= 0 {
+	h := e.perModel[k]
+	if h.Count() < minSamples || e.profiled[k] <= 0 {
 		return 1
 	}
-	infl := float64(s.Quantile(costQuantile)) / float64(e.profiled[k])
+	infl := float64(h.Quantile(costQuantile)) / float64(e.profiled[k])
 	return min(max(infl, minInflation), maxInflation)
 }
 
@@ -271,8 +280,6 @@ type ModelAdapt struct {
 	ProfiledMean time.Duration `json:"profiled_mean"`
 	Inflation    float64       `json:"inflation"`
 	Drift        bool          `json:"drift"`
-	// ReplicaSamples breaks Samples down by replica for real pools.
-	ReplicaSamples []uint64 `json:"replica_samples,omitempty"`
 }
 
 // Snapshot exports the engine's current state. Safe for concurrent use;
@@ -288,25 +295,18 @@ func (e *Engine) Snapshot() *Snapshot {
 		ScoreEvents:   e.det.scoreEvents,
 		Events:        e.det.recent(),
 	}
-	for k := range e.perModel {
-		s := &e.perModel[k]
-		ma := ModelAdapt{
-			Samples:      s.Count(),
-			Mean:         s.Mean(),
-			P50:          s.Quantile(0.5),
-			P90:          s.Quantile(0.9),
-			P99:          s.Quantile(0.99),
+	for k, h := range e.perModel {
+		hs := h.Snapshot()
+		snap.Models[k] = ModelAdapt{
+			Samples:      hs.Count,
+			Mean:         hs.Mean(),
+			P50:          hs.Quantile(0.5),
+			P90:          hs.Quantile(0.9),
+			P99:          hs.Quantile(0.99),
 			ProfiledMean: e.profiled[k],
 			Inflation:    e.inflationLocked(k),
 			Drift:        e.det.latState[k].active,
 		}
-		if len(e.perReplica[k]) > 1 {
-			ma.ReplicaSamples = make([]uint64, len(e.perReplica[k]))
-			for r := range e.perReplica[k] {
-				ma.ReplicaSamples[r] = e.perReplica[k][r].Count()
-			}
-		}
-		snap.Models[k] = ma
 	}
 	return snap
 }

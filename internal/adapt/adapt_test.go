@@ -6,7 +6,7 @@ import (
 )
 
 func TestNewDisabledIsNil(t *testing.T) {
-	if e := New(Config{}, []time.Duration{time.Millisecond}, []time.Duration{time.Millisecond}, nil); e != nil {
+	if e := New(Config{}, []time.Duration{time.Millisecond}, []time.Duration{time.Millisecond}); e != nil {
 		t.Fatalf("New with zero config = %v, want nil", e)
 	}
 	if (Config{}).Enabled() {
@@ -16,7 +16,7 @@ func TestNewDisabledIsNil(t *testing.T) {
 
 func TestInflationColdThenTracks(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond}
-	e := New(Config{Enable: true}, profiled, profiled, nil)
+	e := New(Config{Enable: true}, profiled, profiled)
 	if got := e.Inflation(0); got != 1 {
 		t.Fatalf("cold inflation = %v, want exactly 1", got)
 	}
@@ -25,16 +25,16 @@ func TestInflationColdThenTracks(t *testing.T) {
 	now := time.Duration(0)
 	for i := 0; i < minSamples-1; i++ {
 		now += time.Millisecond
-		e.ObserveLatency(now, 0, 0, 30*time.Millisecond)
+		e.ObserveLatency(now, 0, 30*time.Millisecond)
 	}
 	if got := e.Inflation(0); got != 1 {
 		t.Fatalf("inflation below minSamples = %v, want exactly 1", got)
 	}
 	now += time.Millisecond
-	e.ObserveLatency(now, 0, 0, 30*time.Millisecond)
+	e.ObserveLatency(now, 0, 30*time.Millisecond)
 	got := e.Inflation(0)
 	if got < 2.0 || got > 4.0 {
-		t.Fatalf("inflation after %d 3x-profiled observations = %v, want near 3 (within sketch error)", minSamples, got)
+		t.Fatalf("inflation after %d 3x-profiled observations = %v, want near 3 (within one bucket)", minSamples, got)
 	}
 	// Out-of-range model indices degrade to the neutral factor.
 	if e.Inflation(-1) != 1 || e.Inflation(5) != 1 {
@@ -44,11 +44,11 @@ func TestInflationColdThenTracks(t *testing.T) {
 
 func TestInflationClamped(t *testing.T) {
 	profiled := []time.Duration{time.Millisecond}
-	e := New(Config{Enable: true}, profiled, profiled, nil)
-	e2 := New(Config{Enable: true}, []time.Duration{time.Second}, []time.Duration{time.Second}, nil)
+	e := New(Config{Enable: true}, profiled, profiled)
+	e2 := New(Config{Enable: true}, []time.Duration{time.Second}, []time.Duration{time.Second})
 	for i := 1; i <= minSamples; i++ {
-		e.ObserveLatency(time.Duration(i)*time.Millisecond, 0, 0, 100*time.Millisecond)
-		e2.ObserveLatency(time.Duration(i)*time.Millisecond, 0, 0, time.Millisecond)
+		e.ObserveLatency(time.Duration(i)*time.Millisecond, 0, 100*time.Millisecond)
+		e2.ObserveLatency(time.Duration(i)*time.Millisecond, 0, time.Millisecond)
 	}
 	if got := e.Inflation(0); got != maxInflation {
 		t.Fatalf("inflation = %v, want clamped to maxInflation %v", got, maxInflation)
@@ -61,7 +61,7 @@ func TestInflationClamped(t *testing.T) {
 func TestExecIntoScalesBase(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
 	base := []time.Duration{11 * time.Millisecond, 22 * time.Millisecond}
-	e := New(Config{Enable: true}, profiled, base, nil)
+	e := New(Config{Enable: true}, profiled, base)
 	exec := make([]time.Duration, 2)
 	e.ExecInto(exec)
 	if exec[0] != base[0] || exec[1] != base[1] {
@@ -70,7 +70,7 @@ func TestExecIntoScalesBase(t *testing.T) {
 	now := time.Duration(0)
 	for i := 0; i < minSamples; i++ {
 		now += time.Millisecond
-		e.ObserveLatency(now, 1, 0, 60*time.Millisecond) // 3x profiled on model 1
+		e.ObserveLatency(now, 1, 60*time.Millisecond) // 3x profiled on model 1
 	}
 	e.ExecInto(exec)
 	if exec[0] != base[0] {
@@ -94,13 +94,13 @@ const windowStep = driftWindow / 10
 func feedWindows(e *Engine, now *time.Duration, k int, lat time.Duration, cnt int) {
 	for i := 0; i < 10*cnt; i++ {
 		*now += windowStep
-		e.ObserveLatency(*now, k, 0, lat)
+		e.ObserveLatency(*now, k, lat)
 	}
 }
 
 func TestLatencyDriftEnterAndExit(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond}
-	e := New(Config{Enable: true}, profiled, profiled, nil)
+	e := New(Config{Enable: true}, profiled, profiled)
 	now := time.Duration(0)
 	feedWindows(e, &now, 0, 10*time.Millisecond, 4)
 	if len(e.ActiveDrift()) != 0 {
@@ -143,7 +143,7 @@ func TestLatencyDriftEnterAndExit(t *testing.T) {
 
 func TestScoreDriftSelfCalibratedBaseline(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond}
-	e := New(Config{Enable: true}, profiled, profiled, nil)
+	e := New(Config{Enable: true}, profiled, profiled)
 	now := time.Duration(0)
 	feed := func(score float64, windows int) {
 		for i := 0; i < 10*windows; i++ {
@@ -173,38 +173,19 @@ func TestScoreDriftSelfCalibratedBaseline(t *testing.T) {
 	}
 }
 
-func TestSnapshotReplicaBreakdown(t *testing.T) {
-	profiled := []time.Duration{10 * time.Millisecond, 10 * time.Millisecond}
-	e := New(Config{Enable: true}, profiled, profiled, []int{1, 3})
-	e.ObserveLatency(time.Millisecond, 1, 0, 10*time.Millisecond)
-	e.ObserveLatency(2*time.Millisecond, 1, 2, 10*time.Millisecond)
-	e.ObserveLatency(3*time.Millisecond, 1, 2, 10*time.Millisecond)
-	snap := e.Snapshot()
-	if snap.Models[0].ReplicaSamples != nil {
-		t.Fatal("single-replica model exported a replica breakdown")
-	}
-	got := snap.Models[1].ReplicaSamples
-	if len(got) != 3 || got[0] != 1 || got[1] != 0 || got[2] != 2 {
-		t.Fatalf("ReplicaSamples = %v, want [1 0 2]", got)
-	}
-	if snap.Models[1].Samples != 3 {
-		t.Fatalf("Samples = %d, want 3", snap.Models[1].Samples)
-	}
-}
-
 // TestObservationPathsZeroAlloc pins the engine's hot-path allocation
 // contract: every per-task observation and every planning-side query is
 // allocation-free.
 func TestObservationPathsZeroAlloc(t *testing.T) {
 	profiled := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	e := New(Config{Enable: true}, profiled, profiled, []int{2, 2})
+	e := New(Config{Enable: true}, profiled, profiled)
 	exec := make([]time.Duration, 2)
 	now := time.Duration(0)
 	cases := []struct {
 		name string
 		fn   func()
 	}{
-		{"ObserveLatency", func() { now += time.Millisecond; e.ObserveLatency(now, 0, 1, 12*time.Millisecond) }},
+		{"ObserveLatency", func() { now += time.Millisecond; e.ObserveLatency(now, 0, 12*time.Millisecond) }},
 		{"ObserveScore", func() { now += time.Millisecond; e.ObserveScore(now, 0.4) }},
 		{"Inflation", func() { _ = e.Inflation(0) }},
 		{"ExecInto", func() { e.ExecInto(exec) }},

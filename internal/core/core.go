@@ -81,8 +81,8 @@ type Scheduler interface {
 
 // ExecSource feeds the scheduler's per-model cost vector. The frozen
 // profiling numbers are the static case (StaticExec); the online
-// adaptation layer (internal/adapt) implements it with live quantile
-// sketches. The contract is deliberately narrow so the cost model stays
+// adaptation layer (internal/adapt) implements it with live latency
+// histograms. The contract is deliberately narrow so the cost model stays
 // engine-agnostic: ExecInto overwrites exec[k] for every model k it
 // knows about, must not allocate, and must tolerate being called before
 // every planning round — the runtimes refresh their retained exec slice

@@ -190,7 +190,7 @@ func New(cfg Config) *Engine {
 		m:      m,
 		QoS:    qos.New(qos.Config{Classes: cfg.Classes, Tuning: cfg.Admission}),
 		Cache:  rcache.New(cfg.Cache),
-		Adapt:  adapt.New(cfg.Adapt, profiled, cfg.BaseExec, cfg.Replicas),
+		Adapt:  adapt.New(cfg.Adapt, profiled, cfg.BaseExec),
 		exec:   append([]time.Duration(nil), cfg.BaseExec...),
 		avail:  make(core.Capacity, m),
 		pushed: make([][]time.Duration, m),

@@ -82,7 +82,7 @@ func (w *world) finish(k int, fail bool) {
 	w.f.queue[k] = w.f.queue[k][1:]
 	if w.r.Adapt != nil {
 		// The fleet runs half again slower than profiled.
-		w.r.Adapt.ObserveLatency(w.now, k, 0, time.Duration(k+1)*15*ms)
+		w.r.Adapt.ObserveLatency(w.now, k, time.Duration(k+1)*15*ms)
 	}
 	if fail {
 		q.failed++

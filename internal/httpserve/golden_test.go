@@ -17,9 +17,15 @@ import (
 	"schemble/internal/serve"
 )
 
-// hist builds a snapshot over the given bucket bounds holding obs.
-func hist(bounds []time.Duration, obs ...time.Duration) obsv.HistogramSnapshot {
-	h := obsv.NewHistogramBounds(bounds)
+// geometry is the first bound and growth of a three-bucket histogram.
+type geometry struct {
+	min    time.Duration
+	growth float64
+}
+
+// hist builds a snapshot of a histogram of geometry g holding obs.
+func hist(g geometry, obs ...time.Duration) obsv.HistogramSnapshot {
+	h := obsv.NewHistogram(g.min, g.growth, 3)
 	for _, d := range obs {
 		h.Observe(d)
 	}
@@ -27,9 +33,9 @@ func hist(bounds []time.Duration, obs ...time.Duration) obsv.HistogramSnapshot {
 }
 
 var (
-	eventBounds = []time.Duration{time.Second, 2 * time.Second, 4 * time.Second}
-	wallBounds  = []time.Duration{10 * time.Microsecond, 100 * time.Microsecond, time.Millisecond}
-	latBounds   = []time.Duration{10 * time.Millisecond, 100 * time.Millisecond, time.Second}
+	eventBounds = geometry{time.Second, 2}            // 1s, 2s, 4s
+	wallBounds  = geometry{10 * time.Microsecond, 10} // 10µs, 100µs, 1ms
+	latBounds   = geometry{10 * time.Millisecond, 10} // 10ms, 100ms, 1s
 )
 
 // fullInput is a runtime with every feature on: two classes, the result
@@ -68,11 +74,10 @@ func fullInput() input {
 					ReplicaFailures: []uint64{1, 2},
 				},
 			},
-			TurnEvents:  hist(eventBounds, time.Second, time.Second, 3*time.Second),
-			PassTime:    hist(wallBounds, 8*time.Microsecond, 250*time.Microsecond),
-			Load:        1.25,
-			Ladder:      2,
-			LadderState: qos.LadderName(2),
+			TurnEvents: hist(eventBounds, time.Second, time.Second, 3*time.Second),
+			PassTime:   hist(wallBounds, 8*time.Microsecond, 250*time.Microsecond),
+			Load:       1.25,
+			Ladder:     2,
 			Classes: []serve.ClassStats{
 				{
 					Name: "gold", Priority: 1, Weight: 3, Level: qos.LevelCapped, TimeAtLevel: timeAt,
@@ -127,7 +132,6 @@ func zeroInput() input {
 		Models:      []serve.ModelHealth{model("small"), model("large")},
 		TurnEvents:  hist(eventBounds),
 		PassTime:    hist(wallBounds),
-		LadderState: qos.LadderName(0),
 	}}
 }
 

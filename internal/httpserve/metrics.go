@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"schemble/internal/adapt"
 	"schemble/internal/obsv"
@@ -452,7 +453,9 @@ func writeMetrics(b *strings.Builder, in input) {
 
 // writeHistogram renders one series of a Prometheus histogram: cumulative
 // le-buckets, sum and count. label is a preformatted name="value" list, or
-// empty for a family of one series.
+// empty for a family of one series. Each le is its bound truncated to whole
+// nanoseconds: observations are whole nanoseconds, so one is at most the
+// truncated bound exactly when it is at most the bound.
 func writeHistogram(b *strings.Builder, name, label string, hs obsv.HistogramSnapshot) {
 	var le, series string
 	if label != "" {
@@ -461,7 +464,7 @@ func writeHistogram(b *strings.Builder, name, label string, hs obsv.HistogramSna
 	var cum uint64
 	for i, bound := range hs.Bounds {
 		cum += hs.Counts[i]
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, le, formatValue(bound.Seconds()), cum)
+		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, le, formatValue(time.Duration(bound).Seconds()), cum)
 	}
 	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, hs.Count)
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, series, formatValue(hs.Sum.Seconds()))

@@ -1,88 +1,87 @@
 // Package obsv is the request-level observability layer of the serving
-// runtime: a lock-cheap fixed-bucket latency histogram (log-spaced
-// buckets, percentile queries, mergeable snapshots) and per-request
-// decision traces collected in a bounded drop-oldest ring buffer. The
-// serving runtime records into an Observer on its hot path; HTTP handlers
-// and sinks read snapshots. Everything is allocation-free on the record
-// path and safe for concurrent use.
+// runtime: the repository's one latency histogram (log-spaced buckets,
+// quantile queries, snapshots) and per-request decision traces collected
+// in a bounded drop-oldest ring buffer. The serving runtime records into
+// an Observer on its hot path; HTTP handlers and sinks read snapshots, and
+// the online-adaptation layer plans on live quantiles. Everything is
+// allocation-free on the record path and safe for concurrent use.
 package obsv
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
 )
 
-// Default histogram geometry: log-spaced buckets from 100µs growing by
-// 1.5x per bucket. 36 buckets reach ~145s before the overflow bucket, so
-// both compressed-timescale tests and realistic serving latencies land in
-// interpolatable buckets.
-const (
-	defaultHistBuckets = 36
-	defaultHistGrowth  = 1.5
-)
-
-var defaultHistMin = 100 * time.Microsecond
-
-// Histogram is a fixed-bucket latency histogram. Observe is lock-free
-// (two atomic adds), so it can sit on the serving runtime's hot path;
-// readers take consistent-enough Snapshots for monitoring. Buckets are
-// immutable after construction.
+// Histogram is a fixed-bucket latency histogram over log-spaced bounds.
+// Observe is lock-free (two atomic adds, plus a compare-and-swap on a new
+// minimum), so it can sit on the serving runtime's hot path; readers take
+// Snapshots, or read Count and Quantile in place without allocating.
+// Buckets are immutable after construction.
 type Histogram struct {
-	// bounds[i] is bucket i's inclusive upper bound; counts has one extra
-	// overflow bucket for observations above the last bound.
-	bounds []time.Duration
+	// bounds[i] is bucket i's inclusive upper bound in nanoseconds, kept
+	// as the float64 min·growth^i rather than rounded to a duration, so
+	// interpolation inside a bucket reads the same value whatever the
+	// geometry. counts has one extra overflow bucket for observations
+	// above the last bound.
+	bounds []float64
 	counts []atomic.Uint64
 	sum    atomic.Int64 // total observed nanoseconds
+	// low is the smallest observation, math.MaxInt64 while empty: the
+	// lower end of bucket 0, which has no bound below it.
+	low atomic.Int64
 }
 
-// NewHistogram builds a histogram with the default log-spaced buckets.
-func NewHistogram() *Histogram {
-	return NewLogHistogram(defaultHistMin, defaultHistGrowth, defaultHistBuckets)
-}
-
-// NewLogHistogram builds a histogram over buckets log-spaced bounds: the
-// first is min and each next is growth times the one before.
-func NewLogHistogram(min time.Duration, growth float64, buckets int) *Histogram {
-	bounds := make([]time.Duration, buckets)
-	b := float64(min)
-	for i := range bounds {
-		bounds[i] = time.Duration(b)
-		b *= growth
+// NewHistogram builds a histogram over buckets log-spaced upper bounds:
+// bound i is min·growth^i nanoseconds. It panics on a geometry that is
+// not strictly ascending, which only a programming error produces.
+func NewHistogram(min time.Duration, growth float64, buckets int) *Histogram {
+	if min <= 0 || !(growth > 1) || buckets < 1 {
+		panic("obsv: histogram needs min > 0, growth > 1 and at least one bucket")
 	}
-	return NewHistogramBounds(bounds)
+	h := &Histogram{
+		bounds: make([]float64, buckets),
+		counts: make([]atomic.Uint64, buckets+1),
+	}
+	for i := range h.bounds {
+		h.bounds[i] = float64(min) * math.Pow(growth, float64(i))
+	}
+	h.low.Store(math.MaxInt64)
+	return h
 }
 
-// NewHistogramBounds builds a histogram over explicit ascending bucket
-// upper bounds (plus an implicit overflow bucket).
-func NewHistogramBounds(bounds []time.Duration) *Histogram {
-	if len(bounds) == 0 {
-		panic("obsv: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obsv: histogram bounds must be strictly ascending")
+// Observe records one latency sample; a negative one counts as 0. An
+// observation goes in the first bucket whose bound is at least it
+// (Prometheus' le), or the overflow bucket.
+func (h *Histogram) Observe(d time.Duration) {
+	d = max(d, 0)
+	// The minimum is stored before the count, so a reader that loads the
+	// counts first and the minimum after sees every counted value in it.
+	for low := h.low.Load(); int64(d) < low; low = h.low.Load() {
+		if h.low.CompareAndSwap(low, int64(d)) {
+			break
 		}
 	}
-	return &Histogram{
-		bounds: append([]time.Duration(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}
-}
-
-// bucket returns the index of the bucket d falls into: the first bucket
-// whose upper bound is >= d, or the overflow bucket.
-func (h *Histogram) bucket(d time.Duration) int {
-	return sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= d })
-}
-
-// Observe records one latency sample.
-func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.counts[h.bucket(d)].Add(1)
+	v := float64(d)
+	h.counts[sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })].Add(1)
 	h.sum.Add(int64(d))
+}
+
+// Count reports how many samples h holds. Never allocates.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// Quantile reads the q-quantile of what h holds in place, by the rule
+// HistogramSnapshot.Quantile states. Never allocates.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	n := h.Count()
+	return quantile(q, h.bounds, time.Duration(h.low.Load()), n, func(i int) uint64 { return h.counts[i].Load() })
 }
 
 // Snapshot captures the histogram's current state. Count is derived from
@@ -99,40 +98,21 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = c
 		s.Count += c
 	}
+	if s.Count > 0 {
+		s.Min = time.Duration(h.low.Load())
+	}
 	return s
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram: per-bucket
-// counts over shared immutable bounds, plus the derived total count and
-// the sum of observed durations.
+// counts over shared immutable bounds, plus the derived total count, the
+// sum of observed durations and the smallest one.
 type HistogramSnapshot struct {
-	Bounds []time.Duration
-	Counts []uint64 // len(Bounds)+1: the last entry is the overflow bucket
+	Bounds []float64 // upper bounds in nanoseconds, min·growth^i
+	Counts []uint64  // len(Bounds)+1: the last entry is the overflow bucket
 	Count  uint64
 	Sum    time.Duration
-}
-
-// Merge returns a new snapshot combining s and o bucket-wise. Both must
-// share the same bucket geometry (true for all default histograms).
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	if len(s.Bounds) != len(o.Bounds) {
-		panic("obsv: merging histograms with different bucket geometry")
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != o.Bounds[i] {
-			panic("obsv: merging histograms with different bucket geometry")
-		}
-	}
-	out := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]uint64, len(s.Counts)),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return out
+	Min    time.Duration // 0 when empty
 }
 
 // Mean returns the mean observed latency (0 when empty).
@@ -143,12 +123,23 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// Quantile estimates the q-th quantile (q in [0,1]) by linear
-// interpolation inside the bucket the target rank falls into; resolution
-// is therefore one bucket width. Returns 0 for an empty snapshot. Samples
-// in the overflow bucket report the last finite bound.
+// Quantile estimates the q-quantile (q clamped to [0,1]) as the sample of
+// rank ⌈q·n⌉, at least 1, linearly interpolated by rank inside the bucket
+// that holds it: bucket 0 spans the smallest observation to its bound,
+// bucket i the bounds i-1 to i, and the overflow bucket reads the last
+// bound. It is monotone in q and lies in the same bucket as the true
+// order statistic, so within a factor growth of it below the last bound.
+// It differs from Prometheus' histogram_quantile only inside one bucket:
+// that interpolates the continuous rank q·n, from 0 in bucket 0. Returns
+// 0 when empty.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
+	return quantile(q, s.Bounds, s.Min, s.Count, func(i int) uint64 { return s.Counts[i] })
+}
+
+// quantile is Quantile over n samples in len(bounds)+1 buckets, count(i)
+// holding bucket i's and low the smallest.
+func quantile(q float64, bounds []float64, low time.Duration, n uint64, count func(int) uint64) time.Duration {
+	if n == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -157,31 +148,21 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	target := q * float64(s.Count)
-	if target < 1 {
-		target = 1
-	}
-	var cum float64
-	for i, c := range s.Counts {
-		if c == 0 {
+	rank := min(max(uint64(math.Ceil(q*float64(n))), 1), n)
+	last := len(bounds)
+	var cum uint64
+	for i := 0; i < last; i++ {
+		c := count(i)
+		if cum+c < rank {
+			cum += c
 			continue
 		}
-		next := cum + float64(c)
-		if next < target {
-			cum = next
-			continue
-		}
-		if i == len(s.Counts)-1 {
-			// Overflow bucket: no finite upper bound to interpolate to.
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := time.Duration(0)
+		lo := float64(low)
 		if i > 0 {
-			lo = s.Bounds[i-1]
+			lo = bounds[i-1]
 		}
-		hi := s.Bounds[i]
-		frac := (target - cum) / float64(c)
-		return lo + time.Duration(frac*float64(hi-lo))
+		hi := bounds[i]
+		return time.Duration(lo + (hi-lo)*(float64(rank-cum)/float64(c)))
 	}
-	return s.Bounds[len(s.Bounds)-1]
+	return time.Duration(bounds[last-1])
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+	"time"
 )
 
 // Config opts a serving runtime into request-level observability. The
@@ -37,6 +38,16 @@ type Observer struct {
 	lat map[string]*Histogram
 }
 
+// The observer's latency histograms: log-spaced buckets from 100µs growing
+// by 1.5x per bucket. 36 buckets reach ~145s before the overflow bucket, so
+// both compressed-timescale tests and realistic serving latencies land in
+// interpolatable buckets.
+const (
+	defaultHistMin     = 100 * time.Microsecond
+	defaultHistGrowth  = 1.5
+	defaultHistBuckets = 36
+)
+
 // NewObserver builds an observer, or returns nil when cfg is disabled.
 func NewObserver(cfg Config) *Observer {
 	if !cfg.Enabled() {
@@ -47,9 +58,9 @@ func NewObserver(cfg Config) *Observer {
 		sink: cfg.Sink,
 		//schemble:outcome-ok rejections resolve in microseconds and are tracked as counters only, never as latencies
 		lat: map[string]*Histogram{
-			OutcomeServed:   NewHistogram(),
-			OutcomeDegraded: NewHistogram(),
-			OutcomeMissed:   NewHistogram(),
+			OutcomeServed:   NewHistogram(defaultHistMin, defaultHistGrowth, defaultHistBuckets),
+			OutcomeDegraded: NewHistogram(defaultHistMin, defaultHistGrowth, defaultHistBuckets),
+			OutcomeMissed:   NewHistogram(defaultHistMin, defaultHistGrowth, defaultHistBuckets),
 		},
 	}
 }

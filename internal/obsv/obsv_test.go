@@ -16,7 +16,7 @@ import (
 )
 
 func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogramBounds([]time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond})
+	h := NewHistogram(time.Millisecond, 10, 3)
 	// Upper bounds are inclusive; the value just above a bound lands in the
 	// next bucket, and anything past the last bound overflows.
 	cases := []struct {
@@ -42,29 +42,31 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
 		}
 	}
-	if s.Count != uint64(len(cases)) {
-		t.Errorf("Count = %d, want %d", s.Count, len(cases))
+	if s.Count != uint64(len(cases)) || h.Count() != s.Count {
+		t.Errorf("Count = %d (live %d), want %d", s.Count, h.Count(), len(cases))
+	}
+	if s.Min != 0 {
+		t.Errorf("Min = %v, want 0 (a negative sample counts as 0)", s.Min)
 	}
 }
 
 func TestHistogramDefaultGeometry(t *testing.T) {
-	h := NewHistogram()
+	h := NewObserver(Config{TraceBuffer: 1}).lat[OutcomeServed]
 	if len(h.bounds) != defaultHistBuckets {
 		t.Fatalf("bounds = %d, want %d", len(h.bounds), defaultHistBuckets)
 	}
-	if h.bounds[0] != defaultHistMin {
+	if h.bounds[0] != float64(defaultHistMin) {
 		t.Errorf("first bound = %v, want %v", h.bounds[0], defaultHistMin)
 	}
-	// Log-spaced: each bound ~1.5x the previous (modulo nanosecond
-	// truncation), reaching past 100s.
+	// Log-spaced: each bound 1.5x the previous, reaching past 100s.
 	for i := 1; i < len(h.bounds); i++ {
-		ratio := float64(h.bounds[i]) / float64(h.bounds[i-1])
-		if math.Abs(ratio-defaultHistGrowth) > 1e-6 {
+		ratio := h.bounds[i] / h.bounds[i-1]
+		if math.Abs(ratio-defaultHistGrowth) > 1e-9 {
 			t.Fatalf("bound %d ratio = %v", i, ratio)
 		}
 	}
-	if last := h.bounds[len(h.bounds)-1]; last < 100*time.Second {
-		t.Errorf("last bound %v does not cover realistic latencies", last)
+	if last := h.bounds[len(h.bounds)-1]; last < float64(100*time.Second) {
+		t.Errorf("last bound %v does not cover realistic latencies", time.Duration(last))
 	}
 }
 
@@ -74,7 +76,7 @@ func TestHistogramDefaultGeometry(t *testing.T) {
 // of 1.5 of the exact value (plus interpolation slack at the low end).
 func TestHistogramQuantileVsPercentile(t *testing.T) {
 	src := rng.New(42)
-	h := NewHistogram()
+	h := NewHistogram(defaultHistMin, defaultHistGrowth, defaultHistBuckets)
 	var xs []float64
 	for i := 0; i < 5000; i++ {
 		// Log-uniform latencies from ~200µs to ~2s, the serving range.
@@ -97,56 +99,45 @@ func TestHistogramQuantileVsPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 1; i <= 100; i++ {
-		a.Observe(time.Duration(i) * time.Millisecond)
+// TestHistogramFirstBucketQuantile pins the lower end of bucket 0: the
+// smallest observation, not 0. A count histogram whose first bound is one
+// event reads one event for turns that each handled one, and a bucket-0
+// quantile interpolates from the smallest sample to the bound.
+func TestHistogramFirstBucketQuantile(t *testing.T) {
+	turns := NewHistogram(time.Second, 2, 12)
+	for i := 0; i < 5; i++ {
+		turns.Observe(time.Second)
 	}
-	for i := 101; i <= 200; i++ {
-		b.Observe(time.Duration(i) * time.Millisecond)
-	}
-	whole := NewHistogram()
-	for i := 1; i <= 200; i++ {
-		whole.Observe(time.Duration(i) * time.Millisecond)
-	}
-	m := a.Snapshot().Merge(b.Snapshot())
-	w := whole.Snapshot()
-	if m.Count != w.Count || m.Sum != w.Sum {
-		t.Fatalf("merged count/sum %d/%v, want %d/%v", m.Count, m.Sum, w.Count, w.Sum)
-	}
-	for i := range m.Counts {
-		if m.Counts[i] != w.Counts[i] {
-			t.Errorf("bucket %d: merged %d, whole %d", i, m.Counts[i], w.Counts[i])
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := turns.Snapshot().Quantile(q); got != time.Second {
+			t.Errorf("one-event turns: Quantile(%v) = %v, want 1 event", q, got)
+		}
+		if got := turns.Quantile(q); got != time.Second {
+			t.Errorf("one-event turns: live Quantile(%v) = %v, want 1 event", q, got)
 		}
 	}
-	if m.Quantile(0.5) != w.Quantile(0.5) {
-		t.Errorf("merged p50 %v != whole p50 %v", m.Quantile(0.5), w.Quantile(0.5))
+	h := NewHistogram(10*time.Microsecond, 10, 3)
+	h.Observe(6 * time.Microsecond)
+	h.Observe(8 * time.Microsecond)
+	// Rank 1 of the two in bucket 0: halfway from 6µs to 10µs.
+	if got := h.Snapshot().Quantile(0.5); got != 8*time.Microsecond {
+		t.Errorf("Quantile(0.5) = %v, want 8µs", got)
 	}
-	if m.Mean() != w.Mean() {
-		t.Errorf("merged mean %v != whole mean %v", m.Mean(), w.Mean())
+	if got := h.Snapshot().Min; got != 6*time.Microsecond {
+		t.Errorf("Min = %v, want 6µs", got)
 	}
-}
-
-func TestHistogramMergeGeometryMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("geometry mismatch did not panic")
-		}
-	}()
-	a := NewHistogram().Snapshot()
-	b := NewHistogramBounds([]time.Duration{time.Second}).Snapshot()
-	a.Merge(b)
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	s := NewHistogram().Snapshot()
-	if s.Count != 0 || s.Quantile(0.5) != 0 || s.Mean() != 0 {
+	h := NewHistogram(defaultHistMin, defaultHistGrowth, defaultHistBuckets)
+	s := h.Snapshot()
+	if s.Count != 0 || s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Min != 0 || h.Quantile(0.5) != 0 {
 		t.Errorf("empty snapshot: %+v", s)
 	}
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram()
+	h := NewHistogram(defaultHistMin, defaultHistGrowth, defaultHistBuckets)
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {
@@ -154,13 +145,13 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				h.Observe(time.Duration(w*per+i) * time.Microsecond)
+				h.Observe(time.Duration(w*per+i+1) * time.Microsecond)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if s := h.Snapshot(); s.Count != workers*per {
-		t.Errorf("Count = %d, want %d", s.Count, workers*per)
+	if s := h.Snapshot(); s.Count != workers*per || s.Min != time.Microsecond {
+		t.Errorf("Count = %d, Min = %v, want %d and 1µs", s.Count, s.Min, workers*per)
 	}
 }
 

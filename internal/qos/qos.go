@@ -385,14 +385,6 @@ func (c *Controller) Ladder() int {
 	return c.ladder
 }
 
-// LadderName names rung s for stats and metrics.
-func LadderName(s int) string {
-	if s == 0 {
-		return "full-service"
-	}
-	return fmt.Sprintf("degrade-%d", s)
-}
-
 // levelAtLocked is the ladder→class mapping: rung s puts the class ranked
 // r (0 = lowest) at level min(s-r, LevelShed) — the bottom class degrades
 // first and sheds first, each higher class trails one rung behind, and

@@ -391,9 +391,6 @@ func TestLevelStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", l, l.String(), want)
 		}
 	}
-	if LadderName(0) != "full-service" || LadderName(2) != "degrade-2" {
-		t.Errorf("LadderName wrong: %q %q", LadderName(0), LadderName(2))
-	}
 }
 
 // TestDeterministicReplay pins that the controller is a pure function of

@@ -45,7 +45,7 @@ func TestServeAdaptBitIdenticalWhenOff(t *testing.T) {
 
 // driftModels is a near-deterministic zoo for the drift-step test: with
 // Jitter at 1e-12 every sampled latency truncates to within 1ns of the mean,
-// so each model's sketch sees two latencies, its own before the step and
+// so each model's histogram sees two latencies, its own before the step and
 // twice it after. Latencies are small so every arrival meets an idle fleet
 // at the test's spacing, before the step and after it.
 func driftModels(seed uint64) []model.Model {

@@ -523,8 +523,8 @@ func replayChaosTwice(t *testing.T, a *pipeline.Artifacts, tweak func(*Config)) 
 // sameRun reduces r to what two replays on the frozen clock must agree on
 // by leaving out what is host order:
 //   - which parked replica of a pool takes a task: the per-replica
-//     breakdowns (ReplicaExecuted, ReplicaFailures, adapt's ReplicaSamples)
-//     count by their per-model sums;
+//     breakdowns (ReplicaExecuted, ReplicaFailures) count by their
+//     per-model sums;
 //   - whether a worker woken by a pass takes its task before the same pass
 //     reads the queue depths for a later commit's trace (QueueDepths), or
 //     parks before the coordinator has handled its completion (Starved);
@@ -546,11 +546,6 @@ func (r *chaosRun) sameRun() {
 		st.Models[k].ReplicaExecuted = sum(st.Models[k].ReplicaExecuted)
 		st.Models[k].ReplicaFailures = sum(st.Models[k].ReplicaFailures)
 		st.Models[k].Starved = obsv.HistogramSnapshot{}
-	}
-	if st.Adapt != nil {
-		for k := range st.Adapt.Models {
-			st.Adapt.Models[k].ReplicaSamples = sum(st.Adapt.Models[k].ReplicaSamples)
-		}
 	}
 	st.TurnEvents, st.PassTime, st.Load = obsv.HistogramSnapshot{}, obsv.HistogramSnapshot{}, 0
 	for i := range r.traces {

@@ -146,11 +146,11 @@ type Config struct {
 	Cache rcache.Config
 
 	// Adapt opts into the online-adaptation layer (internal/adapt): live
-	// per-model/per-replica latency quantile sketches feed the
-	// scheduler's cost vector and the hedging threshold instead of the
-	// frozen profiling numbers, and a windowed detector emits drift
-	// events. The zero value disables adaptation and keeps every request
-	// on the frozen-profile code paths bit-identically.
+	// per-model latency histograms feed the scheduler's cost vector and
+	// the hedging threshold instead of the frozen profiling numbers, and a
+	// windowed detector emits drift events. The zero value disables
+	// adaptation and keeps every request on the frozen-profile code paths
+	// bit-identically.
 	Adapt adapt.Config
 }
 
@@ -472,14 +472,12 @@ type Stats struct {
 	// idle, 1 when Admission.Target seconds of service work wait: the
 	// committed work of the most loaded model — Models[k].BacklogSeconds —
 	// plus the buffered queries at the admission capacity, over the target);
-	// Ladder is the degradation ladder's current rung and LadderState its
-	// name ("full-service", "degrade-N"). Classes holds per-class outcome
-	// counters and SLO attainment, in declaration order; nil when the
-	// runtime is classless.
-	Load        float64
-	Ladder      int
-	LadderState string
-	Classes     []ClassStats
+	// Ladder is the degradation ladder's current rung (0 = full service).
+	// Classes holds per-class outcome counters and SLO attainment, in
+	// declaration order; nil when the runtime is classless.
+	Load    float64
+	Ladder  int
+	Classes []ClassStats
 
 	// Cache is the result cache's counter snapshot; nil when caching is
 	// off.
@@ -527,12 +525,12 @@ func New(cfg Config) *Server {
 		replicas: make([]int, m),
 		rstats:   make([][]replicaCounters, m),
 
-		turnEvents: obsv.NewLogHistogram(time.Second, 2, 12),
-		passTime:   obsv.NewLogHistogram(5*time.Microsecond, 1.6, 24),
+		turnEvents: obsv.NewHistogram(time.Second, 2, 12),
+		passTime:   obsv.NewHistogram(5*time.Microsecond, 1.6, 24),
 	}
 	for k := range s.mstats {
-		s.mstats[k].overshoot = obsv.NewLogHistogram(5*time.Microsecond, 1.5, 21)
-		s.mstats[k].starved = obsv.NewLogHistogram(10*time.Microsecond, 1.6, 24)
+		s.mstats[k].overshoot = obsv.NewHistogram(5*time.Microsecond, 1.5, 21)
+		s.mstats[k].starved = obsv.NewHistogram(10*time.Microsecond, 1.6, 24)
 	}
 	for k := range s.replicas {
 		r := 1
@@ -692,7 +690,6 @@ func (s *Server) Stats() Stats {
 	load, ladder, snaps := s.eng.QoS.Snapshot()
 	st.Load = load
 	st.Ladder = ladder
-	st.LadderState = qos.LadderName(ladder)
 	if s.classStats != nil {
 		st.Classes = s.classStatsFrom(snaps)
 	}
@@ -988,7 +985,7 @@ func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m mode
 			rc.failures.Add(1)
 			failed = true
 		} else if s.eng.Adapt != nil {
-			s.eng.Adapt.ObserveLatency(s.Now(), k, r, vlat)
+			s.eng.Adapt.ObserveLatency(s.Now(), k, vlat)
 		}
 		t.req.mu.Lock()
 		if t.req.state != stateResolved {
@@ -1037,7 +1034,7 @@ func attemptKey(seq uint64, k, a int) uint64 {
 // latency, then the hedge's latency, then the backoff jitter. end says how
 // the chain ended; on endDead the worker must exit silently. vlat is the
 // winning attempt's virtual service time — the sample the adaptation
-// layer's latency sketches ingest.
+// layer's latency histograms ingest.
 func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k int, r *request) (out model.Output, vlat time.Duration, end taskEnd) {
 	c := &s.mstats[k]
 	timedOut := func() {
