@@ -249,7 +249,7 @@ func TestFeatureMatrix(t *testing.T) {
 		// half the arrivals when it is on, so the committed work the ladder
 		// reads stays small: a short Target is what makes every classed cell
 		// shed.
-		c.Admission = qos.Tuning{Capacity: 40, Target: 50 * ms, Tau: 20 * ms, Dwell: 20 * ms}
+		c.Admission = qos.Tuning{Capacity: 40, Target: 50 * ms}
 	}
 	cache := func(c *Config) { c.Cache = rcache.Config{Keyer: regionKeyer{}, DifficultyMax: 0.6} }
 	adaptive := func(c *Config) { c.Adapt = adapt.Config{Enable: true} }
@@ -280,7 +280,7 @@ func TestZeroValueFeaturesAreAbsent(t *testing.T) {
 	plain.run(9, 400)
 	zero := newWorld(t, func(c *Config) {
 		c.Classes = []qos.Class{}
-		c.Admission = qos.Tuning{Tau: 50 * ms}
+		c.Admission = qos.Tuning{Target: 50 * ms}
 		c.Cache = rcache.Config{Capacity: 8, DifficultyMax: 1}
 		c.Adapt = adapt.Config{Scorer: &countingScorer{}, RecalMinPairs: 1}
 	})

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -144,15 +143,18 @@ func TestClassedPredictDefaults(t *testing.T) {
 // Retry-After of at least a second, the hint comes from the live estimator,
 // and the flood shows in /v1/metrics. A scheduler that plans nothing keeps
 // every admitted request buffered for its hour-long deadline, and a buffered
-// request is priced at one Target of backlog, so each gold arrival's pass
-// climbs the ladder one rung from load 3 on, until bronze is shed. A shed
-// arrival runs no pass, so the ladder then holds for every bronze request.
+// request is priced at one Target of backlog, so each gold arrival's pass a
+// virtual second after the last (past the controller's dwell) climbs the
+// ladder one rung from load 1 on, until bronze is shed. Gold's bucket holds
+// six requests and refills six a virtual second, so tokens never shed it. A
+// shed arrival runs no pass, so the ladder then holds for every bronze
+// request.
 func TestRetryAfterDerivedFromLoad(t *testing.T) {
+	const capacity = 8 // requests per virtual second, gold's weight 3 of 4
 	ts, h := startClassedServer(t, func(c *serve.Config) {
 		c.Scheduler = planNothing{}
 		c.Classes[0].Deadline, c.Classes[1].Deadline = time.Hour, time.Hour
-		c.Admission = serve.AdmissionConfig{Capacity: 1 / time.Hour.Seconds(), Target: time.Hour,
-			Tau: time.Nanosecond, GateLoad: math.Inf(1), LadderBase: 3, LadderStep: 1, Dwell: time.Nanosecond}
+		c.Admission = serve.AdmissionConfig{Capacity: capacity, Target: time.Second / capacity}
 	})
 	a := artifacts(t)
 	body := func(i int, class string) string {
@@ -171,6 +173,10 @@ func TestRetryAfterDerivedFromLoad(t *testing.T) {
 		}()
 		testutil.Poll(t, 10*time.Second, "gold arrival planned", func() bool {
 			return h.srv.Stats().TurnEvents.Count == uint64(gold+1)
+		})
+		planned := h.srv.Now()
+		testutil.Poll(t, 10*time.Second, "a virtual second gone", func() bool {
+			return h.srv.Now() >= planned+time.Second
 		})
 	}
 	const wantSheds = 10

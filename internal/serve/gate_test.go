@@ -172,11 +172,10 @@ func buildGateRig(t *testing.T, frozen bool, nModels int, blocked ensemble.Subse
 		Scheduler: rig.sched,
 		Rewarder:  sizeRewarder{},
 		Seed:      1,
-		// Load becomes a readout of the hours of work committed to the most
-		// loaded model at the latest pass: the buffered term is negligible at
-		// this capacity, which also keeps tokens from ever binding, and the
-		// EWMA forgets instantly.
-		Admission: AdmissionConfig{Capacity: 1e9, Target: time.Hour, Tau: time.Nanosecond},
+		// The backlog a pass feeds the controller is the work committed to
+		// the most loaded model: the buffered term is negligible at this
+		// capacity, which also keeps tokens from ever binding.
+		Admission: AdmissionConfig{Capacity: 1e9, Target: time.Hour},
 		Tolerance: DefaultTolerance(),
 	}
 	for _, f := range tweak {
@@ -324,12 +323,16 @@ func (g *gateRig) settled(o *gateOracle, calls int) bool {
 		g.loadInTasks() == o.fedTasks && int(g.sched.calls.Load()) == calls
 }
 
-// loadInTasks reads the controller's load, hours of committed work, in the
-// gate models' task times, to the nearest whole task: a task is over an hour
-// and the script takes seconds, so the rounding absorbs the clock.
+// loadInTasks reads the backlog the latest pass fed the controller, the work
+// committed to the most loaded model, in the gate models' task times, to the
+// nearest whole task: a task is over an hour and the script takes seconds, so
+// the rounding absorbs the clock.
 func (g *gateRig) loadInTasks() int {
-	hours := g.srv.Stats().Load * time.Hour.Seconds()
-	return int(math.Round(hours / g.srv.eng.Exec()[0].Seconds()))
+	deepest := 0.0
+	for _, m := range g.srv.Stats().Models {
+		deepest = max(deepest, m.BacklogSeconds)
+	}
+	return int(math.Round(deepest / g.srv.eng.Exec()[0].Seconds()))
 }
 
 // staged reports whether no model holds more than two outstanding tasks per

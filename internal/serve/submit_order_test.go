@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -19,11 +18,11 @@ import (
 // This file pins what the runtime makes of the engine's arrival path —
 // score, cache lookup, admission, whose order internal/engine's own tests
 // pin — in the state only the runtime keeps: results, class counters and
-// decision traces. It runs on the gate_test.go rig, features against each
-// other: the blocking models hold a backlog of hour-long tasks, every request
-// left in the buffer adds an hour more, and the ladder climbs a rung per pass
-// while that backlog is deep, so a class sits at shed without a clock having
-// anything to do with it.
+// decision traces. It runs on the gate_test.go rig on its frozen clock,
+// features against each other: the blocking models hold a backlog of
+// hour-long tasks, and the ladder climbs a rung per pass a step after the last
+// while that backlog is deep, so a class sits at shed because the test moved
+// the clock and filled the fleet, and for no other reason.
 
 // difficultyEstimator scores a sample by its Difficulty field and counts
 // how often it is asked.
@@ -47,7 +46,13 @@ const (
 	orderGate = 0.5
 )
 
-// orderRig is a two-class gate rig whose ladder the backlog alone drives.
+// orderStep is how far the order rig's clock moves before a request whose pass
+// is to climb the ladder: past the controller's 250 ms dwell between moves,
+// and five of its 200 ms averaging times.
+const orderStep = time.Second
+
+// orderRig is a two-class gate rig whose ladder the backlog and the test's
+// clock drive.
 type orderRig struct {
 	*gateRig
 	est  *difficultyEstimator
@@ -57,21 +62,17 @@ type orderRig struct {
 func newOrderRig(t *testing.T, tweak func(*Config)) *orderRig {
 	t.Helper()
 	o := &orderRig{est: &difficultyEstimator{}}
-	o.gateRig = newGateRig(t, 2, ensemble.Empty, func(c *Config) {
+	o.gateRig = newFrozenRig(t, 2, ensemble.Empty, func(c *Config) {
 		c.Classes = []Class{
 			{Name: "gold", Priority: 1, Deadline: 2 * time.Hour},
 			{Name: "bronze", Priority: 0, Deadline: 2 * time.Hour},
 		}
 		// Load is the latest pass's backlog in hours (see newGateRig): 1.1
-		// per task committed to the deeper model, 1 per buffered request.
-		// Rungs engage at 3, 4 and 5, so a fleet with a task running and one
-		// staged on each model (2.2) holds rung 0, and behind it the n-th
-		// buffered request's pass climbs onto rung n. The gate load keeps
-		// tokens from binding: only the ladder sheds.
-		c.Admission.Capacity = 1 / time.Hour.Seconds()
-		c.Admission.GateLoad = math.Inf(1)
-		c.Admission.LadderBase, c.Admission.LadderStep = 3, 1
-		c.Admission.Dwell = time.Nanosecond
+		// per task committed to the deeper model, nothing for a buffered
+		// request, and tokens never bind. Rungs engage at 1, 1.5 and 2, so a
+		// fleet with a task running and one staged on each model (2.2) climbs
+		// one rung with each pass an orderStep after the last: only the
+		// ladder sheds.
 		c.Estimator = o.est
 		tweak(c)
 	})
@@ -98,9 +99,9 @@ func (o *orderRig) class(t *testing.T, name string) ClassStats {
 	return ClassStats{}
 }
 
-// shedBronze piles hard gold requests onto the blocked fleet until the
-// ladder holds bronze at shed. Gold is the top class, which admission
-// never sheds, so every one of them is taken and triggers a pass.
+// shedBronze piles hard gold requests an orderStep apart onto the blocked
+// fleet until the ladder holds bronze at shed. Gold is the top class, which
+// the ladder never sheds, so every one of them is taken and triggers a pass.
 func (o *orderRig) shedBronze(t *testing.T) {
 	t.Helper()
 	base := o.srv.Stats()
@@ -109,6 +110,7 @@ func (o *orderRig) shedBronze(t *testing.T) {
 		if sent > 16 {
 			t.Fatalf("bronze at %q after %d gold arrivals onto a full fleet", o.class(t, "bronze").Level, sent-1)
 		}
+		o.clk.advance(t, orderStep)
 		o.send("gold", hardScore, 100+sent)
 		testutil.Poll(t, rigWait, "gold arrival planned", func() bool {
 			st := o.srv.Stats()
@@ -209,11 +211,12 @@ func TestSubmitOrderTraceSaysWhoCutTheSubset(t *testing.T) {
 	testutil.Poll(t, rigWait, "first gold request committed", inFlight(1, 0))
 	rig.send("gold", hardScore, 2)
 	testutil.Poll(t, rigWait, "second gold request staged", inFlight(2, 0))
-	// The bronze request finds no room: its pass is gated. It reads two
-	// tasks' worth of work on either model (the pass before it read one),
-	// which the stats publish once it is over, and the bronze request itself
-	// in the buffer: the ladder steps onto rung 1, bronze capped to one model
-	// of two.
+	// Both passes ran at one instant, too soon after the first for the
+	// ladder to move. An orderStep later the bronze request finds no room:
+	// its pass is gated. It reads two tasks' worth of work on either model
+	// (the pass before it read one), which the stats publish once it is
+	// over: the ladder steps onto rung 1, bronze capped to one model of two.
+	rig.clk.advance(t, orderStep)
 	cut := rig.send("bronze", hardScore, 3)
 	testutil.Poll(t, rigWait, "bronze request's pass over", func() bool {
 		for k, m := range rig.srv.Stats().Models[:2] {
