@@ -416,12 +416,12 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 
 // level is what a query of class ci commits at: its class's rung on the
 // ladder, full service without classes. A class that climbed to shed after
-// its query was admitted commits at greedy: admission is not retroactive.
+// its query was admitted commits capped: admission is not retroactive.
 func (e *Engine) level(ci int) qos.Level {
 	if len(e.cfg.Classes) == 0 {
 		return qos.LevelFull
 	}
-	return min(e.QoS.Level(ci), qos.LevelGreedy)
+	return min(e.QoS.Level(ci), qos.LevelCapped)
 }
 
 // capacity is x's view with every blocked model pushed out of reach.

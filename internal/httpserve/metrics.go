@@ -223,7 +223,7 @@ var instruments = []instrument{
 		func(c serve.ClassStats) any { return c.Cached }),
 	classRow("schemble_class_slo_attainment", "Fraction of completed requests that met the deadline, by class.", gauge,
 		func(c serve.ClassStats) any { return c.SLOAttainment }),
-	classRow("schemble_class_service_level", "Degradation level by class (0 full; 1 capped to half the ensemble; 2 greedy, one model; 3 shed). Every admitted level is planned by the configured scheduler.", gauge,
+	classRow("schemble_class_service_level", "Degradation level by class (0 full; 1 capped; 2 shed).", gauge,
 		func(c serve.ClassStats) any { return int(c.Level) }),
 	{"schemble_class_level_seconds_total", "Virtual time spent at each degradation level, by class.", counter, []string{"class", "level"},
 		func(in input, emit emitFunc) {

@@ -74,8 +74,8 @@ type DecisionTrace struct {
 	Class  string
 	Ladder int
 	// Level is the service level the query was committed at, which the
-	// ladder may have moved since it arrived: "capped" or "greedy", empty at
-	// full service (and so for every classless trace).
+	// ladder may have moved since it arrived: "capped", or empty at full
+	// service (and so for every classless trace).
 	Level string
 	// Score is the predicted discrepancy score the cache was gated and the
 	// scheduler planned with. Scoring precedes admission, so a shed request
