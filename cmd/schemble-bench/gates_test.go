@@ -175,7 +175,7 @@ func TestBaselineFailsClosed(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ran := false
-			runStub := func(options) (cacheReport, error) { ran = true; return cacheReport{}, nil }
+			runStub := func(uint64) (cacheReport, error) { ran = true; return cacheReport{}, nil }
 			seen := -2.0
 			gateStub := func(_ cacheReport, base *cacheReport) []string {
 				seen = -1
@@ -184,7 +184,7 @@ func TestBaselineFailsClosed(t *testing.T) {
 				}
 				return nil
 			}
-			_, _, err := soak(options{}, c.path, schemaCache, runStub, gateStub)
+			_, _, err := soak(0, c.path, schemaCache, runStub, gateStub)
 			if c.wantErr {
 				if err == nil || ran {
 					t.Fatalf("err %v, ran %v: want an error before the run", err, ran)
@@ -201,8 +201,8 @@ func TestBaselineFailsClosed(t *testing.T) {
 // TestSoakRunErrorSkipsGate: a failed run is an error, not a gate result.
 func TestSoakRunErrorSkipsGate(t *testing.T) {
 	boom := errors.New("boom")
-	_, fails, err := soak(options{}, "", schemaDrift,
-		func(options) (driftReport, error) { return driftReport{}, boom },
+	_, fails, err := soak(0, "", schemaDrift,
+		func(uint64) (driftReport, error) { return driftReport{}, boom },
 		func(driftReport, *driftReport) []string { return []string{"gated"} })
 	if !errors.Is(err, boom) || fails != nil {
 		t.Fatalf("got %v, %q: want the run's error and no failures", err, fails)

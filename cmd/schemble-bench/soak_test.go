@@ -13,17 +13,17 @@ import (
 func TestSoakIsOneRun(t *testing.T) {
 	soaks := []struct {
 		name string
-		run  func(options) (any, error)
+		run  func(seed uint64) (any, error)
 	}{
-		{"overload", func(o options) (any, error) { return runOverload(o) }},
-		{"cache", func(o options) (any, error) { return runCache(o) }},
-		{"drift", func(o options) (any, error) { return runDrift(o) }},
+		{"overload", func(seed uint64) (any, error) { return runOverload(seed) }},
+		{"cache", func(seed uint64) (any, error) { return runCache(seed) }},
+		{"drift", func(seed uint64) (any, error) { return runDrift(seed) }},
 	}
 	for _, s := range soaks {
 		t.Run(s.name, func(t *testing.T) {
 			var reports [2][]byte
 			for i := range reports {
-				rep, err := s.run(options{seed: 7})
+				rep, err := s.run(7)
 				if err != nil {
 					t.Fatal(err)
 				}
