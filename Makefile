@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet build cross test test-race rig repo-bench golden snapshot chaos obsv bench fuzz cover
+.PHONY: check lint vet build cross test test-race rig repo-bench golden snapshot chaos obsv bench micro-gate fuzz cover
 
 check: vet build cross test-race rig repo-bench
 
@@ -118,20 +118,27 @@ bench:
 repo-bench:
 	$(GO) run ./bench -quick
 
+# micro-gate runs the planner and cold-start micro-benchmarks (go test
+# benchmarks in internal/core, internal/nn and internal/pipeline) in three
+# alternating pairs against the parent commit, built from a git archive of
+# HEAD~1, and fails a micro whose median change/parent ns/op ratio is above
+# 1.25 with every pair slower (scripts/micro_pairs.sh, about 3 minutes on 2
+# cores). Both sides run on one box in one job, so the box's speed cancels.
+micro-gate:
+	./scripts/micro_pairs.sh HEAD~1
+
 # bench-<scenario> runs one scenario of cmd/schemble-bench and writes its
 # BENCH_<scenario>.json trajectory file:
-#   dp        scheduler and cold-start micro-benchmarks
 #   overload  the classed flash-crowd soak at 1x/2x/5x of capacity
 #   cache     the Zipf result-cache soak, cache-off vs cache-on
 #   drift     the drifting-workload soak, frozen profiles vs adaptation
 # Each run gates itself (see the scenario's gate function). CI runs
 #   make bench-overload BENCH_FLAGS="-baseline BENCH_overload.json"
-# and the same for dp, cache and drift, which fails on a regression against
+# and the same for cache and drift, which fails on a regression against
 # the committed file (read before it is rewritten; a baseline that cannot be
-# read fails the run). The overload, cache and drift
-# soaks replay on the serving runtime in virtual time, one run per seed and
-# under a second each, so overload control that sheds traffic the fleet had
-# room for fails in seconds.
+# read fails the run). Each soak replays on the serving runtime in virtual
+# time, one run per seed and under a second, so overload control that
+# sheds traffic the fleet had room for fails in seconds.
 BENCH_FLAGS ?=
 bench-%:
 	$(GO) run ./cmd/schemble-bench -scenario $* $(BENCH_FLAGS)

@@ -6,20 +6,16 @@ package schemble
 // resulting table once (so `go test -bench=. -benchmem` leaves the full
 // reproduction in its output); repeated iterations hit the experiment
 // cache, so reported ns/op after the first iteration reflect retrieval,
-// not recomputation. Micro-benchmarks for the DP scheduler kernel itself
-// are at the bottom.
+// not recomputation. Micro-benchmarks of the planners themselves are in
+// internal/core (bench_test.go).
 
 import (
 	"fmt"
 	"os"
 	"sync"
 	"testing"
-	"time"
 
-	"schemble/internal/core"
-	"schemble/internal/ensemble"
 	"schemble/internal/experiments"
-	"schemble/internal/rng"
 )
 
 var (
@@ -80,69 +76,6 @@ func BenchmarkAblPrune(b *testing.B)                  { runExperiment(b, "abl-pr
 func BenchmarkAblBuffer(b *testing.B)                 { runExperiment(b, "abl-buffer") }
 func BenchmarkAblCalib(b *testing.B)                  { runExperiment(b, "abl-calib") }
 func BenchmarkAblFill(b *testing.B)                   { runExperiment(b, "abl-fill") }
-
-// --- Micro-benchmarks: the scheduling kernel itself ---
-
-// benchRewarder is a cheap diminishing-marginal-utility reward function.
-type benchRewarder struct{ m int }
-
-func (r benchRewarder) Reward(score float64, s ensemble.Subset) float64 {
-	if s == ensemble.Empty {
-		return 0
-	}
-	u := 1.0
-	sc := 0.2 + 0.6*score
-	for i := 0; i < s.Size(); i++ {
-		u *= sc
-	}
-	return 1 - u
-}
-
-// benchInstance builds a scheduling instance with n buffered queries over
-// m models.
-func benchInstance(n, m int, seed uint64) ([]core.QueryInfo, []time.Duration, []time.Duration) {
-	src := rng.New(seed)
-	queries := make([]core.QueryInfo, n)
-	for i := range queries {
-		queries[i] = core.QueryInfo{
-			ID:       i,
-			Arrival:  time.Duration(src.Intn(50)) * time.Millisecond,
-			Deadline: time.Duration(100+src.Intn(200)) * time.Millisecond,
-			Score:    src.Float64(),
-		}
-	}
-	avail := make([]time.Duration, m)
-	exec := make([]time.Duration, m)
-	for k := range exec {
-		avail[k] = time.Duration(src.Intn(40)) * time.Millisecond
-		exec[k] = time.Duration(20+src.Intn(70)) * time.Millisecond
-	}
-	return queries, avail, exec
-}
-
-func benchmarkScheduler(b *testing.B, s core.Scheduler, n, m int) {
-	queries, avail, exec := benchInstance(n, m, 42)
-	r := benchRewarder{m}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(0, queries, core.SingleReplica(avail), exec, r)
-	}
-}
-
-func BenchmarkDPSchedule4Queries(b *testing.B)  { benchmarkScheduler(b, &core.DP{Delta: 0.01}, 4, 3) }
-func BenchmarkDPSchedule8Queries(b *testing.B)  { benchmarkScheduler(b, &core.DP{Delta: 0.01}, 8, 3) }
-func BenchmarkDPSchedule16Queries(b *testing.B) { benchmarkScheduler(b, &core.DP{Delta: 0.01}, 16, 3) }
-func BenchmarkDPScheduleDelta001(b *testing.B) {
-	benchmarkScheduler(b, &core.DP{Delta: 0.001}, 8, 3)
-}
-func BenchmarkDPScheduleDelta1(b *testing.B) { benchmarkScheduler(b, &core.DP{Delta: 0.1}, 8, 3) }
-func BenchmarkDPScheduleUnpruned(b *testing.B) {
-	benchmarkScheduler(b, &core.DP{Delta: 0.01, DisablePrune: true}, 8, 3)
-}
-func BenchmarkGreedyEDFSchedule16(b *testing.B) {
-	benchmarkScheduler(b, &core.Greedy{Order: core.EDF}, 16, 3)
-}
 
 // BenchmarkPredictorInference measures the discrepancy predictor's forward
 // pass (the per-query cost the paper reports as ~6.5% of ensemble time).

@@ -22,35 +22,6 @@ func checkGate(t *testing.T, got []string, want string) {
 	}
 }
 
-func TestGateDP(t *testing.T) {
-	base := dpReport{Micro: []microResult{
-		{Name: "dp/resolve", NsPerDecision: 1000},
-		{Name: "greedy/edf", NsPerDecision: 200},
-	}}
-	cases := []struct {
-		name   string
-		doctor func(*dpReport)
-		base   *dpReport
-		want   string
-	}{
-		{name: "own report", doctor: func(*dpReport) {}, base: &base},
-		{name: "no baseline", doctor: func(r *dpReport) { r.Micro[0].NsPerDecision = 1e9 }},
-		{name: "+24%", doctor: func(r *dpReport) { r.Micro[0].NsPerDecision = 1240 }, base: &base},
-		{name: "+26%", doctor: func(r *dpReport) { r.Micro[1].NsPerDecision = 252 }, base: &base, want: "greedy/edf"},
-		{name: "new micro", doctor: func(r *dpReport) {
-			r.Micro = append(r.Micro, microResult{Name: "dp/new", NsPerDecision: 1e9})
-		}, base: &base},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			rep := base
-			rep.Micro = append([]microResult(nil), base.Micro...)
-			c.doctor(&rep)
-			checkGate(t, gateDP(rep, c.base), c.want)
-		})
-	}
-}
-
 // overloadFixture is three tiers of three classes with sheds in priority
 // order, gold SLO 0.88 at 5x and goodput 10/20/30.
 func overloadFixture() overloadReport {
@@ -170,7 +141,7 @@ func TestBaselineFailsClosed(t *testing.T) {
 		{name: "missing", path: filepath.Join(dir, "absent.json"), wantErr: true},
 		{name: "corrupt", path: write("corrupt.json", `{"schema":"schemble-cache/v1","hit_rate":`), wantErr: true},
 		{name: "wrong type", path: write("type.json", `{"schema":"schemble-cache/v1","hit_rate":"high"}`), wantErr: true},
-		{name: "other scenario", path: write("dp.json", `{"schema":"schemble-bench/v1","micro":[]}`), wantErr: true},
+		{name: "other scenario", path: write("drift.json", `{"schema":"schemble-drift/v1"}`), wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -233,7 +204,6 @@ func TestCommittedReportsRoundTrip(t *testing.T) {
 			}
 		})
 	}
-	check("dp", schemaDP, func(p string) (any, error) { return readBaseline[dpReport](p, schemaDP) })
 	check("overload", schemaOverload, func(p string) (any, error) { return readBaseline[overloadReport](p, schemaOverload) })
 	check("cache", schemaCache, func(p string) (any, error) { return readBaseline[cacheReport](p, schemaCache) })
 	check("drift", schemaDrift, func(p string) (any, error) { return readBaseline[driftReport](p, schemaDrift) })

@@ -1,15 +1,16 @@
 // Command schemble-bench runs one of the repository's soaks and writes its
-// BENCH_<scenario>.json trajectory file: dp (scheduler and cold-start
-// micro-benchmarks), overload (the classed stack at 1x/2x/5x of
-// capacity), cache (the result cache under Zipf popularity) or drift
-// (online adaptation under a latency ramp and a difficulty shift). Each
-// scenario's file says what it measures and gates. The overload, cache and
-// drift soaks replay their traces on the shipped runtime and deployment in
-// virtual time (serve.Replay): one run per seed, under a second each.
+// BENCH_<scenario>.json trajectory file: overload (the classed stack at
+// 1x/2x/5x of capacity), cache (the result cache under Zipf popularity) or
+// drift (online adaptation under a latency ramp and a difficulty shift).
+// Each scenario's file says what it measures and gates. Every soak replays
+// its trace on the shipped runtime and deployment in virtual time
+// (serve.Replay): one run per seed, under a second each. The planner's and
+// the cold start's own cost are go test benchmarks, which
+// scripts/micro_pairs.sh gates against the parent commit.
 //
 // Usage:
 //
-//	schemble-bench [-scenario dp|overload|cache|drift]
+//	schemble-bench [-scenario overload|cache|drift]
 //	               [-out BENCH_<scenario>.json] [-baseline FILE] [-seed 7]
 //
 // -out - writes the report to stdout, and progress goes to stderr.
@@ -49,10 +50,10 @@ func newHeader(schema string) header {
 }
 
 func main() {
-	name := flag.String("scenario", "dp", "soak to run: dp, overload, cache or drift")
+	name := flag.String("scenario", "overload", "soak to run: overload, cache or drift")
 	out := flag.String("out", "", "output file (default BENCH_<scenario>.json; - for stdout)")
 	baselinePath := flag.String("baseline", "", "earlier report of the same scenario to gate regressions against")
-	seed := flag.Uint64("seed", 7, "seed of the soak (dp's micro-benchmarks use fixed instances)")
+	seed := flag.Uint64("seed", 7, "seed of the soak: the deployment's fit and the replayed trace")
 	flag.Parse()
 
 	rep, failures, err := scenario(*name, *seed, *baselinePath)
@@ -79,8 +80,6 @@ func main() {
 // scenario runs the named soak through soak.
 func scenario(name string, seed uint64, baselinePath string) (any, []string, error) {
 	switch name {
-	case "dp":
-		return soak(seed, baselinePath, schemaDP, runDP, gateDP)
 	case "overload":
 		return soak(seed, baselinePath, schemaOverload, runOverload, gateOverload)
 	case "cache":
@@ -88,7 +87,7 @@ func scenario(name string, seed uint64, baselinePath string) (any, []string, err
 	case "drift":
 		return soak(seed, baselinePath, schemaDrift, runDrift, gateDrift)
 	}
-	return nil, nil, fmt.Errorf("unknown -scenario %q (want dp, overload, cache or drift)", name)
+	return nil, nil, fmt.Errorf("unknown -scenario %q (want overload, cache or drift)", name)
 }
 
 // soak reads the baseline, runs the scenario and returns its report with

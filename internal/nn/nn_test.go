@@ -298,3 +298,34 @@ func TestSGDMomentumTrains(t *testing.T) {
 		t.Errorf("SGD final loss = %v, want < 0.01", loss)
 	}
 }
+
+// BenchmarkTrainPredictor is one fit of the Section V-C predictor as
+// pipeline.Fit runs it twice per cold start: a 12-48-24-(2+1) two-headed
+// net, 2,000 examples (the N 4000 deployment's training split), 150 epochs
+// of Adam at batch 32. The inputs are synthetic; the work per example is
+// not data-dependent beyond which ReLU units are live.
+func BenchmarkTrainPredictor(b *testing.B) {
+	src := rng.New(46)
+	var ds Dataset
+	for i := 0; i < 2000; i++ {
+		x := make([]float64, 12)
+		for j := range x {
+			x[j] = src.Normal(0, 1)
+		}
+		y := []float64{0, 0}
+		y[src.Intn(2)] = 1
+		ds.X, ds.Y, ds.Dis = append(ds.X, x), append(ds.Y, y), append(ds.Dis, src.Float64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net := NewNet(Config{
+			Spec:    Spec{In: 12, Hidden: []int{48, 24}},
+			TaskOut: 2, TaskAct: Softmax, WithHead2: true,
+		}, rng.New(47))
+		net.Train(TrainConfig{
+			Loss: CE, Epochs: 150, BatchSize: 32, LR: 0.01,
+			Optimizer: Adam, Lambda: 0.2, Seed: 47,
+		}, ds)
+	}
+}

@@ -84,9 +84,12 @@ func TestBuildIndependentOfParallelism(t *testing.T) {
 	}
 }
 
-// BenchmarkFit is the cold start of a deployment that has to fit.
+// BenchmarkFit is the cold start of a deployment that has to fit: the
+// whole fit of the shipped deployment (two predictor fits side by side
+// plus profiling), which Build restores instead.
 func BenchmarkFit(b *testing.B) {
 	cfg := seed7Config()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Fit(cfg)
