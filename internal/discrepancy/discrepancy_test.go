@@ -194,15 +194,11 @@ func TestPredictorLearnsScores(t *testing.T) {
 	}
 }
 
-func TestConstantAndOraclePredictors(t *testing.T) {
+func TestConstantPredictor(t *testing.T) {
 	samples, _, _ := fixture(10, 7)
 	c := &ConstantPredictor{Value: 0.5}
 	if c.Predict(samples[0]) != 0.5 {
 		t.Error("constant predictor")
-	}
-	o := &OraclePredictor{Scores: map[int]float64{samples[3].ID: 0.9}}
-	if o.Predict(samples[3]) != 0.9 || o.Predict(samples[4]) != 0 {
-		t.Error("oracle predictor")
 	}
 }
 

@@ -123,15 +123,6 @@ type ConstantPredictor struct {
 // Predict returns the fixed score.
 func (c *ConstantPredictor) Predict(*dataset.Sample) float64 { return c.Value }
 
-// OraclePredictor returns precomputed true scores by sample ID; it bounds
-// what the learned predictor could achieve (Schemble*(Oracle), Fig. 16).
-type OraclePredictor struct {
-	Scores map[int]float64
-}
-
-// Predict returns the stored score for s (0 when unknown).
-func (o *OraclePredictor) Predict(s *dataset.Sample) float64 { return o.Scores[s.ID] }
-
 // ScoreEstimator is the interface the serving pipeline consumes: anything
 // that maps a sample to a difficulty estimate in [0,1].
 type ScoreEstimator interface {
@@ -141,7 +132,6 @@ type ScoreEstimator interface {
 var (
 	_ ScoreEstimator = (*Predictor)(nil)
 	_ ScoreEstimator = (*ConstantPredictor)(nil)
-	_ ScoreEstimator = (*OraclePredictor)(nil)
 )
 
 // RestorePredictor rebuilds a predictor from weights serialized with

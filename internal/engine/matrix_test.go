@@ -284,8 +284,8 @@ func TestZeroValueFeaturesAreAbsent(t *testing.T) {
 		c.Cache = rcache.Config{Capacity: 8, DifficultyMax: 1}
 		c.Adapt = adapt.Config{Scorer: &countingScorer{}, RecalMinPairs: 1}
 	})
-	if e := zero.r.Engine; e.Cache != nil || e.Adapt != nil || e.QoS.Classes() != 0 {
-		t.Fatalf("disabled features built components: cache %v adapt %v, %d classes", e.Cache, e.Adapt, e.QoS.Classes())
+	if e := zero.r.Engine; e.Cache != nil || e.Adapt != nil || e.QoS.ClassIndex("") != -1 {
+		t.Fatalf("disabled features built components: cache %v adapt %v, class index %d", e.Cache, e.Adapt, e.QoS.ClassIndex(""))
 	}
 	zero.run(9, 400)
 	sameRun(t, plain, zero, "without the features", "with their zero values")

@@ -11,7 +11,6 @@ package pipeline
 
 import (
 	"sync"
-	"time"
 
 	"schemble/internal/dataset"
 	"schemble/internal/discrepancy"
@@ -295,23 +294,4 @@ func (a *Artifacts) TrainGating() *policy.Gating {
 	}
 	return policy.TrainGating(policy.GatingConfig{Seed: a.Seed, Latencies: lats},
 		a.Train, a.PerModelAgreeRows(a.Train))
-}
-
-// OracleEstimator returns a score estimator that reads the true discrepancy
-// scores (Schemble*(Oracle)).
-func (a *Artifacts) OracleEstimator() *discrepancy.OraclePredictor {
-	scores := make(map[int]float64, len(a.TrueScores))
-	for id, s := range a.TrueScores {
-		scores[id] = s
-	}
-	return &discrepancy.OraclePredictor{Scores: scores}
-}
-
-// MeanExec returns the mean inference latency per model type.
-func (a *Artifacts) MeanExec() []time.Duration {
-	out := make([]time.Duration, a.Ensemble.M())
-	for k, md := range a.Ensemble.Models {
-		out[k] = md.MeanLatency()
-	}
-	return out
 }

@@ -135,27 +135,6 @@ func TestGatingWeightsFavorStrongModels(t *testing.T) {
 	}
 }
 
-func TestOracleEstimatorMatchesTrueScores(t *testing.T) {
-	a := tmArtifacts(t)
-	o := a.OracleEstimator()
-	for _, s := range a.Serve[:100] {
-		if o.Predict(s) != a.TrueScores[s.ID] {
-			t.Fatal("oracle disagrees with true scores")
-		}
-	}
-}
-
-func TestMeanExec(t *testing.T) {
-	a := tmArtifacts(t)
-	exec := a.MeanExec()
-	if len(exec) != 3 {
-		t.Fatalf("exec len = %d", len(exec))
-	}
-	if exec[0] >= exec[2] {
-		t.Error("bilstm should be faster than bert")
-	}
-}
-
 func TestRegressionPipeline(t *testing.T) {
 	ds := dataset.VehicleCounting(dataset.Config{N: 1200, Seed: 7})
 	a := Build(Config{

@@ -256,11 +256,6 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Classes reports how many classes are configured (0 = classless).
-//
-//schemble:guardedby-ok the classes slice header and class config are immutable after New; only element counters mutate under mu
-func (c *Controller) Classes() int { return len(c.classes) }
-
 // Class returns class i's declaration.
 //
 //schemble:guardedby-ok cls is written once in New and never mutated; no lock needed for this immutable read
@@ -278,11 +273,6 @@ func (c *Controller) ClassIndex(name string) int {
 	}
 	return c.defaultIdx
 }
-
-// Rank returns class i's priority rank (0 = lowest priority).
-//
-//schemble:guardedby-ok rank is written once in New and never mutated; no lock needed for this immutable read
-func (c *Controller) Rank(i int) int { return c.classes[i].rank }
 
 // Observe feeds the load estimator one measurement: backlog is the service
 // work waiting in the engine, in virtual seconds of it (what the most loaded

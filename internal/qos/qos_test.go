@@ -35,10 +35,16 @@ func TestNewValidation(t *testing.T) {
 	mustPanic("zero deadline", []Class{{Name: "a", Priority: 0}})
 }
 
+// rankOf returns class i's priority rank (0 = lowest priority).
+func rankOf(c *Controller, i int) int {
+	//schemble:guardedby-ok rank is written once in New and never mutated
+	return c.classes[i].rank
+}
+
 func TestClassIndexAndRanks(t *testing.T) {
 	c := New(Config{Classes: threeClasses()})
-	if got := c.Classes(); got != 3 {
-		t.Fatalf("Classes() = %d, want 3", got)
+	if _, _, snaps := c.Snapshot(); len(snaps) != 3 {
+		t.Fatalf("%d classes, want 3", len(snaps))
 	}
 	gold, silver, bronze := c.ClassIndex("gold"), c.ClassIndex("silver"), c.ClassIndex("bronze")
 	if gold != 0 || silver != 1 || bronze != 2 {
@@ -51,17 +57,17 @@ func TestClassIndexAndRanks(t *testing.T) {
 	if got := c.ClassIndex(""); got != bronze {
 		t.Errorf("empty class -> %d, want bronze (%d)", got, bronze)
 	}
-	if c.Rank(bronze) != 0 || c.Rank(silver) != 1 || c.Rank(gold) != 2 {
+	if rankOf(c, bronze) != 0 || rankOf(c, silver) != 1 || rankOf(c, gold) != 2 {
 		t.Errorf("ranks = %d,%d,%d, want 0,1,2 for bronze,silver,gold",
-			c.Rank(bronze), c.Rank(silver), c.Rank(gold))
+			rankOf(c, bronze), rankOf(c, silver), rankOf(c, gold))
 	}
 	// Priority ties break by declaration order: earlier declaration wins.
 	tied := New(Config{Classes: []Class{
 		{Name: "first", Priority: 1, Deadline: time.Second},
 		{Name: "second", Priority: 1, Deadline: time.Second},
 	}})
-	if tied.Rank(0) <= tied.Rank(1) {
-		t.Errorf("declaration-order tie-break: first rank %d, second rank %d", tied.Rank(0), tied.Rank(1))
+	if rankOf(tied, 0) <= rankOf(tied, 1) {
+		t.Errorf("declaration-order tie-break: first rank %d, second rank %d", rankOf(tied, 0), rankOf(tied, 1))
 	}
 }
 
@@ -283,7 +289,7 @@ func TestAdmissionPropertySeeds(t *testing.T) {
 		order := make([]int, 0, nClasses)
 		for rank := 0; rank < nClasses; rank++ {
 			for i := 0; i < nClasses; i++ {
-				if c.Rank(i) == rank {
+				if rankOf(c, i) == rank {
 					order = append(order, i)
 				}
 			}
@@ -315,9 +321,9 @@ func TestAdmissionPropertySeeds(t *testing.T) {
 		_, ladder, snaps := c.Snapshot()
 		for i := 0; i < nClasses; i++ {
 			for j := 0; j < nClasses; j++ {
-				if c.Rank(i) > c.Rank(j) && rate(i)+0.02 < rate(j) {
+				if rankOf(c, i) > rankOf(c, j) && rate(i)+0.02 < rate(j) {
 					t.Fatalf("seed %d: priority inversion: class %s (rank %d) rate %.3f < class %s (rank %d) rate %.3f",
-						seed, classes[i].Name, c.Rank(i), rate(i), classes[j].Name, c.Rank(j), rate(j))
+						seed, classes[i].Name, rankOf(c, i), rate(i), classes[j].Name, rankOf(c, j), rate(j))
 				}
 			}
 			// Starvation-freedom: any class not shed by the ladder that saw
