@@ -122,8 +122,9 @@ repo-bench:
 # benchmarks in internal/core, internal/nn and internal/pipeline) in three
 # alternating pairs against the parent commit, built from a git archive of
 # HEAD~1, and fails a micro whose median change/parent ns/op ratio is above
-# 1.25 with every pair slower (scripts/micro_pairs.sh, about 3 minutes on 2
-# cores). Both sides run on one box in one job, so the box's speed cancels.
+# 1.25 with every pair slower (scripts/micro_pairs.sh, about 70 s on 2
+# cores after the build). Both sides run on one box in one job, so the
+# box's speed cancels.
 micro-gate:
 	./scripts/micro_pairs.sh HEAD~1
 

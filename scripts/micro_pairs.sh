@@ -11,7 +11,8 @@
 # included; the parent is PARENT_REV, exported into a directory of its own
 # with git archive (the repository's .git is not touched). Each side's test
 # binaries for the three packages below are built once, in its own tree,
-# and run from the package directory there, as go test runs them.
+# and run from the package directory there, as go test runs them, at the
+# default GOMAXPROCS (the same on both sides).
 #
 # Pair i (PAIRS of them, default 3, at least 3) runs every micro on both
 # sides, the parent first on even i and the change first on odd i, and
@@ -70,7 +71,7 @@ run() {
     for i in "${!PACKAGES[@]}"; do
         (cd "${tree}/${PACKAGES[i]}" &&
             "${OUT}/${side}-${PACKAGES[i]##*/}.test" -test.run '^$' -test.bench "${PATTERNS[i]}" \
-                -test.benchmem) >>"${OUT}/logs/${side}-${pair}.txt" 2>&1 || true
+                -test.benchmem -test.timeout 10m) >>"${OUT}/logs/${side}-${pair}.txt" 2>&1 || true
     done
 }
 
