@@ -35,13 +35,9 @@ if ((PAIRS < 3)); then
     exit 2
 fi
 
-# Each gated package and the -bench pattern of its micros.
+# Each gated package and its micros (Benchmark<name>).
 PACKAGES=(internal/core internal/nn internal/pipeline)
-PATTERNS=(
-    '^Benchmark(DPResolve|DPLiveOverload|DPLiveSlack|DPLiveDeep|GreedyEDF)$'
-    '^BenchmarkTrainPredictor$'
-    '^BenchmarkFit$'
-)
+MICROS=("DPResolve DPLiveOverload DPLiveSlack DPLiveDeep GreedyEDF" TrainPredictor Fit)
 
 CHANGE_TREE=$(git rev-parse --show-toplevel)
 OUT=${OUT:-$(mktemp -d)}
@@ -70,7 +66,7 @@ run() {
     : >"${OUT}/logs/${side}-${pair}.txt"
     for i in "${!PACKAGES[@]}"; do
         (cd "${tree}/${PACKAGES[i]}" &&
-            "${OUT}/${side}-${PACKAGES[i]##*/}.test" -test.run '^$' -test.bench "${PATTERNS[i]}" \
+            "${OUT}/${side}-${PACKAGES[i]##*/}.test" -test.run '^$' -test.bench "^Benchmark(${MICROS[i]// /|})$" \
                 -test.benchmem -test.timeout 10m) >>"${OUT}/logs/${side}-${pair}.txt" 2>&1 || true
     done
 }
@@ -86,12 +82,10 @@ for ((i = 0; i < PAIRS; i++)); do
     fi
 done
 
-python3 - "${OUT}/logs" "${PAIRS}" "$((SECONDS - start))" <<'EOF'
+python3 - "${OUT}/logs" "${PAIRS}" "$((SECONDS - start))" "${MICROS[*]}" <<'EOF'
 import re, statistics, sys
 
-logs, pairs, wall = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-MICROS = ["DPResolve", "DPLiveOverload", "DPLiveSlack", "DPLiveDeep", "GreedyEDF",
-          "TrainPredictor", "Fit"]
+logs, pairs, wall, micros = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4].split()
 LIMIT = 1.25
 line = re.compile(r"^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op")
 
@@ -107,7 +101,7 @@ runs = [(read("parent", i), read("change", i)) for i in range(pairs)]
 print(f"{pairs} pairs in {wall} s, logs in {logs}")
 print(f"{'micro':16} {'pair':>4} {'parent ns/op':>16} {'change ns/op':>16} {'ratio':>7}")
 failed = False
-for name in MICROS:
+for name in micros:
     if any(name not in c for _, c in runs):
         print(f"{name:16} FAIL: not reported by the change in every pair")
         failed = True
