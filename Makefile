@@ -124,7 +124,8 @@ repo-bench:
 # HEAD~1, and fails a micro whose median change/parent ns/op ratio is above
 # 1.25 with every pair slower (scripts/micro_pairs.sh, about 70 s on 2
 # cores after the build). Both sides run on one box in one job, so the
-# box's speed cancels.
+# box's speed cancels. CI runs the script against the push's or pull
+# request's base instead of HEAD~1.
 micro-gate:
 	./scripts/micro_pairs.sh HEAD~1
 
