@@ -74,39 +74,3 @@ func Fit(probs [][]float64, labels []int) *Scaler {
 	}
 	return &Scaler{T: math.Exp(0.5 * (a + b))}
 }
-
-// ECE computes the expected calibration error of probs against labels using
-// equal-width confidence bins, the standard miscalibration diagnostic.
-func ECE(probs [][]float64, labels []int, bins int) float64 {
-	if bins <= 0 {
-		bins = 10
-	}
-	type bucket struct {
-		conf, acc float64
-		n         int
-	}
-	bs := make([]bucket, bins)
-	for i, p := range probs {
-		pred := mathx.ArgMax(p)
-		conf := p[pred]
-		b := int(conf * float64(bins))
-		if b >= bins {
-			b = bins - 1
-		}
-		bs[b].conf += conf
-		if pred == labels[i] {
-			bs[b].acc++
-		}
-		bs[b].n++
-	}
-	var ece float64
-	total := float64(len(probs))
-	for _, b := range bs {
-		if b.n == 0 {
-			continue
-		}
-		n := float64(b.n)
-		ece += n / total * math.Abs(b.acc/n-b.conf/n)
-	}
-	return ece
-}

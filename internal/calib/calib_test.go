@@ -106,13 +106,13 @@ func TestFitCalibratedDataNearOne(t *testing.T) {
 func TestECEImprovesAfterScaling(t *testing.T) {
 	src := rng.New(4)
 	probs, labels := synthOverconfident(src, 8000, 0.4)
-	before := ECE(probs, labels, 15)
+	before := ece(probs, labels, 15)
 	s := Fit(probs, labels)
 	scaled := make([][]float64, len(probs))
 	for i, p := range probs {
 		scaled[i] = s.Apply(p)
 	}
-	after := ECE(scaled, labels, 15)
+	after := ece(scaled, labels, 15)
 	if after >= before {
 		t.Errorf("ECE did not improve: %v -> %v", before, after)
 	}
@@ -125,4 +125,40 @@ func TestFitPanics(t *testing.T) {
 		}
 	}()
 	Fit(nil, nil)
+}
+
+// ece computes the expected calibration error of probs against labels using
+// equal-width confidence bins, the standard miscalibration diagnostic.
+func ece(probs [][]float64, labels []int, bins int) float64 {
+	if bins <= 0 {
+		bins = 10
+	}
+	type bucket struct {
+		conf, acc float64
+		n         int
+	}
+	bs := make([]bucket, bins)
+	for i, p := range probs {
+		pred := mathx.ArgMax(p)
+		conf := p[pred]
+		b := int(conf * float64(bins))
+		if b >= bins {
+			b = bins - 1
+		}
+		bs[b].conf += conf
+		if pred == labels[i] {
+			bs[b].acc++
+		}
+		bs[b].n++
+	}
+	var sum float64
+	total := float64(len(probs))
+	for _, b := range bs {
+		if b.n == 0 {
+			continue
+		}
+		n := float64(b.n)
+		sum += n / total * math.Abs(b.acc/n-b.conf/n)
+	}
+	return sum
 }

@@ -137,7 +137,7 @@ func TestDifficultySpecs(t *testing.T) {
 	if m := mathx.Mean(xs); math.Abs(m-0.5) > 0.01 {
 		t.Errorf("normal mean = %v", m)
 	}
-	if s := mathx.StdDev(xs); math.Abs(s-0.03) > 0.01 {
+	if s := math.Sqrt(mathx.Variance(xs)); math.Abs(s-0.03) > 0.01 {
 		t.Errorf("normal stddev = %v, want ~0.03 (paper setting)", s)
 	}
 

@@ -167,13 +167,3 @@ func (MeanOfPresent) Fill(outs []model.Output, present ensemble.Subset) []model.
 	}
 	return filled
 }
-
-// BankFromOutputs wraps precomputed full base-model outputs (one row per
-// historical sample) into the record bank the KNN filler searches.
-func BankFromOutputs(all [][]model.Output) []Record {
-	recs := make([]Record, len(all))
-	for i, outs := range all {
-		recs[i] = Record{Outputs: outs}
-	}
-	return recs
-}

@@ -22,7 +22,17 @@ func buildBank(t *testing.T, n int) ([]Record, []model.Model, *dataset.Dataset) 
 		}
 		all = append(all, outs)
 	}
-	return BankFromOutputs(all), models, ds
+	return bankFromOutputs(all), models, ds
+}
+
+// bankFromOutputs wraps precomputed full base-model outputs (one row per
+// historical sample) into the record bank the KNN filler searches.
+func bankFromOutputs(all [][]model.Output) []Record {
+	recs := make([]Record, len(all))
+	for i, outs := range all {
+		recs[i] = Record{Outputs: outs}
+	}
+	return recs
 }
 
 func TestKNNPreservesPresent(t *testing.T) {

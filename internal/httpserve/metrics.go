@@ -282,7 +282,7 @@ var instruments = []instrument{
 				emit(1, m.Name, m.Breaker)
 			}
 		}},
-	modelRow("schemble_model_down", "1 while the model sits in a crash-recovery window.", gauge,
+	modelRow("schemble_model_down", "1 while the fault injector holds the model in a crash-recovery window: the injector's state, which the scheduler does not read.", gauge,
 		func(m serve.ModelHealth) any { return boolGauge(m.Down) }),
 	modelRow("schemble_model_consecutive_failures", "Permanent task failures in a row, which the circuit breaker counts toward tripping.", gauge,
 		func(m serve.ModelHealth) any { return m.ConsecutiveFailures }),
@@ -310,7 +310,7 @@ var instruments = []instrument{
 		func(m serve.ModelHealth) any { return m.HedgeWins }),
 	modelRow("schemble_model_breaker_trips_total", "Circuit breaker open transitions.", counter,
 		func(m serve.ModelHealth) any { return m.BreakerTrips }),
-	modelRow("schemble_task_overshoot_seconds", "Wall time by which a completed model wait outlasted the duration it was asked for, by model.", histogram,
+	modelRow("schemble_task_overshoot_seconds", "Wall time by which a completed model wait returned past its target instant, by model: how late its result was delivered.", histogram,
 		func(m serve.ModelHealth) any { return m.TimerOvershoot }),
 	modelRow("schemble_model_starved_seconds", "Wall time a replica sat idle while queries waited in the buffer, one observation per such wait, by model.", histogram,
 		func(m serve.ModelHealth) any { return m.Starved }),

@@ -201,9 +201,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice and
 // does not modify xs.

@@ -211,9 +211,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
 		t.Errorf("Variance = %v", got)
 	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v", got)
-	}
 	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Error("degenerate inputs should be 0")
 	}

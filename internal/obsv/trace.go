@@ -108,7 +108,7 @@ type DecisionTrace struct {
 	// BusyUntil is each model's earliest replica availability — the
 	// capacity signal the scheduler's feasibility checks keyed on.
 	BusyUntil []time.Duration
-	Blocked   []int // models masked by open breakers / crash windows
+	Blocked   []int // models masked by open breakers
 	// Drift lists the adaptation layer's active drift signals at commit
 	// time ("latency:<k>" per drifting model, "score" for difficulty
 	// drift); nil when adaptation is off or no drift is active,

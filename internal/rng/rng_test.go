@@ -125,7 +125,7 @@ func TestNormalMoments(t *testing.T) {
 	if m := mathx.Mean(xs); math.Abs(m-5) > 0.05 {
 		t.Errorf("normal mean = %v, want ~5", m)
 	}
-	if s := mathx.StdDev(xs); math.Abs(s-2) > 0.05 {
+	if s := math.Sqrt(mathx.Variance(xs)); math.Abs(s-2) > 0.05 {
 		t.Errorf("normal stddev = %v, want ~2", s)
 	}
 }

@@ -24,14 +24,16 @@ import (
 )
 
 // chaosFaults turns on all three fault modes at rates that exercise every
-// mitigation without drowning the run.
+// mitigation without drowning the run. The runtime learns of a crash only
+// from the tasks it fails, so a crash lasts long enough for
+// breakerThreshold of them to open the model's breaker.
 func chaosFaults() model.FaultConfig {
 	return model.FaultConfig{
 		TransientRate:   0.08,
 		StragglerRate:   0.08,
 		StragglerFactor: 12,
 		CrashMTBF:       2 * time.Second,
-		CrashRecovery:   300 * time.Millisecond,
+		CrashRecovery:   600 * time.Millisecond,
 		Seed:            99,
 	}
 }
@@ -414,8 +416,8 @@ type chaosRun struct {
 // classes), each with a 400ms budget. It fails the test unless each request
 // resolves exactly once, the runtime's books per class partition what was
 // submitted and agree with what the callers received, no commit puts work
-// on a model its pass had blocked — behind a breaker or inside a crash
-// window — and the chaos both faulted and blocked.
+// on a model its pass had blocked behind a breaker, and the chaos both
+// faulted and blocked.
 func replayChaos(t *testing.T, a *pipeline.Artifacts, tweak func(*Config)) chaosRun {
 	t.Helper()
 	var mu sync.Mutex
@@ -595,13 +597,13 @@ func TestFaultToleranceAgainstFeatures(t *testing.T) {
 	a := artifacts(t)
 	// served, degraded, missed, rejected
 	want := map[string][4]uint64{
-		"classes+cache":                {197, 2, 1, 0},
-		"classes+adapt":                {178, 10, 12, 0},
-		"classes+replicas":             {168, 24, 8, 0},
-		"cache+adapt":                  {197, 2, 1, 0},
-		"cache+replicas":               {199, 1, 0, 0},
-		"adapt+replicas":               {177, 15, 8, 0},
-		"classes+cache+adapt+replicas": {199, 1, 0, 0},
+		"classes+cache":                {193, 5, 2, 0},
+		"classes+adapt":                {155, 15, 30, 0},
+		"classes+replicas":             {148, 31, 21, 0},
+		"cache+adapt":                  {193, 5, 2, 0},
+		"cache+replicas":               {190, 10, 0, 0},
+		"adapt+replicas":               {150, 31, 19, 0},
+		"classes+cache+adapt+replicas": {190, 10, 0, 0},
 	}
 	features := chaosFeatures(t, a)
 	var rows []chaosFeature

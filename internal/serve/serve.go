@@ -9,11 +9,15 @@
 // Dispatch is work-conserving: a query commits once every model of its
 // subset has room, a replica running out of committed work within one task
 // time (stageable). So at most one task waits staged behind each running
-// one, which a replica that finishes starts at once — while the coordinator
-// still plans the pass that completion triggered — and the rest of the wait
-// is in the buffer, where the query can still be re-planned. The simulator
-// commits once some model of the subset is idle, having no planning cost to
-// hide; the two agree whenever an arrival meets an idle fleet.
+// one, and the rest of the wait is in the buffer, where the query can still
+// be re-planned. Each replica keeps its own timeline: a staged task starts
+// the instant the replica freed — its last wait's target — or when it was
+// queued, if later, however late the host woke the worker, and it runs
+// while the coordinator plans the pass that completion triggered. The
+// coordinator re-anchors its capacity estimate on that same instant. The
+// simulator commits once some model of the subset is idle, having no
+// planning cost to hide; the two agree whenever an arrival meets an idle
+// fleet.
 //
 // The coordinator works in turns: it handles the event that woke it and
 // every event already queued behind it, then plans once, and the engine
@@ -364,6 +368,9 @@ type Server struct {
 type task struct {
 	req *request
 	k   int
+	// sent is when the coordinator queued the task: a replica free before
+	// then starts it no earlier (worker).
+	sent time.Time
 }
 
 type evKind int
@@ -387,6 +394,9 @@ type event struct {
 	ran    bool
 	failed bool
 	cutoff bool
+	// free is when the replica ran out of the task's work, on its own
+	// timeline (worker): the instant the coordinator re-anchors on.
+	free time.Time
 }
 
 // ModelHealth is one model's fault-tolerance snapshot inside Stats.
@@ -417,9 +427,10 @@ type ModelHealth struct {
 	// pass read it. Stats.Load is built on the largest of these: it is the
 	// term to look at when the load is high and the buffer is not.
 	BacklogSeconds float64
-	// TimerOvershoot is the distribution of how long past its asked-for
-	// duration each completed model wait returned, in wall time — the
-	// runtime's own reading of the bench's serve.timer_overshoot_us.
+	// TimerOvershoot is the distribution of how long past its target each
+	// completed model wait returned, in wall time: how late its result was
+	// delivered. The bench's serve.timer_overshoot_us times the same waits
+	// from the worker's pickup instead.
 	TimerOvershoot obsv.HistogramSnapshot
 	// Starved is the distribution of how long, in wall time, a replica of
 	// the model sat idle while queries waited in the buffer: one
@@ -914,12 +925,26 @@ func (s *Server) worker(ctx context.Context, k, r int) {
 	w := s.clk.newWaiter()
 	// src is reseeded in place for every attempt the replica runs.
 	src := new(rng.Source)
+	// free is when the replica ran out of work: the target of its last
+	// wait, or the host instant its last attempt ended without one.
+	var free time.Time
 	for {
-		t, alive := s.nextTask(ctx, k)
+		t, staged, alive := s.nextTask(ctx, k)
 		if !alive {
 			return
 		}
-		if !s.runTask(ctx, w, src, m, inj, k, r, t) {
+		// A staged task starts when the replica freed, or when it was
+		// queued if later, not when this goroutine got round to it: a late
+		// wake is the host's, not the model's. A task handed to a parked
+		// replica starts when the replica takes it.
+		start := s.clk.now()
+		if staged {
+			start = free
+			if t.sent.After(start) {
+				start = t.sent
+			}
+		}
+		if free, alive = s.runTask(ctx, w, src, m, inj, k, r, t, start); !alive {
 			return
 		}
 	}
@@ -927,18 +952,18 @@ func (s *Server) worker(ctx context.Context, k, r int) {
 
 // nextTask takes a replica's next task off model k's queue; alive is false
 // when the runtime context was cancelled first. A task staged behind the
-// one the replica just finished is taken at once. Otherwise the replica
-// goes idle, and if queries sit in the coordinator's buffer at that moment
-// it is starved: there is work, and it waits for the coordinator to plan
-// and hand it over. The wall time of each such wait is one observation in
-// the model's starved histogram.
-func (s *Server) nextTask(ctx context.Context, k int) (t *task, alive bool) {
+// one the replica just finished is taken at once, and staged says so.
+// Otherwise the replica parks, and if queries sit in the coordinator's
+// buffer at that moment it is starved: there is work, and it waits for the
+// coordinator to plan and hand it over. The wall time of each such wait is
+// one observation in the model's starved histogram.
+func (s *Server) nextTask(ctx context.Context, k int) (t *task, staged, alive bool) {
 	select {
 	case <-ctx.Done():
-		return nil, false
+		return nil, false, false
 	case t = <-s.taskCh[k]:
 		s.clk.sent(k, -1)
-		return t, true
+		return t, true, true
 	default:
 	}
 	var idle time.Time
@@ -949,33 +974,37 @@ func (s *Server) nextTask(ctx context.Context, k int) (t *task, alive bool) {
 	s.clk.idle(k, 1)
 	select {
 	case <-ctx.Done():
-		return nil, false
+		return nil, false, false
 	case t = <-s.taskCh[k]:
 		s.clk.idle(k, -1)
 		s.clk.sent(k, -1)
 		if starved {
 			s.mstats[k].starved.Observe(s.clk.now().Sub(idle))
 		}
-		return t, true
+		return t, false, true
 	}
 }
 
-// runTask executes one task on replica r of model k and reports its
-// completion event. The replica counts as busy for the whole of it, a
-// skipped task included, so a task is in its model's queue or on a busy
-// replica until the coordinator hears of it. Returns false when the runtime
-// context was cancelled and the worker must exit.
-func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k, r int, t *task) bool {
+// runTask executes one task on replica r of model k, its first attempt
+// starting at start, and reports its completion event with free, when the
+// replica ran out of the task's work (a skipped task's is its start). The
+// replica counts as busy for the whole of it, a skipped task included, so a
+// task is in its model's queue or on a busy replica until the coordinator
+// hears of it. alive is false when the runtime context was cancelled and
+// the worker must exit.
+func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k, r int, t *task, start time.Time) (free time.Time, alive bool) {
 	rc := &s.rstats[k][r]
 	rc.busy.Store(1)
 	defer rc.busy.Store(0)
 	var done, ran, failed, cutoff bool
+	free = start
 	if !t.req.isResolved() {
 		ran = true
-		out, vlat, end := s.execute(ctx, w, src, m, inj, k, t.req)
+		out, vlat, end, freed := s.execute(ctx, w, src, m, inj, k, t.req, start)
 		if end == endDead {
-			return false
+			return free, false
 		}
+		free = freed
 		ok := end == endOK
 		cutoff = end == endCutoff
 		s.mstats[k].executed.Add(1)
@@ -1002,11 +1031,11 @@ func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m mode
 	}
 	s.clk.sent(toCoordinator, 1)
 	select {
-	case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: cutoff}:
+	case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: cutoff, free: free}:
 	case <-ctx.Done():
-		return false
+		return free, false
 	}
-	return true
+	return free, true
 }
 
 // taskEnd is how a task's attempt chain ended.
@@ -1031,11 +1060,13 @@ func attemptKey(seq uint64, k, a int) uint64 {
 // hedging and deadline cutoff, run Predict panic-safely, and retry failed
 // attempts with jittered exponential backoff while the budget lasts. Each
 // attempt reseeds src from its key and draws from it in one order: the
-// latency, then the hedge's latency, then the backoff jitter. end says how
+// latency, then the hedge's latency, then the backoff jitter. The first
+// attempt starts at start, a retry when its backoff has passed. end says how
 // the chain ended; on endDead the worker must exit silently. vlat is the
 // winning attempt's virtual service time — the sample the adaptation
-// layer's latency histograms ingest.
-func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k int, r *request) (out model.Output, vlat time.Duration, end taskEnd) {
+// layer's latency histograms ingest. free is the target of the last
+// attempt's wait, or the host instant if it ended without one.
+func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k int, r *request, start time.Time) (out model.Output, vlat time.Duration, end taskEnd, free time.Time) {
 	c := &s.mstats[k]
 	timedOut := func() {
 		c.timeouts.Add(1)
@@ -1049,7 +1080,10 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 		lat := m.SampleLatency(src)
 		// The attempt's start: the fault injector's crash windows, the
 		// deadline budget and the wait target all take this one instant.
-		now := s.clk.now()
+		now := start
+		if attempt > 0 {
+			now = s.clk.now()
+		}
 		dec := model.Decision{Kind: model.FaultNone, LatencyFactor: 1}
 		if inj != nil {
 			dec = inj.Attempt(now, lat, key)
@@ -1070,7 +1104,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 			if s.tol.Enable {
 				if cutoff = r.wallDeadline.Sub(now); cutoff <= 0 {
 					timedOut()
-					return out, 0, endCutoff
+					return out, 0, endCutoff, s.clk.now()
 				}
 			}
 			d := time.Duration(float64(lat) * dec.LatencyFactor * s.scale)
@@ -1101,9 +1135,10 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 				}
 			}
 			wake, kind := earliestWake(d, hedge, cutoff)
-			over, alive := w.until(ctx, now.Add(wake))
+			target := now.Add(wake)
+			over, alive := w.until(ctx, target)
 			if !alive {
-				return out, 0, endDead
+				return out, 0, endDead, free
 			}
 			c.overshoot.Observe(over)
 			switch kind {
@@ -1116,20 +1151,20 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 				// The deadline arrived mid-attempt: abandon it instead of
 				// occupying the worker past the point of usefulness.
 				timedOut()
-				return out, 0, endCutoff
+				return out, 0, endCutoff, target
 			}
 			if out, ok := s.safePredict(m, k, r.sample); ok {
-				return out, vlat, endOK
+				return out, vlat, endOK, target
 			}
 			// Predict panicked: contained by safePredict; the attempt
 			// failed like a transient fault.
 		}
 		retry, alive := s.backoffUntil(ctx, w, src, r.wallDeadline, attempt)
 		if !alive {
-			return out, 0, endDead
+			return out, 0, endDead, free
 		}
 		if !retry {
-			return out, 0, endFailed
+			return out, 0, endFailed, s.clk.now()
 		}
 		c.retries.Add(1)
 		if s.obs != nil {
@@ -1364,13 +1399,14 @@ func (c *coordinator) onTaskDone(e event) {
 	if c.pending[e.k] > 0 {
 		c.pending[e.k]--
 	}
-	// Re-anchor the backlog estimate on the actual completion time so
-	// latency jitter cannot accumulate drift: the pending tasks are assumed
-	// spread evenly over the pool, replica i finishing after (pending+i)/R
-	// more tasks (the slot estimates sum to pending, preserving total
-	// capacity; with one replica this is the scalar now + pending*exec).
+	// Re-anchor the backlog estimate on the instant the replica freed, on
+	// its own timeline, so latency jitter cannot accumulate drift: the
+	// pending tasks are assumed spread evenly over the pool, replica i
+	// finishing after (pending+i)/R more tasks (the slot estimates sum to
+	// pending, preserving total capacity; with one replica this is the
+	// scalar free + pending*exec).
 	R := len(c.busyUntil[e.k])
-	anchor := s.Now()
+	anchor := s.virtual(e.free)
 	for i := range c.busyUntil[e.k] {
 		c.busyUntil[e.k][i] = anchor + time.Duration((c.pending[e.k]+i)/R)*s.eng.Exec()[e.k]
 	}
@@ -1436,15 +1472,11 @@ func (c *coordinator) degrade(r *request) {
 	})
 }
 
-// Blocked implements engine.Executor: models behind an open breaker or
-// inside a crash-recovery window, which plans must go around.
+// Blocked implements engine.Executor: the models behind an open breaker,
+// which plans must go around. A crash is learnt only from the tasks it
+// fails, as a real deployment would learn it.
 func (c *coordinator) Blocked(now time.Duration) ensemble.Subset {
 	c.blocked = c.s.breakerBlocked(now)
-	for k, f := range c.s.faulty {
-		if f != nil && f.Down(c.s.clk.now()) {
-			c.blocked = c.blocked.With(k)
-		}
-	}
 	return c.blocked
 }
 
@@ -1517,6 +1549,7 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 	}
 	r.mu.Unlock()
 	c.inflight[r] = s.tol.Enable
+	sent := s.clk.now()
 	for _, k := range sub.Models() {
 		// The task lands on the earliest-available replica slot, exactly
 		// the assumption the scheduler's capacity model (core.Capacity)
@@ -1527,7 +1560,7 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 		}
 		s.clk.sent(k, 1)
 		select {
-		case s.taskCh[k] <- &task{req: r, k: k}:
+		case s.taskCh[k] <- &task{req: r, k: k, sent: sent}:
 			c.busyUntil[k][slot] = start + s.eng.Exec()[k]
 			c.pending[k]++
 		default:
@@ -1560,9 +1593,10 @@ func earliestSlot(slots []time.Duration) (idx int, at time.Duration) {
 // slot runs out within one task time, exec. The task lands on that slot,
 // which then drains by t + 2·exec; Room asks it of every model a query
 // commits onto, so a busy replica holds at most one task staged behind the
-// running one, and an idle one can be handed two in one pass. The worker
-// starts the staged task the instant it finishes, and the pass that
-// completion triggers runs during it (DESIGN.md "Online wrapper").
+// running one, and an idle one can be handed two in one pass. The staged
+// task starts when the replica frees, on the replica's timeline rather than
+// when the host wakes its worker, and the pass that completion triggers runs
+// during it (DESIGN.md "Online wrapper", "Wall-clock waits").
 func stageable(slots []time.Duration, t, exec time.Duration) bool {
 	_, at := earliestSlot(slots)
 	return at <= t+exec

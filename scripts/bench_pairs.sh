@@ -19,8 +19,16 @@
 # (a later flag wins, so BENCH_FLAGS may override the defaults). Every
 # result line is kept in OUT/parent.jsonl and OUT/change.jsonl, each run's
 # report in OUT/logs/, and the summary prints, per metric, each side's
-# median and quartiles and how many pairs the change won. OUT defaults to a
-# new temporary directory; set it to keep the runs somewhere known.
+# median and quartiles, how many pairs the change won, and a verdict:
+#   gain        the change won at least 9 pairs in 10 and its median is
+#               better than the parent's by more than the parent's IQR;
+#   worse       the change's median is worse than the parent's by more than
+#               the metric's bound in BENCHMARK.json (a share of the
+#               parent's median; per-layer metrics have none);
+#   unresolved  the parent's own IQR is wider than that bound;
+#   same        none of these.
+# OUT defaults to a new temporary directory; set it to keep the runs
+# somewhere known.
 set -euo pipefail
 
 if [[ $# -lt 4 ]]; then
@@ -75,7 +83,9 @@ import json, statistics, sys
 
 out, spec, workload = sys.argv[1:]
 spec = json.load(open(spec))
-better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+metrics = spec["end_to_end"] + spec["per_layer"]
+better = {m["name"]: m["better"] for m in metrics}
+bound = {m["name"]: m["bound"] for m in metrics if "bound" in m}
 
 def load(side):
     return [json.loads(l) for l in open(f"{out}/{side}.jsonl") if l.strip()]
@@ -92,15 +102,29 @@ def quartiles(v):
     q1, med, q3 = statistics.quantiles(v, n=4, method="inclusive")
     return q1, med, q3
 
+def verdict(name, sign, won, n, pq, cq):
+    gain = sign * (cq[1] - pq[1])  # > 0 when the change's median is better
+    spread, scale = pq[2] - pq[0], abs(pq[1])
+    if 10 * won >= 9 * n and gain > spread:
+        return "gain"
+    if name in bound and -gain > bound[name] * scale:
+        return "worse"
+    if name in bound and spread > bound[name] * scale:
+        return "unresolved"
+    return "same"
+
 names = sorted({k for r in runs for k in r.get("metrics", {})})
-print(f"{'metric':34} {'parent p50 [q1-q3]':>30} {'change p50 [q1-q3]':>30}  wins")
+print(f"{'metric':34} {'parent p50 [q1-q3]':>30} {'change p50 [q1-q3]':>30}  wins  verdict")
 for name in names:
     pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
              for a, b in zip(parent, change) if name in a.get("metrics", {}) and name in b.get("metrics", {})]
     if not pairs:
         continue
     sign = {"higher": 1, "lower": -1}.get(better.get(name), 0)
-    wins = f"{sum(sign * (b - a) > 0 for a, b in pairs)}/{len(pairs)}" if sign else "-"
     pq, cq = quartiles([a for a, _ in pairs]), quartiles([b for _, b in pairs])
-    print(f"{name:34} {pq[1]:12.4f} [{pq[0]:.4f}-{pq[2]:.4f}] {cq[1]:12.4f} [{cq[0]:.4f}-{cq[2]:.4f}]  {wins}")
+    wins, call = "-", "-"
+    if sign:
+        won = sum(sign * (b - a) > 0 for a, b in pairs)
+        wins, call = f"{won}/{len(pairs)}", verdict(name, sign, won, len(pairs), pq, cq)
+    print(f"{name:34} {pq[1]:12.4f} [{pq[0]:.4f}-{pq[2]:.4f}] {cq[1]:12.4f} [{cq[0]:.4f}-{cq[2]:.4f}]  {wins:>5}  {call}")
 EOF
