@@ -10,7 +10,8 @@
 //	        committed work, in seconds), cost refresh, room gate, one
 //	        schedule of every buffered query, blocked-model strip, the
 //	        ladder's subset cap (keeping the models that finish first),
-//	        per-query room check
+//	        per-query room check, and without room the part of the subset
+//	        that has room and gives up at most one reward step
 //	commit  the driver's Executor dispatches the query's tasks
 //	settle  aggregate, classify, fill the cache
 //
@@ -46,6 +47,14 @@ import (
 // pushed in the scheduler's capacity view: far enough that no
 // deadline-feasible plan can include it.
 const blockHorizon = time.Hour
+
+// partLoss is the reward a query may give up to commit onto a strict part of
+// its subset that has room when the subset has none: one step of the DP's
+// reward grid (Theorem 3: Delta = ε/N, 0.01 in every shipped deployment), the
+// resolution the plan pinned the query's reward to. One step and not more:
+// a larger loss trades accuracy for latency, a policy choice this rule does
+// not make (DESIGN.md "Online wrapper").
+const partLoss = 0.01
 
 // Config assembles an Engine. Ensemble, Replicas and BaseExec are always
 // required; Scheduler and Rewarder by any driver that calls Pass.
@@ -116,7 +125,8 @@ type Executor interface {
 	Capacity() core.Capacity
 	// Room reports whether the fleet can take a query committed onto sub,
 	// by the driver's own rule: every model of sub, or some. A pass asks it
-	// of each unblocked model alone, then of each query's committed subset.
+	// of each unblocked model alone, then of each query's committed subset,
+	// and when that has none, of the parts of it within one reward step.
 	Room(now time.Duration, sub ensemble.Subset) bool
 	// Commit takes the query out of the buffer for good: the driver
 	// dispatches one task per model of sub, or resolves the query some
@@ -149,6 +159,8 @@ type Engine struct {
 	// work[k] is model k's committed work as the pass's observation read it,
 	// finish[k] when model k would finish one more task.
 	work, finish []time.Duration
+
+	partCommits uint64
 }
 
 // BottleneckCapacity estimates the full-ensemble service rate a fleet
@@ -203,6 +215,10 @@ func New(cfg Config) *Engine {
 // Pass refreshes it from the live latency profile when adaptation is on,
 // and it is BaseExec otherwise.
 func (e *Engine) Exec() []time.Duration { return e.exec }
+
+// PartCommits counts the queries committed onto a strict part of their capped
+// plan for lack of room, since the engine was built; read it between passes.
+func (e *Engine) PartCommits() uint64 { return e.partCommits }
 
 // Work is each model's committed work as the last pass fed it to the
 // controller — the mean over the model's replicas of the time each still
@@ -300,7 +316,8 @@ func (e *Engine) Filter(keep func(Item) bool) {
 
 // Pass plans the buffer at now and commits what the plan placed and x has
 // room for; it returns how many queries left the buffer. A query whose plan
-// is empty, or whose subset x has no room for, waits for the next pass.
+// is empty, or whose subset x has no room for and no part of which within
+// one reward step has any, waits for the next pass.
 func (e *Engine) Pass(now time.Duration, x Executor) int {
 	// The load estimate drives admission and the ladder, never the plan.
 	e.QoS.Observe(now, e.committedWork(now, x))
@@ -405,13 +422,42 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 			sub = qos.TruncateSubset(sub, limit, e.finishTimes(now, x))
 		}
 		// Room is asked about what would run, not what was planned: the
-		// driver decides whether it needs every model of it or some.
+		// driver decides whether it needs every model of it or some. Without
+		// it, a part within one reward step of sub that has room will do.
 		if !x.Room(now, sub) {
-			continue
+			if sub = e.part(now, x, q.Score, sub); sub == ensemble.Empty {
+				continue
+			}
+			e.partCommits++
 		}
 		x.Commit(now, it, sub, lvl)
 		e.left[bi] = true
 	}
+}
+
+// part is the non-empty strict part of sub a query of this score commits onto
+// when x has no room for sub: of the parts whose reward is within partLoss of
+// sub's and that x has room for, the highest reward, ties to fewer models and
+// then to the lower mask; Empty when none qualifies. Room is asked only of a
+// part that passes on reward and would beat the best so far.
+func (e *Engine) part(now time.Duration, x Executor, score float64, sub ensemble.Subset) ensemble.Subset {
+	floor := e.cfg.Rewarder.Reward(score, sub) - partLoss
+	best, bestR := ensemble.Empty, 0.0
+	for t := (sub - 1) & sub; t != ensemble.Empty; t = (t - 1) & sub {
+		r := e.cfg.Rewarder.Reward(score, t)
+		if r < floor {
+			continue
+		}
+		if best != ensemble.Empty {
+			if c := cmp.Or(cmp.Compare(bestR, r), cmp.Compare(t.Size(), best.Size()), cmp.Compare(t, best)); c >= 0 {
+				continue
+			}
+		}
+		if x.Room(now, t) {
+			best, bestR = t, r
+		}
+	}
+	return best
 }
 
 // level is what a query of class ci commits at: its class's rung on the

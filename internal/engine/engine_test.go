@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -89,7 +90,8 @@ type req struct {
 
 // fleet is a scripted Executor with one FIFO queue per model: model k has
 // room while its queue holds fewer than depth[k] tasks, and a subset while
-// every model of it does — serve's quantifier.
+// every model of it does — serve's quantifier — or, with some, while one
+// does.
 type fleet struct {
 	t       *testing.T
 	depth   []int
@@ -102,6 +104,8 @@ type fleet struct {
 	asked []ensemble.Subset
 	// cut counts the commits the ladder's cap took a model from.
 	cut int
+	// some is sim's quantifier.
+	some bool
 }
 
 func newFleet(t *testing.T, exec []time.Duration, depth ...int) *fleet {
@@ -119,12 +123,16 @@ func (f *fleet) Capacity() core.Capacity {
 }
 func (f *fleet) Room(_ time.Duration, sub ensemble.Subset) bool {
 	f.asked = append(f.asked, sub)
+	n := 0
 	for _, k := range sub.Models() {
-		if len(f.queue[k]) >= f.depth[k] {
-			return false
+		if len(f.queue[k]) < f.depth[k] {
+			n++
 		}
 	}
-	return true
+	if f.some {
+		return n > 0
+	}
+	return n == sub.Size()
 }
 func (f *fleet) Commit(now time.Duration, it Item, sub ensemble.Subset, lvl qos.Level) {
 	r := it.(*req)
@@ -622,6 +630,112 @@ func TestPassRoomCheck(t *testing.T) {
 	}
 	if got, want := f.asked[len(f.asked)-1], ensemble.Subset(0b011); got != want {
 		t.Errorf("Room was asked about %v for a capped commit, want %v", got.Models(), want.Models())
+	}
+}
+
+// table is a Rewarder that reads each subset's reward off a map, whatever
+// the score.
+type table map[ensemble.Subset]float64
+
+func (r table) Reward(_ float64, s ensemble.Subset) float64 { return r[s] }
+
+// TestPassPartCommit: a query whose subset has no room commits onto the
+// strict part of it that has room and gives up at most partLoss of its
+// reward, the highest-reward such part, ties to fewer models and then the
+// lower mask; with none it waits. Room is asked only of a part that passes
+// on reward. The query keeps its plan and its level.
+func TestPassPartCommit(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		plan   ensemble.Subset // all three when unset
+		reward table
+		depth  []int
+		capped bool // the class stands at the capped rung
+		some   bool // sim's room rule
+		want   ensemble.Subset
+		asked  []ensemble.Subset // after the gate's questions
+	}{
+		{
+			name:   "within a step, the best part with room",
+			reward: table{0b111: 1, 0b110: 0.999, 0b011: 0.995, 0b001: 0.992, 0b010: 0.8},
+			depth:  []int{1, 1, 0},
+			want:   0b011,
+			asked:  []ensemble.Subset{0b111, 0b110, 0b011},
+		},
+		{
+			name:   "0.011 below waits",
+			reward: table{0b111: 1, 0b110: 0.989, 0b101: 0.989, 0b011: 0.989, 0b001: 0.98, 0b010: 0.98, 0b100: 0.98},
+			depth:  []int{1, 1, 0},
+			asked:  []ensemble.Subset{0b111},
+		},
+		{
+			name:   "ties to fewer models, then the lower mask",
+			reward: table{0b111: 1, 0b110: 0.995, 0b101: 0.995, 0b011: 0.995, 0b001: 0.995, 0b010: 0.995, 0b100: 0.995},
+			depth:  []int{1, 1, 0},
+			want:   0b001,
+			asked:  []ensemble.Subset{0b111, 0b110, 0b101, 0b100, 0b011, 0b010, 0b001},
+		},
+		{
+			// Capped to the two models that finish first, the reference is
+			// {0,1}'s 0.95: model 0 alone is within a step of that, not of
+			// the whole plan's 1.
+			name:   "the reference is the capped subset's reward",
+			reward: table{0b111: 1, 0b011: 0.95, 0b001: 0.945, 0b010: 0.9},
+			depth:  []int{9, 0, 9},
+			capped: true,
+			want:   0b001,
+			asked:  []ensemble.Subset{0b011, 0b001},
+		},
+		{
+			// Model 2 keeps the gate open. Under sim's rule a subset without
+			// room has no model with room, so no part of it has room either.
+			name:   "the some-model rule never falls back",
+			plan:   0b011,
+			reward: table{0b011: 1, 0b001: 1, 0b010: 1},
+			depth:  []int{0, 0, 1},
+			some:   true,
+			asked:  []ensemble.Subset{0b011, 0b010, 0b001},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(func(c *Config) {
+				c.Rewarder = tc.reward
+				if tc.capped {
+					c.Classes = []qos.Class{{Name: "only", Deadline: time.Second}}
+					c.Admission = workLadder
+				}
+			})
+			plan := cmp.Or(tc.plan, ensemble.Full(3))
+			r.plan.assign = func(core.QueryInfo) ensemble.Subset { return plan }
+			now := ms
+			class, lvl := "", qos.LevelFull
+			if tc.capped {
+				class, lvl = "only", qos.LevelCapped
+			}
+			q, _ := r.arrive(now, class, 0.5, 0, 0)
+			f := newFleet(t, r.Exec(), tc.depth...)
+			f.some = tc.some
+			if tc.capped {
+				r.climb(t, &now, 1)
+				now += tick
+				f.hold(now)
+			}
+			left := r.Pass(now, f)
+			if tc.want == ensemble.Empty {
+				if left != 0 || q.committed || r.PartCommits() != 0 {
+					t.Fatalf("committed onto %v (%d left, %d part commits), want the query to wait", q.Subset.Models(), left, r.PartCommits())
+				}
+			} else if left != 1 || q.Subset != tc.want || q.Level != lvl || r.PartCommits() != 1 {
+				t.Fatalf("committed onto %v at %v (%d left, %d part commits), want %v at %v",
+					q.Subset.Models(), q.Level, left, r.PartCommits(), tc.want.Models(), lvl)
+			}
+			if q.Planned != plan {
+				t.Errorf("planned %v, want the scheduler's %v kept", q.Planned.Models(), plan.Models())
+			}
+			if n := len(f.asked) - len(tc.asked); n < 0 || !reflect.DeepEqual(f.asked[n:], tc.asked) {
+				t.Errorf("Room was asked about %v, want the gate's questions, then %v", f.asked, tc.asked)
+			}
+		})
 	}
 }
 

@@ -116,6 +116,8 @@ var instruments = []instrument{
 		func(in input, emit emitFunc) { emit(in.rt.TurnEvents) }},
 	{"schemble_pass_seconds", "Wall time of a coordinator turn's planning pass.", histogram, nil,
 		func(in input, emit emitFunc) { emit(in.rt.PassTime) }},
+	{"schemble_part_commits_total", "Queries committed, for lack of room, onto a strict part of their capped plan within one reward step of it.", counter, nil,
+		func(in input, emit emitFunc) { emit(in.rt.PartCommits) }},
 
 	{"schemble_cache_requests_total", "Cache lookups by result.", counter, []string{"result"},
 		func(in input, emit emitFunc) {

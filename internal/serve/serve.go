@@ -8,16 +8,17 @@
 //
 // Dispatch is work-conserving: a query commits once every model of its
 // subset has room, a replica running out of committed work within one task
-// time (stageable). So at most one task waits staged behind each running
-// one, and the rest of the wait is in the buffer, where the query can still
-// be re-planned. Each replica keeps its own timeline: a staged task starts
-// the instant the replica freed — its last wait's target — or when it was
-// queued, if later, however late the host woke the worker, and it runs
-// while the coordinator plans the pass that completion triggered. The
-// coordinator re-anchors its capacity estimate on that same instant. The
-// simulator commits once some model of the subset is idle, having no
-// planning cost to hide; the two agree whenever an arrival meets an idle
-// fleet.
+// time (stageable), or onto the part of its subset every model of which has
+// room, if that part gives up at most one reward step of the DP's grid. So
+// at most one task waits staged behind each running one, and the rest of
+// the wait is in the buffer, where the query can still be re-planned. Each
+// replica keeps its own timeline: a staged task starts the instant the
+// replica freed — its last wait's target — or when it was queued, if later,
+// however late the host woke the worker, and it runs while the coordinator
+// plans the pass that completion triggered. The coordinator re-anchors its
+// capacity estimate on that same instant. The simulator commits once some
+// model of the subset is idle, having no planning cost to hide; the two
+// agree whenever an arrival meets an idle fleet.
 //
 // The coordinator works in turns: it handles the event that woke it and
 // every event already queued behind it, then plans once, and the engine
@@ -348,12 +349,13 @@ type Server struct {
 	eng        *engine.Engine
 	classStats []classCounters
 
-	// Health counters behind the Stats snapshot. nBuffered/nInflight follow
-	// the coordinator's private structures.
-	nSubmitted atomic.Uint64
-	nOutcome   [obsv.NumOutcomes]atomic.Uint64
-	nBuffered  atomic.Int64
-	nInflight  atomic.Int64
+	// Health counters behind the Stats snapshot. nBuffered/nInflight and
+	// nPartCommits follow the coordinator's private structures.
+	nSubmitted   atomic.Uint64
+	nOutcome     [obsv.NumOutcomes]atomic.Uint64
+	nBuffered    atomic.Int64
+	nInflight    atomic.Int64
+	nPartCommits atomic.Uint64
 
 	// turnEvents is how many events each coordinator turn handled before its
 	// one planning pass, a count carried as that many seconds so it shares
@@ -455,6 +457,9 @@ type Stats struct {
 	Resolved  uint64 // Served + Degraded + Missed + Rejected
 	Buffered  int    // awaiting scheduling in the coordinator's buffer
 	InFlight  int    // committed, not all tasks finished
+	// PartCommits counts the queries committed onto a strict part of their
+	// capped plan for lack of room, the part within one reward step of it.
+	PartCommits uint64
 	// QueueDepth[k] is model k's task-channel occupancy. A task a replica
 	// has taken is counted in ReplicaBusy, never here.
 	QueueDepth []int
@@ -689,6 +694,7 @@ func (s *Server) Stats() Stats {
 		Rejected:    s.nOutcome[obsv.Rejected].Load(),
 		Buffered:    int(s.nBuffered.Load()),
 		InFlight:    int(s.nInflight.Load()),
+		PartCommits: s.nPartCommits.Load(),
 		QueueDepth:  make([]int, len(s.taskCh)),
 		Replicas:    append([]int(nil), s.replicas...),
 		ReplicaBusy: make([][]int, len(s.taskCh)),
@@ -1284,6 +1290,7 @@ func (c *coordinator) turn(e *event) {
 		began := s.clk.now()
 		s.eng.Pass(s.virtual(began), c)
 		s.passTime.Observe(s.clk.now().Sub(began))
+		s.nPartCommits.Store(s.eng.PartCommits())
 		c.syncGauges()
 		for k, w := range s.eng.Work() {
 			s.mstats[k].backlog.Store(int64(w))

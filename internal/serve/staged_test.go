@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -143,6 +144,72 @@ func TestStagedCommitWaitsForEveryModel(t *testing.T) {
 		if res := rig.result(t, i); res.Missed || res.Subset != want {
 			t.Fatalf("request %d: %+v, want served by %v", i, res, want.Models())
 		}
+	}
+}
+
+// partRewarder gives the pair the reward 1 and model 0 alone 1 - loss.
+type partRewarder struct{ loss float64 }
+
+func (r partRewarder) Reward(_ float64, s ensemble.Subset) float64 {
+	switch s {
+	case ensemble.Full(2):
+		return 1
+	case ensemble.Single(0):
+		return 1 - r.loss
+	}
+	return 0
+}
+
+// TestStagedPartCommit: model 1 holds a running task and a staged one while
+// model 0 is idle. A query planned onto both commits onto model 0 alone when
+// that gives up at most one reward step of 0.01, served in full and counted
+// as a part commit; 0.011 below, it waits, as in
+// TestStagedCommitWaitsForEveryModel, until model 1 finishes its running task.
+func TestStagedPartCommit(t *testing.T) {
+	for _, tc := range []struct {
+		loss float64
+		part bool
+	}{{0.01, true}, {0.011, false}} {
+		t.Run(fmt.Sprint(tc.loss), func(t *testing.T) {
+			rig := newGateRig(t, 2, ensemble.Empty, func(c *Config) { c.Rewarder = partRewarder{tc.loss} })
+			rig.commit(t, 2)
+			rig.finish(t, 0)
+			rig.finish(t, 0)
+			testutil.Poll(t, rigWait, "model 0 idle, model 1 running and staged", func() bool {
+				st := rig.srv.Stats()
+				return st.Models[0].Executed == 2 && st.ReplicaBusy[0][0] == 0 && st.ReplicaBusy[1][0] == 1 && st.QueueDepth[1] == 1
+			})
+			calls := rig.sched.calls.Load()
+			rig.arrive()
+			want := ensemble.Full(2)
+			if tc.part {
+				testutil.Poll(t, rigWait, "the pair query committed onto model 0", func() bool {
+					st := rig.srv.Stats()
+					return st.Buffered == 0 && st.InFlight == 3 && st.PartCommits == 1 && st.QueueDepth[1] == 1
+				})
+				want = ensemble.Single(0)
+				rig.finish(t, 0)
+			} else {
+				testutil.Poll(t, rigWait, "the pair query planned", func() bool {
+					return rig.sched.calls.Load() == calls+1
+				})
+				if st := rig.srv.Stats(); st.Buffered != 1 || st.InFlight != 2 || st.PartCommits != 0 {
+					t.Fatalf("buffered %d inflight %d part commits %d, want the query to wait",
+						st.Buffered, st.InFlight, st.PartCommits)
+				}
+				rig.finish(t, 1)
+				testutil.Poll(t, rigWait, "the pair query committed", func() bool {
+					st := rig.srv.Stats()
+					return st.Served == 1 && st.Buffered == 0 && st.InFlight == 2
+				})
+				rig.finish(t, 0)
+				rig.finish(t, 1)
+				rig.finish(t, 1)
+			}
+			if res := rig.result(t, 2); res.Missed || res.Degraded || res.Subset != want {
+				t.Fatalf("the pair query: %+v, want served in full by %v", res, want.Models())
+			}
+		})
 	}
 }
 

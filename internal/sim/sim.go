@@ -521,7 +521,9 @@ func (s *sim) Capacity() core.Capacity {
 
 // Room implements engine.Executor with the paper's wrapper: a query commits
 // once some model of sub has an idle replica. serve asks every model of sub;
-// the simulator keeps the rule the paper's tables were produced under.
+// the simulator keeps the rule the paper's tables were produced under. Under
+// it no part of a subset without room has room, so the engine's fallback to
+// a part never fires here.
 func (s *sim) Room(_ time.Duration, sub ensemble.Subset) bool { return s.anyIdle(sub) }
 
 // Commit implements engine.Executor.
