@@ -68,7 +68,7 @@ rig:
 		-run 'TestDispatchGate|TestStaged|TestTurn|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
 		./internal/serve/
 	$(GO) test -count=20 -cpu 1,2 \
-		-run 'SimServeEquivalence|Turn|Deadline|Breaker|TestServe(Degraded|Hedge|NoFaults|Panic)|TestDefaultToleranceFaultFree|TestFaultTolerance|TestChaosReplay' \
+		-run 'SimServeEquivalence|Turn|Deadline|Breaker|TestServe(Degraded|Hedge|NoFaults|Panic)|TestFaultFree|TestFaultTolerance|TestChaosReplay' \
 		./internal/serve/
 	$(GO) test -count=1 -cpu 1,2 -run 'TestSoakIsOneRun' ./cmd/schemble-bench/
 

@@ -217,12 +217,7 @@ func main() {
 		Adapt:      adapt.Config{Enable: *adaptOn},
 		Seed:       *seed,
 		Faults:     faults,
-		// The tolerance layer's one switch is on even without injection:
-		// retries cover a panicking Predict, and timeouts and degradation
-		// resolve at the deadline instead of missing outright. Hedges fire
-		// only on injected stragglers.
-		Tolerance: serve.DefaultTolerance(),
-		Obs:       obsCfg,
+		Obs:        obsCfg,
 	})
 	if faults.Enabled() {
 		fmt.Fprintf(os.Stderr,

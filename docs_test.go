@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,6 +90,111 @@ func TestReadmeFlagsAreRegistered(t *testing.T) {
 			t.Errorf("README.md documents -%s, which no binary under cmd/ registers", name)
 		}
 	}
+}
+
+// rigRun matches one go test command of make rig's recipe, its lines
+// joined: the -run pattern and the package it runs in.
+var rigRun = regexp.MustCompile(`-run '([^']+)'\s+(\./\S+)`)
+
+// TestRigPatternsNameTests: every alternative of a -run pattern in make
+// rig names at least one test of its package, so a renamed test cannot
+// drop out of the rig's repeated passes unnoticed.
+func TestRigPatternsNameTests(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.ReplaceAll(string(makefile), "\\\n", " ")
+	start := strings.Index(text, "\nrig:")
+	if start < 0 {
+		t.Fatal("the Makefile has no rig target")
+	}
+	recipe, _, _ := strings.Cut(text[start+1:], "\n\n")
+	runs := rigRun.FindAllStringSubmatch(recipe, -1)
+	if len(runs) == 0 {
+		t.Fatal("make rig runs no -run pattern")
+	}
+	for _, run := range runs {
+		names := testNames(t, run[2])
+		for _, alt := range alternatives(run[1]) {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Fatalf("make rig: -run alternative %q: %v", alt, err)
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("make rig: -run alternative %q names no test of %s", alt, run[2])
+			}
+		}
+	}
+}
+
+// testNames returns the names of the Test functions in dir's test files.
+func testNames(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no test files in %s (%v)", dir, err)
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	return names
+}
+
+// alternatives expands a -run pattern's alternations, those inside groups
+// included, into the plain patterns it is the union of: "A(b|c)|D" is
+// "Ab", "Ac" and "D".
+func alternatives(pattern string) []string {
+	var out []string
+	depth, from := 0, 0
+	for i, c := range pattern + "|" {
+		switch {
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == '|' && depth == 0:
+			out = append(out, expandGroups(pattern[from:i])...)
+			from = i + 1
+		}
+	}
+	return out
+}
+
+// expandGroups expands the groups of one alternative.
+func expandGroups(branch string) []string {
+	open := strings.IndexByte(branch, '(')
+	if open < 0 {
+		return []string{branch}
+	}
+	depth := 0
+	for i := open; i < len(branch); i++ {
+		switch branch[i] {
+		case '(':
+			depth++
+		case ')':
+			if depth--; depth == 0 {
+				var out []string
+				for _, in := range alternatives(branch[open+1 : i]) {
+					for _, rest := range expandGroups(branch[i+1:]) {
+						out = append(out, branch[:open]+in+rest)
+					}
+				}
+				return out
+			}
+		}
+	}
+	return []string{branch} // unbalanced: regexp.Compile reports it
 }
 
 // instrumentFamilies parses internal/httpserve's instruments table and

@@ -121,7 +121,7 @@ func fullInput() input {
 // classes, no cache, no adaptation, no observer.
 func zeroInput() input {
 	model := func(name string) serve.ModelHealth {
-		return serve.ModelHealth{Name: name, Breaker: "off",
+		return serve.ModelHealth{Name: name, Breaker: "closed",
 			TimerOvershoot: hist(wallBounds), Starved: hist(wallBounds),
 			ReplicaExecuted: []uint64{0}, ReplicaFailures: []uint64{0}}
 	}

@@ -110,8 +110,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Served+st.Missed+st.Rejected != 5 {
-		t.Errorf("stats count %d+%d+%d, want 5", st.Served, st.Missed, st.Rejected)
+	if st.Served+st.Degraded+st.Missed+st.Rejected != 5 {
+		t.Errorf("stats count %d+%d+%d+%d, want 5", st.Served, st.Degraded, st.Missed, st.Rejected)
 	}
 	if st.Served > 0 && (st.MeanSubsetSize < 1 || st.MeanLatencyMS <= 0) {
 		t.Errorf("stats incomplete: %+v", st)
@@ -123,7 +123,7 @@ func TestStatsAccumulate(t *testing.T) {
 	if num(t, rt, "submitted") != 5 || resolved != 5 {
 		t.Errorf("runtime counters submitted=%v resolved=%v, want 5/5", num(t, rt, "submitted"), resolved)
 	}
-	if num(t, rt, "served")+num(t, rt, "missed")+num(t, rt, "rejected") != resolved {
+	if num(t, rt, "served")+num(t, rt, "degraded")+num(t, rt, "missed")+num(t, rt, "rejected") != resolved {
 		t.Errorf("runtime counter identity broken: %v", rt)
 	}
 	if num(t, rt, "schemble_buffered") != 0 || num(t, rt, "schemble_inflight") != 0 || num(t, rt, "schemble_draining") != 0 {
@@ -184,13 +184,15 @@ func TestConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Served+st.Missed != 20 {
-		t.Errorf("served %d + missed %d, want 20", st.Served, st.Missed)
+	// A request the deadline catches with part of its subset answered is
+	// served degraded.
+	if st.Served+st.Degraded+st.Missed != 20 {
+		t.Errorf("served %d + degraded %d + missed %d, want 20", st.Served, st.Degraded, st.Missed)
 	}
 }
 
 // TestHealthEndpoint checks /v1/health on a fault-free server: status ok,
-// every model listed, breakers reported "off" (tolerance disabled).
+// every model listed, breakers reported "closed".
 func TestHealthEndpoint(t *testing.T) {
 	c, _, a := startServer(t)
 	hr, err := c.Health()
@@ -211,8 +213,8 @@ func TestHealthEndpoint(t *testing.T) {
 		if name == "" {
 			t.Error("model health entry missing name")
 		}
-		if state := branch(t, hr.Models, "schemble_model_breaker_state", name); num(t, state, "off") != 1 {
-			t.Errorf("model %s breaker = %v, want off with tolerance disabled", name, state)
+		if state := branch(t, hr.Models, "schemble_model_breaker_state", name); num(t, state, "closed") != 1 {
+			t.Errorf("model %s breaker = %v, want closed", name, state)
 		}
 		if num(t, hr.Models, "schemble_model_down", name) != 0 || num(t, hr.Models, "schemble_model_failures_total", name) != 0 {
 			t.Errorf("fault-free model %s reports faults: %v", name, hr.Models)
@@ -220,8 +222,7 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 }
 
-// startChaosServer builds the HTTP stack over a fault-injected runtime with
-// the full tolerance suite enabled.
+// startChaosServer builds the HTTP stack over a fault-injected runtime.
 func startChaosServer(t *testing.T) (*Client, *pipeline.Artifacts) {
 	t.Helper()
 	a := artifacts(t)
@@ -239,7 +240,6 @@ func startChaosServer(t *testing.T) (*Client, *pipeline.Artifacts) {
 				CrashMTBF:     4 * time.Second,
 				Seed:          7,
 			},
-			Tolerance: serve.DefaultTolerance(),
 		}),
 		Estimator: a.Predictor,
 		Pool:      a.Serve,
@@ -285,9 +285,6 @@ func TestChaosServerHealthAndStats(t *testing.T) {
 		for _, family := range []string{"schemble_model_transient_faults_total", "schemble_model_stragglers_total",
 			"schemble_model_crashes_total", "schemble_model_timeouts_total"} {
 			faults += num(t, rt, family, name)
-		}
-		if _, off := branch(t, rt, "schemble_model_breaker_state", name)["off"]; off {
-			t.Errorf("model %s breaker off with tolerance enabled", name)
 		}
 	}
 	if faults == 0 {

@@ -278,7 +278,7 @@ var instruments = []instrument{
 		}},
 	modelRow("schemble_model_breaker_open", "1 while the model's circuit breaker is open.", gauge,
 		func(m serve.ModelHealth) any { return boolGauge(m.Breaker == "open") }),
-	{"schemble_model_breaker_state", "1 for the circuit breaker's current state (off when tolerance is disabled, closed, open or half-open), by model.", gauge, []string{"model", "state"},
+	{"schemble_model_breaker_state", "1 for the circuit breaker's current state (closed, open or half-open), by model.", gauge, []string{"model", "state"},
 		func(in input, emit emitFunc) {
 			for _, m := range in.rt.Models {
 				emit(1, m.Name, m.Breaker)

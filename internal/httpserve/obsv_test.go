@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -335,25 +336,40 @@ func TestModelBacklogExported(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	readBacklog := func() map[string]any {
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return branch(t, st.Runtime, "schemble_model_backlog_seconds")
 	}
-	text, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	// A request its deadline resolved can leave a task running whose
+	// completion runs a pass, so the exposition is read between two
+	// /v1/stats reads that agree: no pass moved the backlog in between.
+	var backlog map[string]any
+	var text string
+	for try := 0; backlog == nil; try++ {
+		if try == 20 {
+			t.Fatal("the backlog moved across every metrics read")
+		}
+		before := readBacklog()
+		var err error
+		if text, err = c.Metrics(); err != nil {
+			t.Fatal(err)
+		}
+		if after := readBacklog(); reflect.DeepEqual(before, after) {
+			backlog = after
+		}
 	}
 	checkPromText(t, text)
 	if !strings.Contains(text, "# TYPE schemble_model_backlog_seconds gauge") {
 		t.Fatal("exposition missing the schemble_model_backlog_seconds family")
 	}
-	backlog := branch(t, st.Runtime, "schemble_model_backlog_seconds")
 	if len(backlog) == 0 {
 		t.Fatal("/v1/stats carries no per-model backlog")
 	}
 	for name := range backlog {
 		b := num(t, backlog, name)
-		// No request is in flight, so no pass ran between the two reads.
 		want := fmt.Sprintf("schemble_model_backlog_seconds{model=%q} %g\n", name, b)
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", strings.TrimSpace(want))

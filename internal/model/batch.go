@@ -2,56 +2,34 @@ package model
 
 import "time"
 
-// DefaultBatchMarginal is the incremental cost of one extra batched item
-// as a fraction of the single-item latency, used when a BatchCurve is left
-// at its zero value. It matches the simulator's historical default.
-const DefaultBatchMarginal = 0.15
+// BatchMarginal is the incremental cost of one extra batched item as a
+// fraction of the single-item latency.
+const BatchMarginal = 0.15
 
-// BatchCurve models how one replica's execution time grows with the
-// micro-batch size b:
+// BatchLatency is the wall time a batch of b items occupies a replica when
+// a single item would take base:
 //
-//	T(b) = T(1) · (1 + (b−1)·Marginal)
+//	T(b) = T(1) · (1 + (b−1)·BatchMarginal)
 //
 // i.e. a fixed cost (weight loads, kernel launch, pre/post-processing)
-// paid once per batch plus a linear per-item term. Writing α = 1−Marginal
-// this is the familiar fixed-fraction form T(b) = T(1)·(α + (1−α)·b): the
-// amortized per-item cost T(b)/b falls from T(1) at b=1 toward
-// Marginal·T(1) for large b, which is the throughput side of the
-// latency/throughput trade-off a batching scheduler has to weigh.
-type BatchCurve struct {
-	// Marginal is each additional item's incremental cost as a fraction of
-	// the single-item latency, in (0, 1]. 0 means DefaultBatchMarginal;
-	// 1 means batching amortizes nothing.
-	Marginal float64
-}
-
-// marginal resolves the zero-value default and clamps to (0, 1].
-func (c BatchCurve) marginal() float64 {
-	m := c.Marginal
-	if m <= 0 {
-		return DefaultBatchMarginal
-	}
-	if m > 1 {
-		return 1
-	}
-	return m
-}
-
-// Latency is the wall time a batch of b items occupies a replica when a
-// single item would take base.
-func (c BatchCurve) Latency(base time.Duration, b int) time.Duration {
+// paid once per batch plus a linear per-item term. Writing α =
+// 1−BatchMarginal this is the familiar fixed-fraction form T(b) =
+// T(1)·(α + (1−α)·b): the amortized per-item cost T(b)/b falls from T(1) at
+// b=1 toward BatchMarginal·T(1) for large b, which is the throughput side
+// of the latency/throughput trade-off a batching scheduler has to weigh.
+func BatchLatency(base time.Duration, b int) time.Duration {
 	if b <= 1 {
 		return base
 	}
-	return time.Duration(float64(base) * (1 + float64(b-1)*c.marginal()))
+	return time.Duration(float64(base) * (1 + float64(b-1)*BatchMarginal))
 }
 
-// Amortized is the per-item capacity cost of running batches of b:
-// Latency(base, b)/b. Schedulers planning over a batching fleet use it as
-// the effective execution time of one task.
-func (c BatchCurve) Amortized(base time.Duration, b int) time.Duration {
+// BatchAmortized is the per-item capacity cost of running batches of b:
+// BatchLatency(base, b)/b. Schedulers planning over a batching fleet use it
+// as the effective execution time of one task.
+func BatchAmortized(base time.Duration, b int) time.Duration {
 	if b <= 1 {
 		return base
 	}
-	return time.Duration(float64(base) * (1 + float64(b-1)*c.marginal()) / float64(b))
+	return time.Duration(float64(base) * (1 + float64(b-1)*BatchMarginal) / float64(b))
 }

@@ -390,21 +390,3 @@ func (n *Net) Train(cfg TrainConfig, ds Dataset) float64 {
 	}
 	return finalLoss
 }
-
-// EvalLoss returns the mean task loss (plus weighted head-2 MSE for
-// two-headed nets) over ds without updating parameters.
-func (n *Net) EvalLoss(cfg TrainConfig, ds Dataset) float64 {
-	if len(ds.X) == 0 {
-		return 0
-	}
-	var total float64
-	for i := range ds.X {
-		out, dis := n.Forward(ds.X[i])
-		total += cfg.Loss.value(out, ds.Y[i])
-		if n.Head2 != nil {
-			d := dis - ds.Dis[i]
-			total += cfg.Lambda * d * d
-		}
-	}
-	return total / float64(len(ds.X))
-}

@@ -74,31 +74,16 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
-// TestBreakerDisabled: with the tolerance layer off nothing is recorded and
-// nothing blocked.
-func TestBreakerDisabled(t *testing.T) {
-	s := &Server{tol: ToleranceConfig{}, breakers: make([]breakerState, 1)}
-	for i := 0; i < 10; i++ {
-		s.breakerRecord(0, false, 0)
-	}
-	if got := s.breakerBlocked(time.Hour); got != ensemble.Empty {
-		t.Fatalf("disabled breaker blocked %v", got)
-	}
-	if s.breakers[0].state != breakerClosed || s.breakers[0].consec != 0 {
-		t.Errorf("disabled breaker mutated: %+v", s.breakers[0])
-	}
-}
-
 // TestBreakerCooldownOnFrozenClock runs the breaker off real task failures:
 // model 1 stays blocked, so every query commits onto model 0 alone, whose
-// every attempt fails. Stats reads "off" with the layer off and "closed"
-// until the threshold-th failed task; the breaker then stays open until
+// every attempt fails. Stats reads "closed" on a fresh server and until
+// the threshold-th failed task; the breaker then stays open until
 // exactly breakerCooldown later — a pass one nanosecond earlier still
 // finds it open — and half-opens on the first pass at that instant. The
 // probes that pass commits fail, which re-opens it as one fresh trip.
 func TestBreakerCooldownOnFrozenClock(t *testing.T) {
-	if b := newServer(t, artifacts(t)).Stats().Models[0].Breaker; b != "off" {
-		t.Fatalf("breaker %q with the tolerance layer off, want off", b)
+	if b := newServer(t, artifacts(t)).Stats().Models[0].Breaker; b != "closed" {
+		t.Fatalf("breaker %q on a fresh server, want closed", b)
 	}
 	rig := failBlockedRig(t)
 	s := rig.srv

@@ -31,11 +31,10 @@ func (g *gateRig) armedFor(t *testing.T, from time.Time, want time.Duration, wha
 	}
 }
 
-// TestDeadlineResolvedEarlyLeavesNoWake: with tolerance on, a committed
-// request's deadline stays armed until the request resolves. Two requests
-// commit a minute apart; the timer is armed for the first one's deadline,
-// then, once it is served, for the second one's, and once that is served,
-// for nothing.
+// TestDeadlineResolvedEarlyLeavesNoWake: a committed request's deadline
+// stays armed until the request resolves. Two requests commit a minute
+// apart; the timer is armed for the first one's deadline, then, once it is
+// served, for the second one's, and once that is served, for nothing.
 func TestDeadlineResolvedEarlyLeavesNoWake(t *testing.T) {
 	rig := newFrozenRig(t, 2, ensemble.Empty)
 	from := rig.clk.now()

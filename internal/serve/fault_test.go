@@ -54,7 +54,6 @@ func TestChaosFaultInjectionStress(t *testing.T) {
 		TimeScale: 0.05,
 		Seed:      1,
 		Faults:    chaosFaults(),
-		Tolerance: DefaultTolerance(),
 	})
 	s.Start(context.Background())
 	defer s.Stop()
@@ -138,14 +137,14 @@ func TestChaosFaultInjectionStress(t *testing.T) {
 		served, degraded, missed, rejected, faults)
 }
 
-// TestServeNoFaultsBitIdentical pins the opt-in guarantee: with zero fault
-// and tolerance configs the runtime serves outputs bit-identical to the
-// deterministic fault-free prediction path, never degrades, and touches no
-// fault machinery. The requests arrive a second apart on the frozen clock,
-// each meeting an idle fleet.
+// TestServeNoFaultsBitIdentical: with no fault injected the runtime serves
+// outputs bit-identical to the deterministic fault-free prediction path,
+// never degrades, and the tolerance layer takes no action: every breaker
+// stays closed and no fault counter moves. The requests arrive a second
+// apart on the frozen clock, each meeting an idle fleet.
 func TestServeNoFaultsBitIdentical(t *testing.T) {
 	a := artifacts(t)
-	s := newServer(t, a) // zero Faults / Tolerance
+	s := newServer(t, a) // zero Faults
 	for i, r := range replay(t, s, spaced(30, time.Second, time.Second), a.Serve) {
 		if r.Degraded {
 			t.Fatalf("request %d degraded with injection off", i)
@@ -165,8 +164,8 @@ func TestServeNoFaultsBitIdentical(t *testing.T) {
 	var executed uint64
 	for k, m := range st.Models {
 		executed += m.Executed
-		if m.Breaker != "off" {
-			t.Errorf("model %d breaker %q, want off", k, m.Breaker)
+		if m.Breaker != "closed" || m.BreakerTrips != 0 {
+			t.Errorf("model %d breaker %q after %d trips, want closed, 0", k, m.Breaker, m.BreakerTrips)
 		}
 		if m.Transient+m.Stragglers+m.Crashes+m.Timeouts+m.Panics+
 			m.Retries+m.Hedges+m.HedgeWins+m.Failures != 0 {
@@ -178,17 +177,17 @@ func TestServeNoFaultsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDefaultToleranceFaultFreeNeverHedgesOrRetries: with every mitigation
-// on and no fault injected, a few hundred requests submitted at one instant
-// of the frozen clock — the buffer deep, workers queued, the coordinator
-// behind — take no hedge and no retry. A hedge is armed only on an attempt
-// the injector marked as a straggler, and a retry only after an injected
-// fault or a Predict panic: host queueing alone triggers neither.
-func TestDefaultToleranceFaultFreeNeverHedgesOrRetries(t *testing.T) {
+// TestFaultFreeNeverHedgesOrRetries: with no fault injected, a few hundred
+// requests submitted at one instant of the frozen clock — the buffer deep,
+// workers queued, the coordinator behind — take no hedge and no retry. A
+// hedge is armed only on an attempt whose drawn latency passes hedgeFactor
+// times the model's mean, which the models' jitter never reaches, and a
+// retry only after an injected fault or a Predict panic: host queueing
+// alone triggers neither.
+func TestFaultFreeNeverHedgesOrRetries(t *testing.T) {
 	a := artifacts(t)
 	cfg := baseConfig(a)
 	cfg.TimeScale = 0.02
-	cfg.Tolerance = DefaultTolerance()
 	s := New(cfg)
 	const n = 300
 	replay(t, s, spaced(n, 0, 10*time.Second), a.Serve)
@@ -207,6 +206,29 @@ func TestDefaultToleranceFaultFreeNeverHedgesOrRetries(t *testing.T) {
 		t.Errorf("executed %d tasks, want 219", executed)
 	}
 	t.Logf("served %d degraded %d missed %d over %d tasks", st.Served, st.Degraded, st.Missed, executed)
+}
+
+// TestFaultToleranceNeedsNoConfig: the tolerance layer has no off switch. A
+// Config that sets nothing but the deployment and injected transient faults
+// retries the failed attempts, and every breaker reads one of its three
+// states, never "off".
+func TestFaultToleranceNeedsNoConfig(t *testing.T) {
+	a := artifacts(t)
+	cfg := baseConfig(a)
+	cfg.Faults = model.FaultConfig{TransientRate: 0.3, Seed: 5}
+	s := New(cfg)
+	replay(t, s, spaced(30, time.Second, time.Second), a.Serve)
+	var transient, retries uint64
+	for k, m := range s.Stats().Models {
+		transient += m.Transient
+		retries += m.Retries
+		if m.Breaker != "closed" && m.Breaker != "open" && m.Breaker != "half-open" {
+			t.Errorf("model %d breaker %q", k, m.Breaker)
+		}
+	}
+	if transient == 0 || retries == 0 {
+		t.Errorf("%d transient faults, %d retries; want both above 0", transient, retries)
+	}
 }
 
 // heldModel holds every Predict until the test lets it go, parked on the
@@ -250,7 +272,6 @@ func TestServeDegradedPartialEnsemble(t *testing.T) {
 	models[2] = held
 	cfg := baseConfig(a)
 	cfg.Ensemble = ensemble.New(a.Ensemble.Task, models, a.Ensemble.Agg, a.Ensemble.Weights)
-	cfg.Tolerance = DefaultTolerance()
 	s := New(cfg)
 	held.srv = s
 	const budget = 600 * time.Millisecond
@@ -292,7 +313,6 @@ func TestServeBreakerAvoidsFailingModel(t *testing.T) {
 	var traces []obsv.DecisionTrace
 	cfg := baseConfig(a)
 	cfg.TimeScale = 1
-	cfg.Tolerance = DefaultTolerance()
 	cfg.Obs = obsv.Config{Sink: func(tr obsv.DecisionTrace) {
 		mu.Lock()
 		traces = append(traces, tr)
@@ -380,7 +400,6 @@ func TestServeHedgeRescuesStragglers(t *testing.T) {
 	a := artifacts(t)
 	cfg := baseConfig(a)
 	cfg.Faults = model.FaultConfig{StragglerRate: 1, StragglerFactor: 50, Seed: 3}
-	cfg.Tolerance = DefaultTolerance()
 	s := New(cfg)
 	servedInTime := 0
 	for _, r := range replay(t, s, spaced(10, 2*time.Second, 2*time.Second), a.Serve) {
@@ -424,7 +443,6 @@ func replayChaos(t *testing.T, a *pipeline.Artifacts, tweak func(*Config)) chaos
 	var traces []obsv.DecisionTrace
 	cfg := baseConfig(a)
 	cfg.Faults = chaosFaults()
-	cfg.Tolerance = DefaultTolerance()
 	cfg.Obs = obsv.Config{Sink: func(tr obsv.DecisionTrace) {
 		mu.Lock()
 		traces = append(traces, tr)
@@ -720,7 +738,6 @@ func drainUnderFaultsOnce(t *testing.T, a *pipeline.Artifacts, seed uint64) bool
 		TimeScale: 0.3,
 		Seed:      seed,
 		Faults:    chaosFaults(),
-		Tolerance: DefaultTolerance(),
 	})
 	s.Start(context.Background())
 	defer s.Stop()

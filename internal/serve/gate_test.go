@@ -176,7 +176,6 @@ func buildGateRig(t *testing.T, frozen bool, nModels int, blocked ensemble.Subse
 		// the most loaded model: the buffered term is negligible at this
 		// capacity, which also keeps tokens from ever binding.
 		Admission: AdmissionConfig{Capacity: 1e9, Target: time.Hour},
-		Tolerance: DefaultTolerance(),
 	}
 	for _, f := range tweak {
 		f(&cfg)

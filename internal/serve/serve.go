@@ -34,7 +34,7 @@
 // Lifecycle: New -> Start(ctx) -> Submit()... -> Drain/Stop. Every request
 // moves through an explicit state machine
 //
-//	submitted -> scored -> buffered -> committed -> resolved
+//	submitted -> committed -> resolved
 //
 // and resolves exactly once: with its aggregated output, as a deadline
 // miss, or as an explicit rejection (Result.Rejected) when the runtime is
@@ -49,15 +49,14 @@
 //
 // The runtime also survives an unreliable substrate. Config.Faults injects
 // deterministic transient errors, stragglers and model crashes via
-// model.Faulty; Config.Tolerance.Enable switches on every mitigation at
-// once: bounded retries with jittered backoff, hedged re-issue of
-// straggling attempts, per-task deadline timeouts, a per-model circuit
-// breaker the scheduler consults so subsets avoid failing models, and
-// partial-ensemble degradation — a request whose deadline arrives with at
-// least one (but not all) subset outputs resolves with Result.Degraded
-// instead of missing. Both default to off, in which case the runtime
-// behaves exactly like the fault-free original; a panicking Predict is
-// always contained (the task fails, the worker survives).
+// model.Faulty, and the fault-tolerance layer (tolerance.go) always runs:
+// bounded retries with jittered backoff, hedged re-issue of slow attempts,
+// per-task deadline timeouts, a per-model circuit breaker the scheduler
+// consults so subsets avoid failing models, and partial-ensemble
+// degradation — a request whose deadline arrives with at least one (but
+// not all) subset outputs resolves with Result.Degraded instead of missing.
+// A panicking Predict is contained (the attempt fails, the worker
+// survives); without it or an injected fault none of the layer fires.
 package serve
 
 import (
@@ -116,9 +115,8 @@ type Config struct {
 	// Faults.Seed and the same key; a model's crash window is the one fault
 	// state attempts share. Durations are virtual, like model latencies.
 	Faults model.FaultConfig
-	// Tolerance switches the fault-tolerant execution layer: every
-	// mitigation on (DefaultTolerance) or none. The zero value leaves the
-	// runtime bit-identical to the fault-free worker loop.
+	// Tolerance is accepted and ignored: the fault-tolerant execution
+	// layer is always on.
 	Tolerance ToleranceConfig
 
 	// Obs opts into request-level observability: decision traces in a
@@ -193,8 +191,6 @@ type reqState uint8
 
 const (
 	stateSubmitted reqState = iota // accepted by Submit
-	stateScored                    // difficulty score attached
-	stateBuffered                  // waiting in the coordinator's buffer
 	stateCommitted                 // subset locked, tasks dispatched
 	stateResolved                  // Result delivered exactly once
 )
@@ -239,16 +235,6 @@ type request struct {
 	obsTimeouts atomic.Uint32
 }
 
-// advance moves the lifecycle forward; it never regresses and never leaves
-// the terminal resolved state.
-func (r *request) advance(to reqState) {
-	r.mu.Lock()
-	if r.state < to && r.state != stateResolved {
-		r.state = to
-	}
-	r.mu.Unlock()
-}
-
 func (r *request) isResolved() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -258,8 +244,6 @@ func (r *request) isResolved() bool {
 // modelCounters are one model's fault and mitigation counters, written by
 // the model's worker goroutine and read by Stats.
 type modelCounters struct {
-	executed   atomic.Uint64 // tasks whose attempt chain ran
-	failures   atomic.Uint64 // tasks that failed permanently
 	transient  atomic.Uint64 // transient faults observed
 	stragglers atomic.Uint64 // straggling attempts observed
 	crashes    atomic.Uint64 // attempts hitting a dead/crashing model
@@ -289,9 +273,9 @@ type modelCounters struct {
 
 // replicaCounters are one replica's health counters. busy is 1 from the
 // moment the replica takes a task off its model's queue until the task's
-// completion event is sent, 0 otherwise; executed/failures break the
-// model's totals down per replica so the tolerance layer's effects are
-// attributable to individual replicas.
+// completion event is sent, 0 otherwise; executed counts the tasks whose
+// attempt chain ran and failures those that failed permanently. A model's
+// totals are its replicas' sums.
 type replicaCounters struct {
 	busy     atomic.Int32
 	executed atomic.Uint64
@@ -302,7 +286,6 @@ type replicaCounters struct {
 type Server struct {
 	cfg    Config
 	clk    clock
-	tol    ToleranceConfig
 	scale  float64
 	taskCh []chan *task
 	events chan event
@@ -404,8 +387,7 @@ type event struct {
 // ModelHealth is one model's fault-tolerance snapshot inside Stats.
 type ModelHealth struct {
 	Name string
-	// Breaker is "closed", "open" or "half-open"; "off" when the breaker
-	// is disabled.
+	// Breaker is "closed", "open" or "half-open".
 	Breaker             string
 	ConsecutiveFailures int
 	BreakerTrips        uint64
@@ -531,7 +513,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		clk:      wallClock{},
-		tol:      cfg.Tolerance,
 		scale:    cfg.TimeScale,
 		events:   make(chan event, 4*cfg.QueueDepth),
 		obs:      obsv.NewObserver(cfg.Obs),
@@ -729,19 +710,20 @@ func (s *Server) Stats() Stats {
 	s.breakerMu.Lock()
 	for k := range st.Models {
 		c := &s.mstats[k]
+		b := s.breakers[k]
 		mh := ModelHealth{
-			Name:       s.cfg.Ensemble.Models[k].Name(),
-			Breaker:    "off",
-			Executed:   c.executed.Load(),
-			Failures:   c.failures.Load(),
-			Transient:  c.transient.Load(),
-			Stragglers: c.stragglers.Load(),
-			Crashes:    c.crashes.Load(),
-			Timeouts:   c.timeouts.Load(),
-			Panics:     c.panics.Load(),
-			Retries:    c.retries.Load(),
-			Hedges:     c.hedges.Load(),
-			HedgeWins:  c.hedgeWins.Load(),
+			Name:                s.cfg.Ensemble.Models[k].Name(),
+			Breaker:             breakerName(b.state),
+			ConsecutiveFailures: b.consec,
+			BreakerTrips:        b.trips,
+			Transient:           c.transient.Load(),
+			Stragglers:          c.stragglers.Load(),
+			Crashes:             c.crashes.Load(),
+			Timeouts:            c.timeouts.Load(),
+			Panics:              c.panics.Load(),
+			Retries:             c.retries.Load(),
+			Hedges:              c.hedges.Load(),
+			HedgeWins:           c.hedgeWins.Load(),
 
 			BacklogSeconds: time.Duration(c.backlog.Load()).Seconds(),
 			TimerOvershoot: c.overshoot.Snapshot(),
@@ -752,12 +734,8 @@ func (s *Server) Stats() Stats {
 		for r := range mh.ReplicaExecuted {
 			mh.ReplicaExecuted[r] = s.rstats[k][r].executed.Load()
 			mh.ReplicaFailures[r] = s.rstats[k][r].failures.Load()
-		}
-		if s.tol.Enable {
-			b := s.breakers[k]
-			mh.Breaker = breakerName(b.state)
-			mh.ConsecutiveFailures = b.consec
-			mh.BreakerTrips = b.trips
+			mh.Executed += mh.ReplicaExecuted[r]
+			mh.Failures += mh.ReplicaFailures[r]
 		}
 		if f := s.faulty[k]; f != nil {
 			mh.Down = f.Down(wallNow)
@@ -858,7 +836,6 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		return req.done
 	}
 	arr := s.eng.Arrive(&req.Query, sample)
-	req.advance(stateScored)
 	if req.tr != nil {
 		req.tr.Score = req.Score
 		req.tr.Scored = s.Now()
@@ -1013,10 +990,8 @@ func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m mode
 		free = freed
 		ok := end == endOK
 		cutoff = end == endCutoff
-		s.mstats[k].executed.Add(1)
 		rc.executed.Add(1)
 		if !ok {
-			s.mstats[k].failures.Add(1)
 			rc.failures.Add(1)
 			failed = true
 		} else if s.eng.Adapt != nil {
@@ -1062,8 +1037,8 @@ func attemptKey(seq uint64, k, a int) uint64 {
 }
 
 // execute runs one task's attempt chain for model k: draw the injected
-// fault, sleep the (scaled, possibly straggling) latency with optional
-// hedging and deadline cutoff, run Predict panic-safely, and retry failed
+// fault, sleep the (scaled, possibly straggling) latency, hedged when slow
+// and cut off at the deadline, run Predict panic-safely, and retry failed
 // attempts with jittered exponential backoff while the budget lasts. Each
 // attempt reseeds src from its key and draws from it in one order: the
 // latency, then the hedge's latency, then the backoff jitter. The first
@@ -1106,32 +1081,31 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 			// The attempt's three possible ends are all known before it starts:
 			// its own (possibly straggling) draw, a hedge's, and the deadline.
 			// An attempt already out of budget arms nothing.
-			cutoff := never
-			if s.tol.Enable {
-				if cutoff = r.wallDeadline.Sub(now); cutoff <= 0 {
-					timedOut()
-					return out, 0, endCutoff, s.clk.now()
-				}
+			cutoff := r.wallDeadline.Sub(now)
+			if cutoff <= 0 {
+				timedOut()
+				return out, 0, endCutoff, s.clk.now()
 			}
-			d := time.Duration(float64(lat) * dec.LatencyFactor * s.scale)
+			drawn := float64(lat) * dec.LatencyFactor
+			d := time.Duration(drawn * s.scale)
 			// The winning attempt's virtual service time: the primary's
 			// (possibly straggling) draw unless the hedge wins below.
-			vlat = time.Duration(float64(lat) * dec.LatencyFactor)
+			vlat = time.Duration(drawn)
 			hedge := never
 			var hlat time.Duration
-			if dec.Kind == model.FaultStraggler && s.tol.Enable {
-				// Hedge: re-issue the attempt after hedgeFactor mean
-				// latencies; the fresh (non-straggling) attempt races the
-				// straggler and the first to finish wins. Outputs are
+			// The hedging threshold consumes the live inflation factor:
+			// under drift the frozen mean would fire hedges on every
+			// (now-normal) slow attempt.
+			mean := float64(m.MeanLatency())
+			if s.eng.Adapt != nil {
+				mean *= s.eng.Adapt.Inflation(k)
+			}
+			if drawn > hedgeFactor*mean {
+				// Hedge: an attempt with no answer hedgeFactor mean
+				// latencies in is re-issued then; the fresh attempt races
+				// the slow one and the first to finish wins. Outputs are
 				// deterministic, so the winner only decides latency.
 				hlat = m.SampleLatency(src)
-				// The hedging threshold consumes the live inflation factor:
-				// under drift the frozen mean would fire hedges on every
-				// (now-normal) slow attempt.
-				mean := float64(m.MeanLatency())
-				if s.eng.Adapt != nil {
-					mean *= s.eng.Adapt.Inflation(k)
-				}
 				if hd := time.Duration((hedgeFactor*mean + float64(hlat)) * s.scale); hd < d {
 					hedge = hd
 					c.hedges.Add(1)
@@ -1184,7 +1158,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 // from src. deadline is the request's. alive is false when the runtime
 // context was cancelled during the sleep.
 func (s *Server) backoffUntil(ctx context.Context, w *waiter, src *rng.Source, deadline time.Time, attempt int) (retry, alive bool) {
-	if !s.tol.Enable || attempt >= maxRetries {
+	if attempt >= maxRetries {
 		return false, true
 	}
 	jit := time.Duration(src.Float64() * float64(retryBackoff))
@@ -1227,7 +1201,7 @@ type coordinator struct {
 	blocked ensemble.Subset
 	// inflight tracks committed-but-unfinished requests so shutdown can
 	// resolve them and drain knows when it is done; a request maps to true
-	// while its deadline, with the tolerance layer on, is still to come.
+	// while its deadline is still to come.
 	inflight map[*request]bool
 	draining bool
 	// wake is the one timer, armed for the earliest deadline still to come.
@@ -1304,11 +1278,11 @@ func (c *coordinator) turn(e *event) {
 }
 
 // expire resolves what the deadlines have caught up with at now, before the
-// turn's pass — a buffered request misses, and with the tolerance layer on
-// an in-flight one serves the outputs it holds — and returns the earliest
-// deadline still to come among them (zero when there is none). The same
-// walk drops the buffered requests that resolved otherwise (a Submit raced
-// shutdown), so the engine neither counts nor plans them.
+// turn's pass — a buffered request misses, and an in-flight one serves the
+// outputs it holds — and returns the earliest deadline still to come among
+// them (zero when there is none). The same walk drops the buffered requests
+// that resolved otherwise (a Submit raced shutdown), so the engine neither
+// counts nor plans them.
 func (c *coordinator) expire(now time.Time) (next time.Time) {
 	s := c.s
 	ahead := func(r *request) bool {
@@ -1348,7 +1322,6 @@ func (c *coordinator) handle(e event) {
 			c.s.resolve(e.req, Result{Missed: true, Rejected: true})
 			return
 		}
-		e.req.advance(stateBuffered)
 		c.s.eng.Buffer(e.req)
 		c.syncGauges()
 	case evTaskDone:
@@ -1555,7 +1528,7 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 		}
 	}
 	r.mu.Unlock()
-	c.inflight[r] = s.tol.Enable
+	c.inflight[r] = true
 	sent := s.clk.now()
 	for _, k := range sub.Models() {
 		// The task lands on the earliest-available replica slot, exactly

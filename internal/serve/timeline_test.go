@@ -241,7 +241,8 @@ func TestStagedTaskStartsWhenReplicaFrees(t *testing.T) {
 // or whose Predict panics leaves the replica free at the host's instant, not
 // at the instant the task was due to start or its wait's target. The task
 // was queued 3 ms before the worker took it. Where the task staged behind it
-// waits, it waits from that host instant.
+// waits, it waits from that host instant. A failed attempt's deadline ends
+// before its first retry's backoff could, so the attempt is the task's last.
 func TestFailedTaskFreesReplicaAtHostInstant(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -255,16 +256,14 @@ func TestFailedTaskFreesReplicaAtHostInstant(t *testing.T) {
 	}{
 		{"transient", func(c *Config, _ *fixedModel) {
 			c.Faults = model.FaultConfig{TransientRate: 1, Seed: 1}
-		}, time.Hour, false, false, func(h ModelHealth) uint64 { return h.Transient }},
+		}, timelineLate + retryBackoff - 1, false, false, func(h ModelHealth) uint64 { return h.Transient }},
 		{"crash", func(c *Config, _ *fixedModel) {
 			c.Faults = model.FaultConfig{CrashMTBF: time.Nanosecond, Seed: 1}
-		}, time.Hour, false, false, func(h ModelHealth) uint64 { return h.Crashes }},
-		{"cutoff before start", func(c *Config, _ *fixedModel) {
-			c.Tolerance = DefaultTolerance()
-		}, 0, false, true, func(h ModelHealth) uint64 { return h.Timeouts }},
+		}, timelineLate + retryBackoff - 1, false, false, func(h ModelHealth) uint64 { return h.Crashes }},
+		{"cutoff before start", func(*Config, *fixedModel) {}, 0, false, true, func(h ModelHealth) uint64 { return h.Timeouts }},
 		{"panic", func(_ *Config, m *fixedModel) {
 			m.panics = true
-		}, time.Hour, true, true, func(h ModelHealth) uint64 { return h.Panics }},
+		}, timelineDraw + timelineLate + retryBackoff - 1, true, true, func(h ModelHealth) uint64 { return h.Panics }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -272,7 +271,8 @@ func TestFailedTaskFreesReplicaAtHostInstant(t *testing.T) {
 			sent := g.clk.now()
 			g.queue(sent, sent.Add(c.due))
 			if c.next {
-				g.queue(sent, sent.Add(time.Hour))
+				// Due one late attempt after the first: no retry either.
+				g.queue(sent, sent.Add(c.due+timelineLate+timelineDraw))
 			}
 			host := g.clk.step(timelineLate)
 			g.start(t)

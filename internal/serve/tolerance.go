@@ -6,9 +6,7 @@ import (
 	"schemble/internal/ensemble"
 )
 
-// ToleranceConfig switches the fault-tolerant execution layer. The zero
-// value disables it, and the runtime's behaviour is then bit-identical to
-// the fault-free worker loop; Enable turns on every mitigation at once:
+// The fault-tolerant execution layer is always on. Every mitigation runs:
 //
 //   - bounded retries: a failed attempt (transient error, crash, panic)
 //     retries up to maxRetries times after a jittered exponential backoff
@@ -16,26 +14,20 @@ import (
 //   - per-attempt timeouts: an attempt that cannot finish by its request's
 //     deadline is abandoned and counted as a timeout fault instead of
 //     occupying the worker past the point of usefulness;
-//   - hedging: once the fault injector marks an attempt as a straggler
-//     (model.FaultStraggler), a fresh attempt is issued hedgeFactor × the
-//     model's mean latency later and the first to finish wins — without
-//     injected faults nothing hedges, however long the host makes a task
-//     queue;
+//   - hedging: an attempt still running hedgeFactor × the model's live mean
+//     latency after it started gets a fresh attempt issued then, and the
+//     first to finish wins — the point where a runtime sees no answer yet.
+//     With the models' few percent of latency jitter a normal attempt never
+//     gets there, however long the host makes a task queue;
 //   - a per-model circuit breaker: breakerThreshold consecutive task
 //     failures open it, the scheduler avoids the model for breakerCooldown,
 //     then a half-open probe decides;
 //   - partial-ensemble degradation: a committed request whose deadline
 //     arrives with some (not all) subset outputs resolves with them,
 //     flagged Result.Degraded, instead of missing.
-type ToleranceConfig struct {
-	Enable bool
-}
-
-// DefaultTolerance enables every mitigation.
-func DefaultTolerance() ToleranceConfig { return ToleranceConfig{Enable: true} }
-
-// The tolerance layer's parameters. Durations are virtual (unscaled) time,
-// like model latencies; the runtime applies Config.TimeScale itself.
+//
+// Its parameters are these constants. Durations are virtual (unscaled)
+// time, like model latencies; the runtime applies Config.TimeScale itself.
 const (
 	maxRetries       = 2
 	retryBackoff     = 4 * time.Millisecond
@@ -43,6 +35,12 @@ const (
 	breakerThreshold = 5
 	breakerCooldown  = 200 * time.Millisecond
 )
+
+// ToleranceConfig is accepted and ignored: the layer has no settings.
+type ToleranceConfig struct{}
+
+// DefaultTolerance is accepted and ignored, like ToleranceConfig.
+func DefaultTolerance() ToleranceConfig { return ToleranceConfig{} }
 
 // Breaker states. A breaker is per model: closed (healthy), open (failing;
 // the scheduler avoids it), half-open (probing recovery).
@@ -83,9 +81,6 @@ type breakerState struct {
 
 // record folds one task outcome into model k's breaker.
 func (s *Server) breakerRecord(k int, ok bool, now time.Duration) {
-	if !s.tol.Enable {
-		return
-	}
 	s.breakerMu.Lock()
 	defer s.breakerMu.Unlock()
 	b := &s.breakers[k]
@@ -116,9 +111,6 @@ func (s *Server) breakerRecord(k int, ok bool, now time.Duration) {
 // virtual time now, transitioning open breakers whose cooldown elapsed to
 // half-open (which unblocks them for a probe).
 func (s *Server) breakerBlocked(now time.Duration) ensemble.Subset {
-	if !s.tol.Enable {
-		return ensemble.Empty
-	}
 	s.breakerMu.Lock()
 	defer s.breakerMu.Unlock()
 	var blocked ensemble.Subset

@@ -86,12 +86,6 @@ type Config struct {
 	// and late completions are not counted as misses.
 	ForceProcess bool
 
-	// EstimateMargin pads the execution-time estimates used for admission
-	// and scheduling feasibility (0.1 = plan with 10% headroom), so
-	// latency jitter does not turn feasible-looking plans into misses.
-	// Negative disables; zero means the 0.1 default.
-	EstimateMargin float64
-
 	// FastFirst enables the paper's Exp-5 optimization: when an admitted
 	// query meets an empty buffer and an idle fastest model, it waits for
 	// neither the predictor nor the scheduler and runs on the fastest
@@ -100,18 +94,20 @@ type Config struct {
 	FastFirst bool
 
 	// BatchSize lets each model execute up to this many queued tasks as
-	// one batch (1 or 0 disables). Batch latency follows model.BatchCurve:
-	// base * (1 + (n-1)*BatchMarginal) — throughput rises, per-item
+	// one batch (1 or 0 disables). Batch latency follows model.BatchLatency:
+	// base * (1 + (n-1)*model.BatchMarginal) — throughput rises, per-item
 	// latency rises with it — the classic serving alternative to
 	// per-query scheduling that the abl-batch study contrasts with
 	// Schemble under deadlines.
 	BatchSize int
-	// BatchMarginal is the per-extra-item latency fraction (default
-	// model.DefaultBatchMarginal).
-	BatchMarginal float64
 
 	Seed uint64
 }
+
+// estimateMargin pads the execution-time estimates used for admission and
+// scheduling feasibility (plan with 10% headroom), so latency jitter does
+// not turn feasible-looking plans into misses.
+const estimateMargin = 0.1
 
 // event kinds.
 type evKind int
@@ -203,7 +199,6 @@ type sim struct {
 	avail core.Capacity
 
 	planPending bool
-	batch       model.BatchCurve
 
 	src     *rng.Source
 	records []metrics.Record
@@ -234,7 +229,6 @@ func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 		src:     rng.New(cfg.Seed ^ 0x51ba),
 		tr:      tr,
 		records: make([]metrics.Record, tr.N()),
-		batch:   model.BatchCurve{Marginal: cfg.BatchMarginal},
 	}
 	m := cfg.Ensemble.M()
 	replicas := cfg.Replicas
@@ -244,19 +238,11 @@ func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 			replicas[j] = 1
 		}
 	}
-	margin := cfg.EstimateMargin
-	//schemble:floateq-ok zero-value config sentinel: the field is set verbatim by callers, never computed
-	if margin == 0 {
-		margin = 0.1
-	}
-	if margin < 0 {
-		margin = 0
-	}
 	s.byType = make([][]int, m)
 	s.avail = make(core.Capacity, m)
 	baseExec := make([]time.Duration, m)
 	for j := 0; j < m; j++ {
-		baseExec[j] = time.Duration(float64(cfg.Ensemble.Models[j].MeanLatency()) * (1 + margin))
+		baseExec[j] = time.Duration(float64(cfg.Ensemble.Models[j].MeanLatency()) * (1 + estimateMargin))
 		for r := 0; r < replicas[j]; r++ {
 			s.byType[j] = append(s.byType[j], len(s.servers))
 			s.servers = append(s.servers, &server{typeIdx: j})
@@ -424,7 +410,7 @@ func (s *sim) enqueue(si int, t *task) {
 	}
 	cost := s.exec[sv.typeIdx]
 	if b := s.cfg.BatchSize; b > 1 {
-		cost = s.batch.Amortized(cost, b)
+		cost = model.BatchAmortized(cost, b)
 	}
 	sv.backlogEnd = start + cost
 	sv.queue = append(sv.queue, t)
@@ -447,7 +433,7 @@ func (s *sim) maybeStart(si int) {
 	}
 	batch := sv.queue[:n]
 	sv.queue = sv.queue[n:]
-	dur := s.batch.Latency(s.cfg.Ensemble.Models[sv.typeIdx].SampleLatency(s.src), n)
+	dur := model.BatchLatency(s.cfg.Ensemble.Models[sv.typeIdx].SampleLatency(s.src), n)
 	sv.running = true
 	sv.busyUntil = s.now + dur
 	for _, t := range batch {
