@@ -10,9 +10,12 @@
 //	        committed work, in seconds), cost refresh, room gate, one
 //	        schedule of every buffered query, blocked-model strip, the
 //	        ladder's subset cap (keeping the models that finish first),
-//	        per-query room check, and without room the part of the subset
-//	        that has room and gives up at most one reward step
-//	commit  the driver's Executor dispatches the query's tasks
+//	        per-query room check (of the models without an early task), and
+//	        without room the part of the subset that has room and gives up at
+//	        most one reward step; then, for each unblocked model with an idle
+//	        replica, one early task of a query still waiting on its plan
+//	commit  the driver's Executor dispatches the query's tasks, all but the
+//	        early ones
 //	settle  aggregate, classify, fill the cache
 //
 // The package is pure (the enginepure and detrand analyzers hold it to
@@ -103,6 +106,11 @@ type Query struct {
 	// blocked models were stripped and the ladder's cap applied: the pass
 	// writes it, and a Commit may read it for the driver's trace.
 	Planned ensemble.Subset
+	// Early is the models a task of the query was dispatched to while it
+	// waited, ahead of its commit: the pass sets a model when the driver's
+	// Early took the task, and the driver clears it when that task fails
+	// before the commit, leaving the model to the commit.
+	Early ensemble.Subset
 }
 
 // Q returns q; a type that embeds Query is an Item through it.
@@ -119,19 +127,26 @@ type Executor interface {
 	// Blocked is the set of models no plan may use.
 	Blocked(now time.Duration) ensemble.Subset
 	// Capacity is when each replica drains the work committed to it. It is
-	// read afresh for the load observation, for every plan of a pass and for
-	// every subset the ladder caps, so it may alias live state; a Commit
-	// must show in the next read.
+	// read afresh for the load observation, for every plan of a pass, for
+	// every subset the ladder caps and once for the early tasks, so it may
+	// alias live state; a Commit or an Early must show in the next read.
 	Capacity() core.Capacity
 	// Room reports whether the fleet can take a query committed onto sub,
 	// by the driver's own rule: every model of sub, or some. A pass asks it
-	// of each unblocked model alone, then of each query's committed subset,
-	// and when that has none, of the parts of it within one reward step.
+	// of each unblocked model alone, then of the models of each query's
+	// committed subset that have no early task, and when those have none, of
+	// the same models of the parts of it within one reward step.
 	Room(now time.Duration, sub ensemble.Subset) bool
 	// Commit takes the query out of the buffer for good: the driver
-	// dispatches one task per model of sub, or resolves the query some
-	// other way (its queue is full, it is already gone).
+	// dispatches one task per model of sub that has no early task (an early
+	// output from a model outside sub does not count), or resolves the query
+	// some other way (its queue is full, it is already gone).
 	Commit(now time.Duration, it Item, sub ensemble.Subset, lvl qos.Level)
+	// Early dispatches model k's task of a query that stays in the buffer,
+	// ahead of its commit, and reports whether it did. A pass asks it after
+	// its commits, once for each unblocked model whose earliest replica slot
+	// is at or before now.
+	Early(now time.Duration, it Item, k int) bool
 }
 
 // Engine is one pipeline instance.
@@ -317,7 +332,8 @@ func (e *Engine) Filter(keep func(Item) bool) {
 // Pass plans the buffer at now and commits what the plan placed and x has
 // room for; it returns how many queries left the buffer. A query whose plan
 // is empty, or whose subset x has no room for and no part of which within
-// one reward step has any, waits for the next pass.
+// one reward step has any, waits for the next pass, and may meanwhile get an
+// early task on an idle model of its plan.
 func (e *Engine) Pass(now time.Duration, x Executor) int {
 	// The load estimate drives admission and the ladder, never the plan.
 	e.QoS.Observe(now, e.committedWork(now, x))
@@ -336,6 +352,9 @@ func (e *Engine) Pass(now time.Duration, x Executor) int {
 		return 0
 	}
 	e.plan(now, x, blocked)
+	if slices.Contains(e.left, false) {
+		e.early(now, x, blocked)
+	}
 	planned := len(e.buffer)
 	kept := e.buffer[:0]
 	for i, it := range e.buffer {
@@ -424,8 +443,8 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 		// Room is asked about what would run, not what was planned: the
 		// driver decides whether it needs every model of it or some. Without
 		// it, a part within one reward step of sub that has room will do.
-		if !x.Room(now, sub) {
-			if sub = e.part(now, x, q.Score, sub); sub == ensemble.Empty {
+		if !e.roomFor(now, x, q, sub) {
+			if sub = e.part(now, x, q, sub); sub == ensemble.Empty {
 				continue
 			}
 			e.partCommits++
@@ -435,16 +454,23 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 	}
 }
 
-// part is the non-empty strict part of sub a query of this score commits onto
-// when x has no room for sub: of the parts whose reward is within partLoss of
-// sub's and that x has room for, the highest reward, ties to fewer models and
-// then to the lower mask; Empty when none qualifies. Room is asked only of a
-// part that passes on reward and would beat the best so far.
-func (e *Engine) part(now time.Duration, x Executor, score float64, sub ensemble.Subset) ensemble.Subset {
-	floor := e.cfg.Rewarder.Reward(score, sub) - partLoss
+// roomFor reports whether x has room for q's commit onto sub: for the models
+// of sub that have no early task, the only ones the commit dispatches.
+func (e *Engine) roomFor(now time.Duration, x Executor, q *Query, sub ensemble.Subset) bool {
+	rest := sub &^ q.Early
+	return rest == ensemble.Empty || x.Room(now, rest)
+}
+
+// part is the non-empty strict part of sub that q commits onto when x has no
+// room for sub: of the parts whose reward is within partLoss of sub's and
+// that x has room for, the highest reward, ties to fewer models and then to
+// the lower mask; Empty when none qualifies. Room is asked only of a part
+// that passes on reward and would beat the best so far.
+func (e *Engine) part(now time.Duration, x Executor, q *Query, sub ensemble.Subset) ensemble.Subset {
+	floor := e.cfg.Rewarder.Reward(q.Score, sub) - partLoss
 	best, bestR := ensemble.Empty, 0.0
 	for t := (sub - 1) & sub; t != ensemble.Empty; t = (t - 1) & sub {
-		r := e.cfg.Rewarder.Reward(score, t)
+		r := e.cfg.Rewarder.Reward(q.Score, t)
 		if r < floor {
 			continue
 		}
@@ -453,11 +479,36 @@ func (e *Engine) part(now time.Duration, x Executor, score float64, sub ensemble
 				continue
 			}
 		}
-		if x.Room(now, t) {
+		if e.roomFor(now, x, q, t) {
 			best, bestR = t, r
 		}
 	}
 	return best
+}
+
+// early gives each unblocked model with an idle replica, one whose earliest
+// slot is at or before now, one task of a query the pass left in the buffer:
+// the first in commit order whose plan, blocked models stripped, holds the
+// model, that has no early task there yet and that the model can still
+// finish by its deadline. The plan does not change, only when its idle
+// member runs: the commit that follows dispatches the rest. A busy or staged
+// replica gets none, and a model x refuses gets none this pass.
+func (e *Engine) early(now time.Duration, x Executor, blocked ensemble.Subset) {
+	for k, slots := range x.Capacity() {
+		if blocked.Contains(k) || slices.Min(slots) > now {
+			continue
+		}
+		for _, bi := range e.order {
+			q := e.buffer[bi].Q()
+			if e.left[bi] || !(q.Planned &^ blocked).Contains(k) || q.Early.Contains(k) || now+e.exec[k] > q.Deadline {
+				continue
+			}
+			if x.Early(now, e.buffer[bi], k) {
+				q.Early = q.Early.With(k)
+			}
+			break
+		}
+	}
 }
 
 // level is what a query of class ci commits at: its class's rung on the

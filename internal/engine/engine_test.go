@@ -106,6 +106,8 @@ type fleet struct {
 	cut int
 	// some is sim's quantifier.
 	some bool
+	// ahead makes the fleet take early tasks; without it Early refuses.
+	ahead bool
 }
 
 func newFleet(t *testing.T, exec []time.Duration, depth ...int) *fleet {
@@ -156,11 +158,27 @@ func (f *fleet) Commit(now time.Duration, it Item, sub ensemble.Subset, lvl qos.
 		}
 	}
 	r.Subset, r.Level, r.committed, r.left = sub, lvl, true, sub.Size()
-	for _, k := range sub.Models() {
+	for _, k := range (sub &^ r.Early).Models() {
 		f.queue[k] = append(f.queue[k], r)
 		f.busy[k][0] = max(f.busy[k][0], now) + f.exec[k]
 	}
 	f.log = append(f.log, fmt.Sprintf("commit %d %v %v", r.ID, sub.Models(), lvl))
+}
+func (f *fleet) Early(now time.Duration, it Item, k int) bool {
+	r := it.(*req)
+	if f.some {
+		f.t.Errorf("query %d: an early task on model %d under the some-model rule", r.ID, k)
+	}
+	if !f.ahead {
+		return false
+	}
+	if r.committed {
+		f.t.Errorf("query %d: an early task on model %d after its commit", r.ID, k)
+	}
+	f.queue[k] = append(f.queue[k], r)
+	f.busy[k][0] = max(f.busy[k][0], now) + f.exec[k]
+	f.log = append(f.log, fmt.Sprintf("early %d %d", r.ID, k))
+	return true
 }
 
 // hold books loaded of work on every replica, due at now, and returns f.
@@ -739,6 +757,117 @@ func TestPassPartCommit(t *testing.T) {
 	}
 }
 
+// TestPassEarlyTask: after its commits a pass gives each unblocked model
+// with an idle replica one task of a query left waiting, the first in commit
+// order whose plan holds the model and that the model can finish by its
+// deadline. The query stays buffered; Room is then asked only about the
+// models of its subset without an early task, the commit dispatches only
+// those, and a plan inside its early models commits without a question.
+// Under sim's some-model rule the commits take every such query first.
+func TestPassEarlyTask(t *testing.T) {
+	pair := ensemble.Subset(0b011)
+	one := ensemble.Single
+	now := ms
+	// Three queries planned onto models 0 and 1, deadlines 300, 100 and
+	// 5 ms: the last cannot finish even model 0's 10 ms task in time. Model
+	// 0 is idle with room for one task, model 1 runs one and has no room,
+	// model 2 is idle with room but planned for nobody.
+	setup := func(t *testing.T) (*rig, *fleet, []*req) {
+		r := newRig(nil)
+		r.plan.assign = func(core.QueryInfo) ensemble.Subset { return pair }
+		var qs []*req
+		for _, budget := range []time.Duration{300 * ms, 100 * ms, 5 * ms} {
+			q, _ := r.arrive(0, "", 0.5, 0, budget)
+			qs = append(qs, q)
+		}
+		f := newFleet(t, r.Exec(), 1, 0, 1)
+		f.ahead = true
+		f.busy[1][0] = 50 * ms
+		return r, f, qs
+	}
+	t.Run("one task, to the most urgent query that can use it", func(t *testing.T) {
+		r, f, qs := setup(t)
+		if left := r.Pass(now, f); left != 0 || r.Buffered() != 3 {
+			t.Fatalf("%d left, %d buffered, want every query to wait", left, r.Buffered())
+		}
+		if want := []string{"early 1 0"}; !reflect.DeepEqual(f.commits(), want) {
+			t.Errorf("pass did %q, want %q", f.commits(), want)
+		}
+		if qs[0].Early != 0 || qs[1].Early != one(0) || qs[2].Early != 0 {
+			t.Errorf("early tasks %v %v %v, want model 0 on query 1 alone", qs[0].Early, qs[1].Early, qs[2].Early)
+		}
+		// The next pass finds model 0 busy with it.
+		if r.Pass(now+ms, f); len(f.commits()) != 1 {
+			t.Errorf("pass did %q, want nothing more", f.commits())
+		}
+	})
+	t.Run("none to a blocked, busy or staged model", func(t *testing.T) {
+		for _, tc := range []struct {
+			name    string
+			blocked ensemble.Subset
+			busy    time.Duration // model 0's replica
+		}{
+			{"blocked", one(0), 0},
+			{"busy", 0, now + ms},
+			{"staged", 0, now + 15*ms},
+		} {
+			r, f, _ := setup(t)
+			f.blocked, f.busy[0][0] = tc.blocked, tc.busy
+			r.Pass(now, f)
+			if len(f.commits()) != 0 {
+				t.Errorf("%s: pass did %q, want nothing", tc.name, f.commits())
+			}
+		}
+	})
+	t.Run("room for the rest, a commit of the rest", func(t *testing.T) {
+		r, f, qs := setup(t)
+		r.Pass(now, f)
+		f.asked, f.depth[1], f.busy[1][0] = nil, 1, now+30*ms
+		if left := r.Pass(now+ms, f); left != 1 || !qs[1].committed {
+			t.Fatalf("%d left, want query 1 committed", left)
+		}
+		// The gate's questions, then query 2's whole pair (model 0 holds the
+		// early task), query 1's model 1 alone, query 0's pair.
+		if want := []ensemble.Subset{one(0), one(1), pair, one(1), pair}; !reflect.DeepEqual(f.asked, want) {
+			t.Errorf("Room was asked about %v, want %v", f.asked, want)
+		}
+		if want := []string{"early 1 0", "commit 1 [0 1] full"}; !reflect.DeepEqual(f.commits(), want) {
+			t.Errorf("passes did %q, want %q", f.commits(), want)
+		}
+		if len(f.queue[0]) != 1 || len(f.queue[1]) != 1 {
+			t.Errorf("queues hold %d and %d tasks, want the early one and the commit's", len(f.queue[0]), len(f.queue[1]))
+		}
+	})
+	t.Run("a plan inside its early models commits without a question", func(t *testing.T) {
+		r, f, qs := setup(t)
+		r.Pass(now, f)
+		r.plan.assign = func(q core.QueryInfo) ensemble.Subset {
+			if q.ID == 1 {
+				return one(0)
+			}
+			return pair
+		}
+		f.asked = nil
+		if left := r.Pass(now+ms, f); left != 1 || qs[1].Subset != one(0) {
+			t.Fatalf("%d left, query 1 on %v, want it committed onto model 0", left, qs[1].Subset)
+		}
+		if want := []ensemble.Subset{one(0), one(1), one(2), pair, pair}; !reflect.DeepEqual(f.asked, want) {
+			t.Errorf("Room was asked about %v, want %v", f.asked, want)
+		}
+		if len(f.queue[0]) != 1 {
+			t.Errorf("model 0 holds %d tasks, want the early one alone", len(f.queue[0]))
+		}
+	})
+	t.Run("the some-model rule commits first", func(t *testing.T) {
+		r, f, _ := setup(t)
+		f.some = true
+		r.Pass(now, f)
+		if want := []string{"commit 2 [0 1] full"}; !reflect.DeepEqual(f.commits(), want) {
+			t.Errorf("pass did %q, want %q", f.commits(), want)
+		}
+	})
+}
+
 // ---- (c) the overload decisions read the fleet ----
 
 // TestCapSpreads: one class held at the capped level, models of 20, 80 and 90
@@ -852,6 +981,7 @@ type still struct {
 func (*still) Blocked(time.Duration) ensemble.Subset    { return ensemble.Empty }
 func (x *still) Capacity() core.Capacity                { return x.busy }
 func (*still) Room(time.Duration, ensemble.Subset) bool { return true }
+func (*still) Early(time.Duration, Item, int) bool      { return false }
 func (x *still) Commit(now time.Duration, _ Item, sub ensemble.Subset, _ qos.Level) {
 	for k := range x.busy {
 		if sub.Contains(k) {

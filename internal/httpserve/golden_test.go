@@ -49,7 +49,7 @@ func fullInput() input {
 	return input{
 		rt: serve.Stats{
 			Submitted: 1234567, Served: 1000000, Degraded: 12345, Missed: 2222, Rejected: 20000,
-			Resolved: 1034567, Buffered: 3, InFlight: 2, PartCommits: 4321,
+			Resolved: 1034567, Buffered: 3, InFlight: 2, PartCommits: 4321, EarlyTasks: 5432, EarlyUsed: 4987,
 			QueueDepth:  []int{1, 4},
 			Replicas:    []int{1, 2},
 			ReplicaBusy: [][]int{{1}, {0, 1}},

@@ -118,6 +118,10 @@ var instruments = []instrument{
 		func(in input, emit emitFunc) { emit(in.rt.PassTime) }},
 	{"schemble_part_commits_total", "Queries committed, for lack of room, onto a strict part of their capped plan within one reward step of it.", counter, nil,
 		func(in input, emit emitFunc) { emit(in.rt.PartCommits) }},
+	{"schemble_early_tasks_total", "Tasks dispatched to an idle model of a waiting query's plan ahead of the query's commit.", counter, nil,
+		func(in input, emit emitFunc) { emit(in.rt.EarlyTasks) }},
+	{"schemble_early_used_total", "Early tasks a commit kept, as output in hand or still running, instead of dispatching the model again.", counter, nil,
+		func(in input, emit emitFunc) { emit(in.rt.EarlyUsed) }},
 
 	{"schemble_cache_requests_total", "Cache lookups by result.", counter, []string{"result"},
 		func(in input, emit emitFunc) {

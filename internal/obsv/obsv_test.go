@@ -261,6 +261,7 @@ func TestDecisionTraceJSONRoundTrip(t *testing.T) {
 	in := DecisionTrace{
 		ID: 7, SampleID: 123, CameraID: 2, Score: 0.42,
 		Class: "bronze", Ladder: 1, Level: "capped", Planned: ensemble.Full(3),
+		Early:  ensemble.Single(2),
 		Queued: 100 * time.Millisecond, Scored: 101 * time.Millisecond,
 		Committed: 102 * time.Millisecond, Resolved: 190 * time.Millisecond,
 		Deadline: 300 * time.Millisecond, Latency: 90 * time.Millisecond,

@@ -102,7 +102,11 @@ type DecisionTrace struct {
 	// BusyUntil). Empty when the plan was committed whole. It stays a
 	// bitmask until the trace is marshalled: the commit allocates nothing
 	// for it.
-	Planned      ensemble.Subset
+	Planned ensemble.Subset
+	// Early is the models of Subset whose task ran, or was queued, ahead of
+	// the commit, while the query waited on the rest of its plan: the commit
+	// dispatched the others. A bitmask until marshalled, like Planned.
+	Early        ensemble.Subset
 	Alternatives []Alternative // top candidate subsets by profiled reward
 	QueueDepths  []int         // per-model task-queue occupancy
 	// BusyUntil is each model's earliest replica availability — the
@@ -152,6 +156,7 @@ type traceJSON struct {
 	LatencyUS    int64         `json:"latency_us"`
 	Subset       []int         `json:"subset,omitempty"`
 	Planned      []int         `json:"planned,omitempty"`
+	Early        []int         `json:"early,omitempty"`
 	Alternatives []Alternative `json:"alternatives,omitempty"`
 	QueueDepths  []int         `json:"queue_depths,omitempty"`
 	BusyUntilUS  []int64       `json:"busy_until_us,omitempty"`
@@ -196,6 +201,9 @@ func (t DecisionTrace) MarshalJSON() ([]byte, error) {
 	if t.Planned != ensemble.Empty {
 		w.Planned = t.Planned.Models()
 	}
+	if t.Early != ensemble.Empty {
+		w.Early = t.Early.Models()
+	}
 	if t.BusyUntil != nil {
 		w.BusyUntilUS = make([]int64, len(t.BusyUntil))
 		for i, d := range t.BusyUntil {
@@ -239,6 +247,9 @@ func (t *DecisionTrace) UnmarshalJSON(data []byte) error {
 	}
 	for _, k := range w.Planned {
 		t.Planned = t.Planned.With(k)
+	}
+	for _, k := range w.Early {
+		t.Early = t.Early.With(k)
 	}
 	if w.BusyUntilUS != nil {
 		t.BusyUntil = make([]time.Duration, len(w.BusyUntilUS))

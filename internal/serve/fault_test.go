@@ -615,12 +615,12 @@ func TestFaultToleranceAgainstFeatures(t *testing.T) {
 	a := artifacts(t)
 	// served, degraded, missed, rejected
 	want := map[string][4]uint64{
-		"classes+cache":                {193, 5, 2, 0},
-		"classes+adapt":                {155, 15, 30, 0},
-		"classes+replicas":             {148, 31, 21, 0},
-		"cache+adapt":                  {193, 5, 2, 0},
+		"classes+cache":                {190, 5, 5, 0},
+		"classes+adapt":                {155, 16, 29, 0},
+		"classes+replicas":             {155, 27, 18, 0},
+		"cache+adapt":                  {190, 5, 5, 0},
 		"cache+replicas":               {190, 10, 0, 0},
-		"adapt+replicas":               {150, 31, 19, 0},
+		"adapt+replicas":               {155, 27, 18, 0},
 		"classes+cache+adapt+replicas": {190, 10, 0, 0},
 	}
 	features := chaosFeatures(t, a)

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"schemble/internal/core"
+	"schemble/internal/ensemble"
 	"schemble/internal/testutil"
 )
 
@@ -273,4 +275,55 @@ func TestServeSubmitRacesStart(t *testing.T) {
 	s.Start(context.Background())
 	wg.Wait()
 	s.Stop()
+}
+
+// TestEarlyTaskResolvesOnceOnStopAndDrain: Stop, and Drain, with a buffered
+// request's early task running resolve that request exactly once, as a
+// miss, and leave no goroutine behind; Drain still finishes what committed.
+func TestEarlyTaskResolvesOnceOnStopAndDrain(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	t.Run("stop", func(t *testing.T) {
+		rig := earlyRig(t)
+		rig.shutdown()
+		for i := range rig.results {
+			if res := rig.result(t, i); !res.Missed {
+				t.Errorf("request %d: %+v after Stop, want a miss", i, res)
+			}
+			assertNoSecondResult(t, i, rig.results[i])
+		}
+	})
+	t.Run("drain", func(t *testing.T) {
+		rig := earlyRig(t)
+		drained := make(chan error, 1)
+		go func() { drained <- rig.srv.Drain(context.Background()) }()
+		if res := rig.result(t, 2); !res.Missed || res.Rejected {
+			t.Fatalf("the buffered request: %+v under Drain, want a miss", res)
+		}
+		rig.finish(t, 0)
+		rig.finish(t, 1)
+		rig.finish(t, 1)
+		select {
+		case err := <-drained:
+			if err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+		case <-time.After(rigWait):
+			t.Fatal("Drain never returned")
+		}
+		for i := range rig.results {
+			if i < 2 {
+				if res := rig.result(t, i); res.Missed || res.Subset != ensemble.Full(2) {
+					t.Errorf("committed request %d: %+v under Drain, want served", i, res)
+				}
+			}
+			assertNoSecondResult(t, i, rig.results[i])
+		}
+		if st := rig.srv.Stats(); st.Resolved != 3 || st.Missed != 1 {
+			t.Errorf("resolved %d, missed %d, want 3 and 1", st.Resolved, st.Missed)
+		}
+	})
+	testutil.Wait(5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline })
+	if g := runtime.NumGoroutine(); g > baseline {
+		t.Errorf("goroutine leak: %d running, baseline %d", g, baseline)
+	}
 }

@@ -11,7 +11,13 @@
 // time (stageable), or onto the part of its subset every model of which has
 // room, if that part gives up at most one reward step of the DP's grid. So
 // at most one task waits staged behind each running one, and the rest of
-// the wait is in the buffer, where the query can still be re-planned. Each
+// the wait is in the buffer, where the query can still be re-planned. A
+// model with an idle replica meanwhile runs its task of the most urgent
+// query waiting on the rest of a plan that holds it, if it can finish that
+// task by the query's deadline: an early task. The query stays buffered and
+// re-planned; its commit dispatches only the models without one, drops an
+// early output from outside its subset, and settles at once when every
+// output is already in. Each
 // replica keeps its own timeline: a staged task starts the instant the
 // replica freed — its last wait's target — or when it was queued, if later,
 // however late the host woke the worker, and it runs while the coordinator
@@ -221,6 +227,11 @@ type request struct {
 	// that failed permanently (retries exhausted, crash, timeout, panic).
 	//schemble:guardedby mu success mask
 	ok ensemble.Subset
+	// ahead is the models whose early task (dispatched before the commit)
+	// has not finished: the commit waits for those of its subset instead of
+	// dispatching them.
+	//schemble:guardedby mu early tasks still running
+	ahead ensemble.Subset
 	//schemble:guardedby mu permanent-failure count
 	failed int
 	done   chan Result
@@ -239,6 +250,46 @@ func (r *request) isResolved() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.state == stateResolved
+}
+
+// counts reports whether t's output can still count: its request has not
+// resolved and, for an early task, has not committed onto a subset without
+// t's model. A worker skips a task that cannot.
+func (r *request) counts(t *task) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.state != stateResolved && !(t.early && r.state == stateCommitted && !r.Subset.Contains(t.k))
+}
+
+// book records the end of t, which produced out if ok, and reports whether
+// it was the last task its request waited for. An early task that ends
+// before the commit leaves its output for the commit to find, or, failed,
+// its model for the commit to dispatch; one that ends after a commit onto a
+// subset without its model is dropped.
+func (r *request) book(t *task, out model.Output, ok bool) (done bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.state == stateResolved {
+		return false
+	}
+	if t.early {
+		r.ahead = r.ahead.Without(t.k)
+		if r.state == stateCommitted && !r.Subset.Contains(t.k) {
+			return false
+		}
+	}
+	if ok {
+		r.outs[t.k] = out
+		r.ok = r.ok.With(t.k)
+	}
+	if t.early && r.state == stateSubmitted {
+		return false
+	}
+	if !ok {
+		r.failed++
+	}
+	r.remaining--
+	return r.remaining == 0
 }
 
 // modelCounters are one model's fault and mitigation counters, written by
@@ -339,6 +390,8 @@ type Server struct {
 	nBuffered    atomic.Int64
 	nInflight    atomic.Int64
 	nPartCommits atomic.Uint64
+	nEarly       atomic.Uint64
+	nEarlyUsed   atomic.Uint64
 
 	// turnEvents is how many events each coordinator turn handled before its
 	// one planning pass, a count carried as that many seconds so it shares
@@ -356,6 +409,8 @@ type task struct {
 	// sent is when the coordinator queued the task: a replica free before
 	// then starts it no earlier (worker).
 	sent time.Time
+	// early marks a task dispatched ahead of its request's commit.
+	early bool
 }
 
 type evKind int
@@ -379,6 +434,8 @@ type event struct {
 	ran    bool
 	failed bool
 	cutoff bool
+	// early marks an early task's event.
+	early bool
 	// free is when the replica ran out of the task's work, on its own
 	// timeline (worker): the instant the coordinator re-anchors on.
 	free time.Time
@@ -442,6 +499,11 @@ type Stats struct {
 	// PartCommits counts the queries committed onto a strict part of their
 	// capped plan for lack of room, the part within one reward step of it.
 	PartCommits uint64
+	// EarlyTasks counts the tasks dispatched to an idle model ahead of their
+	// query's commit; EarlyUsed the early outputs, in hand or still to come,
+	// that a commit kept instead of dispatching the model again.
+	EarlyTasks uint64
+	EarlyUsed  uint64
 	// QueueDepth[k] is model k's task-channel occupancy. A task a replica
 	// has taken is counted in ReplicaBusy, never here.
 	QueueDepth []int
@@ -676,6 +738,8 @@ func (s *Server) Stats() Stats {
 		Buffered:    int(s.nBuffered.Load()),
 		InFlight:    int(s.nInflight.Load()),
 		PartCommits: s.nPartCommits.Load(),
+		EarlyTasks:  s.nEarly.Load(),
+		EarlyUsed:   s.nEarlyUsed.Load(),
 		QueueDepth:  make([]int, len(s.taskCh)),
 		Replicas:    append([]int(nil), s.replicas...),
 		ReplicaBusy: make([][]int, len(s.taskCh)),
@@ -981,7 +1045,7 @@ func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m mode
 	defer rc.busy.Store(0)
 	var done, ran, failed, cutoff bool
 	free = start
-	if !t.req.isResolved() {
+	if t.req.counts(t) {
 		ran = true
 		out, vlat, end, freed := s.execute(ctx, w, src, m, inj, k, t.req, start)
 		if end == endDead {
@@ -997,22 +1061,11 @@ func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m mode
 		} else if s.eng.Adapt != nil {
 			s.eng.Adapt.ObserveLatency(s.Now(), k, vlat)
 		}
-		t.req.mu.Lock()
-		if t.req.state != stateResolved {
-			t.req.remaining--
-			if ok {
-				t.req.outs[k] = out
-				t.req.ok = t.req.ok.With(k)
-			} else {
-				t.req.failed++
-			}
-			done = t.req.remaining == 0
-		}
-		t.req.mu.Unlock()
+		done = t.req.book(t, out, ok)
 	}
 	s.clk.sent(toCoordinator, 1)
 	select {
-	case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: cutoff, free: free}:
+	case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: cutoff, early: t.early, free: free}:
 	case <-ctx.Done():
 		return free, false
 	}
@@ -1049,12 +1102,6 @@ func attemptKey(seq uint64, k, a int) uint64 {
 // attempt's wait, or the host instant if it ended without one.
 func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k int, r *request, start time.Time) (out model.Output, vlat time.Duration, end taskEnd, free time.Time) {
 	c := &s.mstats[k]
-	timedOut := func() {
-		c.timeouts.Add(1)
-		if s.obs != nil {
-			r.obsTimeouts.Add(1)
-		}
-	}
 	for attempt := 0; ; attempt++ {
 		key := attemptKey(r.seq, k, attempt)
 		src.Reseed(rng.Mix(s.cfg.Seed^0x5e7e, key))
@@ -1080,10 +1127,11 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 			}
 			// The attempt's three possible ends are all known before it starts:
 			// its own (possibly straggling) draw, a hedge's, and the deadline.
-			// An attempt already out of budget arms nothing.
+			// An attempt already out of budget arms nothing and counts no
+			// timeout: the coordinator's deadline step resolves its request
+			// at that instant, whichever of the two runs first.
 			cutoff := r.wallDeadline.Sub(now)
 			if cutoff <= 0 {
-				timedOut()
 				return out, 0, endCutoff, s.clk.now()
 			}
 			drawn := float64(lat) * dec.LatencyFactor
@@ -1115,6 +1163,15 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 				}
 			}
 			wake, kind := earliestWake(d, hedge, cutoff)
+			if kind == wakeCutoff {
+				// Counted before the wait, so the deadline step, which
+				// resolves the request at the wait's own target, reads it
+				// whichever of the two wakes first.
+				c.timeouts.Add(1)
+				if s.obs != nil {
+					r.obsTimeouts.Add(1)
+				}
+			}
 			target := now.Add(wake)
 			over, alive := w.until(ctx, target)
 			if !alive {
@@ -1130,7 +1187,6 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 			case wakeCutoff:
 				// The deadline arrived mid-attempt: abandon it instead of
 				// occupying the worker past the point of usefulness.
-				timedOut()
 				return out, 0, endCutoff, target
 			}
 			if out, ok := s.safePredict(m, k, r.sample); ok {
@@ -1390,12 +1446,22 @@ func (c *coordinator) onTaskDone(e event) {
 	for i := range c.busyUntil[e.k] {
 		c.busyUntil[e.k][i] = anchor + time.Duration((c.pending[e.k]+i)/R)*s.eng.Exec()[e.k]
 	}
+	if e.early && e.failed {
+		// The model goes back to the commit, and to the room it asks about.
+		e.req.Early = e.req.Early.Without(e.k)
+	}
 	if !e.done {
 		return
 	}
-	r := e.req
-	delete(c.inflight, r)
+	delete(c.inflight, e.req)
 	c.syncGauges()
+	c.settle(e.req, e.cutoff)
+}
+
+// settle aggregates the outputs of r, whose tasks have all ended, and
+// resolves it; cutoff says a deadline cutoff ended the last one.
+func (c *coordinator) settle(r *request, cutoff bool) {
+	s := c.s
 	r.mu.Lock()
 	outs, okMask, nfailed := r.outs, r.ok, r.failed
 	r.mu.Unlock()
@@ -1408,7 +1474,7 @@ func (c *coordinator) onTaskDone(e event) {
 	// degrades: what finished, finished in time. The cutoff wakes at the
 	// deadline itself, so whether it or the coordinator's deadline step
 	// gets there first must not decide the outcome.
-	late := s.clk.now().After(r.wallDeadline) && !e.cutoff
+	late := s.clk.now().After(r.wallDeadline) && !cutoff
 	st := s.eng.Settle(&r.Query, outs, okMask, nfailed, late)
 	res := Result{
 		Output:   st.Output,
@@ -1475,7 +1541,8 @@ func (c *coordinator) Room(now time.Duration, sub ensemble.Subset) bool {
 }
 
 // Commit implements engine.Executor: it locks the request onto sub and
-// queues one task per model.
+// queues one task per model of sub whose early task neither produced an
+// output nor is still running; when there is none, it settles the request.
 func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subset, lvl qos.Level) {
 	s, r := c.s, it.(*request)
 	m := len(c.busyUntil)
@@ -1495,8 +1562,14 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 	}
 	r.Subset = sub
 	r.Level = lvl
-	r.remaining = sub.Size()
-	r.outs = make([]model.Output, m)
+	if r.outs == nil {
+		r.outs = make([]model.Output, m)
+	}
+	// An early output from outside sub does not count; the early tasks of
+	// sub, done or running, stand in for the commit's own.
+	r.ok &= sub
+	kept := r.ok | r.ahead&sub
+	r.remaining = (sub &^ r.ok).Size()
 	r.state = stateCommitted
 	if r.tr != nil {
 		// Decision context: what the runtime looked like when the subset
@@ -1509,6 +1582,7 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 		if r.Planned != sub {
 			r.tr.Planned = r.Planned
 		}
+		r.tr.Early = kept
 		r.tr.Alternatives = s.alternatives(r.Score)
 		depths := make([]int, m)
 		for k, ch := range s.taskCh {
@@ -1527,31 +1601,74 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 			r.tr.Drift = s.eng.Adapt.ActiveDrift()
 		}
 	}
+	done := r.remaining == 0
 	r.mu.Unlock()
+	if kept != ensemble.Empty {
+		s.nEarlyUsed.Add(uint64(kept.Size()))
+	}
+	if done {
+		c.settle(r, false)
+		return
+	}
 	c.inflight[r] = true
 	sent := s.clk.now()
-	for _, k := range sub.Models() {
-		// The task lands on the earliest-available replica slot, exactly
-		// the assumption the scheduler's capacity model (core.Capacity)
-		// made when it judged feasibility.
-		slot, start := earliestSlot(c.busyUntil[k])
-		if start < t {
-			start = t
-		}
-		s.clk.sent(k, 1)
-		select {
-		case s.taskCh[k] <- &task{req: r, k: k, sent: sent}:
-			c.busyUntil[k][slot] = start + s.eng.Exec()[k]
-			c.pending[k]++
-		default:
-			s.clk.sent(k, -1)
+	for _, k := range (sub &^ kept).Models() {
+		if !c.dispatch(&task{req: r, k: k, sent: sent}, t) {
 			// Unreachable given the pre-flight check; if it ever happens,
-			// roll back instead of leaking: busyUntil is untouched for this
-			// model, inflight forgets the request, it resolves as rejected,
-			// and workers skip its already-queued sibling tasks.
+			// roll back instead of leaking: inflight forgets the request,
+			// it resolves as rejected, and workers skip its already-queued
+			// sibling tasks.
 			delete(c.inflight, r)
 			s.resolve(r, Result{Missed: true, Rejected: true})
 		}
+	}
+}
+
+// Early implements engine.Executor: it queues model k's task of a request
+// still in the buffer, as Commit queues one, unless the request has resolved
+// or the model's queue is full.
+func (c *coordinator) Early(t time.Duration, it engine.Item, k int) bool {
+	s, r := c.s, it.(*request)
+	r.mu.Lock()
+	if r.state != stateSubmitted {
+		r.mu.Unlock()
+		return false
+	}
+	if r.outs == nil {
+		r.outs = make([]model.Output, len(c.busyUntil))
+	}
+	// Marked before the task is queued: its worker clears the mark.
+	r.ahead = r.ahead.With(k)
+	r.mu.Unlock()
+	if !c.dispatch(&task{req: r, k: k, sent: s.clk.now(), early: true}, t) {
+		r.mu.Lock()
+		r.ahead = r.ahead.Without(k)
+		r.mu.Unlock()
+		return false
+	}
+	s.nEarly.Add(1)
+	return true
+}
+
+// dispatch queues tk at t and books it on its model's replica slot that
+// drains first, exactly the assumption the scheduler's capacity model
+// (core.Capacity) made when it judged feasibility; false when the model's
+// queue is full, with nothing booked.
+func (c *coordinator) dispatch(tk *task, t time.Duration) bool {
+	s, k := c.s, tk.k
+	slot, start := earliestSlot(c.busyUntil[k])
+	if start < t {
+		start = t
+	}
+	s.clk.sent(k, 1)
+	select {
+	case s.taskCh[k] <- tk:
+		c.busyUntil[k][slot] = start + s.eng.Exec()[k]
+		c.pending[k]++
+		return true
+	default:
+		s.clk.sent(k, -1)
+		return false
 	}
 }
 

@@ -147,6 +147,91 @@ func TestStagedCommitWaitsForEveryModel(t *testing.T) {
 	}
 }
 
+// earlyRig leaves model 0 idle and model 1 with a running task and a staged
+// one, then submits a third request, planned onto both, which waits for
+// model 1 while model 0 runs its task early: the rig is returned with that
+// task inside Predict.
+func earlyRig(t *testing.T) *gateRig {
+	t.Helper()
+	rig := newGateRig(t, 2, ensemble.Empty)
+	rig.commit(t, 2)
+	rig.finish(t, 0)
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "model 0 idle, model 1 running and staged", func() bool {
+		st := rig.srv.Stats()
+		return st.Models[0].Executed == 2 && st.ReplicaBusy[0][0] == 0 && st.ReplicaBusy[1][0] == 1 && st.QueueDepth[1] == 1
+	})
+	rig.arrive()
+	testutil.Poll(t, rigWait, "model 0 running the third request's task early", func() bool {
+		st := rig.srv.Stats()
+		return rig.models[0].entered.Load() == 3 && st.EarlyTasks == 1 && st.Buffered == 1 && st.InFlight == 2
+	})
+	return rig
+}
+
+// TestStagedEarlyTask: a query planned onto models 0 and 1 waits for busy
+// model 1 while idle model 0 runs its task ahead of the commit. The commit
+// dispatches model 1 alone and the result aggregates both outputs; re-planned
+// onto model 0 alone instead, the query resolves in the pass that re-planned
+// it, with no task of its own.
+func TestStagedEarlyTask(t *testing.T) {
+	t.Run("commit of the rest", func(t *testing.T) {
+		rig := earlyRig(t)
+		rig.finish(t, 0)
+		testutil.Poll(t, rigWait, "the early output in, the query still buffered", func() bool {
+			st := rig.srv.Stats()
+			return st.Models[0].Executed == 3 && st.ReplicaBusy[0][0] == 0 && st.Buffered == 1
+		})
+		rig.finish(t, 1)
+		testutil.Poll(t, rigWait, "the query committed onto model 1's room", func() bool {
+			st := rig.srv.Stats()
+			return st.Served == 1 && st.Buffered == 0 && st.InFlight == 2 && st.EarlyUsed == 1 && st.QueueDepth[1] == 1
+		})
+		if st := rig.srv.Stats(); st.QueueDepth[0] != 0 || st.ReplicaBusy[0][0] != 0 || st.EarlyTasks != 1 {
+			t.Fatalf("model 0 queue %d busy %d, %d early tasks: want the commit to leave model 0 alone",
+				st.QueueDepth[0], st.ReplicaBusy[0][0], st.EarlyTasks)
+		}
+		rig.finish(t, 1)
+		rig.finish(t, 1)
+		if res := rig.result(t, 2); res.Missed || res.Degraded || res.Subset != ensemble.Full(2) {
+			t.Fatalf("the third request: %+v, want served in full by both models", res)
+		}
+		if n := rig.models[0].entered.Load(); n != 3 {
+			t.Fatalf("model 0 ran %d tasks, want 3", n)
+		}
+	})
+	t.Run("re-planned inside its early model", func(t *testing.T) {
+		rig := earlyRig(t)
+		rig.finish(t, 0)
+		testutil.Poll(t, rigWait, "the early output in", func() bool {
+			st := rig.srv.Stats()
+			return st.Models[0].Executed == 3 && st.ReplicaBusy[0][0] == 0 && st.Buffered == 1
+		})
+		calls := rig.sched.calls.Load()
+		rig.sched.alone.Store(2)
+		rig.finish(t, 1)
+		testutil.Poll(t, rigWait, "the query resolved", func() bool {
+			st := rig.srv.Stats()
+			return st.Served == 2 && st.Buffered == 0
+		})
+		st := rig.srv.Stats()
+		if got := rig.sched.calls.Load(); got != calls+1 || st.InFlight != 1 || st.EarlyUsed != 1 {
+			t.Fatalf("%d passes, %d in flight, %d early outputs used: want the one pass to commit and settle it",
+				got-calls, st.InFlight, st.EarlyUsed)
+		}
+		if res := rig.result(t, 2); res.Missed || res.Degraded || res.Subset != ensemble.Single(0) {
+			t.Fatalf("the third request: %+v, want served by model 0", res)
+		}
+		rig.finish(t, 1)
+		if res := rig.result(t, 1); res.Missed || res.Subset != ensemble.Full(2) {
+			t.Fatalf("the second request: %+v", res)
+		}
+		if n := rig.models[0].entered.Load(); n != 3 {
+			t.Fatalf("model 0 ran %d tasks, want 3", n)
+		}
+	})
+}
+
 // partRewarder gives the pair the reward 1 and model 0 alone 1 - loss.
 type partRewarder struct{ loss float64 }
 

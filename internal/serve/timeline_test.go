@@ -243,6 +243,8 @@ func TestStagedTaskStartsWhenReplicaFrees(t *testing.T) {
 // was queued 3 ms before the worker took it. Where the task staged behind it
 // waits, it waits from that host instant. A failed attempt's deadline ends
 // before its first retry's backoff could, so the attempt is the task's last.
+// Each fault is counted, but for the cutoff before the start: that request
+// is the deadline step's to resolve, and the worker counts no timeout.
 func TestFailedTaskFreesReplicaAtHostInstant(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -253,17 +255,18 @@ func TestFailedTaskFreesReplicaAtHostInstant(t *testing.T) {
 		// and next whether the task behind it waits too.
 		waited, next bool
 		count        func(ModelHealth) uint64
+		uncounted    bool
 	}{
 		{"transient", func(c *Config, _ *fixedModel) {
 			c.Faults = model.FaultConfig{TransientRate: 1, Seed: 1}
-		}, timelineLate + retryBackoff - 1, false, false, func(h ModelHealth) uint64 { return h.Transient }},
+		}, timelineLate + retryBackoff - 1, false, false, func(h ModelHealth) uint64 { return h.Transient }, false},
 		{"crash", func(c *Config, _ *fixedModel) {
 			c.Faults = model.FaultConfig{CrashMTBF: time.Nanosecond, Seed: 1}
-		}, timelineLate + retryBackoff - 1, false, false, func(h ModelHealth) uint64 { return h.Crashes }},
-		{"cutoff before start", func(*Config, *fixedModel) {}, 0, false, true, func(h ModelHealth) uint64 { return h.Timeouts }},
+		}, timelineLate + retryBackoff - 1, false, false, func(h ModelHealth) uint64 { return h.Crashes }, false},
+		{"cutoff before start", func(*Config, *fixedModel) {}, 0, false, true, func(h ModelHealth) uint64 { return h.Timeouts }, true},
 		{"panic", func(_ *Config, m *fixedModel) {
 			m.panics = true
-		}, timelineDraw + timelineLate + retryBackoff - 1, true, true, func(h ModelHealth) uint64 { return h.Panics }},
+		}, timelineDraw + timelineLate + retryBackoff - 1, true, true, func(h ModelHealth) uint64 { return h.Panics }, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -280,7 +283,9 @@ func TestFailedTaskFreesReplicaAtHostInstant(t *testing.T) {
 			if c.next {
 				g.done(t)
 			}
-			if got := c.count(g.s.Stats().Models[0]); got == 0 {
+			if got := c.count(g.s.Stats().Models[0]); c.uncounted && got != 0 {
+				t.Fatalf("the cutoff before the start counted %d timeouts, want none", got)
+			} else if !c.uncounted && got == 0 {
 				t.Fatal("the fault was not counted")
 			}
 			if !e.failed {

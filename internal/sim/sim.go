@@ -512,6 +512,13 @@ func (s *sim) Capacity() core.Capacity {
 // a part never fires here.
 func (s *sim) Room(_ time.Duration, sub ensemble.Subset) bool { return s.anyIdle(sub) }
 
+// Early implements engine.Executor: the simulator runs no task ahead of its
+// query's commit. Under its Room a query planned onto an idle model commits
+// in the pass's commit loop; the early step reaches a model only while its
+// backlog estimate has run out and its task, drawn longer than the estimate,
+// still runs. It refuses that, so the paper's tables stay the wrapper's.
+func (*sim) Early(time.Duration, engine.Item, int) bool { return false }
+
 // Commit implements engine.Executor.
 func (s *sim) Commit(_ time.Duration, it engine.Item, sub ensemble.Subset, lvl qos.Level) {
 	q := it.(*query)
