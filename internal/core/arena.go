@@ -168,7 +168,8 @@ func (s *dpScratch) prepTable(t *dpTable, n int) {
 // Why skipping below the bound is exact. An insert touches one (step,
 // level) cell only, so a cell's content is a function of the inserts into
 // it. Every entry's availability is >= base and completion is monotone in
-// availability, so a query adds at most qmax to a level. Let K_i =
+// availability (the sunk rule only takes a constant max), so a query adds
+// at most qmax to a level. Let K_i =
 // max(top[i], inc), the best level known reachable after step i. build
 // reads step i only from lo_i = floorOf(K_i, rest[i]) up and inserts into
 // step i+1 only from floor_i+1 = floorOf(K_i, rest[i+1]) up. A cell at or
@@ -191,11 +192,11 @@ func (s *dpScratch) boundFrom(queries []QueryInfo, order []int, base []time.Dura
 	s.qrw, s.qlvl = sized(s.qrw, n*nsub), sized(s.qlvl, n*nsub)
 	s.qmax, s.rest = sized(s.qmax, n), sized(s.rest, n+1)
 	for i, qi := range order {
-		q := queries[qi]
+		q := &queries[qi]
 		best := 0
 		for si, sub := range s.subsets {
 			lvl := -1
-			if lay.completion(base, exec, sub, s.comp) <= q.Deadline {
+			if lay.completionOf(q, base, exec, sub, s.comp) <= q.Deadline {
 				rw := r.Reward(q.Score, sub)
 				lvl = quantize(rw, s.delta)
 				if lvl >= perQueryLevels {

@@ -115,17 +115,23 @@ func flattenInto(flat []time.Duration, off []int, now time.Duration, c Capacity)
 	return flat, off
 }
 
-// completion computes when a query executing subset s would finish given
+// completionOf computes when query q would finish executing subset s given
 // the flattened slot vector avail: each chosen model runs the task on its
 // earliest-available replica, whose new finish time is re-inserted in
-// sorted position within the model's segment. dst (len(avail)) is
+// sorted position within the model's segment. A model of q.Sunk already
+// runs, or ran, q's task (the sunk rule): it takes no slot, and a subset
+// holding one completes no earlier than q.SunkBy. dst (len(avail)) is
 // overwritten with the resulting availability; the return value is the
 // completion time, i.e. the latest finish among the chosen models.
-func (l layout) completion(avail, exec []time.Duration, s ensemble.Subset, dst []time.Duration) time.Duration {
+func (l layout) completionOf(q *QueryInfo, avail, exec []time.Duration, s ensemble.Subset, dst []time.Duration) time.Duration {
 	copy(dst, avail)
 	var done time.Duration
+	if s&q.Sunk != ensemble.Empty {
+		done = q.SunkBy
+	}
+	run := s &^ q.Sunk
 	for k := 0; k < l.m(); k++ {
-		if !s.Contains(k) {
+		if !run.Contains(k) {
 			continue
 		}
 		seg := dst[l.off[k]:l.off[k+1]]

@@ -32,6 +32,13 @@ type QueryInfo struct {
 	Deadline time.Duration
 	// Score is the predicted discrepancy score in [0,1].
 	Score float64
+	// Sunk is the models already running, or done with, the query's task,
+	// and SunkBy when the last of them finishes. A subset pays a replica
+	// slot only for its models outside Sunk; one that holds a sunk model
+	// completes no earlier than SunkBy. Empty for a query no task of which
+	// has started, the paper's case.
+	Sunk   ensemble.Subset
+	SunkBy time.Duration
 }
 
 // Rewarder maps a query's difficulty score and a candidate model subset to
@@ -75,7 +82,9 @@ type Scheduler interface {
 	// avail[k][r] is the absolute time replica r of model k finishes its
 	// in-flight work (values in the past mean "idle now"); exec[k] is the
 	// expected execution time of one task on model k — the amortized
-	// per-item cost when the simulator batches.
+	// per-item cost when the simulator batches. A query's completion on a
+	// subset follows the sunk rule (QueryInfo.Sunk): its sunk models take
+	// no slot of avail.
 	Schedule(now time.Duration, queries []QueryInfo, avail Capacity, exec []time.Duration, r Rewarder) Plan
 }
 

@@ -54,6 +54,12 @@ func checkFeasible(t *testing.T, plan Plan, now time.Duration, queries []QueryIn
 	}
 }
 
+// completion is completionOf for a query no task of which has started, the
+// paper's case, which the reference schedulers and the pinned checks use.
+func (l layout) completion(avail, exec []time.Duration, s ensemble.Subset, dst []time.Duration) time.Duration {
+	return l.completionOf(&QueryInfo{}, avail, exec, s, dst)
+}
+
 // rootRewarder satisfies the paper's Assumption 1 including the corollary
 // U(s) >= |s|/m used in Theorem 3's proof: U = (|s|/m)^(0.3+0.6*score),
 // which is monotone, concave in subset size, and decreasing in difficulty.

@@ -173,7 +173,7 @@ func (s *dpScratch) build(queries []QueryInfo, order []int, base []time.Duration
 
 	nsub := len(s.subsets)
 	for i, qi := range order {
-		q := queries[qi]
+		q := &queries[qi]
 		prev, next := &s.steps[i], &s.steps[i+1]
 		s.prepTable(next, prev.top+perQueryLevels)
 		// A cell below lo cannot reach the best known level whatever the
@@ -197,7 +197,7 @@ func (s *dpScratch) build(queries []QueryInfo, order []int, base []time.Duration
 					if lvl < 0 || level+lvl < floor {
 						continue
 					}
-					done := lay.completion(s.avail(eid), exec, sub, s.comp)
+					done := lay.completionOf(q, s.avail(eid), exec, sub, s.comp)
 					if done > q.Deadline {
 						continue
 					}
@@ -220,7 +220,7 @@ func (s *dpScratch) incumbent(queries []QueryInfo, order []int, base []time.Dura
 	nsub := len(s.subsets)
 	inc := 0
 	for i, qi := range order {
-		deadline := queries[qi].Deadline
+		q := &queries[qi]
 		qlvl := s.qlvl[i*nsub : (i+1)*nsub]
 		best, bestDone := 0, time.Duration(0)
 		for si, sub := range s.subsets {
@@ -228,8 +228,8 @@ func (s *dpScratch) incumbent(queries []QueryInfo, order []int, base []time.Dura
 			if lvl <= 0 || lvl < best {
 				continue
 			}
-			done := lay.completion(s.cur, exec, sub, s.comp)
-			if done > deadline || lvl == best && done >= bestDone {
+			done := lay.completionOf(q, s.cur, exec, sub, s.comp)
+			if done > q.Deadline || lvl == best && done >= bestDone {
 				continue
 			}
 			best, bestDone = lvl, done

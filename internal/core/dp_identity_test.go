@@ -579,8 +579,9 @@ func TestGreedyBitIdenticalToReference(t *testing.T) {
 
 // TestDPScheduleSteadyStateZeroAlloc is the arena's regression guard:
 // after warmup, Schedule must not allocate — neither on identical
-// consecutive inputs nor when alternating between two instances, nor on
-// a truncated window, nor when a call falls back to the rebuild.
+// consecutive inputs nor when alternating between two instances, nor with
+// sunk models, nor on a truncated window, nor when a call falls back to the
+// rebuild.
 func TestDPScheduleSteadyStateZeroAlloc(t *testing.T) {
 	instA := genInstance(7)
 	instB := genInstance(8)
@@ -612,6 +613,20 @@ func TestDPScheduleSteadyStateZeroAlloc(t *testing.T) {
 		d2.Schedule(instB.now, instB.queries, instB.cap, instB.exec, rB)
 	}); n != 0 {
 		t.Errorf("DP.Schedule steady state (alternating re-solve): %v allocs/op, want 0", n)
+	}
+
+	sunk := withSunk(instA, 7)
+	if !slices.ContainsFunc(sunk.queries, func(q QueryInfo) bool { return q.Sunk != ensemble.Empty }) {
+		t.Fatal("the sunk instance has no sunk model")
+	}
+	ds := &DP{}
+	for i := 0; i < 3; i++ {
+		ds.Schedule(sunk.now, sunk.queries, sunk.cap, sunk.exec, rA)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		ds.Schedule(sunk.now, sunk.queries, sunk.cap, sunk.exec, rA)
+	}); n != 0 {
+		t.Errorf("DP.Schedule steady state (sunk models): %v allocs/op, want 0", n)
 	}
 
 	// A buffer deeper than the window plans over the singleton list;

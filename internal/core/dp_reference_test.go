@@ -122,7 +122,7 @@ func (d *ReferenceDP) Schedule(now time.Duration, queries []QueryInfo, avail Cap
 		return out
 	}
 	for _, qi := range order {
-		q := queries[qi]
+		q := &queries[qi]
 		next := make([][]*refEntry, len(frontier)+perQueryLevels)
 		for level, entries := range frontier {
 			for _, e := range entries {
@@ -130,7 +130,7 @@ func (d *ReferenceDP) Schedule(now time.Duration, queries []QueryInfo, avail Cap
 				next[level] = insert(next[level], e.avail, e.reward, e, ensemble.Empty, q.ID)
 				// Try every subset that meets the deadline.
 				for _, s := range subsets {
-					done := lay.completion(e.avail, exec, s, scratch)
+					done := lay.completionOf(q, e.avail, exec, s, scratch)
 					if done > q.Deadline {
 						continue
 					}

@@ -9,8 +9,10 @@ import (
 
 // decodeFuzzInstance turns an arbitrary byte string into a bounded
 // scheduling instance: 1–4 models with 1–3 replicas each, up to six
-// queries. Bounds are harness-level (the fuzzer explores scheduler logic,
-// not resource exhaustion); within them every byte value is legal, so the
+// queries, and after them one byte per query while bytes last, whose low
+// bits are its sunk models and high bits when they finish. Bounds are
+// harness-level (the fuzzer explores scheduler logic, not resource
+// exhaustion); within them every byte value is legal, so the
 // fuzzer is free to construct degenerate shapes — zero exec deltas,
 // deadlines before now, duplicate availabilities, idle and saturated
 // pools.
@@ -57,6 +59,10 @@ func decodeFuzzInstance(data []byte) (instance, bool) {
 		})
 		pos += 3
 	}
+	for i := 0; i < len(inst.queries) && pos < len(data); i, pos = i+1, pos+1 {
+		inst.queries[i].Sunk = ensemble.Subset(data[pos]) & ensemble.Full(m)
+		inst.queries[i].SunkBy = inst.now + time.Duration(data[pos]>>4)*8*ms
+	}
 	if len(inst.queries) == 0 {
 		return instance{}, false
 	}
@@ -68,7 +74,8 @@ func decodeFuzzInstance(data []byte) (instance, bool) {
 // asserting the invariants that must survive any input: no panic, plans
 // replay feasibly in EDF order on replica capacity, TotalReward is the
 // exact sum of the assignments' rewards, and every assignment refers to a
-// real query with a subset inside the model universe. The same DP then
+// real query with a subset inside the model universe, and sunk models take
+// no slot. The same DP then
 // re-plans the queue after an arrival and after a departure, and all
 // three plans must equal ReferenceDP's bit for bit — the property the
 // level bounds and the incumbent that raises them have to keep, on a
@@ -78,6 +85,7 @@ func FuzzDPSchedule(f *testing.F) {
 	f.Add([]byte("\x02\x00\x02\x00\x10\x20\x32\x00\x50\x14\x01\x05\x06\x40\x00\x64\x80\x10\x20\xff"), uint16(1), uint16(2), true, false)
 	f.Add([]byte("\x00\x3f\x02\x7f\x7f\x63\x63\x00\x01\x02\x63\xfe\xff"), uint16(100), uint16(16), false, true)
 	f.Add([]byte("\x00\x01\x00\x05\x0a\x00\x32\x7f"), uint16(500), uint16(1), true, true)
+	f.Add([]byte("\x02\x10\x01\x05\x14\x01\x0a\x1e\x20\x40\x30\x10\x60\x55\x30\x21\x31\x02"), uint16(10), uint16(0), false, false)
 	f.Fuzz(func(t *testing.T, data []byte, deltaRaw, windowRaw uint16, vanilla, noPrune bool) {
 		inst, ok := decodeFuzzInstance(data)
 		if !ok {

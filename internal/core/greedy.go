@@ -130,11 +130,11 @@ func (g *Greedy) Schedule(now time.Duration, queries []QueryInfo, avail Capacity
 		s.subsetsM = avail.M()
 	}
 	for _, qi := range idx {
-		q := queries[qi]
+		q := &queries[qi]
 		best := ensemble.Empty
 		bestR := 0.0
 		for _, sub := range s.subsets {
-			done := lay.completion(cur, exec, sub, s.comp)
+			done := lay.completionOf(q, cur, exec, sub, s.comp)
 			if done > q.Deadline {
 				continue
 			}
@@ -197,14 +197,14 @@ func (e *Exhaustive) Schedule(now time.Duration, queries []QueryInfo, avail Capa
 			}
 			return
 		}
-		q := queries[order[i]]
+		q := &queries[order[i]]
 		for _, s := range options {
 			if s == ensemble.Empty {
 				assign[i] = s
 				recurse(i+1, cur, reward)
 				continue
 			}
-			done := lay.completion(cur, exec, s, scratch)
+			done := lay.completionOf(q, cur, exec, s, scratch)
 			if done > q.Deadline {
 				continue
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,22 +59,37 @@ func genInstance(seed uint64) instance {
 	return inst
 }
 
+// withSunk gives each query of inst a random sunk mask, empty one time in
+// three, finished by a random instant up to 60 ms past now.
+func withSunk(inst instance, seed uint64) instance {
+	src := rng.New(seed ^ 0x5bd1e995)
+	inst.queries = append([]QueryInfo(nil), inst.queries...)
+	for i := range inst.queries {
+		if src.Intn(3) == 0 {
+			continue
+		}
+		inst.queries[i].Sunk = ensemble.Subset(1 + src.Intn(1<<inst.m-1))
+		inst.queries[i].SunkBy = inst.now + time.Duration(src.Intn(60))*ms
+	}
+	return inst
+}
+
 // replayFeasible re-simulates a plan in EDF order against the instance's
 // replica capacity and reports whether every assigned query meets its
-// deadline; it also cross-checks that the plan's claimed TotalReward is
-// the exact sum of its assignments' rewards.
+// deadline, its sunk models taking no slot; it also cross-checks that the
+// plan's claimed TotalReward is the exact sum of its assignments' rewards.
 func replayFeasible(t *testing.T, tag string, seed uint64, inst instance, plan Plan, r Rewarder) {
 	t.Helper()
 	cur, lay := flatten(inst.now, inst.cap)
 	scratch := make([]time.Duration, len(cur))
 	sum := 0.0
 	for _, qi := range edfOrder(inst.queries) {
-		q := inst.queries[qi]
+		q := &inst.queries[qi]
 		s := plan.Subset(q.ID)
 		if s == ensemble.Empty {
 			continue
 		}
-		done := lay.completion(cur, inst.exec, s, scratch)
+		done := lay.completionOf(q, cur, inst.exec, s, scratch)
 		if done > q.Deadline {
 			t.Fatalf("seed %d %s: query %d finishes %v after deadline %v",
 				seed, tag, q.ID, done, q.Deadline)
@@ -172,6 +188,42 @@ func TestPropertyBlockedModelsExcluded(t *testing.T) {
 		check("dp", d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r))
 		for _, g := range gs {
 			check(g.Name(), g.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r))
+		}
+	}
+}
+
+// TestPropertySunkTasks: with random sunk masks (a query whose task already
+// runs on some models), every scheduler's plan replays feasibly under the
+// sunk rule, the DP stays within (1-epsilon) of the exhaustive optimum, and
+// a subset inside a query's sunk models takes no replica slot and completes
+// at SunkBy.
+func TestPropertySunkTasks(t *testing.T) {
+	const epsilon = 0.05
+	exh := &Exhaustive{}
+	for seed := uint64(0); seed < propertyCases; seed++ {
+		inst := withSunk(genInstance(seed), seed)
+		r := rootRewarder{m: inst.m}
+		d, gs := propertySchedulers(inst, epsilon)
+		dp := d.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+		opt := exh.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r)
+		if dp.TotalReward < (1-epsilon)*opt.TotalReward-1e-9 {
+			t.Fatalf("seed %d: dp reward %v < (1-eps) x optimum %v", seed, dp.TotalReward, opt.TotalReward)
+		}
+		replayFeasible(t, "dp", seed, inst, dp, r)
+		replayFeasible(t, "exhaustive", seed, inst, opt, r)
+		for _, g := range gs {
+			replayFeasible(t, g.Name(), seed, inst, g.Schedule(inst.now, inst.queries, inst.cap, inst.exec, r), r)
+		}
+
+		base, lay := flatten(inst.now, inst.cap)
+		dst := make([]time.Duration, len(base))
+		for _, q := range inst.queries {
+			for s := q.Sunk; s != ensemble.Empty; s = (s - 1) & q.Sunk {
+				if done := lay.completionOf(&q, base, inst.exec, s, dst); done != q.SunkBy || !slices.Equal(dst, base) {
+					t.Fatalf("seed %d: query %d on sunk %v done %v with slots %v, want %v and %v untouched",
+						seed, q.ID, s.Models(), done, dst, q.SunkBy, base)
+				}
+			}
 		}
 	}
 }

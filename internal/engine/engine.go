@@ -8,14 +8,17 @@
 //	        detector when adaptation is on), cache lookup, admission
 //	plan    a pass over the query buffer: load observation (the fleet's
 //	        committed work, in seconds), cost refresh, room gate, one
-//	        schedule of every buffered query, blocked-model strip, the
-//	        ladder's subset cap (keeping the models that finish first),
-//	        per-query room check (of the models without an early task), and
-//	        without room the part of the subset that has room and gives up at
-//	        most one reward step; then, for each unblocked model with an idle
-//	        replica, one early task of a query still waiting on its plan
-//	commit  the driver's Executor dispatches the query's tasks, all but the
-//	        early ones
+//	        schedule of every buffered query (its early tasks counted as
+//	        paid, core.QueryInfo.Sunk), blocked-model strip, the ladder's
+//	        subset cap (keeping the models that finish first, an early one
+//	        at its booked finish), per-query room check (of the models
+//	        without an early task), and without room the part of the subset
+//	        that has room and gives up at most one reward step; then, for
+//	        each unblocked model with an idle replica, one early task of a
+//	        query still waiting on its plan
+//	commit  the query's early models join its subset when they cost no
+//	        reward and fit its cap; the driver's Executor dispatches the
+//	        query's tasks, all but the early ones
 //	settle  aggregate, classify, fill the cache
 //
 // The package is pure (the enginepure and detrand analyzers hold it to
@@ -109,8 +112,12 @@ type Query struct {
 	// Early is the models a task of the query was dispatched to while it
 	// waited, ahead of its commit: the pass sets a model when the driver's
 	// Early took the task, and the driver clears it when that task fails
-	// before the commit, leaving the model to the commit.
-	Early ensemble.Subset
+	// before the commit, leaving the model to the commit. EarlyBy is when the
+	// last of them was booked to finish: the pass sets it with Early, and the
+	// driver resets it when a failed task leaves Early empty. The scheduler
+	// plans Early's unblocked models as the query's sunk tasks.
+	Early   ensemble.Subset
+	EarlyBy time.Duration
 }
 
 // Q returns q; a type that embeds Query is an Item through it.
@@ -385,11 +392,15 @@ func (e *Engine) committedWork(now time.Duration, x Executor) time.Duration {
 	return deepest + time.Duration(buffered*float64(time.Second))
 }
 
-// finishTimes is when each model would finish one more task committed at
-// now, on the replica that frees up first: what a capped subset is ranked by.
-func (e *Engine) finishTimes(now time.Duration, x Executor) []time.Duration {
+// finishTimes is when each model would finish q's task committed at now, on
+// the replica that frees up first, or, for a model with q's early task, when
+// that task was booked to finish: what a capped subset is ranked by.
+func (e *Engine) finishTimes(now time.Duration, x Executor, q *Query) []time.Duration {
 	for k, slots := range x.Capacity() {
 		e.finish[k] = max(now, slices.Min(slots)) + e.exec[k]
+		if q.Early.Contains(k) {
+			e.finish[k] = q.EarlyBy
+		}
 	}
 	return e.finish
 }
@@ -415,7 +426,10 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 	e.infos, e.order, e.left = e.infos[:0], e.order[:0], e.left[:0]
 	for i, it := range e.buffer {
 		q := it.Q()
-		e.infos = append(e.infos, core.QueryInfo{ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline, Score: q.Score})
+		e.infos = append(e.infos, core.QueryInfo{
+			ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline, Score: q.Score,
+			Sunk: q.Early &^ blocked, SunkBy: q.EarlyBy,
+		})
 		e.order, e.left = append(e.order, i), append(e.left, false)
 	}
 	plan := e.cfg.Scheduler.Schedule(now, e.infos, e.capacity(now, x, blocked), e.exec, e.cfg.Rewarder)
@@ -433,12 +447,13 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 			continue
 		}
 		lvl := e.level(q.Class)
-		if limit := qos.SubsetCap(lvl, e.m); sub.Size() > limit {
+		limit := qos.SubsetCap(lvl, e.m)
+		if sub.Size() > limit {
 			// The ladder caps the subset to the class's level, keeping the
 			// models that would finish this query's task first. The view is
 			// read per commit: the commits before this one show in it, so
 			// capped traffic spreads over equals instead of queueing on one.
-			sub = qos.TruncateSubset(sub, limit, e.finishTimes(now, x))
+			sub = qos.TruncateSubset(sub, limit, e.finishTimes(now, x, q))
 		}
 		// Room is asked about what would run, not what was planned: the
 		// driver decides whether it needs every model of it or some. Without
@@ -448,6 +463,12 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 				continue
 			}
 			e.partCommits++
+		}
+		// An early model the plan left out joins the commit when that costs
+		// no reward and fits the cap: its task runs anyway and needs no room.
+		if with := sub | q.Early&^blocked; with != sub && with.Size() <= limit &&
+			e.cfg.Rewarder.Reward(q.Score, with) >= e.cfg.Rewarder.Reward(q.Score, sub) {
+			sub = with
 		}
 		x.Commit(now, it, sub, lvl)
 		e.left[bi] = true
@@ -491,8 +512,9 @@ func (e *Engine) part(now time.Duration, x Executor, q *Query, sub ensemble.Subs
 // the first in commit order whose plan, blocked models stripped, holds the
 // model, that has no early task there yet and that the model can still
 // finish by its deadline. The plan does not change, only when its idle
-// member runs: the commit that follows dispatches the rest. A busy or staged
-// replica gets none, and a model x refuses gets none this pass.
+// member runs: the commit that follows dispatches the rest, and the plans
+// until then count the task as the query's own, already paid. A busy or
+// staged replica gets none, and a model x refuses gets none this pass.
 func (e *Engine) early(now time.Duration, x Executor, blocked ensemble.Subset) {
 	for k, slots := range x.Capacity() {
 		if blocked.Contains(k) || slices.Min(slots) > now {
@@ -504,7 +526,7 @@ func (e *Engine) early(now time.Duration, x Executor, blocked ensemble.Subset) {
 				continue
 			}
 			if x.Early(now, e.buffer[bi], k) {
-				q.Early = q.Early.With(k)
+				q.Early, q.EarlyBy = q.Early.With(k), max(q.EarlyBy, now+e.exec[k])
 			}
 			break
 		}

@@ -757,12 +757,25 @@ func TestPassPartCommit(t *testing.T) {
 	}
 }
 
+// sunkSpy is the DP, recording the queries each call was shown.
+type sunkSpy struct {
+	core.DP
+	seen [][]core.QueryInfo
+}
+
+func (s *sunkSpy) Schedule(now time.Duration, qs []core.QueryInfo, avail core.Capacity, exec []time.Duration, r core.Rewarder) core.Plan {
+	s.seen = append(s.seen, slices.Clone(qs))
+	return s.DP.Schedule(now, qs, avail, exec, r)
+}
+
 // TestPassEarlyTask: after its commits a pass gives each unblocked model
 // with an idle replica one task of a query left waiting, the first in commit
 // order whose plan holds the model and that the model can finish by its
 // deadline. The query stays buffered; Room is then asked only about the
 // models of its subset without an early task, the commit dispatches only
-// those, and a plan inside its early models commits without a question.
+// those, and a plan inside its early models commits without a question. A
+// commit onto a subset without an early model adds it back when that costs
+// no reward, and a re-plan by the DP sees the early task as the query's own.
 // Under sim's some-model rule the commits take every such query first.
 func TestPassEarlyTask(t *testing.T) {
 	pair := ensemble.Subset(0b011)
@@ -853,6 +866,66 @@ func TestPassEarlyTask(t *testing.T) {
 		}
 		if want := []ensemble.Subset{one(0), one(1), one(2), pair, pair}; !reflect.DeepEqual(f.asked, want) {
 			t.Errorf("Room was asked about %v, want %v", f.asked, want)
+		}
+		if len(f.queue[0]) != 1 {
+			t.Errorf("model 0 holds %d tasks, want the early one alone", len(f.queue[0]))
+		}
+	})
+	t.Run("a commit keeps its early models when they cost no reward", func(t *testing.T) {
+		for _, tc := range []struct {
+			name   string
+			reward core.Rewarder
+			want   string
+		}{
+			{"more reward", sizeReward{}, "commit 1 [0 1] full"},
+			{"less reward", table{pair: 0.5, one(1): 0.6}, "commit 1 [1] full"},
+		} {
+			r, f, qs := setup(t)
+			r.Pass(now, f)
+			r.cfg.Rewarder = tc.reward
+			r.plan.assign = func(q core.QueryInfo) ensemble.Subset {
+				if q.ID == 1 {
+					return one(1)
+				}
+				return ensemble.Empty
+			}
+			f.depth[1], f.busy[1][0] = 1, now+30*ms
+			if left := r.Pass(now+ms, f); left != 1 || !qs[1].committed {
+				t.Fatalf("%s: %d left, want query 1 committed", tc.name, left)
+			}
+			if got := f.commits(); !reflect.DeepEqual(got, []string{"early 1 0", tc.want}) {
+				t.Errorf("%s: passes did %q, want the early task, then %q", tc.name, got, tc.want)
+			}
+			if len(f.queue[0]) != 1 {
+				t.Errorf("%s: model 0 holds %d tasks, want the early one alone", tc.name, len(f.queue[0]))
+			}
+		}
+	})
+	t.Run("a re-plan keeps the busy model of its own early task", func(t *testing.T) {
+		// Model 0 runs the query's task early, due at 11 ms. The DP, shown
+		// that task as the query's own, keeps model 0: the query commits onto
+		// it and waits for the task it has. Charged a second slot there, it
+		// would finish at 21 ms, past its 15 ms deadline, and fit nowhere.
+		r := newRig(func(c *Config) { c.Rewarder = table{pair: 1, one(0): 0.6, one(1): 0.6} })
+		r.plan.assign = func(core.QueryInfo) ensemble.Subset { return pair }
+		q, _ := r.arrive(0, "", 0.5, 0, 15*ms)
+		// Model 2 is idle and keeps the gate open; it cannot finish in time.
+		f := newFleet(t, r.Exec(), 1, 0, 1)
+		f.ahead = true
+		f.busy[1][0] = 50 * ms
+		if left := r.Pass(ms, f); left != 0 || q.Early != one(0) || q.EarlyBy != 11*ms {
+			t.Fatalf("%d left, early %v by %v: want the query waiting with model 0's task, due at 11ms", left, q.Early.Models(), q.EarlyBy)
+		}
+		spy := &sunkSpy{}
+		r.cfg.Scheduler = spy
+		if left := r.Pass(2*ms, f); left != 1 || q.Subset != one(0) {
+			t.Fatalf("%d left, query on %v: want it committed onto its early model", left, q.Subset.Models())
+		}
+		if info := spy.seen[0][0]; info.Sunk != one(0) || info.SunkBy != 11*ms {
+			t.Errorf("the scheduler saw sunk %v by %v, want model 0 by 11ms", info.Sunk.Models(), info.SunkBy)
+		}
+		if want := []string{"early 0 0", "commit 0 [0] full"}; !reflect.DeepEqual(f.commits(), want) {
+			t.Errorf("passes did %q, want %q", f.commits(), want)
 		}
 		if len(f.queue[0]) != 1 {
 			t.Errorf("model 0 holds %d tasks, want the early one alone", len(f.queue[0]))

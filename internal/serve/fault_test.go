@@ -615,12 +615,12 @@ func TestFaultToleranceAgainstFeatures(t *testing.T) {
 	a := artifacts(t)
 	// served, degraded, missed, rejected
 	want := map[string][4]uint64{
-		"classes+cache":                {190, 5, 5, 0},
-		"classes+adapt":                {155, 16, 29, 0},
-		"classes+replicas":             {155, 27, 18, 0},
-		"cache+adapt":                  {190, 5, 5, 0},
+		"classes+cache":                {190, 7, 3, 0},
+		"classes+adapt":                {162, 18, 20, 0},
+		"classes+replicas":             {155, 29, 16, 0},
+		"cache+adapt":                  {190, 7, 3, 0},
 		"cache+replicas":               {190, 10, 0, 0},
-		"adapt+replicas":               {155, 27, 18, 0},
+		"adapt+replicas":               {153, 32, 15, 0},
 		"classes+cache+adapt+replicas": {190, 10, 0, 0},
 	}
 	features := chaosFeatures(t, a)

@@ -34,7 +34,7 @@ import (
 // test advances it. The scheduler is a
 // stub that plans every query onto models 0 and 1, counts its calls, and
 // can be held inside a call the way the DP holds the coordinator while it
-// plans a deep buffer.
+// plans a deep buffer. Handed a DP, it plans with that instead.
 
 // gateModel is a model the test holds inside Predict.
 type gateModel struct {
@@ -67,7 +67,9 @@ type pairScheduler struct {
 	// last is how many queries the latest call was shown.
 	last atomic.Int64
 	// alone is the ID of a query planned onto model 0 alone; -1 for none.
-	alone   atomic.Int64
+	alone atomic.Int64
+	// dp, once set, plans every call in the stub's place.
+	dp      atomic.Pointer[core.DP]
 	held    atomic.Bool
 	entered chan struct{}
 	resume  chan struct{}
@@ -75,12 +77,15 @@ type pairScheduler struct {
 }
 
 func (*pairScheduler) Name() string { return "pair" }
-func (p *pairScheduler) Schedule(_ time.Duration, queries []core.QueryInfo, _ core.Capacity, _ []time.Duration, _ core.Rewarder) core.Plan {
+func (p *pairScheduler) Schedule(now time.Duration, queries []core.QueryInfo, avail core.Capacity, exec []time.Duration, r core.Rewarder) core.Plan {
 	p.last.Store(int64(len(queries)))
 	p.calls.Add(1)
 	if p.held.Load() {
 		p.meet(p.entered)
 		p.meet(p.resume)
+	}
+	if dp := p.dp.Load(); dp != nil {
+		return dp.Schedule(now, queries, avail, exec, r)
 	}
 	plan := core.Plan{Assignments: make(map[int]ensemble.Subset, len(queries))}
 	for _, q := range queries {

@@ -15,9 +15,11 @@
 // model with an idle replica meanwhile runs its task of the most urgent
 // query waiting on the rest of a plan that holds it, if it can finish that
 // task by the query's deadline: an early task. The query stays buffered and
-// re-planned; its commit dispatches only the models without one, drops an
-// early output from outside its subset, and settles at once when every
-// output is already in. Each
+// re-planned, the plan counting that task as the query's own, already paid
+// (core.QueryInfo.Sunk); its commit takes back an early model the plan left
+// out when that costs no reward and fits the class's cap, dispatches only
+// the models without one, drops an early output from outside its subset,
+// and settles at once when every output is already in. Each
 // replica keeps its own timeline: a staged task starts the instant the
 // replica freed — its last wait's target — or when it was queued, if later,
 // however late the host woke the worker, and it runs while the coordinator
@@ -1449,6 +1451,9 @@ func (c *coordinator) onTaskDone(e event) {
 	if e.early && e.failed {
 		// The model goes back to the commit, and to the room it asks about.
 		e.req.Early = e.req.Early.Without(e.k)
+		if e.req.Early == ensemble.Empty {
+			e.req.EarlyBy = 0
+		}
 	}
 	if !e.done {
 		return

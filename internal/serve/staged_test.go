@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"schemble/internal/core"
 	"schemble/internal/ensemble"
 	"schemble/internal/testutil"
 )
@@ -153,6 +154,12 @@ func TestStagedCommitWaitsForEveryModel(t *testing.T) {
 // task inside Predict.
 func earlyRig(t *testing.T) *gateRig {
 	t.Helper()
+	return earlyRigWithin(t, 2*time.Hour)
+}
+
+// earlyRigWithin is earlyRig with the third request's deadline budget.
+func earlyRigWithin(t *testing.T, budget time.Duration) *gateRig {
+	t.Helper()
 	rig := newGateRig(t, 2, ensemble.Empty)
 	rig.commit(t, 2)
 	rig.finish(t, 0)
@@ -161,7 +168,7 @@ func earlyRig(t *testing.T) *gateRig {
 		st := rig.srv.Stats()
 		return st.Models[0].Executed == 2 && st.ReplicaBusy[0][0] == 0 && st.ReplicaBusy[1][0] == 1 && st.QueueDepth[1] == 1
 	})
-	rig.arrive()
+	rig.arriveWithin(budget)
 	testutil.Poll(t, rigWait, "model 0 running the third request's task early", func() bool {
 		st := rig.srv.Stats()
 		return rig.models[0].entered.Load() == 3 && st.EarlyTasks == 1 && st.Buffered == 1 && st.InFlight == 2
@@ -173,7 +180,9 @@ func earlyRig(t *testing.T) *gateRig {
 // model 1 while idle model 0 runs its task ahead of the commit. The commit
 // dispatches model 1 alone and the result aggregates both outputs; re-planned
 // onto model 0 alone instead, the query resolves in the pass that re-planned
-// it, with no task of its own.
+// it, with no task of its own. Re-planned by the DP while the early task
+// runs, on a budget that task fits but a second hour-long slot on model 0
+// does not, the query keeps model 0: the DP counts the task as its own.
 func TestStagedEarlyTask(t *testing.T) {
 	t.Run("commit of the rest", func(t *testing.T) {
 		rig := earlyRig(t)
@@ -198,6 +207,31 @@ func TestStagedEarlyTask(t *testing.T) {
 		}
 		if n := rig.models[0].entered.Load(); n != 3 {
 			t.Fatalf("model 0 ran %d tasks, want 3", n)
+		}
+	})
+	t.Run("re-planned by the DP, it keeps its busy early model", func(t *testing.T) {
+		rig := earlyRigWithin(t, 90*time.Minute)
+		rig.sched.dp.Store(&core.DP{})
+		// An arrival no model can serve in time triggers the re-plan.
+		rig.arriveWithin(30 * time.Minute)
+		testutil.Poll(t, rigWait, "the third request committed onto its early model", func() bool {
+			st := rig.srv.Stats()
+			return st.InFlight == 3 && st.Buffered == 1 && st.EarlyUsed == 1
+		})
+		if st := rig.srv.Stats(); st.QueueDepth[0] != 0 || st.EarlyTasks != 1 {
+			t.Fatalf("model 0 queue %d, %d early tasks: want the commit to leave model 0 to its early task",
+				st.QueueDepth[0], st.EarlyTasks)
+		}
+		rig.finish(t, 0)
+		if res := rig.result(t, 2); res.Missed || res.Degraded || res.Subset != ensemble.Single(0) {
+			t.Fatalf("the third request: %+v, want served by model 0", res)
+		}
+		rig.finish(t, 1)
+		rig.finish(t, 1)
+		for i := 0; i < 2; i++ {
+			if res := rig.result(t, i); res.Missed || res.Subset != ensemble.Full(2) {
+				t.Fatalf("request %d: %+v, want served by both models", i, res)
+			}
 		}
 	})
 	t.Run("re-planned inside its early model", func(t *testing.T) {

@@ -36,7 +36,7 @@ PAIRS=3
 
 # Each gated package and its micros (Benchmark<name>).
 PACKAGES=(internal/core internal/nn internal/pipeline internal/serve)
-MICROS=("DPResolve DPLiveOverload DPLiveSlack DPLiveDeep GreedyEDF" TrainPredictor Fit ReplayBurst)
+MICROS=("DPResolve DPLiveOverload DPLiveSlack DPLiveDeep GreedyEDF" TrainPredictor Fit "ReplayBurst ReplaySteady")
 
 CHANGE_TREE=$(git rev-parse --show-toplevel)
 OUT=${OUT:-$(mktemp -d)}
