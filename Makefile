@@ -118,9 +118,9 @@ bench:
 repo-bench:
 	$(GO) run ./bench -quick
 
-# micro-gate runs the planner, cold-start and runtime micro-benchmarks (go
-# test benchmarks in internal/core, internal/nn, internal/pipeline and
-# internal/serve) in three alternating pairs against the parent commit, built from a git archive of
+# micro-gate runs the planner, cold-start, runtime and HTTP micro-benchmarks
+# (go test benchmarks in internal/core, internal/nn, internal/pipeline,
+# internal/serve and internal/httpserve) in three alternating pairs against the parent commit, built from a git archive of
 # HEAD~1, and fails a micro whose median change/parent ns/op ratio is above
 # 1.25 with every pair slower (scripts/micro_pairs.sh, about 70 s on 2
 # cores after the build). Both sides run on one box in one job, so the

@@ -11,11 +11,11 @@
 //	        schedule of every buffered query (its early tasks counted as
 //	        paid, core.QueryInfo.Sunk), blocked-model strip, the ladder's
 //	        subset cap (keeping the models that finish first, an early one
-//	        at its booked finish), per-query room check (of the models
-//	        without an early task), and without room the part of the subset
-//	        that has room and gives up at most one reward step; then, for
-//	        each unblocked model with an idle replica, one early task of a
-//	        query still waiting on its plan
+//	        at its query's latest early finish), per-query room check (of
+//	        the models without an early task), and without room the part of
+//	        the subset that has room and gives up at most one reward step;
+//	        then, for each unblocked model with an idle replica, one early
+//	        task of a query still waiting on its plan
 //	commit  the query's early models join its subset when they cost no
 //	        reward and fit its cap; the driver's Executor dispatches the
 //	        query's tasks, all but the early ones
@@ -35,6 +35,7 @@ package engine
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -112,12 +113,21 @@ type Query struct {
 	// Early is the models a task of the query was dispatched to while it
 	// waited, ahead of its commit: the pass sets a model when the driver's
 	// Early took the task, and the driver clears it when that task fails
-	// before the commit, leaving the model to the commit. EarlyBy is when the
-	// last of them was booked to finish: the pass sets it with Early, and the
-	// driver resets it when a failed task leaves Early empty. The scheduler
-	// plans Early's unblocked models as the query's sunk tasks.
-	Early   ensemble.Subset
-	EarlyBy time.Duration
+	// before the commit, leaving the model to the commit. The scheduler plans
+	// Early's unblocked models as the query's sunk tasks.
+	Early ensemble.Subset
+	// due[k] is when model k's early task was booked to finish: the pass sets
+	// it with k's bit of Early, and it is read only while that bit is set.
+	due [ensemble.MaxModels]time.Duration
+}
+
+// earlyBy is when the last of q's early tasks outside blocked was booked to
+// finish, 0 when there is none.
+func (q *Query) earlyBy(blocked ensemble.Subset) (by time.Duration) {
+	for s := q.Early &^ blocked; s != ensemble.Empty; s &= s - 1 {
+		by = max(by, q.due[bits.TrailingZeros16(uint16(s))])
+	}
+	return by
 }
 
 // Q returns q; a type that embeds Query is an Item through it.
@@ -393,13 +403,14 @@ func (e *Engine) committedWork(now time.Duration, x Executor) time.Duration {
 }
 
 // finishTimes is when each model would finish q's task committed at now, on
-// the replica that frees up first, or, for a model with q's early task, when
-// that task was booked to finish: what a capped subset is ranked by.
-func (e *Engine) finishTimes(now time.Duration, x Executor, q *Query) []time.Duration {
+// the replica that frees up first, or, for a model with q's early task, by,
+// when the last of q's unblocked early tasks was booked to finish (the
+// scheduler's SunkBy): what a capped subset is ranked by.
+func (e *Engine) finishTimes(now time.Duration, x Executor, q *Query, by time.Duration) []time.Duration {
 	for k, slots := range x.Capacity() {
 		e.finish[k] = max(now, slices.Min(slots)) + e.exec[k]
 		if q.Early.Contains(k) {
-			e.finish[k] = q.EarlyBy
+			e.finish[k] = by
 		}
 	}
 	return e.finish
@@ -428,7 +439,7 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 		q := it.Q()
 		e.infos = append(e.infos, core.QueryInfo{
 			ID: q.ID, Arrival: q.Arrival, Deadline: q.Deadline, Score: q.Score,
-			Sunk: q.Early &^ blocked, SunkBy: q.EarlyBy,
+			Sunk: q.Early &^ blocked, SunkBy: q.earlyBy(blocked),
 		})
 		e.order, e.left = append(e.order, i), append(e.left, false)
 	}
@@ -453,7 +464,7 @@ func (e *Engine) plan(now time.Duration, x Executor, blocked ensemble.Subset) {
 			// models that would finish this query's task first. The view is
 			// read per commit: the commits before this one show in it, so
 			// capped traffic spreads over equals instead of queueing on one.
-			sub = qos.TruncateSubset(sub, limit, e.finishTimes(now, x, q))
+			sub = qos.TruncateSubset(sub, limit, e.finishTimes(now, x, q, e.infos[bi].SunkBy))
 		}
 		// Room is asked about what would run, not what was planned: the
 		// driver decides whether it needs every model of it or some. Without
@@ -526,7 +537,7 @@ func (e *Engine) early(now time.Duration, x Executor, blocked ensemble.Subset) {
 				continue
 			}
 			if x.Early(now, e.buffer[bi], k) {
-				q.Early, q.EarlyBy = q.Early.With(k), max(q.EarlyBy, now+e.exec[k])
+				q.Early, q.due[k] = q.Early.With(k), now+e.exec[k]
 			}
 			break
 		}

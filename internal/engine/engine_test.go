@@ -913,8 +913,8 @@ func TestPassEarlyTask(t *testing.T) {
 		f := newFleet(t, r.Exec(), 1, 0, 1)
 		f.ahead = true
 		f.busy[1][0] = 50 * ms
-		if left := r.Pass(ms, f); left != 0 || q.Early != one(0) || q.EarlyBy != 11*ms {
-			t.Fatalf("%d left, early %v by %v: want the query waiting with model 0's task, due at 11ms", left, q.Early.Models(), q.EarlyBy)
+		if left := r.Pass(ms, f); left != 0 || q.Early != one(0) || q.due[0] != 11*ms {
+			t.Fatalf("%d left, early %v due %v: want the query waiting with model 0's task, due at 11ms", left, q.Early.Models(), q.due[0])
 		}
 		spy := &sunkSpy{}
 		r.cfg.Scheduler = spy
@@ -929,6 +929,40 @@ func TestPassEarlyTask(t *testing.T) {
 		}
 		if len(f.queue[0]) != 1 {
 			t.Errorf("model 0 holds %d tasks, want the early one alone", len(f.queue[0]))
+		}
+	})
+	t.Run("a re-plan counts only its live, unblocked early tasks as sunk", func(t *testing.T) {
+		// Models 0 and 1 are idle and run the query's tasks early, due at 11
+		// and 21 ms, while it waits for busy model 2. Model 1's task then
+		// fails, or model 1 is blocked: either way the survivor, model 0, is
+		// the query's sunk task, and it is done at 11 ms.
+		for _, tc := range []struct {
+			name string
+			lose func(*fleet, *req)
+		}{
+			{"the later of two early tasks fails", func(f *fleet, q *req) {
+				q.Early = q.Early.Without(1)
+				f.queue[1], f.busy[1][0] = nil, 2*ms
+			}},
+			{"an early model is blocked", func(f *fleet, _ *req) { f.blocked = one(1) }},
+		} {
+			r := newRig(nil)
+			q, _ := r.arrive(0, "", 0.5, 0, 500*ms)
+			// Room for a second task on models 0 and 1 keeps the gate open.
+			f := newFleet(t, r.Exec(), 2, 2, 0)
+			f.ahead = true
+			f.busy[2][0] = 100 * ms
+			if left := r.Pass(ms, f); left != 0 || q.Early != pair || q.due[0] != 11*ms || q.due[1] != 21*ms {
+				t.Fatalf("%s: %d left, early %v due %v: want the query waiting with models 0 and 1 due at 11 and 21ms",
+					tc.name, left, q.Early.Models(), q.due[:2])
+			}
+			tc.lose(f, q)
+			spy := &sunkSpy{}
+			r.cfg.Scheduler = spy
+			r.Pass(2*ms, f)
+			if info := spy.seen[0][0]; info.Sunk != one(0) || info.SunkBy != 11*ms {
+				t.Errorf("%s: the scheduler saw sunk %v by %v, want model 0 by 11ms", tc.name, info.Sunk.Models(), info.SunkBy)
+			}
 		}
 	})
 	t.Run("the some-model rule commits first", func(t *testing.T) {

@@ -42,18 +42,26 @@ type gateModel struct {
 	clk     *testClock
 	release chan struct{}
 	quit    chan struct{}
-	// entered counts the tasks that reached Predict, finished or not.
+	// entered counts the attempts that reached Predict, finished or not.
 	entered atomic.Int64
+	// broken makes Predict panic: at once when set on entry, or when the
+	// test lets a held attempt go.
+	broken atomic.Bool
 }
 
 func (g *gateModel) MeanLatency() time.Duration              { return time.Hour }
 func (g *gateModel) SampleLatency(*rng.Source) time.Duration { return 0 }
 func (g *gateModel) Predict(s *dataset.Sample) model.Output {
 	g.entered.Add(1)
-	g.clk.hold(1)
-	select {
-	case <-g.release:
-	case <-g.quit:
+	if !g.broken.Load() {
+		g.clk.hold(1)
+		select {
+		case <-g.release:
+		case <-g.quit:
+		}
+	}
+	if g.broken.Load() {
+		panic("gate model broken")
 	}
 	return g.Model.Predict(s)
 }

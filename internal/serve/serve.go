@@ -209,8 +209,9 @@ type request struct {
 	seq uint64
 	// Query is the decision engine's view. SubmitClass fills it before the
 	// request is shared (the event-channel send orders those writes); from
-	// then on only the coordinator touches it: ID when the request is
-	// buffered, Level and Subset, under mu, when it is committed.
+	// then on only the coordinator writes it: ID when the request is
+	// buffered, Early while it waits, Level and Subset when it is committed —
+	// Subset under mu, since a worker's counts reads it.
 	engine.Query
 	sample *dataset.Sample
 	// arrived and wallDeadline are Query.Arrival and Query.Deadline on the
@@ -218,34 +219,33 @@ type request struct {
 	arrived      time.Time
 	wallDeadline time.Time
 
+	// What the request's tasks produced, booked by the coordinator alone
+	// (onTaskDone) from the events its workers report: outs[k] is model k's
+	// output, ok the mask of models whose task succeeded, failed the count
+	// of committed tasks that failed permanently (retries exhausted, crash,
+	// timeout, panic), remaining the committed tasks still to end.
+	outs      []model.Output
+	ok        ensemble.Subset
+	failed    int
+	remaining int
+
+	// mu guards what a worker or SubmitClass still shares with the
+	// coordinator: the lifecycle state and Subset that a worker's counts
+	// reads, and the trace that claim finalises, which SubmitClass's
+	// raced-shutdown path can reach.
 	mu sync.Mutex
 	//schemble:guardedby mu lifecycle state machine
 	state reqState
-	//schemble:guardedby mu per-model output slots
-	outs []model.Output
-	//schemble:guardedby mu outstanding task count
-	remaining int
-	// ok is the mask of models whose task succeeded; failed counts tasks
-	// that failed permanently (retries exhausted, crash, timeout, panic).
-	//schemble:guardedby mu success mask
-	ok ensemble.Subset
-	// ahead is the models whose early task (dispatched before the commit)
-	// has not finished: the commit waits for those of its subset instead of
-	// dispatching them.
-	//schemble:guardedby mu early tasks still running
-	ahead ensemble.Subset
-	//schemble:guardedby mu permanent-failure count
-	failed int
-	done   chan Result
-
 	// tr is the request's decision trace, nil when observability is off.
-	// Creation-time fields are written before the request is shared,
-	// commit- and resolve-time fields under mu; the mitigation counters are
-	// atomics because workers bump them while the coordinator may resolve.
+	// Creation-time fields are written before the request is shared; the
+	// mitigation counters are atomics because workers bump them while the
+	// coordinator may resolve.
+	//schemble:guardedby mu commit- and resolve-time trace fields
 	tr          *obsv.DecisionTrace
 	obsRetries  atomic.Uint32
 	obsHedges   atomic.Uint32
 	obsTimeouts atomic.Uint32
+	done        chan Result
 }
 
 func (r *request) isResolved() bool {
@@ -256,42 +256,13 @@ func (r *request) isResolved() bool {
 
 // counts reports whether t's output can still count: its request has not
 // resolved and, for an early task, has not committed onto a subset without
-// t's model. A worker skips a task that cannot.
+// t's model. A worker skips a task that cannot; one that can runs and
+// reports its end, which the coordinator books or drops as the request then
+// stands (onTaskDone).
 func (r *request) counts(t *task) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.state != stateResolved && !(t.early && r.state == stateCommitted && !r.Subset.Contains(t.k))
-}
-
-// book records the end of t, which produced out if ok, and reports whether
-// it was the last task its request waited for. An early task that ends
-// before the commit leaves its output for the commit to find, or, failed,
-// its model for the commit to dispatch; one that ends after a commit onto a
-// subset without its model is dropped.
-func (r *request) book(t *task, out model.Output, ok bool) (done bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state == stateResolved {
-		return false
-	}
-	if t.early {
-		r.ahead = r.ahead.Without(t.k)
-		if r.state == stateCommitted && !r.Subset.Contains(t.k) {
-			return false
-		}
-	}
-	if ok {
-		r.outs[t.k] = out
-		r.ok = r.ok.With(t.k)
-	}
-	if t.early && r.state == stateSubmitted {
-		return false
-	}
-	if !ok {
-		r.failed++
-	}
-	r.remaining--
-	return r.remaining == 0
 }
 
 // modelCounters are one model's fault and mitigation counters, written by
@@ -427,17 +398,15 @@ type event struct {
 	kind evKind
 	req  *request
 	k    int
-	// done marks the evTaskDone that completed its request's last task.
-	done bool
 	// ran marks evTaskDone events whose task actually executed (as opposed
-	// to being skipped because the request had already resolved); failed
-	// marks executed tasks that failed permanently, cutoff those among
-	// them that the tolerance layer abandoned at the request deadline.
+	// to being skipped because its output could no longer count); failed
+	// marks an executed task that failed permanently, cutoff one among those
+	// that the tolerance layer abandoned at the request deadline, and out is
+	// the output of one that succeeded.
 	ran    bool
 	failed bool
 	cutoff bool
-	// early marks an early task's event.
-	early bool
+	out    model.Output
 	// free is when the replica ran out of the task's work, on its own
 	// timeline (worker): the instant the coordinator re-anchors on.
 	free time.Time
@@ -1045,33 +1014,27 @@ func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m mode
 	rc := &s.rstats[k][r]
 	rc.busy.Store(1)
 	defer rc.busy.Store(0)
-	var done, ran, failed, cutoff bool
-	free = start
+	e := event{kind: evTaskDone, req: t.req, k: k, free: start}
 	if t.req.counts(t) {
-		ran = true
 		out, vlat, end, freed := s.execute(ctx, w, src, m, inj, k, t.req, start)
 		if end == endDead {
-			return free, false
+			return e.free, false
 		}
-		free = freed
-		ok := end == endOK
-		cutoff = end == endCutoff
+		e.ran, e.out, e.failed, e.cutoff, e.free = true, out, end != endOK, end == endCutoff, freed
 		rc.executed.Add(1)
-		if !ok {
+		if e.failed {
 			rc.failures.Add(1)
-			failed = true
 		} else if s.eng.Adapt != nil {
 			s.eng.Adapt.ObserveLatency(s.Now(), k, vlat)
 		}
-		done = t.req.book(t, out, ok)
 	}
 	s.clk.sent(toCoordinator, 1)
 	select {
-	case s.events <- event{kind: evTaskDone, req: t.req, k: k, done: done, ran: ran, failed: failed, cutoff: cutoff, early: t.early, free: free}:
+	case s.events <- e:
 	case <-ctx.Done():
-		return free, false
+		return e.free, false
 	}
-	return free, true
+	return e.free, true
 }
 
 // taskEnd is how a task's attempt chain ended.
@@ -1427,10 +1390,15 @@ func (c *coordinator) shutdown() {
 	}
 }
 
-// onTaskDone books one finished (or skipped) task and, when it was its
-// request's last, settles the request.
+// onTaskDone books one finished (or skipped) task: the coordinator is the
+// only writer of a request's outputs and counts, so a task that has ended
+// counts as running until its event is handled here. An early task that
+// ended before the commit leaves its output for the commit to find or,
+// failed, its model for the commit to dispatch; one whose request committed
+// onto a subset without its model, or settled, is dropped. The last task a
+// committed request waited for settles it.
 func (c *coordinator) onTaskDone(e event) {
-	s := c.s
+	s, r := c.s, e.req
 	if e.ran {
 		s.breakerRecord(e.k, !e.failed, s.Now())
 	}
@@ -1448,29 +1416,42 @@ func (c *coordinator) onTaskDone(e event) {
 	for i := range c.busyUntil[e.k] {
 		c.busyUntil[e.k][i] = anchor + time.Duration((c.pending[e.k]+i)/R)*s.eng.Exec()[e.k]
 	}
-	if e.early && e.failed {
-		// The model goes back to the commit, and to the room it asks about.
-		e.req.Early = e.req.Early.Without(e.k)
-		if e.req.Early == ensemble.Empty {
-			e.req.EarlyBy = 0
-		}
-	}
-	if !e.done {
+	// A skipped task books nothing, nor does one whose request has settled
+	// or committed onto a subset without its model (an early task's).
+	committed := r.Subset != ensemble.Empty
+	if _, waiting := c.inflight[r]; !e.ran || committed && (!waiting || !r.Subset.Contains(e.k)) {
 		return
 	}
-	delete(c.inflight, e.req)
+	switch {
+	case e.failed && !committed:
+		// The model goes back to the commit, and to the room it asks about.
+		r.Early = r.Early.Without(e.k)
+		return
+	case e.failed:
+		r.failed++
+	default:
+		if r.outs == nil {
+			r.outs = make([]model.Output, len(c.busyUntil))
+		}
+		r.outs[e.k], r.ok = e.out, r.ok.With(e.k)
+	}
+	if !committed {
+		// An early output, for the commit to find.
+		return
+	}
+	if r.remaining--; r.remaining > 0 {
+		return
+	}
+	delete(c.inflight, r)
 	c.syncGauges()
-	c.settle(e.req, e.cutoff)
+	c.settle(r, e.cutoff)
 }
 
 // settle aggregates the outputs of r, whose tasks have all ended, and
 // resolves it; cutoff says a deadline cutoff ended the last one.
 func (c *coordinator) settle(r *request, cutoff bool) {
 	s := c.s
-	r.mu.Lock()
-	outs, okMask, nfailed := r.outs, r.ok, r.failed
-	r.mu.Unlock()
-	if okMask == ensemble.Empty {
+	if r.ok == ensemble.Empty {
 		// Every task failed permanently: nothing to aggregate.
 		s.resolve(r, Result{Subset: r.Subset, Missed: true, Latency: s.latency(r)})
 		return
@@ -1480,10 +1461,10 @@ func (c *coordinator) settle(r *request, cutoff bool) {
 	// deadline itself, so whether it or the coordinator's deadline step
 	// gets there first must not decide the outcome.
 	late := s.clk.now().After(r.wallDeadline) && !cutoff
-	st := s.eng.Settle(&r.Query, outs, okMask, nfailed, late)
+	st := s.eng.Settle(&r.Query, r.outs, r.ok, r.failed, late)
 	res := Result{
 		Output:   st.Output,
-		Subset:   okMask,
+		Subset:   r.ok,
 		Missed:   late,
 		Degraded: st.Degraded,
 		Latency:  s.latency(r),
@@ -1497,27 +1478,22 @@ func (c *coordinator) settle(r *request, cutoff bool) {
 	}
 }
 
-// degrade is partial-ensemble degradation, for a committed request whose
+// degrade is partial-ensemble degradation, for an in-flight request whose
 // deadline arrived with some but not all subset outputs: aggregate what
 // completed — the rest count as failed — and serve it degraded instead of
 // missing. Still-running sibling tasks observe the resolved state and are
-// skipped; exactly-once holds. (Writes to outs land on indices outside
-// okMask, so the aggregation never races them.) Any other request is left to
-// its tasks.
+// skipped, and the events of those already running are dropped; exactly-once
+// holds. A request without an output is left to its tasks.
 func (c *coordinator) degrade(r *request) {
 	s := c.s
-	r.mu.Lock()
-	committed := r.state == stateCommitted
-	outs, okMask := r.outs, r.ok
-	r.mu.Unlock()
-	if !committed || okMask == ensemble.Empty || okMask == r.Subset {
+	if r.ok == ensemble.Empty {
 		return
 	}
-	st := s.eng.Settle(&r.Query, outs, okMask, r.Subset.Size()-okMask.Size(), false)
+	st := s.eng.Settle(&r.Query, r.outs, r.ok, r.Subset.Size()-r.ok.Size(), false)
 	delete(c.inflight, r)
 	s.resolve(r, Result{
 		Output:   st.Output,
-		Subset:   okMask,
+		Subset:   r.ok,
 		Degraded: st.Degraded,
 		Latency:  s.latency(r),
 	})
@@ -1546,8 +1522,9 @@ func (c *coordinator) Room(now time.Duration, sub ensemble.Subset) bool {
 }
 
 // Commit implements engine.Executor: it locks the request onto sub and
-// queues one task per model of sub whose early task neither produced an
-// output nor is still running; when there is none, it settles the request.
+// queues one task per model of sub without an early task — one that, as far
+// as the coordinator has heard, produced an output or is still running;
+// when there is none, it settles the request.
 func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subset, lvl qos.Level) {
 	s, r := c.s, it.(*request)
 	m := len(c.busyUntil)
@@ -1560,22 +1537,15 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 			return
 		}
 	}
+	// The early tasks of sub, done or running, stand in for the commit's
+	// own; an early output from outside sub does not count.
+	kept := r.Early & sub
 	r.mu.Lock()
 	if r.state == stateResolved {
 		r.mu.Unlock()
 		return
 	}
-	r.Subset = sub
-	r.Level = lvl
-	if r.outs == nil {
-		r.outs = make([]model.Output, m)
-	}
-	// An early output from outside sub does not count; the early tasks of
-	// sub, done or running, stand in for the commit's own.
-	r.ok &= sub
-	kept := r.ok | r.ahead&sub
-	r.remaining = (sub &^ r.ok).Size()
-	r.state = stateCommitted
+	r.Subset, r.Level, r.state = sub, lvl, stateCommitted
 	if r.tr != nil {
 		// Decision context: what the runtime looked like when the subset
 		// was locked in.
@@ -1606,12 +1576,13 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 			r.tr.Drift = s.eng.Adapt.ActiveDrift()
 		}
 	}
-	done := r.remaining == 0
 	r.mu.Unlock()
+	r.ok &= sub
+	r.remaining = (sub &^ r.ok).Size()
 	if kept != ensemble.Empty {
 		s.nEarlyUsed.Add(uint64(kept.Size()))
 	}
-	if done {
+	if r.remaining == 0 {
 		c.settle(r, false)
 		return
 	}
@@ -1634,21 +1605,7 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 // or the model's queue is full.
 func (c *coordinator) Early(t time.Duration, it engine.Item, k int) bool {
 	s, r := c.s, it.(*request)
-	r.mu.Lock()
-	if r.state != stateSubmitted {
-		r.mu.Unlock()
-		return false
-	}
-	if r.outs == nil {
-		r.outs = make([]model.Output, len(c.busyUntil))
-	}
-	// Marked before the task is queued: its worker clears the mark.
-	r.ahead = r.ahead.With(k)
-	r.mu.Unlock()
-	if !c.dispatch(&task{req: r, k: k, sent: s.clk.now(), early: true}, t) {
-		r.mu.Lock()
-		r.ahead = r.ahead.Without(k)
-		r.mu.Unlock()
+	if r.isResolved() || !c.dispatch(&task{req: r, k: k, sent: s.clk.now(), early: true}, t) {
 		return false
 	}
 	s.nEarly.Add(1)

@@ -266,6 +266,55 @@ func TestStagedEarlyTask(t *testing.T) {
 	})
 }
 
+// TestStagedEarlyEndHeardAfterCommit: the coordinator alone books a task's
+// end. The query waiting on model 1 has its early task on model 0; a
+// completion on model 1 starts the pass that commits the query, and while
+// that pass is held the early task fails, its every attempt panicking. The
+// commit has not heard of the failure, so it counts model 0's task as still
+// running and dispatches model 1 alone; once the failure's event is handled,
+// the request counts it and, when model 1's output is in, resolves once,
+// degraded to model 1. Model 0 runs the query's task once.
+func TestStagedEarlyEndHeardAfterCommit(t *testing.T) {
+	rig := earlyRig(t)
+	rig.sched.hold()
+	rig.finish(t, 1)
+	rig.sched.awaitHeld(t)
+	rig.models[0].broken.Store(true)
+	rig.finish(t, 0)
+	testutil.Poll(t, rigWait, "the early task failed and reported", func() bool {
+		st := rig.srv.Stats()
+		return st.Models[0].Failures == 1 && st.ReplicaBusy[0][0] == 0
+	})
+	rig.models[0].broken.Store(false)
+	rig.sched.resumeHeld(t)
+	testutil.Poll(t, rigWait, "the query committed", func() bool {
+		st := rig.srv.Stats()
+		return st.Served == 1 && st.Buffered == 0 && st.InFlight == 2
+	})
+	if st := rig.srv.Stats(); st.EarlyUsed != 1 || st.QueueDepth[0] != 0 || st.ReplicaBusy[0][0] != 0 {
+		t.Fatalf("%d early outputs kept, model 0 queue %d busy %d: want the commit to count the early task as running",
+			st.EarlyUsed, st.QueueDepth[0], st.ReplicaBusy[0][0])
+	}
+	rig.finish(t, 1)
+	rig.finish(t, 1)
+	if res := rig.result(t, 2); res.Missed || !res.Degraded || res.Subset != ensemble.Single(1) {
+		t.Fatalf("the query: %+v, want served degraded to model 1", res)
+	}
+	if res := rig.result(t, 1); res.Missed || res.Subset != ensemble.Full(2) {
+		t.Fatalf("the second request: %+v", res)
+	}
+	st := rig.srv.Stats()
+	if st.Resolved != 3 || st.Degraded != 1 || st.Models[0].Executed != 3 || st.Models[1].Executed != 3 {
+		t.Fatalf("resolved %d degraded %d, models ran %d and %d tasks: want 3 resolved, one degraded, 3 tasks each",
+			st.Resolved, st.Degraded, st.Models[0].Executed, st.Models[1].Executed)
+	}
+	select {
+	case res := <-rig.results[2]:
+		t.Fatalf("the query resolved twice: %+v", res)
+	default:
+	}
+}
+
 // partRewarder gives the pair the reward 1 and model 0 alone 1 - loss.
 type partRewarder struct{ loss float64 }
 

@@ -160,8 +160,7 @@ func (g *timelineRig) start(t *testing.T) {
 // queue puts a task on the model's queue as Commit would, sent at sent, for
 // a request due at deadline.
 func (g *timelineRig) queue(sent, deadline time.Time) {
-	r := &request{seq: uint64(len(g.s.taskCh[0]) + 1), wallDeadline: deadline, state: stateCommitted,
-		remaining: 1, outs: make([]model.Output, 1), done: make(chan Result, 1)}
+	r := &request{seq: uint64(len(g.s.taskCh[0]) + 1), wallDeadline: deadline, state: stateCommitted}
 	g.s.taskCh[0] <- &task{req: r, k: 0, sent: sent}
 }
 

@@ -181,17 +181,12 @@ func TestTurnCutoffAndDeadlineDegrade(t *testing.T) {
 			rig.sched.resumeHeld(t)
 			rig.clk.advance(t, 2*time.Hour)
 		} else {
-			// Model 0's task, as a worker that gave up at the deadline books
-			// it, heard of by the coordinator just after the deadline, as on
-			// the wall clock. The coordinator is inside Schedule and the
-			// task's own worker inside Predict: nothing else reads the
-			// request now.
-			first.mu.Lock()
-			first.remaining--
-			first.failed++
+			// Model 0's task, as a worker that gave up at the deadline
+			// reports it, heard of by the coordinator just after the
+			// deadline, as on the wall clock. The coordinator is inside
+			// Schedule and the task's own worker inside Predict: nothing
+			// else reads the request now.
 			first.wallDeadline = first.arrived.Add(-time.Nanosecond)
-			first.mu.Unlock()
-			cutoff.done = true
 			rig.post(cutoff)
 			rig.sched.resumeHeld(t)
 		}

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Alternating parent/change pairs of the planner, cold-start and runtime
+# Alternating parent/change pairs of the planner, cold-start, runtime and HTTP
 # micro-benchmarks, and the gate on them.
 #
 #   scripts/micro_pairs.sh PARENT_REV
@@ -9,7 +9,7 @@
 # The change is the working tree the script is run from, uncommitted edits
 # included; the parent is PARENT_REV, exported into a directory of its own
 # with git archive (the repository's .git is not touched). Each side's test
-# binaries for the four packages below are built once, in its own tree,
+# binaries for the five packages below are built once, in its own tree,
 # and run from the package directory there, as go test runs them, at the
 # default GOMAXPROCS (the same on both sides).
 #
@@ -35,8 +35,8 @@ PARENT_REV=$1
 PAIRS=3
 
 # Each gated package and its micros (Benchmark<name>).
-PACKAGES=(internal/core internal/nn internal/pipeline internal/serve)
-MICROS=("DPResolve DPLiveOverload DPLiveSlack DPLiveDeep GreedyEDF" TrainPredictor Fit "ReplayBurst ReplaySteady")
+PACKAGES=(internal/core internal/nn internal/pipeline internal/serve internal/httpserve)
+MICROS=("DPResolve DPLiveOverload DPLiveSlack DPLiveDeep GreedyEDF" TrainPredictor Fit "ReplayBurst ReplaySteady" Predict)
 
 CHANGE_TREE=$(git rev-parse --show-toplevel)
 OUT=${OUT:-$(mktemp -d)}
