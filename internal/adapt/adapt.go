@@ -51,8 +51,11 @@ const (
 	// costQuantile is the live latency quantile the cost model plans
 	// against. The frozen profiling numbers are means; a high quantile
 	// makes the planner pessimistic exactly when observed latency spreads
-	// or shifts.
-	costQuantile = 0.9
+	// or shifts. It is the highest of 0.90, 0.95 and 0.99 at which the
+	// drift soak (seeds 7, 11, 13) keeps adaptation's accuracy at or above
+	// frozen profiles' (DESIGN.md "Online adaptation": at 0.99 it falls
+	// below at seeds 7 and 13).
+	costQuantile = 0.95
 	// minSamples is the per-model observation count below which Inflation
 	// stays 1: a cold profile must not perturb planning.
 	minSamples = 32

@@ -85,6 +85,36 @@ func TestExecIntoScalesBase(t *testing.T) {
 	}
 }
 
+// TestPlansAgainstP95: of 100 observations, 92 at the profiled mean and 8 at
+// 4x it put the 0.90 quantile (rank 90) in the mean's bucket and the 0.95
+// quantile (rank 95) in the slow one's, so Inflation and ExecInto must read
+// the 0.95 one.
+func TestPlansAgainstP95(t *testing.T) {
+	profiled := []time.Duration{10 * time.Millisecond}
+	base := []time.Duration{11 * time.Millisecond}
+	e := New(Config{Enable: true}, profiled, base)
+	for i := 0; i < 100; i++ {
+		lat := profiled[0]
+		if i%25 >= 23 {
+			lat = 4 * profiled[0]
+		}
+		e.ObserveLatency(time.Duration(i+1)*time.Millisecond, 0, lat)
+	}
+	p90, p95 := e.Quantile(0, 0.90), e.Quantile(0, 0.95)
+	if p95 < 3*p90 {
+		t.Fatalf("p90 %v, p95 %v: the samples should put them in buckets 4x apart", p90, p95)
+	}
+	want := float64(p95) / float64(profiled[0])
+	if got := e.Inflation(0); got != want {
+		t.Fatalf("Inflation = %v, want p95/profiled = %v (p90/profiled = %v)", got, want, float64(p90)/float64(profiled[0]))
+	}
+	exec := make([]time.Duration, 1)
+	e.ExecInto(exec)
+	if w := time.Duration(float64(base[0]) * want); exec[0] != w {
+		t.Fatalf("ExecInto = %v, want base x p95 inflation = %v", exec[0], w)
+	}
+}
+
 // windowStep spaces observations so that each detector window holds ten:
 // a window closes at the observation a full driftWindow after its first.
 const windowStep = driftWindow / 10

@@ -72,8 +72,8 @@ type Config struct {
 	// Estimator predicts discrepancy scores; nil scores every query 0.5.
 	Estimator discrepancy.ScoreEstimator
 	// Replicas[k] is model k's pool size; BaseExec[k] its frozen planning
-	// cost: the mean latency with whatever margin the driver plans by. Batch
-	// amortization is the simulator's alone and stays in its own backlog.
+	// cost, PlanningCost's in both drivers. Batch amortization is the
+	// simulator's alone and stays in its own backlog.
 	Replicas []int
 	BaseExec []time.Duration
 	// Classes, Admission, Cache and Adapt are the drivers' Config fields of
@@ -217,6 +217,22 @@ func BottleneckCapacity(models []model.Model, replicas []int) float64 {
 		capacity = 1
 	}
 	return capacity
+}
+
+// planMargin is the headroom a frozen planning cost adds to a model's mean
+// latency, so latency jitter does not turn feasible-looking plans into
+// deadline misses.
+const planMargin = 0.1
+
+// PlanningCost is the frozen planning cost vector of models, a driver's
+// Config.BaseExec: each model's mean latency with planMargin headroom.
+// With adaptation on, every pass rescales it by the live inflation factor.
+func PlanningCost(models []model.Model) []time.Duration {
+	exec := make([]time.Duration, len(models))
+	for k, md := range models {
+		exec[k] = time.Duration(float64(md.MeanLatency()) * (1 + planMargin))
+	}
+	return exec
 }
 
 // New builds the pipeline's shared components from cfg.

@@ -97,7 +97,7 @@ func (m steppedModel) SampleLatency(src *rng.Source) time.Duration {
 // a window needs to be judged. Four bursts land 40 or more samples per
 // model before the step at 11.5s, past the 32 that engage inflation; three
 // after it give the two out-of-band windows a latency-drift event needs,
-// and enough 2x samples to move the 0.9 quantile.
+// and enough 2x samples to move adapt's costQuantile.
 func TestServeAdaptTracksDriftStep(t *testing.T) {
 	seed := uint64(55)
 	ds := dataset.TextMatching(dataset.Config{N: 1200, Seed: seed})

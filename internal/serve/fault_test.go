@@ -616,11 +616,11 @@ func TestFaultToleranceAgainstFeatures(t *testing.T) {
 	// served, degraded, missed, rejected
 	want := map[string][4]uint64{
 		"classes+cache":                {190, 7, 3, 0},
-		"classes+adapt":                {162, 18, 20, 0},
+		"classes+adapt":                {159, 22, 19, 0},
 		"classes+replicas":             {155, 29, 16, 0},
 		"cache+adapt":                  {190, 7, 3, 0},
 		"cache+replicas":               {190, 10, 0, 0},
-		"adapt+replicas":               {153, 32, 15, 0},
+		"adapt+replicas":               {151, 33, 16, 0},
 		"classes+cache+adapt+replicas": {190, 10, 0, 0},
 	}
 	features := chaosFeatures(t, a)

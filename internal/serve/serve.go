@@ -576,17 +576,9 @@ func New(cfg Config) *Server {
 	for range cfg.Ensemble.Models {
 		s.taskCh = append(s.taskCh, make(chan *task, cfg.QueueDepth))
 	}
-	// Frozen planning cost vector: mean latency with 10% headroom so
-	// latency jitter does not turn feasible-looking plans into deadline
-	// misses. With adaptation on, the engine rescales it by the live
-	// inflation factor each planning pass.
-	baseExec := make([]time.Duration, m)
-	for k, md := range cfg.Ensemble.Models {
-		baseExec[k] = time.Duration(float64(md.MeanLatency()) * 1.1)
-	}
 	s.eng = engine.New(engine.Config{
 		Ensemble: cfg.Ensemble, Scheduler: cfg.Scheduler, Rewarder: cfg.Rewarder,
-		Estimator: cfg.Estimator, Replicas: s.replicas, BaseExec: baseExec,
+		Estimator: cfg.Estimator, Replicas: s.replicas, BaseExec: engine.PlanningCost(cfg.Ensemble.Models),
 		Classes: cfg.Classes, Admission: cfg.Admission, Cache: cfg.Cache, Adapt: cfg.Adapt,
 	})
 	if cfg.Faults.Enabled() {

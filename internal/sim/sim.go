@@ -104,11 +104,6 @@ type Config struct {
 	Seed uint64
 }
 
-// estimateMargin pads the execution-time estimates used for admission and
-// scheduling feasibility (plan with 10% headroom), so latency jitter does
-// not turn feasible-looking plans into misses.
-const estimateMargin = 0.1
-
 // event kinds.
 type evKind int
 
@@ -240,9 +235,7 @@ func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 	}
 	s.byType = make([][]int, m)
 	s.avail = make(core.Capacity, m)
-	baseExec := make([]time.Duration, m)
 	for j := 0; j < m; j++ {
-		baseExec[j] = time.Duration(float64(cfg.Ensemble.Models[j].MeanLatency()) * (1 + estimateMargin))
 		for r := 0; r < replicas[j]; r++ {
 			s.byType[j] = append(s.byType[j], len(s.servers))
 			s.servers = append(s.servers, &server{typeIdx: j})
@@ -251,7 +244,7 @@ func newSim(cfg Config, tr *trace.Trace, samples []*dataset.Sample) *sim {
 	}
 	s.eng = engine.New(engine.Config{
 		Ensemble: cfg.Ensemble, Scheduler: cfg.Scheduler, Rewarder: cfg.Rewarder,
-		Estimator: cfg.Estimator, Replicas: replicas, BaseExec: baseExec,
+		Estimator: cfg.Estimator, Replicas: replicas, BaseExec: engine.PlanningCost(cfg.Ensemble.Models),
 	})
 	s.exec = s.eng.Exec()
 	for i := range tr.Arrivals {

@@ -15,13 +15,15 @@
 #
 # Each of the three pairs runs every micro on both sides, the parent first
 # in pairs 0 and 2 and the change first in pair 1, and prints both sides'
-# ns/op and their ratio. A micro fails when the median of
-# its per-pair change/parent ratios is above 1.25 and every pair's ratio is
-# above 1: a box that slows down between runs moves both sides of a pair,
-# and one noisy pair cannot fail a micro alone. A micro the parent does not
-# have is reported and skipped; one the change does not report fails. Each
-# run's output is kept in OUT/logs/ (OUT defaults to a new temporary
-# directory). Exit status 1 means a micro failed.
+# ns/op and their ratio, and both sides' allocs/op for the micros that
+# report them (a reading, not gated: it moves with b.N and the GC). A
+# micro fails when the median of its per-pair change/parent ns/op ratios
+# is above 1.25 and every pair's ratio is above 1: a box that slows down
+# between runs moves both sides of a pair, and one noisy pair cannot fail a
+# micro alone. A micro the parent does not have is reported and skipped;
+# one the change does not report fails. Each run's output is kept in
+# OUT/logs/ (OUT defaults to a new temporary directory). Exit status 1
+# means a micro failed.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -87,18 +89,20 @@ import re, statistics, sys
 logs, pairs, wall, micros = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4].split()
 LIMIT = 1.25
 line = re.compile(r"^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op")
+allocs = re.compile(r"\s(\d+) allocs/op")
 
 def read(side, pair):
     ns = {}
     for l in open(f"{logs}/{side}-{pair}.txt"):
         m = line.match(l)
         if m:
-            ns[m.group(1)] = float(m.group(2))
+            a = allocs.search(l)
+            ns[m.group(1)] = float(m.group(2)), a.group(1) if a else "-"
     return ns
 
 runs = [(read("parent", i), read("change", i)) for i in range(pairs)]
 print(f"{pairs} pairs in {wall} s, logs in {logs}")
-print(f"{'micro':16} {'pair':>4} {'parent ns/op':>16} {'change ns/op':>16} {'ratio':>7}")
+print(f"{'micro':16} {'pair':>4} {'parent ns/op':>16} {'change ns/op':>16} {'ratio':>7} {'parent allocs/op':>17} {'change allocs/op':>17}")
 failed = False
 for name in micros:
     if any(name not in c for _, c in runs):
@@ -110,8 +114,8 @@ for name in micros:
         continue
     ratios = []
     for i, (p, c) in enumerate(runs):
-        ratios.append(c[name] / p[name])
-        print(f"{name:16} {i:4} {p[name]:16.0f} {c[name]:16.0f} {ratios[-1]:7.3f}")
+        ratios.append(c[name][0] / p[name][0])
+        print(f"{name:16} {i:4} {p[name][0]:16.0f} {c[name][0]:16.0f} {ratios[-1]:7.3f} {p[name][1]:>17} {c[name][1]:>17}")
     med = statistics.median(ratios)
     verdict = "ok"
     if med > LIMIT and min(ratios) > 1:
