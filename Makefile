@@ -59,8 +59,8 @@ test-race:
 # interleavings deep on every push. Then the tests on the frozen test
 # clock — the sim/serve equivalence replays, the turn and the deadline
 # tests, the breaker and fault tests, and the chaos replays that must
-# repeat themselves — run twenty times at one and at two CPUs: each run
-# must make the same decisions. Last, the three soaks of
+# repeat themselves, twice and at four TimeScales — run twenty times at
+# one and at two CPUs: each run must make the same decisions. Last, the three soaks of
 # cmd/schemble-bench replay on that clock twice each, at one and at two
 # CPUs, and must write the same report (TestSoakIsOneRun, ~3 s a pass).
 rig:
@@ -68,7 +68,7 @@ rig:
 		-run 'TestDispatchGate|TestStaged|TestTurn|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
 		./internal/serve/
 	$(GO) test -count=20 -cpu 1,2 \
-		-run 'SimServeEquivalence|Turn|Deadline|Breaker|TestServe(Degraded|Hedge|NoFaults|Panic)|TestFaultFree|TestFaultTolerance|TestChaosReplay' \
+		-run 'SimServeEquivalence|Turn|Deadline|Breaker|TestServe(Degraded|Hedge|NoFaults|Panic)|TestFaultFree|TestFaultTolerance|TestChaosReplay|TestReplayIgnoresTimeScale' \
 		./internal/serve/
 	$(GO) test -count=1 -cpu 1,2 -run 'TestSoakIsOneRun' ./cmd/schemble-bench/
 

@@ -231,9 +231,8 @@ func (e *Engine) Quantile(k int, q float64) time.Duration {
 // ExecInto writes the live planning cost vector into exec: the engine's
 // frozen base cost per model scaled by the current inflation factor.
 // exec must have length len(profiled); extra entries are left untouched.
-// This is the narrow interface the scheduler's cost model consumes
-// (core.ExecSource); it never allocates, keeping the planning hot path
-// at zero allocations per decision. Satisfies core.ExecSource.
+// It never allocates, keeping the planning hot path at zero allocations
+// per decision.
 func (e *Engine) ExecInto(exec []time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -88,28 +88,6 @@ type Scheduler interface {
 	Schedule(now time.Duration, queries []QueryInfo, avail Capacity, exec []time.Duration, r Rewarder) Plan
 }
 
-// ExecSource feeds the scheduler's per-model cost vector. The frozen
-// profiling numbers are the static case (StaticExec); the online
-// adaptation layer (internal/adapt) implements it with live latency
-// histograms. The contract is deliberately narrow so the cost model stays
-// engine-agnostic: ExecInto overwrites exec[k] for every model k it
-// knows about, must not allocate, and must tolerate being called before
-// every planning round — the runtimes refresh their retained exec slice
-// through it so the scheduler hot path itself stays at zero allocations
-// per decision.
-type ExecSource interface {
-	ExecInto(exec []time.Duration)
-}
-
-// StaticExec is the frozen-profile ExecSource: it copies its own values
-// into exec on every call.
-type StaticExec []time.Duration
-
-// ExecInto implements ExecSource.
-func (s StaticExec) ExecInto(exec []time.Duration) {
-	copy(exec, s)
-}
-
 // edfLess is the EDF ordering: deadline, then arrival, then ID. With
 // unique IDs it is a total order, so any comparison sort produces the
 // same permutation from it.

@@ -670,41 +670,21 @@ func TestDPScheduleSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("Greedy.Schedule steady state: %v allocs/op, want 0", n)
 	}
 
-	// The runtimes refresh their retained exec slice through an ExecSource
-	// before every planning round; the refresh + solve round trip must stay
-	// allocation-free too (the adapt engine's ExecInto carries the same
-	// contract and has its own zero-alloc test).
-	var src ExecSource = StaticExec(instA.exec)
+	// The runtimes refresh their retained exec slice in place before every
+	// planning round; the refresh + solve round trip must stay
+	// allocation-free too (the adapt engine's ExecInto has its own
+	// zero-alloc test).
 	exec := make([]time.Duration, len(instA.exec))
 	d3 := &DP{}
 	for i := 0; i < 3; i++ {
-		src.ExecInto(exec)
+		copy(exec, instA.exec)
 		d3.Schedule(instA.now, instA.queries, instA.cap, exec, rA)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		src.ExecInto(exec)
+		copy(exec, instA.exec)
 		d3.Schedule(instA.now, instA.queries, instA.cap, exec, rA)
 	}); n != 0 {
-		t.Errorf("ExecSource refresh + DP.Schedule steady state: %v allocs/op, want 0", n)
-	}
-}
-
-// TestStaticExec pins the frozen-profile ExecSource semantics: a copy
-// into the destination, truncated to the shorter of the two, leaving any
-// extra destination entries untouched.
-func TestStaticExec(t *testing.T) {
-	src := StaticExec{time.Millisecond, 2 * time.Millisecond}
-	exec := []time.Duration{9, 9, 9}
-	src.ExecInto(exec)
-	if exec[0] != time.Millisecond || exec[1] != 2*time.Millisecond {
-		t.Fatalf("ExecInto wrote %v, want the source values", exec[:2])
-	}
-	if exec[2] != 9 {
-		t.Fatalf("ExecInto touched exec[2] = %v, want untouched 9", exec[2])
-	}
-	src.ExecInto(exec[:1])
-	if exec[0] != time.Millisecond {
-		t.Fatal("short destination copy failed")
+		t.Errorf("exec refresh + DP.Schedule steady state: %v allocs/op, want 0", n)
 	}
 }
 

@@ -68,13 +68,12 @@ type FaultConfig struct {
 	// StragglerFactor multiplies a straggling attempt's latency
 	// (default 8).
 	StragglerFactor float64
-	// CrashMTBF is the mean time between model crashes, expressed in the
-	// same time base as the latency passed to Attempt; 0 disables crashes.
-	// Each attempt crashes with probability lat/CrashMTBF.
+	// CrashMTBF is the mean time between model crashes; 0 disables
+	// crashes. Each attempt crashes with probability lat/CrashMTBF.
 	CrashMTBF time.Duration
-	// CrashRecovery is how long a crashed model stays dead, expressed in
-	// the time base of the `now` passed to Attempt (default
-	// DefaultCrashRecovery).
+	// CrashRecovery is how long a crashed model stays dead (default 2s).
+	// Both are in the one time base of the now and the latency passed to
+	// Attempt: virtual time, in the serving runtime.
 	CrashRecovery time.Duration
 	// Seed, with each attempt's key, seeds that attempt's fault draws.
 	Seed uint64
@@ -85,17 +84,13 @@ func (c FaultConfig) Enabled() bool {
 	return c.TransientRate > 0 || c.StragglerRate > 0 || c.CrashMTBF > 0
 }
 
-// DefaultCrashRecovery is the recovery window of a FaultConfig that sets
-// none.
-const DefaultCrashRecovery = 2 * time.Second
-
 // withDefaults fills unset tail/recovery parameters.
 func (c FaultConfig) withDefaults() FaultConfig {
 	if c.StragglerFactor <= 1 {
 		c.StragglerFactor = 8
 	}
 	if c.CrashRecovery <= 0 {
-		c.CrashRecovery = DefaultCrashRecovery
+		c.CrashRecovery = 2 * time.Second
 	}
 	return c
 }
@@ -118,7 +113,7 @@ type Faulty struct {
 
 	// mu guards the crash window (crashedAt, downUntil).
 	mu                   sync.Mutex
-	crashedAt, downUntil time.Time
+	crashedAt, downUntil time.Duration
 }
 
 // NewFaulty wraps m with the given fault configuration.
@@ -128,17 +123,17 @@ func NewFaulty(m Model, cfg FaultConfig) *Faulty {
 
 // Down reports whether an attempt starting at now would meet the model
 // inside a crash-recovery window: false at the crash instant itself.
-func (f *Faulty) Down(now time.Time) bool {
+func (f *Faulty) Down(now time.Duration) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return now.After(f.crashedAt) && now.Before(f.downUntil)
+	return now > f.crashedAt && now < f.downUntil
 }
 
 // Attempt draws the fault outcome for the execution attempt named key,
 // starting at now, whose fault-free latency would be lat. The draws come
 // from a stream of (Seed, key) alone; an attempt that starts inside a crash
 // window fails with FaultCrash without drawing.
-func (f *Faulty) Attempt(now time.Time, lat time.Duration, key uint64) Decision {
+func (f *Faulty) Attempt(now, lat time.Duration, key uint64) Decision {
 	if f.Down(now) {
 		return Decision{Kind: FaultCrash, LatencyFactor: 1}
 	}
@@ -151,7 +146,7 @@ func (f *Faulty) Attempt(now time.Time, lat time.Duration, key uint64) Decision 
 		}
 		if src.Bool(p) {
 			f.mu.Lock()
-			f.crashedAt, f.downUntil = now, now.Add(f.cfg.CrashRecovery)
+			f.crashedAt, f.downUntil = now, now+f.cfg.CrashRecovery
 			f.mu.Unlock()
 			return Decision{Kind: FaultCrash, LatencyFactor: 1}
 		}

@@ -13,7 +13,7 @@ func TestFaultyDisabledNeverFaults(t *testing.T) {
 	if (FaultConfig{}).Enabled() {
 		t.Fatal("zero config reports Enabled")
 	}
-	now := time.Now()
+	now := time.Second
 	for i := 0; i < 1000; i++ {
 		if d := f.Attempt(now, 50*time.Millisecond, uint64(i)); d.Kind != FaultNone || d.LatencyFactor != 1 {
 			t.Fatalf("zero config injected %+v on attempt %d", d, i)
@@ -58,7 +58,7 @@ func chaosConfig(seed uint64) FaultConfig {
 func TestFaultyDeterministic(t *testing.T) {
 	mk := func(seed uint64) *Faulty { return NewFaulty(TextMatchingModels(2)[1], chaosConfig(seed)) }
 	a, b, other := mk(42), mk(42), mk(43)
-	now := time.Now()
+	now := time.Second
 	const n = 500
 	da := make([]Decision, n)
 	for key := range da {
@@ -92,7 +92,7 @@ func TestFaultyDeterministic(t *testing.T) {
 func TestFaultyConcurrentAttempts(t *testing.T) {
 	mk := func() *Faulty { return NewFaulty(TextMatchingModels(2)[1], chaosConfig(42)) }
 	twin, f := mk(), mk()
-	now := time.Now()
+	now := time.Second
 	const workers, per = 4, 100
 	var got [workers * per]Decision
 	var wg sync.WaitGroup
@@ -125,7 +125,7 @@ func TestFaultyConcurrentAttempts(t *testing.T) {
 // stack, so a fault draw costs the heap nothing.
 func TestFaultyAttemptAllocatesNothing(t *testing.T) {
 	f := NewFaulty(TextMatchingModels(2)[1], chaosConfig(42))
-	now := time.Now()
+	now := time.Second
 	key := uint64(0)
 	if n := testing.AllocsPerRun(200, func() {
 		key++
@@ -140,7 +140,7 @@ func TestFaultyAttemptAllocatesNothing(t *testing.T) {
 func crashKey(t *testing.T, cfg FaultConfig, from uint64) uint64 {
 	t.Helper()
 	probe := NewFaulty(TextMatchingModels(4)[0], cfg)
-	now := time.Now()
+	now := time.Second
 	for key := from; key < from+200; key++ {
 		if probe.Attempt(now, 50*time.Millisecond, key).Kind == FaultCrash {
 			return key
@@ -159,10 +159,10 @@ func TestFaultyCrashInstant(t *testing.T) {
 	crash := crashKey(t, cfg, 0)
 	// calm is a key that, on its own, draws no crash.
 	calm := crash + 1
-	for NewFaulty(TextMatchingModels(4)[0], cfg).Attempt(time.Now(), 50*time.Millisecond, calm).Kind == FaultCrash {
+	for NewFaulty(TextMatchingModels(4)[0], cfg).Attempt(time.Second, 50*time.Millisecond, calm).Kind == FaultCrash {
 		calm++
 	}
-	at := time.Now()
+	at := time.Second
 	// decided[order] holds the crash key's decision, then the calm one's.
 	var decided [2][2]Decision
 	for order, keys := range [2][2]uint64{{crash, calm}, {calm, crash}} {
@@ -177,7 +177,7 @@ func TestFaultyCrashInstant(t *testing.T) {
 		if f.Down(at) {
 			t.Errorf("order %d: Down at the crash instant itself", order)
 		}
-		if !f.Down(at.Add(time.Nanosecond)) {
+		if !f.Down(at + time.Nanosecond) {
 			t.Errorf("order %d: not Down just after the crash instant", order)
 		}
 	}
@@ -196,7 +196,7 @@ func TestFaultyCrashRecoveryWindow(t *testing.T) {
 	cfg := FaultConfig{CrashMTBF: time.Millisecond, CrashRecovery: time.Second, Seed: 7}
 	key := crashKey(t, cfg, 0)
 	f := NewFaulty(TextMatchingModels(4)[0], cfg)
-	crashed := time.Now()
+	crashed := time.Second
 	if k := f.Attempt(crashed, 50*time.Millisecond, key).Kind; k != FaultCrash {
 		t.Fatalf("crash key drew %v", k)
 	}
@@ -210,7 +210,7 @@ func TestFaultyCrashRecoveryWindow(t *testing.T) {
 		{time.Second, false},
 		{1001 * time.Millisecond, false},
 	} {
-		now := crashed.Add(c.after)
+		now := crashed + c.after
 		if got := f.Down(now); got != c.down {
 			t.Errorf("Down %v after the crash = %v, want %v", c.after, got, c.down)
 		}
@@ -226,7 +226,7 @@ func TestFaultyCrashRecoveryWindow(t *testing.T) {
 		}
 	}
 	// Past the window, a zero latency draws no crash.
-	if d := f.Attempt(crashed.Add(1001*time.Millisecond), 0, key); d.Kind != FaultNone {
+	if d := f.Attempt(crashed+1001*time.Millisecond, 0, key); d.Kind != FaultNone {
 		t.Errorf("attempt past the window = %v, want none", d.Kind)
 	}
 }

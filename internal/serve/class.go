@@ -101,7 +101,7 @@ func (s *Server) Load() float64 { return s.eng.QoS.Load() }
 // smoothed backlog drains, never less than 1. Monotone in the observed
 // load, so clients back off harder the deeper the overload.
 func (s *Server) RetryAfterSeconds() int {
-	wall := time.Duration(float64(s.eng.QoS.RetryAfter()) * s.scale)
+	wall := s.wallSpan(s.eng.QoS.RetryAfter())
 	secs := int((wall + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1

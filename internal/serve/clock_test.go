@@ -7,12 +7,14 @@ import (
 )
 
 // testClock is the clock in-package tests put a Server on: the virtual
-// clock, frozen, or the wall clock with the virtual clock's counts of what
-// the runtime reports through sent and idle. Both modes know from those
-// counts when the runtime is quiet, and when every worker is parked (allIdle),
-// counting a worker parked inside a model the test holds (hold) as parked.
+// clock, frozen, or the server's wall clock with the virtual clock's counts
+// of what the runtime reports through sent and idle. Both modes know from
+// those counts when the runtime is quiet, and when every worker is parked
+// (allIdle), counting a worker parked inside a model the test holds (hold)
+// as parked.
 type testClock struct {
 	*virtualClock
+	wall   wallClock
 	frozen bool
 	// workers is how many workers the server runs.
 	workers int
@@ -20,29 +22,29 @@ type testClock struct {
 
 // useTestClock puts s, not yet started, on a new test clock.
 func useTestClock(s *Server, frozen bool) *testClock {
-	c := &testClock{virtualClock: newVirtualClock(s), frozen: frozen}
+	c := &testClock{virtualClock: newVirtualClock(s), wall: s.wall, frozen: frozen}
 	c.workers = c.running // every worker starts out running
 	s.clk = c
 	return c
 }
 
-func (c *testClock) now() time.Time {
+func (c *testClock) now() time.Duration {
 	if !c.frozen {
-		return wallClock{}.now()
+		return c.wall.now()
 	}
 	return c.virtualClock.now()
 }
 
 func (c *testClock) newWaiter() *waiter {
 	if !c.frozen {
-		return wallClock{}.newWaiter()
+		return c.wall.newWaiter()
 	}
 	return c.virtualClock.newWaiter()
 }
 
 func (c *testClock) newTimer() timer {
 	if !c.frozen {
-		return wallClock{}.newTimer()
+		return c.wall.newTimer()
 	}
 	return c.virtualClock.newTimer()
 }

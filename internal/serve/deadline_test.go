@@ -17,13 +17,13 @@ import (
 // armedFor fails the test unless, once the runtime is quiet, the
 // coordinator's timer is armed for want after from — or disarmed, for want
 // never.
-func (g *gateRig) armedFor(t *testing.T, from time.Time, want time.Duration, what string) {
+func (g *gateRig) armedFor(t *testing.T, from, want time.Duration, what string) {
 	t.Helper()
 	g.clk.advance(t, 0)
 	got := never
 	for _, w := range g.clk.armed { // the runtime is quiet: no one arms
 		if w.woke == &g.clk.toCoord {
-			got = w.at.Sub(from)
+			got = w.at - from
 		}
 	}
 	if got != want {

@@ -3,6 +3,7 @@ package serve
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -319,14 +320,13 @@ func TestServeBreakerAvoidsFailingModel(t *testing.T) {
 		mu.Unlock()
 	}}
 	s := New(cfg)
-	s.injectFaults(0, alwaysFail) // model 0 alone fails
+	s.faulty[0] = model.NewFaulty(cfg.Ensemble.Models[0], alwaysFail) // model 0 alone fails
 	clk := useTestClock(s, true)
 	s.Start(context.Background())
 	t.Cleanup(s.Stop)
 
 	tr := spaced(100, 30*time.Millisecond, time.Second)
 	const tick = time.Millisecond
-	start := clk.now()
 	var (
 		chans       []<-chan Result
 		opened      []time.Duration // every instant model 0's breaker (re)opened
@@ -335,7 +335,7 @@ func TestServeBreakerAvoidsFailingModel(t *testing.T) {
 		sawOpen     bool
 	)
 	for v := time.Duration(0); v <= tr.Arrivals[len(tr.Arrivals)-1].Deadline; v += tick {
-		clk.advance(t, start.Add(v).Sub(clk.now()))
+		clk.advance(t, v-clk.now())
 		for len(chans) < len(tr.Arrivals) && tr.Arrivals[len(chans)].At == v {
 			arr := tr.Arrivals[len(chans)]
 			chans = append(chans, s.Submit(a.Serve[arr.SampleIdx], arr.Deadline-arr.At))
@@ -509,35 +509,41 @@ func replayChaos(t *testing.T, a *pipeline.Artifacts, tweak func(*Config)) chaos
 }
 
 // replayChaosTwice replays the chaos trace twice through servers built with
-// tweak and fails the test unless the second run repeats the first: the
-// same result per request, the same Stats and the same decision traces.
-// What a task draws does not depend on the worker that runs it, so only
-// what a run reads off the order in which the host runs goroutines woken
-// at one instant may move, and sameRun leaves that out.
+// tweak and fails the test unless the second run repeats the first
+// (sameAs). What a task draws does not depend on the worker that runs it,
+// so only what a run reads off the order in which the host runs goroutines
+// woken at one instant may move, and sameRun leaves that out.
 func replayChaosTwice(t *testing.T, a *pipeline.Artifacts, tweak func(*Config)) Stats {
 	t.Helper()
 	first, second := replayChaos(t, a, tweak), replayChaos(t, a, tweak)
 	first.sameRun()
 	second.sameRun()
-	for i := range first.results {
-		if !reflect.DeepEqual(first.results[i], second.results[i]) {
-			t.Errorf("request %d: %+v, then %+v", i, first.results[i], second.results[i])
-			break
-		}
-	}
-	if !reflect.DeepEqual(first.stats, second.stats) {
-		t.Errorf("Stats differ between two replays:\n%+v\n%+v", first.stats, second.stats)
-	}
-	if len(first.traces) != len(second.traces) {
-		t.Fatalf("%d decision traces, then %d", len(first.traces), len(second.traces))
-	}
-	for i := range first.traces {
-		if !reflect.DeepEqual(first.traces[i], second.traces[i]) {
-			t.Errorf("decision trace %d differs between two replays:\n%+v\n%+v", first.traces[i].ID, first.traces[i], second.traces[i])
-			break
-		}
-	}
+	first.sameAs(t, second, "two replays")
 	return first.stats
+}
+
+// sameAs fails the test unless o, reduced by sameRun as r is, repeats r: the
+// same result per request, the same Stats and the same decision traces.
+func (r *chaosRun) sameAs(t *testing.T, o chaosRun, what string) {
+	t.Helper()
+	for i := range r.results {
+		if !reflect.DeepEqual(r.results[i], o.results[i]) {
+			t.Errorf("%s: request %d: %+v, then %+v", what, i, r.results[i], o.results[i])
+			break
+		}
+	}
+	if !reflect.DeepEqual(r.stats, o.stats) {
+		t.Errorf("%s: Stats differ:\n%+v\n%+v", what, r.stats, o.stats)
+	}
+	if len(r.traces) != len(o.traces) {
+		t.Fatalf("%s: %d decision traces, then %d", what, len(r.traces), len(o.traces))
+	}
+	for i := range r.traces {
+		if !reflect.DeepEqual(r.traces[i], o.traces[i]) {
+			t.Errorf("%s: decision trace %d differs:\n%+v\n%+v", what, r.traces[i].ID, r.traces[i], o.traces[i])
+			break
+		}
+	}
 }
 
 // sameRun reduces r to what two replays on the frozen clock must agree on
@@ -601,6 +607,23 @@ func TestChaosReplayIsOneRun(t *testing.T) {
 	rows := append([]chaosFeature{{"bare", func(*Config) {}}}, chaosFeatures(t, a)...)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) { replayChaosTwice(t, a, row.tweak) })
+	}
+}
+
+// TestReplayIgnoresTimeScale: on the virtual clock nothing is scaled, so
+// the chaos trace's bare row replayed at TimeScale 1, 0.05, 0.7 and 3 is one
+// run: the same results, Stats and decision traces at every scale.
+func TestReplayIgnoresTimeScale(t *testing.T) {
+	a := artifacts(t)
+	var first chaosRun
+	for i, scale := range []float64{1, 0.05, 0.7, 3} {
+		run := replayChaos(t, a, func(c *Config) { c.TimeScale = scale })
+		run.sameRun()
+		if i == 0 {
+			first = run
+			continue
+		}
+		first.sameAs(t, run, fmt.Sprintf("TimeScale 1 against %v", scale))
 	}
 }
 

@@ -34,7 +34,8 @@
 // long pass let pile up cost one pass, not one each.
 //
 // A replica runs one task at a time. Model execution is simulated by
-// sleeping for the model's (scaled) latency, so examples can replay a
+// waiting out the model's latency on the server's clock, which
+// Config.TimeScale compresses on the wall clock, so examples can replay a
 // trace in compressed wall-clock time while exercising the same
 // scheduling logic the paper deploys. With every replica count at 1, the
 // runtime is bit-identical to the original single-worker design.
@@ -49,7 +50,8 @@
 // saturated, draining, or stopped. The coordinator owns every deadline: each
 // turn, before it plans, resolves the buffered requests whose deadline has
 // passed, and one timer wakes it for the earliest deadline still to come.
-// Every instant the runtime reads or waits for comes from its one clock.
+// Every instant the runtime reads or waits for is virtual time on its one
+// clock.
 // Backpressure is bounded and visible:
 // Submit rejects instead of blocking when the event loop is full, and
 // dispatch rejects instead of leaking when a model's task queue is full.
@@ -99,8 +101,10 @@ type Config struct {
 	Rewarder  core.Rewarder
 	// Estimator predicts discrepancy scores; nil scores everything 0.5.
 	Estimator discrepancy.ScoreEstimator
-	// TimeScale compresses simulated model latencies: 0.1 runs 10x faster
-	// than real time. Defaults to 1.
+	// TimeScale is the wall time one unit of virtual time takes on the wall
+	// clock: 0.1 runs model latencies, deadlines and every other span 10x
+	// faster than real time. Defaults to 1. Replay ignores it: on its
+	// virtual clock nothing is scaled.
 	TimeScale float64
 	// QueueDepth bounds each model's task channel (default 1024). When a
 	// model's queue is full at dispatch time the request is rejected; when
@@ -214,10 +218,6 @@ type request struct {
 	// Subset under mu, since a worker's counts reads it.
 	engine.Query
 	sample *dataset.Sample
-	// arrived and wallDeadline are Query.Arrival and Query.Deadline on the
-	// server's clock.
-	arrived      time.Time
-	wallDeadline time.Time
 
 	// What the request's tasks produced, booked by the coordinator alone
 	// (onTaskDone) from the events its workers report: outs[k] is model k's
@@ -308,9 +308,10 @@ type replicaCounters struct {
 
 // Server is a running ensemble-serving instance.
 type Server struct {
-	cfg    Config
+	cfg Config
+	// clk is the server's clock: &wall unless Replay or a test swapped it.
 	clk    clock
-	scale  float64
+	wall   wallClock
 	taskCh []chan *task
 	events chan event
 	wg     sync.WaitGroup
@@ -339,8 +340,6 @@ type Server struct {
 	cancel context.CancelFunc
 	//schemble:guardedby lifeMu drain latch
 	draining bool
-	//schemble:guardedby lifeMu serving epoch start
-	start time.Time
 
 	// obs collects decision traces and latency histograms; nil (all hooks
 	// skipped) unless Config.Obs enables it.
@@ -381,7 +380,7 @@ type task struct {
 	k   int
 	// sent is when the coordinator queued the task: a replica free before
 	// then starts it no earlier (worker).
-	sent time.Time
+	sent time.Duration
 	// early marks a task dispatched ahead of its request's commit.
 	early bool
 }
@@ -409,7 +408,7 @@ type event struct {
 	out    model.Output
 	// free is when the replica ran out of the task's work, on its own
 	// timeline (worker): the instant the coordinator re-anchors on.
-	free time.Time
+	free time.Duration
 }
 
 // ModelHealth is one model's fault-tolerance snapshot inside Stats.
@@ -545,8 +544,7 @@ func New(cfg Config) *Server {
 	m := len(cfg.Ensemble.Models)
 	s := &Server{
 		cfg:      cfg,
-		clk:      wallClock{},
-		scale:    cfg.TimeScale,
+		wall:     newWallClock(cfg.TimeScale),
 		events:   make(chan event, 4*cfg.QueueDepth),
 		obs:      obsv.NewObserver(cfg.Obs),
 		faulty:   make([]*model.Faulty, m),
@@ -558,6 +556,7 @@ func New(cfg Config) *Server {
 		turnEvents: obsv.NewHistogram(time.Second, 2, 12),
 		passTime:   obsv.NewHistogram(5*time.Microsecond, 1.6, 24),
 	}
+	s.clk = &s.wall
 	for k := range s.mstats {
 		s.mstats[k].overshoot = obsv.NewHistogram(5*time.Microsecond, 1.5, 21)
 		s.mstats[k].starved = obsv.NewHistogram(10*time.Microsecond, 1.6, 24)
@@ -582,24 +581,12 @@ func New(cfg Config) *Server {
 		Classes: cfg.Classes, Admission: cfg.Admission, Cache: cfg.Cache, Adapt: cfg.Adapt,
 	})
 	if cfg.Faults.Enabled() {
-		for k := range cfg.Ensemble.Models {
-			s.injectFaults(k, cfg.Faults)
+		// The attempt keys carry the model, so the models share one seed.
+		for k, m := range cfg.Ensemble.Models {
+			s.faulty[k] = model.NewFaulty(m, cfg.Faults)
 		}
 	}
 	return s
-}
-
-// injectFaults installs model k's fault injector (the attempt keys carry k,
-// so models share fc's seed); the server must not be started yet.
-func (s *Server) injectFaults(k int, fc model.FaultConfig) {
-	// Faulty.Attempt gets the clock's nows but virtual latencies, so
-	// CrashMTBF stays virtual while the recovery window is scaled to wall
-	// time here.
-	if fc.CrashRecovery <= 0 {
-		fc.CrashRecovery = model.DefaultCrashRecovery
-	}
-	fc.CrashRecovery = time.Duration(float64(fc.CrashRecovery) * s.scale)
-	s.faulty[k] = model.NewFaulty(s.cfg.Ensemble.Models[k], fc)
 }
 
 // Start launches the workers and the coordinator. It returns immediately;
@@ -612,8 +599,6 @@ func (s *Server) Start(ctx context.Context) {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	s.ctx, s.cancel = ctx, cancel
-	// Virtual time is anchored to the clock once, here.
-	s.start = s.clk.now()
 	s.lifeMu.Unlock()
 	for k := range s.taskCh {
 		for r := 0; r < s.replicas[k]; r++ {
@@ -733,7 +718,7 @@ func (s *Server) Stats() Stats {
 		}
 		st.ReplicaBusy[k] = busy
 	}
-	wallNow := s.clk.now()
+	now := s.clk.now()
 	s.breakerMu.Lock()
 	for k := range st.Models {
 		c := &s.mstats[k]
@@ -765,7 +750,7 @@ func (s *Server) Stats() Stats {
 			mh.Failures += mh.ReplicaFailures[r]
 		}
 		if f := s.faulty[k]; f != nil {
-			mh.Down = f.Down(wallNow)
+			mh.Down = f.Down(now)
 		}
 		st.Models[k] = mh
 	}
@@ -826,21 +811,14 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		panic("serve: Submit before Start")
 	}
 	ci, deadline := s.eng.Classify(class, deadline)
-	now := s.clk.now()
-	wallDeadline := now.Add(time.Duration(float64(deadline) * s.scale))
-	// Query.Arrival is the one virtual instant the engine's arrival path —
+	// Query.Arrival is the one instant the engine's arrival path —
 	// adaptation, the cache, admission — sees for this request.
+	now := s.clk.now()
 	req := &request{
-		seq: s.nSubmitted.Add(1),
-		Query: engine.Query{
-			Class:    ci,
-			Arrival:  s.virtual(now),
-			Deadline: s.virtual(wallDeadline),
-		},
-		sample:       sample,
-		arrived:      now,
-		wallDeadline: wallDeadline,
-		done:         make(chan Result, 1),
+		seq:    s.nSubmitted.Add(1),
+		Query:  engine.Query{Class: ci, Arrival: now, Deadline: now + deadline},
+		sample: sample,
+		done:   make(chan Result, 1),
 	}
 	if s.obs != nil {
 		req.tr = &obsv.DecisionTrace{
@@ -848,7 +826,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 			SampleID: sample.ID,
 			CameraID: sample.CameraID,
 			Queued:   req.Arrival,
-			Deadline: req.Arrival + deadline,
+			Deadline: req.Deadline,
 		}
 		if ci >= 0 {
 			req.tr.Class = s.eng.QoS.Class(ci).Name
@@ -905,20 +883,18 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 	return req.done
 }
 
-// virtual converts a wall instant to virtual time: the distance from the
-// Start anchor, descaled.
-func (s *Server) virtual(at time.Time) time.Duration {
-	//schemble:guardedby-ok start is written once in Start, before the workers and the coordinator launch and before a Submit is legal; reads are ordered by goroutine creation
-	return time.Duration(float64(at.Sub(s.start)) / s.scale)
-}
+// Now is the server's current virtual time: on the wall clock, the wall
+// time since New over Config.TimeScale; under Replay, the time since the
+// replay began. A model can read it to vary what it draws over a run.
+func (s *Server) Now() time.Duration { return s.clk.now() }
 
-// Now is the server's current virtual time: how long it has served since
-// Start, descaled. A model can read it to vary what it draws over a run.
-func (s *Server) Now() time.Duration { return s.virtual(s.clk.now()) }
+// latency is how long ago r arrived.
+func (s *Server) latency(r *request) time.Duration { return s.clk.now() - r.Arrival }
 
-// latency is how long ago r arrived, in virtual time.
-func (s *Server) latency(r *request) time.Duration {
-	return time.Duration(float64(s.clk.now().Sub(r.arrived)) / s.scale)
+// wallSpan is virtual span d in wall time, for the instruments that report
+// wall time.
+func (s *Server) wallSpan(d time.Duration) time.Duration {
+	return time.Duration(float64(d) * s.cfg.TimeScale)
 }
 
 // worker is replica r of model k: it pulls tasks off the model's shared
@@ -937,7 +913,7 @@ func (s *Server) worker(ctx context.Context, k, r int) {
 	src := new(rng.Source)
 	// free is when the replica ran out of work: the target of its last
 	// wait, or the host instant its last attempt ended without one.
-	var free time.Time
+	var free time.Duration
 	for {
 		t, staged, alive := s.nextTask(ctx, k)
 		if !alive {
@@ -949,10 +925,7 @@ func (s *Server) worker(ctx context.Context, k, r int) {
 		// replica starts when the replica takes it.
 		start := s.clk.now()
 		if staged {
-			start = free
-			if t.sent.After(start) {
-				start = t.sent
-			}
+			start = max(free, t.sent)
 		}
 		if free, alive = s.runTask(ctx, w, src, m, inj, k, r, t, start); !alive {
 			return
@@ -976,7 +949,7 @@ func (s *Server) nextTask(ctx context.Context, k int) (t *task, staged, alive bo
 		return t, true, true
 	default:
 	}
-	var idle time.Time
+	var idle time.Duration
 	starved := s.nBuffered.Load() > 0
 	if starved {
 		idle = s.clk.now()
@@ -989,7 +962,7 @@ func (s *Server) nextTask(ctx context.Context, k int) (t *task, staged, alive bo
 		s.clk.idle(k, -1)
 		s.clk.sent(k, -1)
 		if starved {
-			s.mstats[k].starved.Observe(s.clk.now().Sub(idle))
+			s.mstats[k].starved.Observe(s.wallSpan(s.clk.now() - idle))
 		}
 		return t, false, true
 	}
@@ -1002,7 +975,7 @@ func (s *Server) nextTask(ctx context.Context, k int) (t *task, staged, alive bo
 // task is in its model's queue or on a busy replica until the coordinator
 // hears of it. alive is false when the runtime context was cancelled and
 // the worker must exit.
-func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k, r int, t *task, start time.Time) (free time.Time, alive bool) {
+func (s *Server) runTask(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k, r int, t *task, start time.Duration) (free time.Duration, alive bool) {
 	rc := &s.rstats[k][r]
 	rc.busy.Store(1)
 	defer rc.busy.Store(0)
@@ -1047,7 +1020,7 @@ func attemptKey(seq uint64, k, a int) uint64 {
 }
 
 // execute runs one task's attempt chain for model k: draw the injected
-// fault, sleep the (scaled, possibly straggling) latency, hedged when slow
+// fault, wait out the (possibly straggling) latency, hedged when slow
 // and cut off at the deadline, run Predict panic-safely, and retry failed
 // attempts with jittered exponential backoff while the budget lasts. Each
 // attempt reseeds src from its key and draws from it in one order: the
@@ -1057,7 +1030,7 @@ func attemptKey(seq uint64, k, a int) uint64 {
 // winning attempt's virtual service time — the sample the adaptation
 // layer's latency histograms ingest. free is the target of the last
 // attempt's wait, or the host instant if it ended without one.
-func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k int, r *request, start time.Time) (out model.Output, vlat time.Duration, end taskEnd, free time.Time) {
+func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m model.Model, inj *model.Faulty, k int, r *request, start time.Duration) (out model.Output, vlat time.Duration, end taskEnd, free time.Duration) {
 	c := &s.mstats[k]
 	for attempt := 0; ; attempt++ {
 		key := attemptKey(r.seq, k, attempt)
@@ -1087,14 +1060,13 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 			// An attempt already out of budget arms nothing and counts no
 			// timeout: the coordinator's deadline step resolves its request
 			// at that instant, whichever of the two runs first.
-			cutoff := r.wallDeadline.Sub(now)
+			cutoff := r.Deadline - now
 			if cutoff <= 0 {
 				return out, 0, endCutoff, s.clk.now()
 			}
 			drawn := float64(lat) * dec.LatencyFactor
-			d := time.Duration(drawn * s.scale)
-			// The winning attempt's virtual service time: the primary's
-			// (possibly straggling) draw unless the hedge wins below.
+			// The winning attempt's service time: the primary's (possibly
+			// straggling) draw unless the hedge wins below.
 			vlat = time.Duration(drawn)
 			hedge := never
 			var hlat time.Duration
@@ -1111,7 +1083,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 				// the slow one and the first to finish wins. Outputs are
 				// deterministic, so the winner only decides latency.
 				hlat = m.SampleLatency(src)
-				if hd := time.Duration((hedgeFactor*mean + float64(hlat)) * s.scale); hd < d {
+				if hd := time.Duration(hedgeFactor*mean + float64(hlat)); hd < vlat {
 					hedge = hd
 					c.hedges.Add(1)
 					if s.obs != nil {
@@ -1119,7 +1091,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 					}
 				}
 			}
-			wake, kind := earliestWake(d, hedge, cutoff)
+			wake, kind := earliestWake(vlat, hedge, cutoff)
 			if kind == wakeCutoff {
 				// Counted before the wait, so the deadline step, which
 				// resolves the request at the wait's own target, reads it
@@ -1129,7 +1101,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 					r.obsTimeouts.Add(1)
 				}
 			}
-			target := now.Add(wake)
+			target := now + wake
 			over, alive := w.until(ctx, target)
 			if !alive {
 				return out, 0, endDead, free
@@ -1152,7 +1124,7 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 			// Predict panicked: contained by safePredict; the attempt
 			// failed like a transient fault.
 		}
-		retry, alive := s.backoffUntil(ctx, w, src, r.wallDeadline, attempt)
+		retry, alive := s.backoffUntil(ctx, w, src, r.Deadline, attempt)
 		if !alive {
 			return out, 0, endDead, free
 		}
@@ -1170,13 +1142,13 @@ func (s *Server) execute(ctx context.Context, w *waiter, src *rng.Source, m mode
 // jittered exponential backoff first; the jitter is the attempt's last draw
 // from src. deadline is the request's. alive is false when the runtime
 // context was cancelled during the sleep.
-func (s *Server) backoffUntil(ctx context.Context, w *waiter, src *rng.Source, deadline time.Time, attempt int) (retry, alive bool) {
+func (s *Server) backoffUntil(ctx context.Context, w *waiter, src *rng.Source, deadline time.Duration, attempt int) (retry, alive bool) {
 	if attempt >= maxRetries {
 		return false, true
 	}
 	jit := time.Duration(src.Float64() * float64(retryBackoff))
-	wake := s.clk.now().Add(time.Duration(float64(retryBackoff<<uint(attempt)+jit) * s.scale))
-	if wake.After(deadline) {
+	wake := s.clk.now() + retryBackoff<<uint(attempt) + jit
+	if wake > deadline {
 		// No budget left to retry inside the deadline.
 		return false, true
 	}
@@ -1275,8 +1247,8 @@ func (c *coordinator) turn(e *event) {
 	}
 	if !c.draining {
 		began := s.clk.now()
-		s.eng.Pass(s.virtual(began), c)
-		s.passTime.Observe(s.clk.now().Sub(began))
+		s.eng.Pass(began, c)
+		s.passTime.Observe(s.wallSpan(s.clk.now() - began))
 		s.nPartCommits.Store(s.eng.PartCommits())
 		c.syncGauges()
 		for k, w := range s.eng.Work() {
@@ -1284,8 +1256,8 @@ func (c *coordinator) turn(e *event) {
 		}
 	}
 	d := never
-	if !next.IsZero() {
-		d = next.Sub(now)
+	if next != never {
+		d = next - now
 	}
 	c.wake.set(d)
 }
@@ -1293,18 +1265,17 @@ func (c *coordinator) turn(e *event) {
 // expire resolves what the deadlines have caught up with at now, before the
 // turn's pass — a buffered request misses, and an in-flight one serves the
 // outputs it holds — and returns the earliest deadline still to come among
-// them (zero when there is none). The same walk drops the buffered requests
-// that resolved otherwise (a Submit raced shutdown), so the engine neither
-// counts nor plans them.
-func (c *coordinator) expire(now time.Time) (next time.Time) {
+// them (never when there is none). The same walk drops the buffered
+// requests that resolved otherwise (a Submit raced shutdown), so the engine
+// neither counts nor plans them.
+func (c *coordinator) expire(now time.Duration) (next time.Duration) {
 	s := c.s
+	next = never
 	ahead := func(r *request) bool {
-		if !now.Before(r.wallDeadline) {
+		if now >= r.Deadline {
 			return false
 		}
-		if next.IsZero() || r.wallDeadline.Before(next) {
-			next = r.wallDeadline
-		}
+		next = min(next, r.Deadline)
 		return true
 	}
 	s.eng.Filter(func(it engine.Item) bool {
@@ -1404,9 +1375,8 @@ func (c *coordinator) onTaskDone(e event) {
 	// pending, preserving total capacity; with one replica this is the
 	// scalar free + pending*exec).
 	R := len(c.busyUntil[e.k])
-	anchor := s.virtual(e.free)
 	for i := range c.busyUntil[e.k] {
-		c.busyUntil[e.k][i] = anchor + time.Duration((c.pending[e.k]+i)/R)*s.eng.Exec()[e.k]
+		c.busyUntil[e.k][i] = e.free + time.Duration((c.pending[e.k]+i)/R)*s.eng.Exec()[e.k]
 	}
 	// A skipped task books nothing, nor does one whose request has settled
 	// or committed onto a subset without its model (an early task's).
@@ -1452,7 +1422,7 @@ func (c *coordinator) settle(r *request, cutoff bool) {
 	// degrades: what finished, finished in time. The cutoff wakes at the
 	// deadline itself, so whether it or the coordinator's deadline step
 	// gets there first must not decide the outcome.
-	late := s.clk.now().After(r.wallDeadline) && !cutoff
+	late := s.clk.now() > r.Deadline && !cutoff
 	st := s.eng.Settle(&r.Query, r.outs, r.ok, r.failed, late)
 	res := Result{
 		Output:   st.Output,

@@ -8,6 +8,7 @@ import (
 
 	"schemble/internal/core"
 	"schemble/internal/dataset"
+	"schemble/internal/engine"
 	"schemble/internal/ensemble"
 	"schemble/internal/model"
 	"schemble/internal/rng"
@@ -20,19 +21,19 @@ import (
 // choice and not the host's.
 type lateClock struct {
 	mu   sync.Mutex
-	at   time.Time
+	at   time.Duration
 	late time.Duration
 	// targets lists the instant each wait asked to reach, in order.
-	targets []time.Time
+	targets []time.Duration
 	// parked receives each time the worker parks on its empty queue.
 	parked chan struct{}
 }
 
 func newLateClock(late time.Duration) *lateClock {
-	return &lateClock{at: time.Unix(1_000_000_000, 0), late: late, parked: make(chan struct{}, 8)}
+	return &lateClock{late: late, parked: make(chan struct{}, 8)}
 }
 
-func (c *lateClock) now() time.Time {
+func (c *lateClock) now() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.at
@@ -40,28 +41,28 @@ func (c *lateClock) now() time.Time {
 
 // step moves the clock d on; the test calls it only while the worker is
 // parked or not yet started.
-func (c *lateClock) step(d time.Duration) time.Time {
+func (c *lateClock) step(d time.Duration) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.at = c.at.Add(d)
+	c.at += d
 	return c.at
 }
 
 func (c *lateClock) newWaiter() *waiter {
-	w := wallClock{}.newWaiter()
-	w.left = func(target time.Time) time.Duration { return target.Sub(c.now()) }
+	w := newWallClock(1).newWaiter()
+	w.left = func(target time.Duration) time.Duration { return target - c.now() }
 	w.coarse = func(_ context.Context, d time.Duration) bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.targets = append(c.targets, c.at.Add(d))
-		c.at = c.at.Add(d + c.late)
+		c.targets = append(c.targets, c.at+d)
+		c.at += d + c.late
 		return true
 	}
 	w.tail = nil
 	return w
 }
 
-func (c *lateClock) newTimer() timer { return wallClock{}.newTimer() }
+func (c *lateClock) newTimer() timer { return newWallClock(1).newTimer() }
 func (c *lateClock) sent(int, int)   {}
 
 func (c *lateClock) idle(_, n int) {
@@ -71,7 +72,7 @@ func (c *lateClock) idle(_, n int) {
 }
 
 // target is the target of wait i, or of the latest wait when i is -1.
-func (c *lateClock) target(t *testing.T, i int) time.Time {
+func (c *lateClock) target(t *testing.T, i int) time.Duration {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -99,7 +100,7 @@ type fixedModel struct {
 	clk      *lateClock
 	panics   bool
 	mu       sync.Mutex
-	returned []time.Time
+	returned []time.Duration
 }
 
 func (m *fixedModel) SampleLatency(*rng.Source) time.Duration { return m.lat }
@@ -159,8 +160,8 @@ func (g *timelineRig) start(t *testing.T) {
 
 // queue puts a task on the model's queue as Commit would, sent at sent, for
 // a request due at deadline.
-func (g *timelineRig) queue(sent, deadline time.Time) {
-	r := &request{seq: uint64(len(g.s.taskCh[0]) + 1), wallDeadline: deadline, state: stateCommitted}
+func (g *timelineRig) queue(sent, deadline time.Duration) {
+	r := &request{seq: uint64(len(g.s.taskCh[0]) + 1), Query: engine.Query{Deadline: deadline}, state: stateCommitted}
 	g.s.taskCh[0] <- &task{req: r, k: 0, sent: sent}
 }
 
@@ -194,19 +195,19 @@ func (g *timelineRig) awaitParked(t *testing.T) {
 func TestStagedTaskStartsWhenReplicaFrees(t *testing.T) {
 	g := newTimelineRig(t, func(*Config, *fixedModel) {})
 	t0 := g.clk.now()
-	far := t0.Add(time.Hour)
+	far := t0 + time.Hour
 	g.queue(t0, far)
 	g.queue(t0, far)
 	g.start(t)
 
 	first := g.done(t)
-	if want := t0.Add(timelineDraw); !first.free.Equal(want) || !g.clk.target(t, 0).Equal(want) {
-		t.Fatalf("first task: target %v, free %v, want both %v", g.clk.target(t, 0).Sub(t0), first.free.Sub(t0), want.Sub(t0))
+	if want := t0 + timelineDraw; first.free != want || g.clk.target(t, 0) != want {
+		t.Fatalf("first task: target %v, free %v, want both %v", g.clk.target(t, 0)-t0, first.free-t0, want-t0)
 	}
 	second := g.done(t)
-	if want := first.free.Add(timelineDraw); !second.free.Equal(want) || !g.clk.target(t, -1).Equal(want) {
+	if want := first.free + timelineDraw; second.free != want || g.clk.target(t, -1) != want {
 		t.Errorf("staged task: target %v, free %v, want both the previous target plus the draw, %v",
-			g.clk.target(t, -1).Sub(t0), second.free.Sub(t0), want.Sub(t0))
+			g.clk.target(t, -1)-t0, second.free-t0, want-t0)
 	}
 
 	// The queue is empty: the replica parks, the host moves on, and the
@@ -214,20 +215,20 @@ func TestStagedTaskStartsWhenReplicaFrees(t *testing.T) {
 	// which must not move its start: an idle replica starts at pickup.
 	g.awaitParked(t)
 	pickup := g.clk.step(50 * time.Millisecond)
-	g.queue(pickup.Add(-5*time.Millisecond), far)
+	g.queue(pickup-5*time.Millisecond, far)
 	third := g.done(t)
-	if want := pickup.Add(timelineDraw); !third.free.Equal(want) || !g.clk.target(t, -1).Equal(want) {
+	if want := pickup + timelineDraw; third.free != want || g.clk.target(t, -1) != want {
 		t.Errorf("idle-path task: target %v, free %v, want both pickup plus the draw, %v",
-			g.clk.target(t, -1).Sub(t0), third.free.Sub(t0), want.Sub(t0))
+			g.clk.target(t, -1)-t0, third.free-t0, want-t0)
 	}
 
 	g.m.mu.Lock()
 	defer g.m.mu.Unlock()
 	for i, at := range g.m.returned {
-		if target := g.clk.target(t, i); at.Before(target) {
-			t.Errorf("wait %d returned %v before its target", i, target.Sub(at))
-		} else if at.Sub(target) != timelineLate {
-			t.Errorf("wait %d returned %v past its target, want the host's %v", i, at.Sub(target), timelineLate)
+		if target := g.clk.target(t, i); at < target {
+			t.Errorf("wait %d returned %v before its target", i, target-at)
+		} else if at-target != timelineLate {
+			t.Errorf("wait %d returned %v past its target, want the host's %v", i, at-target, timelineLate)
 		}
 	}
 	if len(g.m.returned) != 3 {
@@ -271,10 +272,10 @@ func TestFailedTaskFreesReplicaAtHostInstant(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			g := newTimelineRig(t, c.tweak)
 			sent := g.clk.now()
-			g.queue(sent, sent.Add(c.due))
+			g.queue(sent, sent+c.due)
 			if c.next {
 				// Due one late attempt after the first: no retry either.
-				g.queue(sent, sent.Add(c.due+timelineLate+timelineDraw))
+				g.queue(sent, sent+c.due+timelineLate+timelineDraw)
 			}
 			host := g.clk.step(timelineLate)
 			g.start(t)
@@ -292,7 +293,7 @@ func TestFailedTaskFreesReplicaAtHostInstant(t *testing.T) {
 			}
 			waits := 0
 			if c.waited {
-				host = g.clk.target(t, 0).Add(timelineLate)
+				host = g.clk.target(t, 0) + timelineLate
 				waits++
 			}
 			if c.next {
@@ -301,13 +302,13 @@ func TestFailedTaskFreesReplicaAtHostInstant(t *testing.T) {
 			if n := g.clk.waits(); n != waits {
 				t.Errorf("%d waits made, want %d", n, waits)
 			}
-			if !e.free.Equal(host) {
-				t.Errorf("replica free at %v, want the host instant %v", e.free.Sub(sent), host.Sub(sent))
+			if e.free != host {
+				t.Errorf("replica free at %v, want the host instant %v", e.free-sent, host-sent)
 			}
 			if c.next {
-				if want := host.Add(timelineDraw); !g.clk.target(t, -1).Equal(want) {
+				if want := host + timelineDraw; g.clk.target(t, -1) != want {
 					t.Errorf("the staged task's target is %v, want the host instant plus the draw, %v",
-						g.clk.target(t, -1).Sub(sent), want.Sub(sent))
+						g.clk.target(t, -1)-sent, want-sent)
 				}
 			}
 		})

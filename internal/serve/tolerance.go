@@ -26,8 +26,8 @@ import (
 //     arrives with some (not all) subset outputs resolves with them,
 //     flagged Result.Degraded, instead of missing.
 //
-// Its parameters are these constants. Durations are virtual (unscaled)
-// time, like model latencies; the runtime applies Config.TimeScale itself.
+// Its parameters are these constants. Durations are virtual time, like
+// model latencies; only the wall clock scales them (Config.TimeScale).
 const (
 	maxRetries       = 2
 	retryBackoff     = 4 * time.Millisecond

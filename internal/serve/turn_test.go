@@ -186,7 +186,7 @@ func TestTurnCutoffAndDeadlineDegrade(t *testing.T) {
 			// deadline, as on the wall clock. The coordinator is inside
 			// Schedule and the task's own worker inside Predict: nothing
 			// else reads the request now.
-			first.wallDeadline = first.arrived.Add(-time.Nanosecond)
+			first.Deadline = first.Arrival - time.Nanosecond
 			rig.post(cutoff)
 			rig.sched.resumeHeld(t)
 		}
@@ -226,7 +226,7 @@ func TestTurnDeadlinesLeaveBeforeThePass(t *testing.T) {
 	// The held coordinator takes nothing: the test may, to learn the requests.
 	batch := []event{<-rig.srv.events, <-rig.srv.events, <-rig.srv.events}
 	for _, e := range batch[:2] {
-		e.req.wallDeadline = e.req.arrived
+		e.req.Deadline = e.req.Arrival
 	}
 	for _, e := range batch {
 		rig.srv.events <- e

@@ -9,16 +9,16 @@ import (
 	"schemble/internal/trace"
 )
 
-// virtualClock moves only in advance, and only while the runtime is quiet:
-// every worker parked, on the clock or on an empty task queue, and the
-// coordinator with nothing to take off, which it learns from the hand-offs
-// the runtime reports through sent and idle. Timers due by an advance's end
-// fire one at a time, in (instant, arming) order, each once the runtime is
-// quiet again, so a run on it is the same run on any host.
+// virtualClock runs from 0 and moves only in advance, and only while the
+// runtime is quiet: every worker parked, on the clock or on an empty task
+// queue, and the coordinator with nothing to take off, which it learns from
+// the hand-offs the runtime reports through sent and idle. Timers due by an
+// advance's end fire one at a time, in (instant, arming) order, each once
+// the runtime is quiet again, so a run on it is the same run on any host.
 type virtualClock struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	at   time.Time
+	at   time.Duration
 	// armed lists the armed timers, in arming order. running counts the
 	// workers not parked; toCoord the events and timer wakes posted to the
 	// coordinator that a finished turn has not taken off; queued[k] the tasks
@@ -31,10 +31,11 @@ type virtualClock struct {
 
 // virtualTimer is a virtual clock's timer. A worker's fires as that
 // worker's wake, counting it running; the coordinator's as an event for it.
+// What it sends is not read.
 type virtualTimer struct {
 	clk  *virtualClock
 	ch   chan time.Time
-	at   time.Time
+	at   time.Duration
 	woke *int // c.running or c.toCoord
 }
 
@@ -42,8 +43,7 @@ func (t *virtualTimer) c() <-chan time.Time { return t.ch }
 
 // newVirtualClock returns a clock for s, not yet started.
 func newVirtualClock(s *Server) *virtualClock {
-	c := &virtualClock{at: time.Unix(1_000_000_000, 0),
-		queued: make([]int, len(s.replicas)), idlers: make([]int, len(s.replicas))}
+	c := &virtualClock{queued: make([]int, len(s.replicas)), idlers: make([]int, len(s.replicas))}
 	c.cond = sync.NewCond(&c.mu)
 	for _, n := range s.replicas {
 		c.running += n
@@ -51,7 +51,7 @@ func newVirtualClock(s *Server) *virtualClock {
 	return c
 }
 
-func (c *virtualClock) now() time.Time {
+func (c *virtualClock) now() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.at
@@ -60,7 +60,7 @@ func (c *virtualClock) now() time.Time {
 // newWaiter's timer is its worker's wake: arming it parks the worker.
 func (c *virtualClock) newWaiter() *waiter {
 	w := &waiter{timer: &virtualTimer{clk: c, ch: make(chan time.Time, 1), woke: &c.running}}
-	w.left = func(target time.Time) time.Duration { return target.Sub(c.now()) }
+	w.left = func(target time.Duration) time.Duration { return target - c.now() }
 	w.coarse = w.sleep
 	return w
 }
@@ -100,7 +100,7 @@ func (t *virtualTimer) set(d time.Duration) {
 		default:
 		}
 		if d != never {
-			t.at = c.at.Add(d)
+			t.at = c.at + d
 			c.armed = append(c.armed, t)
 			if t.woke == &c.running {
 				c.running-- // a worker parks until its wake
@@ -137,14 +137,14 @@ func (c *virtualClock) quiet() bool {
 func (c *virtualClock) advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	end := c.at.Add(d)
+	end := c.at + d
 	for {
 		for !c.quiet() {
 			c.cond.Wait()
 		}
 		var next *virtualTimer
 		for _, a := range c.armed {
-			if !a.at.After(end) && (next == nil || a.at.Before(next.at)) {
+			if a.at <= end && (next == nil || a.at < next.at) {
 				next = a
 			}
 		}
@@ -153,11 +153,9 @@ func (c *virtualClock) advance(d time.Duration) {
 			return
 		}
 		c.disarm(next)
-		if next.at.After(c.at) {
-			c.at = next.at
-		}
+		c.at = max(c.at, next.at)
 		*next.woke++
-		next.ch <- c.at
+		next.ch <- time.Time{}
 	}
 }
 
@@ -184,10 +182,9 @@ func Replay(s *Server, tr *trace.Trace, samples []*dataset.Sample) []Result {
 // submitTrace submits tr's queries to s, just started on a virtual clock,
 // each once advance has moved the clock to its arrival's instant.
 func (s *Server) submitTrace(tr *trace.Trace, samples []*dataset.Sample, advance func(time.Duration)) []<-chan Result {
-	start := s.clk.now() // the anchor of the server's virtual time
 	chans := make([]<-chan Result, len(tr.Arrivals))
 	for i, a := range tr.Arrivals {
-		advance(start.Add(time.Duration(float64(a.At) * s.scale)).Sub(s.clk.now()))
+		advance(a.At - s.clk.now())
 		chans[i] = s.SubmitClass(samples[a.SampleIdx], a.Deadline-a.At, a.Class)
 	}
 	return chans

@@ -52,9 +52,10 @@ func earliestWake(primary, hedge, cutoff time.Duration) (time.Duration, wakeKind
 // clock builds the waiter, and a test can run until on a clock of its own.
 type waiter struct {
 	timer timer
-	// left is how long until target on the clock, negative once it has
-	// passed.
-	left func(target time.Time) time.Duration
+	// left is how long until the virtual instant target, negative once it
+	// has passed, in the time the sleeps below take: wall time on the wall
+	// clock.
+	left func(target time.Duration) time.Duration
 	// coarse waits d on the timer; false means ctx ended first.
 	coarse func(ctx context.Context, d time.Duration) bool
 	// tail blocks the thread for up to d on the OS's high-resolution
@@ -76,16 +77,16 @@ func (w *waiter) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// until blocks until the monotonic instant target and never returns
-// before it; over is how far past it the wait returned, and alive is
-// false when ctx ended first. A wait longer than tailGuard sleeps on the
+// until blocks until the virtual instant target and never returns before
+// it; over is how far past it the wait returned, in left's time, and alive
+// is false when ctx ended first. A wait longer than tailGuard sleeps on the
 // runtime timer up to the guard and finishes on the tail sleep, re-issued
 // for what is left while it is interrupted short of the target. ctx is
 // observed before and after every sleep; the tail itself is
 // uninterruptible, and at most tailGuard long. Everything else — short
 // waits, platforms without a tail, whatever a failed tail left over — is
 // the runtime timer alone.
-func (w *waiter) until(ctx context.Context, target time.Time) (over time.Duration, alive bool) {
+func (w *waiter) until(ctx context.Context, target time.Duration) (over time.Duration, alive bool) {
 	tailing := false
 	for {
 		if ctx.Err() != nil {

@@ -45,16 +45,17 @@ func TestEarliestWake(t *testing.T) {
 // through one reused waiter and checks each against its own monotonic
 // target: whatever path a wait takes, it may not return before it.
 func TestWaiterNeverEarly(t *testing.T) {
-	w := wallClock{}.newWaiter()
+	clk := newWallClock(1)
+	w := clk.newWaiter()
 	ctx := context.Background()
 	for i := 0; i < 300; i++ {
 		// 0 .. 2.99 ms in 10 µs steps, visited out of order.
 		d := time.Duration(i*37%300) * 10 * time.Microsecond
-		target := time.Now().Add(d)
+		target := clk.now() + d
 		if _, alive := w.until(ctx, target); !alive {
 			t.Fatalf("wait %d (%v) reported a live context as cancelled", i, d)
 		}
-		if early := time.Until(target); early > 0 {
+		if early := target - clk.now(); early > 0 {
 			t.Fatalf("wait %d (%v) returned %v before its target", i, d, early)
 		}
 	}
@@ -64,7 +65,7 @@ func TestWaiterNeverEarly(t *testing.T) {
 // inside the waiter's own sleeps, by exactly what the test decides, so
 // which path a wait takes cannot depend on how the host ran it.
 type waitClock struct {
-	now time.Time
+	now time.Duration
 	// overshoot is how far past its request each coarse sleep lands.
 	overshoot time.Duration
 	// coarse and tails list what each coarse sleep and each tail was
@@ -76,12 +77,11 @@ type waitClock struct {
 // tail stands in for the high-resolution sleep: it is handed the clock to
 // advance (or not) and reports what tailSleep would.
 func newClockedWaiter(c *waitClock, tail func(c *waitClock, d time.Duration) bool) *waiter {
-	c.now = time.Unix(1_000_000_000, 0)
-	w := wallClock{}.newWaiter()
-	w.left = func(target time.Time) time.Duration { return target.Sub(c.now) }
+	w := newWallClock(1).newWaiter()
+	w.left = func(target time.Duration) time.Duration { return target - c.now }
 	w.coarse = func(_ context.Context, d time.Duration) bool {
 		c.coarse = append(c.coarse, d)
-		c.now = c.now.Add(d + c.overshoot)
+		c.now += d + c.overshoot
 		return true
 	}
 	w.tail = func(d time.Duration) bool {
@@ -98,12 +98,12 @@ func newClockedWaiter(c *waitClock, tail func(c *waitClock, d time.Duration) boo
 func TestWaiterFallsBackWhenTailFails(t *testing.T) {
 	c := &waitClock{}
 	w := newClockedWaiter(c, func(*waitClock, time.Duration) bool { return false })
-	target := c.now.Add(tailGuard + 2*time.Millisecond)
+	target := c.now + tailGuard + 2*time.Millisecond
 	over, alive := w.until(context.Background(), target)
 	if !alive {
 		t.Fatal("live context reported cancelled")
 	}
-	if early := target.Sub(c.now); early > 0 {
+	if early := target - c.now; early > 0 {
 		t.Fatalf("returned %v before the target after a failed tail", early)
 	}
 	if over != 0 {
@@ -131,15 +131,15 @@ func TestWaiterReissuesInterruptedTail(t *testing.T) {
 		if d > slice {
 			d = slice
 		}
-		c.now = c.now.Add(d)
+		c.now += d
 		return true
 	})
-	target := c.now.Add(tailGuard + 2*time.Millisecond)
+	target := c.now + tailGuard + 2*time.Millisecond
 	over, alive := w.until(context.Background(), target)
 	if !alive {
 		t.Fatal("live context reported cancelled")
 	}
-	if early := target.Sub(c.now); early > 0 {
+	if early := target - c.now; early > 0 {
 		t.Fatalf("returned %v before the target", early)
 	}
 	if over < 0 {
@@ -168,7 +168,7 @@ func TestWaiterCoarseOvershootSkipsTail(t *testing.T) {
 	const late = 500 * time.Microsecond
 	c := &waitClock{overshoot: tailGuard + late}
 	w := newClockedWaiter(c, func(*waitClock, time.Duration) bool { return true })
-	target := c.now.Add(tailGuard + 2*time.Millisecond)
+	target := c.now + tailGuard + 2*time.Millisecond
 	over, alive := w.until(context.Background(), target)
 	if !alive {
 		t.Fatal("live context reported cancelled")
@@ -187,14 +187,15 @@ func TestWaiterCoarseOvershootSkipsTail(t *testing.T) {
 // TestWaiterShortWaitSkipsTail: a wait no longer than the guard is the
 // runtime timer alone.
 func TestWaiterShortWaitSkipsTail(t *testing.T) {
-	w := wallClock{}.newWaiter()
+	clk := newWallClock(1)
+	w := clk.newWaiter()
 	tails := 0
 	w.tail = func(time.Duration) bool { tails++; return true }
-	target := time.Now().Add(tailGuard / 2)
+	target := clk.now() + tailGuard/2
 	if _, alive := w.until(context.Background(), target); !alive {
 		t.Fatal("live context reported cancelled")
 	}
-	if early := time.Until(target); early > 0 {
+	if early := target - clk.now(); early > 0 {
 		t.Fatalf("returned %v before the target", early)
 	}
 	if tails != 0 {
@@ -205,12 +206,13 @@ func TestWaiterShortWaitSkipsTail(t *testing.T) {
 // TestWaiterPreCancelled: a context that is already done returns at once —
 // the target is an hour away, so any waiting at all would hang the test.
 func TestWaiterPreCancelled(t *testing.T) {
-	w := wallClock{}.newWaiter()
+	clk := newWallClock(1)
+	w := clk.newWaiter()
 	tails := 0
 	w.tail = func(time.Duration) bool { tails++; return true }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, alive := w.until(ctx, time.Now().Add(time.Hour)); alive {
+	if _, alive := w.until(ctx, clk.now()+time.Hour); alive {
 		t.Fatal("alive == true for a cancelled context")
 	}
 	if tails != 0 {
@@ -236,14 +238,15 @@ func (c *selectSignal) Done() <-chan struct{} {
 // its coarse timer sleep: it must return dead without entering the tail,
 // and leave the reused timer drained for the next wait.
 func TestWaiterCancelDuringCoarsePhase(t *testing.T) {
-	w := wallClock{}.newWaiter()
+	clk := newWallClock(1)
+	w := clk.newWaiter()
 	tails := 0
 	w.tail = func(time.Duration) bool { tails++; return true }
 	inner, cancel := context.WithCancel(context.Background())
 	ctx := &selectSignal{Context: inner, waiting: make(chan struct{})}
 	alive := make(chan bool, 1)
 	go func() {
-		_, a := w.until(ctx, time.Now().Add(time.Hour))
+		_, a := w.until(ctx, clk.now()+time.Hour)
 		alive <- a
 	}()
 	<-ctx.waiting
@@ -254,11 +257,11 @@ func TestWaiterCancelDuringCoarsePhase(t *testing.T) {
 	if tails != 0 {
 		t.Errorf("cancelled coarse phase entered the tail %d times", tails)
 	}
-	target := time.Now().Add(2 * time.Millisecond)
+	target := clk.now() + 2*time.Millisecond
 	if _, alive := w.until(context.Background(), target); !alive {
 		t.Fatal("reused waiter reported a live context as cancelled")
 	}
-	if early := time.Until(target); early > 0 {
+	if early := target - clk.now(); early > 0 {
 		t.Fatalf("reused waiter returned %v early after a cancelled wait", early)
 	}
 }
