@@ -52,7 +52,8 @@ test-race:
 # can hold mid-pass), the turn tests on the same rig (events queued behind a
 # held pass are handled together and planned once), the submit-order tests
 # (score, cache lookup, admission — with a class held at shed by a backlog
-# of blocked models on the frozen clock), and the waiter's paths on a clock the test owns. About a second
+# of blocked models on the frozen clock), a submission held in its score
+# across Stop (rejected, never stranded), and the waiter's paths on a clock the test owns. About a second
 # per pass. The hand-off the dispatch tests cover — a worker takes its
 # staged task while the coordinator is still planning — is the one place
 # the two run unsynchronised by an event, so it is race-tested many
@@ -65,7 +66,7 @@ test-race:
 # CPUs, and must write the same report (TestSoakIsOneRun, ~3 s a pass).
 rig:
 	$(GO) test -race -count=20 \
-		-run 'TestDispatchGate|TestStaged|TestTurn|TestSubmitOrder|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
+		-run 'TestDispatchGate|TestStaged|TestTurn|TestSubmitOrder|TestSubmitScoredAcrossStop|TestWaiter(FallsBack|Reissues|CoarseOvershoot)' \
 		./internal/serve/
 	$(GO) test -count=20 -cpu 1,2 \
 		-run 'SimServeEquivalence|Turn|Deadline|Breaker|TestServe(Degraded|Hedge|NoFaults|Panic)|TestFaultFree|TestFaultTolerance|TestChaosReplay|TestReplayIgnoresTimeScale' \

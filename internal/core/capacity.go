@@ -23,16 +23,6 @@ import (
 // windows.
 type Capacity [][]time.Duration
 
-// SingleReplica lifts a per-model availability vector (one replica per
-// model) into a Capacity.
-func SingleReplica(avail []time.Duration) Capacity {
-	c := make(Capacity, len(avail))
-	for k, a := range avail {
-		c[k] = []time.Duration{a}
-	}
-	return c
-}
-
 // M returns the number of models.
 func (c Capacity) M() int { return len(c) }
 

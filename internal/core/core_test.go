@@ -11,6 +11,16 @@ import (
 	"schemble/internal/rng"
 )
 
+// SingleReplica lifts a per-model availability vector (one replica per
+// model) into a Capacity.
+func SingleReplica(avail []time.Duration) Capacity {
+	c := make(Capacity, len(avail))
+	for k, a := range avail {
+		c[k] = []time.Duration{a}
+	}
+	return c
+}
+
 // powRewarder is a synthetic utility satisfying diminishing marginal
 // utility: U(score, s) = 1 - score^|s| (clamped to score in [0.05, 0.95]).
 type powRewarder struct{}

@@ -102,8 +102,8 @@ type Query struct {
 	Cacheable bool
 	CacheKey  int
 	// Level and Subset are what the query was committed at and onto. The
-	// engine never writes them: the driver's Commit does, under whatever
-	// lock it shares the query by.
+	// engine never writes them: the driver's Commit does, on the goroutine
+	// that owns the buffer.
 	Level  qos.Level
 	Subset ensemble.Subset
 	// Planned is what the scheduler last chose for the query, before the

@@ -24,9 +24,6 @@ func TestSubsetBasics(t *testing.T) {
 	if s.Without(0) != Single(2) {
 		t.Error("Without failed")
 	}
-	if !Single(1).IsSubsetOf(Full(3)) || Full(3).IsSubsetOf(Single(1)) {
-		t.Error("IsSubsetOf wrong")
-	}
 	models := Full(3).Models()
 	if len(models) != 3 || models[0] != 0 || models[2] != 2 {
 		t.Errorf("Models = %v", models)
@@ -59,8 +56,7 @@ func TestSubsetProperties(t *testing.T) {
 		idx := int(k % MaxModels)
 		return s.With(idx).Contains(idx) &&
 			!s.Without(idx).Contains(idx) &&
-			s.With(idx).Size() >= s.Size() &&
-			s.IsSubsetOf(s.With(idx))
+			s.With(idx).Size() >= s.Size()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

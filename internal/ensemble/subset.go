@@ -60,9 +60,6 @@ func (s Subset) Models() []int {
 	return out
 }
 
-// IsSubsetOf reports whether every model in s is also in t.
-func (s Subset) IsSubsetOf(t Subset) bool { return s&^t == 0 }
-
 // String renders the subset as "{0,2}".
 func (s Subset) String() string {
 	var b strings.Builder

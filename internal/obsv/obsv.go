@@ -17,7 +17,9 @@ type Config struct {
 	// ring is full the oldest trace is dropped.
 	TraceBuffer int
 	// Sink, when non-nil, additionally receives every finalized trace. It
-	// is called synchronously on the runtime's goroutines and must not
+	// is called synchronously by the goroutine that resolves the request —
+	// the coordinator, or the submitting one for a request rejected or
+	// served from the cache before it reached the coordinator — and must not
 	// block; NewJSONLSink returns a buffered asynchronous file sink.
 	Sink func(DecisionTrace)
 }

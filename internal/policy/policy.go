@@ -209,9 +209,6 @@ func (d *DES) Select(s *dataset.Sample) ensemble.Subset {
 	return sub
 }
 
-// Competence exposes the fitted table (for tests and diagnostics).
-func (d *DES) Competence() [][]float64 { return d.competence }
-
 // Gating is the gate-network baseline: an MLP scores each base model's
 // credibility on the query; models with weights under the threshold are
 // filtered out. Deployed gating for latency-sensitive serving thresholds

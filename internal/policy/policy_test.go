@@ -94,7 +94,7 @@ func TestPlanStaticTradesAccuracyForThroughput(t *testing.T) {
 func TestDESSelect(t *testing.T) {
 	samples, agree, _ := fixture(t, 1500)
 	des := TrainDES(DESConfig{Seed: 1}, samples, agree)
-	if len(des.Competence()) == 0 {
+	if len(des.competence) == 0 {
 		t.Fatal("no competence table")
 	}
 	for _, s := range samples[:200] {
@@ -106,13 +106,13 @@ func TestDESSelect(t *testing.T) {
 	// Competence must order sensibly on average: strongest model 2 should
 	// exceed weakest model 0 in most regions.
 	better := 0
-	for _, row := range des.Competence() {
+	for _, row := range des.competence {
 		if row[2] >= row[0] {
 			better++
 		}
 	}
-	if better < len(des.Competence())/2 {
-		t.Errorf("competence ordering wrong in %d/%d regions", better, len(des.Competence()))
+	if better < len(des.competence)/2 {
+		t.Errorf("competence ordering wrong in %d/%d regions", better, len(des.competence))
 	}
 }
 

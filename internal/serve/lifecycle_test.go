@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"schemble/internal/core"
+	"schemble/internal/dataset"
 	"schemble/internal/ensemble"
 	"schemble/internal/testutil"
 )
@@ -275,6 +276,56 @@ func TestServeSubmitRacesStart(t *testing.T) {
 	s.Start(context.Background())
 	wg.Wait()
 	s.Stop()
+}
+
+// heldEstimator holds every score until the test releases it, saying when
+// one has begun.
+type heldEstimator struct{ entered, release chan struct{} }
+
+func (h *heldEstimator) Predict(*dataset.Sample) float64 {
+	h.entered <- struct{}{}
+	<-h.release
+	return 0.5
+}
+
+// TestSubmitScoredAcrossStop holds a Submit in its score, past its lifecycle
+// check, while Stop runs to the end. The coordinator is gone when the score
+// comes back, so the request is not sent: it must already be resolved, as a
+// rejection, when Submit returns, and resolved once.
+func TestSubmitScoredAcrossStop(t *testing.T) {
+	a := artifacts(t)
+	est := &heldEstimator{entered: make(chan struct{}), release: make(chan struct{})}
+	cfg := baseConfig(a)
+	cfg.Estimator = est
+	s := New(cfg)
+	s.Start(context.Background())
+	submitted := make(chan (<-chan Result), 1)
+	go func() { submitted <- s.Submit(a.Serve[0], time.Second) }()
+	select {
+	case <-est.entered:
+	case <-time.After(rigWait):
+		t.Fatal("Submit never scored its request")
+	}
+	s.Stop()
+	close(est.release)
+	var ch <-chan Result
+	select {
+	case ch = <-submitted:
+	case <-time.After(rigWait):
+		t.Fatal("Submit never returned")
+	}
+	select {
+	case res := <-ch:
+		if !res.Rejected || !res.Missed {
+			t.Errorf("%+v for a request scored across Stop, want a rejection", res)
+		}
+	default:
+		t.Fatal("the request was stranded: unresolved when Submit returned after Stop")
+	}
+	assertNoSecondResult(t, 0, ch)
+	if st := s.Stats(); st.Submitted != 1 || st.Rejected != 1 {
+		t.Errorf("submitted %d, rejected %d, want 1 and 1", st.Submitted, st.Rejected)
+	}
 }
 
 // TestEarlyTaskResolvesOnceOnStopAndDrain: Stop, and Drain, with a buffered

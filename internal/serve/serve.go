@@ -41,12 +41,10 @@
 // runtime is bit-identical to the original single-worker design.
 //
 // Lifecycle: New -> Start(ctx) -> Submit()... -> Drain/Stop. Every request
-// moves through an explicit state machine
-//
-//	submitted -> committed -> resolved
-//
-// and resolves exactly once: with its aggregated output, as a deadline
-// miss, or as an explicit rejection (Result.Rejected) when the runtime is
+// has one owner at a time, and only its owner resolves it: SubmitClass until
+// it sends the request to the coordinator, the coordinator from then on. So
+// it resolves exactly once: with its aggregated output, as a deadline miss,
+// or as an explicit rejection (Result.Rejected) when the runtime is
 // saturated, draining, or stopped. The coordinator owns every deadline: each
 // turn, before it plans, resolves the buffered requests whose deadline has
 // passed, and one timer wakes it for the earliest deadline still to come.
@@ -196,17 +194,6 @@ type Result struct {
 	Latency time.Duration
 }
 
-// reqState is a request's lifecycle stage. Transitions are guarded by the
-// request mutex and move strictly forward; stateResolved is terminal and
-// reachable from every stage.
-type reqState uint8
-
-const (
-	stateSubmitted reqState = iota // accepted by Submit
-	stateCommitted                 // subset locked, tasks dispatched
-	stateResolved                  // Result delivered exactly once
-)
-
 // request tracks one in-flight query.
 type request struct {
 	// seq is the submission number, from 1: the trace ID and attemptKey's.
@@ -214,8 +201,7 @@ type request struct {
 	// Query is the decision engine's view. SubmitClass fills it before the
 	// request is shared (the event-channel send orders those writes); from
 	// then on only the coordinator writes it: ID when the request is
-	// buffered, Early while it waits, Level and Subset when it is committed —
-	// Subset under mu, since a worker's counts reads it.
+	// buffered, Early while it waits, Level and Subset when it is committed.
 	engine.Query
 	sample *dataset.Sample
 
@@ -229,29 +215,18 @@ type request struct {
 	failed    int
 	remaining int
 
-	// mu guards what a worker or SubmitClass still shares with the
-	// coordinator: the lifecycle state and Subset that a worker's counts
-	// reads, and the trace that claim finalises, which SubmitClass's
-	// raced-shutdown path can reach.
-	mu sync.Mutex
-	//schemble:guardedby mu lifecycle state machine
-	state reqState
-	// tr is the request's decision trace, nil when observability is off.
-	// Creation-time fields are written before the request is shared; the
-	// mitigation counters are atomics because workers bump them while the
-	// coordinator may resolve.
-	//schemble:guardedby mu commit- and resolve-time trace fields
+	// live is the one thing a worker reads that the coordinator writes: the
+	// mask of models whose output can still count — the full ensemble while
+	// the request waits, its subset once committed, none once resolved.
+	live atomic.Uint32
+	// tr is the request's decision trace, nil when observability is off,
+	// written by the request's owner. The mitigation counters are atomics
+	// because workers bump them while the coordinator may resolve.
 	tr          *obsv.DecisionTrace
 	obsRetries  atomic.Uint32
 	obsHedges   atomic.Uint32
 	obsTimeouts atomic.Uint32
 	done        chan Result
-}
-
-func (r *request) isResolved() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state == stateResolved
 }
 
 // counts reports whether t's output can still count: its request has not
@@ -260,9 +235,7 @@ func (r *request) isResolved() bool {
 // reports its end, which the coordinator books or drops as the request then
 // stands (onTaskDone).
 func (r *request) counts(t *task) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state != stateResolved && !(t.early && r.state == stateCommitted && !r.Subset.Contains(t.k))
+	return ensemble.Subset(r.live.Load()).Contains(t.k)
 }
 
 // modelCounters are one model's fault and mitigation counters, written by
@@ -332,7 +305,8 @@ type Server struct {
 	breakers []breakerState
 
 	// lifeMu guards the lifecycle fields so Submit racing Start, Drain or
-	// Stop observes a consistent (ctx, draining) pair.
+	// Stop observes a consistent (ctx, draining) pair, and orders each
+	// Submit's send to the coordinator before or after its shutdown.
 	lifeMu sync.Mutex
 	//schemble:guardedby lifeMu lifecycle context
 	ctx context.Context
@@ -340,6 +314,10 @@ type Server struct {
 	cancel context.CancelFunc
 	//schemble:guardedby lifeMu drain latch
 	draining bool
+	// closed is set by the coordinator's shutdown before its last sweep of
+	// the event loop: from then on no request is sent to it.
+	//schemble:guardedby lifeMu shutdown latch
+	closed bool
 
 	// obs collects decision traces and latency histograms; nil (all hooks
 	// skipped) unless Config.Obs enables it.
@@ -381,8 +359,6 @@ type task struct {
 	// sent is when the coordinator queued the task: a replica free before
 	// then starts it no earlier (worker).
 	sent time.Duration
-	// early marks a task dispatched ahead of its request's commit.
-	early bool
 }
 
 type evKind int
@@ -820,6 +796,7 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		sample: sample,
 		done:   make(chan Result, 1),
 	}
+	req.live.Store(uint32(ensemble.Full(len(s.taskCh))))
 	if s.obs != nil {
 		req.tr = &obsv.DecisionTrace{
 			ID:       req.seq,
@@ -863,21 +840,24 @@ func (s *Server) SubmitClass(sample *dataset.Sample, deadline time.Duration, cla
 		s.resolve(req, Result{Missed: true, Rejected: true})
 		return req.done
 	}
-	s.clk.sent(toCoordinator, 1)
-	select {
-	case s.events <- event{kind: evSubmit, req: req}:
-	default:
-		// Event loop saturated: reject explicitly instead of blocking the
-		// caller or dropping the request on the floor.
-		s.clk.sent(toCoordinator, -1)
-		s.resolve(req, Result{Missed: true, Rejected: true})
-		return req.done
+	// The send hands the request to the coordinator, its only resolver from
+	// then on. Under lifeMu it comes before the coordinator's shutdown sweep
+	// or not at all; a request not sent is still this goroutine's to reject.
+	s.lifeMu.Lock()
+	sent := !s.closed
+	if sent {
+		s.clk.sent(toCoordinator, 1)
+		select {
+		case s.events <- event{kind: evSubmit, req: req}:
+		default:
+			// Event loop saturated: reject explicitly instead of blocking
+			// the caller or dropping the request on the floor.
+			s.clk.sent(toCoordinator, -1)
+			sent = false
+		}
 	}
-	if ctx.Err() != nil {
-		// Raced shutdown: the coordinator's drain sweep may already be
-		// past, and a stopped coordinator reaches no deadline; resolve
-		// directly. resolve's exactly-once guarantee makes the duplicate
-		// path harmless.
+	s.lifeMu.Unlock()
+	if !sent {
 		s.resolve(req, Result{Missed: true, Rejected: true})
 	}
 	return req.done
@@ -1265,9 +1245,7 @@ func (c *coordinator) turn(e *event) {
 // expire resolves what the deadlines have caught up with at now, before the
 // turn's pass — a buffered request misses, and an in-flight one serves the
 // outputs it holds — and returns the earliest deadline still to come among
-// them (never when there is none). The same walk drops the buffered
-// requests that resolved otherwise (a Submit raced shutdown), so the engine
-// neither counts nor plans them.
+// them (never when there is none).
 func (c *coordinator) expire(now time.Duration) (next time.Duration) {
 	s := c.s
 	next = never
@@ -1280,9 +1258,9 @@ func (c *coordinator) expire(now time.Duration) (next time.Duration) {
 	}
 	s.eng.Filter(func(it engine.Item) bool {
 		r := it.(*request)
-		keep := !r.isResolved() && ahead(r)
+		keep := ahead(r)
 		if !keep {
-			s.resolve(r, Result{Missed: true}) // no-op if it already resolved
+			s.resolve(r, Result{Missed: true})
 		}
 		return keep
 	})
@@ -1332,15 +1310,19 @@ func (c *coordinator) missBuffered() {
 	c.syncGauges()
 }
 
+// shutdown resolves every request the coordinator was sent: it closes the
+// send first, so none arrives after the sweep of the event loop.
 func (c *coordinator) shutdown() {
+	c.s.lifeMu.Lock()
+	c.s.closed = true
+	c.s.lifeMu.Unlock()
 	//schemble:maporder-ok each in-flight request resolves independently to its own channel; no ordered output derives from this sweep
 	for r := range c.inflight {
 		c.s.resolve(r, Result{Missed: true})
 		delete(c.inflight, r)
 	}
 	c.missBuffered()
-	// Drain events that raced with shutdown so their requests still
-	// resolve.
+	// Reject the requests still queued in the event loop.
 	for {
 		select {
 		case e := <-c.s.events:
@@ -1502,12 +1484,8 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 	// The early tasks of sub, done or running, stand in for the commit's
 	// own; an early output from outside sub does not count.
 	kept := r.Early & sub
-	r.mu.Lock()
-	if r.state == stateResolved {
-		r.mu.Unlock()
-		return
-	}
-	r.Subset, r.Level, r.state = sub, lvl, stateCommitted
+	r.Subset, r.Level = sub, lvl
+	r.live.Store(uint32(sub))
 	if r.tr != nil {
 		// Decision context: what the runtime looked like when the subset
 		// was locked in.
@@ -1538,7 +1516,6 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 			r.tr.Drift = s.eng.Adapt.ActiveDrift()
 		}
 	}
-	r.mu.Unlock()
 	r.ok &= sub
 	r.remaining = (sub &^ r.ok).Size()
 	if kept != ensemble.Empty {
@@ -1563,11 +1540,11 @@ func (c *coordinator) Commit(t time.Duration, it engine.Item, sub ensemble.Subse
 }
 
 // Early implements engine.Executor: it queues model k's task of a request
-// still in the buffer, as Commit queues one, unless the request has resolved
-// or the model's queue is full.
+// still in the buffer, as Commit queues one, unless the model's queue is
+// full.
 func (c *coordinator) Early(t time.Duration, it engine.Item, k int) bool {
 	s, r := c.s, it.(*request)
-	if r.isResolved() || !c.dispatch(&task{req: r, k: k, sent: s.clk.now(), early: true}, t) {
+	if !c.dispatch(&task{req: r, k: k, sent: s.clk.now()}, t) {
 		return false
 	}
 	s.nEarly.Add(1)
@@ -1636,32 +1613,24 @@ func (res Result) outcome() obsv.Outcome {
 	return obsv.Served
 }
 
-// resolve delivers a result exactly once; entering stateResolved is the
-// only transition allowed from any stage, so late task completions, the
-// deadline step and shutdown sweeps cannot double-deliver.
+// resolve delivers res to r. Only r's owner calls it: SubmitClass before it
+// sends r, the coordinator after; a request already resolved gets nothing
+// more.
 func (s *Server) resolve(r *request, res Result) {
 	if s.claim(r, res) {
 		r.done <- res
 	}
 }
 
-// claim is resolve up to the delivery: it reports whether res won the
-// exactly-once race for r, and books it if so. The winner owes r.done the
-// result.
+// claim is resolve up to the delivery: it reports whether r was still
+// unresolved, and if so resolves it — no model's output counts from then on
+// — and books res. The caller owes r.done the result.
 func (s *Server) claim(r *request, res Result) bool {
-	r.mu.Lock()
-	if r.state == stateResolved {
-		r.mu.Unlock()
+	if r.live.Swap(0) == 0 {
 		return false
 	}
-	r.state = stateResolved
 	out := res.outcome()
-	var trace *obsv.DecisionTrace
-	if r.tr != nil {
-		// Finalize the trace while holding the mutex that guarded its
-		// commit-time fields, then hand a copy to the observer outside the
-		// lock.
-		t := r.tr
+	if t := r.tr; t != nil {
 		t.Resolved = s.Now()
 		t.Latency = t.Resolved - t.Queued
 		t.Retries = int(r.obsRetries.Load())
@@ -1671,10 +1640,7 @@ func (s *Server) claim(r *request, res Result) bool {
 		if !res.Missed {
 			t.Served = res.Subset.Models()
 		}
-		c := *t
-		trace = &c
 	}
-	r.mu.Unlock()
 	s.nOutcome[out].Add(1)
 	if r.Class >= 0 && s.classStats != nil {
 		cc := &s.classStats[r.Class]
@@ -1683,8 +1649,8 @@ func (s *Server) claim(r *request, res Result) bool {
 			cc.cached.Add(1)
 		}
 	}
-	if trace != nil {
-		s.obs.Done(*trace)
+	if r.tr != nil {
+		s.obs.Done(*r.tr)
 	}
 	return true
 }

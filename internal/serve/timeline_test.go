@@ -161,7 +161,8 @@ func (g *timelineRig) start(t *testing.T) {
 // queue puts a task on the model's queue as Commit would, sent at sent, for
 // a request due at deadline.
 func (g *timelineRig) queue(sent, deadline time.Duration) {
-	r := &request{seq: uint64(len(g.s.taskCh[0]) + 1), Query: engine.Query{Deadline: deadline}, state: stateCommitted}
+	r := &request{seq: uint64(len(g.s.taskCh[0]) + 1), Query: engine.Query{Deadline: deadline}}
+	r.live.Store(1) // committed onto model 0
 	g.s.taskCh[0] <- &task{req: r, k: 0, sent: sent}
 }
 
